@@ -24,7 +24,6 @@ from .core import (
     RngStream,
     RtsError,
     as_latent,
-    derive_stream,
     sample_gaussian,
 )
 from .keysteps import KeyStepSet, ProjectedTrajectory, curvature, project_trajectory, select_key_steps

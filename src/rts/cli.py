@@ -158,6 +158,8 @@ def validate_config(raw: dict) -> dict:
     _expect(cfg["replicates"], int, "replicates", "an integer")
     if cfg["replicates"] < 1:
         raise _fail("replicates", "must be >= 1")
+    if cfg["seed"] + cfg["replicates"] > 2**64:
+        raise _fail("replicates", "seed + replicates - 1 must fit in an unsigned 64-bit integer")
     _expect(cfg["out"], str, "out", "a string")
     _expect(cfg["workers"], int, "workers", "an integer")
     if cfg["workers"] < 1:
@@ -257,6 +259,8 @@ def build_experiment(cfg: dict):
             )
         else:
             reward = QuadraticReward(target=np.asarray(cfg["reward"]["target"], dtype=np.float64))
+            if reward.target.shape[0] != cfg["dimension"]:
+                raise _fail("reward.target", f"dimension {reward.target.shape[0]} != configured {cfg['dimension']}")
         rts_cfg = RtsConfig(
             search_init=SearchConfig(**cfg["search_init"]),
             search_inter=SearchConfig(**{"rounds": 2, **cfg["search_inter"]}),

@@ -11,8 +11,7 @@ distinct logical draws must use distinct child streams.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,20 +56,23 @@ class ConfigError(RtsError, ValueError):
     """A run configuration is malformed."""
 
 
-def as_latent(values, dim: int | None = None) -> Latent:
+def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
     """Validate ``values`` as a latent and return it as a float64 array.
 
-    Raises ``DimensionError`` for wrong shape or dimension < 2 and
-    ``NonFiniteError`` if any entry is NaN or infinite. NaNs are a hard
-    error everywhere in this package, never silently propagated.
+    With ``batch`` a stack of latents, one per row of an ``(n, d)`` array,
+    is accepted as well. Raises ``DimensionError`` for wrong shape or
+    dimension < 2 and ``NonFiniteError`` if any entry is NaN or infinite.
+    NaNs are a hard error everywhere in this package, never silently
+    propagated.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"latent must be 1-D, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise DimensionError(f"latent dimension must be >= 2, got {arr.shape[0]}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionError(f"expected dimension {dim}, got {arr.shape[0]}")
+    if arr.ndim != 1 and not (batch and arr.ndim == 2):
+        expected = "(d,) or (n, d)" if batch else "1-D"
+        raise DimensionError(f"latent must be {expected}, got shape {arr.shape}")
+    if arr.shape[-1] < 2:
+        raise DimensionError(f"latent dimension must be >= 2, got {arr.shape[-1]}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise DimensionError(f"expected dimension {dim}, got {arr.shape[-1]}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("latent contains NaN or infinite entries")
     return arr
@@ -95,7 +97,11 @@ class RngStream:
             raise PreconditionError(f"path labels must be non-negative, got {self.path}")
 
     def child(self, label: int) -> "RngStream":
-        """Derive the sub-stream for ``label``; see :func:`derive_stream`."""
+        """Derive the sub-stream for ``label`` by appending it to the path.
+
+        Deriving with the same label twice gives the same child; distinct
+        labels give statistically independent children.
+        """
         if int(label) < 0:
             raise PreconditionError(f"derivation label must be non-negative, got {label}")
         return RngStream(self.root_seed, self.path + (int(label),))
@@ -104,15 +110,6 @@ class RngStream:
         """A fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(self.root_seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
-
-
-def derive_stream(stream: RngStream, label: int) -> RngStream:
-    """Append ``label`` to the stream's derivation path.
-
-    Deriving with the same label twice gives the same child; distinct labels
-    give statistically independent children.
-    """
-    return stream.child(label)
 
 
 def sample_gaussian(stream: RngStream, dim: int) -> Latent:
@@ -172,17 +169,11 @@ class NoiseTrajectory:
 
 @dataclass
 class NfeCounter:
-    """Thread-safe tally of denoiser evaluations (velocity or clean-estimate calls)."""
+    """Tally of denoiser evaluations (velocity or clean-estimate calls)."""
 
     count: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add(self, n: int = 1) -> None:
         if n < 0:
             raise PreconditionError("NFE increments must be non-negative")
-        with self._lock:
-            self.count += n
-
-    @property
-    def value(self) -> int:
-        return self.count
+        self.count += n

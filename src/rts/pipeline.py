@@ -1,19 +1,22 @@
 """End-to-end reward-guided trajectory search, baselines, and NFE accounting.
 
 The full pipeline runs in five stages: (1) a multi-round coarse-to-fine
-search over initial noises, each candidate scored by a full denoise plus
-reward; (2) recording of the winning trajectory; (3) key-step selection by
-projected curvature; (4) for each key step in descending time order, one
-short coarse-to-fine search over the injected noise at that step, scored by
-the one-step clean estimate, with the trajectory re-simulated forward
-between key steps; (5) a final full denoise with every chosen noise fixed,
-which is exactly the replay of (z_init, injected).
+search over initial noises, each round's candidates scored as one batch by
+a full denoise plus reward; (2) recording of the winning trajectory; (3)
+key-step selection by projected curvature; (4) for each key step in
+descending time order, one short coarse-to-fine search over the injected
+noise at that step, scored by the one-step clean estimate, with the
+trajectory re-simulated forward between key steps; (5) a final full denoise
+with every chosen noise fixed, which is exactly the replay of (z_init,
+injected).
 
-Every velocity or clean-estimate call is one NFE. Budgets are enforced by
-pre-checking the exact cost of each atomic operation, so ``nfe_used`` never
-exceeds the budget; when the budget runs out mid-phase the run returns the
-best result so far with ``truncated`` set. ``expected_rts_nfe`` reproduces
-the ledger arithmetic so the counter can be audited exactly.
+Every velocity or clean-estimate call on one latent is one NFE. Budgets are
+enforced by pre-checking the exact cost of each atomic operation, and a
+batch is cut to the rows that fit, so ``nfe_used`` never exceeds the budget
+and matches one-at-a-time scoring exactly; when the budget runs out
+mid-phase the run returns the best result so far with ``truncated`` set.
+``expected_rts_nfe`` reproduces the ledger arithmetic so the counter can be
+audited exactly.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ from .sim import (
     MixtureModel,
     RewardModel,
     SolverSpec,
+    _advance,
+    _churn_noises,
+    _solve,
     denoise,
     evaluate_reward,
     heun_step,
@@ -75,11 +81,17 @@ class _Budget:
         self.reserved = 0
 
     def fits(self, cost: int) -> bool:
-        return self.limit is None or self.counter.value + self.reserved + cost <= self.limit
+        return self.limit is None or self.counter.count + self.reserved + cost <= self.limit
 
     def ensure(self, cost: int) -> None:
         if not self.fits(cost):
             raise _PhaseTruncated()
+
+    def affordable(self, n: int, cost: int) -> int:
+        """How many of ``n`` operations of ``cost`` each fit, taken in order."""
+        if self.limit is None or cost == 0:
+            return n
+        return min(n, max(0, self.limit - self.counter.count - self.reserved) // cost)
 
     def reserve(self, amount: int) -> None:
         self.reserved += amount
@@ -142,8 +154,22 @@ def _latent_label(z: np.ndarray) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _score_rows(score, rows: np.ndarray, cost: int, budget: _Budget) -> np.ndarray:
+    """``score`` the rows that fit in the budget, then signal truncation if any did not.
+
+    The prefix rule spends exactly what scoring the rows one at a time would
+    have spent before the budget check failed.
+    """
+    fit = budget.affordable(rows.shape[0], cost)
+    if fit < rows.shape[0]:
+        if fit > 0:
+            score(rows[:fit])
+        raise _PhaseTruncated()
+    return score(rows)
+
+
 class _DenoiseEvaluator:
-    """Scores an initial noise by full denoise + reward; keeps trajectories.
+    """Scores initial noises, one per row, by full denoise + reward; keeps trajectories.
 
     In SDE mode the churn noises of a candidate's scoring run are derived
     from a hash of the candidate itself, which makes the reward a pure
@@ -170,24 +196,32 @@ class _DenoiseEvaluator:
         self.cache: dict[bytes, tuple[float, NoiseTrajectory]] = {}
         self.best: tuple[float, NoiseTrajectory] | None = None
 
-    def __call__(self, z: Latent) -> float:
-        self.budget.ensure(self.cost)
-        stream = None
+    def __call__(self, zs: np.ndarray) -> np.ndarray:
+        return _score_rows(self._score, zs, self.cost, self.budget)
+
+    def _score(self, zs: np.ndarray) -> np.ndarray:
+        dim = self.model.dim
+        noises = None
         if self.spec.mode == SDE:
-            stream = self.noise_stream.child(_latent_label(z))
-        traj = denoise(self.model, self.spec, z, stream=stream, nfe=self.nfe)
-        score = evaluate_reward(self.reward, traj.latents[-1])
-        self.cache[np.ascontiguousarray(z).tobytes()] = (score, traj)
-        if self.best is None or score > self.best[0]:
-            self.best = (score, traj)
-        return score
+            noises = np.stack(
+                [_churn_noises(self.spec, dim, self.noise_stream.child(_latent_label(z))) for z in zs]
+            )
+        trace = _solve(self.model, self.spec, zs, noises, self.nfe)
+        scores = evaluate_reward(self.reward, trace[:, -1])
+        for row, score in enumerate(scores.tolist()):
+            injected = noises[row] if noises is not None else np.zeros((0, dim))
+            traj = NoiseTrajectory(trace[row], injected, self.spec.time_grid.copy())
+            self.cache[zs[row].tobytes()] = (score, traj)
+            if self.best is None or score > self.best[0]:
+                self.best = (score, traj)
+        return scores
 
     def lookup(self, z: Latent) -> tuple[float, NoiseTrajectory]:
-        return self.cache[np.ascontiguousarray(z).tobytes()]
+        return self.cache[z.tobytes()]
 
 
 class _SlotEvaluator:
-    """Scores a candidate noise for one churn slot by a deterministic preview.
+    """Scores candidate noises, one per row, for one churn slot by a deterministic preview.
 
     The candidate replaces the injected noise right after the already-fixed
     pre-churn state; the preview then integrates ``lookahead - 1`` solver
@@ -221,19 +255,15 @@ class _SlotEvaluator:
         self.reaches_clean = position + self.preview_steps == spec.steps
         self.cost = 2 * self.preview_steps + (0 if self.reaches_clean else 1)
 
-    def __call__(self, candidate: Latent) -> float:
-        self.budget.ensure(self.cost)
-        grid = self.spec.time_grid
-        x = self.pre_churn + self.scale * np.asarray(candidate, dtype=np.float64)
-        step = self.position
-        for _ in range(self.preview_steps):
-            x = heun_step(self.model, x, grid[step], grid[step + 1], self.nfe)
-            if step < self.spec.steps - 1:
-                dt = grid[step] - grid[step + 1]
-                x = x + self.spec.churn * math.sqrt(dt) * self.injected[step]
-            step += 1
+    def __call__(self, candidates: np.ndarray) -> np.ndarray:
+        return _score_rows(self._score, candidates, self.cost, self.budget)
+
+    def _score(self, candidates: np.ndarray) -> np.ndarray:
+        x = self.pre_churn + self.scale * candidates
+        stop = self.position + self.preview_steps
+        x = _advance(self.model, self.spec, x, self.position, stop, self.injected, self.nfe)
         if not self.reaches_clean:
-            x = one_step_clean_estimate(self.model, x, grid[step], self.nfe)
+            x = one_step_clean_estimate(self.model, x, self.spec.time_grid[stop], self.nfe)
         return evaluate_reward(self.reward, x)
 
 
@@ -323,7 +353,7 @@ def run_rts(
         except _PhaseTruncated:
             truncated = True
             _, traj0 = evaluator.best
-        breakdown["init_search"] = counter.value
+        breakdown["init_search"] = counter.count
         z_init = traj0.latents[0]
     else:
         z_init = sample_gaussian(stream.child(_S_FRESH_INIT), dim)
@@ -331,9 +361,9 @@ def run_rts(
 
     if record_needed:
         budget.unreserve(2 * steps)
-        before = counter.value
+        before = counter.count
         traj0 = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=counter)
-        breakdown["record"] = counter.value - before
+        breakdown["record"] = counter.count - before
 
     keys: KeyStepSet | None = None
     final_traj = traj0
@@ -343,7 +373,7 @@ def run_rts(
     if inter_enabled and not truncated:
         if budget.fits(2 * steps):
             budget.reserve(2 * steps)
-            before = counter.value
+            before = counter.count
             keys = select_key_steps(project_trajectory(traj0), min(cfg.k_keysteps, steps - 1))
             grid = spec.time_grid
             latents = traj0.latents.copy()
@@ -353,14 +383,13 @@ def run_rts(
             try:
                 for position in sorted(keys.indices):
                     slot = position - 1
-                    while valid_through < slot:
-                        i = valid_through
-                        budget.ensure(2)
-                        x = heun_step(model, latents[i], grid[i], grid[i + 1], counter)
-                        if i < steps - 1:
-                            x = x + spec.churn * math.sqrt(grid[i] - grid[i + 1]) * injected[i]
-                        latents[i + 1] = x
-                        valid_through = i + 1
+                    if valid_through < slot:
+                        # re-simulate with the chosen noises as far as the budget
+                        # allows; when it falls short, the ensure below cuts the run
+                        stop = valid_through + budget.affordable(slot - valid_through, 2)
+                        _advance(model, spec, latents[valid_through], valid_through, stop,
+                                 injected, counter, latents)
+                        valid_through = stop
                     budget.ensure(2)
                     pre_churn = heun_step(model, latents[slot], grid[slot], grid[slot + 1], counter)
                     slot_eval = _SlotEvaluator(
@@ -382,12 +411,12 @@ def run_rts(
                     committed += 1
             except _PhaseTruncated:
                 truncated = True
-            breakdown["inter_search"] = counter.value - before
+            breakdown["inter_search"] = counter.count - before
             budget.unreserve(2 * steps)
             if committed > 0:
-                before = counter.value
+                before = counter.count
                 final_traj = denoise(model, spec, traj0.latents[0], injected=injected, nfe=counter)
-                breakdown["final"] = counter.value - before
+                breakdown["final"] = counter.count - before
         else:
             truncated = True
 
@@ -396,7 +425,7 @@ def run_rts(
         method=RTS,
         final_sample=final_traj.latents[-1],
         final_reward=final_reward,
-        nfe_used=counter.value,
+        nfe_used=counter.count,
         seed=stream.root_seed,
         key_steps=keys,
         round_history=round_history,
@@ -418,23 +447,21 @@ def run_bon(
     if n_candidates < 1:
         raise BudgetError(f"budget {budget_nfe} is below one denoise ({cost} NFEs)")
     counter = NfeCounter()
-    best: tuple[float, NoiseTrajectory] | None = None
-    rewards = []
-    for i in range(n_candidates):
-        z = sample_gaussian(stream.child(0).child(i), model.dim)
-        traj = denoise(model, spec, z, stream=stream.child(1).child(i), nfe=counter)
-        score = evaluate_reward(reward, traj.latents[-1])
-        rewards.append(score)
-        if best is None or score > best[0]:
-            best = (score, traj)
+    zs = np.stack([sample_gaussian(stream.child(0).child(i), model.dim) for i in range(n_candidates)])
+    noises = None
+    if spec.mode == SDE:
+        noises = np.stack([_churn_noises(spec, model.dim, stream.child(1).child(i)) for i in range(n_candidates)])
+    finals = _advance(model, spec, zs, 0, spec.steps, noises, counter)
+    rewards = evaluate_reward(reward, finals).tolist()
+    best = int(np.argmax(rewards))  # the first of tied maxima, as a strict running max
     return RunResult(
         method=BON,
-        final_sample=best[1].latents[-1],
-        final_reward=best[0],
-        nfe_used=counter.value,
+        final_sample=finals[best],
+        final_reward=rewards[best],
+        nfe_used=counter.count,
         seed=stream.root_seed,
         round_history={"candidates": rewards},
-        nfe_breakdown={"denoise": counter.value},
+        nfe_breakdown={"denoise": counter.count},
     )
 
 
@@ -467,10 +494,10 @@ def run_zo(
         method=ZO,
         final_sample=best_traj.latents[-1],
         final_reward=best_reward,
-        nfe_used=counter.value,
+        nfe_used=counter.count,
         seed=stream.root_seed,
         round_history={"evaluations": rewards},
-        nfe_breakdown={"denoise": counter.value},
+        nfe_breakdown={"denoise": counter.count},
     )
 
 
@@ -489,8 +516,8 @@ def run_free(
         method=FREE,
         final_sample=traj.latents[-1],
         final_reward=score,
-        nfe_used=counter.value,
+        nfe_used=counter.count,
         seed=stream.root_seed,
         round_history={},
-        nfe_breakdown={"denoise": counter.value},
+        nfe_breakdown={"denoise": counter.count},
     )

@@ -8,6 +8,10 @@ rewards. Even rounds are fine: keep the base and re-form the neighborhood by
 blending the stored perturbations with the gradient direction. The gradient
 used by a fine round always comes from the immediately preceding coarse
 round and is never carried across cycle boundaries.
+
+Each round hands its candidates to the evaluator as one ``(n, d)`` batch:
+a coarse round scores ``[base; neighbors]`` in one call, a fine round its
+neighbors in one call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from .core import (
     DegenerateGradientError,
+    DimensionError,
     Latent,
     PreconditionError,
     RewardScore,
@@ -32,10 +37,11 @@ from .surrogate import SurrogateGradient, estimate_gradient
 
 logger = logging.getLogger(__name__)
 
-# An evaluator maps a latent to its reward. Calls may consume NFEs through a
-# denoiser; results must be deterministic functions of the latent so that
-# candidate scoring is order-independent.
-Evaluator = Callable[[Latent], RewardScore]
+# An evaluator maps an (n, d) batch of latents, one per row, to their n
+# rewards. Calls may consume NFEs through a denoiser; each reward must be a
+# deterministic function of its row alone, so that scoring is independent of
+# order and batching.
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 _STREAM_RESAMPLE = 0
 _STREAM_NEIGHBORS = 1
@@ -103,8 +109,11 @@ class SearchState:
     history: tuple[RoundSummary, ...] = field(default_factory=tuple)
 
 
-def _score_candidates(candidates: np.ndarray, evaluate: Evaluator) -> np.ndarray:
-    return np.array([float(evaluate(candidates[i])) for i in range(candidates.shape[0])])
+def _score(evaluate: Evaluator, batch: np.ndarray) -> np.ndarray:
+    rewards = np.asarray(evaluate(batch), dtype=np.float64)
+    if rewards.shape != (batch.shape[0],):
+        raise DimensionError(f"evaluator must return {batch.shape[0]} rewards, got shape {rewards.shape}")
+    return rewards
 
 
 def _fold_best(state_best: Latent | None, state_reward: float, latents, rewards) -> tuple[Latent | None, float]:
@@ -130,9 +139,9 @@ def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, str
     else:
         base = sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
 
-    base_reward = float(evaluate(base))
     neighbors = random_spherical_sample(base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
-    rewards = _score_candidates(neighbors.candidates, evaluate)
+    scores = _score(evaluate, np.vstack([base, neighbors.candidates]))
+    base_reward, rewards = float(scores[0]), scores[1:]
     gradient = estimate_gradient(base_reward, neighbors.with_rewards(rewards))
 
     best, best_reward = _fold_best(state.global_best, state.global_best_reward, [base], [base_reward])
@@ -181,7 +190,7 @@ def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, strea
         logger.info("round %d: degenerate gradient, falling back to random sampling", state.round)
         fallback = True
         neighbors = random_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
-    rewards = _score_candidates(neighbors.candidates, evaluate)
+    rewards = _score(evaluate, neighbors.candidates)
 
     best, best_reward = _fold_best(state.global_best, state.global_best_reward, neighbors.candidates, rewards)
     summary = RoundSummary(

@@ -16,12 +16,17 @@ mode each of the first L−1 steps additionally adds churn·√Δt·z_l with z_l
 standard normal that is either injected by the caller or drawn from the
 run's stream, which keeps every trajectory a pure function of
 (z_init, injected noises).
+
+The model calls, ``heun_step`` and ``evaluate_reward`` take one latent
+``(d,)`` or a batch ``(n, d)`` of independent rows; a batch costs n NFEs per
+model call and gives, row for row, the same bits as n single-latent calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable, Union
 
 import numpy as np
@@ -33,7 +38,6 @@ from .core import (
     NoiseTrajectory,
     NonFiniteError,
     PreconditionError,
-    RewardScore,
     RngStream,
     as_latent,
     sample_gaussian,
@@ -42,14 +46,19 @@ from .core import (
 ODE = "ode"
 SDE = "sde"
 
-# Weight multiplier applied to the preferred component of ModePreferenceReward
-# before renormalizing; any factor > 1 makes the preferred mode the strict
-# optimum once sharpness is below half the minimum inter-mean distance.
 # Weight multiplier for the preferred component of ModePreferenceReward.
 # Large enough that a rare preferred mode still dominates the reward: with
 # weight 0.1 against three 0.3 components the tilted weights are 0.53 vs
 # 0.16 apiece.
 _PREFERRED_BOOST = 10.0
+
+# Largest rows × components × d that one vectorized model or reward call
+# spans; a bigger batch is evaluated in chunks of as many rows as fit, and
+# one row at a time when a single row is over the cap. Beyond this size the
+# (rows, components, d) temporaries page-fault on every call, which made
+# whole-batch calls 2.5-4x slower per row than single rows at d=1024 with
+# 64 components.
+_BATCH_ELEMENTS = 2**14
 
 
 @dataclass
@@ -119,9 +128,23 @@ class SolverSpec:
             self.time_grid[0] = 1.0
             self.time_grid[-1] = 0.0
 
-    @classmethod
-    def uniform(cls, mode: str, steps: int, churn: float = 0.0) -> "SolverSpec":
-        return cls(mode=mode, steps=steps, churn=churn)
+
+def _in_chunks(fn, model: MixtureModel, x: np.ndarray) -> np.ndarray:
+    """``fn(x)`` on one latent or a batch whole, or chunk by chunk past the cap."""
+    rows = max(1, _BATCH_ELEMENTS // (model.n_components * model.dim))
+    if x.ndim == 1 or x.shape[0] <= rows:
+        return fn(x)
+    return np.concatenate([fn(x[i : i + rows]) for i in range(0, x.shape[0], rows)])
+
+
+def _capped(kernel):
+    """Bound the temporaries of a ``(model, x, t)`` kernel; see ``_BATCH_ELEMENTS``."""
+
+    @wraps(kernel)
+    def apply(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
+        return _in_chunks(lambda rows: kernel(model, rows, t), model, x)
+
+    return apply
 
 
 def _posterior(model: MixtureModel, x: np.ndarray, t: float):
@@ -140,6 +163,7 @@ def _posterior(model: MixtureModel, x: np.ndarray, t: float):
     return resp, centered, var
 
 
+@_capped
 def _velocity(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     """Marginal velocity, valid on all of [0, 1] by continuity; broadcasts."""
     resp, centered, var = _posterior(model, x, t)
@@ -148,6 +172,7 @@ def _velocity(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     return np.sum(resp[..., None] * per_component, axis=-2)
 
 
+@_capped
 def _clean(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     resp, centered, var = _posterior(model, x, t)
     coef = (1.0 - t) * model.stddevs**2 / var
@@ -162,21 +187,24 @@ def _check_time(t: float) -> float:
     return t
 
 
-def marginal_velocity(model: MixtureModel, x: Latent, t: float, nfe: NfeCounter | None = None) -> Latent:
-    """Exact marginal velocity E[ε − x₀ | x_t = x] of the mixture flow."""
-    x = as_latent(x, model.dim)
-    t = _check_time(t)
+def _charge(nfe: NfeCounter | None, x: np.ndarray, per_row: int) -> None:
     if nfe is not None:
-        nfe.add(1)
+        nfe.add(per_row * (x.shape[0] if x.ndim == 2 else 1))
+
+
+def marginal_velocity(model: MixtureModel, x: Latent, t: float, nfe: NfeCounter | None = None) -> Latent:
+    """Exact marginal velocity E[ε − x₀ | x_t = x] of the mixture flow, per row."""
+    x = as_latent(x, model.dim, batch=True)
+    t = _check_time(t)
+    _charge(nfe, x, 1)
     return _velocity(model, x, t)
 
 
 def one_step_clean_estimate(model: MixtureModel, x: Latent, t: float, nfe: NfeCounter | None = None) -> Latent:
-    """Conditional expectation E[x₀ | x_t = x], the single-call clean prediction."""
-    x = as_latent(x, model.dim)
+    """Conditional expectation E[x₀ | x_t = x], the single-call clean prediction, per row."""
+    x = as_latent(x, model.dim, batch=True)
     t = _check_time(t)
-    if nfe is not None:
-        nfe.add(1)
+    _charge(nfe, x, 1)
     return _clean(model, x, t)
 
 
@@ -187,7 +215,7 @@ def heun_step(
     t_to: float,
     nfe: NfeCounter | None = None,
 ) -> np.ndarray:
-    """One predictor-corrector step from t_from to t_to (two velocity calls).
+    """One predictor-corrector step from t_from to t_to (two velocity calls per row).
 
     The corrector slope at t_to = 0 uses the continuous limit of the
     marginal velocity, which is finite and smooth for positive stddevs.
@@ -196,9 +224,54 @@ def heun_step(
     v_from = _velocity(model, x, t_from)
     predicted = x + dt * v_from
     v_to = _velocity(model, predicted, t_to)
-    if nfe is not None:
-        nfe.add(2)
+    _charge(nfe, x, 2)
     return x + dt * 0.5 * (v_from + v_to)
+
+
+def _advance(
+    model: MixtureModel,
+    spec: SolverSpec,
+    x: np.ndarray,
+    start: int,
+    stop: int,
+    injected: np.ndarray | None = None,
+    nfe: NfeCounter | None = None,
+    trace: np.ndarray | None = None,
+) -> np.ndarray:
+    """Move ``x``, one latent or an ``(n, d)`` batch, across solver steps [start, stop).
+
+    Each step is a Heun step, then, at every step but the last of the grid,
+    churn·√Δt·``injected[..., step, :]``: an ``(L−1, d)`` array shares its
+    noises across rows, an ``(n, L−1, d)`` array gives each row its own, and
+    None adds no churn. ``trace[..., step + 1, :]`` receives each new state.
+    """
+    grid = spec.time_grid
+    for step in range(start, stop):
+        x = heun_step(model, x, grid[step], grid[step + 1], nfe)
+        if injected is not None and step < spec.steps - 1:
+            x = x + spec.churn * math.sqrt(grid[step] - grid[step + 1]) * injected[..., step, :]
+        if trace is not None:
+            trace[..., step + 1, :] = x
+    return x
+
+
+def _solve(
+    model: MixtureModel,
+    spec: SolverSpec,
+    z: np.ndarray,
+    injected: np.ndarray | None,
+    nfe: NfeCounter | None,
+) -> np.ndarray:
+    """Every state of the full solve from ``z``, as ``(..., L+1, d)``; see ``_advance``."""
+    trace = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
+    trace[..., 0, :] = z
+    _advance(model, spec, z, 0, spec.steps, injected, nfe, trace)
+    return trace
+
+
+def _churn_noises(spec: SolverSpec, dim: int, stream: RngStream) -> np.ndarray:
+    """The ``(L−1, d)`` churn noises of a stochastic solve; step i draws from ``stream.child(i)``."""
+    return np.array([sample_gaussian(stream.child(i), dim) for i in range(spec.steps - 1)]).reshape(-1, dim)
 
 
 def denoise(
@@ -233,17 +306,9 @@ def denoise(
         elif stream is None:
             raise PreconditionError("SDE mode needs either injected noises or a stream")
         else:
-            injected_arr = np.stack([sample_gaussian(stream.child(i), model.dim) for i in range(steps - 1)])
+            injected_arr = _churn_noises(spec, model.dim, stream)
 
-    latents = np.empty((steps + 1, model.dim))
-    latents[0] = z_init
-    x = z_init
-    for i in range(steps):
-        x = heun_step(model, x, grid[i], grid[i + 1], nfe)
-        if spec.mode == SDE and i < steps - 1:
-            dt = grid[i] - grid[i + 1]
-            x = x + spec.churn * math.sqrt(dt) * injected_arr[i]
-        latents[i + 1] = x
+    latents = _solve(model, spec, z_init, injected_arr if spec.mode == SDE else None, nfe)
     return NoiseTrajectory(latents=latents, injected=injected_arr, step_times=grid.copy())
 
 
@@ -256,7 +321,9 @@ class QuadraticReward:
     def __post_init__(self) -> None:
         self.target = as_latent(self.target)
 
-    def evaluate(self, x: Latent) -> float:
+    def evaluate(self, x: Latent):
+        if x.ndim == 2:
+            return np.array([self.evaluate(row) for row in x])
         diff = x - self.target
         return float(-(diff @ diff))
 
@@ -284,29 +351,39 @@ class ModePreferenceReward:
         tilted[self.preferred] *= _PREFERRED_BOOST
         self._tilted = tilted / np.sum(tilted)
 
-    def evaluate(self, x: Latent) -> float:
-        sq = np.sum((x - self.model.means) ** 2, axis=1)
-        return float(np.sum(self._tilted * np.exp(-sq / (2.0 * self.sharpness**2))))
+    def evaluate(self, x: Latent):
+        if x.ndim == 1:
+            return float(self._bumps(x))
+        return _in_chunks(self._bumps, self.model, x)
+
+    def _bumps(self, x: np.ndarray) -> np.ndarray:
+        sq = np.sum((x[..., None, :] - self.model.means) ** 2, axis=-1)
+        return np.sum(self._tilted * np.exp(-sq / (2.0 * self.sharpness**2)), axis=-1)
 
 
 @dataclass
 class CustomReward:
-    """Opaque callable reward, for library embedding."""
+    """Opaque callable reward of one latent, for library embedding."""
 
     fn: Callable[[Latent], float]
 
-    def evaluate(self, x: Latent) -> float:
+    def evaluate(self, x: Latent):
+        if x.ndim == 2:
+            return np.array([self.evaluate(row) for row in x])
         return float(self.fn(x))
 
 
 RewardModel = Union[QuadraticReward, ModePreferenceReward, CustomReward]
 
 
-def evaluate_reward(reward: RewardModel, x: Latent) -> RewardScore:
-    """Score a sample; rejects non-finite inputs and outputs."""
-    x = as_latent(x)
+def evaluate_reward(reward: RewardModel, x: Latent):
+    """Score a sample, or each row of a batch; rejects non-finite inputs and outputs.
+
+    One latent gives a Python float, an ``(n, d)`` batch an array of n scores.
+    """
+    x = as_latent(x, batch=True)
     value = reward.evaluate(x)
-    if not math.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"reward evaluated to a non-finite value: {value}")
     return value
 

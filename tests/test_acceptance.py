@@ -227,7 +227,8 @@ class TestCriterion3:
     def test_search_loop_fidelity(self):
         started = time.perf_counter()
         target = np.full(6, 0.5)
-        evaluate = lambda x: -float(np.sum((np.asarray(x) - target) ** 2))
+        # one latent or an (n, d) batch, as the evaluator protocol passes
+        evaluate = lambda x: -np.sum((np.asarray(x) - target) ** 2, axis=-1)
         cfg = SearchConfig(n_neighbors=3, rounds=4, tau=0.9, alpha=0.7)
 
         # Round parity is enforced exactly.

@@ -108,6 +108,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=field):
             validate_config(raw)
 
+    def test_last_replicate_seed_must_fit_u64(self):
+        validate_config(base_config("r.jsonl", seed=2**64 - 2, replicates=2))
+        with pytest.raises(ConfigError, match="replicates"):
+            validate_config(base_config("r.jsonl", seed=2**64 - 2, replicates=3))
+
 
 class TestOverrides:
     def test_json_values_parse(self):
@@ -220,6 +225,18 @@ class TestRunCommand:
         config.write_text("{not json")
         assert main(["run", "--config", str(config)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_seed_overflow_exits_2_before_any_record(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path, seed=2**64 - 1, replicates=2)
+        assert main(["run", "--config", config]) == 2
+        assert "replicates" in capsys.readouterr().err
+        assert not (tmp_path / "results.jsonl").exists()
+
+    def test_quadratic_target_of_wrong_dimension_exits_2(self, tmp_path, capsys):
+        reward = {"kind": "quadratic", "target": [0.0, 0.0, 0.0]}
+        config, _ = write_config(tmp_path, reward=reward)
+        assert main(["run", "--config", config]) == 2
+        assert "reward.target" in capsys.readouterr().err
 
     def test_budget_required_for_bon_exits_2(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, method="bon")

@@ -1,5 +1,8 @@
 """Tests for the end-to-end pipeline, baselines, and NFE accounting."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -494,3 +497,88 @@ class TestHitRateComparison:
         only_bon = int(np.sum(~rts_hits & bon_hits))
         p = stats.binomtest(only_rts, only_rts + only_bon, 0.5, alternative="greater").pvalue
         assert p < 0.05
+
+
+def criterion7_setup():
+    """The criterion-7/8 testbed: four corners, 16-step SDE, full RTS config."""
+    model = four_corner_model()
+    spec = SolverSpec(mode="sde", steps=16, churn=0.4)
+    reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
+    cfg = RtsConfig(
+        search_init=SearchConfig(n_neighbors=2, rounds=6, tau=0.7),
+        search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
+        k_keysteps=6,
+        eval_steps_init=2,
+        eval_steps_inter=1,
+    )
+    return model, spec, reward, cfg
+
+
+def fingerprint(result):
+    keys = None if result.key_steps is None else tuple(int(i) for i in result.key_steps.indices)
+    digest = hashlib.sha256(np.asarray(result.final_sample).tobytes()).hexdigest()[:16]
+    return repr(result.final_reward), result.nfe_breakdown, keys, result.truncated, digest
+
+
+class TestGoldenRecords:
+    """Byte-for-byte results of the criterion-7 testbed.
+
+    The values were recorded from the serial scorer that evaluated one
+    latent per call; the batched path has to reproduce them exactly,
+    including where a budget cuts a batch short.
+    """
+
+    RTS = {
+        0: ("0.5459170364178081", {"init_search": 60, "record": 32, "inter_search": 110, "final": 32},
+            (4, 1, 9, 8, 3, 13), False, "9d43e05f5a9ba575"),
+        1: ("0.47876072062769004", {"init_search": 60, "record": 32, "inter_search": 112, "final": 32},
+            (11, 6, 10, 1, 12, 14), False, "b765304e892d64a8"),
+        7: ("0.635432771180779", {"init_search": 60, "record": 32, "inter_search": 96, "final": 32},
+            (4, 2, 6, 5, 3, 1), False, "aa7ef666b9dbb8da"),
+    }
+    BON = {
+        0: ("0.6032531472538555", {"denoise": 224}, None, False, "2e6286ea9ef96a8a"),
+        1: ("0.6063215060863596", {"denoise": 224}, None, False, "c5e5f50b1852f23b"),
+        7: ("0.6282673339349767", {"denoise": 224}, None, False, "6bd9106a35c5f583"),
+    }
+    TRUNCATED = {
+        45: ("0.6585186021225546", {"init_search": 12, "record": 32, "inter_search": 0, "final": 0},
+             None, True, "6af45d7274713766"),
+        150: ("0.6039492604027924", {"init_search": 60, "record": 32, "inter_search": 26, "final": 32},
+              (1, 2, 6, 10, 11, 12), True, "a2bd471e7c6f802b"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RTS))
+    def test_rts(self, seed):
+        model, spec, reward, cfg = criterion7_setup()
+        assert fingerprint(run_rts(model, spec, reward, cfg, RngStream(seed))) == self.RTS[seed]
+
+    @pytest.mark.parametrize("seed", sorted(BON))
+    def test_bon(self, seed):
+        model, spec, reward, _ = criterion7_setup()
+        assert fingerprint(run_bon(model, spec, reward, 238, RngStream(seed))) == self.BON[seed]
+
+    @pytest.mark.parametrize("budget", sorted(TRUNCATED))
+    def test_truncated_rts(self, budget):
+        model, spec, reward, cfg = criterion7_setup()
+        cfg = dataclasses.replace(cfg, budget_nfe=budget)
+        assert fingerprint(run_rts(model, spec, reward, cfg, RngStream(3))) == self.TRUNCATED[budget]
+
+    def test_budget_sweep_digest(self):
+        model, spec, reward, cfg = criterion7_setup()
+        lines = hashlib.sha256()
+        for budget in range(36, 240, 3):
+            r = run_rts(model, spec, reward, dataclasses.replace(cfg, budget_nfe=budget), RngStream(3))
+            keys = None if r.key_steps is None else tuple(int(i) for i in r.key_steps.indices)
+            lines.update(
+                f"{budget}|{r.final_reward!r}|{r.nfe_used}|{sorted(r.nfe_breakdown.items())}|{keys}"
+                f"|{r.truncated}|{r.final_sample.tobytes().hex()}\n".encode()
+            )
+        assert lines.hexdigest()[:16] == "9e0853262a88325c"
+
+    def test_bon_ode(self):
+        model, _, reward, _ = criterion7_setup()
+        result = run_bon(model, SolverSpec(mode="ode", steps=8), reward, 100, RngStream(5))
+        assert fingerprint(result) == (
+            "0.6442761284979023", {"denoise": 96}, None, False, "d9c5fafcdb46c0c3"
+        )

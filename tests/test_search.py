@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from rts import (
+    DimensionError,
     MixtureModel,
     ModePreferenceReward,
     PreconditionError,
@@ -25,6 +26,11 @@ def counting(fn):
 
     wrapped.calls = 0
     return wrapped
+
+
+def rows(fn):
+    """Lift a per-latent reward to the evaluator protocol: an (n, d) batch to n rewards."""
+    return lambda batch: np.array([fn(x) for x in batch])
 
 
 def quadratic_reward(target):
@@ -78,13 +84,13 @@ class TestGreedyRelocation:
 
     def test_better_neighbor_adopted(self):
         state = self._state_at_round_3(0.5, [0.1, 0.9, 0.3])
-        out = coarse_round(state, SearchConfig(), lambda x: 0.0, RngStream(1))
+        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
         np.testing.assert_array_equal(out.base, state.last_candidates[1])
 
     def test_worse_neighbor_triggers_fresh_resample(self):
         state = self._state_at_round_3(0.5, [0.4, 0.2, 0.1])
         stream = RngStream(1)
-        out = coarse_round(state, SearchConfig(), lambda x: 0.0, stream)
+        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), stream)
         expected = sample_gaussian(stream.child(0), 6)
         np.testing.assert_array_equal(out.base, expected)
 
@@ -92,26 +98,26 @@ class TestGreedyRelocation:
         # Relocation requires a strict improvement, so a tie resamples.
         state = self._state_at_round_3(0.5, [0.5, 0.5, 0.5])
         stream = RngStream(1)
-        out = coarse_round(state, SearchConfig(), lambda x: 0.0, stream)
+        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), stream)
         expected = sample_gaussian(stream.child(0), 6)
         np.testing.assert_array_equal(out.base, expected)
 
     def test_resample_base_pins_no_relocation_branch(self):
         pinned = np.full(6, 2.0)
         state = self._state_at_round_3(0.5, [0.4, 0.2, 0.1], resample_base=pinned)
-        out = coarse_round(state, SearchConfig(), lambda x: 0.0, RngStream(1))
+        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
         np.testing.assert_array_equal(out.base, pinned)
 
     def test_seed_base_used_in_round_1(self):
         seed = np.full(6, -1.5)
         state = SearchState(dim=6, seed_base=seed)
-        out = coarse_round(state, SearchConfig(), lambda x: 0.0, RngStream(1))
+        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
         np.testing.assert_array_equal(out.base, seed)
 
     def test_round_1_without_seed_samples_fresh(self):
         state = SearchState(dim=6)
         stream = RngStream(1)
-        out = coarse_round(state, SearchConfig(), lambda x: 0.0, stream)
+        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), stream)
         expected = sample_gaussian(stream.child(0), 6)
         np.testing.assert_array_equal(out.base, expected)
 
@@ -120,22 +126,22 @@ class TestRoundParity:
     def test_coarse_rejects_even_round(self):
         state = SearchState(dim=4, round=2)
         with pytest.raises(PreconditionError):
-            coarse_round(state, SearchConfig(), lambda x: 0.0, RngStream(1))
+            coarse_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
 
     def test_fine_rejects_odd_round(self):
         state = SearchState(dim=4, round=3)
         with pytest.raises(PreconditionError):
-            fine_round(state, SearchConfig(), lambda x: 0.0, RngStream(1))
+            fine_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
 
     def test_fine_requires_stored_gradient(self):
         state = SearchState(dim=4, round=2, base=np.ones(4), base_reward=0.0)
         with pytest.raises(PreconditionError):
-            fine_round(state, SearchConfig(), lambda x: 0.0, RngStream(1))
+            fine_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
 
     def test_history_alternates_coarse_fine(self):
         reward = quadratic_reward(np.zeros(5))
         _, _, history = run_search(
-            np.zeros(5), SearchConfig(rounds=5), reward, RngStream(3)
+            np.zeros(5), SearchConfig(rounds=5), rows(reward), RngStream(3)
         )
         assert [h.kind for h in history] == ["coarse", "fine", "coarse", "fine", "coarse"]
         assert [h.round for h in history] == [1, 2, 3, 4, 5]
@@ -144,7 +150,7 @@ class TestRoundParity:
 class TestFineRound:
     def _after_coarse(self, reward, cfg, stream):
         state = SearchState(dim=6)
-        return coarse_round(state, cfg, reward, stream.child(1))
+        return coarse_round(state, cfg, rows(reward), stream.child(1))
 
     def test_alpha_zero_reproduces_coarse_candidates(self):
         # With alpha=0 the guided blend returns the stored perturbations, so
@@ -153,7 +159,7 @@ class TestFineRound:
         cfg = SearchConfig(n_neighbors=4, alpha=0.0)
         stream = RngStream(9)
         state = self._after_coarse(reward, cfg, stream)
-        out = fine_round(state, cfg, reward, stream.child(2))
+        out = fine_round(state, cfg, rows(reward), stream.child(2))
         np.testing.assert_allclose(out.last_candidates, state.last_candidates, atol=1e-12)
 
     def test_alpha_one_collapses_candidates(self):
@@ -161,7 +167,7 @@ class TestFineRound:
         cfg = SearchConfig(n_neighbors=5, alpha=1.0)
         stream = RngStream(9)
         state = self._after_coarse(reward, cfg, stream)
-        out = fine_round(state, cfg, reward, stream.child(2))
+        out = fine_round(state, cfg, rows(reward), stream.child(2))
         for i in range(1, 5):
             np.testing.assert_allclose(
                 out.last_candidates[i], out.last_candidates[0], atol=1e-12
@@ -172,7 +178,7 @@ class TestFineRound:
         cfg = SearchConfig(n_neighbors=3)
         stream = RngStream(9)
         state = self._after_coarse(reward, cfg, stream)
-        out = fine_round(state, cfg, reward, stream.child(2))
+        out = fine_round(state, cfg, rows(reward), stream.child(2))
         np.testing.assert_array_equal(out.base, state.base)
         assert out.base_reward == state.base_reward
 
@@ -182,7 +188,7 @@ class TestFineRound:
         cfg = SearchConfig(n_neighbors=3)
         stream = RngStream(9)
         state = self._after_coarse(lambda x: 1.0, cfg, stream)
-        out = fine_round(state, cfg, lambda x: 1.0, stream.child(2))
+        out = fine_round(state, cfg, rows(lambda x: 1.0), stream.child(2))
         assert out.history[-1].guided_fallback
         cands = out.last_candidates
         assert not np.allclose(cands[0], cands[1])
@@ -193,21 +199,21 @@ class TestFineRound:
         cfg = SearchConfig(n_neighbors=3)
         stream = RngStream(9)
         state = self._after_coarse(reward, cfg, stream)
-        out = fine_round(state, cfg, reward, stream.child(2))
+        out = fine_round(state, cfg, rows(reward), stream.child(2))
         assert out.last_gradient is None
 
 
 class TestRunSearch:
     def test_rounds_zero_rejected(self):
         with pytest.raises(PreconditionError):
-            run_search(np.zeros(4), SearchConfig(rounds=0), lambda x: 0.0, RngStream(1))
+            run_search(np.zeros(4), SearchConfig(rounds=0), rows(lambda x: 0.0), RngStream(1))
 
     def test_single_round_single_neighbor_returns_the_neighbor(self):
         # Strict mode returns the argmax over the final round's candidates,
         # which for T=1, N=1 under a constant reward is the one neighbor.
         cfg = SearchConfig(n_neighbors=1, rounds=1, track_global_best=False)
         latent, reward, history = run_search(
-            np.zeros(4), cfg, lambda x: 0.7, RngStream(5)
+            np.zeros(4), cfg, rows(lambda x: 0.7), RngStream(5)
         )
         assert reward == 0.7
         assert len(history) == 1
@@ -220,13 +226,13 @@ class TestRunSearch:
         for rounds, n in [(1, 1), (4, 3), (6, 4), (5, 2)]:
             reward = counting(quadratic_reward(np.zeros(5)))
             cfg = SearchConfig(n_neighbors=n, rounds=rounds)
-            run_search(np.zeros(5), cfg, reward, RngStream(2))
+            run_search(np.zeros(5), cfg, rows(reward), RngStream(2))
             assert reward.calls == rounds * n + (rounds + 1) // 2
 
     def test_best_so_far_non_decreasing(self):
         reward = quadratic_reward(np.full(8, 0.5))
         cfg = SearchConfig(n_neighbors=8, rounds=6)
-        _, final_reward, history = run_search(np.zeros(8), cfg, reward, RngStream(11))
+        _, final_reward, history = run_search(np.zeros(8), cfg, rows(reward), RngStream(11))
         best = [h.best_so_far for h in history]
         assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
         assert final_reward == best[-1]
@@ -234,7 +240,7 @@ class TestRunSearch:
     def test_engineering_reward_dominates_history(self):
         reward = quadratic_reward(np.full(8, 0.5))
         cfg = SearchConfig(n_neighbors=4, rounds=5)
-        _, final_reward, history = run_search(np.zeros(8), cfg, reward, RngStream(12))
+        _, final_reward, history = run_search(np.zeros(8), cfg, rows(reward), RngStream(12))
         for h in history:
             assert final_reward >= h.best_candidate_reward
             assert final_reward >= h.base_reward
@@ -242,15 +248,15 @@ class TestRunSearch:
     def test_strict_mode_returns_member_of_final_round(self):
         reward = quadratic_reward(np.full(8, 0.5))
         cfg = SearchConfig(n_neighbors=4, rounds=4, track_global_best=False)
-        latent, score, history = run_search(np.zeros(8), cfg, reward, RngStream(13))
+        latent, score, history = run_search(np.zeros(8), cfg, rows(reward), RngStream(13))
         assert score == history[-1].best_candidate_reward
         np.testing.assert_allclose(reward(latent), score, rtol=1e-12)
 
     def test_determinism(self):
         reward = quadratic_reward(np.full(6, 0.2))
         cfg = SearchConfig(n_neighbors=3, rounds=4)
-        out1 = run_search(np.zeros(6), cfg, reward, RngStream(21))
-        out2 = run_search(np.zeros(6), cfg, reward, RngStream(21))
+        out1 = run_search(np.zeros(6), cfg, rows(reward), RngStream(21))
+        out2 = run_search(np.zeros(6), cfg, rows(reward), RngStream(21))
         np.testing.assert_array_equal(out1[0], out2[0])
         assert out1[1] == out2[1]
         assert out1[2] == out2[2]
@@ -259,7 +265,7 @@ class TestRunSearch:
         z0 = np.full(6, 1.25)
         reward = quadratic_reward(np.zeros(6))
         cfg = SearchConfig(n_neighbors=2, rounds=1)
-        _, _, history = run_search(z0, cfg, reward, RngStream(3), start_from_z0=True)
+        _, _, history = run_search(z0, cfg, rows(reward), RngStream(3), start_from_z0=True)
         assert history[0].base_reward == reward(z0)
 
     def test_resample_to_z0_pins_later_bases(self):
@@ -270,12 +276,28 @@ class TestRunSearch:
         reward = lambda x: -float(np.sum(x * x))
         cfg = SearchConfig(n_neighbors=3, rounds=5)
         _, _, history = run_search(
-            z0, cfg, reward, RngStream(17), start_from_z0=True, resample_to_z0=True
+            z0, cfg, rows(reward), RngStream(17), start_from_z0=True, resample_to_z0=True
         )
         expected = reward(z0)
         for h in history:
             if h.kind == "coarse":
                 np.testing.assert_allclose(h.base_reward, expected, rtol=1e-12)
+
+
+class TestBatchedEvaluation:
+    def test_one_evaluator_call_per_round(self):
+        shapes = []
+
+        def evaluate(batch):
+            shapes.append(batch.shape)
+            return -np.sum(batch * batch, axis=1)
+
+        run_search(np.zeros(5), SearchConfig(n_neighbors=3, rounds=4), evaluate, RngStream(4))
+        assert shapes == [(4, 5), (3, 5), (4, 5), (3, 5)]
+
+    def test_evaluator_must_return_one_reward_per_row(self):
+        with pytest.raises(DimensionError):
+            coarse_round(SearchState(dim=4), SearchConfig(), lambda batch: 0.0, RngStream(1))
 
 
 class TestImprovementOverBlindSearch:

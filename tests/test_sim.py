@@ -22,7 +22,7 @@ from rts import (
     nearest_mode,
     one_step_clean_estimate,
 )
-from rts.sim import _velocity, heun_step
+from rts.sim import _BATCH_ELEMENTS, _advance, _solve, _velocity, heun_step
 
 
 def single_standard():
@@ -85,7 +85,7 @@ class TestMixtureModel:
 
 class TestSolverSpec:
     def test_uniform_grid(self):
-        spec = SolverSpec.uniform(ODE, 4)
+        spec = SolverSpec(ODE, 4)
         np.testing.assert_allclose(spec.time_grid, [1.0, 0.75, 0.5, 0.25, 0.0])
 
     def test_ode_with_churn_rejected(self):
@@ -188,7 +188,7 @@ class TestMarginalVelocity:
     def test_nfe_increment(self):
         nfe = NfeCounter()
         marginal_velocity(single_standard(), np.zeros(2), 0.5, nfe=nfe)
-        assert nfe.value == 1
+        assert nfe.count == 1
 
 
 class TestCleanEstimate:
@@ -226,7 +226,7 @@ class TestCleanEstimate:
     def test_nfe_increment(self):
         nfe = NfeCounter()
         one_step_clean_estimate(single_standard(), np.zeros(2), 0.5, nfe=nfe)
-        assert nfe.value == 1
+        assert nfe.count == 1
 
 
 class TestDenoise:
@@ -292,10 +292,19 @@ class TestDenoise:
         model = two_component()
         nfe = NfeCounter()
         denoise(model, SolverSpec(mode=ODE, steps=7), np.ones(2), nfe=nfe)
-        assert nfe.value == 14
+        assert nfe.count == 14
         nfe = NfeCounter()
         heun_step(model, np.ones(2), 1.0, 0.5, nfe=nfe)
-        assert nfe.value == 2
+        assert nfe.count == 2
+
+    def test_single_step_sde_draws_no_churn(self):
+        # the only step is the last one, which never gets churn
+        model = two_component()
+        nfe = NfeCounter()
+        traj = denoise(model, SolverSpec(mode=SDE, steps=1, churn=0.5), np.ones(2), stream=RngStream(1), nfe=nfe)
+        assert traj.injected.shape == (0, 2)
+        assert nfe.count == 2
+        np.testing.assert_array_equal(traj.latents[-1], heun_step(model, np.ones(2), 1.0, 0.0))
 
     def test_batched_heun_matches_scalar(self):
         # The vectorized velocity broadcasts over rows; integrating a batch
@@ -390,3 +399,93 @@ class TestRewards:
         model = two_component()
         assert nearest_mode(model, np.array([1.9, 1.2])) == 0
         assert nearest_mode(model, np.array([-1.0, -0.4])) == 1
+
+
+def four_corner():
+    return MixtureModel(
+        weights=[0.1, 0.3, 0.3, 0.3],
+        means=[[1.5, 1.5], [-1.5, 1.5], [-1.5, -1.5], [1.5, -1.5]],
+        stddevs=[0.6] * 4,
+    )
+
+
+def wide_model():
+    """64 components at d=512: a single row is already over the batch cap."""
+    rng = np.random.default_rng(3)
+    return MixtureModel(
+        weights=np.full(64, 1 / 64), means=rng.normal(0.0, 0.2, (64, 512)), stddevs=np.full(64, 0.6)
+    )
+
+
+# (model, rows): one vectorized call, several chunks of rows, one row per call
+BATCH_CASES = [(four_corner, 7), (four_corner, 4100), (wide_model, 3)]
+
+
+class TestBatchedPath:
+    """A batch must give, row for row, the bits of single-latent calls."""
+
+    def test_cases_cover_every_regime_of_the_cap(self):
+        assert 7 * 4 * 2 <= _BATCH_ELEMENTS < 4100 * 4 * 2
+        assert 64 * 512 > _BATCH_ELEMENTS
+
+    @pytest.mark.parametrize("make_model,n", BATCH_CASES)
+    def test_model_calls_equal_single_rows(self, make_model, n):
+        model = make_model()
+        x = np.random.default_rng(n).standard_normal((n, model.dim)) * 1.5
+        for call in (marginal_velocity, one_step_clean_estimate):
+            nfe = NfeCounter()
+            batch = call(model, x, 0.37, nfe=nfe)
+            assert nfe.count == n
+            rows = np.stack([call(model, row, 0.37) for row in x])
+            np.testing.assert_array_equal(batch, rows)
+        nfe = NfeCounter()
+        batch = heun_step(model, x, 0.5, 0.25, nfe=nfe)
+        assert nfe.count == 2 * n
+        np.testing.assert_array_equal(batch, np.stack([heun_step(model, row, 0.5, 0.25) for row in x]))
+
+    @pytest.mark.parametrize("make_model,n", [(four_corner, 7), (wide_model, 2)])
+    def test_batched_solve_equals_denoise_per_row(self, make_model, n):
+        model = make_model()
+        spec = SolverSpec(mode=SDE, steps=5, churn=0.4)
+        rng = np.random.default_rng(11)
+        zs = rng.standard_normal((n, model.dim))
+        noises = rng.standard_normal((n, spec.steps - 1, model.dim))
+        nfe = NfeCounter()
+        trace = _solve(model, spec, zs, noises, nfe)
+        assert nfe.count == 2 * spec.steps * n
+        for row in range(n):
+            traj = denoise(model, spec, zs[row], injected=noises[row])
+            np.testing.assert_array_equal(trace[row], traj.latents)
+
+    def test_shared_noises_broadcast_over_rows(self):
+        model = four_corner()
+        spec = SolverSpec(mode=SDE, steps=6, churn=0.5)
+        rng = np.random.default_rng(5)
+        zs = rng.standard_normal((4, 2))
+        injected = rng.standard_normal((spec.steps - 1, 2))
+        finals = _advance(model, spec, zs, 0, spec.steps, injected)
+        for row in range(4):
+            traj = denoise(model, spec, zs[row], injected=injected)
+            np.testing.assert_array_equal(finals[row], traj.latents[-1])
+
+    @pytest.mark.parametrize("make_model,n", BATCH_CASES)
+    def test_mode_preference_reward_equals_single_rows(self, make_model, n):
+        model = make_model()
+        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
+        x = model.means[np.arange(n) % model.n_components] + 0.3
+        scores = evaluate_reward(reward, x)
+        assert isinstance(scores, np.ndarray) and scores.shape == (n,)
+        singles = [evaluate_reward(reward, row) for row in x]
+        assert all(type(s) is float for s in singles)
+        np.testing.assert_array_equal(scores, singles)
+
+    def test_looping_rewards_equal_single_rows(self):
+        x = np.random.default_rng(2).standard_normal((5, 3))
+        for reward in (QuadraticReward(target=[0.5, -1.0, 2.0]), CustomReward(fn=lambda z: float(z[0] - z[2]))):
+            scores = evaluate_reward(reward, x)
+            np.testing.assert_array_equal(scores, [evaluate_reward(reward, row) for row in x])
+
+    def test_non_finite_row_rejected(self):
+        reward = CustomReward(fn=lambda z: float("inf") if z[0] == 0.0 else 1.0)
+        with pytest.raises(NonFiniteError):
+            evaluate_reward(reward, np.array([[1.0, 0.0], [0.0, 1.0]]))
