@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from multiprocessing import get_context
 
 import numpy as np
@@ -321,11 +322,6 @@ def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
     return _result_record(result, cfg["reward"], model, overrides, wall_ms)
 
 
-def _worker(payload: tuple) -> dict:
-    cfg, index, overrides = payload
-    return run_replicate(cfg, index, overrides)
-
-
 def _worker_count(cfg: dict) -> int:
     limit = cfg["workers"]
     env = os.environ.get(WORKER_ENV)
@@ -344,15 +340,15 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
     build_experiment(cfg)  # fail on bad values before any work is queued
     workers = _worker_count(cfg)
-    payloads = [(cfg, i, overrides) for i in range(cfg["replicates"])]
+    indices = range(cfg["replicates"])
     if workers == 1:
-        records = [_worker(payload) for payload in payloads]
+        records = [run_replicate(cfg, i, overrides) for i in indices]
     else:
         # spawn keeps worker state identical to a fresh interpreter; records
         # are collected in submission order so the output is deterministic
         executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
         with executor:
-            records = list(executor.map(_worker, payloads))
+            records = list(executor.map(run_replicate, repeat(cfg), indices, repeat(overrides)))
     try:
         with open(cfg["out"], "a", encoding="utf-8") as sink:
             for record in records:
@@ -459,6 +455,9 @@ def cmd_report(results_path: str, table_path: str | None) -> int:
 def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[dict]]:
     """Run one denoise and tabulate its projected path for plotting."""
     model, spec, _, rts_cfg = build_experiment(cfg)
+    if spec.steps < 3:
+        # the 3-D projection needs at least four points
+        raise _fail("solver.steps", f"export-trajectory needs at least 3 steps, got {spec.steps}")
     stream = RngStream(root_seed=cfg["seed"], path=())
     z = sample_gaussian(stream.child(0), model.dim)
     traj = denoise(model, spec, z, stream=stream.child(1))

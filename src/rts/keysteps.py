@@ -93,41 +93,17 @@ def curvature(points: np.ndarray, index: int) -> float:
     return float(4.0 * area / (d_ab * d_bc * d_ac))
 
 
-def turning_angle(points: np.ndarray, index: int) -> float:
-    """Angle in radians between the incoming and outgoing segments at ``index``.
-
-    Scale-free alternative step score, kept for sensitivity studies.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if not (1 <= index <= points.shape[0] - 2):
-        raise PreconditionError(f"turning angle needs an interior index, got {index}")
-    incoming = points[index] - points[index - 1]
-    outgoing = points[index + 1] - points[index]
-    n_in = np.linalg.norm(incoming)
-    n_out = np.linalg.norm(outgoing)
-    if min(n_in, n_out) < _DISTANCE_TOL:
-        return 0.0
-    cos_angle = np.clip(incoming @ outgoing / (n_in * n_out), -1.0, 1.0)
-    return float(np.arccos(cos_angle))
-
-
-_SCORES = {"menger": curvature, "turning_angle": turning_angle}
-
-
-def select_key_steps(proj: ProjectedTrajectory, k: int, score: str = "menger") -> KeyStepSet:
-    """Pick the Top-k interior steps by curvature, deterministically.
+def select_key_steps(proj: ProjectedTrajectory, k: int) -> KeyStepSet:
+    """Pick the Top-k interior steps by Menger curvature, deterministically.
 
     Endpoints are never eligible. Ties break toward the smaller step index.
     """
-    if score not in _SCORES:
-        raise PreconditionError(f"unknown score {score!r}, expected one of {sorted(_SCORES)}")
     n_interior = proj.points.shape[0] - 2
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if k > n_interior:
         raise PreconditionError(f"k={k} exceeds the {n_interior} interior steps")
-    score_fn = _SCORES[score]
-    scored = [(score_fn(proj.points, l), l) for l in range(1, n_interior + 1)]
+    scored = [(curvature(proj.points, l), l) for l in range(1, n_interior + 1)]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     top = scored[:k]
     return KeyStepSet(

@@ -10,11 +10,17 @@ trajectory re-simulated forward between key steps; (5) a final full denoise
 with every chosen noise fixed, which is exactly the replay of (z_init,
 injected).
 
-Every velocity or clean-estimate call on one latent is one NFE. Budgets are
-enforced by pre-checking the exact cost of each atomic operation, and a
-batch is cut to the rows that fit, so ``nfe_used`` never exceeds the budget
-and matches one-at-a-time scoring exactly; when the budget runs out
-mid-phase the run returns the best result so far with ``truncated`` set.
+Stage (2) runs only if (1) is off or scores with a shorter solver; stages
+(3)-(5) need SDE mode, ``steps >= 3`` (the projection needs four latents),
+``k_keysteps >= 1`` and ``search_inter.rounds >= 1``. ``_plan`` decides this.
+
+Every velocity or clean-estimate call on one latent is one NFE. A search
+phase may spend the budget less what later phases are owed: the record
+denoise during the initial search, the final denoise during the key-step
+search. Each atomic operation is pre-checked against that, and a batch is
+cut to the rows that fit, so ``nfe_used`` never exceeds the budget and
+matches one-at-a-time scoring exactly; when the budget runs out mid-phase
+the run returns the best result so far with ``truncated`` set.
 ``expected_rts_nfe`` reproduces the ledger arithmetic so the counter can be
 audited exactly.
 """
@@ -73,31 +79,17 @@ class _PhaseTruncated(Exception):
 
 
 class _Budget:
-    """Pre-checked NFE budget with a reservation for mandatory future costs."""
+    """The NFEs one phase may spend: the run's limit less what later phases are owed."""
 
-    def __init__(self, limit: int | None, counter: NfeCounter):
-        self.limit = limit
+    def __init__(self, limit: int | None, counter: NfeCounter, owed: int = 0):
+        self.cap = None if limit is None else limit - owed
         self.counter = counter
-        self.reserved = 0
-
-    def fits(self, cost: int) -> bool:
-        return self.limit is None or self.counter.count + self.reserved + cost <= self.limit
-
-    def ensure(self, cost: int) -> None:
-        if not self.fits(cost):
-            raise _PhaseTruncated()
 
     def affordable(self, n: int, cost: int) -> int:
-        """How many of ``n`` operations of ``cost`` each fit, taken in order."""
-        if self.limit is None or cost == 0:
+        """How many of ``n`` operations of ``cost`` (>= 1) NFEs each fit, taken in order."""
+        if self.cap is None:
             return n
-        return min(n, max(0, self.limit - self.counter.count - self.reserved) // cost)
-
-    def reserve(self, amount: int) -> None:
-        self.reserved += amount
-
-    def unreserve(self, amount: int) -> None:
-        self.reserved -= amount
+        return min(n, max(0, self.cap - self.counter.count) // cost)
 
 
 @dataclass
@@ -112,6 +104,10 @@ class RtsConfig:
     1 meaning a single clean-estimate call. With ``resample_inter_fresh``
     the intermediate phase's no-relocation branch draws fresh noise;
     otherwise it falls back to the recorded noise at that step.
+
+    The intermediate phase also needs SDE mode and ``steps >= 3``.
+    ``budget_nfe`` caps the run: the initial search may spend it less the
+    record denoise, the key-step search less the final denoise.
     """
 
     search_init: SearchConfig = SearchConfig()
@@ -251,19 +247,22 @@ class _SlotEvaluator:
         self.budget = budget
         grid = spec.time_grid
         self.scale = spec.churn * math.sqrt(grid[position - 1] - grid[position])
-        self.preview_steps = min(lookahead - 1, spec.steps - position)
-        self.reaches_clean = position + self.preview_steps == spec.steps
-        self.cost = 2 * self.preview_steps + (0 if self.reaches_clean else 1)
+        self.stop, self.cost = self.preview(spec, position, lookahead)
+
+    @staticmethod
+    def preview(spec: SolverSpec, position: int, lookahead: int) -> tuple[int, int]:
+        """The step a preview from ``position`` stops at, and its NFEs per candidate."""
+        stop = min(position + lookahead - 1, spec.steps)
+        return stop, 2 * (stop - position) + (stop < spec.steps)
 
     def __call__(self, candidates: np.ndarray) -> np.ndarray:
         return _score_rows(self._score, candidates, self.cost, self.budget)
 
     def _score(self, candidates: np.ndarray) -> np.ndarray:
         x = self.pre_churn + self.scale * candidates
-        stop = self.position + self.preview_steps
-        x = _advance(self.model, self.spec, x, self.position, stop, self.injected, self.nfe)
-        if not self.reaches_clean:
-            x = one_step_clean_estimate(self.model, x, self.spec.time_grid[stop], self.nfe)
+        x = _advance(self.model, self.spec, x, self.position, self.stop, self.injected, self.nfe)
+        if self.stop < self.spec.steps:
+            x = one_step_clean_estimate(self.model, x, self.spec.time_grid[self.stop], self.nfe)
         return evaluate_reward(self.reward, x)
 
 
@@ -272,9 +271,24 @@ def _search_evaluations(cfg: SearchConfig) -> int:
     return cfg.rounds * cfg.n_neighbors + (cfg.rounds + 1) // 2
 
 
-def _slot_eval_cost(spec: SolverSpec, position: int, lookahead: int) -> int:
-    preview = min(lookahead - 1, spec.steps - position)
-    return 2 * preview + (0 if position + preview == spec.steps else 1)
+@dataclass(frozen=True)
+class _Plan:
+    """The stages of ``run_rts`` for one config; ``record`` is 0 or the record denoise's NFEs."""
+
+    eval_steps: int  # solver length that scores one initial-noise candidate
+    init_search: bool
+    record: int
+    inter_search: bool
+
+
+def _plan(cfg: RtsConfig, spec: SolverSpec) -> _Plan:
+    eval_steps = cfg.eval_steps_init if cfg.eval_steps_init is not None else spec.steps
+    init_search = cfg.search_init.rounds >= 1
+    # the winner of a full-length initial search keeps its scored trajectory
+    record = 2 * spec.steps if (not init_search or eval_steps != spec.steps) else 0
+    # key-step selection projects the trajectory, which needs four latents
+    inter = spec.mode == SDE and cfg.k_keysteps >= 1 and cfg.search_inter.rounds >= 1 and spec.steps >= 3
+    return _Plan(eval_steps, init_search, record, inter)
 
 
 def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict:
@@ -283,26 +297,21 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     Returns per-phase integers plus their total, mirroring
     ``RunResult.nfe_breakdown``.
     """
-    steps = spec.steps
-    eval_steps = cfg.eval_steps_init if cfg.eval_steps_init is not None else steps
-    init_runs = cfg.search_init.rounds >= 1
-    init = _search_evaluations(cfg.search_init) * 2 * eval_steps if init_runs else 0
-    record = 2 * steps if (not init_runs or eval_steps != steps) else 0
-    inter = 0
-    final = 0
+    plan = _plan(cfg, spec)
+    init = _search_evaluations(cfg.search_init) * 2 * plan.eval_steps if plan.init_search else 0
+    inter = final = 0
     positions = sorted(key_positions)
-    inter_enabled = spec.mode == SDE and cfg.k_keysteps >= 1 and cfg.search_inter.rounds >= 1
-    if inter_enabled and positions:
+    if plan.inter_search and positions:
         per_search = _search_evaluations(cfg.search_inter)
-        previous = None
+        valid_through = spec.steps
         for position in positions:
-            if previous is not None:
-                inter += 2 * max(0, position - previous - 1)
-            inter += 2 + per_search * _slot_eval_cost(spec, position, cfg.eval_steps_inter)
-            previous = position
-        final = 2 * steps
-    total = init + record + inter + final
-    return {"init_search": init, "record": record, "inter_search": inter, "final": final, "total": total}
+            # re-simulate up to the slot, one pre-churn Heun step, then the slot's search
+            _, cost = _SlotEvaluator.preview(spec, position, cfg.eval_steps_inter)
+            inter += 2 * max(0, position - 1 - valid_through) + 2 + per_search * cost
+            valid_through = position
+        final = 2 * spec.steps
+    total = init + plan.record + inter + final
+    return {"init_search": init, "record": plan.record, "inter_search": inter, "final": final, "total": total}
 
 
 def run_rts(
@@ -314,35 +323,29 @@ def run_rts(
 ) -> RunResult:
     """Full two-phase search; see the module docstring for the stage layout.
 
-    The intermediate phase runs only in SDE mode with ``k_keysteps >= 1``
-    and ``search_inter.rounds >= 1``; ``k`` is clamped to the number of
-    interior steps. Raises ``BudgetError`` when the budget cannot cover even
-    one scored candidate.
+    ``k_keysteps`` is clamped to the number of interior steps. Raises
+    ``BudgetError`` when the budget cannot cover one scored candidate plus
+    the record denoise it owes.
     """
     dim = model.dim
     steps = spec.steps
-    counter = NfeCounter()
-    budget = _Budget(cfg.budget_nfe, counter)
-    eval_steps = cfg.eval_steps_init if cfg.eval_steps_init is not None else steps
-    init_runs = cfg.search_init.rounds >= 1
-    record_needed = (not init_runs) or eval_steps != steps
-    minimum = (2 * eval_steps if init_runs else 0) + (2 * steps if record_needed else 0)
-    if not budget.fits(minimum):
+    plan = _plan(cfg, spec)
+    minimum = (2 * plan.eval_steps if plan.init_search else 0) + plan.record
+    if cfg.budget_nfe is not None and cfg.budget_nfe < minimum:
         raise BudgetError(f"budget {cfg.budget_nfe} cannot cover one scored candidate ({minimum} NFEs)")
 
+    counter = NfeCounter()
     truncated = False
     round_history: dict = {"init": [], "inter": []}
     breakdown = {"init_search": 0, "record": 0, "inter_search": 0, "final": 0}
 
-    if record_needed:
-        budget.reserve(2 * steps)
-
-    if init_runs:
+    if plan.init_search:
         # Short-rollout scoring must be deterministic: re-rolled churn would
         # otherwise dominate the ranking and the winner's score would not
         # survive the full-length record run. Full-length scoring keeps the
         # run's own mode because the winner keeps its scored trajectory.
-        eval_spec = spec if eval_steps == steps else SolverSpec(ODE, eval_steps, 0.0)
+        eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps, 0.0)
+        budget = _Budget(cfg.budget_nfe, counter, owed=plan.record)
         evaluator = _DenoiseEvaluator(model, eval_spec, reward, stream.child(_S_EVAL_NOISE), counter, budget)
         try:
             best_z, _, history = run_search(
@@ -359,38 +362,34 @@ def run_rts(
         z_init = sample_gaussian(stream.child(_S_FRESH_INIT), dim)
         traj0 = None
 
-    if record_needed:
-        budget.unreserve(2 * steps)
+    if plan.record:
         before = counter.count
         traj0 = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=counter)
         breakdown["record"] = counter.count - before
 
     keys: KeyStepSet | None = None
     final_traj = traj0
-    inter_enabled = (
-        spec.mode == SDE and cfg.k_keysteps >= 1 and cfg.search_inter.rounds >= 1 and steps >= 2
-    )
-    if inter_enabled and not truncated:
-        if budget.fits(2 * steps):
-            budget.reserve(2 * steps)
+    if plan.inter_search and not truncated:
+        if _Budget(cfg.budget_nfe, counter).affordable(1, 2 * steps):
+            budget = _Budget(cfg.budget_nfe, counter, owed=2 * steps)
             before = counter.count
             keys = select_key_steps(project_trajectory(traj0), min(cfg.k_keysteps, steps - 1))
             grid = spec.time_grid
             latents = traj0.latents.copy()
             injected = traj0.injected.copy()
             valid_through = steps
-            committed = 0
             try:
                 for position in sorted(keys.indices):
                     slot = position - 1
                     if valid_through < slot:
                         # re-simulate with the chosen noises as far as the budget
-                        # allows; when it falls short, the ensure below cuts the run
+                        # allows; when it falls short, the check below cuts the run
                         stop = valid_through + budget.affordable(slot - valid_through, 2)
                         _advance(model, spec, latents[valid_through], valid_through, stop,
                                  injected, counter, latents)
                         valid_through = stop
-                    budget.ensure(2)
+                    if not budget.affordable(1, 2):
+                        raise _PhaseTruncated()
                     pre_churn = heun_step(model, latents[slot], grid[slot], grid[slot + 1], counter)
                     slot_eval = _SlotEvaluator(
                         model, spec, reward, pre_churn, position, injected,
@@ -408,12 +407,10 @@ def run_rts(
                     injected[slot] = best_noise
                     latents[slot + 1] = pre_churn + slot_eval.scale * best_noise
                     valid_through = slot + 1
-                    committed += 1
             except _PhaseTruncated:
                 truncated = True
             breakdown["inter_search"] = counter.count - before
-            budget.unreserve(2 * steps)
-            if committed > 0:
+            if round_history["inter"]:  # at least one key step was committed
                 before = counter.count
                 final_traj = denoise(model, spec, traj0.latents[0], injected=injected, nfe=counter)
                 breakdown["final"] = counter.count - before

@@ -166,6 +166,20 @@ class TestRunCommand:
         assert main(["run", "--config", config]) == 0
         assert read_records(out)[0]["key_steps"] == []
 
+    def test_rts_sde_with_two_steps_skips_intermediate_phase(self, tmp_path):
+        config, out = write_config(
+            tmp_path,
+            solver={"mode": "sde", "steps": 2, "churn": 0.4},
+            method="rts",
+            replicates=1,
+            search_init={"n_neighbors": 2, "rounds": 2},
+            eval_steps_init=1,
+        )
+        assert main(["run", "--config", config]) == 0
+        record = read_records(out)[0]
+        assert record["key_steps"] == []
+        assert record["truncated"] is False
+
     def test_run_appends_to_existing_results(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config]) == 0
@@ -383,6 +397,13 @@ class TestExportTrajectory:
         first = self._export(tmp_path)
         second = self._export(tmp_path)
         assert first == second
+
+    def test_too_few_steps_exits_2_at_solver_steps(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path, solver={"mode": "sde", "steps": 2, "churn": 0.4})
+        out = tmp_path / "trajectory.csv"
+        assert main(["export-trajectory", "--config", config, "--out", str(out)]) == 2
+        assert "solver.steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overrides_apply_to_export(self, tmp_path):
         rows = self._export(tmp_path, "solver.steps=12", "k_keysteps=2")

@@ -11,7 +11,6 @@ from rts import (
     project_trajectory,
     select_key_steps,
 )
-from rts.keysteps import turning_angle
 
 
 def make_traj(latents):
@@ -159,21 +158,6 @@ class TestCurvature:
             np.testing.assert_allclose(curvature(points, 1), 4 * area / (a * b * c), rtol=1e-9)
 
 
-class TestTurningAngle:
-    def test_straight_segments_have_zero_angle(self):
-        points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        np.testing.assert_allclose(turning_angle(points, 1), 0.0, atol=1e-12)
-
-    def test_right_angle(self):
-        points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        np.testing.assert_allclose(turning_angle(points, 1), np.pi / 2, rtol=1e-12)
-
-    def test_endpoint_rejected(self):
-        points = np.random.default_rng(0).standard_normal((4, 3))
-        with pytest.raises(PreconditionError):
-            turning_angle(points, 0)
-
-
 class TestSelectKeySteps:
     def test_single_planted_corner(self):
         # One direction change at step 10; brute force confirms it is the
@@ -237,19 +221,6 @@ class TestSelectKeySteps:
         b = select_key_steps(project_trajectory(make_traj(latents)), 4)
         assert a.indices == b.indices
         assert a.curvatures == b.curvatures
-
-    def test_turning_angle_switch(self):
-        rng = np.random.default_rng(14)
-        latents = corner_path(24, {9}, 16, rng)
-        proj = project_trajectory(make_traj(latents))
-        selected = select_key_steps(proj, 1, score="turning_angle")
-        assert selected.indices == (9,)
-
-    def test_unknown_score_rejected(self):
-        rng = np.random.default_rng(15)
-        proj = project_trajectory(make_traj(rng.standard_normal((8, 6))))
-        with pytest.raises(PreconditionError):
-            select_key_steps(proj, 1, score="total_variation")
 
     @pytest.mark.parametrize("k", [0, -1, 11])
     def test_bad_k_rejected(self, k):

@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import rts.pipeline
@@ -122,6 +124,10 @@ class TestNfeLedger:
                 eval_steps_init=3,
             ),
         ),
+        (
+            SolverSpec(mode="sde", steps=2, churn=0.4),
+            RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=2), k_keysteps=6, eval_steps_init=1),
+        ),
     ]
 
     @pytest.mark.parametrize("spec,cfg", CONFIGS)
@@ -153,6 +159,55 @@ class TestNfeLedger:
             positions = rng.choice(np.arange(1, 16), size=6, replace=False)
             total = expected_rts_nfe(cfg, spec, key_positions=positions)["total"]
             assert total <= worst["total"]
+
+
+class TestBudgetProperty:
+    """On random small configs the budget is a hard cap and the ledger is exact."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        mode=st.sampled_from(["ode", "sde"]),
+        steps=st.integers(1, 6),
+        search_init=st.builds(SearchConfig, n_neighbors=st.integers(1, 3), rounds=st.integers(0, 3)),
+        search_inter=st.builds(SearchConfig, n_neighbors=st.integers(1, 3), rounds=st.integers(0, 2)),
+        k_keysteps=st.integers(0, 4),
+        eval_steps_init=st.none() | st.integers(1, 6),
+        eval_steps_inter=st.integers(1, 3),
+        budget=st.none() | st.integers(1, 200),
+        seed=st.integers(0, 1000),
+    )
+    def test_budget_cap_and_ledger(
+        self, mode, steps, search_init, search_inter, k_keysteps, eval_steps_init, eval_steps_inter, budget, seed
+    ):
+        model = four_corner_model()
+        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
+        spec = SolverSpec(mode=mode, steps=steps, churn=0.4 if mode == "sde" else 0.0)
+        cfg = RtsConfig(
+            search_init=search_init,
+            search_inter=search_inter,
+            k_keysteps=k_keysteps,
+            eval_steps_init=eval_steps_init,
+            eval_steps_inter=eval_steps_inter,
+            budget_nfe=budget,
+        )
+        # one scored initial noise plus the record denoise it owes
+        eval_steps = eval_steps_init or steps
+        record = 0 if search_init.rounds >= 1 and eval_steps == steps else 2 * steps
+        minimum = (2 * eval_steps if search_init.rounds >= 1 else 0) + record
+        if budget is not None and budget < minimum:
+            with pytest.raises(BudgetError):
+                run_rts(model, spec, reward, cfg, RngStream(seed))
+            return
+        result = run_rts(model, spec, reward, cfg, RngStream(seed))
+        if budget is None:
+            assert not result.truncated
+        else:
+            assert result.nfe_used <= budget
+        if not result.truncated:
+            positions = result.key_steps.indices if result.key_steps is not None else ()
+            expected = expected_rts_nfe(cfg, spec, key_positions=positions)
+            assert result.nfe_used == expected.pop("total")
+            assert result.nfe_breakdown == expected
 
 
 class TestBudgetSafety:
