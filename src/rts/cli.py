@@ -4,7 +4,8 @@ Subcommands:
     run                execute the configured method for each replicate and
                        append one JSON record per line to the output file
     report             aggregate a results file into per-method statistics
-                       with pairwise one-sided Wilcoxon comparisons
+                       with pairwise one-sided Wilcoxon comparisons; a file
+                       that repeats a (method, seed, overrides) is refused
     export-trajectory  run a single denoise and write its 3-D projection,
                        per-step curvature, and key-step flags as CSV
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -46,8 +48,9 @@ from .pipeline import (
     run_rts,
     run_zo,
 )
-from .search import SearchConfig
+from .search import MAX_NEIGHBORS, SearchConfig
 from .sim import (
+    MAX_STEPS,
     MixtureModel,
     ModePreferenceReward,
     QuadraticReward,
@@ -57,6 +60,9 @@ from .sim import (
 )
 
 WORKER_ENV = "RTS_MAX_WORKERS"
+
+# the fields of a results record that ``rts report`` reads
+_RECORD_KEYS = ("method", "seed", "final_reward", "nfe_used", "truncated")
 
 _SOLVER_KEYS = {"mode", "steps", "churn"}
 _MIXTURE_KEYS = {"weights", "means", "stddevs"}
@@ -87,6 +93,30 @@ def _expect(value, types, path: str, description: str):
         raise _fail(path, f"expected {description}, got a boolean")
     if not isinstance(value, types):
         raise _fail(path, f"expected {description}, got {type(value).__name__}")
+    return value
+
+
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float; integers too large for a float count as infinite."""
+    _expect(value, (int, float), path, "a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, "must be a finite number")
+    return number
+
+
+def _numbers(value, path: str) -> list[float]:
+    _expect(value, list, path, "a list")
+    return [_number(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+
+def _count(value, path: str, limit: int) -> int:
+    _expect(value, int, path, "an integer")
+    if not 1 <= value <= limit:
+        raise _fail(path, f"must lie in [1, {limit}]")
     return value
 
 
@@ -121,34 +151,36 @@ def validate_config(raw: dict) -> dict:
         if key not in solver:
             raise _fail(f"solver.{key}", "required key is missing")
     _expect(solver["mode"], str, "solver.mode", "a string")
-    _expect(solver["steps"], int, "solver.steps", "an integer")
-    _expect(solver.get("churn", 0.0), (int, float), "solver.churn", "a number")
-    cfg["solver"] = {"mode": solver["mode"], "steps": solver["steps"],
-                     "churn": float(solver.get("churn", 0.0))}
+    cfg["solver"] = {"mode": solver["mode"], "steps": _count(solver["steps"], "solver.steps", MAX_STEPS),
+                     "churn": _number(solver.get("churn", 0.0), "solver.churn")}
 
     mixture = _expect(cfg["mixture"], dict, "mixture", "an object")
     _check_keys(mixture, _MIXTURE_KEYS, "mixture")
     for key in _MIXTURE_KEYS:
         if key not in mixture:
             raise _fail(f"mixture.{key}", "required key is missing")
-        _expect(mixture[key], list, f"mixture.{key}", "a list")
+    rows = _expect(mixture["means"], list, "mixture.means", "a list")
+    means = [_numbers(row, f"mixture.means[{i}]") for i, row in enumerate(rows)]
+    for i, row in enumerate(means):
+        if len(row) != len(means[0]):
+            raise _fail(f"mixture.means[{i}]", f"has {len(row)} coordinates, row 0 has {len(means[0])}")
+    cfg["mixture"] = {"weights": _numbers(mixture["weights"], "mixture.weights"), "means": means,
+                      "stddevs": _numbers(mixture["stddevs"], "mixture.stddevs")}
 
     reward = _expect(cfg["reward"], dict, "reward", "an object")
     kind = reward.get("kind")
-    if kind not in _REWARD_KINDS:
+    if not isinstance(kind, str) or kind not in _REWARD_KINDS:
         raise _fail("reward.kind", f"must be one of {sorted(_REWARD_KINDS)}")
     if kind == "mode_preference":
         _check_keys(reward, {"kind", "preferred", "sharpness"}, "reward")
         _expect(reward.get("preferred", 0), int, "reward.preferred", "an integer")
-        _expect(reward.get("sharpness", 1.0), (int, float), "reward.sharpness", "a number")
         cfg["reward"] = {"kind": kind, "preferred": reward.get("preferred", 0),
-                         "sharpness": float(reward.get("sharpness", 1.0))}
+                         "sharpness": _number(reward.get("sharpness", 1.0), "reward.sharpness")}
     else:
         _check_keys(reward, {"kind", "target"}, "reward")
         if "target" not in reward:
             raise _fail("reward.target", "required key is missing")
-        _expect(reward["target"], list, "reward.target", "a list")
-        cfg["reward"] = {"kind": kind, "target": reward["target"]}
+        cfg["reward"] = {"kind": kind, "target": _numbers(reward["target"], "reward.target")}
 
     _expect(cfg["method"], str, "method", "a string")
     if cfg["method"] not in METHODS:
@@ -173,19 +205,20 @@ def validate_config(raw: dict) -> dict:
         _check_keys(section, _SEARCH_KEYS, name)
         for key, value in section.items():
             path = f"{name}.{key}"
-            if key in ("n_neighbors", "rounds"):
+            if key == "n_neighbors":
+                _count(value, path, MAX_NEIGHBORS)
+            elif key == "rounds":
                 _expect(value, int, path, "an integer")
             elif key == "track_global_best":
                 _expect(value, bool, path, "a boolean")
             else:
-                _expect(value, (int, float), path, "a number")
+                _number(value, path)
     _expect(cfg["k_keysteps"], int, "k_keysteps", "an integer")
     if cfg["eval_steps_init"] is not None:
-        _expect(cfg["eval_steps_init"], int, "eval_steps_init", "an integer or null")
+        _count(cfg["eval_steps_init"], "eval_steps_init", MAX_STEPS)
     _expect(cfg["eval_steps_inter"], int, "eval_steps_inter", "an integer")
     _expect(cfg["resample_inter_fresh"], bool, "resample_inter_fresh", "a boolean")
-    _expect(cfg["zo_step_tau"], (int, float), "zo_step_tau", "a number")
-    cfg["zo_step_tau"] = float(cfg["zo_step_tau"])
+    cfg["zo_step_tau"] = _number(cfg["zo_step_tau"], "zo_step_tau")
     return cfg
 
 
@@ -196,7 +229,7 @@ def parse_override(text: str) -> tuple[str, object]:
         raise ConfigError(f"override '{text}' is not of the form KEY=VALUE")
     try:
         return key, json.loads(value)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past Python's digit limit
         return key, value
 
 
@@ -228,6 +261,8 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise ConfigError(
             f"config '{path}' is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
     if overrides:
         raw = apply_overrides(raw, overrides)
     return validate_config(raw)
@@ -360,19 +395,31 @@ def cmd_run(config_path: str, overrides: dict) -> int:
 
 
 def _load_records(results_path: str) -> list[dict]:
+    """Parse a results file, rejecting non-records and repeated (method, seed, overrides)."""
     try:
         with open(results_path, encoding="utf-8") as handle:
-            lines = [line for line in handle if line.strip()]
+            lines = [(lineno, line) for lineno, line in enumerate(handle, start=1) if line.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read results '{results_path}': {exc}") from exc
     if not lines:
         raise ConfigError(f"results file '{results_path}' is empty")
     records = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"results line {lineno} is not valid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ConfigError(f"results line {lineno} is not valid JSON: {exc}") from exc
+    first_line: dict[str, int] = {}
+    for (lineno, _), record in zip(lines, records):
+        if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
+            raise ConfigError(f"results line {lineno} is not a record with keys {', '.join(_RECORD_KEYS)}")
+        run = json.dumps([record["method"], record["seed"], record.get("overrides")], sort_keys=True)
+        if run in first_line:
+            raise ConfigError(f"results line {lineno} repeats the method, seed and overrides "
+                              f"of line {first_line[run]}")
+        first_line[run] = lineno
     return records
 
 

@@ -43,6 +43,10 @@ logger = logging.getLogger(__name__)
 # order and batching.
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
+# Most neighbours a round may sample, far above the handful a search uses;
+# an absurd count is refused up front instead of failing to allocate a round.
+MAX_NEIGHBORS = 10_000
+
 _STREAM_RESAMPLE = 0
 _STREAM_NEIGHBORS = 1
 
@@ -64,8 +68,8 @@ class SearchConfig:
     track_global_best: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_neighbors < 1:
-            raise PreconditionError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
+        if not 1 <= self.n_neighbors <= MAX_NEIGHBORS:
+            raise PreconditionError(f"n_neighbors must lie in [1, {MAX_NEIGHBORS}], got {self.n_neighbors}")
         if self.rounds < 0:
             raise PreconditionError(f"rounds must be >= 0, got {self.rounds}")
         if not (0.0 <= self.tau <= 1.0):

@@ -20,6 +20,13 @@ run's stream, which keeps every trajectory a pure function of
 The model calls, ``heun_step`` and ``evaluate_reward`` take one latent
 ``(d,)`` or a batch ``(n, d)`` of independent rows; a batch costs n NFEs per
 model call and gives, row for row, the same bits as n single-latent calls.
+
+The constants of the kernel that depend only on the model and on t are
+computed once: the log-weights per model, and the per-component variance,
+Gaussian log-normalizer and velocity and clean coefficients per (model, t),
+in a table bounded by ``_TIME_TABLE_SIZE`` times. Each is the expression a
+call would otherwise evaluate, so outputs are bit-identical to recomputing
+them on every call; only what depends on x is computed per call.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import wraps
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -46,6 +53,10 @@ from .core import (
 ODE = "ode"
 SDE = "sde"
 
+# Most steps a solver grid may have: ten times a 1000-step DDPM schedule. An
+# absurd count is refused up front instead of failing to allocate its grid.
+MAX_STEPS = 10_000
+
 # Weight multiplier for the preferred component of ModePreferenceReward.
 # Large enough that a rare preferred mode still dominates the reward: with
 # weight 0.1 against three 0.3 components the tilted weights are 0.53 vs
@@ -60,14 +71,35 @@ _PREFERRED_BOOST = 10.0
 # 64 components.
 _BATCH_ELEMENTS = 2**14
 
+# Most distinct times a model keeps constants for. A solver revisits the
+# steps + 1 points of its grid on every solve, so any grid up to this size
+# is computed once; past it the table starts over, so calls at arbitrary
+# times cannot grow memory without limit.
+_TIME_TABLE_SIZE = 256
+
+
+class _TimeConstants(NamedTuple):
+    """The (K,) per-component constants of the kernel at one time t."""
+
+    var: np.ndarray  # ((1−t)·σ)² + t²
+    log_norm: np.ndarray  # 0.5·d·log(2π·var)
+    velocity: np.ndarray  # (t − (1−t)·σ²) / var, as a (K, 1) column
+    clean: np.ndarray  # (1−t)·σ² / var, as a (K, 1) column
+
 
 @dataclass
 class MixtureModel:
-    """Isotropic Gaussian mixture standing in for a pre-trained model."""
+    """Isotropic Gaussian mixture standing in for a pre-trained model.
+
+    Treat it as immutable: the log-weights and the per-time kernel
+    constants are computed from the parameters once.
+    """
 
     weights: np.ndarray
     means: np.ndarray
     stddevs: np.ndarray
+    _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -78,14 +110,33 @@ class MixtureModel:
         k = self.means.shape[0]
         if self.weights.shape != (k,) or self.stddevs.shape != (k,):
             raise DimensionError("weights, means, stddevs must have one entry per component")
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.stddevs)):
+            raise NonFiniteError("mixture parameters must be finite")
         if np.any(self.weights <= 0.0):
             raise PreconditionError("mixture weights must be positive")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise PreconditionError("mixture weights must sum to 1 within 1e-12")
         if np.any(self.stddevs <= 0.0):
             raise PreconditionError("component stddevs must be positive")
-        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.stddevs))):
-            raise NonFiniteError("mixture parameters must be finite")
+        self._log_weights = np.log(self.weights)
+        self._by_time = {}
+
+    def _at(self, t: float) -> _TimeConstants:
+        """The kernel constants of time t, computed on the first call at t."""
+        consts = self._by_time.get(t)
+        if consts is None:
+            one_minus = 1.0 - t
+            var = (one_minus * self.stddevs) ** 2 + t * t
+            consts = _TimeConstants(
+                var=var,
+                log_norm=0.5 * self.dim * np.log(2.0 * math.pi * var),
+                velocity=((t - one_minus * self.stddevs**2) / var)[:, None],
+                clean=(one_minus * self.stddevs**2 / var)[:, None],
+            )
+            if len(self._by_time) >= _TIME_TABLE_SIZE:
+                self._by_time.clear()
+            self._by_time[t] = consts
+        return consts
 
     @property
     def dim(self) -> int:
@@ -108,8 +159,8 @@ class SolverSpec:
     def __post_init__(self) -> None:
         if self.mode not in (ODE, SDE):
             raise PreconditionError(f"mode must be '{ODE}' or '{SDE}', got {self.mode!r}")
-        if self.steps < 1:
-            raise PreconditionError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise PreconditionError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
         if self.mode == ODE and self.churn != 0.0:
             raise PreconditionError("ODE mode requires churn = 0")
         if self.mode == SDE and not self.churn > 0.0:
@@ -148,36 +199,29 @@ def _capped(kernel):
 
 
 def _posterior(model: MixtureModel, x: np.ndarray, t: float):
-    """Responsibilities and per-component stats of x_t; broadcasts over rows of x."""
-    one_minus = 1.0 - t
-    centered = x[..., None, :] - one_minus * model.means
-    var = (one_minus * model.stddevs) ** 2 + t * t
-    log_resp = (
-        np.log(model.weights)
-        - 0.5 * np.sum(centered * centered, axis=-1) / var
-        - 0.5 * model.dim * np.log(2.0 * math.pi * var)
-    )
-    log_resp = log_resp - np.max(log_resp, axis=-1, keepdims=True)
-    resp = np.exp(log_resp)
-    resp /= np.sum(resp, axis=-1, keepdims=True)
-    return resp, centered, var
+    """Responsibilities and centered rows of x_t, with the constants of ``t``; broadcasts over rows of x."""
+    consts = model._at(t)
+    centered = x[..., None, :] - (1.0 - t) * model.means
+    log_resp = model._log_weights - 0.5 * (centered * centered).sum(axis=-1) / consts.var - consts.log_norm
+    log_resp -= log_resp.max(axis=-1, keepdims=True)
+    resp = np.exp(log_resp, out=log_resp)
+    resp /= resp.sum(axis=-1, keepdims=True)
+    return resp, centered, consts
 
 
 @_capped
 def _velocity(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     """Marginal velocity, valid on all of [0, 1] by continuity; broadcasts."""
-    resp, centered, var = _posterior(model, x, t)
-    coef = (t - (1.0 - t) * model.stddevs**2) / var
-    per_component = coef[:, None] * centered - model.means
-    return np.sum(resp[..., None] * per_component, axis=-2)
+    resp, centered, consts = _posterior(model, x, t)
+    per_component = consts.velocity * centered - model.means
+    return (resp[..., None] * per_component).sum(axis=-2)
 
 
 @_capped
 def _clean(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
-    resp, centered, var = _posterior(model, x, t)
-    coef = (1.0 - t) * model.stddevs**2 / var
-    per_component = model.means + coef[:, None] * centered
-    return np.sum(resp[..., None] * per_component, axis=-2)
+    resp, centered, consts = _posterior(model, x, t)
+    per_component = model.means + consts.clean * centered
+    return (resp[..., None] * per_component).sum(axis=-2)
 
 
 def _check_time(t: float) -> float:
@@ -341,12 +385,17 @@ class ModePreferenceReward:
     preferred: int
     sharpness: float
     _tilted: np.ndarray = field(init=False, repr=False)
+    _width: float = field(init=False, repr=False)  # 2·sharpness²
 
     def __post_init__(self) -> None:
         if not 0 <= self.preferred < self.model.n_components:
             raise PreconditionError(f"preferred component {self.preferred} out of range")
         if not self.sharpness > 0.0:
             raise PreconditionError("sharpness must be positive")
+        try:
+            self._width = 2.0 * self.sharpness**2
+        except OverflowError:
+            raise PreconditionError(f"sharpness {self.sharpness} is too large") from None
         tilted = self.model.weights.copy()
         tilted[self.preferred] *= _PREFERRED_BOOST
         self._tilted = tilted / np.sum(tilted)
@@ -358,7 +407,7 @@ class ModePreferenceReward:
 
     def _bumps(self, x: np.ndarray) -> np.ndarray:
         sq = np.sum((x[..., None, :] - self.model.means) ** 2, axis=-1)
-        return np.sum(self._tilted * np.exp(-sq / (2.0 * self.sharpness**2)), axis=-1)
+        return np.sum(self._tilted * np.exp(-sq / self._width), axis=-1)
 
 
 @dataclass

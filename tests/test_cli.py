@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rts import ConfigError
 from rts.cli import (
@@ -252,6 +254,25 @@ class TestRunCommand:
         assert main(["run", "--config", config]) == 2
         assert "reward.target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override,path",
+        [
+            ('mixture.weights=["a",0.5]', "mixture.weights[0]"),
+            ("mixture.means=[[1,0],[3]]", "mixture.means[1]"),
+            ("mixture.stddevs=[0.6,NaN,0.6,0.6]", "mixture.stddevs[1]"),
+            ('reward={"kind":"quadratic","target":["x",0]}', "reward.target[0]"),
+            ("solver.churn=1e999", "solver.churn"),
+            ("solver.steps=100000000000", "solver.steps"),
+            ("eval_steps_init=100000000000", "eval_steps_init"),
+            ("search_init.n_neighbors=100000000000", "search_init.n_neighbors"),
+            pytest.param("seed=1" + "0" * 5000, "seed", id="seed-past-digit-limit"),
+        ],
+    )
+    def test_malformed_value_exits_2_at_its_path(self, tmp_path, capsys, override, path):
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, override]) == 2
+        assert f"'{path}'" in capsys.readouterr().err
+
     def test_budget_required_for_bon_exits_2(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, method="bon")
         assert main(["run", "--config", config]) == 2
@@ -356,6 +377,38 @@ class TestReportCommand:
         assert main(["report", str(results)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        huge = "1" + "0" * 5000
+        results = tmp_path / "results.jsonl"
+        results.write_text('{"seed": ' + huge + "}\n")
+        assert main(["report", str(results)]) == 2
+        assert "line 1 is not valid JSON" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": ' + huge + "}")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_duplicate_records_exit_2_naming_both_lines(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, replicates=2)
+        assert main(["run", "--config", config]) == 0
+        assert main(["run", "--config", config]) == 0
+        assert main(["report", out]) == 2
+        assert "line 3 repeats the method, seed and overrides of line 1" in capsys.readouterr().err
+
+    def test_records_of_other_overrides_are_not_duplicates(self, tmp_path):
+        config, out = write_config(tmp_path, replicates=2)
+        assert main(["run", "--config", config]) == 0
+        assert main(["run", "--config", config, "solver.churn=0.5"]) == 0
+        summary_path = tmp_path / "summary.json"
+        assert main(["report", out, "--out", str(summary_path)]) == 0
+        assert json.loads(summary_path.read_text())["methods"]["free"]["n"] == 4
+
+    def test_line_that_is_not_a_record_exits_2(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_text('\n[1, 2]\n')
+        assert main(["report", str(results)]) == 2
+        assert "line 2 is not a record" in capsys.readouterr().err
+
     def test_report_rejects_overrides(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config]) == 0
@@ -409,3 +462,78 @@ class TestExportTrajectory:
         rows = self._export(tmp_path, "solver.steps=12", "k_keysteps=2")
         assert len(rows) == 13
         assert sum(int(r["selected"]) for r in rows) == 2
+
+# JSON values of the wrong type or out of range for any key: scalars with
+# NaN, ±Infinity and integers past the range of a float or a u64, flat lists
+# and ragged nested lists of them.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=2), st.integers(-3, 3), st.floats(),
+    st.sampled_from([2**64, 10**400, -(10**400), 1e308]),
+)
+_JUNK = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.lists(st.lists(_SCALARS, max_size=3), max_size=3))
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(), st.lists(_SCALARS, max_size=2))
+_NUMBERS = st.lists(st.one_of(st.floats(-3.0, 3.0), _SCALARS), max_size=5)
+# step and neighbour counts far past any schedule; their arrays cannot be allocated
+_ABSURD = st.integers(10**11, 10**18)
+
+
+def _small_count(high):
+    """Values for a key that sizes the work of a run (rounds, budget,
+    replicates, workers): a large valid one is a legal request for a long
+    run, or for that many worker processes, not a malformed config."""
+    return st.one_of(_NOT_INT, st.integers(-2, high))
+
+
+_OVERRIDES = {
+    "dimension": st.one_of(_JUNK, st.integers(-1, 4)),
+    "solver.mode": st.one_of(_JUNK, st.sampled_from(["ode", "sde"])),
+    "solver.steps": st.one_of(_NOT_INT, st.integers(-1, 4), _ABSURD),
+    "solver.churn": st.one_of(_JUNK, st.floats(0.0, 2.0)),
+    "mixture.weights": st.one_of(_JUNK, _NUMBERS),
+    "mixture.means": st.one_of(_JUNK, st.lists(_NUMBERS, max_size=5)),
+    "mixture.stddevs": st.one_of(_JUNK, _NUMBERS),
+    "reward.kind": st.one_of(_JUNK, st.sampled_from(["quadratic", "mode_preference"])),
+    "reward.target": st.one_of(_JUNK, _NUMBERS),
+    "reward.preferred": st.one_of(_JUNK, st.integers(-2, 4)),
+    "reward.sharpness": _JUNK,
+    "method": st.one_of(_JUNK, st.sampled_from(["rts", "bon", "zo", "free"])),
+    "seed": st.one_of(_JUNK, st.integers(-1, 2**64)),
+    "replicates": _small_count(2),
+    "workers": _small_count(1),
+    "budget_nfe": _small_count(200),
+    "search_init.n_neighbors": st.one_of(_NOT_INT, st.integers(-1, 3), _ABSURD),
+    "search_init.rounds": _small_count(2),
+    "search_init.tau": _JUNK,
+    "search_inter.alpha": _JUNK,
+    "search_inter.track_global_best": _JUNK,
+    "k_keysteps": st.one_of(_JUNK, st.integers(-1, 10**18)),
+    "eval_steps_init": st.one_of(_NOT_INT, st.integers(-1, 4), _ABSURD),
+    "eval_steps_inter": st.one_of(_JUNK, st.integers(-1, 10**18)),
+    "resample_inter_fresh": _JUNK,
+    "zo_step_tau": _JUNK,
+    "search_init.typo": _JUNK,
+}
+
+
+@st.composite
+def _override_args(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_OVERRIDES)), min_size=1, max_size=3, unique=True))
+    return [f"{key}={json.dumps(draw(_OVERRIDES[key]))}" for key in keys]
+
+
+class TestConfigProperty:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(args=_override_args())
+    def test_any_override_runs_or_fails_typed(self, tmp_path, capsys, args):
+        """Random overrides of a small rts config end in success (0), a config
+        error (2) or a runtime error (3), never an untyped exception."""
+        config, out = write_config(
+            tmp_path, method="rts", replicates=1, budget_nfe=60, solver={"mode": "sde", "steps": 3, "churn": 0.4},
+            search_init={"n_neighbors": 2, "rounds": 1}, search_inter={"n_neighbors": 2, "rounds": 1},
+        )
+        code = main(["run", "--config", config, *args])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.startswith("config error")

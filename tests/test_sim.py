@@ -1,5 +1,7 @@
 """Tests for the closed-form flow-matching testbed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,15 @@ from rts import (
     nearest_mode,
     one_step_clean_estimate,
 )
-from rts.sim import _BATCH_ELEMENTS, _advance, _solve, _velocity, heun_step
+from rts.sim import (
+    _BATCH_ELEMENTS,
+    _TIME_TABLE_SIZE,
+    _advance,
+    _clean,
+    _solve,
+    _velocity,
+    heun_step,
+)
 
 
 def single_standard():
@@ -489,3 +499,71 @@ class TestBatchedPath:
         reward = CustomReward(fn=lambda z: float("inf") if z[0] == 0.0 else 1.0)
         with pytest.raises(NonFiniteError):
             evaluate_reward(reward, np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def reference_kernel(model, x, t):
+    """Velocity and clean estimate with every constant recomputed inline, as first written."""
+    one_minus = 1.0 - t
+    centered = x[..., None, :] - one_minus * model.means
+    var = (one_minus * model.stddevs) ** 2 + t * t
+    log_resp = (
+        np.log(model.weights)
+        - 0.5 * np.sum(centered * centered, axis=-1) / var
+        - 0.5 * model.dim * np.log(2.0 * math.pi * var)
+    )
+    log_resp = log_resp - np.max(log_resp, axis=-1, keepdims=True)
+    resp = np.exp(log_resp)
+    resp /= np.sum(resp, axis=-1, keepdims=True)
+    coef = (t - (1.0 - t) * model.stddevs**2) / var
+    velocity = np.sum(resp[..., None] * (coef[:, None] * centered - model.means), axis=-2)
+    coef = (1.0 - t) * model.stddevs**2 / var
+    clean = np.sum(resp[..., None] * (model.means + coef[:, None] * centered), axis=-2)
+    return velocity, clean
+
+
+def mid_model():
+    """8 components at d=64."""
+    rng = np.random.default_rng(8)
+    return MixtureModel(
+        weights=rng.dirichlet(np.ones(8)), means=rng.normal(0.0, 1.0, (8, 64)), stddevs=rng.uniform(0.3, 1.2, 8)
+    )
+
+
+# every point of a 16-step grid from t = 1 but its last, and a time near 0
+KERNEL_TIMES = [*SolverSpec(mode=SDE, steps=16, churn=0.4).time_grid[:-1], 1e-3]
+
+
+class TestTimeTable:
+    """The per-time constants are computed once per (model, t) and change no bit."""
+
+    @pytest.mark.parametrize("make_model", [four_corner, mid_model])
+    def test_kernel_equals_inline_reference(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(4)
+        batch = rng.standard_normal((5, model.dim)) * 1.5
+        for x in (batch[0], batch):
+            for t in KERNEL_TIMES:
+                velocity, clean = reference_kernel(model, x, t)
+                for _ in range(2):  # the first call fills the table, the second reads it
+                    np.testing.assert_array_equal(_velocity(model, x, t), velocity)
+                    np.testing.assert_array_equal(_clean(model, x, t), clean)
+            # the corrector of a solve's last step evaluates the velocity at t = 0
+            np.testing.assert_array_equal(_velocity(model, x, 0.0), reference_kernel(model, x, 0.0)[0])
+
+    def test_table_holds_one_entry_per_time_of_component_vectors(self):
+        model = mid_model()
+        x = np.random.default_rng(5).standard_normal(model.dim)
+        for t in KERNEL_TIMES * 3:
+            _velocity(model, x, t)
+        assert len(model._by_time) == len(KERNEL_TIMES)
+        for consts in model._by_time.values():
+            assert all(a.size == model.n_components for a in consts)
+
+    def test_table_stays_bounded_over_many_times(self):
+        model = four_corner()
+        x = np.array([0.3, -0.2])
+        times = np.linspace(1.0, 1e-4, 10**4)
+        for t in times:
+            marginal_velocity(model, x, t)
+            assert len(model._by_time) <= _TIME_TABLE_SIZE
+        np.testing.assert_array_equal(marginal_velocity(model, x, times[-1]), reference_kernel(model, x, times[-1])[0])
