@@ -2,10 +2,12 @@
 
 Subcommands:
     run                execute the configured method for each replicate and
-                       append one JSON record per line to the output file
+                       append one JSON record per line to the output file,
+                       each flushed in replicate order as soon as it is done
     report             aggregate a results file into per-method statistics
                        with pairwise one-sided Wilcoxon comparisons; a file
-                       that repeats a (method, seed, overrides) is refused
+                       that repeats a (method, seed, overrides), or a record
+                       field of the wrong type, is refused
     export-trajectory  run a single denoise and write its 3-D projection,
                        per-step curvature, and key-step flags as CSV
 
@@ -24,6 +26,7 @@ import csv
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +36,7 @@ from multiprocessing import get_context
 import numpy as np
 from scipy import stats
 
-from .core import ConfigError, NoiseTrajectory, RngStream, RtsError, sample_gaussian
+from .core import ConfigError, NoiseTrajectory, PreconditionError, RngStream, RtsError, sample_gaussian
 from .keysteps import curvature, project_trajectory, select_key_steps
 from .pipeline import (
     BON,
@@ -43,6 +46,7 @@ from .pipeline import (
     ZO,
     RtsConfig,
     RunResult,
+    bon_candidates,
     run_bon,
     run_free,
     run_rts,
@@ -61,8 +65,28 @@ from .sim import (
 
 WORKER_ENV = "RTS_MAX_WORKERS"
 
-# the fields of a results record that ``rts report`` reads
-_RECORD_KEYS = ("method", "seed", "final_reward", "nfe_used", "truncated")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the range of a float
+        return False
+
+
+# the fields of a results record that ``rts report`` reads: what each must be
+_RECORD_FIELDS = {
+    "method": ("a string", lambda value: isinstance(value, str)),
+    "seed": ("an integer", _is_int),
+    "final_reward": ("a finite number", _is_finite_number),
+    "nfe_used": ("an integer", _is_int),
+    "truncated": ("a boolean", lambda value: isinstance(value, bool)),
+}
 
 _SOLVER_KEYS = {"mode", "steps", "churn"}
 _MIXTURE_KEYS = {"weights", "means", "stddevs"}
@@ -335,21 +359,30 @@ def _result_record(result: RunResult, reward_cfg: dict, model: MixtureModel,
     }
 
 
+def _check_budget(cfg: dict, spec: SolverSpec) -> None:
+    """Refuse a bon or zo run without a budget, and a bon budget for too many candidates."""
+    method, budget = cfg["method"], cfg["budget_nfe"]
+    if method in (BON, ZO) and budget is None:
+        raise _fail("budget_nfe", f"required for method '{method}'")
+    if method == BON:
+        try:
+            bon_candidates(spec, budget)
+        except PreconditionError as exc:
+            raise _fail("budget_nfe", str(exc)) from exc
+
+
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
     """Execute one replicate (seed = base seed + index) and build its record."""
     model, spec, reward, rts_cfg = build_experiment(cfg)
+    _check_budget(cfg, spec)
     stream = RngStream(root_seed=cfg["seed"] + index, path=())
     method = cfg["method"]
     start = time.perf_counter()
     if method == RTS:
         result = run_rts(model, spec, reward, rts_cfg, stream)
     elif method == BON:
-        if cfg["budget_nfe"] is None:
-            raise ConfigError("config error at 'budget_nfe': required for method 'bon'")
         result = run_bon(model, spec, reward, cfg["budget_nfe"], stream)
     elif method == ZO:
-        if cfg["budget_nfe"] is None:
-            raise ConfigError("config error at 'budget_nfe': required for method 'zo'")
         result = run_zo(model, spec, reward, cfg["budget_nfe"], cfg["zo_step_tau"], stream)
     else:
         result = run_free(model, spec, reward, stream)
@@ -371,25 +404,41 @@ def _worker_count(cfg: dict) -> int:
     return min(limit, cfg["replicates"])
 
 
+def _append_records(path: str, records) -> None:
+    """Append each record as one JSON line and flush it as soon as it arrives.
+
+    A replicate that fails ends the run, and every record before it stays
+    in the file.
+    """
+    try:
+        sink = open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise RtsError(f"cannot write output '{path}': {exc}") from exc
+    with sink:
+        for record in records:
+            try:
+                sink.write(json.dumps(record) + "\n")
+                sink.flush()
+            except OSError as exc:
+                raise RtsError(f"cannot write output '{path}': {exc}") from exc
+
+
 def cmd_run(config_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
-    build_experiment(cfg)  # fail on bad values before any work is queued
+    _, spec, _, _ = build_experiment(cfg)  # fail on bad values before any work is queued
+    _check_budget(cfg, spec)
     workers = _worker_count(cfg)
     indices = range(cfg["replicates"])
     if workers == 1:
-        records = [run_replicate(cfg, i, overrides) for i in indices]
+        _append_records(cfg["out"], (run_replicate(cfg, i, overrides) for i in indices))
     else:
-        # spawn keeps worker state identical to a fresh interpreter; records
-        # are collected in submission order so the output is deterministic
+        # spawn keeps worker state identical to a fresh interpreter; map yields
+        # records in submission order so the output is deterministic
         executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
-        with executor:
-            records = list(executor.map(run_replicate, repeat(cfg), indices, repeat(overrides)))
-    try:
-        with open(cfg["out"], "a", encoding="utf-8") as sink:
-            for record in records:
-                sink.write(json.dumps(record) + "\n")
-    except OSError as exc:
-        raise RtsError(f"cannot write output '{cfg['out']}': {exc}") from exc
+        try:
+            _append_records(cfg["out"], executor.map(run_replicate, repeat(cfg), indices, repeat(overrides)))
+        finally:
+            executor.shutdown(cancel_futures=True)
     print(f"wrote {cfg['replicates']} record(s) to {cfg['out']}")
     return 0
 
@@ -413,8 +462,15 @@ def _load_records(results_path: str) -> list[dict]:
             raise ConfigError(f"results line {lineno} is not valid JSON: {exc}") from exc
     first_line: dict[str, int] = {}
     for (lineno, _), record in zip(lines, records):
-        if not isinstance(record, dict) or any(key not in record for key in _RECORD_KEYS):
-            raise ConfigError(f"results line {lineno} is not a record with keys {', '.join(_RECORD_KEYS)}")
+        if not isinstance(record, dict) or any(key not in record for key in _RECORD_FIELDS):
+            raise ConfigError(f"results line {lineno} is not a record with keys {', '.join(_RECORD_FIELDS)}")
+        for key, (description, valid) in _RECORD_FIELDS.items():
+            if not valid(record[key]):
+                raise ConfigError(f"results line {lineno} key '{key}': expected {description}, "
+                                  f"got {reprlib.repr(record[key])}")
+        if record.get("hit") is not None and not isinstance(record["hit"], bool):
+            raise ConfigError(f"results line {lineno} key 'hit': expected a boolean or null, "
+                              f"got {reprlib.repr(record['hit'])}")
         run = json.dumps([record["method"], record["seed"], record.get("overrides")], sort_keys=True)
         if run in first_line:
             raise ConfigError(f"results line {lineno} repeats the method, seed and overrides "

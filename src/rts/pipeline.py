@@ -43,7 +43,7 @@ from .core import (
     sample_gaussian,
 )
 from .keysteps import KeyStepSet, project_trajectory, select_key_steps
-from .search import SearchConfig, run_search
+from .search import MAX_NEIGHBORS, SearchConfig, run_search
 from .sphere import random_spherical_sample
 from .sim import (
     ODE,
@@ -431,6 +431,23 @@ def run_rts(
     )
 
 
+def bon_candidates(spec: SolverSpec, budget_nfe: int) -> int:
+    """How many full denoises best-of-N runs within ``budget_nfe``.
+
+    Raises ``BudgetError`` below one denoise and ``PreconditionError`` above
+    ``MAX_NEIGHBORS`` candidates, before any candidate is drawn.
+    """
+    cost = 2 * spec.steps
+    n_candidates = budget_nfe // cost
+    if n_candidates < 1:
+        raise BudgetError(f"budget {budget_nfe} is below one denoise ({cost} NFEs)")
+    if n_candidates > MAX_NEIGHBORS:
+        raise PreconditionError(
+            f"budget {budget_nfe} asks for {n_candidates} best-of-N candidates, more than {MAX_NEIGHBORS}"
+        )
+    return n_candidates
+
+
 def run_bon(
     model: MixtureModel,
     spec: SolverSpec,
@@ -439,10 +456,7 @@ def run_bon(
     stream: RngStream,
 ) -> RunResult:
     """Best-of-N: as many independent full denoises as the budget allows."""
-    cost = 2 * spec.steps
-    n_candidates = budget_nfe // cost
-    if n_candidates < 1:
-        raise BudgetError(f"budget {budget_nfe} is below one denoise ({cost} NFEs)")
+    n_candidates = bon_candidates(spec, budget_nfe)
     counter = NfeCounter()
     zs = np.stack([sample_gaussian(stream.child(0).child(i), model.dim) for i in range(n_candidates)])
     noises = None

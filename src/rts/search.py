@@ -43,8 +43,9 @@ logger = logging.getLogger(__name__)
 # order and batching.
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
-# Most neighbours a round may sample, far above the handful a search uses;
-# an absurd count is refused up front instead of failing to allocate a round.
+# Most neighbours a round may sample (and most best-of-N candidates), far
+# above the handful a search uses; an absurd count is refused up front
+# instead of failing to allocate a round.
 MAX_NEIGHBORS = 10_000
 
 _STREAM_RESAMPLE = 0

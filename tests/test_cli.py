@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rts import ConfigError
+import rts.cli
+from rts import ConfigError, RtsError
 from rts.cli import (
     WORKER_ENV,
     apply_overrides,
@@ -248,6 +249,34 @@ class TestRunCommand:
         assert "replicates" in capsys.readouterr().err
         assert not (tmp_path / "results.jsonl").exists()
 
+    def test_failing_replicate_keeps_the_records_before_it(self, tmp_path, monkeypatch, capsys):
+        config, out = write_config(tmp_path, method="rts", replicates=4, workers=1)
+        whole = tmp_path / "whole.jsonl"
+        assert main(["run", "--config", config, "--out", str(whole)]) == 0
+        run_replicate = rts.cli.run_replicate
+
+        def third_fails(cfg, index, overrides):
+            if index == 2:
+                raise RtsError("replicate 2 failed")
+            return run_replicate(cfg, index, overrides)
+
+        monkeypatch.setattr(rts.cli, "run_replicate", third_fails)
+        assert main(["run", "--config", config]) == 3
+        assert "replicate 2 failed" in capsys.readouterr().err
+        kept = read_records(out)
+        assert [record["seed"] for record in kept] == [0, 1]
+        for left, right in zip(kept, read_records(whole)):
+            for record in (left, right):
+                record.pop("wall_ms")
+                record.pop("overrides")
+            assert json.dumps(left) == json.dumps(right)
+
+    def test_bon_budget_past_candidate_bound_exits_2_before_any_record(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, method="bon")
+        assert main(["run", "--config", config, "budget_nfe=" + str(10**30)]) == 2
+        assert "'budget_nfe'" in capsys.readouterr().err
+        assert not (tmp_path / "results.jsonl").exists()
+
     def test_quadratic_target_of_wrong_dimension_exits_2(self, tmp_path, capsys):
         reward = {"kind": "quadratic", "target": [0.0, 0.0, 0.0]}
         config, _ = write_config(tmp_path, reward=reward)
@@ -408,6 +437,34 @@ class TestReportCommand:
         results.write_text('\n[1, 2]\n')
         assert main(["report", str(results)]) == 2
         assert "line 2 is not a record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("method", None),
+            ("method", 3),
+            ("seed", "0"),
+            ("seed", True),
+            ("seed", 1.5),
+            ("nfe_used", None),
+            ("nfe_used", False),
+            ("final_reward", None),
+            ("final_reward", "0.5"),
+            ("final_reward", True),
+            ("final_reward", float("nan")),
+            ("final_reward", float("inf")),
+            ("final_reward", 10**400),
+            ("truncated", 0),
+            ("truncated", None),
+            ("hit", "yes"),
+        ],
+    )
+    def test_record_field_of_wrong_type_exits_2_naming_line_and_key(self, tmp_path, capsys, key, value):
+        good = {"method": "free", "seed": 0, "final_reward": 0.5, "nfe_used": 16, "truncated": False, "hit": True}
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps(good) + "\n" + json.dumps({**good, "seed": 1, key: value}) + "\n")
+        assert main(["report", str(results)]) == 2
+        assert f"results line 2 key '{key}'" in capsys.readouterr().err
 
     def test_report_rejects_overrides(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)

@@ -1,7 +1,12 @@
 """Tests for shared value types, RNG discipline, and NFE accounting."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rts import (
     DimensionError,
@@ -94,6 +99,78 @@ class TestRngStream:
         stream = RngStream(0).child(big)
         assert stream.path == (big,)
         assert np.all(np.isfinite(sample_gaussian(stream, 4)))
+
+
+def numpy_stream(root, path):
+    """The generator numpy keys from ``SeedSequence(root, spawn_key=path)``: the reference."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(root, spawn_key=path)))
+
+
+# labels of every width: one word, two words (>= 2^32) and three (>= 2^64)
+LABELS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**80), st.sampled_from([0, 2**32, 2**64])
+)
+
+
+class TestIncrementalDerivation:
+    """A stream draws exactly what numpy's SeedSequence-keyed Philox draws."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        root=st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**32, 2**64 - 1])),
+        path=st.lists(LABELS, max_size=8).map(tuple),
+        dim=st.integers(2, 9),
+    )
+    def test_matches_numpy_seed_sequence(self, root, path, dim):
+        expected = numpy_stream(root, path).standard_normal(dim)
+        chained = RngStream(root)
+        for label in path:
+            chained = chained.child(label)
+        direct = RngStream(root, path)
+        assert chained == direct
+        for stream in (direct, chained):
+            np.testing.assert_array_equal(sample_gaussian(stream, dim), expected)
+            np.testing.assert_array_equal(stream.generator().standard_normal(dim), expected)
+
+    def test_interleaved_threads_draw_the_serial_values(self):
+        # more threads than cores and a short switch interval, so threads
+        # switch between rewinding the generator and drawing from it
+        streams = [RngStream(3, (thread,)) for thread in range(4)]
+        serial = [np.array([sample_gaussian(s.child(i), 5) for i in range(500)]) for s in streams]
+        results = [None] * len(streams)
+        barrier = threading.Barrier(len(streams))
+
+        def draw(thread):
+            barrier.wait()
+            results[thread] = np.array([sample_gaussian(streams[thread].child(i), 5) for i in range(500)])
+
+        workers = [threading.Thread(target=draw, args=(thread,)) for thread in range(len(streams))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for thread, drawn in enumerate(results):
+            np.testing.assert_array_equal(drawn, serial[thread])
+
+    def test_equality_hash_and_repr_ignore_the_pool(self):
+        direct = RngStream(7, (1, 2**40))
+        chained = RngStream(7).child(1).child(2**40)
+        assert direct == chained and hash(direct) == hash(chained)
+        assert repr(direct) == "RngStream(root_seed=7, path=(1, 1099511627776))"
+        assert len({direct, chained, RngStream(7, (1, 2**40 + 1))}) == 2
+        other_pool = RngStream(7, (1, 2**40))
+        object.__setattr__(other_pool, "_pool", ((0, 0, 0, 0), 0))
+        assert other_pool == direct and hash(other_pool) == hash(direct)
+
+    def test_negative_label_in_a_given_path_is_refused(self):
+        with pytest.raises(PreconditionError):
+            RngStream(5, (1, -2))
 
 
 class TestSampleGaussian:

@@ -443,6 +443,17 @@ class TestRunBon:
         with pytest.raises(BudgetError):
             run_bon(model, spec, reward, 15, RngStream(0))
 
+    def test_absurd_budget_is_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a candidate before refusing the budget")
+
+        monkeypatch.setattr(rts.pipeline, "sample_gaussian", no_draw)
+        model, spec, reward = self._setup()
+        with pytest.raises(PreconditionError, match="10000"):
+            run_bon(model, spec, reward, 10**30, RngStream(0))
+        with pytest.raises(PreconditionError):
+            run_bon(model, spec, reward, 16 * 10_001, RngStream(0))
+
 
 class TestRunZo:
     def test_constant_reward_never_relocates(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rts import (
     DegenerateGradientError,
@@ -228,3 +230,41 @@ class TestGuidedSphericalSample:
         a = guided_spherical_sample(**kwargs, stream=RngStream(15))
         b = guided_spherical_sample(**kwargs, stream=RngStream(15))
         np.testing.assert_array_equal(a.candidates, b.candidates)
+
+
+class TestSphereInvariantProperty:
+    """Every candidate keeps ||base|| and cos(candidate, base) = tau; perturbations are unit tangents."""
+
+    @staticmethod
+    def assert_invariants(ns, base, tau):
+        radius = np.linalg.norm(base)
+        u = base / radius
+        norms = np.linalg.norm(ns.candidates, axis=1)
+        assert np.max(np.abs(norms - radius) / radius) < 1e-9
+        assert np.max(np.abs(ns.candidates @ u / norms - tau)) < 1e-9
+        assert np.max(np.abs(np.linalg.norm(ns.perturbations, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(ns.perturbations @ u)) < 1e-12
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        d=st.integers(2, 64),
+        n=st.integers(1, 6),
+        tau=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, 1.0),
+        scale=st.floats(1e-3, 1e3),
+        data_seed=st.integers(0, 2**32 - 1),
+        root=st.integers(0, 2**64 - 1),
+        label=st.integers(0, 2**40),
+    )
+    def test_random_and_guided_samples_keep_norm_and_angle(self, d, n, tau, alpha, scale, data_seed, root, label):
+        rng = np.random.default_rng(data_seed)
+        base = rng.standard_normal(d) * scale
+        stream = RngStream(root).child(label)
+        ns = random_spherical_sample(base, n, tau, stream.child(0))
+        self.assert_invariants(ns, base, tau)
+        g = rng.standard_normal(d)
+        try:
+            guided = guided_spherical_sample(base, n, tau, alpha, g, ns.perturbations, stream.child(1))
+        except DegenerateGradientError:
+            return
+        self.assert_invariants(guided, base, tau)
