@@ -20,7 +20,6 @@ from .core import (
     NoiseTrajectory,
     NonFiniteError,
     PreconditionError,
-    RewardScore,
     RngStream,
     RtsError,
     as_latent,

@@ -17,6 +17,10 @@ silently ignored. Command-line KEY=VALUE overrides use the same dotted paths
 (e.g. ``search_init.alpha=0.65``) and are echoed into every output record.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
+
+Only ``report`` loads scipy, at its first comparison. Importing this module
+loads the standard library, numpy and the package alone, so ``run``, its
+spawned workers and ``export-trajectory`` start without scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from itertools import repeat
 from multiprocessing import get_context
 
 import numpy as np
-from scipy import stats
 
 from .core import ConfigError, NoiseTrajectory, PreconditionError, RngStream, RtsError, sample_gaussian
 from .keysteps import curvature, project_trajectory, select_key_steps
@@ -46,7 +49,7 @@ from .pipeline import (
     ZO,
     RtsConfig,
     RunResult,
-    bon_candidates,
+    denoise_count,
     run_bon,
     run_free,
     run_rts,
@@ -360,15 +363,16 @@ def _result_record(result: RunResult, reward_cfg: dict, model: MixtureModel,
 
 
 def _check_budget(cfg: dict, spec: SolverSpec) -> None:
-    """Refuse a bon or zo run without a budget, and a bon budget for too many candidates."""
+    """Refuse a bon or zo run without a budget, or with one for too many denoises."""
     method, budget = cfg["method"], cfg["budget_nfe"]
-    if method in (BON, ZO) and budget is None:
+    if method not in (BON, ZO):
+        return
+    if budget is None:
         raise _fail("budget_nfe", f"required for method '{method}'")
-    if method == BON:
-        try:
-            bon_candidates(spec, budget)
-        except PreconditionError as exc:
-            raise _fail("budget_nfe", str(exc)) from exc
+    try:
+        denoise_count(method, spec, budget)
+    except PreconditionError as exc:
+        raise _fail("budget_nfe", str(exc)) from exc
 
 
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
@@ -481,6 +485,9 @@ def _load_records(results_path: str) -> list[dict]:
 
 def _one_sided_p(a: list[dict], b: list[dict]) -> float:
     """P-value for 'method a beats method b', paired by seed when possible."""
+    # imported here: scipy.stats takes most of a second to load, and only report needs it
+    from scipy import stats
+
     by_seed_a = {r["seed"]: r["final_reward"] for r in a}
     by_seed_b = {r["seed"]: r["final_reward"] for r in b}
     shared = sorted(set(by_seed_a) & set(by_seed_b))

@@ -32,8 +32,6 @@ import numpy as np
 # numerics idiomatic; validation happens at operation boundaries.
 Latent = np.ndarray
 
-RewardScore = float
-
 _MAX_SEED = 2**64
 
 # numpy's SeedSequence constants for its pool of four 32-bit words: the hash

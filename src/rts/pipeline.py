@@ -431,21 +431,22 @@ def run_rts(
     )
 
 
-def bon_candidates(spec: SolverSpec, budget_nfe: int) -> int:
-    """How many full denoises best-of-N runs within ``budget_nfe``.
+def denoise_count(method: str, spec: SolverSpec, budget_nfe: int) -> int:
+    """How many full denoises ``run_bon`` or ``run_zo`` makes within ``budget_nfe``.
 
-    Raises ``BudgetError`` below one denoise and ``PreconditionError`` above
-    ``MAX_NEIGHBORS`` candidates, before any candidate is drawn.
+    Raises ``BudgetError`` below one denoise (two for zo: the base and one
+    step) and ``PreconditionError`` above ``MAX_NEIGHBORS``, before any draw.
     """
     cost = 2 * spec.steps
-    n_candidates = budget_nfe // cost
-    if n_candidates < 1:
-        raise BudgetError(f"budget {budget_nfe} is below one denoise ({cost} NFEs)")
-    if n_candidates > MAX_NEIGHBORS:
+    count = budget_nfe // cost
+    least = 2 if method == ZO else 1
+    if count < least:
+        raise BudgetError(f"{method} budget {budget_nfe} is below {least} denoise(s) of {cost} NFEs")
+    if count > MAX_NEIGHBORS:
         raise PreconditionError(
-            f"budget {budget_nfe} asks for {n_candidates} best-of-N candidates, more than {MAX_NEIGHBORS}"
+            f"{method} budget {budget_nfe} asks for {count} denoises of {cost} NFEs, more than {MAX_NEIGHBORS}"
         )
-    return n_candidates
+    return count
 
 
 def run_bon(
@@ -456,7 +457,7 @@ def run_bon(
     stream: RngStream,
 ) -> RunResult:
     """Best-of-N: as many independent full denoises as the budget allows."""
-    n_candidates = bon_candidates(spec, budget_nfe)
+    n_candidates = denoise_count(BON, spec, budget_nfe)
     counter = NfeCounter()
     zs = np.stack([sample_gaussian(stream.child(0).child(i), model.dim) for i in range(n_candidates)])
     noises = None
@@ -485,10 +486,7 @@ def run_zo(
     stream: RngStream,
 ) -> RunResult:
     """Hill climbing on the initial noise with spherical steps at fixed tau."""
-    cost = 2 * spec.steps
-    total = budget_nfe // cost
-    if total < 2:
-        raise BudgetError(f"budget {budget_nfe} is below two denoises ({2 * cost} NFEs)")
+    total = denoise_count(ZO, spec, budget_nfe)
     counter = NfeCounter()
     base = sample_gaussian(stream.child(0), model.dim)
     best_traj = denoise(model, spec, base, stream=stream.child(1).child(0), nfe=counter)

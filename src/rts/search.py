@@ -27,7 +27,6 @@ from .core import (
     DimensionError,
     Latent,
     PreconditionError,
-    RewardScore,
     RngStream,
     as_latent,
     sample_gaussian,
@@ -227,7 +226,7 @@ def run_search(
     *,
     start_from_z0: bool = False,
     resample_to_z0: bool = False,
-) -> tuple[Latent, RewardScore, tuple[RoundSummary, ...]]:
+) -> tuple[Latent, float, tuple[RoundSummary, ...]]:
     """Alternate coarse and fine rounds for ``cfg.rounds`` rounds.
 
     ``z0`` fixes the dimension. By default round 1 samples a fresh Gaussian

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Latent, NonFiniteError, PreconditionError, RewardScore
+from .core import Latent, NonFiniteError, PreconditionError
 from .sphere import NeighborSet
 
 _DENOMINATOR_FLOOR = 1e-8
@@ -28,11 +28,11 @@ class SurrogateGradient:
     """Estimated ascent direction plus the rewards it was computed from."""
 
     g: Latent
-    base_reward: RewardScore
+    base_reward: float
     neighbor_rewards: np.ndarray
 
 
-def estimate_gradient(base_reward: RewardScore, neighbors: NeighborSet) -> SurrogateGradient:
+def estimate_gradient(base_reward: float, neighbors: NeighborSet) -> SurrogateGradient:
     """Estimate the ascent direction from a scored NeighborSet.
 
     The result lies in the span of the perturbations, hence tangent to the

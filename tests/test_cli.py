@@ -2,10 +2,17 @@
 
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import rts.cli
 from rts import ConfigError, RtsError
@@ -14,6 +21,7 @@ from rts.cli import (
     apply_overrides,
     main,
     parse_override,
+    summarize,
     validate_config,
 )
 
@@ -271,8 +279,9 @@ class TestRunCommand:
                 record.pop("overrides")
             assert json.dumps(left) == json.dumps(right)
 
-    def test_bon_budget_past_candidate_bound_exits_2_before_any_record(self, tmp_path, capsys):
-        config, out = write_config(tmp_path, method="bon")
+    @pytest.mark.parametrize("method", ["bon", "zo"])
+    def test_budget_past_denoise_bound_exits_2_before_any_record(self, tmp_path, capsys, method):
+        config, out = write_config(tmp_path, method=method)
         assert main(["run", "--config", config, "budget_nfe=" + str(10**30)]) == 2
         assert "'budget_nfe'" in capsys.readouterr().err
         assert not (tmp_path / "results.jsonl").exists()
@@ -377,6 +386,42 @@ class TestReportCommand:
         assert summary["comparisons"]["alpha>beta"] == 0.5
         assert summary["comparisons"]["beta>alpha"] == 0.5
 
+    @staticmethod
+    def _records(method, seeds, rewards):
+        return [{"method": method, "seed": seed, "final_reward": reward, "nfe_used": 10, "truncated": False}
+                for seed, reward in zip(seeds, rewards)]
+
+    def _check_p_values(self, tmp_path, records, expected):
+        assert summarize(records)["comparisons"] == expected
+        results = tmp_path / "results.jsonl"
+        results.write_text("".join(json.dumps(r) + "\n" for r in records))
+        summary_path = tmp_path / "summary.json"
+        assert main(["report", str(results), "--out", str(summary_path)]) == 0
+        assert json.loads(summary_path.read_text())["comparisons"] == expected
+
+    def test_shared_seeds_give_the_paired_wilcoxon_p_value(self, tmp_path):
+        a = [0.9, 0.4, 0.75, 0.6, 0.8, 0.3, 0.55, 0.7]
+        b = [0.5, 0.45, 0.2, 0.3, 0.1, 0.25, 0.25, 0.3]
+        seeds = range(8)
+        diff = np.array(a) - np.array(b)
+        expected = {
+            "alpha>beta": float(stats.wilcoxon(diff, zero_method="zsplit", alternative="greater").pvalue),
+            "beta>alpha": float(stats.wilcoxon(-diff, zero_method="zsplit", alternative="greater").pvalue),
+        }
+        assert expected["alpha>beta"] < 0.05 < expected["beta>alpha"]
+        self._check_p_values(tmp_path, self._records("alpha", seeds, a) + self._records("beta", seeds, b), expected)
+
+    def test_disjoint_seeds_give_the_mann_whitney_p_value(self, tmp_path):
+        a = [0.9, 0.4, 0.75, 0.6, 0.8, 0.3]
+        b = [0.5, 0.45, 0.2, 0.1, 0.35]
+        expected = {
+            "alpha>beta": float(stats.mannwhitneyu(a, b, alternative="greater").pvalue),
+            "beta>alpha": float(stats.mannwhitneyu(b, a, alternative="greater").pvalue),
+        }
+        assert expected["alpha>beta"] < 0.05 < expected["beta>alpha"]
+        records = self._records("alpha", range(6), a) + self._records("beta", range(100, 105), b)
+        self._check_p_values(tmp_path, records, expected)
+
     def test_single_record_has_zero_stddev(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config]) == 0
@@ -472,6 +517,33 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["report", out, "seed=3"])
         assert excinfo.value.code == 2
+
+
+# Cython-compiled extensions (numpy.random's) register these runtime modules
+_CYTHON_RUNTIME = re.compile(r"cython_runtime|_cython_[0-9_]+")
+
+
+def test_importing_the_cli_loads_only_stdlib_numpy_and_rts():
+    # a fresh interpreter, so what earlier tests imported does not count;
+    # the diff ignores whatever site loads before the import
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rts.cli\n"
+        "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    package_root = str(Path(rts.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "rts" in loaded
+    foreign = [
+        name for name in loaded
+        if name not in sys.stdlib_module_names and name not in ("numpy", "rts")
+        and name != "__mp_main__"  # multiprocessing's alias of __main__
+        and not _CYTHON_RUNTIME.fullmatch(name)
+    ]
+    assert foreign == []
 
 
 class TestExportTrajectory:

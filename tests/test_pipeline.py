@@ -488,6 +488,19 @@ class TestRunZo:
         with pytest.raises(BudgetError):
             run_zo(model, spec, QuadraticReward(target=np.zeros(2)), 31, 0.9, RngStream(0))
 
+    def test_absurd_budget_is_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a noise before refusing the budget")
+
+        monkeypatch.setattr(rts.pipeline, "sample_gaussian", no_draw)
+        model = four_corner_model()
+        spec = SolverSpec(mode="sde", steps=8, churn=0.4)
+        reward = QuadraticReward(target=np.zeros(2))
+        with pytest.raises(PreconditionError, match="10000"):
+            run_zo(model, spec, reward, 10**30, 0.9, RngStream(0))
+        with pytest.raises(PreconditionError):
+            run_zo(model, spec, reward, 16 * 10_001, 0.9, RngStream(0))
+
     def test_zo_beats_bon_on_quadratic(self):
         # Hill climbing on a smooth unimodal landscape outruns blind draws
         # once the budget allows real refinement. Measured at these settings:
