@@ -11,10 +11,12 @@ Subcommands:
     export-trajectory  run a single denoise and write its 3-D projection,
                        per-step curvature, and key-step flags as CSV
 
-Configs are JSON with a strict schema: unknown keys are rejected with the
-offending dotted path, so a misspelled field fails loudly instead of being
-silently ignored. Command-line KEY=VALUE overrides use the same dotted paths
-(e.g. ``search_init.alpha=0.65``) and are echoed into every output record.
+``CONFIG_SCHEMA`` is the one place that defines each config key's kind,
+bounds and default, and ``report`` checks record fields with the same kinds.
+Unknown keys are rejected with the offending dotted path, so a misspelled
+field fails loudly instead of being silently ignored. Command-line KEY=VALUE
+overrides use the same dotted paths (e.g. ``search_init.alpha=0.65``) and
+are echoed into every output record.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 
@@ -34,6 +36,7 @@ import reprlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 from itertools import repeat
 from multiprocessing import get_context
 
@@ -55,9 +58,11 @@ from .pipeline import (
     run_rts,
     run_zo,
 )
-from .search import MAX_NEIGHBORS, SearchConfig
+from .search import MAX_NEIGHBORS
 from .sim import (
     MAX_STEPS,
+    ODE,
+    SDE,
     MixtureModel,
     ModePreferenceReward,
     QuadraticReward,
@@ -69,183 +74,176 @@ from .sim import (
 WORKER_ENV = "RTS_MAX_WORKERS"
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+class _Invalid(ConfigError):
+    """A config error at a dotted path: ``_Invalid(path, message)``."""
+
+    def __str__(self) -> str:
+        return "config error at '{}': {}".format(*self.args)
 
 
-def _is_finite_number(value) -> bool:
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
+def _got(value) -> str:
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer past the range of a float
-        return False
+        return "a boolean" if isinstance(value, bool) else reprlib.repr(value)
+    except ValueError:  # holds an integer past Python's digit limit
+        return type(value).__name__
 
 
-# the fields of a results record that ``rts report`` reads: what each must be
-_RECORD_FIELDS = {
-    "method": ("a string", lambda value: isinstance(value, str)),
-    "seed": ("an integer", _is_int),
-    "final_reward": ("a finite number", _is_finite_number),
-    "nfe_used": ("an integer", _is_int),
-    "truncated": ("a boolean", lambda value: isinstance(value, bool)),
-}
+# Kinds: each checks one JSON value found at a dotted path and returns it
+# normalized, or raises _Invalid at that path.
+def _instance(types, description: str):
+    def check(value, path: str):
+        if not isinstance(value, types):
+            raise _Invalid(path, f"expected {description}, got {_got(value)}")
+        return value
 
-_SOLVER_KEYS = {"mode", "steps", "churn"}
-_MIXTURE_KEYS = {"weights", "means", "stddevs"}
-_SEARCH_KEYS = {"n_neighbors", "rounds", "tau", "alpha", "track_global_best"}
-_REWARD_KINDS = {"mode_preference", "quadratic"}
-_TOP_REQUIRED = ("dimension", "solver", "mixture", "reward", "method", "seed", "replicates")
-_TOP_OPTIONAL = {
-    "out": "results.jsonl",
-    "workers": 1,
-    "budget_nfe": None,
-    "search_init": {},
-    "search_inter": {},
-    "k_keysteps": 6,
-    "eval_steps_init": None,
-    "eval_steps_inter": 1,
-    "resample_inter_fresh": True,
-    "zo_step_tau": 0.9,
-}
+    return check
 
 
-def _fail(path: str, message: str) -> ConfigError:
-    return ConfigError(f"config error at '{path}': {message}")
+_boolean = _instance(bool, "a boolean")
+_string = _instance(str, "a string")
+_list = _instance(list, "a list")
+_object = _instance(dict, "an object")
 
 
-def _expect(value, types, path: str, description: str):
-    # bool is an int subclass; reject it where an int is expected
-    if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise _fail(path, f"expected {description}, got a boolean")
-    if not isinstance(value, types):
-        raise _fail(path, f"expected {description}, got {type(value).__name__}")
-    return value
+def _integer(low: int | None = None, high: int | None = None):
+    def check(value, path: str) -> int:
+        # bool is an int subclass; it is never an integer here
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _Invalid(path, f"expected an integer, got {_got(value)}")
+        if (low is not None and value < low) or (high is not None and value > high):
+            raise _Invalid(path, f"must be >= {low}" if high is None else f"must lie in [{low}, {high}]")
+        return value
+
+    return check
 
 
 def _number(value, path: str) -> float:
     """A finite JSON number as a float; integers too large for a float count as infinite."""
-    _expect(value, (int, float), path, "a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Invalid(path, f"expected a number, got {_got(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise _fail(path, "must be a finite number")
+        raise _Invalid(path, "must be a finite number")
     return number
 
 
 def _numbers(value, path: str) -> list[float]:
-    _expect(value, list, path, "a list")
-    return [_number(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return [_number(item, f"{path}[{i}]") for i, item in enumerate(_list(value, path))]
 
 
-def _count(value, path: str, limit: int) -> int:
-    _expect(value, int, path, "an integer")
-    if not 1 <= value <= limit:
-        raise _fail(path, f"must lie in [1, {limit}]")
-    return value
+def _matrix(value, path: str) -> list[list[float]]:
+    """A list of number lists, each as long as the first."""
+    rows = [_numbers(row, f"{path}[{i}]") for i, row in enumerate(_list(value, path))]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise _Invalid(f"{path}[{i}]", f"has {len(row)} coordinates, row 0 has {len(rows[0])}")
+    return rows
 
 
-def _check_keys(section: dict, allowed: set, path: str) -> None:
+def _choice(*options: str):
+    def check(value, path: str) -> str:
+        if not isinstance(value, str) or value not in options:
+            raise _Invalid(path, f"must be one of {sorted(options)}, got {_got(value)}")
+        return value
+
+    return check
+
+
+def _nullable(kind):
+    return lambda value, path: None if value is None else kind(value, path)
+
+
+REQUIRED = object()  # default of a key that must be given
+OMIT = object()  # default of a key whose absence the constructor fills in
+
+
+class _Tagged(dict):
+    """Alternative sections, one per value of their ``kind`` key."""
+
+
+def _tagged(**variants: dict) -> _Tagged:
+    tag = (_choice(*variants), REQUIRED)
+    return _Tagged({name: {"kind": tag, **section} for name, section in variants.items()})
+
+
+# SearchConfig's arguments; an absent one keeps the phase's default in RtsConfig
+_SEARCH = {
+    "n_neighbors": (_integer(1, MAX_NEIGHBORS), OMIT),
+    "rounds": (_integer(), OMIT),
+    "tau": (_number, OMIT),
+    "alpha": (_number, OMIT),
+    "track_global_best": (_boolean, OMIT),
+}
+
+# Every config key as (kind, default); a dict kind is a section of keys. The
+# keys of a section are the argument names of the constructor it feeds, and
+# the top-level keys include RtsConfig's, so build_experiment passes them on.
+CONFIG_SCHEMA = {
+    "dimension": (_integer(2), REQUIRED),
+    "solver": ({"mode": (_choice(ODE, SDE), REQUIRED), "steps": (_integer(1, MAX_STEPS), REQUIRED),
+                "churn": (_number, 0.0)}, REQUIRED),
+    "mixture": ({"weights": (_numbers, REQUIRED), "means": (_matrix, REQUIRED), "stddevs": (_numbers, REQUIRED)},
+                REQUIRED),
+    "reward": (_tagged(mode_preference={"preferred": (_integer(), 0), "sharpness": (_number, 1.0)},
+                       quadratic={"target": (_numbers, REQUIRED)}), REQUIRED),
+    "method": (_choice(*METHODS), REQUIRED),
+    "seed": (_integer(0, 2**64 - 1), REQUIRED),
+    "replicates": (_integer(1), REQUIRED),
+    "out": (_string, "results.jsonl"),
+    "workers": (_integer(1), 1),
+    "budget_nfe": (_nullable(_integer()), None),
+    "search_init": (_SEARCH, {}),
+    "search_inter": (_SEARCH, {}),
+    "k_keysteps": (_integer(), 6),
+    "eval_steps_init": (_nullable(_integer(1, MAX_STEPS)), None),
+    "eval_steps_inter": (_integer(), 1),
+    "resample_inter_fresh": (_boolean, True),
+    "zo_step_tau": (_number, 0.9),
+}
+
+# the fields of a results record that ``rts report`` reads
+_RECORD_SCHEMA = {
+    "method": (_string, REQUIRED),
+    "seed": (_integer(), REQUIRED),
+    "final_reward": (_number, REQUIRED),
+    "nfe_used": (_integer(), REQUIRED),
+    "truncated": (_boolean, REQUIRED),
+    "hit": (_nullable(_boolean), None),
+}
+
+
+def _walk(schema: dict, raw, path: str) -> dict:
+    """Check an object against a section of the schema; return it with defaults applied."""
+    section = _object(raw, path or "<root>")
     for key in section:
-        if key not in allowed:
-            raise _fail(f"{path}.{key}" if path else key, "unknown key")
+        if key not in schema:
+            raise _Invalid(f"{path}.{key}" if path else key, "unknown key")
+    checked = {}
+    for key, (kind, default) in schema.items():
+        at = f"{path}.{key}" if path else key
+        value = section.get(key, default)
+        if value is REQUIRED:
+            raise _Invalid(at, "required key is missing")
+        if value is OMIT:
+            continue
+        if isinstance(kind, _Tagged):  # the variant that the value's kind names
+            kind = kind[_choice(*kind)(_object(value, at).get("kind"), f"{at}.kind")]
+        checked[key] = _walk(kind, value, at) if isinstance(kind, dict) else kind(value, at)
+    return checked
 
 
 def validate_config(raw: dict) -> dict:
-    """Normalize a parsed config dict, rejecting unknown or ill-typed keys.
+    """Check a parsed config against ``CONFIG_SCHEMA``; return it with defaults applied.
 
-    Returns a fully populated plain dict (defaults applied). Value-level
-    constraints that the domain constructors already enforce (weight sums,
-    tau ranges, ...) are left to them; see build_experiment.
+    Value-level constraints that the domain constructors already enforce
+    (weight sums, tau ranges, ...) are left to them; see build_experiment.
     """
-    _expect(raw, dict, "<root>", "an object")
-    _check_keys(raw, set(_TOP_REQUIRED) | set(_TOP_OPTIONAL), "")
-    for key in _TOP_REQUIRED:
-        if key not in raw:
-            raise _fail(key, "required key is missing")
-    cfg = dict(_TOP_OPTIONAL)
-    cfg.update(raw)
-
-    _expect(cfg["dimension"], int, "dimension", "an integer")
-    if cfg["dimension"] < 2:
-        raise _fail("dimension", "must be >= 2")
-
-    solver = _expect(cfg["solver"], dict, "solver", "an object")
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    for key in ("mode", "steps"):
-        if key not in solver:
-            raise _fail(f"solver.{key}", "required key is missing")
-    _expect(solver["mode"], str, "solver.mode", "a string")
-    cfg["solver"] = {"mode": solver["mode"], "steps": _count(solver["steps"], "solver.steps", MAX_STEPS),
-                     "churn": _number(solver.get("churn", 0.0), "solver.churn")}
-
-    mixture = _expect(cfg["mixture"], dict, "mixture", "an object")
-    _check_keys(mixture, _MIXTURE_KEYS, "mixture")
-    for key in _MIXTURE_KEYS:
-        if key not in mixture:
-            raise _fail(f"mixture.{key}", "required key is missing")
-    rows = _expect(mixture["means"], list, "mixture.means", "a list")
-    means = [_numbers(row, f"mixture.means[{i}]") for i, row in enumerate(rows)]
-    for i, row in enumerate(means):
-        if len(row) != len(means[0]):
-            raise _fail(f"mixture.means[{i}]", f"has {len(row)} coordinates, row 0 has {len(means[0])}")
-    cfg["mixture"] = {"weights": _numbers(mixture["weights"], "mixture.weights"), "means": means,
-                      "stddevs": _numbers(mixture["stddevs"], "mixture.stddevs")}
-
-    reward = _expect(cfg["reward"], dict, "reward", "an object")
-    kind = reward.get("kind")
-    if not isinstance(kind, str) or kind not in _REWARD_KINDS:
-        raise _fail("reward.kind", f"must be one of {sorted(_REWARD_KINDS)}")
-    if kind == "mode_preference":
-        _check_keys(reward, {"kind", "preferred", "sharpness"}, "reward")
-        _expect(reward.get("preferred", 0), int, "reward.preferred", "an integer")
-        cfg["reward"] = {"kind": kind, "preferred": reward.get("preferred", 0),
-                         "sharpness": _number(reward.get("sharpness", 1.0), "reward.sharpness")}
-    else:
-        _check_keys(reward, {"kind", "target"}, "reward")
-        if "target" not in reward:
-            raise _fail("reward.target", "required key is missing")
-        cfg["reward"] = {"kind": kind, "target": _numbers(reward["target"], "reward.target")}
-
-    _expect(cfg["method"], str, "method", "a string")
-    if cfg["method"] not in METHODS:
-        raise _fail("method", f"must be one of {sorted(METHODS)}")
-    _expect(cfg["seed"], int, "seed", "an integer")
-    if not 0 <= cfg["seed"] < 2**64:
-        raise _fail("seed", "must fit in an unsigned 64-bit integer")
-    _expect(cfg["replicates"], int, "replicates", "an integer")
-    if cfg["replicates"] < 1:
-        raise _fail("replicates", "must be >= 1")
+    cfg = _walk(CONFIG_SCHEMA, raw, "")
     if cfg["seed"] + cfg["replicates"] > 2**64:
-        raise _fail("replicates", "seed + replicates - 1 must fit in an unsigned 64-bit integer")
-    _expect(cfg["out"], str, "out", "a string")
-    _expect(cfg["workers"], int, "workers", "an integer")
-    if cfg["workers"] < 1:
-        raise _fail("workers", "must be >= 1")
-    if cfg["budget_nfe"] is not None:
-        _expect(cfg["budget_nfe"], int, "budget_nfe", "an integer or null")
-
-    for name in ("search_init", "search_inter"):
-        section = _expect(cfg[name], dict, name, "an object")
-        _check_keys(section, _SEARCH_KEYS, name)
-        for key, value in section.items():
-            path = f"{name}.{key}"
-            if key == "n_neighbors":
-                _count(value, path, MAX_NEIGHBORS)
-            elif key == "rounds":
-                _expect(value, int, path, "an integer")
-            elif key == "track_global_best":
-                _expect(value, bool, path, "a boolean")
-            else:
-                _number(value, path)
-    _expect(cfg["k_keysteps"], int, "k_keysteps", "an integer")
-    if cfg["eval_steps_init"] is not None:
-        _count(cfg["eval_steps_init"], "eval_steps_init", MAX_STEPS)
-    _expect(cfg["eval_steps_inter"], int, "eval_steps_inter", "an integer")
-    _expect(cfg["resample_inter_fresh"], bool, "resample_inter_fresh", "a boolean")
-    cfg["zo_step_tau"] = _number(cfg["zo_step_tau"], "zo_step_tau")
+        raise _Invalid("replicates", "seed + replicates - 1 must fit in an unsigned 64-bit integer")
     return cfg
 
 
@@ -262,7 +260,7 @@ def parse_override(text: str) -> tuple[str, object]:
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
     """Set dotted-path overrides into a copy of the raw config dict."""
-    merged = json.loads(json.dumps(raw))  # deep copy of plain JSON data
+    merged = json.loads(json.dumps(_object(raw, "<root>")))  # deep copy of plain JSON data
     for dotted, value in overrides.items():
         parts = dotted.split(".")
         node = merged
@@ -271,7 +269,7 @@ def apply_overrides(raw: dict, overrides: dict) -> dict:
             if child is None:
                 child = node[part] = {}
             elif not isinstance(child, dict):
-                raise _fail(".".join(parts[: i + 1]), "cannot override inside a non-object value")
+                raise _Invalid(".".join(parts[: i + 1]), "cannot override inside a non-object value")
             node = child
         node[parts[-1]] = value
     return merged
@@ -302,37 +300,21 @@ def build_experiment(cfg: dict):
     surfaced as config errors because they stem from config values.
     """
     try:
-        model = MixtureModel(
-            weights=cfg["mixture"]["weights"],
-            means=cfg["mixture"]["means"],
-            stddevs=cfg["mixture"]["stddevs"],
-        )
+        model = MixtureModel(**cfg["mixture"])
         if model.dim != cfg["dimension"]:
-            raise _fail("mixture.means", f"dimension {model.dim} != configured {cfg['dimension']}")
-        spec = SolverSpec(
-            mode=cfg["solver"]["mode"],
-            steps=cfg["solver"]["steps"],
-            churn=cfg["solver"]["churn"],
-        )
-        if cfg["reward"]["kind"] == "mode_preference":
-            reward = ModePreferenceReward(
-                model=model,
-                preferred=cfg["reward"]["preferred"],
-                sharpness=cfg["reward"]["sharpness"],
-            )
+            raise _Invalid("mixture.means", f"dimension {model.dim} != configured {cfg['dimension']}")
+        spec = SolverSpec(**cfg["solver"])
+        rest = dict(cfg["reward"])
+        if rest.pop("kind") == "mode_preference":
+            reward = ModePreferenceReward(model=model, **rest)
         else:
-            reward = QuadraticReward(target=np.asarray(cfg["reward"]["target"], dtype=np.float64))
+            reward = QuadraticReward(**rest)
             if reward.target.shape[0] != cfg["dimension"]:
-                raise _fail("reward.target", f"dimension {reward.target.shape[0]} != configured {cfg['dimension']}")
-        rts_cfg = RtsConfig(
-            search_init=SearchConfig(**cfg["search_init"]),
-            search_inter=SearchConfig(**{"rounds": 2, **cfg["search_inter"]}),
-            k_keysteps=cfg["k_keysteps"],
-            eval_steps_init=cfg["eval_steps_init"],
-            eval_steps_inter=cfg["eval_steps_inter"],
-            budget_nfe=cfg["budget_nfe"],
-            resample_inter_fresh=cfg["resample_inter_fresh"],
-        )
+                raise _Invalid("reward.target", f"dimension {reward.target.shape[0]} != configured {cfg['dimension']}")
+        args = {f.name: cfg[f.name] for f in fields(RtsConfig)}
+        for name in ("search_init", "search_inter"):  # the keys given, over the phase's default
+            args[name] = replace(getattr(RtsConfig, name), **cfg[name])
+        rts_cfg = RtsConfig(**args)
     except RtsError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -368,11 +350,11 @@ def _check_budget(cfg: dict, spec: SolverSpec) -> None:
     if method not in (BON, ZO):
         return
     if budget is None:
-        raise _fail("budget_nfe", f"required for method '{method}'")
+        raise _Invalid("budget_nfe", f"required for method '{method}'")
     try:
         denoise_count(method, spec, budget)
     except PreconditionError as exc:
-        raise _fail("budget_nfe", str(exc)) from exc
+        raise _Invalid("budget_nfe", str(exc)) from exc
 
 
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
@@ -452,7 +434,7 @@ def _load_records(results_path: str) -> list[dict]:
     try:
         with open(results_path, encoding="utf-8") as handle:
             lines = [(lineno, line) for lineno, line in enumerate(handle, start=1) if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read results '{results_path}': {exc}") from exc
     if not lines:
         raise ConfigError(f"results file '{results_path}' is empty")
@@ -464,17 +446,16 @@ def _load_records(results_path: str) -> list[dict]:
             raise ConfigError(f"results line {lineno} is not valid JSON: {exc.msg}") from exc
         except ValueError as exc:  # an integer past Python's digit limit
             raise ConfigError(f"results line {lineno} is not valid JSON: {exc}") from exc
+    required = [key for key, (_, default) in _RECORD_SCHEMA.items() if default is REQUIRED]
     first_line: dict[str, int] = {}
     for (lineno, _), record in zip(lines, records):
-        if not isinstance(record, dict) or any(key not in record for key in _RECORD_FIELDS):
-            raise ConfigError(f"results line {lineno} is not a record with keys {', '.join(_RECORD_FIELDS)}")
-        for key, (description, valid) in _RECORD_FIELDS.items():
-            if not valid(record[key]):
-                raise ConfigError(f"results line {lineno} key '{key}': expected {description}, "
-                                  f"got {reprlib.repr(record[key])}")
-        if record.get("hit") is not None and not isinstance(record["hit"], bool):
-            raise ConfigError(f"results line {lineno} key 'hit': expected a boolean or null, "
-                              f"got {reprlib.repr(record['hit'])}")
+        if not isinstance(record, dict) or any(key not in record for key in required):
+            raise ConfigError(f"results line {lineno} is not a record with keys {', '.join(required)}")
+        try:
+            for key, (kind, default) in _RECORD_SCHEMA.items():
+                kind(record.get(key, default), key)
+        except _Invalid as exc:
+            raise ConfigError("results line {} key '{}': {}".format(lineno, *exc.args)) from None
         run = json.dumps([record["method"], record["seed"], record.get("overrides")], sort_keys=True)
         if run in first_line:
             raise ConfigError(f"results line {lineno} repeats the method, seed and overrides "
@@ -549,9 +530,11 @@ def _format_summary(summary: dict) -> str:
 
 def cmd_report(results_path: str, table_path: str | None) -> int:
     records = _load_records(results_path)
+    out = table_path if table_path is not None else results_path + ".summary.json"
+    if os.path.exists(out) and os.path.samefile(out, results_path):
+        raise ConfigError(f"summary '{out}' would overwrite the results it summarizes; choose another --out")
     summary = summarize(records)
     print(_format_summary(summary))
-    out = table_path if table_path is not None else results_path + ".summary.json"
     try:
         with open(out, "w", encoding="utf-8") as sink:
             json.dump(summary, sink, indent=2)
@@ -567,7 +550,7 @@ def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[dict]]:
     model, spec, _, rts_cfg = build_experiment(cfg)
     if spec.steps < 3:
         # the 3-D projection needs at least four points
-        raise _fail("solver.steps", f"export-trajectory needs at least 3 steps, got {spec.steps}")
+        raise _Invalid("solver.steps", f"export-trajectory needs at least 3 steps, got {spec.steps}")
     stream = RngStream(root_seed=cfg["seed"], path=())
     z = sample_gaussian(stream.child(0), model.dim)
     traj = denoise(model, spec, z, stream=stream.child(1))

@@ -119,6 +119,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=field):
             validate_config(raw)
 
+    @pytest.mark.parametrize("field", ["method", "mixture"])
+    def test_integer_past_digit_limit_of_wrong_kind_names_path(self, field):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            validate_config(base_config("r.jsonl", **{field: 10**5000}))
+
     def test_last_replicate_seed_must_fit_u64(self):
         validate_config(base_config("r.jsonl", seed=2**64 - 2, replicates=2))
         with pytest.raises(ConfigError, match="replicates"):
@@ -311,6 +316,15 @@ class TestRunCommand:
         assert main(["run", "--config", config, override]) == 2
         assert f"'{path}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["[1]", '"x"'])
+    @pytest.mark.parametrize("override", ["seed=1", "solver.steps=3"])
+    def test_config_that_is_not_an_object_exits_2_with_overrides(self, tmp_path, capsys, content, override):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        for args in ([], [override]):
+            assert main(["run", "--config", str(config), *args]) == 2
+            assert "config error at '<root>': expected an object" in capsys.readouterr().err
+
     def test_budget_required_for_bon_exits_2(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, method="bon")
         assert main(["run", "--config", config]) == 2
@@ -444,6 +458,24 @@ class TestReportCommand:
 
     def test_missing_results_file_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 2
+
+    def test_results_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_bytes(b"\xff\xfe")
+        assert main(["report", str(results)]) == 2
+        assert f"cannot read results '{results}'" in capsys.readouterr().err
+
+    def test_summary_onto_the_results_file_exits_2_leaving_it_untouched(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, replicates=1)
+        assert main(["run", "--config", config]) == 0
+        before = Path(out).read_bytes()
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(out)
+        for target in (out, str(link)):
+            assert main(["report", out, "--out", target]) == 2
+            assert "would overwrite the results" in capsys.readouterr().err
+        assert Path(out).read_bytes() == before
+        assert main(["report", out]) == 0
 
     def test_corrupt_results_line_exits_2(self, tmp_path, capsys):
         results = tmp_path / "results.jsonl"
@@ -642,6 +674,30 @@ _OVERRIDES = {
     "zo_step_tau": _JUNK,
     "search_init.typo": _JUNK,
 }
+
+
+def _leaf_paths(schema, prefix=""):
+    for key, (kind, _) in schema.items():
+        if isinstance(kind, rts.cli._Tagged):
+            for variant in kind.values():
+                yield from _leaf_paths(variant, f"{prefix}{key}.")
+        elif isinstance(kind, dict):
+            yield from _leaf_paths(kind, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_every_config_key_is_fuzzed():
+    # out is left out: random strings there would write files into the working directory
+    fuzzed = set(_OVERRIDES) | {"out"}
+    # both search phases share one section schema, so either one's key covers both
+    for key in list(fuzzed):
+        for a, b in (("search_init.", "search_inter."), ("search_inter.", "search_init.")):
+            if key.startswith(a):
+                fuzzed.add(b + key[len(a):])
+    paths = set(_leaf_paths(rts.cli.CONFIG_SCHEMA))
+    assert len(paths) == 32
+    assert sorted(paths - fuzzed) == []
 
 
 @st.composite
