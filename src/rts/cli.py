@@ -390,6 +390,12 @@ def _worker_count(cfg: dict) -> int:
     return min(limit, cfg["replicates"])
 
 
+def _refuse_overwrite(out: str, source: str, what: str) -> None:
+    """Refuse an output path that names the input file ``source`` itself."""
+    if os.path.exists(out) and os.path.samefile(out, source):
+        raise ConfigError(f"'{out}' would overwrite the {what}; choose another --out")
+
+
 def _append_records(path: str, records) -> None:
     """Append each record as one JSON line and flush it as soon as it arrives.
 
@@ -411,6 +417,7 @@ def _append_records(path: str, records) -> None:
 
 def cmd_run(config_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
+    _refuse_overwrite(cfg["out"], config_path, "config it was run from")
     _, spec, _, _ = build_experiment(cfg)  # fail on bad values before any work is queued
     _check_budget(cfg, spec)
     workers = _worker_count(cfg)
@@ -531,8 +538,7 @@ def _format_summary(summary: dict) -> str:
 def cmd_report(results_path: str, table_path: str | None) -> int:
     records = _load_records(results_path)
     out = table_path if table_path is not None else results_path + ".summary.json"
-    if os.path.exists(out) and os.path.samefile(out, results_path):
-        raise ConfigError(f"summary '{out}' would overwrite the results it summarizes; choose another --out")
+    _refuse_overwrite(out, results_path, "results it summarizes")
     summary = summarize(records)
     print(_format_summary(summary))
     try:
@@ -545,8 +551,8 @@ def cmd_report(results_path: str, table_path: str | None) -> int:
     return 0
 
 
-def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[dict]]:
-    """Run one denoise and tabulate its projected path for plotting."""
+def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[tuple]]:
+    """Run one denoise and tabulate its projected path: step, t, p1-p3, curvature, selected."""
     model, spec, _, rts_cfg = build_experiment(cfg)
     if spec.steps < 3:
         # the 3-D projection needs at least four points
@@ -555,33 +561,23 @@ def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[dict]]:
     z = sample_gaussian(stream.child(0), model.dim)
     traj = denoise(model, spec, z, stream=stream.child(1))
     proj = project_trajectory(traj)
-    interior = traj.steps - 1
-    k = min(rts_cfg.k_keysteps, interior)
-    selected = set(select_key_steps(proj, k).indices) if k > 0 else set()
-    rows = []
-    for step in range(traj.steps + 1):
-        curv = curvature(proj.points, step) if 0 < step < traj.steps else 0.0
-        rows.append({
-            "step": step,
-            "t": float(traj.step_times[step]),
-            "p1": float(proj.points[step, 0]),
-            "p2": float(proj.points[step, 1]),
-            "p3": float(proj.points[step, 2]),
-            "curvature": float(curv),
-            "selected": int(step in selected),
-        })
-    return traj, rows
+    k = min(rts_cfg.k_keysteps, traj.steps - 1)
+    selected = np.zeros(traj.steps + 1, dtype=int)
+    if k > 0:
+        selected[list(select_key_steps(proj, k).indices)] = 1
+    columns = (range(traj.steps + 1), traj.step_times.tolist(), *proj.points.T.tolist(),
+               curvature(proj.points).tolist(), selected.tolist())
+    return traj, list(zip(*columns))
 
 
 def cmd_export(config_path: str, out_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
+    _refuse_overwrite(out_path, config_path, "config it was exported from")
     _, rows = export_trajectory(cfg)
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as sink:
-            writer = csv.DictWriter(
-                sink, fieldnames=["step", "t", "p1", "p2", "p3", "curvature", "selected"]
-            )
-            writer.writeheader()
+            writer = csv.writer(sink)
+            writer.writerow(["step", "t", "p1", "p2", "p3", "curvature", "selected"])
             writer.writerows(rows)
     except OSError as exc:
         raise RtsError(f"cannot write export '{out_path}': {exc}") from exc

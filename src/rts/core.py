@@ -232,6 +232,11 @@ def sample_gaussian(stream: RngStream, dim: int) -> Latent:
     return _THREAD_GENERATOR.rewound(stream._key()).standard_normal(dim)
 
 
+def row_norm(rows: np.ndarray) -> np.ndarray:
+    """Norm along the last axis, bit for bit each row's ``np.linalg.norm`` (``vecdot`` sums as ``w @ w``)."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 @dataclass
 class NoiseTrajectory:
     """One solver path: latents per step, injected noises, and the time grid.

@@ -6,6 +6,9 @@ mark the steps where the trajectory changes course. Each interior step is
 scored by the Menger curvature of its consecutive point triple (four times
 the triangle area over the product of pairwise distances, the reciprocal
 circumradius), and the Top-k steps by curvature become the key steps.
+
+All triples are scored at once with ``row_norm``, whose ``np.vecdot`` sums each
+row as the per-triple ``np.linalg.norm`` does; ``einsum`` or ``.sum(-1)`` would not.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseTrajectory, PreconditionError
+from .core import NoiseTrajectory, PreconditionError, row_norm
 
 _DISTANCE_TOL = 1e-12
 
@@ -78,19 +81,18 @@ def project_trajectory(traj: NoiseTrajectory) -> ProjectedTrajectory:
     )
 
 
-def curvature(points: np.ndarray, index: int) -> float:
-    """Menger curvature of the triple around ``index``; 0 for near-coincident points."""
+def curvature(points: np.ndarray) -> np.ndarray:
+    """Menger curvature ``(..., L)`` at each point of ``(..., L, 3)`` polylines; 0 at ends and coincident triples."""
     points = np.asarray(points, dtype=np.float64)
-    if not (1 <= index <= points.shape[0] - 2):
-        raise PreconditionError(f"curvature needs an interior index, got {index} of {points.shape[0]} points")
-    a, b, c = points[index - 1], points[index], points[index + 1]
-    d_ab = np.linalg.norm(b - a)
-    d_bc = np.linalg.norm(c - b)
-    d_ac = np.linalg.norm(c - a)
-    if min(d_ab, d_bc, d_ac) < _DISTANCE_TOL:
-        return 0.0
-    area = 0.5 * np.linalg.norm(np.cross(b - a, c - a))
-    return float(4.0 * area / (d_ab * d_bc * d_ac))
+    if points.ndim < 2 or points.shape[-2] < 3:
+        raise PreconditionError(f"curvature needs at least 3 points, got shape {points.shape}")
+    a, b, c = points[..., :-2, :], points[..., 1:-1, :], points[..., 2:, :]
+    d_ab, d_bc, d_ac = row_norm(b - a), row_norm(c - b), row_norm(c - a)
+    area = 0.5 * row_norm(np.cross(b - a, c - a))
+    near = np.minimum(np.minimum(d_ab, d_bc), d_ac) < _DISTANCE_TOL
+    out = np.zeros(points.shape[:-1])
+    np.divide(4.0 * area, d_ab * d_bc * d_ac, out=out[..., 1:-1], where=~near)
+    return out
 
 
 def select_key_steps(proj: ProjectedTrajectory, k: int) -> KeyStepSet:
@@ -103,10 +105,6 @@ def select_key_steps(proj: ProjectedTrajectory, k: int) -> KeyStepSet:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if k > n_interior:
         raise PreconditionError(f"k={k} exceeds the {n_interior} interior steps")
-    scored = [(curvature(proj.points, l), l) for l in range(1, n_interior + 1)]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    top = scored[:k]
-    return KeyStepSet(
-        indices=tuple(l for _, l in top),
-        curvatures=tuple(value for value, _ in top),
-    )
+    scores = curvature(proj.points)
+    top = np.argsort(-scores[1:-1], kind="stable")[:k] + 1
+    return KeyStepSet(indices=tuple(top.tolist()), curvatures=tuple(scores[top].tolist()))

@@ -26,6 +26,7 @@ from .core import (
     DegenerateGradientError,
     DimensionError,
     Latent,
+    NonFiniteError,
     PreconditionError,
     RngStream,
     as_latent,
@@ -117,16 +118,17 @@ def _score(evaluate: Evaluator, batch: np.ndarray) -> np.ndarray:
     rewards = np.asarray(evaluate(batch), dtype=np.float64)
     if rewards.shape != (batch.shape[0],):
         raise DimensionError(f"evaluator must return {batch.shape[0]} rewards, got shape {rewards.shape}")
+    if not np.all(np.isfinite(rewards)):
+        raise NonFiniteError(f"evaluator returned a non-finite reward for row {int(np.argmin(np.isfinite(rewards)))}")
     return rewards
 
 
 def _fold_best(state_best: Latent | None, state_reward: float, latents, rewards) -> tuple[Latent | None, float]:
-    """Running maximum under strict improvement, so earlier ties win."""
-    best, best_reward = state_best, state_reward
-    for latent, reward in zip(latents, rewards):
-        if reward > best_reward:
-            best, best_reward = latent, float(reward)
-    return best, best_reward
+    """Adopt the first best row only when it strictly beats the state, so earlier ties win."""
+    i = int(np.argmax(rewards))
+    if rewards[i] > state_reward:
+        return latents[i], float(rewards[i])
+    return state_best, state_reward
 
 
 def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, stream: RngStream) -> SearchState:
@@ -144,12 +146,12 @@ def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, str
         base = sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
 
     neighbors = random_spherical_sample(base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
-    scores = _score(evaluate, np.vstack([base, neighbors.candidates]))
+    batch = np.vstack([base, neighbors.candidates])
+    scores = _score(evaluate, batch)
     base_reward, rewards = float(scores[0]), scores[1:]
     gradient = estimate_gradient(base_reward, neighbors.with_rewards(rewards))
 
-    best, best_reward = _fold_best(state.global_best, state.global_best_reward, [base], [base_reward])
-    best, best_reward = _fold_best(best, best_reward, neighbors.candidates, rewards)
+    best, best_reward = _fold_best(state.global_best, state.global_best_reward, batch, scores)
     summary = RoundSummary(
         round=state.round,
         kind="coarse",

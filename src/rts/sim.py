@@ -366,10 +366,9 @@ class QuadraticReward:
         self.target = as_latent(self.target)
 
     def evaluate(self, x: Latent):
-        if x.ndim == 2:
-            return np.array([self.evaluate(row) for row in x])
         diff = x - self.target
-        return float(-(diff @ diff))
+        value = -np.vecdot(diff, diff)  # each row reduced as the 1-D diff @ diff is
+        return float(value) if x.ndim == 1 else value
 
 
 @dataclass

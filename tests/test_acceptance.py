@@ -321,20 +321,20 @@ class TestCriterion4:
         q = q * np.sign(np.diag(r))
         proj_a = project_trajectory(make_traj(polyline))
         proj_b = project_trajectory(make_traj(polyline @ q.T))
-        curv_a = np.array([curvature(proj_a.points, i) for i in range(1, 29)])
-        curv_b = np.array([curvature(proj_b.points, i) for i in range(1, 29)])
+        curv_a = curvature(proj_a.points)[1:29]
+        curv_b = curvature(proj_b.points)[1:29]
         rotation_err = float(np.max(np.abs(curv_a - curv_b) / np.abs(curv_a)))
         selection_ok = (
             select_key_steps(proj_a, 5).indices == select_key_steps(proj_b, 5).indices
         )
 
         # Menger hand cases on 3D points, the shape the projector emits.
-        collinear = curvature(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), 1)
+        collinear = curvature(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]))[1]
         angles = np.array([0.3, 1.1, 2.0])
         circle = curvature(
-            np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1), 1
-        )
-        right = curvature(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]), 1)
+            np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
+        )[1]
+        right = curvature(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))[1]
         hand_err = max(abs(collinear), abs(circle - 1.0), abs(right - np.sqrt(2.0)))
         elapsed = time.perf_counter() - started
         ok = (

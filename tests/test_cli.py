@@ -196,6 +196,17 @@ class TestRunCommand:
         assert record["key_steps"] == []
         assert record["truncated"] is False
 
+    def test_out_naming_the_config_exits_2_and_leaves_it_unchanged(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path, replicates=1)
+        before = Path(config).read_bytes()
+        link = tmp_path / "link.json"
+        link.symlink_to(config)
+        for target in (config, str(link)):
+            assert main(["run", "--config", config, "--out", target]) == 2
+            assert "would overwrite the config" in capsys.readouterr().err
+        assert Path(config).read_bytes() == before
+        assert main(["run", "--config", config]) == 0
+
     def test_run_appends_to_existing_results(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config]) == 0
@@ -611,6 +622,14 @@ class TestExportTrajectory:
         first = self._export(tmp_path)
         second = self._export(tmp_path)
         assert first == second
+
+    def test_out_naming_the_config_exits_2_and_leaves_it_unchanged(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path)
+        before = Path(config).read_bytes()
+        assert main(["export-trajectory", "--config", config, "--out", config]) == 2
+        assert "would overwrite the config" in capsys.readouterr().err
+        assert Path(config).read_bytes() == before
+        assert main(["export-trajectory", "--config", config, "--out", str(tmp_path / "t.csv")]) == 0
 
     def test_too_few_steps_exits_2_at_solver_steps(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, solver={"mode": "sde", "steps": 2, "churn": 0.4})

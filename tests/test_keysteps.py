@@ -123,27 +123,27 @@ class TestProjectTrajectory:
 class TestCurvature:
     def test_collinear_is_zero(self):
         points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        np.testing.assert_allclose(curvature(points, 1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(curvature(points)[1], 0.0, atol=1e-12)
 
     def test_unit_circle_is_one(self):
         # Circumradius of points on the unit circle is 1.
         points = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(curvature(points, 1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(curvature(points)[1], 1.0, rtol=1e-12)
 
     def test_right_angle_corner(self):
         # 4 * area / product of distances = 4*0.5 / (1*1*sqrt(2)) = sqrt(2).
         points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        np.testing.assert_allclose(curvature(points, 1), np.sqrt(2.0), rtol=1e-12)
+        np.testing.assert_allclose(curvature(points)[1], np.sqrt(2.0), rtol=1e-12)
 
     def test_coincident_points_give_zero(self):
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        assert curvature(points, 1) == 0.0
+        assert curvature(points)[1] == 0.0
 
-    @pytest.mark.parametrize("index", [0, 4])
-    def test_endpoint_index_rejected(self, index):
-        points = np.random.default_rng(0).standard_normal((5, 3))
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_fewer_than_three_points_rejected(self, count):
+        points = np.random.default_rng(0).standard_normal((count, 3))
         with pytest.raises(PreconditionError):
-            curvature(points, index)
+            curvature(points)
 
     def test_matches_circumradius_on_random_triples(self):
         # Menger curvature is the reciprocal circumradius; check against the
@@ -155,7 +155,7 @@ class TestCurvature:
             b = np.linalg.norm(points[2] - points[1])
             c = np.linalg.norm(points[2] - points[0])
             area = 0.5 * np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0]))
-            np.testing.assert_allclose(curvature(points, 1), 4 * area / (a * b * c), rtol=1e-9)
+            np.testing.assert_allclose(curvature(points)[1], 4 * area / (a * b * c), rtol=1e-9)
 
 
 class TestSelectKeySteps:
@@ -165,7 +165,7 @@ class TestSelectKeySteps:
         rng = np.random.default_rng(42)
         latents = corner_path(24, {10}, 16, rng)
         proj = project_trajectory(make_traj(latents))
-        scores = [curvature(proj.points, l) for l in range(1, 23)]
+        scores = curvature(proj.points)[1:23]
         assert int(np.argmax(scores)) + 1 == 10
         selected = select_key_steps(proj, 1)
         assert selected.indices == (10,)

@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from rts import (
     DimensionError,
     MixtureModel,
     ModePreferenceReward,
+    NonFiniteError,
     PreconditionError,
     RngStream,
     SearchConfig,
     run_search,
     sample_gaussian,
 )
-from rts.search import SearchState, coarse_round, fine_round
+from rts.search import SearchState, _fold_best, coarse_round, fine_round
 
 
 def counting(fn):
@@ -298,6 +301,39 @@ class TestBatchedEvaluation:
     def test_evaluator_must_return_one_reward_per_row(self):
         with pytest.raises(DimensionError):
             coarse_round(SearchState(dim=4), SearchConfig(), lambda batch: 0.0, RngStream(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fine_round_reward_rejected(self, bad):
+        # round 1 (coarse) scores finite rewards; round 2 (fine) is the first
+        # whose rewards feed no gradient check
+        calls = []
+
+        def evaluate(batch):
+            calls.append(batch.shape)
+            rewards = -np.sum(batch * batch, axis=1)
+            if len(calls) == 2:
+                rewards[1] = bad
+            return rewards
+
+        with pytest.raises(NonFiniteError):
+            run_search(np.zeros(4), SearchConfig(n_neighbors=3, rounds=2), evaluate, RngStream(6))
+        assert len(calls) == 2
+
+
+class TestFoldBest:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(rewards=st.lists(st.integers(-2, 2), min_size=1, max_size=8), state_reward=st.integers(-3, 3))
+    def test_matches_sequential_strict_fold(self, rewards, state_reward):
+        # small integer rewards make ties common; the first strict maximum wins
+        latents = np.arange(len(rewards), dtype=np.float64)[:, None]
+        state_best = np.array([-1.0])
+        best, best_reward = state_best, float(state_reward)
+        for latent, reward in zip(latents, rewards):
+            if reward > best_reward:
+                best, best_reward = latent, float(reward)
+        got, got_reward = _fold_best(state_best, float(state_reward), latents, np.array(rewards, dtype=np.float64))
+        assert got_reward == best_reward
+        np.testing.assert_array_equal(got, best)
 
 
 class TestImprovementOverBlindSearch:

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rts.sphere
 from rts import (
     DegenerateGradientError,
     DegeneratePerturbationError,
     DimensionError,
     NeighborSet,
+    NonFiniteError,
     PreconditionError,
     RngStream,
     guided_spherical_sample,
     random_spherical_sample,
+    sample_gaussian,
     tangent_project,
 )
 
@@ -35,6 +38,13 @@ class TestTangentProject:
     def test_requires_unit_direction(self):
         with pytest.raises(PreconditionError):
             tangent_project([1.0, 1.0], [2.0, 0.0])
+
+    @pytest.mark.parametrize("w, u", [([1.0, 0.5], [np.nan, np.nan]), ([np.nan, 1.0], [1.0, 0.0])])
+    def test_non_finite_input_rejected(self, w, u):
+        # a NaN norm compares False against the unit tolerance, so only an
+        # explicit finiteness check stops it
+        with pytest.raises(NonFiniteError):
+            tangent_project(w, u)
 
     def test_orthogonality_at_machine_precision(self):
         rng = np.random.default_rng(42)
@@ -132,6 +142,35 @@ class TestRandomSphericalSample:
             random_spherical_sample([0.0, 0.0], n=1, tau=0.5, stream=RngStream(0))
 
 
+class TestDegenerateRedraw:
+    """A draw parallel to the base is redrawn from the next attempt, for that candidate only."""
+
+    @staticmethod
+    def parallel_draws(monkeypatch, collapsing):
+        # draws whose (candidate, attempt) path is in ``collapsing`` point along u
+        def draw(stream, dim):
+            if stream.path[-2:] in collapsing:
+                return np.full(dim, 2.0)
+            return sample_gaussian(stream, dim)
+
+        monkeypatch.setattr(rts.sphere, "sample_gaussian", draw)
+
+    def test_only_the_collapsed_candidate_is_redrawn(self, monkeypatch):
+        base, stream = np.ones(3), RngStream(21)
+        clean = random_spherical_sample(base, 3, 0.6, stream)
+        self.parallel_draws(monkeypatch, {(1, 0), (1, 1)})
+        redrawn = random_spherical_sample(base, 3, 0.6, stream)
+        np.testing.assert_array_equal(redrawn.candidates[[0, 2]], clean.candidates[[0, 2]])
+        u = base / np.linalg.norm(base)
+        expected = tangent_project(sample_gaussian(stream.child(1).child(2), 3), u)
+        np.testing.assert_array_equal(redrawn.perturbations[1], expected / np.linalg.norm(expected))
+
+    def test_exhausted_redraws_raise(self, monkeypatch):
+        self.parallel_draws(monkeypatch, {(0, attempt) for attempt in range(9)})
+        with pytest.raises(DegeneratePerturbationError):
+            random_spherical_sample(np.ones(3), 2, 0.6, RngStream(22))
+
+
 class TestGuidedSphericalSample:
     def test_alpha_one_collapses_to_the_guidance_direction(self):
         prev = random_spherical_sample([0.0, 0.0, 2.0], n=3, tau=0.7, stream=RngStream(5))
@@ -194,6 +233,14 @@ class TestGuidedSphericalSample:
             guided_spherical_sample(
                 base, n=1, tau=0.9, alpha=0.5, g=[5.0, 0.0],
                 prev_perturbations=prev, stream=RngStream(12),
+            )
+
+    def test_non_finite_previous_perturbation_rejected(self):
+        prev = np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]])
+        with pytest.raises(NonFiniteError):
+            guided_spherical_sample(
+                [1.0, 0.0, 0.0], n=2, tau=0.9, alpha=0.5, g=[0.0, 1.0, 1.0],
+                prev_perturbations=prev, stream=RngStream(3),
             )
 
     def test_cancelling_blend_falls_back_to_fresh_tangent(self):
