@@ -6,7 +6,7 @@ Subcommands:
                        each flushed in replicate order as soon as it is done
     report             aggregate a results file into per-method statistics
                        with pairwise one-sided Wilcoxon comparisons; a file
-                       that repeats a (method, seed, overrides), or a record
+                       that repeats a (method, seed, config), or a record
                        field of the wrong type, is refused
     export-trajectory  run a single denoise and write its 3-D projection,
                        per-step curvature, and key-step flags as CSV
@@ -15,8 +15,10 @@ Subcommands:
 bounds and default, and ``report`` checks record fields with the same kinds.
 Unknown keys are rejected with the offending dotted path, so a misspelled
 field fails loudly instead of being silently ignored. Command-line KEY=VALUE
-overrides use the same dotted paths (e.g. ``search_init.alpha=0.65``) and
-are echoed into every output record.
+overrides use the same dotted paths (e.g. ``search_init.alpha=0.65``), may
+stand anywhere among the flags, and are echoed into every output record,
+next to ``config``, a hash of the validated config that ``report`` keys
+duplicates on.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -212,6 +215,7 @@ _RECORD_SCHEMA = {
     "nfe_used": (_integer(), REQUIRED),
     "truncated": (_boolean, REQUIRED),
     "hit": (_nullable(_boolean), None),
+    "config": (_nullable(_string), None),
 }
 
 
@@ -247,15 +251,22 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
+def _json(text: str, where: str | None = None):
+    """Parse JSON text; text that is not JSON raises a ConfigError naming ``where`` or, without it, is a bare string."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
+        if where is None:
+            return text
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+
+
 def parse_override(text: str) -> tuple[str, object]:
     """Parse KEY=VALUE; the value is JSON if it parses, a bare string otherwise."""
     key, sep, value = text.partition("=")
     if not sep or not key:
         raise ConfigError(f"override '{text}' is not of the form KEY=VALUE")
-    try:
-        return key, json.loads(value)
-    except ValueError:  # not JSON, or an integer past Python's digit limit
-        return key, value
+    return key, _json(value)
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
@@ -279,18 +290,10 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     """Read, override, and validate a JSON config file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
+            raw = _json(handle.read(), f"config '{path}'")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config '{path}' is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer past Python's digit limit
-        raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
-    if overrides:
-        raw = apply_overrides(raw, overrides)
-    return validate_config(raw)
+    return validate_config(apply_overrides(raw, overrides or {}))
 
 
 def build_experiment(cfg: dict):
@@ -322,11 +325,20 @@ def build_experiment(cfg: dict):
     return model, spec, reward, rts_cfg
 
 
-def _result_record(result: RunResult, reward_cfg: dict, model: MixtureModel,
-                   overrides: dict, wall_ms: float) -> dict:
+# keys that pick the seeds and the output of a run, not what each replicate computes
+_RUN_KEYS = ("seed", "replicates", "out", "workers")
+
+
+def _config_hash(cfg: dict) -> str:
+    """16 hex digits of blake2b over the validated config less ``_RUN_KEYS``."""
+    kept = {key: value for key, value in cfg.items() if key not in _RUN_KEYS}
+    return hashlib.blake2b(json.dumps(kept, sort_keys=True).encode(), digest_size=8).hexdigest()
+
+
+def _result_record(result: RunResult, cfg: dict, model: MixtureModel, overrides: dict, wall_ms: float) -> dict:
     hit = None
-    if reward_cfg["kind"] == "mode_preference":
-        hit = nearest_mode(model, result.final_sample) == reward_cfg["preferred"]
+    if cfg["reward"]["kind"] == "mode_preference":
+        hit = nearest_mode(model, result.final_sample) == cfg["reward"]["preferred"]
     key_steps = [] if result.key_steps is None else list(result.key_steps.indices)
     return {
         "method": result.method,
@@ -339,6 +351,7 @@ def _result_record(result: RunResult, reward_cfg: dict, model: MixtureModel,
         "truncated": result.truncated,
         "hit": hit,
         "nfe_breakdown": result.nfe_breakdown,
+        "config": _config_hash(cfg),
         "overrides": overrides,
         "wall_ms": wall_ms,
     }
@@ -373,21 +386,16 @@ def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
     else:
         result = run_free(model, spec, reward, stream)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return _result_record(result, cfg["reward"], model, overrides, wall_ms)
+    return _result_record(result, cfg, model, overrides, wall_ms)
 
 
 def _worker_count(cfg: dict) -> int:
-    limit = cfg["workers"]
+    """The configured workers, capped by the replicates and by ``RTS_MAX_WORKERS`` when it is set."""
+    limit = min(cfg["workers"], cfg["replicates"])
     env = os.environ.get(WORKER_ENV)
     if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKER_ENV} must be an integer, got '{env}'") from exc
-        if cap < 1:
-            raise ConfigError(f"{WORKER_ENV} must be >= 1, got {cap}")
-        limit = min(limit, cap)
-    return min(limit, cfg["replicates"])
+        limit = min(limit, _integer(1)(_json(env), WORKER_ENV))
+    return limit
 
 
 def _refuse_overwrite(out: str, source: str, what: str) -> None:
@@ -437,7 +445,7 @@ def cmd_run(config_path: str, overrides: dict) -> int:
 
 
 def _load_records(results_path: str) -> list[dict]:
-    """Parse a results file, rejecting non-records and repeated (method, seed, overrides)."""
+    """Parse a results file, rejecting non-records and repeated (method, seed, config)."""
     try:
         with open(results_path, encoding="utf-8") as handle:
             lines = [(lineno, line) for lineno, line in enumerate(handle, start=1) if line.strip()]
@@ -445,16 +453,9 @@ def _load_records(results_path: str) -> list[dict]:
         raise ConfigError(f"cannot read results '{results_path}': {exc}") from exc
     if not lines:
         raise ConfigError(f"results file '{results_path}' is empty")
-    records = []
-    for lineno, line in lines:
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"results line {lineno} is not valid JSON: {exc.msg}") from exc
-        except ValueError as exc:  # an integer past Python's digit limit
-            raise ConfigError(f"results line {lineno} is not valid JSON: {exc}") from exc
+    records = [_json(line, f"results line {lineno}") for lineno, line in lines]
     required = [key for key, (_, default) in _RECORD_SCHEMA.items() if default is REQUIRED]
-    first_line: dict[str, int] = {}
+    first_line: dict[tuple, int] = {}
     for (lineno, _), record in zip(lines, records):
         if not isinstance(record, dict) or any(key not in record for key in required):
             raise ConfigError(f"results line {lineno} is not a record with keys {', '.join(required)}")
@@ -463,10 +464,9 @@ def _load_records(results_path: str) -> list[dict]:
                 kind(record.get(key, default), key)
         except _Invalid as exc:
             raise ConfigError("results line {} key '{}': {}".format(lineno, *exc.args)) from None
-        run = json.dumps([record["method"], record["seed"], record.get("overrides")], sort_keys=True)
+        run = (record["method"], record["seed"], record.get("config"))
         if run in first_line:
-            raise ConfigError(f"results line {lineno} repeats the method, seed and overrides "
-                              f"of line {first_line[run]}")
+            raise ConfigError(f"results line {lineno} repeats the method, seed and config of line {first_line[run]}")
         first_line[run] = lineno
     return records
 
@@ -585,6 +585,13 @@ def cmd_export(config_path: str, out_path: str, overrides: dict) -> int:
     return 0
 
 
+# (flag, config key, type) of each flag of ``run``; the schema checks the values like any override
+_RUN_FLAGS = (("--seed", "seed", int), ("--replicates", "replicates", int), ("--method", "method", str),
+              ("--budget", "budget_nfe", int), ("--out", "out", str), ("--workers", "workers", int))
+
+_OVERRIDE_HELP = "KEY=VALUE arguments, anywhere among the flags, override dotted config paths (e.g. solver.steps=12)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rts",
@@ -592,63 +599,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute the configured experiment")
+    run = sub.add_parser("run", help="execute the configured experiment", epilog=_OVERRIDE_HELP)
     run.add_argument("--config", required=True, help="path to a JSON config file")
-    run.add_argument("--seed", type=int, help="override the base seed")
-    run.add_argument("--replicates", type=int, help="override the replicate count")
-    run.add_argument("--method", choices=sorted(METHODS), help="override the method")
-    run.add_argument("--budget", type=int, help="override the NFE budget")
-    run.add_argument("--out", help="override the output path")
-    run.add_argument("--workers", type=int, help="override the worker count")
-    run.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
-                     help="dotted-path config overrides")
+    for flag, key, kind in _RUN_FLAGS:
+        run.add_argument(flag, dest=key, type=kind, help=f"override the config's {key}")
 
     report = sub.add_parser("report", help="summarize a results file")
     report.add_argument("results", help="path to a line-delimited results file")
-    report.add_argument("--out", help="path for the machine-readable summary table")
+    report.add_argument("--out", dest="table", help="path for the machine-readable summary table")
 
-    export = sub.add_parser("export-trajectory", help="write one projected trajectory as CSV")
+    export = sub.add_parser("export-trajectory", help="write one projected trajectory as CSV",
+                            epilog=_OVERRIDE_HELP)
     export.add_argument("--config", required=True, help="path to a JSON config file")
-    export.add_argument("--out", required=True, help="path for the CSV output")
-    export.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
-                        help="dotted-path config overrides")
+    export.add_argument("--out", dest="csv", required=True, help="path for the CSV output")
     return parser
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict[str, object] = {}
-    for text in getattr(args, "overrides", []) or []:
-        key, value = parse_override(text)
-        overrides[key] = value
-    flag_map = {"seed": "seed", "replicates": "replicates", "method": "method",
-                "budget": "budget_nfe", "out": "out", "workers": "workers"}
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    # parse_known_args lets KEY=VALUE overrides appear between flags; anything
-    # left over that is not of that form is still a usage error
+    # every KEY=VALUE override is a leftover of parse_known_args, so it may stand
+    # anywhere among the flags; a leftover flag, or any leftover of report, is a usage error
     args, extras = parser.parse_known_args(argv)
+    extras = [text for text in extras if text != "--"]  # "--" ends the flags; it is no override
     for text in extras:
-        if text.startswith("-") or "=" not in text:
+        if text.startswith("-") or args.command == "report":
             parser.error(f"unrecognized argument: {text}")
-    if extras and args.command == "report":
-        parser.error(f"report takes no overrides: {extras[0]}")
-    if extras:
-        args.overrides = list(getattr(args, "overrides", []) or []) + extras
     try:
-        if args.command == "run":
-            return cmd_run(args.config, _collect_overrides(args))
         if args.command == "report":
-            return cmd_report(args.results, args.out)
-        overrides = _collect_overrides(args)
-        overrides.pop("out", None)  # --out names the CSV, not a config key
-        return cmd_export(args.config, args.out, overrides)
+            return cmd_report(args.results, args.table)
+        overrides = dict(parse_override(text) for text in extras)
+        if args.command == "export-trajectory":
+            return cmd_export(args.config, args.csv, overrides)
+        flags = {key: getattr(args, key) for _, key, _ in _RUN_FLAGS}
+        overrides.update((key, value) for key, value in flags.items() if value is not None)
+        return cmd_run(args.config, overrides)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -139,6 +139,17 @@ def _fold(pool: tuple[int, ...], hash_const: int, label: int) -> tuple[tuple[int
     return tuple(pool), hash_const
 
 
+def _label(value, what: str) -> int:
+    """A seed or path label as a non-negative Python int; 2.7 or "3" is refused, not truncated or parsed."""
+    try:
+        label = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+    if label < 0:
+        raise PreconditionError(f"{what} must be non-negative, got {label}")
+    return label
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A replayable random stream identified by ``(root_seed, path)``.
@@ -158,15 +169,15 @@ class RngStream:
     _pool: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.root_seed) < _MAX_SEED):
-            raise PreconditionError(f"root_seed must be a u64, got {self.root_seed}")
-        if any(int(p) < 0 for p in self.path):
-            raise PreconditionError(f"path labels must be non-negative, got {self.path}")
-        pool = _root_pool(self.root_seed)
-        # operator.index refuses a non-integer label with a TypeError, as
-        # SeedSequence does, and turns numpy integers into Python ones
-        for label in self.path:
-            pool = _fold(*pool, operator.index(label))
+        root = _label(self.root_seed, "root_seed")
+        if root >= _MAX_SEED:
+            raise PreconditionError(f"root_seed must be a u64, got {root}")
+        path = tuple(_label(label, "path label") for label in self.path)
+        pool = _root_pool(root)
+        for label in path:
+            pool = _fold(*pool, label)
+        object.__setattr__(self, "root_seed", root)
+        object.__setattr__(self, "path", path)
         object.__setattr__(self, "_pool", pool)
 
     def child(self, label: int) -> "RngStream":
@@ -176,9 +187,7 @@ class RngStream:
         labels give statistically independent children. Only the new label
         is checked and folded in; the parent's path already was.
         """
-        label = int(label)
-        if label < 0:
-            raise PreconditionError(f"derivation label must be non-negative, got {label}")
+        label = _label(label, "derivation label")
         child = object.__new__(RngStream)
         object.__setattr__(child, "root_seed", self.root_seed)
         object.__setattr__(child, "path", self.path + (label,))

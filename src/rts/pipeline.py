@@ -190,7 +190,6 @@ class _DenoiseEvaluator:
         self.budget = budget
         self.cost = 2 * spec.steps
         self.cache: dict[bytes, tuple[float, NoiseTrajectory]] = {}
-        self.best: tuple[float, NoiseTrajectory] | None = None
 
     def __call__(self, zs: np.ndarray) -> np.ndarray:
         return _score_rows(self._score, zs, self.cost, self.budget)
@@ -208,12 +207,7 @@ class _DenoiseEvaluator:
             injected = noises[row] if noises is not None else np.zeros((0, dim))
             traj = NoiseTrajectory(trace[row], injected, self.spec.time_grid.copy())
             self.cache[zs[row].tobytes()] = (score, traj)
-            if self.best is None or score > self.best[0]:
-                self.best = (score, traj)
         return scores
-
-    def lookup(self, z: Latent) -> tuple[float, NoiseTrajectory]:
-        return self.cache[z.tobytes()]
 
 
 class _SlotEvaluator:
@@ -352,10 +346,11 @@ def run_rts(
                 np.zeros(dim), cfg.search_init, evaluator, stream.child(_S_INIT_SEARCH)
             )
             round_history["init"] = [s.best_candidate_reward for s in history]
-            _, traj0 = evaluator.lookup(best_z)
+            _, traj0 = evaluator.cache[best_z.tobytes()]
         except _PhaseTruncated:
             truncated = True
-            _, traj0 = evaluator.best
+            # the first best-scored latent, as a strict running maximum keeps it
+            _, traj0 = max(evaluator.cache.values(), key=lambda entry: entry[0])
         breakdown["init_search"] = counter.count
         z_init = traj0.latents[0]
     else:

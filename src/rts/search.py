@@ -32,7 +32,7 @@ from .core import (
     as_latent,
     sample_gaussian,
 )
-from .sphere import guided_spherical_sample, random_spherical_sample
+from .sphere import NeighborSet, guided_spherical_sample, random_spherical_sample
 from .surrogate import SurrogateGradient, estimate_gradient
 
 logger = logging.getLogger(__name__)
@@ -131,6 +131,28 @@ def _fold_best(state_best: Latent | None, state_reward: float, latents, rewards)
     return state_best, state_reward
 
 
+def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborSet, rewards,
+               fallback: bool = False, **changes) -> SearchState:
+    """Fold the scored ``rows`` into the best so far, summarize the round and advance the state.
+
+    ``rewards`` are the neighbors' scores; ``changes`` sets what only one kind of round changes.
+    """
+    best, best_reward = _fold_best(state.global_best, state.global_best_reward, rows, scores)
+    summary = RoundSummary(state.round, kind, changes.get("base_reward", state.base_reward),
+                           float(np.max(rewards)), best_reward, fallback)
+    return replace(
+        state,
+        round=state.round + 1,
+        last_perturbations=neighbors.perturbations,
+        last_candidates=neighbors.candidates,
+        last_rewards=rewards,
+        global_best=best,
+        global_best_reward=best_reward,
+        history=state.history + (summary,),
+        **changes,
+    )
+
+
 def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, stream: RngStream) -> SearchState:
     """Relocate or resample the base, then explore random spherical neighbors."""
     if state.round % 2 != 1:
@@ -150,28 +172,8 @@ def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, str
     scores = _score(evaluate, batch)
     base_reward, rewards = float(scores[0]), scores[1:]
     gradient = estimate_gradient(base_reward, neighbors.with_rewards(rewards))
-
-    best, best_reward = _fold_best(state.global_best, state.global_best_reward, batch, scores)
-    summary = RoundSummary(
-        round=state.round,
-        kind="coarse",
-        base_reward=base_reward,
-        best_candidate_reward=float(np.max(rewards)),
-        best_so_far=best_reward,
-    )
-    return replace(
-        state,
-        round=state.round + 1,
-        base=base,
-        base_reward=base_reward,
-        last_gradient=gradient,
-        last_perturbations=neighbors.perturbations,
-        last_candidates=neighbors.candidates,
-        last_rewards=rewards,
-        global_best=best,
-        global_best_reward=best_reward,
-        history=state.history + (summary,),
-    )
+    return _end_round(state, "coarse", batch, scores, neighbors, rewards,
+                      base=base, base_reward=base_reward, last_gradient=gradient)
 
 
 def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, stream: RngStream) -> SearchState:
@@ -197,27 +199,7 @@ def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, strea
         fallback = True
         neighbors = random_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
     rewards = _score(evaluate, neighbors.candidates)
-
-    best, best_reward = _fold_best(state.global_best, state.global_best_reward, neighbors.candidates, rewards)
-    summary = RoundSummary(
-        round=state.round,
-        kind="fine",
-        base_reward=state.base_reward,
-        best_candidate_reward=float(np.max(rewards)),
-        best_so_far=best_reward,
-        guided_fallback=fallback,
-    )
-    return replace(
-        state,
-        round=state.round + 1,
-        last_gradient=None,
-        last_perturbations=neighbors.perturbations,
-        last_candidates=neighbors.candidates,
-        last_rewards=rewards,
-        global_best=best,
-        global_best_reward=best_reward,
-        history=state.history + (summary,),
-    )
+    return _end_round(state, "fine", neighbors.candidates, rewards, neighbors, rewards, fallback, last_gradient=None)
 
 
 def run_search(

@@ -149,12 +149,12 @@ class MixtureModel:
 
 @dataclass
 class SolverSpec:
-    """Integration plan: mode, step count, churn scale, and the time grid."""
+    """Integration plan: mode, step count, churn scale, and the uniform time grid from 1 to 0 they imply."""
 
     mode: str
     steps: int
     churn: float = 0.0
-    time_grid: np.ndarray | None = None
+    time_grid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in (ODE, SDE):
@@ -165,19 +165,7 @@ class SolverSpec:
             raise PreconditionError("ODE mode requires churn = 0")
         if self.mode == SDE and not self.churn > 0.0:
             raise PreconditionError("SDE mode requires churn > 0")
-        if self.time_grid is None:
-            self.time_grid = np.linspace(1.0, 0.0, self.steps + 1)
-        else:
-            self.time_grid = np.asarray(self.time_grid, dtype=np.float64)
-            if self.time_grid.shape != (self.steps + 1,):
-                raise PreconditionError("time_grid must hold steps + 1 points")
-            if abs(self.time_grid[0] - 1.0) > 1e-12 or abs(self.time_grid[-1]) > 1e-12:
-                raise PreconditionError("time_grid must run from 1 to 0")
-            if np.any(np.diff(self.time_grid) >= 0.0):
-                raise PreconditionError("time_grid must be strictly decreasing")
-            self.time_grid = self.time_grid.copy()
-            self.time_grid[0] = 1.0
-            self.time_grid[-1] = 0.0
+        self.time_grid = np.linspace(1.0, 0.0, self.steps + 1)
 
 
 def _in_chunks(fn, model: MixtureModel, x: np.ndarray) -> np.ndarray:
@@ -361,9 +349,11 @@ class QuadraticReward:
     """Negative squared distance to a target point; maximum 0 at the target."""
 
     target: np.ndarray
+    dim: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.target = as_latent(self.target)
+        self.dim = self.target.shape[0]
 
     def evaluate(self, x: Latent):
         diff = x - self.target
@@ -385,6 +375,7 @@ class ModePreferenceReward:
     sharpness: float
     _tilted: np.ndarray = field(init=False, repr=False)
     _width: float = field(init=False, repr=False)  # 2·sharpness²
+    dim: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.preferred < self.model.n_components:
@@ -398,6 +389,7 @@ class ModePreferenceReward:
         tilted = self.model.weights.copy()
         tilted[self.preferred] *= _PREFERRED_BOOST
         self._tilted = tilted / np.sum(tilted)
+        self.dim = self.model.dim
 
     def evaluate(self, x: Latent):
         if x.ndim == 1:
@@ -414,6 +406,7 @@ class CustomReward:
     """Opaque callable reward of one latent, for library embedding."""
 
     fn: Callable[[Latent], float]
+    dim = None  # scores latents of any dimension
 
     def evaluate(self, x: Latent):
         if x.ndim == 2:
@@ -428,8 +421,9 @@ def evaluate_reward(reward: RewardModel, x: Latent):
     """Score a sample, or each row of a batch; rejects non-finite inputs and outputs.
 
     One latent gives a Python float, an ``(n, d)`` batch an array of n scores.
+    Rows of another dimension than the reward's raise ``DimensionError``.
     """
-    x = as_latent(x, batch=True)
+    x = as_latent(x, reward.dim, batch=True)
     value = reward.evaluate(x)
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"reward evaluated to a non-finite value: {value}")

@@ -70,10 +70,6 @@ class NeighborSet:
             if self.rewards.shape != (self.candidates.shape[0],):
                 raise DimensionError("rewards must hold one score per candidate")
 
-    @property
-    def n(self) -> int:
-        return self.candidates.shape[0]
-
     def with_rewards(self, rewards) -> "NeighborSet":
         return NeighborSet(self.base, self.candidates, self.perturbations, rewards)
 
@@ -88,11 +84,14 @@ def tangent_project(w, u) -> np.ndarray:
 
     ``w`` is ``(d,)``, ``(n, d)`` or ``(S, n, d)``. Two Gram-Schmidt passes keep
     the residual orthogonality at machine precision even for large d. Raises
-    ``NonFiniteError`` for non-finite input and ``DegeneratePerturbationError``
+    ``NonFiniteError`` for non-finite input, ``DimensionError`` when ``w`` and
+    ``u`` differ in their last dimension and ``DegeneratePerturbationError``
     when a row is parallel to ``u`` (projection below 1e-12).
     """
     w = np.asarray(w, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
+    if w.shape[-1:] != u.shape[-1:]:
+        raise DimensionError(f"w of shape {w.shape} and u of shape {u.shape} differ in dimension")
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(u))):
         raise NonFiniteError("tangent_project needs finite w and u")
     if np.any(np.abs(row_norm(u) - 1.0) > _UNIT_TOL):

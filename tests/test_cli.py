@@ -248,6 +248,14 @@ class TestRunCommand:
         assert main(["run", "--config", config]) == 2
         assert WORKER_ENV in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "2.5", "true", "[2]"])
+    def test_worker_env_cap_is_parsed_and_checked_like_an_override(self, tmp_path, monkeypatch, capsys, value):
+        config, out = write_config(tmp_path)
+        monkeypatch.setenv(WORKER_ENV, value)
+        assert main(["run", "--config", config]) == 2
+        assert f"config error at '{WORKER_ENV}'" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_unknown_config_key_exits_2_with_dotted_path(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         raw = base_config(out)
@@ -349,7 +357,41 @@ class TestRunCommand:
         assert code == 0
         record = read_records(out)[0]
         assert record["seed"] == 7
-        assert record["overrides"] == {"solver.churn": 0.5, "seed": 7, "replicates": 1}
+        # KEY=VALUE tokens in argv order, then the flags
+        assert list(record["overrides"].items()) == [("solver.churn", 0.5), ("seed", 7), ("replicates", 1)]
+
+    def test_flags_are_echoed_after_overrides_in_flag_order(self, tmp_path):
+        config, out = write_config(tmp_path, method="bon")
+        argv = ["run", "--workers", "1", "--out", out, "--budget", "32", "--method", "free", "--replicates", "1",
+                "--seed", "3", "--config", config, "solver.churn=0.5"]
+        assert main(argv) == 0
+        overrides = read_records(out)[0]["overrides"]
+        assert list(overrides) == ["solver.churn", "seed", "replicates", "method", "budget_nfe", "out", "workers"]
+
+    def test_double_dash_ends_the_flags(self, tmp_path):
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, "--replicates", "1", "--", "seed=3"]) == 0
+        assert read_records(out)[0]["overrides"] == {"seed": 3, "replicates": 1}
+
+    @pytest.mark.parametrize("command", ["run", "export-trajectory"])
+    def test_malformed_override_before_the_flags_exits_2(self, tmp_path, capsys, command):
+        config, _ = write_config(tmp_path)
+        out = ["--out", str(tmp_path / "t.csv")] if command == "export-trajectory" else []
+        assert main([command, "a=1", "--config", config, *out, "replicates"]) == 2
+        assert "'replicates' is not of the form KEY=VALUE" in capsys.readouterr().err
+
+    def test_unknown_method_flag_exits_2_naming_method(self, tmp_path, capsys):
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, "--method", "nope"]) == 2
+        assert "config error at 'method'" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-trajectory"])
+    def test_help_shows_key_value_usage(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert "KEY=VALUE" in capsys.readouterr().out
 
     def test_malformed_positional_argument_exits_2(self, tmp_path, capsys):
         config, _ = write_config(tmp_path)
@@ -510,7 +552,40 @@ class TestReportCommand:
         assert main(["run", "--config", config]) == 0
         assert main(["run", "--config", config]) == 0
         assert main(["report", out]) == 2
-        assert "line 3 repeats the method, seed and overrides of line 1" in capsys.readouterr().err
+        assert "line 3 repeats the method, seed and config of line 1" in capsys.readouterr().err
+
+    def test_configs_that_differ_only_in_tau_are_not_duplicates(self, tmp_path):
+        search = {"n_neighbors": 2, "rounds": 2}
+        first, out = write_config(tmp_path, "a.json", method="rts", search_init={**search, "tau": 0.9})
+        second, _ = write_config(tmp_path, "b.json", method="rts", search_init={**search, "tau": 0.8})
+        assert main(["run", "--config", first]) == 0
+        assert main(["run", "--config", second]) == 0
+        records = read_records(out)
+        assert records[0]["overrides"] == records[2]["overrides"] == {}
+        assert re.fullmatch("[0-9a-f]{16}", records[0]["config"])
+        assert records[0]["config"] == records[1]["config"] != records[2]["config"]
+        summary_path = tmp_path / "summary.json"
+        assert main(["report", out, "--out", str(summary_path)]) == 0
+        assert json.loads(summary_path.read_text())["methods"]["rts"]["n"] == 4
+
+    def test_rerun_with_other_run_keys_is_a_duplicate(self, tmp_path, monkeypatch, capsys):
+        config, out = write_config(tmp_path, replicates=2)
+        assert main(["run", "--config", config]) == 0
+        # the echoed workers differ; the cap keeps the rerun in this process
+        monkeypatch.setenv(WORKER_ENV, "1")
+        assert main(["run", "--config", config, "--workers", "2", "replicates=3", "seed=0"]) == 0
+        records = read_records(out)
+        assert records[0]["overrides"] == {} and records[2]["overrides"] == {"replicates": 3, "seed": 0, "workers": 2}
+        assert records[0]["config"] == records[2]["config"]
+        assert main(["report", out]) == 2
+        assert "line 3 repeats the method, seed and config of line 1" in capsys.readouterr().err
+
+    def test_record_without_config_keys_as_null(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        rows = self._records("free", [0, 1], [0.5, 0.5])
+        results.write_text("".join(json.dumps(r) + "\n" for r in rows + [{**rows[0], "config": "0" * 16}, rows[1]]))
+        assert main(["report", str(results)]) == 2
+        assert "line 4 repeats the method, seed and config of line 2" in capsys.readouterr().err
 
     def test_records_of_other_overrides_are_not_duplicates(self, tmp_path):
         config, out = write_config(tmp_path, replicates=2)
@@ -545,6 +620,7 @@ class TestReportCommand:
             ("truncated", 0),
             ("truncated", None),
             ("hit", "yes"),
+            ("config", 3),
         ],
     )
     def test_record_field_of_wrong_type_exits_2_naming_line_and_key(self, tmp_path, capsys, key, value):

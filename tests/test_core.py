@@ -94,6 +94,22 @@ class TestRngStream:
         with pytest.raises(PreconditionError):
             RngStream(0).child(-3)
 
+    @pytest.mark.parametrize("label", [2.7, 2.0, "3", None, np.float64(1.0)])
+    def test_non_integer_labels_rejected_everywhere(self, label):
+        # int() would truncate 2.7 to 2 and parse "3"; every label is checked one way
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            RngStream(0).child(label)
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            RngStream(0, (1, label))
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            RngStream(label)
+
+    def test_numpy_integer_labels_equal_python_ones(self):
+        stream = RngStream(np.uint64(5), [np.int64(2)]).child(np.uint32(3))
+        assert stream == RngStream(5).child(2).child(3)
+        assert type(stream.root_seed) is int and all(type(label) is int for label in stream.path)
+        np.testing.assert_array_equal(sample_gaussian(stream, 4), sample_gaussian(RngStream(5, (2, 3)), 4))
+
     def test_accepts_64_bit_labels(self):
         big = 2**63 + 17
         stream = RngStream(0).child(big)

@@ -46,6 +46,11 @@ class TestTangentProject:
         with pytest.raises(NonFiniteError):
             tangent_project(w, u)
 
+    @pytest.mark.parametrize("w, u", [([1.0, 2.0, 3.0], [1.0, 0.0]), (np.ones((4, 2)), [1.0, 0.0, 0.0])])
+    def test_dimension_mismatch_rejected(self, w, u):
+        with pytest.raises(DimensionError):
+            tangent_project(w, u)
+
     def test_orthogonality_at_machine_precision(self):
         rng = np.random.default_rng(42)
         for d in (2, 8, 64, 512):
@@ -73,7 +78,6 @@ class TestNeighborSet:
 
     def test_with_rewards_round_trip(self):
         ns = NeighborSet(base=[1.0, 0.0], candidates=np.eye(2), perturbations=np.eye(2))
-        assert ns.n == 2
         scored = ns.with_rewards([0.5, 0.25])
         np.testing.assert_array_equal(scored.rewards, [0.5, 0.25])
         assert ns.rewards is None
