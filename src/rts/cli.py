@@ -39,7 +39,7 @@ import reprlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields
 from itertools import repeat
 from multiprocessing import get_context
 
@@ -55,13 +55,14 @@ from .pipeline import (
     ZO,
     RtsConfig,
     RunResult,
+    check_rts_budget,
     denoise_count,
     run_bon,
     run_free,
     run_rts,
     run_zo,
 )
-from .search import MAX_NEIGHBORS
+from .search import MAX_NEIGHBORS, SearchConfig
 from .sim import (
     MAX_STEPS,
     ODE,
@@ -133,6 +134,12 @@ def _number(value, path: str) -> float:
     return number
 
 
+def _fraction(value, path: str) -> float:
+    if not 0.0 <= (number := _number(value, path)) <= 1.0:
+        raise _Invalid(path, "must lie in [0, 1]")
+    return number
+
+
 def _numbers(value, path: str) -> list[float]:
     return [_number(item, f"{path}[{i}]") for i, item in enumerate(_list(value, path))]
 
@@ -160,7 +167,6 @@ def _nullable(kind):
 
 
 REQUIRED = object()  # default of a key that must be given
-OMIT = object()  # default of a key whose absence the constructor fills in
 
 
 class _Tagged(dict):
@@ -172,22 +178,21 @@ def _tagged(**variants: dict) -> _Tagged:
     return _Tagged({name: {"kind": tag, **section} for name, section in variants.items()})
 
 
-# SearchConfig's arguments; an absent one keeps the phase's default in RtsConfig
-_SEARCH = {
-    "n_neighbors": (_integer(1, MAX_NEIGHBORS), OMIT),
-    "rounds": (_integer(), OMIT),
-    "tau": (_number, OMIT),
-    "alpha": (_number, OMIT),
-    "track_global_best": (_boolean, OMIT),
-}
+def _search(phase: SearchConfig) -> dict:
+    """SearchConfig's arguments, each defaulting to its value in ``phase``."""
+    kinds = {"n_neighbors": _integer(1, MAX_NEIGHBORS), "rounds": _integer(), "tau": _number, "alpha": _number,
+             "track_global_best": _boolean}
+    return {key: (kind, getattr(phase, key)) for key, kind in kinds.items()}
+
 
 # Every config key as (kind, default); a dict kind is a section of keys. The
 # keys of a section are the argument names of the constructor it feeds, and
 # the top-level keys include RtsConfig's, so build_experiment passes them on.
+# A default that a constructor also has is read from it, never restated.
 CONFIG_SCHEMA = {
     "dimension": (_integer(2), REQUIRED),
     "solver": ({"mode": (_choice(ODE, SDE), REQUIRED), "steps": (_integer(1, MAX_STEPS), REQUIRED),
-                "churn": (_number, 0.0)}, REQUIRED),
+                "churn": (_number, SolverSpec.churn)}, REQUIRED),
     "mixture": ({"weights": (_numbers, REQUIRED), "means": (_matrix, REQUIRED), "stddevs": (_numbers, REQUIRED)},
                 REQUIRED),
     "reward": (_tagged(mode_preference={"preferred": (_integer(), 0), "sharpness": (_number, 1.0)},
@@ -197,14 +202,14 @@ CONFIG_SCHEMA = {
     "replicates": (_integer(1), REQUIRED),
     "out": (_string, "results.jsonl"),
     "workers": (_integer(1), 1),
-    "budget_nfe": (_nullable(_integer()), None),
-    "search_init": (_SEARCH, {}),
-    "search_inter": (_SEARCH, {}),
-    "k_keysteps": (_integer(), 6),
-    "eval_steps_init": (_nullable(_integer(1, MAX_STEPS)), None),
-    "eval_steps_inter": (_integer(), 1),
-    "resample_inter_fresh": (_boolean, True),
-    "zo_step_tau": (_number, 0.9),
+    "budget_nfe": (_nullable(_integer()), RtsConfig.budget_nfe),
+    "search_init": (_search(RtsConfig.search_init), {}),
+    "search_inter": (_search(RtsConfig.search_inter), {}),
+    "k_keysteps": (_integer(), RtsConfig.k_keysteps),
+    "eval_steps_init": (_nullable(_integer(1, MAX_STEPS)), RtsConfig.eval_steps_init),
+    "eval_steps_inter": (_integer(), RtsConfig.eval_steps_inter),
+    "resample_inter_fresh": (_boolean, RtsConfig.resample_inter_fresh),
+    "zo_step_tau": (_fraction, 0.9),
 }
 
 # the fields of a results record that ``rts report`` reads
@@ -231,8 +236,6 @@ def _walk(schema: dict, raw, path: str) -> dict:
         value = section.get(key, default)
         if value is REQUIRED:
             raise _Invalid(at, "required key is missing")
-        if value is OMIT:
-            continue
         if isinstance(kind, _Tagged):  # the variant that the value's kind names
             kind = kind[_choice(*kind)(_object(value, at).get("kind"), f"{at}.kind")]
         checked[key] = _walk(kind, value, at) if isinstance(kind, dict) else kind(value, at)
@@ -314,10 +317,8 @@ def build_experiment(cfg: dict):
             reward = QuadraticReward(**rest)
             if reward.target.shape[0] != cfg["dimension"]:
                 raise _Invalid("reward.target", f"dimension {reward.target.shape[0]} != configured {cfg['dimension']}")
-        args = {f.name: cfg[f.name] for f in fields(RtsConfig)}
-        for name in ("search_init", "search_inter"):  # the keys given, over the phase's default
-            args[name] = replace(getattr(RtsConfig, name), **cfg[name])
-        rts_cfg = RtsConfig(**args)
+        search = {name: SearchConfig(**cfg[name]) for name in ("search_init", "search_inter")}
+        rts_cfg = RtsConfig(**{f.name: search.get(f.name, cfg[f.name]) for f in fields(RtsConfig)})
     except RtsError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -357,9 +358,11 @@ def _result_record(result: RunResult, cfg: dict, model: MixtureModel, overrides:
     }
 
 
-def _check_budget(cfg: dict, spec: SolverSpec) -> None:
-    """Refuse a bon or zo run without a budget, or with one for too many denoises."""
+def _check_budget(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> None:
+    """Refuse a budget the method cannot run on, before any work: too small (exit 3), missing or too large (2)."""
     method, budget = cfg["method"], cfg["budget_nfe"]
+    if method == RTS:
+        check_rts_budget(rts_cfg, spec)
     if method not in (BON, ZO):
         return
     if budget is None:
@@ -373,7 +376,7 @@ def _check_budget(cfg: dict, spec: SolverSpec) -> None:
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
     """Execute one replicate (seed = base seed + index) and build its record."""
     model, spec, reward, rts_cfg = build_experiment(cfg)
-    _check_budget(cfg, spec)
+    _check_budget(cfg, spec, rts_cfg)
     stream = RngStream(root_seed=cfg["seed"] + index, path=())
     method = cfg["method"]
     start = time.perf_counter()
@@ -426,8 +429,8 @@ def _append_records(path: str, records) -> None:
 def cmd_run(config_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
     _refuse_overwrite(cfg["out"], config_path, "config it was run from")
-    _, spec, _, _ = build_experiment(cfg)  # fail on bad values before any work is queued
-    _check_budget(cfg, spec)
+    _, spec, _, rts_cfg = build_experiment(cfg)  # fail on bad values before any work is queued
+    _check_budget(cfg, spec, rts_cfg)
     workers = _worker_count(cfg)
     indices = range(cfg["replicates"])
     if workers == 1:
@@ -565,7 +568,7 @@ def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[tuple]]:
     selected = np.zeros(traj.steps + 1, dtype=int)
     if k > 0:
         selected[list(select_key_steps(proj, k).indices)] = 1
-    columns = (range(traj.steps + 1), traj.step_times.tolist(), *proj.points.T.tolist(),
+    columns = (range(traj.steps + 1), spec.time_grid.tolist(), *proj.points.T.tolist(),
                curvature(proj.points).tolist(), selected.tolist())
     return traj, list(zip(*columns))
 

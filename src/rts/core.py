@@ -248,7 +248,7 @@ def row_norm(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NoiseTrajectory:
-    """One solver path: latents per step, injected noises, and the time grid.
+    """One solver path: latents per step and injected noises, on the ``SolverSpec`` time grid.
 
     ``latents[0]`` is the initial noise at t = 1 and ``latents[-1]`` the final
     sample at t = 0. ``injected[i]`` is the unscaled standard normal added
@@ -258,16 +258,12 @@ class NoiseTrajectory:
 
     latents: np.ndarray
     injected: np.ndarray
-    step_times: np.ndarray
 
     def __post_init__(self) -> None:
         self.latents = np.asarray(self.latents, dtype=np.float64)
         self.injected = np.asarray(self.injected, dtype=np.float64)
-        self.step_times = np.asarray(self.step_times, dtype=np.float64)
         if self.latents.ndim != 2 or self.latents.shape[0] < 2:
             raise DimensionError(f"latents must be (steps+1, dim), got {self.latents.shape}")
-        if self.step_times.shape != (self.latents.shape[0],):
-            raise DimensionError("step_times must align with latents")
         steps = self.latents.shape[0] - 1
         if self.injected.size == 0:
             self.injected = self.injected.reshape(0, self.latents.shape[1])
@@ -278,8 +274,6 @@ class NoiseTrajectory:
             )
         if not np.all(np.isfinite(self.latents)):
             raise NonFiniteError("trajectory latents contain non-finite entries")
-        if np.any(self.step_times < 0.0) or np.any(self.step_times > 1.0):
-            raise PreconditionError("step_times must lie in [0, 1]")
 
     @property
     def dim(self) -> int:

@@ -165,7 +165,7 @@ def _score_rows(score, rows: np.ndarray, cost: int, budget: _Budget) -> np.ndarr
 
 
 class _DenoiseEvaluator:
-    """Scores initial noises, one per row, by full denoise + reward; keeps trajectories.
+    """Scores initial noises, one per row, by full denoise + reward; keeps each path and its noises.
 
     In SDE mode the churn noises of a candidate's scoring run are derived
     from a hash of the candidate itself, which makes the reward a pure
@@ -189,7 +189,7 @@ class _DenoiseEvaluator:
         self.nfe = nfe
         self.budget = budget
         self.cost = 2 * spec.steps
-        self.cache: dict[bytes, tuple[float, NoiseTrajectory]] = {}
+        self.cache: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}  # score, path, noises
 
     def __call__(self, zs: np.ndarray) -> np.ndarray:
         return _score_rows(self._score, zs, self.cost, self.budget)
@@ -203,10 +203,10 @@ class _DenoiseEvaluator:
             )
         trace = _solve(self.model, self.spec, zs, noises, self.nfe)
         scores = evaluate_reward(self.reward, trace[:, -1])
-        for row, score in enumerate(scores.tolist()):
-            injected = noises[row] if noises is not None else np.zeros((0, dim))
-            traj = NoiseTrajectory(trace[row], injected, self.spec.time_grid.copy())
-            self.cache[zs[row].tobytes()] = (score, traj)
+        if noises is None:
+            noises = np.zeros((len(zs), 0, dim))
+        for z, score, path, injected in zip(zs, scores.tolist(), trace, noises):
+            self.cache[z.tobytes()] = (score, path, injected)
         return scores
 
 
@@ -308,6 +308,14 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     return {"init_search": init, "record": plan.record, "inter_search": inter, "final": final, "total": total}
 
 
+def check_rts_budget(cfg: RtsConfig, spec: SolverSpec) -> None:
+    """Raise ``BudgetError`` when the budget cannot cover one scored candidate plus the record denoise it owes."""
+    plan = _plan(cfg, spec)
+    minimum = (2 * plan.eval_steps if plan.init_search else 0) + plan.record
+    if cfg.budget_nfe is not None and cfg.budget_nfe < minimum:
+        raise BudgetError(f"budget {cfg.budget_nfe} cannot cover one scored candidate ({minimum} NFEs)")
+
+
 def run_rts(
     model: MixtureModel,
     spec: SolverSpec,
@@ -318,16 +326,12 @@ def run_rts(
     """Full two-phase search; see the module docstring for the stage layout.
 
     ``k_keysteps`` is clamped to the number of interior steps. Raises
-    ``BudgetError`` when the budget cannot cover one scored candidate plus
-    the record denoise it owes.
+    ``BudgetError`` as ``check_rts_budget`` does.
     """
+    check_rts_budget(cfg, spec)
     dim = model.dim
     steps = spec.steps
     plan = _plan(cfg, spec)
-    minimum = (2 * plan.eval_steps if plan.init_search else 0) + plan.record
-    if cfg.budget_nfe is not None and cfg.budget_nfe < minimum:
-        raise BudgetError(f"budget {cfg.budget_nfe} cannot cover one scored candidate ({minimum} NFEs)")
-
     counter = NfeCounter()
     truncated = False
     round_history: dict = {"init": [], "inter": []}
@@ -338,7 +342,7 @@ def run_rts(
         # otherwise dominate the ranking and the winner's score would not
         # survive the full-length record run. Full-length scoring keeps the
         # run's own mode because the winner keeps its scored trajectory.
-        eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps, 0.0)
+        eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps)
         budget = _Budget(cfg.budget_nfe, counter, owed=plan.record)
         evaluator = _DenoiseEvaluator(model, eval_spec, reward, stream.child(_S_EVAL_NOISE), counter, budget)
         try:
@@ -346,11 +350,12 @@ def run_rts(
                 np.zeros(dim), cfg.search_init, evaluator, stream.child(_S_INIT_SEARCH)
             )
             round_history["init"] = [s.best_candidate_reward for s in history]
-            _, traj0 = evaluator.cache[best_z.tobytes()]
+            _, path, noises = evaluator.cache[best_z.tobytes()]
         except _PhaseTruncated:
             truncated = True
             # the first best-scored latent, as a strict running maximum keeps it
-            _, traj0 = max(evaluator.cache.values(), key=lambda entry: entry[0])
+            _, path, noises = max(evaluator.cache.values(), key=lambda entry: entry[0])
+        traj0 = NoiseTrajectory(path, noises)
         breakdown["init_search"] = counter.count
         z_init = traj0.latents[0]
     else:

@@ -322,7 +322,6 @@ def denoise(
     evaluations.
     """
     z_init = as_latent(z_init, model.dim)
-    grid = spec.time_grid
     steps = spec.steps
     if spec.mode == ODE:
         if injected is not None and len(injected) > 0:
@@ -341,7 +340,7 @@ def denoise(
             injected_arr = _churn_noises(spec, model.dim, stream)
 
     latents = _solve(model, spec, z_init, injected_arr if spec.mode == SDE else None, nfe)
-    return NoiseTrajectory(latents=latents, injected=injected_arr, step_times=grid.copy())
+    return NoiseTrajectory(latents=latents, injected=injected_arr)
 
 
 @dataclass
@@ -355,10 +354,9 @@ class QuadraticReward:
         self.target = as_latent(self.target)
         self.dim = self.target.shape[0]
 
-    def evaluate(self, x: Latent):
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         diff = x - self.target
-        value = -np.vecdot(diff, diff)  # each row reduced as the 1-D diff @ diff is
-        return float(value) if x.ndim == 1 else value
+        return -np.vecdot(diff, diff)  # each row reduced as the 1-D diff @ diff is
 
 
 @dataclass
@@ -391,9 +389,7 @@ class ModePreferenceReward:
         self._tilted = tilted / np.sum(tilted)
         self.dim = self.model.dim
 
-    def evaluate(self, x: Latent):
-        if x.ndim == 1:
-            return float(self._bumps(x))
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         return _in_chunks(self._bumps, self.model, x)
 
     def _bumps(self, x: np.ndarray) -> np.ndarray:
@@ -408,10 +404,8 @@ class CustomReward:
     fn: Callable[[Latent], float]
     dim = None  # scores latents of any dimension
 
-    def evaluate(self, x: Latent):
-        if x.ndim == 2:
-            return np.array([self.evaluate(row) for row in x])
-        return float(self.fn(x))
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        return np.array([float(self.fn(row)) for row in x])
 
 
 RewardModel = Union[QuadraticReward, ModePreferenceReward, CustomReward]
@@ -420,14 +414,14 @@ RewardModel = Union[QuadraticReward, ModePreferenceReward, CustomReward]
 def evaluate_reward(reward: RewardModel, x: Latent):
     """Score a sample, or each row of a batch; rejects non-finite inputs and outputs.
 
-    One latent gives a Python float, an ``(n, d)`` batch an array of n scores.
+    One latent, scored as a one-row batch, gives a Python float, an ``(n, d)`` batch an array of n scores.
     Rows of another dimension than the reward's raise ``DimensionError``.
     """
     x = as_latent(x, reward.dim, batch=True)
-    value = reward.evaluate(x)
+    value = reward.evaluate(np.atleast_2d(x))
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"reward evaluated to a non-finite value: {value}")
-    return value
+    return value if x.ndim == 2 else float(value[0])
 
 
 def nearest_mode(model: MixtureModel, x: Latent) -> int:

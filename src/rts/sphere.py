@@ -18,7 +18,7 @@ each row of a batch as the 1-D ``w @ u`` does, while ``W @ u``, ``einsum`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class NeighborSet:
     """N spherical candidates around a base latent, with their perturbations.
 
     ``candidates[i]`` was formed from the unit tangent ``perturbations[i]``.
-    ``rewards`` stays None until an evaluator has scored the candidates.
+    ``rewards`` stays None until scored; ``estimate_gradient`` checks the rewards it reads.
     """
 
     base: Latent
@@ -55,23 +55,8 @@ class NeighborSet:
     perturbations: np.ndarray
     rewards: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        self.base = as_latent(self.base)
-        self.candidates = np.asarray(self.candidates, dtype=np.float64)
-        self.perturbations = np.asarray(self.perturbations, dtype=np.float64)
-        if self.candidates.ndim != 2 or self.candidates.shape[0] < 1:
-            raise DimensionError(f"candidates must be (n, d) with n >= 1, got {self.candidates.shape}")
-        if self.candidates.shape != self.perturbations.shape:
-            raise DimensionError("candidates and perturbations must be aligned")
-        if self.candidates.shape[1] != self.base.shape[0]:
-            raise DimensionError("candidate dimension must match base")
-        if self.rewards is not None:
-            self.rewards = np.asarray(self.rewards, dtype=np.float64)
-            if self.rewards.shape != (self.candidates.shape[0],):
-                raise DimensionError("rewards must hold one score per candidate")
-
     def with_rewards(self, rewards) -> "NeighborSet":
-        return NeighborSet(self.base, self.candidates, self.perturbations, rewards)
+        return replace(self, rewards=rewards)
 
 
 def _reject(w: np.ndarray, u: np.ndarray) -> np.ndarray:

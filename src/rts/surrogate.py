@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Latent, NonFiniteError, PreconditionError
+from .core import DimensionError, Latent, NonFiniteError, PreconditionError
 from .sphere import NeighborSet
 
 _DENOMINATOR_FLOOR = 1e-8
@@ -36,11 +36,14 @@ def estimate_gradient(base_reward: float, neighbors: NeighborSet) -> SurrogateGr
     """Estimate the ascent direction from a scored NeighborSet.
 
     The result lies in the span of the perturbations, hence tangent to the
-    base direction. Requires ``neighbors.rewards`` to be populated.
+    base direction. Requires ``neighbors.rewards`` to be populated, one per
+    perturbation row; other rewards raise ``DimensionError``.
     """
     if neighbors.rewards is None:
         raise PreconditionError("neighbors must carry rewards; score the candidates first")
     rewards = np.asarray(neighbors.rewards, dtype=np.float64)
+    if rewards.shape != (len(neighbors.perturbations),):
+        raise DimensionError(f"rewards of shape {rewards.shape} for {len(neighbors.perturbations)} perturbations")
     if not np.isfinite(base_reward) or not np.all(np.isfinite(rewards)):
         raise NonFiniteError("rewards must be finite")
     denominator = float(np.sum(rewards) + base_reward)

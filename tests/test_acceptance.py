@@ -49,8 +49,7 @@ from rts.sim import _velocity
 
 def make_traj(latents):
     latents = np.asarray(latents, dtype=np.float64)
-    times = np.linspace(1.0, 0.0, latents.shape[0])
-    return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])), step_times=times)
+    return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])))
 
 
 def wilcoxon_greater(a, b):

@@ -64,7 +64,8 @@ class TestValidateConfig:
         cfg = validate_config(base_config("r.jsonl"))
         assert cfg["workers"] == 1
         assert cfg["budget_nfe"] is None
-        assert cfg["search_init"] == {}
+        assert cfg["search_init"] == {"n_neighbors": 3, "rounds": 4, "tau": 0.9, "alpha": 0.7, "track_global_best": True}
+        assert cfg["search_inter"] == {**cfg["search_init"], "rounds": 2}
         assert cfg["k_keysteps"] == 6
         assert cfg["eval_steps_inter"] == 1
         assert cfg["resample_inter_fresh"] is True
@@ -309,6 +310,19 @@ class TestRunCommand:
         assert main(["run", "--config", config, "budget_nfe=" + str(10**30)]) == 2
         assert "'budget_nfe'" in capsys.readouterr().err
         assert not (tmp_path / "results.jsonl").exists()
+
+    def test_rts_budget_below_one_candidate_exits_3_before_the_output_is_opened(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, method="rts")
+        assert main(["run", "--config", config, "--budget", "5"]) == 3
+        assert "budget 5 cannot cover one scored candidate (16 NFEs)" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("tau", ["1.5", "-0.1"])
+    def test_zo_step_tau_outside_unit_interval_exits_2_before_the_output_is_opened(self, tmp_path, capsys, tau):
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, "--method", "zo", "--budget", "64", "zo_step_tau=" + tau]) == 2
+        assert "config error at 'zo_step_tau': must lie in [0, 1]" in capsys.readouterr().err
+        assert not Path(out).exists()
 
     def test_quadratic_target_of_wrong_dimension_exits_2(self, tmp_path, capsys):
         reward = {"kind": "quadratic", "target": [0.0, 0.0, 0.0]}
@@ -586,6 +600,17 @@ class TestReportCommand:
         results.write_text("".join(json.dumps(r) + "\n" for r in rows + [{**rows[0], "config": "0" * 16}, rows[1]]))
         assert main(["report", str(results)]) == 2
         assert "line 4 repeats the method, seed and config of line 2" in capsys.readouterr().err
+
+    def test_defaults_written_out_hash_as_the_bare_config(self, tmp_path, capsys):
+        config, out = write_config(tmp_path, method="rts")
+        assert main(["run", "--config", config]) == 0
+        spelled = ["search_init.alpha=0.7", "search_inter.track_global_best=true"]
+        assert main(["run", "--config", config, *spelled]) == 0
+        records = read_records(out)
+        assert records[2]["overrides"] == {"search_init.alpha": 0.7, "search_inter.track_global_best": True}
+        assert records[0]["config"] == records[2]["config"]
+        assert main(["report", out]) == 2
+        assert "line 3 repeats the method, seed and config of line 1" in capsys.readouterr().err
 
     def test_records_of_other_overrides_are_not_duplicates(self, tmp_path):
         config, out = write_config(tmp_path, replicates=2)

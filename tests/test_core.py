@@ -220,7 +220,6 @@ class TestNoiseTrajectory:
         traj = NoiseTrajectory(
             latents=np.zeros((5, 3)),
             injected=np.zeros((0, 3)),
-            step_times=np.linspace(1.0, 0.0, 5),
         )
         assert traj.steps == 4
         assert traj.dim == 3
@@ -230,7 +229,6 @@ class TestNoiseTrajectory:
         traj = NoiseTrajectory(
             latents=np.zeros((5, 3)),
             injected=np.ones((3, 3)),
-            step_times=np.linspace(1.0, 0.0, 5),
         )
         assert traj.injected.shape == (3, 3)
 
@@ -239,18 +237,13 @@ class TestNoiseTrajectory:
             NoiseTrajectory(
                 latents=np.zeros((5, 3)),
                 injected=np.ones((2, 3)),
-                step_times=np.linspace(1.0, 0.0, 5),
             )
 
     def test_rejects_nonfinite_latents(self):
         latents = np.zeros((4, 2))
         latents[1, 0] = np.nan
         with pytest.raises(NonFiniteError):
-            NoiseTrajectory(latents, np.zeros((0, 2)), np.linspace(1.0, 0.0, 4))
-
-    def test_rejects_times_outside_unit_interval(self):
-        with pytest.raises(PreconditionError):
-            NoiseTrajectory(np.zeros((3, 2)), np.zeros((0, 2)), [1.5, 0.5, 0.0])
+            NoiseTrajectory(latents, np.zeros((0, 2)))
 
 
 class TestNfeCounter:

@@ -15,8 +15,7 @@ from rts import (
 
 def make_traj(latents):
     latents = np.asarray(latents, dtype=np.float64)
-    times = np.linspace(1.0, 0.0, latents.shape[0])
-    return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])), step_times=times)
+    return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])))
 
 
 def random_orthogonal(dim, rng):

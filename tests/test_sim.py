@@ -257,7 +257,6 @@ class TestDenoise:
         assert traj.latents.shape == (10, 2)
         assert traj.injected.shape == (8, 2)
         np.testing.assert_array_equal(traj.latents[0], z)
-        np.testing.assert_array_equal(traj.step_times, spec.time_grid)
 
     def test_ode_has_no_injected_noises(self):
         model = two_component()

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from rts import (
+    DimensionError,
     NeighborSet,
     NonFiniteError,
     PreconditionError,
@@ -95,6 +96,12 @@ class TestValidation:
         ns = _neighbor_set([1.0, 0.0], [[0.0, 1.0]], [1.0])
         with pytest.raises(NonFiniteError):
             estimate_gradient(float("inf"), ns)
+
+    @pytest.mark.parametrize("rewards", [[1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]], 1.0])
+    def test_rejects_rewards_that_miss_the_perturbation_rows(self, rewards):
+        ns = _neighbor_set([1.0, 0.0], [[0.0, 1.0], [0.0, -1.0]], None)
+        with pytest.raises(DimensionError, match=r"rewards of shape .* for 2 perturbations"):
+            estimate_gradient(1.0, ns.with_rewards(rewards))
 
 
 class TestTangency:
