@@ -25,7 +25,7 @@ from .core import (
     as_latent,
     sample_gaussian,
 )
-from .keysteps import KeyStepSet, ProjectedTrajectory, curvature, project_trajectory, select_key_steps
+from .keysteps import KeyStepSet, curvature, project_trajectory, select_key_steps
 from .pipeline import (
     BON,
     FREE,
@@ -44,7 +44,6 @@ from .search import Evaluator, RoundSummary, SearchConfig, SearchState, coarse_r
 from .sim import (
     ODE,
     SDE,
-    CustomReward,
     MixtureModel,
     ModePreferenceReward,
     QuadraticReward,
@@ -57,6 +56,6 @@ from .sim import (
     one_step_clean_estimate,
 )
 from .sphere import NeighborSet, guided_spherical_sample, random_spherical_sample, tangent_project
-from .surrogate import SurrogateGradient, estimate_gradient
+from .surrogate import estimate_gradient
 
 __version__ = "0.1.0"

@@ -45,7 +45,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .core import ConfigError, NoiseTrajectory, PreconditionError, RngStream, RtsError, sample_gaussian
+from .core import ConfigError, PreconditionError, RngStream, RtsError, sample_gaussian
 from .keysteps import curvature, project_trajectory, select_key_steps
 from .pipeline import (
     BON,
@@ -76,6 +76,11 @@ from .sim import (
 )
 
 WORKER_ENV = "RTS_MAX_WORKERS"
+
+# Most worker processes a run may ask for. Each is a fresh interpreter, and
+# the pool starts one per queued replicate up to this count, so an absurd
+# count is refused up front instead of starting thousands of processes.
+MAX_WORKERS = 256
 
 
 class _Invalid(ConfigError):
@@ -201,7 +206,7 @@ CONFIG_SCHEMA = {
     "seed": (_integer(0, 2**64 - 1), REQUIRED),
     "replicates": (_integer(1), REQUIRED),
     "out": (_string, "results.jsonl"),
-    "workers": (_integer(1), 1),
+    "workers": (_integer(1, MAX_WORKERS), 1),
     "budget_nfe": (_nullable(_integer()), RtsConfig.budget_nfe),
     "search_init": (_search(RtsConfig.search_init), {}),
     "search_inter": (_search(RtsConfig.search_inter), {}),
@@ -554,7 +559,7 @@ def cmd_report(results_path: str, table_path: str | None) -> int:
     return 0
 
 
-def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[tuple]]:
+def export_trajectory(cfg: dict) -> list[tuple]:
     """Run one denoise and tabulate its projected path: step, t, p1-p3, curvature, selected."""
     model, spec, _, rts_cfg = build_experiment(cfg)
     if spec.steps < 3:
@@ -562,21 +567,20 @@ def export_trajectory(cfg: dict) -> tuple[NoiseTrajectory, list[tuple]]:
         raise _Invalid("solver.steps", f"export-trajectory needs at least 3 steps, got {spec.steps}")
     stream = RngStream(root_seed=cfg["seed"], path=())
     z = sample_gaussian(stream.child(0), model.dim)
-    traj = denoise(model, spec, z, stream=stream.child(1))
-    proj = project_trajectory(traj)
-    k = min(rts_cfg.k_keysteps, traj.steps - 1)
-    selected = np.zeros(traj.steps + 1, dtype=int)
+    points = project_trajectory(denoise(model, spec, z, stream=stream.child(1)))
+    k = min(rts_cfg.k_keysteps, spec.steps - 1)
+    selected = np.zeros(spec.steps + 1, dtype=int)
     if k > 0:
-        selected[list(select_key_steps(proj, k).indices)] = 1
-    columns = (range(traj.steps + 1), spec.time_grid.tolist(), *proj.points.T.tolist(),
-               curvature(proj.points).tolist(), selected.tolist())
-    return traj, list(zip(*columns))
+        selected[list(select_key_steps(points, k).indices)] = 1
+    columns = (range(spec.steps + 1), spec.time_grid.tolist(), *points.T.tolist(),
+               curvature(points).tolist(), selected.tolist())
+    return list(zip(*columns))
 
 
 def cmd_export(config_path: str, out_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
     _refuse_overwrite(out_path, config_path, "config it was exported from")
-    _, rows = export_trajectory(cfg)
+    rows = export_trajectory(cfg)
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as sink:
             writer = csv.writer(sink)

@@ -32,7 +32,7 @@ import numpy as np
 # numerics idiomatic; validation happens at operation boundaries.
 Latent = np.ndarray
 
-_MAX_SEED = 2**64
+_MAX_SEED = 2**64 - 1
 
 # numpy's SeedSequence constants for its pool of four 32-bit words: the hash
 # multiplier for mixing entropy in (A), the initial hash constant and the
@@ -139,15 +139,16 @@ def _fold(pool: tuple[int, ...], hash_const: int, label: int) -> tuple[tuple[int
     return tuple(pool), hash_const
 
 
-def _label(value, what: str) -> int:
-    """A seed or path label as a non-negative Python int; 2.7 or "3" is refused, not truncated or parsed."""
+def as_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """A seed, label or count as a Python int in [low, high]; 2.7 or "3" is refused, not truncated or parsed."""
     try:
-        label = operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
-    if label < 0:
-        raise PreconditionError(f"{what} must be non-negative, got {label}")
-    return label
+    if (low is not None and number < low) or (high is not None and number > high):
+        bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise PreconditionError(f"{what} must {bounds}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -169,10 +170,8 @@ class RngStream:
     _pool: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        root = _label(self.root_seed, "root_seed")
-        if root >= _MAX_SEED:
-            raise PreconditionError(f"root_seed must be a u64, got {root}")
-        path = tuple(_label(label, "path label") for label in self.path)
+        root = as_integer(self.root_seed, "root_seed", 0, _MAX_SEED)
+        path = tuple(as_integer(label, "path label", 0) for label in self.path)
         pool = _root_pool(root)
         for label in path:
             pool = _fold(*pool, label)
@@ -187,7 +186,7 @@ class RngStream:
         labels give statistically independent children. Only the new label
         is checked and folded in; the parent's path already was.
         """
-        label = _label(label, "derivation label")
+        label = as_integer(label, "derivation label", 0)
         child = object.__new__(RngStream)
         object.__setattr__(child, "root_seed", self.root_seed)
         object.__setattr__(child, "path", self.path + (label,))

@@ -40,6 +40,7 @@ from .core import (
     NoiseTrajectory,
     PreconditionError,
     RngStream,
+    as_integer,
     sample_gaussian,
 )
 from .keysteps import KeyStepSet, project_trajectory, select_key_steps
@@ -119,14 +120,12 @@ class RtsConfig:
     resample_inter_fresh: bool = True
 
     def __post_init__(self) -> None:
-        if self.k_keysteps < 0:
-            raise PreconditionError(f"k_keysteps must be >= 0, got {self.k_keysteps}")
-        if self.eval_steps_init is not None and self.eval_steps_init < 1:
-            raise PreconditionError("eval_steps_init must be >= 1 when set")
-        if self.eval_steps_inter < 1:
-            raise PreconditionError("eval_steps_inter must be >= 1")
-        if self.budget_nfe is not None and self.budget_nfe < 1:
-            raise PreconditionError("budget_nfe must be >= 1 when set")
+        as_integer(self.k_keysteps, "k_keysteps", 0)
+        as_integer(self.eval_steps_inter, "eval_steps_inter", 1)
+        if self.eval_steps_init is not None:
+            as_integer(self.eval_steps_init, "eval_steps_init", 1)
+        if self.budget_nfe is not None:
+            as_integer(self.budget_nfe, "budget_nfe", 1)
 
 
 @dataclass
@@ -438,7 +437,7 @@ def denoise_count(method: str, spec: SolverSpec, budget_nfe: int) -> int:
     step) and ``PreconditionError`` above ``MAX_NEIGHBORS``, before any draw.
     """
     cost = 2 * spec.steps
-    count = budget_nfe // cost
+    count = as_integer(budget_nfe, "budget_nfe") // cost
     least = 2 if method == ZO else 1
     if count < least:
         raise BudgetError(f"{method} budget {budget_nfe} is below {least} denoise(s) of {cost} NFEs")

@@ -29,11 +29,12 @@ from .core import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    as_integer,
     as_latent,
     sample_gaussian,
 )
 from .sphere import NeighborSet, guided_spherical_sample, random_spherical_sample
-from .surrogate import SurrogateGradient, estimate_gradient
+from .surrogate import estimate_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -69,10 +70,8 @@ class SearchConfig:
     track_global_best: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_neighbors <= MAX_NEIGHBORS:
-            raise PreconditionError(f"n_neighbors must lie in [1, {MAX_NEIGHBORS}], got {self.n_neighbors}")
-        if self.rounds < 0:
-            raise PreconditionError(f"rounds must be >= 0, got {self.rounds}")
+        as_integer(self.n_neighbors, "n_neighbors", 1, MAX_NEIGHBORS)
+        as_integer(self.rounds, "rounds", 0)
         if not (0.0 <= self.tau <= 1.0):
             raise PreconditionError(f"tau must lie in [0, 1], got {self.tau}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -103,7 +102,7 @@ class SearchState:
     round: int = 1
     base: Latent | None = None
     base_reward: float = float("-inf")
-    last_gradient: SurrogateGradient | None = None
+    last_gradient: Latent | None = None
     last_perturbations: np.ndarray | None = None
     last_candidates: np.ndarray | None = None
     last_rewards: np.ndarray | None = None
@@ -190,7 +189,7 @@ def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, strea
             cfg.n_neighbors,
             cfg.tau,
             cfg.alpha,
-            state.last_gradient.g,
+            state.last_gradient,
             state.last_perturbations,
             stream.child(_STREAM_NEIGHBORS),
         )

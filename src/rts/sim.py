@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import wraps
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .core import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    as_integer,
     as_latent,
     sample_gaussian,
 )
@@ -159,8 +160,7 @@ class SolverSpec:
     def __post_init__(self) -> None:
         if self.mode not in (ODE, SDE):
             raise PreconditionError(f"mode must be '{ODE}' or '{SDE}', got {self.mode!r}")
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise PreconditionError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
+        as_integer(self.steps, "steps", 1, MAX_STEPS)
         if self.mode == ODE and self.churn != 0.0:
             raise PreconditionError("ODE mode requires churn = 0")
         if self.mode == SDE and not self.churn > 0.0:
@@ -397,23 +397,15 @@ class ModePreferenceReward:
         return np.sum(self._tilted * np.exp(-sq / self._width), axis=-1)
 
 
-@dataclass
-class CustomReward:
-    """Opaque callable reward of one latent, for library embedding."""
-
-    fn: Callable[[Latent], float]
-    dim = None  # scores latents of any dimension
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.array([float(self.fn(row)) for row in x])
-
-
-RewardModel = Union[QuadraticReward, ModePreferenceReward, CustomReward]
+# the built-in rewards; any object with the protocol of ``evaluate_reward`` serves as well
+RewardModel = Union[QuadraticReward, ModePreferenceReward]
 
 
 def evaluate_reward(reward: RewardModel, x: Latent):
     """Score a sample, or each row of a batch; rejects non-finite inputs and outputs.
 
+    ``reward`` is any object with ``dim``, the latent dimension it scores (None
+    for any), and ``evaluate``, which maps an ``(n, d)`` batch to its n scores.
     One latent, scored as a one-row batch, gives a Python float, an ``(n, d)`` batch an array of n scores.
     Rows of another dimension than the reward's raise ``DimensionError``.
     """

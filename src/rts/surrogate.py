@@ -9,11 +9,10 @@ at 1e-8 against blow-up. A signed denominator would flip g into a descent
 direction whenever rewards are uniformly negative (e.g. quadratic distance
 rewards), breaking the estimator's alignment with the true ascent direction;
 with the magnitude, scaling all rewards by c > 0 still leaves g unchanged.
+``estimate_gradient`` returns g itself, a ``(d,)`` array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +22,8 @@ from .sphere import NeighborSet
 _DENOMINATOR_FLOOR = 1e-8
 
 
-@dataclass
-class SurrogateGradient:
-    """Estimated ascent direction plus the rewards it was computed from."""
-
-    g: Latent
-    base_reward: float
-    neighbor_rewards: np.ndarray
-
-
-def estimate_gradient(base_reward: float, neighbors: NeighborSet) -> SurrogateGradient:
-    """Estimate the ascent direction from a scored NeighborSet.
+def estimate_gradient(base_reward: float, neighbors: NeighborSet) -> Latent:
+    """Estimate the ascent direction ``g`` from a scored NeighborSet.
 
     The result lies in the span of the perturbations, hence tangent to the
     base direction. Requires ``neighbors.rewards`` to be populated, one per
@@ -52,4 +42,4 @@ def estimate_gradient(base_reward: float, neighbors: NeighborSet) -> SurrogateGr
     g = coefficients @ neighbors.perturbations
     if not np.all(np.isfinite(g)):
         raise NonFiniteError("surrogate gradient is non-finite")
-    return SurrogateGradient(g=g, base_reward=float(base_reward), neighbor_rewards=rewards)
+    return g

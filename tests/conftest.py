@@ -1,9 +1,22 @@
-"""Shared test plumbing: the acceptance-criteria result board.
+"""Shared test plumbing: the acceptance-criteria result board and a reward defined outside ``rts``.
 
 Acceptance tests report one line per criterion through record_criterion;
 the lines are printed in the terminal summary so a full run always ends
 with a visible pass/fail scoreboard, even under output capture.
 """
+
+import numpy as np
+
+
+class RowReward:
+    """Scores each row with ``fn``: the protocol ``evaluate_reward`` reads, ``dim`` (None for any) and ``evaluate``."""
+
+    def __init__(self, fn, dim=None):
+        self.fn = fn
+        self.dim = dim
+
+    def evaluate(self, x):
+        return np.array([float(self.fn(row)) for row in x])
 
 _CRITERION_LINES: dict[int, str] = {}
 

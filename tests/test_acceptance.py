@@ -175,13 +175,13 @@ class TestCriterion2:
         base = np.array([2.0, 0.0, 0.0, 0.0])
         perturbations = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
         ns = NeighborSet(base, base + perturbations, perturbations, rewards=[0.7, 0.7])
-        zero_g = estimate_gradient(0.7, ns).g
+        zero_g = estimate_gradient(0.7, ns)
         # Closed-form: one substituted reward contributes only its own
         # perturbation, scaled by the reward difference over the magnitude
         # of the reward sum.
         ns_single = ns.with_rewards([0.7, 1.2])
         expected = ((1.2 - 0.7) / abs(0.7 + 1.2 + 0.7)) * perturbations[1]
-        single_err = float(np.max(np.abs(estimate_gradient(0.7, ns_single).g - expected)))
+        single_err = float(np.max(np.abs(estimate_gradient(0.7, ns_single) - expected)))
 
         # Statistical alignment on the quadratic landscape: d=32, N=16,
         # tau=0.99, 500 trials. Measured mean cosine 0.591 against the
@@ -195,7 +195,7 @@ class TestCriterion2:
             reward = lambda x: -float(np.sum((x - target) ** 2))
             neighbors = random_spherical_sample(z, n=16, tau=0.99, stream=stream.child(trial))
             neighbors = neighbors.with_rewards([reward(c) for c in neighbors.candidates])
-            g = estimate_gradient(reward(z), neighbors).g
+            g = estimate_gradient(reward(z), neighbors)
             u = z / np.linalg.norm(z)
             true_tangent = tangent_project(-2.0 * (z - target), u)
             cosines.append(g @ true_tangent / (np.linalg.norm(g) * np.linalg.norm(true_tangent)))
@@ -296,7 +296,7 @@ class TestCriterion4:
         # of the centered covariance computed without the factorization.
         latents = rng.standard_normal((64, 256))
         proj = project_trajectory(make_traj(latents))
-        energy = float(np.sum(proj.points**2))
+        energy = float(np.sum(proj**2))
         centered = latents - latents.mean(axis=0)
         eigenvalues = np.sort(np.linalg.eigvalsh(centered.T @ centered))[::-1]
         energy_err = abs(energy - float(np.sum(eigenvalues[:3]))) / float(np.sum(eigenvalues[:3]))
@@ -320,8 +320,8 @@ class TestCriterion4:
         q = q * np.sign(np.diag(r))
         proj_a = project_trajectory(make_traj(polyline))
         proj_b = project_trajectory(make_traj(polyline @ q.T))
-        curv_a = curvature(proj_a.points)[1:29]
-        curv_b = curvature(proj_b.points)[1:29]
+        curv_a = curvature(proj_a)[1:29]
+        curv_b = curvature(proj_b)[1:29]
         rotation_err = float(np.max(np.abs(curv_a - curv_b) / np.abs(curv_a)))
         selection_ok = (
             select_key_steps(proj_a, 5).indices == select_key_steps(proj_b, 5).indices

@@ -311,6 +311,19 @@ class TestRunCommand:
         assert "'budget_nfe'" in capsys.readouterr().err
         assert not (tmp_path / "results.jsonl").exists()
 
+    @pytest.mark.parametrize("args", [["workers=4096"], ["--workers", str(rts.cli.MAX_WORKERS + 1)]])
+    def test_workers_above_the_cap_exit_2_before_the_output_is_opened(self, tmp_path, capsys, args):
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, "replicates=4096", *args]) == 2
+        assert f"config error at 'workers': must lie in [1, {rts.cli.MAX_WORKERS}]" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    def test_workers_at_the_cap_run(self, tmp_path):
+        # one replicate caps the pool at one worker, so the run stays in this process
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, f"workers={rts.cli.MAX_WORKERS}", "replicates=1"]) == 0
+        assert len(read_records(out)) == 1
+
     def test_rts_budget_below_one_candidate_exits_3_before_the_output_is_opened(self, tmp_path, capsys):
         config, out = write_config(tmp_path, method="rts")
         assert main(["run", "--config", config, "--budget", "5"]) == 3

@@ -18,6 +18,11 @@ def make_traj(latents):
     return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])))
 
 
+def top_eigenvalue_sum(latents, k):
+    centered = latents - latents.mean(axis=0)
+    return float(np.sum(np.linalg.eigvalsh(centered.T @ centered)[::-1][:k]))
+
+
 def random_orthogonal(dim, rng):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
@@ -40,10 +45,7 @@ def corner_path(n_steps, corners, dim, rng):
 class TestProjectTrajectory:
     def test_identical_latents_project_to_origin(self):
         traj = make_traj(np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (6, 1)))
-        proj = project_trajectory(traj)
-        np.testing.assert_allclose(proj.points, 0.0, atol=1e-12)
-        np.testing.assert_allclose(proj.singular_values, 0.0, atol=1e-12)
-        assert proj.low_rank
+        np.testing.assert_allclose(project_trajectory(traj), 0.0, atol=1e-12)
 
     def test_3d_affine_subspace_is_isometric(self):
         # Latents in a 3D affine subspace of d=32: projected pairwise
@@ -52,66 +54,42 @@ class TestProjectTrajectory:
         basis, _ = np.linalg.qr(rng.standard_normal((32, 3)))
         coords = rng.standard_normal((10, 3))
         latents = coords @ basis.T + rng.standard_normal(32)
-        proj = project_trajectory(make_traj(latents))
+        points = project_trajectory(make_traj(latents))
         for i in range(10):
             for j in range(i + 1, 10):
                 original = np.linalg.norm(latents[i] - latents[j])
-                projected = np.linalg.norm(proj.points[i] - proj.points[j])
+                projected = np.linalg.norm(points[i] - points[j])
                 np.testing.assert_allclose(projected, original, rtol=1e-9)
 
     def test_energy_identity_random_matrix(self):
-        # Sum of squared projected norms equals the top-3 squared singular
-        # values, cross-checked against the covariance eigendecomposition.
-        rng = np.random.default_rng(42)
-        latents = rng.standard_normal((16, 64))
-        proj = project_trajectory(make_traj(latents))
-        energy = float(np.sum(proj.points**2))
-        np.testing.assert_allclose(energy, np.sum(proj.singular_values**2), rtol=1e-8)
-        centered = latents - latents.mean(axis=0)
-        eigvals = np.linalg.eigvalsh(centered.T @ centered)[::-1]
-        np.testing.assert_allclose(energy, np.sum(eigvals[:3]), rtol=1e-8)
+        # Sum of squared projected norms equals the top-3 eigenvalues of the
+        # centered covariance, computed without the factorization.
+        latents = np.random.default_rng(42).standard_normal((16, 64))
+        energy = float(np.sum(project_trajectory(make_traj(latents)) ** 2))
+        np.testing.assert_allclose(energy, top_eigenvalue_sum(latents, 3), rtol=1e-8)
 
     def test_energy_identity_large(self):
-        rng = np.random.default_rng(7)
-        latents = rng.standard_normal((64, 256))
-        proj = project_trajectory(make_traj(latents))
-        energy = float(np.sum(proj.points**2))
-        np.testing.assert_allclose(energy, np.sum(proj.singular_values**2), rtol=1e-8)
+        latents = np.random.default_rng(7).standard_normal((64, 256))
+        energy = float(np.sum(project_trajectory(make_traj(latents)) ** 2))
+        np.testing.assert_allclose(energy, top_eigenvalue_sum(latents, 3), rtol=1e-8)
 
-    def test_components_orthonormal(self):
-        rng = np.random.default_rng(3)
-        proj = project_trajectory(make_traj(rng.standard_normal((12, 20))))
-        gram = proj.components.T @ proj.components
-        np.testing.assert_allclose(gram, np.eye(3), atol=1e-9)
-        assert not proj.low_rank
-
-    def test_singular_values_sorted(self):
-        rng = np.random.default_rng(4)
-        proj = project_trajectory(make_traj(rng.standard_normal((12, 20))))
-        sv = proj.singular_values
-        assert sv[0] >= sv[1] >= sv[2] >= 0.0
-
-    def test_rank_two_input_flags_low_rank_with_orthonormal_completion(self):
-        # Points on a line in d=16: rank 1, yet all 3 components must still
-        # be orthonormal (completion) and the flag set.
+    def test_rank_one_input_keeps_distances_on_the_first_axis(self):
+        # Points on a line in d=16: rank 1, so the line lies along the first
+        # projected axis and the completion directions carry nothing.
         direction = np.zeros(16)
         direction[2] = 1.0
         latents = np.outer(np.arange(8, dtype=np.float64), direction)
-        proj = project_trajectory(make_traj(latents))
-        assert proj.low_rank
-        gram = proj.components.T @ proj.components
-        np.testing.assert_allclose(gram, np.eye(3), atol=1e-9)
+        points = project_trajectory(make_traj(latents))
+        np.testing.assert_allclose(np.abs(points[:, 0]), np.abs(np.arange(8) - 3.5), atol=1e-12)
+        np.testing.assert_allclose(points[:, 1:], 0.0, atol=1e-12)
 
     def test_dim_2_pads_with_zeros(self):
         # Latent dimension below 3 leaves nothing to complete with: the
-        # third component column and point coordinate stay zero.
-        rng = np.random.default_rng(5)
-        proj = project_trajectory(make_traj(rng.standard_normal((9, 2))))
-        assert proj.low_rank
-        np.testing.assert_allclose(proj.components[:, 2], 0.0, atol=1e-15)
-        np.testing.assert_allclose(proj.points[:, 2], 0.0, atol=1e-15)
-        energy = float(np.sum(proj.points**2))
-        np.testing.assert_allclose(energy, np.sum(proj.singular_values**2), rtol=1e-8)
+        # third point coordinate stays zero.
+        latents = np.random.default_rng(5).standard_normal((9, 2))
+        points = project_trajectory(make_traj(latents))
+        np.testing.assert_allclose(points[:, 2], 0.0, atol=1e-15)
+        np.testing.assert_allclose(float(np.sum(points**2)), top_eigenvalue_sum(latents, 2), rtol=1e-8)
 
     def test_too_few_latents_rejected(self):
         traj = make_traj(np.random.default_rng(0).standard_normal((3, 8)))
@@ -164,7 +142,7 @@ class TestSelectKeySteps:
         rng = np.random.default_rng(42)
         latents = corner_path(24, {10}, 16, rng)
         proj = project_trajectory(make_traj(latents))
-        scores = curvature(proj.points)[1:23]
+        scores = curvature(proj)[1:23]
         assert int(np.argmax(scores)) + 1 == 10
         selected = select_key_steps(proj, 1)
         assert selected.indices == (10,)

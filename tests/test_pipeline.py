@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rts.pipeline
+from conftest import RowReward
 from rts import (
     BudgetError,
-    CustomReward,
     MixtureModel,
     ModePreferenceReward,
     PreconditionError,
@@ -73,6 +73,38 @@ class TestRtsConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(PreconditionError):
             RtsConfig(**kwargs)
+
+
+_QUADRATIC = QuadraticReward(target=[0.0, 0.0])
+
+# every count a library caller passes: a call that takes it, and a valid value
+counts = pytest.mark.parametrize("make,valid", [
+    pytest.param(lambda v: SolverSpec("ode", v), 8, id="steps"),
+    pytest.param(lambda v: SearchConfig(n_neighbors=v), 3, id="n_neighbors"),
+    pytest.param(lambda v: SearchConfig(rounds=v), 4, id="rounds"),
+    pytest.param(lambda v: RtsConfig(k_keysteps=v), 6, id="k_keysteps"),
+    pytest.param(lambda v: RtsConfig(eval_steps_init=v), 2, id="eval_steps_init"),
+    pytest.param(lambda v: RtsConfig(eval_steps_inter=v), 1, id="eval_steps_inter"),
+    pytest.param(lambda v: RtsConfig(budget_nfe=v), 100, id="budget_nfe"),
+    pytest.param(lambda v: run_bon(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, RngStream(0)), 16,
+                 id="bon-budget"),
+    pytest.param(lambda v: run_zo(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, 0.9, RngStream(0)), 16,
+                 id="zo-budget"),
+])
+
+
+class TestIntegerCounts:
+    """Counts go through ``operator.index``: 2.5, 2.0 or "2" is refused, not truncated or parsed."""
+
+    @counts
+    @pytest.mark.parametrize("spoil", [lambda v: v + 0.5, float, str], ids=["fraction", "float", "string"])
+    def test_non_integer_count_is_refused(self, make, valid, spoil):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            make(spoil(valid))
+
+    @counts
+    def test_numpy_integer_count_is_accepted(self, make, valid):
+        make(np.int64(valid))
 
 
 class TestNfeLedger:
@@ -403,6 +435,22 @@ class TestDeterminism:
         assert not np.array_equal(a.final_sample, b.final_sample)
 
 
+class TestRewardProtocol:
+    def test_run_rts_scores_an_outside_reward_as_the_built_in_one(self):
+        # RowReward is defined in the tests; scoring the quadratic row by row
+        # gives the bits of QuadraticReward, so the two runs match exactly
+        model = four_corner_model()
+        spec = SolverSpec(mode="sde", steps=8, churn=0.4)
+        target = np.array([1.5, 1.5])
+        outside = RowReward(lambda x: -((x - target) @ (x - target)), dim=2)
+        cfg = RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=2), k_keysteps=3)
+        a = run_rts(model, spec, QuadraticReward(target=target), cfg, RngStream(3))
+        b = run_rts(model, spec, outside, cfg, RngStream(3))
+        np.testing.assert_array_equal(a.final_sample, b.final_sample)
+        assert (a.final_reward, a.nfe_used, a.round_history) == (b.final_reward, b.nfe_used, b.round_history)
+        assert a.key_steps == b.key_steps and len(a.key_steps.indices) == 3
+
+
 class TestRunBon:
     def _setup(self, steps=8, mode="sde", churn=0.4):
         model = four_corner_model()
@@ -463,7 +511,7 @@ class TestRunZo:
         model = four_corner_model()
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         stream = RngStream(5)
-        result = run_zo(model, spec, CustomReward(fn=lambda x: 1.0), 96, 0.9, stream)
+        result = run_zo(model, spec, RowReward(lambda x: 1.0), 96, 0.9, stream)
         base = sample_gaussian(stream.child(0), model.dim)
         traj = denoise(model, spec, base, stream=stream.child(1).child(0))
         np.testing.assert_array_equal(result.final_sample, traj.latents[-1])

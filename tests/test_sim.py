@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import RowReward
 from rts import (
-    CustomReward,
     DimensionError,
     MixtureModel,
     ModePreferenceReward,
@@ -372,15 +372,6 @@ class TestRewards:
         with pytest.raises(PreconditionError):
             ModePreferenceReward(model=model, preferred=0, sharpness=0.0)
 
-    def test_custom_reward_passthrough(self):
-        reward = CustomReward(fn=lambda x: float(x[0]) * 2.0)
-        assert evaluate_reward(reward, np.array([3.0, 1.0])) == 6.0
-
-    def test_non_finite_reward_rejected(self):
-        reward = CustomReward(fn=lambda x: float("inf"))
-        with pytest.raises(NonFiniteError):
-            evaluate_reward(reward, np.array([0.0, 0.0]))
-
     def test_non_finite_input_rejected(self):
         reward = QuadraticReward(target=np.zeros(2))
         with pytest.raises(NonFiniteError):
@@ -393,12 +384,39 @@ class TestRewards:
             for x in (np.ones(3), np.ones((4, 3))):
                 with pytest.raises(DimensionError):
                     evaluate_reward(reward, x)
-        assert evaluate_reward(CustomReward(fn=lambda x: float(x.size)), np.ones(3)) == 3.0
 
     def test_nearest_mode(self):
         model = two_component()
         assert nearest_mode(model, np.array([1.9, 1.2])) == 0
         assert nearest_mode(model, np.array([-1.0, -0.4])) == 1
+
+
+class TestRewardProtocol:
+    """A reward is any object with ``dim`` and ``evaluate``; ``RowReward`` is one that ``rts`` does not define."""
+
+    def test_one_row_scores_as_a_float(self):
+        value = evaluate_reward(RowReward(lambda z: z[0] * 2.0, dim=2), np.array([3.0, 1.0]))
+        assert type(value) is float and value == 6.0
+
+    def test_batch_scores_each_row(self):
+        x = np.random.default_rng(2).standard_normal((5, 3))
+        scores = evaluate_reward(RowReward(lambda z: z[0] - z[2], dim=3), x)
+        assert isinstance(scores, np.ndarray)
+        np.testing.assert_array_equal(scores, x[:, 0] - x[:, 2])
+
+    def test_inf_output_is_refused(self):
+        reward = RowReward(lambda z: float("inf") if z[0] == 0.0 else 1.0)
+        for x in (np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]])):
+            with pytest.raises(NonFiniteError):
+                evaluate_reward(reward, x)
+
+    def test_rows_of_another_dimension_are_refused(self):
+        reward = RowReward(lambda z: 1.0, dim=2)
+        for x in (np.ones(3), np.ones((4, 3))):
+            with pytest.raises(DimensionError):
+                evaluate_reward(reward, x)
+        # dim None scores rows of any dimension
+        assert evaluate_reward(RowReward(lambda z: z.size), np.ones(3)) == 3.0
 
 
 def four_corner():
@@ -481,14 +499,9 @@ class TestBatchedPath:
 
     def test_looping_rewards_equal_single_rows(self):
         x = np.random.default_rng(2).standard_normal((5, 3))
-        for reward in (QuadraticReward(target=[0.5, -1.0, 2.0]), CustomReward(fn=lambda z: float(z[0] - z[2]))):
+        for reward in (QuadraticReward(target=[0.5, -1.0, 2.0]), RowReward(lambda z: z[0] - z[2])):
             scores = evaluate_reward(reward, x)
             np.testing.assert_array_equal(scores, [evaluate_reward(reward, row) for row in x])
-
-    def test_non_finite_row_rejected(self):
-        reward = CustomReward(fn=lambda z: float("inf") if z[0] == 0.0 else 1.0)
-        with pytest.raises(NonFiniteError):
-            evaluate_reward(reward, np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 def reference_kernel(model, x, t):
