@@ -379,9 +379,8 @@ def _check_budget(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> None:
 
 
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
-    """Execute one replicate (seed = base seed + index) and build its record."""
+    """Execute one replicate (seed = base seed + index) and build its record; ``cmd_run`` checked the budget."""
     model, spec, reward, rts_cfg = build_experiment(cfg)
-    _check_budget(cfg, spec, rts_cfg)
     stream = RngStream(root_seed=cfg["seed"] + index, path=())
     method = cfg["method"]
     start = time.perf_counter()

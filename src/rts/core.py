@@ -22,6 +22,7 @@ makes, at a fraction of its cost.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -149,6 +150,15 @@ def as_integer(value, what: str, low: int | None = None, high: int | None = None
         bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise PreconditionError(f"{what} must {bounds}, got {number}")
     return number
+
+
+def check_scalar(value, what: str, low: float | None = None, high: float | None = None, kind: type = float) -> None:
+    """Check a float (any real but a bool) or bool ``kind`` in [low, high], unconverted; "0.5" or "no" is refused."""
+    flag = isinstance(value, (bool, np.bool_))
+    if not (flag if kind is bool else not flag and isinstance(value, numbers.Real)):
+        raise PreconditionError(f"{what} must be a {kind.__name__}, got {value!r}")
+    if (low is not None and not value >= low) or (high is not None and not value <= high):
+        raise PreconditionError(f"{what} must lie in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True)

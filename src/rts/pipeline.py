@@ -14,15 +14,16 @@ Stage (2) runs only if (1) is off or scores with a shorter solver; stages
 (3)-(5) need SDE mode, ``steps >= 3`` (the projection needs four latents),
 ``k_keysteps >= 1`` and ``search_inter.rounds >= 1``. ``_plan`` decides this.
 
-Every velocity or clean-estimate call on one latent is one NFE. A search
-phase may spend the budget less what later phases are owed: the record
-denoise during the initial search, the final denoise during the key-step
-search. Each atomic operation is pre-checked against that, and a batch is
-cut to the rows that fit, so ``nfe_used`` never exceeds the budget and
-matches one-at-a-time scoring exactly; when the budget runs out mid-phase
-the run returns the best result so far with ``truncated`` set.
-``expected_rts_nfe`` reproduces the ledger arithmetic so the counter can be
-audited exactly.
+Every velocity or clean-estimate call on one latent is one NFE. One ledger
+per run counts them and charges each to the phase that spends it, which
+gives ``nfe_breakdown``. A search phase may spend the budget less what later
+phases are owed: the record denoise during the initial search, the final
+denoise during the key-step search. Each atomic operation is pre-checked
+against that, and a batch is cut to the rows that fit, so ``nfe_used`` never
+exceeds the budget and matches one-at-a-time scoring exactly; when the
+budget runs out mid-phase the run returns the best result so far with
+``truncated`` set. ``expected_rts_nfe`` reproduces the ledger arithmetic
+independently, so the ledger can be audited exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     PreconditionError,
     RngStream,
     as_integer,
+    check_scalar,
     sample_gaussian,
 )
 from .keysteps import KeyStepSet, project_trajectory, select_key_steps
@@ -79,18 +81,41 @@ class _PhaseTruncated(Exception):
     """Internal signal: the next operation does not fit in the budget."""
 
 
-class _Budget:
-    """The NFEs one phase may spend: the run's limit less what later phases are owed."""
+@dataclass
+class _Ledger(NfeCounter):
+    """The NFE counter of one ``run_rts``: charges each NFE to ``phase`` and keeps the budget.
 
-    def __init__(self, limit: int | None, counter: NfeCounter, owed: int = 0):
-        self.cap = None if limit is None else limit - owed
-        self.counter = counter
+    The current phase may spend ``limit`` less the NFEs ``owed`` to later
+    phases; ``by_phase`` is the run's ``nfe_breakdown``.
+    """
+
+    limit: int | None = None
+    owed: int = 0
+    phase: str = "init_search"
+    by_phase: dict = field(default_factory=lambda: dict.fromkeys(("init_search", "record", "inter_search", "final"), 0))
+
+    def add(self, n: int = 1) -> None:
+        super().add(n)
+        self.by_phase[self.phase] += n
 
     def affordable(self, n: int, cost: int) -> int:
         """How many of ``n`` operations of ``cost`` (>= 1) NFEs each fit, taken in order."""
-        if self.cap is None:
+        if self.limit is None:
             return n
-        return min(n, max(0, self.cap - self.counter.count) // cost)
+        return min(n, max(0, self.limit - self.owed - self.count) // cost)
+
+    def score(self, fn, rows: np.ndarray, cost: int) -> np.ndarray:
+        """``fn`` on the rows that fit at ``cost`` NFEs each, then signal truncation if any did not.
+
+        The prefix rule spends exactly what scoring the rows one at a time would
+        have spent before the budget check failed.
+        """
+        fit = self.affordable(rows.shape[0], cost)
+        if fit < rows.shape[0]:
+            if fit > 0:
+                fn(rows[:fit])
+            raise _PhaseTruncated()
+        return fn(rows)
 
 
 @dataclass
@@ -126,6 +151,7 @@ class RtsConfig:
             as_integer(self.eval_steps_init, "eval_steps_init", 1)
         if self.budget_nfe is not None:
             as_integer(self.budget_nfe, "budget_nfe", 1)
+        check_scalar(self.resample_inter_fresh, "resample_inter_fresh", kind=bool)
 
 
 @dataclass
@@ -149,114 +175,10 @@ def _latent_label(z: np.ndarray) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _score_rows(score, rows: np.ndarray, cost: int, budget: _Budget) -> np.ndarray:
-    """``score`` the rows that fit in the budget, then signal truncation if any did not.
-
-    The prefix rule spends exactly what scoring the rows one at a time would
-    have spent before the budget check failed.
-    """
-    fit = budget.affordable(rows.shape[0], cost)
-    if fit < rows.shape[0]:
-        if fit > 0:
-            score(rows[:fit])
-        raise _PhaseTruncated()
-    return score(rows)
-
-
-class _DenoiseEvaluator:
-    """Scores initial noises, one per row, by full denoise + reward; keeps each path and its noises.
-
-    In SDE mode the churn noises of a candidate's scoring run are derived
-    from a hash of the candidate itself, which makes the reward a pure
-    function of the latent (order- and parallelism-independent) and keeps a
-    relocated base's stored reward consistent on re-evaluation.
-    """
-
-    def __init__(
-        self,
-        model: MixtureModel,
-        spec: SolverSpec,
-        reward: RewardModel,
-        noise_stream: RngStream,
-        nfe: NfeCounter,
-        budget: _Budget,
-    ):
-        self.model = model
-        self.spec = spec
-        self.reward = reward
-        self.noise_stream = noise_stream
-        self.nfe = nfe
-        self.budget = budget
-        self.cost = 2 * spec.steps
-        self.cache: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}  # score, path, noises
-
-    def __call__(self, zs: np.ndarray) -> np.ndarray:
-        return _score_rows(self._score, zs, self.cost, self.budget)
-
-    def _score(self, zs: np.ndarray) -> np.ndarray:
-        dim = self.model.dim
-        noises = None
-        if self.spec.mode == SDE:
-            noises = np.stack(
-                [_churn_noises(self.spec, dim, self.noise_stream.child(_latent_label(z))) for z in zs]
-            )
-        trace = _solve(self.model, self.spec, zs, noises, self.nfe)
-        scores = evaluate_reward(self.reward, trace[:, -1])
-        if noises is None:
-            noises = np.zeros((len(zs), 0, dim))
-        for z, score, path, injected in zip(zs, scores.tolist(), trace, noises):
-            self.cache[z.tobytes()] = (score, path, injected)
-        return scores
-
-
-class _SlotEvaluator:
-    """Scores candidate noises, one per row, for one churn slot by a deterministic preview.
-
-    The candidate replaces the injected noise right after the already-fixed
-    pre-churn state; the preview then integrates ``lookahead - 1`` solver
-    steps (with the currently chosen noises) and takes a clean estimate, or
-    rewards the final state directly if the preview reaches t = 0.
-    """
-
-    def __init__(
-        self,
-        model: MixtureModel,
-        spec: SolverSpec,
-        reward: RewardModel,
-        pre_churn: np.ndarray,
-        position: int,
-        injected: np.ndarray,
-        lookahead: int,
-        nfe: NfeCounter,
-        budget: _Budget,
-    ):
-        self.model = model
-        self.spec = spec
-        self.reward = reward
-        self.pre_churn = pre_churn
-        self.position = position
-        self.injected = injected
-        self.nfe = nfe
-        self.budget = budget
-        grid = spec.time_grid
-        self.scale = spec.churn * math.sqrt(grid[position - 1] - grid[position])
-        self.stop, self.cost = self.preview(spec, position, lookahead)
-
-    @staticmethod
-    def preview(spec: SolverSpec, position: int, lookahead: int) -> tuple[int, int]:
-        """The step a preview from ``position`` stops at, and its NFEs per candidate."""
-        stop = min(position + lookahead - 1, spec.steps)
-        return stop, 2 * (stop - position) + (stop < spec.steps)
-
-    def __call__(self, candidates: np.ndarray) -> np.ndarray:
-        return _score_rows(self._score, candidates, self.cost, self.budget)
-
-    def _score(self, candidates: np.ndarray) -> np.ndarray:
-        x = self.pre_churn + self.scale * candidates
-        x = _advance(self.model, self.spec, x, self.position, self.stop, self.injected, self.nfe)
-        if self.stop < self.spec.steps:
-            x = one_step_clean_estimate(self.model, x, self.spec.time_grid[self.stop], self.nfe)
-        return evaluate_reward(self.reward, x)
+def _preview(spec: SolverSpec, position: int, lookahead: int) -> tuple[int, int]:
+    """The step a key-step preview from ``position`` stops at, and its NFEs per candidate."""
+    stop = min(position + lookahead - 1, spec.steps)
+    return stop, 2 * (stop - position) + (stop < spec.steps)
 
 
 def _search_evaluations(cfg: SearchConfig) -> int:
@@ -299,7 +221,7 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
         valid_through = spec.steps
         for position in positions:
             # re-simulate up to the slot, one pre-churn Heun step, then the slot's search
-            _, cost = _SlotEvaluator.preview(spec, position, cfg.eval_steps_inter)
+            _, cost = _preview(spec, position, cfg.eval_steps_inter)
             inter += 2 * max(0, position - 1 - valid_through) + 2 + per_search * cost
             valid_through = position
         final = 2 * spec.steps
@@ -330,11 +252,11 @@ def run_rts(
     check_rts_budget(cfg, spec)
     dim = model.dim
     steps = spec.steps
+    grid = spec.time_grid
     plan = _plan(cfg, spec)
-    counter = NfeCounter()
+    ledger = _Ledger(limit=cfg.budget_nfe, owed=plan.record)
     truncated = False
     round_history: dict = {"init": [], "inter": []}
-    breakdown = {"init_search": 0, "record": 0, "inter_search": 0, "final": 0}
 
     if plan.init_search:
         # Short-rollout scoring must be deterministic: re-rolled churn would
@@ -342,38 +264,54 @@ def run_rts(
         # survive the full-length record run. Full-length scoring keeps the
         # run's own mode because the winner keeps its scored trajectory.
         eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps)
-        budget = _Budget(cfg.budget_nfe, counter, owed=plan.record)
-        evaluator = _DenoiseEvaluator(model, eval_spec, reward, stream.child(_S_EVAL_NOISE), counter, budget)
+        noise_stream = stream.child(_S_EVAL_NOISE)
+        scored: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}  # score, path, noises
+
+        def score_latents(zs: np.ndarray) -> np.ndarray:
+            # A candidate's churn noises derive from a hash of the candidate, so
+            # its reward is a pure function of the latent (independent of order
+            # and parallelism) and a relocated base re-scores to its stored reward.
+            noises = None
+            if eval_spec.mode == SDE:
+                noises = np.stack([_churn_noises(eval_spec, dim, noise_stream.child(_latent_label(z))) for z in zs])
+            trace = _solve(model, eval_spec, zs, noises, ledger)
+            scores = evaluate_reward(reward, trace[:, -1])
+            if noises is None:
+                noises = np.zeros((len(zs), 0, dim))
+            for z, score, path, injected in zip(zs, scores.tolist(), trace, noises):
+                scored[z.tobytes()] = (score, path, injected)
+            return scores
+
         try:
             best_z, _, history = run_search(
-                np.zeros(dim), cfg.search_init, evaluator, stream.child(_S_INIT_SEARCH)
+                np.zeros(dim),
+                cfg.search_init,
+                lambda zs: ledger.score(score_latents, zs, 2 * plan.eval_steps),
+                stream.child(_S_INIT_SEARCH),
             )
             round_history["init"] = [s.best_candidate_reward for s in history]
-            _, path, noises = evaluator.cache[best_z.tobytes()]
+            _, path, noises = scored[best_z.tobytes()]
         except _PhaseTruncated:
             truncated = True
             # the first best-scored latent, as a strict running maximum keeps it
-            _, path, noises = max(evaluator.cache.values(), key=lambda entry: entry[0])
+            _, path, noises = max(scored.values(), key=lambda entry: entry[0])
         traj0 = NoiseTrajectory(path, noises)
-        breakdown["init_search"] = counter.count
         z_init = traj0.latents[0]
     else:
         z_init = sample_gaussian(stream.child(_S_FRESH_INIT), dim)
         traj0 = None
 
     if plan.record:
-        before = counter.count
-        traj0 = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=counter)
-        breakdown["record"] = counter.count - before
+        ledger.phase = "record"
+        traj0 = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=ledger)
 
     keys: KeyStepSet | None = None
     final_traj = traj0
     if plan.inter_search and not truncated:
-        if _Budget(cfg.budget_nfe, counter).affordable(1, 2 * steps):
-            budget = _Budget(cfg.budget_nfe, counter, owed=2 * steps)
-            before = counter.count
+        ledger.phase, ledger.owed = "inter_search", 0
+        if ledger.affordable(1, 2 * steps):  # the final denoise fits
+            ledger.owed = 2 * steps
             keys = select_key_steps(project_trajectory(traj0), min(cfg.k_keysteps, steps - 1))
-            grid = spec.time_grid
             latents = traj0.latents.copy()
             injected = traj0.injected.copy()
             valid_through = steps
@@ -383,36 +321,44 @@ def run_rts(
                     if valid_through < slot:
                         # re-simulate with the chosen noises as far as the budget
                         # allows; when it falls short, the check below cuts the run
-                        stop = valid_through + budget.affordable(slot - valid_through, 2)
-                        _advance(model, spec, latents[valid_through], valid_through, stop,
-                                 injected, counter, latents)
+                        stop = valid_through + ledger.affordable(slot - valid_through, 2)
+                        _advance(model, spec, latents[valid_through], valid_through, stop, injected, ledger, latents)
                         valid_through = stop
-                    if not budget.affordable(1, 2):
+                    if not ledger.affordable(1, 2):
                         raise _PhaseTruncated()
-                    pre_churn = heun_step(model, latents[slot], grid[slot], grid[slot + 1], counter)
-                    slot_eval = _SlotEvaluator(
-                        model, spec, reward, pre_churn, position, injected,
-                        cfg.eval_steps_inter, counter, budget,
-                    )
+                    pre_churn = heun_step(model, latents[slot], grid[slot], grid[slot + 1], ledger)
+                    scale = spec.churn * math.sqrt(grid[slot] - grid[position])
+                    stop, cost = _preview(spec, position, cfg.eval_steps_inter)
+
+                    # A candidate replaces the injected noise right after the fixed
+                    # pre-churn state; the preview integrates to ``stop`` with the
+                    # chosen noises, then takes a clean estimate unless it reached
+                    # t = 0. It and the evaluator below see this key step's pre_churn,
+                    # scale, stop and cost only because run_search returns before the
+                    # next iteration rebinds them.
+                    def score_noises(candidates: np.ndarray) -> np.ndarray:
+                        x = _advance(model, spec, pre_churn + scale * candidates, position, stop, injected, ledger)
+                        if stop < steps:
+                            x = one_step_clean_estimate(model, x, grid[stop], ledger)
+                        return evaluate_reward(reward, x)
+
                     best_noise, _, history = run_search(
                         injected[slot],
                         cfg.search_inter,
-                        slot_eval,
+                        lambda candidates: ledger.score(score_noises, candidates, cost),
                         stream.child(_S_INTER).child(position),
                         start_from_z0=True,
                         resample_to_z0=not cfg.resample_inter_fresh,
                     )
                     round_history["inter"].append([s.best_candidate_reward for s in history])
                     injected[slot] = best_noise
-                    latents[slot + 1] = pre_churn + slot_eval.scale * best_noise
+                    latents[slot + 1] = pre_churn + scale * best_noise
                     valid_through = slot + 1
             except _PhaseTruncated:
                 truncated = True
-            breakdown["inter_search"] = counter.count - before
             if round_history["inter"]:  # at least one key step was committed
-                before = counter.count
-                final_traj = denoise(model, spec, traj0.latents[0], injected=injected, nfe=counter)
-                breakdown["final"] = counter.count - before
+                ledger.phase = "final"
+                final_traj = denoise(model, spec, traj0.latents[0], injected=injected, nfe=ledger)
         else:
             truncated = True
 
@@ -421,12 +367,12 @@ def run_rts(
         method=RTS,
         final_sample=final_traj.latents[-1],
         final_reward=final_reward,
-        nfe_used=counter.count,
+        nfe_used=ledger.count,
         seed=stream.root_seed,
         key_steps=keys,
         round_history=round_history,
         truncated=truncated,
-        nfe_breakdown=breakdown,
+        nfe_breakdown=ledger.by_phase,
     )
 
 

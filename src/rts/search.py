@@ -31,6 +31,7 @@ from .core import (
     RngStream,
     as_integer,
     as_latent,
+    check_scalar,
     sample_gaussian,
 )
 from .sphere import NeighborSet, guided_spherical_sample, random_spherical_sample
@@ -72,10 +73,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         as_integer(self.n_neighbors, "n_neighbors", 1, MAX_NEIGHBORS)
         as_integer(self.rounds, "rounds", 0)
-        if not (0.0 <= self.tau <= 1.0):
-            raise PreconditionError(f"tau must lie in [0, 1], got {self.tau}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise PreconditionError(f"alpha must lie in [0, 1], got {self.alpha}")
+        check_scalar(self.tau, "tau", 0, 1)
+        check_scalar(self.alpha, "alpha", 0, 1)
+        check_scalar(self.track_global_best, "track_global_best", kind=bool)
 
 
 @dataclass(frozen=True)

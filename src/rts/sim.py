@@ -48,6 +48,7 @@ from .core import (
     RngStream,
     as_integer,
     as_latent,
+    check_scalar,
     sample_gaussian,
 )
 
@@ -161,6 +162,7 @@ class SolverSpec:
         if self.mode not in (ODE, SDE):
             raise PreconditionError(f"mode must be '{ODE}' or '{SDE}', got {self.mode!r}")
         as_integer(self.steps, "steps", 1, MAX_STEPS)
+        check_scalar(self.churn, "churn")
         if self.mode == ODE and self.churn != 0.0:
             raise PreconditionError("ODE mode requires churn = 0")
         if self.mode == SDE and not self.churn > 0.0:
@@ -378,6 +380,7 @@ class ModePreferenceReward:
     def __post_init__(self) -> None:
         if not 0 <= self.preferred < self.model.n_components:
             raise PreconditionError(f"preferred component {self.preferred} out of range")
+        check_scalar(self.sharpness, "sharpness")
         if not self.sharpness > 0.0:
             raise PreconditionError("sharpness must be positive")
         try:
@@ -407,10 +410,13 @@ def evaluate_reward(reward: RewardModel, x: Latent):
     ``reward`` is any object with ``dim``, the latent dimension it scores (None
     for any), and ``evaluate``, which maps an ``(n, d)`` batch to its n scores.
     One latent, scored as a one-row batch, gives a Python float, an ``(n, d)`` batch an array of n scores.
-    Rows of another dimension than the reward's raise ``DimensionError``.
+    Rows of another dimension than the reward's, or scores of another shape than ``(n,)``, raise ``DimensionError``.
     """
     x = as_latent(x, reward.dim, batch=True)
-    value = reward.evaluate(np.atleast_2d(x))
+    rows = np.atleast_2d(x)
+    value = np.asarray(reward.evaluate(rows))
+    if value.shape != (rows.shape[0],):
+        raise DimensionError(f"reward must return {rows.shape[0]} scores, got shape {value.shape}")
     if not np.all(np.isfinite(value)):
         raise NonFiniteError(f"reward evaluated to a non-finite value: {value}")
     return value if x.ndim == 2 else float(value[0])

@@ -31,6 +31,7 @@ from .core import (
     PreconditionError,
     RngStream,
     as_latent,
+    check_scalar,
     row_norm,
     sample_gaussian,
 )
@@ -95,13 +96,6 @@ def _base_frame(base: Latent) -> tuple[Latent, float, Latent]:
     return base, radius, base / radius
 
 
-def _check_tau_alpha(tau: float, alpha: float | None = None) -> None:
-    if not (0.0 <= tau <= 1.0):
-        raise PreconditionError(f"tau must lie in [0, 1], got {tau}")
-    if alpha is not None and not (0.0 <= alpha <= 1.0):
-        raise PreconditionError(f"alpha must lie in [0, 1], got {alpha}")
-
-
 def _unit_tangents(rows: np.ndarray, u: Latent, stream: RngStream) -> np.ndarray:
     """Normalize tangent rows, first redrawing each row that collapsed below tolerance.
 
@@ -133,7 +127,7 @@ def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream)
     """
     if n < 1:
         raise PreconditionError(f"need n >= 1 candidates, got {n}")
-    _check_tau_alpha(tau)
+    check_scalar(tau, "tau", 0, 1)
     base, radius, u = _base_frame(base)
     # every row starts collapsed, so each candidate draws its tangent
     perturbations = _unit_tangents(np.zeros((n, base.shape[0])), u, stream)
@@ -159,7 +153,8 @@ def guided_spherical_sample(
     tolerance (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is replaced by a
     fresh random tangent drawn from ``stream``.
     """
-    _check_tau_alpha(tau, alpha)
+    check_scalar(tau, "tau", 0, 1)
+    check_scalar(alpha, "alpha", 0, 1)
     base, radius, u = _base_frame(base)
     g = as_latent(g, base.shape[0])
     prev = as_latent(prev_perturbations, base.shape[0], batch=True)

@@ -13,6 +13,7 @@ import rts.pipeline
 from conftest import RowReward
 from rts import (
     BudgetError,
+    DimensionError,
     MixtureModel,
     ModePreferenceReward,
     PreconditionError,
@@ -22,6 +23,7 @@ from rts import (
     SearchConfig,
     SolverSpec,
     denoise,
+    evaluate_reward,
     expected_rts_nfe,
     nearest_mode,
     run_bon,
@@ -105,6 +107,33 @@ class TestIntegerCounts:
     @counts
     def test_numpy_integer_count_is_accepted(self, make, valid):
         make(np.int64(valid))
+
+
+# every float or bool field of a library constructor: its name, a call that takes it, and a valid numpy value
+_SCALARS = [
+    ("churn", lambda v: SolverSpec("sde", 8, churn=v), np.float64(0.4)),
+    ("tau", lambda v: SearchConfig(tau=v), np.float64(0.5)),
+    ("alpha", lambda v: SearchConfig(alpha=v), np.float64(0.7)),
+    ("sharpness", lambda v: ModePreferenceReward(four_corner_model(), 0, v), np.float64(1.0)),
+    ("track_global_best", lambda v: SearchConfig(track_global_best=v), np.bool_(False)),
+    ("resample_inter_fresh", lambda v: RtsConfig(resample_inter_fresh=v), np.bool_(False)),
+]
+scalars = pytest.mark.parametrize("name,make,valid", _SCALARS, ids=[name for name, _, _ in _SCALARS])
+
+
+class TestScalarFields:
+    """Float and bool fields are type-checked, not parsed or coerced: "0.5" or "no" is refused."""
+
+    @scalars
+    def test_wrong_type_is_refused(self, name, make, valid):
+        wrong = ("no", None, 1, 0.0) if isinstance(valid, np.bool_) else ("0.5", None, True, np.bool_(False))
+        for value in wrong:
+            with pytest.raises(PreconditionError, match=f"{name} must be a"):
+                make(value)
+
+    @scalars
+    def test_valid_value_is_stored_as_given(self, name, make, valid):
+        assert getattr(make(valid), name) is valid
 
 
 class TestNfeLedger:
@@ -235,6 +264,9 @@ class TestBudgetProperty:
             assert not result.truncated
         else:
             assert result.nfe_used <= budget
+        # truncated runs included: every phase is listed in order and the phases add up
+        assert list(result.nfe_breakdown) == ["init_search", "record", "inter_search", "final"]
+        assert sum(result.nfe_breakdown.values()) == result.nfe_used
         if not result.truncated:
             positions = result.key_steps.indices if result.key_steps is not None else ()
             expected = expected_rts_nfe(cfg, spec, key_positions=positions)
@@ -449,6 +481,27 @@ class TestRewardProtocol:
         np.testing.assert_array_equal(a.final_sample, b.final_sample)
         assert (a.final_reward, a.nfe_used, a.round_history) == (b.final_reward, b.nfe_used, b.round_history)
         assert a.key_steps == b.key_steps and len(a.key_steps.indices) == 3
+
+    @pytest.mark.parametrize("scores", [lambda n: np.zeros(n + 1), lambda n: 0.5], ids=["n+1", "scalar"])
+    def test_a_reward_without_one_score_per_row_is_refused(self, scores):
+        class Miscounted:
+            dim = 2
+
+            def evaluate(self, x):
+                return scores(x.shape[0])
+
+        model, reward, spec = four_corner_model(), Miscounted(), SolverSpec(mode="sde", steps=4, churn=0.4)
+        runs = {
+            "one latent": lambda: evaluate_reward(reward, np.ones(2)),
+            "batch": lambda: evaluate_reward(reward, np.ones((3, 2))),
+            "bon": lambda: run_bon(model, spec, reward, 24, RngStream(0)),
+            "zo": lambda: run_zo(model, spec, reward, 24, 0.9, RngStream(0)),
+            "free": lambda: run_free(model, spec, reward, RngStream(0)),
+            "rts": lambda: run_rts(model, spec, reward, RtsConfig(), RngStream(0)),
+        }
+        for run in runs.values():
+            with pytest.raises(DimensionError, match="reward must return"):
+                run()
 
 
 class TestRunBon:
