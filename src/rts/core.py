@@ -22,6 +22,7 @@ makes, at a fraction of its cost.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import threading
@@ -153,10 +154,11 @@ def as_integer(value, what: str, low: int | None = None, high: int | None = None
 
 
 def check_scalar(value, what: str, low: float | None = None, high: float | None = None, kind: type = float) -> None:
-    """Check a float (any real but a bool) or bool ``kind`` in [low, high], unconverted; "0.5" or "no" is refused."""
+    """Check a finite float (a real, not a bool) or bool ``kind`` in [low, high], unconverted; "0.5", inf, "no" fail."""
     flag = isinstance(value, (bool, np.bool_))
-    if not (flag if kind is bool else not flag and isinstance(value, numbers.Real)):
-        raise PreconditionError(f"{what} must be a {kind.__name__}, got {value!r}")
+    if not (flag if kind is bool else not flag and isinstance(value, numbers.Real) and math.isfinite(value)):
+        expected = "bool" if kind is bool else "finite float"
+        raise PreconditionError(f"{what} must be a {expected}, got {value!r}")
     if (low is not None and not value >= low) or (high is not None and not value <= high):
         raise PreconditionError(f"{what} must lie in [{low}, {high}], got {value}")
 

@@ -21,19 +21,20 @@ The model calls, ``heun_step`` and ``evaluate_reward`` take one latent
 ``(d,)`` or a batch ``(n, d)`` of independent rows; a batch costs n NFEs per
 model call and gives, row for row, the same bits as n single-latent calls.
 
-The constants of the kernel that depend only on the model and on t are
-computed once: the log-weights per model, and the per-component variance,
-Gaussian log-normalizer and velocity and clean coefficients per (model, t),
-in a table bounded by ``_TIME_TABLE_SIZE`` times. Each is the expression a
-call would otherwise evaluate, so outputs are bit-identical to recomputing
-them on every call; only what depends on x is computed per call.
+The kernel expands ‖x − s·μ_k‖², s = 1 − t, about the center c of the
+means: with M_c = μ − c and x' = x − s·c it is x'·x' − 2s·x'·M_c,k +
+s²·M_c,k·M_c,k. Each model caches c, M_c, a contiguous M_c.T and M_c·M_c,
+and per (model, t), in a table of at most ``_TIME_TABLE_SIZE`` times, the
+(K,) vectors that do not depend on x. So a call's largest arrays are
+``(n, K)`` and ``(n, d)``, and every dot is an ``np.vecdot``, which reduces
+each row alone. About c, unlike about the origin, the rounding stays near
+the direct form's; the tests hold the two to 1e-12 of the largest magnitude.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import wraps
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -65,14 +66,6 @@ MAX_STEPS = 10_000
 # 0.16 apiece.
 _PREFERRED_BOOST = 10.0
 
-# Largest rows × components × d that one vectorized model or reward call
-# spans; a bigger batch is evaluated in chunks of as many rows as fit, and
-# one row at a time when a single row is over the cap. Beyond this size the
-# (rows, components, d) temporaries page-fault on every call, which made
-# whole-batch calls 2.5-4x slower per row than single rows at d=1024 with
-# 64 components.
-_BATCH_ELEMENTS = 2**14
-
 # Most distinct times a model keeps constants for. A solver revisits the
 # steps + 1 points of its grid on every solve, so any grid up to this size
 # is computed once; past it the table starts over, so calls at arbitrary
@@ -81,26 +74,33 @@ _TIME_TABLE_SIZE = 256
 
 
 class _TimeConstants(NamedTuple):
-    """The (K,) per-component constants of the kernel at one time t."""
+    """The (K,) kernel constants at t; the log-responsibility is log_prior + linear·x'·M_c + quadratic·x'·x'."""
 
-    var: np.ndarray  # ((1−t)·σ)² + t²
-    log_norm: np.ndarray  # 0.5·d·log(2π·var)
-    velocity: np.ndarray  # (t − (1−t)·σ²) / var, as a (K, 1) column
-    clean: np.ndarray  # (1−t)·σ² / var, as a (K, 1) column
+    log_prior: np.ndarray  # log w − 0.5·d·log(2π·var) − 0.5·s²·(M_c·M_c) / var, var = (s·σ)² + t²
+    linear: np.ndarray  # s / var
+    quadratic: np.ndarray  # −0.5 / var
+    velocity: np.ndarray  # a = (t − s·σ²) / var, the coefficient of x'
+    velocity_offset: np.ndarray  # a·s + 1, the coefficient of −M_c
+    clean: np.ndarray  # b = s·σ² / var, the coefficient of x'
+    clean_offset: np.ndarray  # 1 − b·s, the coefficient of M_c
 
 
 @dataclass
 class MixtureModel:
     """Isotropic Gaussian mixture standing in for a pre-trained model.
 
-    Treat it as immutable: the log-weights and the per-time kernel
-    constants are computed from the parameters once.
+    Treat it as immutable: the log-weights, the centered means and the
+    per-time kernel constants are computed from the parameters once.
     """
 
     weights: np.ndarray
     means: np.ndarray
     stddevs: np.ndarray
     _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _center: np.ndarray = field(init=False, repr=False, compare=False)  # c, the mean of the means
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)  # M_c = means − c, (K, d)
+    _offsets_t: np.ndarray = field(init=False, repr=False, compare=False)  # M_c.T, contiguous (d, K)
+    _offset_sq: np.ndarray = field(init=False, repr=False, compare=False)  # M_c·M_c per component, (K,)
     _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -121,19 +121,29 @@ class MixtureModel:
         if np.any(self.stddevs <= 0.0):
             raise PreconditionError("component stddevs must be positive")
         self._log_weights = np.log(self.weights)
+        self._center = self.means.mean(axis=0)
+        self._offsets = self.means - self._center
+        self._offsets_t = np.ascontiguousarray(self._offsets.T)
+        self._offset_sq = np.vecdot(self._offsets, self._offsets)
         self._by_time = {}
 
     def _at(self, t: float) -> _TimeConstants:
         """The kernel constants of time t, computed on the first call at t."""
         consts = self._by_time.get(t)
         if consts is None:
-            one_minus = 1.0 - t
-            var = (one_minus * self.stddevs) ** 2 + t * t
+            s = 1.0 - t
+            var = (s * self.stddevs) ** 2 + t * t
+            velocity = (t - s * self.stddevs**2) / var
+            clean = s * self.stddevs**2 / var
             consts = _TimeConstants(
-                var=var,
-                log_norm=0.5 * self.dim * np.log(2.0 * math.pi * var),
-                velocity=((t - one_minus * self.stddevs**2) / var)[:, None],
-                clean=(one_minus * self.stddevs**2 / var)[:, None],
+                log_prior=self._log_weights - 0.5 * self.dim * np.log(2.0 * math.pi * var)
+                - 0.5 * s * s * self._offset_sq / var,
+                linear=s / var,
+                quadratic=-0.5 / var,
+                velocity=velocity,
+                velocity_offset=velocity * s + 1.0,
+                clean=clean,
+                clean_offset=1.0 - clean * s,
             )
             if len(self._by_time) >= _TIME_TABLE_SIZE:
                 self._by_time.clear()
@@ -170,48 +180,29 @@ class SolverSpec:
         self.time_grid = np.linspace(1.0, 0.0, self.steps + 1)
 
 
-def _in_chunks(fn, model: MixtureModel, x: np.ndarray) -> np.ndarray:
-    """``fn(x)`` on one latent or a batch whole, or chunk by chunk past the cap."""
-    rows = max(1, _BATCH_ELEMENTS // (model.n_components * model.dim))
-    if x.ndim == 1 or x.shape[0] <= rows:
-        return fn(x)
-    return np.concatenate([fn(x[i : i + rows]) for i in range(0, x.shape[0], rows)])
-
-
-def _capped(kernel):
-    """Bound the temporaries of a ``(model, x, t)`` kernel; see ``_BATCH_ELEMENTS``."""
-
-    @wraps(kernel)
-    def apply(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
-        return _in_chunks(lambda rows: kernel(model, rows, t), model, x)
-
-    return apply
-
-
 def _posterior(model: MixtureModel, x: np.ndarray, t: float):
-    """Responsibilities and centered rows of x_t, with the constants of ``t``; broadcasts over rows of x."""
+    """Responsibilities ``(..., K)`` and x' = x − (1−t)·c, with the constants of t; broadcasts over rows of x."""
     consts = model._at(t)
-    centered = x[..., None, :] - (1.0 - t) * model.means
-    log_resp = model._log_weights - 0.5 * (centered * centered).sum(axis=-1) / consts.var - consts.log_norm
+    shifted = x - (1.0 - t) * model._center
+    log_resp = consts.log_prior + consts.linear * np.vecdot(shifted[..., None, :], model._offsets)
+    log_resp += consts.quadratic * np.vecdot(shifted, shifted)[..., None]
     log_resp -= log_resp.max(axis=-1, keepdims=True)
     resp = np.exp(log_resp, out=log_resp)
     resp /= resp.sum(axis=-1, keepdims=True)
-    return resp, centered, consts
+    return resp, shifted, consts
 
 
-@_capped
 def _velocity(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     """Marginal velocity, valid on all of [0, 1] by continuity; broadcasts."""
-    resp, centered, consts = _posterior(model, x, t)
-    per_component = consts.velocity * centered - model.means
-    return (resp[..., None] * per_component).sum(axis=-2)
+    resp, shifted, consts = _posterior(model, x, t)
+    offset = np.vecdot((resp * consts.velocity_offset)[..., None, :], model._offsets_t)
+    return np.vecdot(resp, consts.velocity)[..., None] * shifted - offset - model._center
 
 
-@_capped
 def _clean(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
-    resp, centered, consts = _posterior(model, x, t)
-    per_component = model.means + consts.clean * centered
-    return (resp[..., None] * per_component).sum(axis=-2)
+    resp, shifted, consts = _posterior(model, x, t)
+    offset = np.vecdot((resp * consts.clean_offset)[..., None, :], model._offsets_t)
+    return np.vecdot(resp, consts.clean)[..., None] * shifted + offset + model._center
 
 
 def _check_time(t: float) -> float:
@@ -378,8 +369,7 @@ class ModePreferenceReward:
     dim: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.preferred < self.model.n_components:
-            raise PreconditionError(f"preferred component {self.preferred} out of range")
+        self.preferred = as_integer(self.preferred, "preferred component", 0, self.model.n_components - 1)
         check_scalar(self.sharpness, "sharpness")
         if not self.sharpness > 0.0:
             raise PreconditionError("sharpness must be positive")
@@ -393,11 +383,11 @@ class ModePreferenceReward:
         self.dim = self.model.dim
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return _in_chunks(self._bumps, self.model, x)
-
-    def _bumps(self, x: np.ndarray) -> np.ndarray:
-        sq = np.sum((x[..., None, :] - self.model.means) ** 2, axis=-1)
-        return np.sum(self._tilted * np.exp(-sq / self._width), axis=-1)
+        """The reward of each row; ‖x − μ_j‖² is expanded about the model's center c, as in the kernel."""
+        model = self.model
+        shifted = x - model._center
+        sq = np.vecdot(shifted, shifted)[..., None] - 2.0 * np.vecdot(shifted[..., None, :], model._offsets)
+        return np.vecdot(np.exp(-(sq + model._offset_sq) / self._width), self._tilted)
 
 
 # the built-in rewards; any object with the protocol of ``evaluate_reward`` serves as well

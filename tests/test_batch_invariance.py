@@ -4,7 +4,9 @@
 samplers and ``QuadraticReward`` reduce all rows at once with ``np.vecdot``.
 Each is checked here against the per-row ``w @ u``, ``np.linalg.norm`` and
 per-triple Menger expressions on ``(d,)``, ``(n, d)`` and ``(S, n, d)``
-inputs. A numpy whose ``vecdot`` sums a batch in another order than a single
+inputs. The mixture kernel (``_velocity``, ``_clean``) and
+``ModePreferenceReward`` are checked against their own calls on one row
+each. A numpy whose ``vecdot`` sums a batch in another order than a single
 row then fails here instead of silently moving the golden records.
 """
 
@@ -15,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rts import (
+    MixtureModel,
+    ModePreferenceReward,
     QuadraticReward,
     RngStream,
     curvature,
@@ -25,6 +29,7 @@ from rts import (
     tangent_project,
 )
 from rts.core import row_norm
+from rts.sim import _clean, _velocity
 from rts.sphere import _cone_point
 
 DIMS = (2, 3, 64, 1024)
@@ -172,3 +177,35 @@ class TestSamplersMatchSerialLoop:
         candidates, tangents = serial_guided_sample(base, n, tau, alpha, g, ns.perturbations)
         assert same_bits(guided.candidates, candidates)
         assert same_bits(guided.perturbations, tangents)
+
+
+def random_mixture(seed, k, d):
+    rng = np.random.default_rng(seed)
+    return MixtureModel(
+        weights=rng.dirichlet(np.ones(k)),
+        means=rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 2.0), (k, d)),
+        stddevs=rng.uniform(0.05, 1.5, k),
+    )
+
+
+class TestMixtureKernelRows:
+    """The model calls and the mode-preference reward, on 1, 4 and 64 components."""
+
+    @PROPERTY
+    @given(
+        d=st.sampled_from(DIMS),
+        k=st.sampled_from((1, 4, 64)),
+        leading=LEADING,
+        seed=st.integers(0, 2**32 - 1),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_kernel_and_reward_equal_single_rows(self, d, k, leading, seed, t):
+        model = random_mixture(seed, k, d)
+        x = np.random.default_rng(seed + 1).standard_normal(leading + (d,)) * 2.0
+        reward = ModePreferenceReward(model=model, preferred=k - 1, sharpness=float(np.sqrt(d)))
+        calls = (lambda z: _velocity(model, z, t), lambda z: _clean(model, z, t), reward.evaluate)
+        for call in calls:
+            out = call(x)
+            assert out.shape == x.shape or out.shape == leading
+            for index in np.ndindex(leading):
+                assert same_bits(out[index], call(x[index]))

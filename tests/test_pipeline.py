@@ -88,6 +88,7 @@ counts = pytest.mark.parametrize("make,valid", [
     pytest.param(lambda v: RtsConfig(eval_steps_init=v), 2, id="eval_steps_init"),
     pytest.param(lambda v: RtsConfig(eval_steps_inter=v), 1, id="eval_steps_inter"),
     pytest.param(lambda v: RtsConfig(budget_nfe=v), 100, id="budget_nfe"),
+    pytest.param(lambda v: ModePreferenceReward(four_corner_model(), v, 1.0), 1, id="preferred"),
     pytest.param(lambda v: run_bon(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, RngStream(0)), 16,
                  id="bon-budget"),
     pytest.param(lambda v: run_zo(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, 0.9, RngStream(0)), 16,
@@ -119,10 +120,12 @@ _SCALARS = [
     ("resample_inter_fresh", lambda v: RtsConfig(resample_inter_fresh=v), np.bool_(False)),
 ]
 scalars = pytest.mark.parametrize("name,make,valid", _SCALARS, ids=[name for name, _, _ in _SCALARS])
+_FLOATS = [field for field in _SCALARS if isinstance(field[2], np.float64)]
+floats = pytest.mark.parametrize("name,make,valid", _FLOATS, ids=[name for name, _, _ in _FLOATS])
 
 
 class TestScalarFields:
-    """Float and bool fields are type-checked, not parsed or coerced: "0.5" or "no" is refused."""
+    """Float and bool fields are type-checked, not parsed or coerced: "0.5" or "no" is refused, and so is a non-finite float."""
 
     @scalars
     def test_wrong_type_is_refused(self, name, make, valid):
@@ -134,6 +137,13 @@ class TestScalarFields:
     @scalars
     def test_valid_value_is_stored_as_given(self, name, make, valid):
         assert getattr(make(valid), name) is valid
+
+    @floats
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_is_refused(self, name, make, valid, value):
+        # an infinite sharpness scored every latent 1.0; an infinite churn failed only inside the first solve
+        with pytest.raises(PreconditionError, match=f"{name} must be a finite float"):
+            make(value)
 
 
 class TestNfeLedger:
@@ -703,29 +713,30 @@ def fingerprint(result):
 class TestGoldenRecords:
     """Byte-for-byte results of the criterion-7 testbed.
 
-    The values were recorded from the serial scorer that evaluated one
-    latent per call; the batched path has to reproduce them exactly,
-    including where a budget cuts a batch short.
+    The values were recorded from the centered mixture kernel and equal
+    what it gives when every model call and reward scores one latent at a
+    time; the batched path has to reproduce them exactly, including where a
+    budget cuts a batch short.
     """
 
     RTS = {
-        0: ("0.5459170364178081", {"init_search": 60, "record": 32, "inter_search": 110, "final": 32},
-            (4, 1, 9, 8, 3, 13), False, "9d43e05f5a9ba575"),
-        1: ("0.47876072062769004", {"init_search": 60, "record": 32, "inter_search": 112, "final": 32},
-            (11, 6, 10, 1, 12, 14), False, "b765304e892d64a8"),
+        0: ("0.545917036417808", {"init_search": 60, "record": 32, "inter_search": 110, "final": 32},
+            (4, 1, 9, 8, 3, 13), False, "fb739dd57fd5afed"),
+        1: ("0.47876072062768993", {"init_search": 60, "record": 32, "inter_search": 112, "final": 32},
+            (11, 6, 10, 1, 12, 14), False, "346ea876cfc81652"),
         7: ("0.635432771180779", {"init_search": 60, "record": 32, "inter_search": 96, "final": 32},
-            (4, 2, 6, 5, 3, 1), False, "aa7ef666b9dbb8da"),
+            (4, 2, 6, 5, 3, 1), False, "f1eae1972d4cae43"),
     }
     BON = {
-        0: ("0.6032531472538555", {"denoise": 224}, None, False, "2e6286ea9ef96a8a"),
-        1: ("0.6063215060863596", {"denoise": 224}, None, False, "c5e5f50b1852f23b"),
-        7: ("0.6282673339349767", {"denoise": 224}, None, False, "6bd9106a35c5f583"),
+        0: ("0.6032531472538555", {"denoise": 224}, None, False, "635f14805b345b66"),
+        1: ("0.6063215060863596", {"denoise": 224}, None, False, "c0ee4aec797a114e"),
+        7: ("0.6282673339349765", {"denoise": 224}, None, False, "46ab1877ce5217e2"),
     }
     TRUNCATED = {
-        45: ("0.6585186021225546", {"init_search": 12, "record": 32, "inter_search": 0, "final": 0},
+        45: ("0.6585186021225549", {"init_search": 12, "record": 32, "inter_search": 0, "final": 0},
              None, True, "6af45d7274713766"),
         150: ("0.6039492604027924", {"init_search": 60, "record": 32, "inter_search": 26, "final": 32},
-              (1, 2, 6, 10, 11, 12), True, "a2bd471e7c6f802b"),
+              (1, 2, 6, 10, 11, 12), True, "6dec05a3e6a6b9ad"),
     }
 
     @pytest.mark.parametrize("seed", sorted(RTS))
@@ -754,11 +765,11 @@ class TestGoldenRecords:
                 f"{budget}|{r.final_reward!r}|{r.nfe_used}|{sorted(r.nfe_breakdown.items())}|{keys}"
                 f"|{r.truncated}|{r.final_sample.tobytes().hex()}\n".encode()
             )
-        assert lines.hexdigest()[:16] == "9e0853262a88325c"
+        assert lines.hexdigest()[:16] == "c83d55c9df23e24d"
 
     def test_bon_ode(self):
         model, _, reward, _ = criterion7_setup()
         result = run_bon(model, SolverSpec(mode="ode", steps=8), reward, 100, RngStream(5))
         assert fingerprint(result) == (
-            "0.6442761284979023", {"denoise": 96}, None, False, "d9c5fafcdb46c0c3"
+            "0.6442761284979024", {"denoise": 96}, None, False, "f5ea25532c18a7cd"
         )
