@@ -156,7 +156,11 @@ def as_integer(value, what: str, low: int | None = None, high: int | None = None
 def check_scalar(value, what: str, low: float | None = None, high: float | None = None, kind: type = float) -> None:
     """Check a finite float (a real, not a bool) or bool ``kind`` in [low, high], unconverted; "0.5", inf, "no" fail."""
     flag = isinstance(value, (bool, np.bool_))
-    if not (flag if kind is bool else not flag and isinstance(value, numbers.Real) and math.isfinite(value)):
+    try:  # math.isfinite raises on an integer too large for a float
+        valid = flag if kind is bool else not flag and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        valid = False
+    if not valid:
         expected = "bool" if kind is bool else "finite float"
         raise PreconditionError(f"{what} must be a {expected}, got {value!r}")
     if (low is not None and not value >= low) or (high is not None and not value <= high):

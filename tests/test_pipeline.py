@@ -139,9 +139,10 @@ class TestScalarFields:
         assert getattr(make(valid), name) is valid
 
     @floats
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 10**400], ids=["inf", "-inf", "nan", "huge-int"])
     def test_non_finite_float_is_refused(self, name, make, valid, value):
-        # an infinite sharpness scored every latent 1.0; an infinite churn failed only inside the first solve
+        # an infinite sharpness scored every latent 1.0; an infinite churn failed only inside the first solve;
+        # an integer too large for a float ended in a raw OverflowError
         with pytest.raises(PreconditionError, match=f"{name} must be a finite float"):
             make(value)
 
