@@ -6,7 +6,8 @@ verifiable at desk scale: norm-preserving neighborhoods (`sphere`), surrogate
 ascent directions from reward differences (`surrogate`), the alternating
 search loop (`search`), curvature-based key-step selection (`keysteps`), the
 analytic mixture testbed and solver (`sim`), the end-to-end pipeline with
-Best-of-N and zeroth-order baselines (`pipeline`), and a CLI (`cli`).
+Best-of-N and zeroth-order baselines (`pipeline`), and a CLI (`cli`) whose
+report takes its p-values from numpy rank tests (`ranktests`).
 """
 
 from .core import (

@@ -5,7 +5,7 @@ Subcommands:
                        append one JSON record per line to the output file,
                        each flushed in replicate order as soon as it is done
     report             aggregate a results file into per-method statistics
-                       with pairwise one-sided Wilcoxon comparisons; a file
+                       with pairwise one-sided rank-test p-values; a file
                        that repeats a (method, seed, config), or a record
                        field of the wrong type, is refused
     export-trajectory  run a single denoise and write its 3-D projection,
@@ -22,9 +22,9 @@ duplicates on.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 
-Only ``report`` loads scipy, at its first comparison. Importing this module
-loads the standard library, numpy and the package alone, so ``run``, its
-spawned workers and ``export-trajectory`` start without scipy.
+Every subcommand, ``report`` included, loads the standard library, numpy and
+the package alone, so each starts in a fraction of a second. ``report``
+takes its p-values from ``ranktests``, imported at its first comparison.
 """
 
 from __future__ import annotations
@@ -480,8 +480,8 @@ def _load_records(results_path: str) -> list[dict]:
 
 def _one_sided_p(a: list[dict], b: list[dict]) -> float:
     """P-value for 'method a beats method b', paired by seed when possible."""
-    # imported here: scipy.stats takes most of a second to load, and only report needs it
-    from scipy import stats
+    # imported here: only report uses it, so run and its workers never load it
+    from .ranktests import mann_whitney_greater, wilcoxon_greater
 
     by_seed_a = {r["seed"]: r["final_reward"] for r in a}
     by_seed_b = {r["seed"]: r["final_reward"] for r in b}
@@ -490,12 +490,12 @@ def _one_sided_p(a: list[dict], b: list[dict]) -> float:
         diff = np.array([by_seed_a[s] - by_seed_b[s] for s in shared])
         if np.all(diff == 0.0):
             return 0.5
-        return float(stats.wilcoxon(diff, zero_method="zsplit", alternative="greater").pvalue)
+        return wilcoxon_greater(diff)
     x = np.array([r["final_reward"] for r in a])
     y = np.array([r["final_reward"] for r in b])
     if np.all(x[:, None] == y[None, :]):
         return 0.5
-    return float(stats.mannwhitneyu(x, y, alternative="greater").pvalue)
+    return mann_whitney_greater(x, y)
 
 
 def summarize(records: list[dict]) -> dict:

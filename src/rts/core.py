@@ -34,6 +34,11 @@ import numpy as np
 # numerics idiomatic; validation happens at operation boundaries.
 Latent = np.ndarray
 
+# Largest magnitude a latent entry may have, exclusive: below it the squared
+# norm of a latent, which the mixture kernel and the rewards form, stays
+# finite for any dimension under 1e8.
+LATENT_BOUND = 1e150
+
 _MAX_SEED = 2**64 - 1
 
 # numpy's SeedSequence constants for its pool of four 32-bit words: the hash
@@ -87,9 +92,9 @@ def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
 
     With ``batch`` a stack of latents, one per row of an ``(n, d)`` array,
     is accepted as well. Raises ``DimensionError`` for wrong shape or
-    dimension < 2 and ``NonFiniteError`` if any entry is NaN or infinite.
-    NaNs are a hard error everywhere in this package, never silently
-    propagated.
+    dimension < 2 and ``NonFiniteError`` if any entry is NaN, infinite or of
+    magnitude ``LATENT_BOUND`` or more. NaNs are a hard error everywhere in
+    this package, never silently propagated.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 and not (batch and arr.ndim == 2):
@@ -99,8 +104,10 @@ def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
         raise DimensionError(f"latent dimension must be >= 2, got {arr.shape[-1]}")
     if dim is not None and arr.shape[-1] != dim:
         raise DimensionError(f"expected dimension {dim}, got {arr.shape[-1]}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("latent contains NaN or infinite entries")
+    if not (np.abs(arr) < LATENT_BOUND).all():
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("latent contains NaN or infinite entries")
+        raise NonFiniteError(f"latent has an entry of magnitude >= {LATENT_BOUND:g}, whose square would overflow")
     return arr
 
 

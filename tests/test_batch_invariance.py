@@ -13,7 +13,7 @@ row then fails here instead of silently moving the golden records.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rts import (
@@ -30,7 +30,7 @@ from rts import (
 )
 from rts.core import row_norm
 from rts.sim import _clean, _velocity
-from rts.sphere import _cone_point
+from rts.sphere import _DEGENERATE_TOL, _cone_point
 
 DIMS = (2, 3, 64, 1024)
 PROPERTY = settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -83,7 +83,7 @@ def serial_random_sample(base, n, tau, stream):
     return np.array([cone_row(radius, u, tau, t) for t in tangents]), np.array(tangents)
 
 
-def serial_guided_sample(base, n, tau, alpha, g, prev):
+def serial_guided_sample(base, n, tau, alpha, g, prev, stream):
     radius = np.linalg.norm(base)
     u = base / radius
     g_tan = project_row(g, u)
@@ -92,7 +92,9 @@ def serial_guided_sample(base, n, tau, alpha, g, prev):
     for i in range(n):
         blend = (1.0 - alpha) * prev[i] + alpha * g_hat
         blend = blend - (blend @ u) * u
-        tangents.append(blend / np.linalg.norm(blend))
+        norm = np.linalg.norm(blend)
+        # a blend that cancels (alpha = 0.5, prev[i] opposing g_hat) is redrawn as a random sample's row is
+        tangents.append(blend / norm if norm >= _DEGENERATE_TOL else draw_unit_tangent_row(u, stream.child(i)))
     return np.array([cone_row(radius, u, tau, t) for t in tangents]), np.array(tangents)
 
 
@@ -162,6 +164,7 @@ class TestSamplersMatchSerialLoop:
         alpha=st.floats(0.0, 1.0),
         root=st.integers(0, 2**64 - 1),
     )
+    @example(d=2, n=1, seed=0, tau=1.0, alpha=0.5, root=0)  # the blend cancels and is redrawn
     def test_random_and_guided_samples(self, d, n, seed, tau, alpha, root):
         rng = np.random.default_rng(seed)
         base = rng.standard_normal(d) * rng.uniform(0.2, 50.0)
@@ -174,7 +177,7 @@ class TestSamplersMatchSerialLoop:
         assert same_bits(ns.perturbations, tangents)
 
         guided = guided_spherical_sample(base, n, tau, alpha, g, ns.perturbations, stream.child(1))
-        candidates, tangents = serial_guided_sample(base, n, tau, alpha, g, ns.perturbations)
+        candidates, tangents = serial_guided_sample(base, n, tau, alpha, g, ns.perturbations, stream.child(1))
         assert same_bits(guided.candidates, candidates)
         assert same_bits(guided.perturbations, tangents)
 

@@ -676,31 +676,102 @@ class TestReportCommand:
         assert excinfo.value.code == 2
 
 
+def _assert_matches(actual, expected, exact):
+    # exact and permutation p-values are count ratios, computed as scipy computes them
+    if exact:
+        assert actual == expected
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
+
+
+class TestRankTestsMatchScipy:
+    """Each report p-value equals scipy 1.17's default on the branch scipy takes.
+
+    Bit for bit on the exact and permutation branches, within rtol 1e-12 on the
+    asymptotic ones, for both directions of every pair.
+    """
+
+    # Wilcoxon (seeds shared): exact up to 50 pairs without ties or zeros,
+    # every sign flip up to 13, else asymptotic; 'zero' adds one zero
+    # difference to distinct ones, 'zeros' several to tied ones.
+    @pytest.mark.parametrize("n, kind", [
+        *[(n, kind) for n in (5, 8) for kind in ("distinct", "ties", "zero", "zeros")],
+        (13, "distinct"), (13, "zeros"),
+        *[(n, kind) for n in (14, 30, 50, 51, 80) for kind in ("distinct", "ties", "zero", "zeros")],
+    ])
+    def test_paired_wilcoxon(self, n, kind):
+        rng = np.random.default_rng(n)
+        magnitudes = rng.standard_normal(n) if kind in ("distinct", "zero") else rng.integers(1, 4, n) * 0.25
+        diff = magnitudes * rng.choice([-1.0, 1.0], n)
+        diff[:{"zero": 1, "zeros": 3}.get(kind, 0)] = 0.0
+        b = rng.integers(0, 8, n) / 8
+        a = b + diff
+        diff = a - b  # the differences report forms
+        exact = n <= 13 or (n <= 50 and kind == "distinct")
+        records = TestReportCommand._records("alpha", range(n), a) + TestReportCommand._records("beta", range(n), b)
+        comparisons = summarize(records)["comparisons"]
+        for pair, d in (("alpha>beta", diff), ("beta>alpha", -diff)):
+            expected = float(stats.wilcoxon(d, zero_method="zsplit", alternative="greater").pvalue)
+            _assert_matches(comparisons[pair], expected, exact)
+
+    # Mann-Whitney (seeds disjoint): exact when either sample has at most 8
+    # values and none tie, else asymptotic.
+    @pytest.mark.parametrize("n1, n2", [(1, 6), (3, 5), (8, 8), (8, 40), (5, 300), (9, 9), (9, 30), (40, 25)])
+    @pytest.mark.parametrize("kind", ["distinct", "ties"])
+    def test_unpaired_mann_whitney(self, n1, n2, kind):
+        rng = np.random.default_rng(100 * n1 + n2)
+        x, y = (rng.standard_normal(size) if kind == "distinct" else rng.integers(0, 3, size) * 0.25
+                for size in (n1, n2))
+        exact = (n1 <= 8 or n2 <= 8) and kind == "distinct"
+        records = TestReportCommand._records("alpha", range(n1), x) + TestReportCommand._records("beta", range(-n2, 0), y)
+        comparisons = summarize(records)["comparisons"]
+        for pair, first, second in (("alpha>beta", x, y), ("beta>alpha", y, x)):
+            expected = float(stats.mannwhitneyu(first, second, alternative="greater").pvalue)
+            _assert_matches(comparisons[pair], expected, exact)
+
+
 # Cython-compiled extensions (numpy.random's) register these runtime modules
 _CYTHON_RUNTIME = re.compile(r"cython_runtime|_cython_[0-9_]+")
 
 
-def test_importing_the_cli_loads_only_stdlib_numpy_and_rts():
+def _foreign_modules(statements: str) -> list[str]:
+    """Top-level modules outside the stdlib, numpy and rts that ``statements`` load in a fresh interpreter."""
     # a fresh interpreter, so what earlier tests imported does not count;
-    # the diff ignores whatever site loads before the import
+    # the diff ignores whatever site loads before the statements
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import rts.cli\n"
+        f"{statements}\n"
         "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
     )
     package_root = str(Path(rts.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            check=True).stdout.split()
+                            check=True).stdout.splitlines()[-1].split()
     assert "rts" in loaded
-    foreign = [
+    return [
         name for name in loaded
         if name not in sys.stdlib_module_names and name not in ("numpy", "rts")
         and name != "__mp_main__"  # multiprocessing's alias of __main__
         and not _CYTHON_RUNTIME.fullmatch(name)
     ]
-    assert foreign == []
+
+
+def test_importing_the_cli_loads_only_stdlib_numpy_and_rts():
+    assert _foreign_modules("import rts.cli") == []
+
+
+def test_report_loads_only_stdlib_numpy_and_rts(tmp_path):
+    # alpha and beta share seeds (Wilcoxon), gamma shares none (Mann-Whitney)
+    results = tmp_path / "results.jsonl"
+    records = (TestReportCommand._records("alpha", range(6), [0.9, 0.4, 0.75, 0.6, 0.8, 0.3])
+               + TestReportCommand._records("beta", range(6), [0.5, 0.45, 0.2, 0.3, 0.1, 0.25])
+               + TestReportCommand._records("gamma", range(100, 105), [0.5, 0.45, 0.2, 0.1, 0.35]))
+    results.write_text("".join(json.dumps(r) + "\n" for r in records))
+    statements = f"import rts.cli\nassert rts.cli.main(['report', {str(results)!r}]) == 0"
+    assert _foreign_modules(statements) == []
+    assert set(json.loads(Path(f"{results}.summary.json").read_text())["comparisons"]) == {
+        f"{a}>{b}" for a in ("alpha", "beta", "gamma") for b in ("alpha", "beta", "gamma") if a != b}
 
 
 class TestExportTrajectory:

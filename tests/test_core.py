@@ -18,6 +18,7 @@ from rts import (
     as_latent,
     sample_gaussian,
 )
+from rts.core import LATENT_BOUND
 
 
 class TestAsLatent:
@@ -45,6 +46,15 @@ class TestAsLatent:
             as_latent([1.0, np.nan])
         with pytest.raises(NonFiniteError):
             as_latent([np.inf, 0.0])
+
+    def test_entries_at_the_bound_are_refused(self):
+        for entry in (LATENT_BOUND, -LATENT_BOUND, 1e300):
+            with pytest.raises(NonFiniteError, match="magnitude"):
+                as_latent([entry, 0.0])
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):
+            as_latent([[1e160, 0.0], [np.nan, 0.0]], batch=True)
+        below = np.nextafter(LATENT_BOUND, 0.0)
+        np.testing.assert_array_equal(as_latent([below, -below]), [below, -below])
 
 
 class TestRngStream:

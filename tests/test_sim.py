@@ -419,6 +419,36 @@ class TestRewardProtocol:
         assert evaluate_reward(RowReward(lambda z: z.size), np.ones(3)) == 3.0
 
 
+CALLS = ("marginal_velocity", "one_step_clean_estimate", "evaluate_reward", "denoise")
+
+
+class TestOverflowingLatents:
+    """A finite latent whose squared norm would overflow is refused, not turned into NaN or a 0.0 reward."""
+
+    @staticmethod
+    def calls(x):
+        model = two_component()
+        reward = ModePreferenceReward(model=model, preferred=0, sharpness=1.0)
+        return {
+            "marginal_velocity": lambda: marginal_velocity(model, x, 0.5),
+            "one_step_clean_estimate": lambda: one_step_clean_estimate(model, x, 0.5),
+            "evaluate_reward": lambda: evaluate_reward(reward, x),
+            "denoise": lambda: denoise(model, SolverSpec(ODE, 4), x).latents,
+        }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_entry_above_the_bound_is_refused(self, name):
+        batches = [np.array([[0.0, 1.0], [0.0, -1e160]])] if name != "denoise" else []  # denoise takes one latent
+        for x in [np.array([1e160, 0.0]), *batches]:
+            with pytest.raises(NonFiniteError, match="magnitude"):
+                self.calls(x)[name]()
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_entry_below_the_bound_gives_finite_output(self, name):
+        # the suite turns an overflow warning into an error, so this also checks that none is raised
+        assert np.all(np.isfinite(self.calls(np.array([1e149, 0.0]))[name]()))
+
+
 def four_corner():
     return MixtureModel(
         weights=[0.1, 0.3, 0.3, 0.3],
