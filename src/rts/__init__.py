@@ -18,7 +18,6 @@ from .core import (
     DimensionError,
     Latent,
     NfeCounter,
-    NoiseTrajectory,
     NonFiniteError,
     PreconditionError,
     RngStream,

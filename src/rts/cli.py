@@ -479,14 +479,14 @@ def _load_records(results_path: str) -> list[dict]:
 
 
 def _one_sided_p(a: list[dict], b: list[dict]) -> float:
-    """P-value for 'method a beats method b', paired by seed when possible."""
+    """P-value for 'method a beats method b', paired by seed when each method has one record per shared seed."""
     # imported here: only report uses it, so run and its workers never load it
     from .ranktests import mann_whitney_greater, wilcoxon_greater
 
     by_seed_a = {r["seed"]: r["final_reward"] for r in a}
     by_seed_b = {r["seed"]: r["final_reward"] for r in b}
     shared = sorted(set(by_seed_a) & set(by_seed_b))
-    if len(shared) >= 5 and len(shared) == len(by_seed_a) == len(by_seed_b):
+    if len(shared) >= 5 and len(shared) == len(by_seed_a) == len(by_seed_b) == len(a) == len(b):
         diff = np.array([by_seed_a[s] - by_seed_b[s] for s in shared])
         if np.all(diff == 0.0):
             return 0.5
@@ -566,7 +566,7 @@ def export_trajectory(cfg: dict) -> list[tuple]:
         raise _Invalid("solver.steps", f"export-trajectory needs at least 3 steps, got {spec.steps}")
     stream = RngStream(root_seed=cfg["seed"], path=())
     z = sample_gaussian(stream.child(0), model.dim)
-    points = project_trajectory(denoise(model, spec, z, stream=stream.child(1)))
+    points = project_trajectory(denoise(model, spec, z, stream=stream.child(1))[0])
     k = min(rts_cfg.k_keysteps, spec.steps - 1)
     selected = np.zeros(spec.steps + 1, dtype=int)
     if k > 0:

@@ -269,44 +269,6 @@ def row_norm(rows: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class NoiseTrajectory:
-    """One solver path: latents per step and injected noises, on the ``SolverSpec`` time grid.
-
-    ``latents[0]`` is the initial noise at t = 1 and ``latents[-1]`` the final
-    sample at t = 0. ``injected[i]`` is the unscaled standard normal added
-    after integration step ``i``; stochastic runs carry one entry for each of
-    the first L - 1 steps, deterministic runs carry none.
-    """
-
-    latents: np.ndarray
-    injected: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.latents = np.asarray(self.latents, dtype=np.float64)
-        self.injected = np.asarray(self.injected, dtype=np.float64)
-        if self.latents.ndim != 2 or self.latents.shape[0] < 2:
-            raise DimensionError(f"latents must be (steps+1, dim), got {self.latents.shape}")
-        steps = self.latents.shape[0] - 1
-        if self.injected.size == 0:
-            self.injected = self.injected.reshape(0, self.latents.shape[1])
-        if self.injected.shape not in {(0, self.latents.shape[1]), (steps - 1, self.latents.shape[1])}:
-            raise DimensionError(
-                f"injected must hold 0 or {steps - 1} noises of dim {self.latents.shape[1]}, "
-                f"got shape {self.injected.shape}"
-            )
-        if not np.all(np.isfinite(self.latents)):
-            raise NonFiniteError("trajectory latents contain non-finite entries")
-
-    @property
-    def dim(self) -> int:
-        return self.latents.shape[1]
-
-    @property
-    def steps(self) -> int:
-        return self.latents.shape[0] - 1
-
-
-@dataclass
 class NfeCounter:
     """Tally of denoiser evaluations (velocity or clean-estimate calls)."""
 

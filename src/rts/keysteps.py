@@ -1,6 +1,7 @@
 """Sparse key-step selection from the geometry of a denoising trajectory.
 
-The per-step latents are centered and factored with an SVD; projecting onto
+The ``(L, d)`` per-step latents of a solve (the first array ``denoise``
+returns) are centered and factored with an SVD; projecting onto
 the top three right-singular directions gives a 3D polyline whose sharp turns
 mark the steps where the trajectory changes course. ``project_trajectory``
 returns that polyline as an ``(L, 3)`` array of points and
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseTrajectory, PreconditionError, row_norm
+from .core import DimensionError, PreconditionError, as_integer, as_latent, row_norm
 
 _DISTANCE_TOL = 1e-12
 
@@ -32,13 +33,15 @@ class KeyStepSet:
     curvatures: tuple[float, ...]
 
 
-def project_trajectory(traj: NoiseTrajectory) -> np.ndarray:
-    """The ``(L, 3)`` points of the centered per-step latents on the top-3 SVD basis.
+def project_trajectory(latents: np.ndarray) -> np.ndarray:
+    """The ``(L, 3)`` points of the centered ``(L, d)`` per-step latents on the top-3 SVD basis.
 
     The projection is an isometry on the spanned subspace, and the projected
     energy Σ‖p_l‖² equals the sum of the top-3 squared singular values.
     """
-    latents = traj.latents
+    latents = as_latent(latents, batch=True)
+    if latents.ndim != 2:
+        raise DimensionError(f"latents must be (L, d), got shape {latents.shape}")
     if latents.shape[0] < 4:
         raise PreconditionError(f"need at least 4 latents, got {latents.shape[0]}")
     centered = latents - latents.mean(axis=0)
@@ -75,8 +78,7 @@ def select_key_steps(points: np.ndarray, k: int) -> KeyStepSet:
     Endpoints are never eligible. Ties break toward the smaller step index.
     """
     n_interior = points.shape[0] - 2
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
+    k = as_integer(k, "k", 1)
     if k > n_interior:
         raise PreconditionError(f"k={k} exceeds the {n_interior} interior steps")
     scores = curvature(points)

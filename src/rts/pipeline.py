@@ -8,7 +8,8 @@ descending time order, one short coarse-to-fine search over the injected
 noise at that step, scored by the one-step clean estimate, with the
 trajectory re-simulated forward between key steps; (5) a final full denoise
 with every chosen noise fixed, which is exactly the replay of (z_init,
-injected).
+injected). A trajectory is the pair of arrays ``denoise`` returns: its
+``(L+1, d)`` states and its ``(L−1, d)`` injected noises.
 
 Stage (2) runs only if (1) is off or scores with a shorter solver; stages
 (3)-(5) need SDE mode, ``steps >= 3`` (the projection needs four latents),
@@ -38,7 +39,6 @@ from .core import (
     BudgetError,
     Latent,
     NfeCounter,
-    NoiseTrajectory,
     PreconditionError,
     RngStream,
     as_integer,
@@ -56,7 +56,6 @@ from .sim import (
     SolverSpec,
     _advance,
     _churn_noises,
-    _solve,
     denoise,
     evaluate_reward,
     heun_step,
@@ -210,12 +209,15 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     """Exact NFE ledger of an untruncated run with the given key positions.
 
     Returns per-phase integers plus their total, mirroring
-    ``RunResult.nfe_breakdown``.
+    ``RunResult.nfe_breakdown``. Raises ``PreconditionError`` for a position
+    that repeats or lies outside the interior steps [1, steps − 1].
     """
     plan = _plan(cfg, spec)
     init = _search_evaluations(cfg.search_init) * 2 * plan.eval_steps if plan.init_search else 0
     inter = final = 0
-    positions = sorted(key_positions)
+    positions = sorted(as_integer(position, "key position", 1, spec.steps - 1) for position in key_positions)
+    if len(set(positions)) < len(positions):
+        raise PreconditionError(f"key positions must be distinct, got {positions}")
     if plan.inter_search and positions:
         per_search = _search_evaluations(cfg.search_inter)
         valid_through = spec.steps
@@ -271,14 +273,10 @@ def run_rts(
             # A candidate's churn noises derive from a hash of the candidate, so
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
-            noises = None
-            if eval_spec.mode == SDE:
-                noises = np.stack([_churn_noises(eval_spec, dim, noise_stream.child(_latent_label(z))) for z in zs])
-            trace = _solve(model, eval_spec, zs, noises, ledger)
-            scores = evaluate_reward(reward, trace[:, -1])
-            if noises is None:
-                noises = np.zeros((len(zs), 0, dim))
-            for z, score, path, injected in zip(zs, scores.tolist(), trace, noises):
+            streams = [noise_stream.child(_latent_label(z)) for z in zs] if eval_spec.mode == SDE else None
+            paths, noises = denoise(model, eval_spec, zs, stream=streams, nfe=ledger)
+            scores = evaluate_reward(reward, paths[:, -1])
+            for z, score, path, injected in zip(zs, scores.tolist(), paths, noises):
                 scored[z.tobytes()] = (score, path, injected)
             return scores
 
@@ -295,25 +293,23 @@ def run_rts(
             truncated = True
             # the first best-scored latent, as a strict running maximum keeps it
             _, path, noises = max(scored.values(), key=lambda entry: entry[0])
-        traj0 = NoiseTrajectory(path, noises)
-        z_init = traj0.latents[0]
+        z_init = path[0]
     else:
         z_init = sample_gaussian(stream.child(_S_FRESH_INIT), dim)
-        traj0 = None
 
     if plan.record:
         ledger.phase = "record"
-        traj0 = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=ledger)
+        path, noises = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=ledger)
 
     keys: KeyStepSet | None = None
-    final_traj = traj0
+    final_sample = path[-1]
     if plan.inter_search and not truncated:
         ledger.phase, ledger.owed = "inter_search", 0
         if ledger.affordable(1, 2 * steps):  # the final denoise fits
             ledger.owed = 2 * steps
-            keys = select_key_steps(project_trajectory(traj0), min(cfg.k_keysteps, steps - 1))
-            latents = traj0.latents.copy()
-            injected = traj0.injected.copy()
+            keys = select_key_steps(project_trajectory(path), min(cfg.k_keysteps, steps - 1))
+            latents = path.copy()
+            injected = noises.copy()
             valid_through = steps
             try:
                 for position in sorted(keys.indices):
@@ -358,14 +354,14 @@ def run_rts(
                 truncated = True
             if round_history["inter"]:  # at least one key step was committed
                 ledger.phase = "final"
-                final_traj = denoise(model, spec, traj0.latents[0], injected=injected, nfe=ledger)
+                final_sample = denoise(model, spec, z_init, injected=injected, nfe=ledger)[0][-1]
         else:
             truncated = True
 
-    final_reward = evaluate_reward(reward, final_traj.latents[-1])
+    final_reward = evaluate_reward(reward, final_sample)
     return RunResult(
         method=RTS,
-        final_sample=final_traj.latents[-1],
+        final_sample=final_sample,
         final_reward=final_reward,
         nfe_used=ledger.count,
         seed=stream.root_seed,
@@ -407,7 +403,7 @@ def run_bon(
     zs = np.stack([sample_gaussian(stream.child(0).child(i), model.dim) for i in range(n_candidates)])
     noises = None
     if spec.mode == SDE:
-        noises = np.stack([_churn_noises(spec, model.dim, stream.child(1).child(i)) for i in range(n_candidates)])
+        noises = _churn_noises(spec, model.dim, [stream.child(1).child(i) for i in range(n_candidates)])
     finals = _advance(model, spec, zs, 0, spec.steps, noises, counter)
     rewards = evaluate_reward(reward, finals).tolist()
     best = int(np.argmax(rewards))  # the first of tied maxima, as a strict running max
@@ -434,19 +430,19 @@ def run_zo(
     total = denoise_count(ZO, spec, budget_nfe)
     counter = NfeCounter()
     base = sample_gaussian(stream.child(0), model.dim)
-    best_traj = denoise(model, spec, base, stream=stream.child(1).child(0), nfe=counter)
-    best_reward = evaluate_reward(reward, best_traj.latents[-1])
+    best_sample = denoise(model, spec, base, stream=stream.child(1).child(0), nfe=counter)[0][-1]
+    best_reward = evaluate_reward(reward, best_sample)
     rewards = [best_reward]
     for step in range(1, total):
         neighbor = random_spherical_sample(base, 1, step_tau, stream.child(2).child(step)).candidates[0]
-        traj = denoise(model, spec, neighbor, stream=stream.child(1).child(step), nfe=counter)
-        score = evaluate_reward(reward, traj.latents[-1])
+        sample = denoise(model, spec, neighbor, stream=stream.child(1).child(step), nfe=counter)[0][-1]
+        score = evaluate_reward(reward, sample)
         rewards.append(score)
         if score > best_reward:
-            base, best_reward, best_traj = neighbor, score, traj
+            base, best_reward, best_sample = neighbor, score, sample
     return RunResult(
         method=ZO,
-        final_sample=best_traj.latents[-1],
+        final_sample=best_sample,
         final_reward=best_reward,
         nfe_used=counter.count,
         seed=stream.root_seed,
@@ -464,11 +460,11 @@ def run_free(
     """A single unsearched denoise, the no-extra-compute reference."""
     counter = NfeCounter()
     z = sample_gaussian(stream.child(0), model.dim)
-    traj = denoise(model, spec, z, stream=stream.child(1), nfe=counter)
-    score = evaluate_reward(reward, traj.latents[-1])
+    sample = denoise(model, spec, z, stream=stream.child(1), nfe=counter)[0][-1]
+    score = evaluate_reward(reward, sample)
     return RunResult(
         method=FREE,
-        final_sample=traj.latents[-1],
+        final_sample=sample,
         final_reward=score,
         nfe_used=counter.count,
         seed=stream.root_seed,

@@ -17,9 +17,11 @@ standard normal that is either injected by the caller or drawn from the
 run's stream, which keeps every trajectory a pure function of
 (z_init, injected noises).
 
-The model calls, ``heun_step`` and ``evaluate_reward`` take one latent
-``(d,)`` or a batch ``(n, d)`` of independent rows; a batch costs n NFEs per
-model call and gives, row for row, the same bits as n single-latent calls.
+The model calls, ``heun_step``, ``denoise`` and ``evaluate_reward`` take one
+latent ``(d,)`` or a batch ``(n, d)`` of independent rows; a batch costs n
+NFEs per model call and gives, row for row, the same bits as n single-latent
+calls. ``denoise`` returns a trajectory as two arrays, its per-step states
+and its injected noises.
 
 The kernel expands ‖x − s·μ_k‖², s = 1 − t, about the center c of the
 means: with M_c = μ − c and x' = x − s·c it is x'·x' − 2s·x'·M_c,k +
@@ -46,7 +48,6 @@ from .core import (
     DimensionError,
     Latent,
     NfeCounter,
-    NoiseTrajectory,
     NonFiniteError,
     PreconditionError,
     RngStream,
@@ -283,23 +284,10 @@ def _advance(
     return x
 
 
-def _solve(
-    model: MixtureModel,
-    spec: SolverSpec,
-    z: np.ndarray,
-    injected: np.ndarray | None,
-    nfe: NfeCounter | None,
-) -> np.ndarray:
-    """Every state of the full solve from ``z``, as ``(..., L+1, d)``; see ``_advance``."""
-    trace = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
-    trace[..., 0, :] = z
-    _advance(model, spec, z, 0, spec.steps, injected, nfe, trace)
-    return trace
-
-
-def _churn_noises(spec: SolverSpec, dim: int, stream: RngStream) -> np.ndarray:
-    """The ``(L−1, d)`` churn noises of a stochastic solve; step i draws from ``stream.child(i)``."""
-    return np.array([sample_gaussian(stream.child(i), dim) for i in range(spec.steps - 1)]).reshape(-1, dim)
+def _churn_noises(spec: SolverSpec, dim: int, streams) -> np.ndarray:
+    """The ``(n, L−1, d)`` churn noises of n stochastic solves; row r's step i draws from ``streams[r].child(i)``."""
+    noises = [[sample_gaussian(stream.child(i), dim) for i in range(spec.steps - 1)] for stream in streams]
+    return np.array(noises).reshape(len(streams), spec.steps - 1, dim)
 
 
 def denoise(
@@ -307,36 +295,40 @@ def denoise(
     spec: SolverSpec,
     z_init: Latent,
     injected: np.ndarray | None = None,
-    stream: RngStream | None = None,
+    stream: RngStream | list[RngStream] | None = None,
     nfe: NfeCounter | None = None,
-) -> NoiseTrajectory:
-    """Integrate from t = 1 to t = 0, recording every state and injected noise.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate one latent, or each row of an ``(n, d)`` batch, from t = 1 to t = 0.
 
-    In SDE mode each of the first L−1 steps appends churn·√Δt·z_l after the
-    Heun update, with z_l taken from ``injected`` when provided (replay) or
-    drawn from ``stream.child(step)`` otherwise. Costs exactly 2·L velocity
-    evaluations.
+    Returns ``(latents, injected)``: the ``(..., L+1, d)`` states, from
+    ``z_init`` at t = 1 to the sample at t = 0, and the ``(..., L−1, d)``
+    unscaled noises, none in ODE mode. In SDE mode each of the first L−1
+    steps appends churn·√Δt·z_l after the Heun update, with z_l taken from
+    ``injected`` when provided (replay) or drawn from ``stream.child(step)``
+    otherwise; a batch takes a sequence of one stream per row. Noises are
+    checked as latents before any model call. Costs 2·L NFEs per row.
     """
-    z_init = as_latent(z_init, model.dim)
-    steps = spec.steps
+    z = as_latent(z_init, model.dim, batch=True)
+    shape = z.shape[:-1] + (spec.steps - 1 if spec.mode == SDE else 0, model.dim)
     if spec.mode == ODE:
-        if injected is not None and len(injected) > 0:
+        if injected is not None and np.size(injected) > 0:
             raise PreconditionError("ODE mode accepts no injected noises")
-        injected_arr = np.zeros((0, model.dim))
+        churn = None
+    elif injected is not None:
+        churn = np.asarray(injected, dtype=np.float64)
+        if churn.shape != shape:
+            raise DimensionError(f"expected injected noises of shape {shape}, got {churn.shape}")
+        as_latent(churn.reshape(-1, model.dim), batch=True)
+    elif stream is None:
+        raise PreconditionError("SDE mode needs either injected noises or a stream")
     else:
-        if injected is not None:
-            injected_arr = np.asarray(injected, dtype=np.float64)
-            if injected_arr.shape != (steps - 1, model.dim):
-                raise DimensionError(
-                    f"expected {steps - 1} injected noises of dim {model.dim}, got {injected_arr.shape}"
-                )
-        elif stream is None:
-            raise PreconditionError("SDE mode needs either injected noises or a stream")
-        else:
-            injected_arr = _churn_noises(spec, model.dim, stream)
-
-    latents = _solve(model, spec, z_init, injected_arr if spec.mode == SDE else None, nfe)
-    return NoiseTrajectory(latents=latents, injected=injected_arr)
+        if z.ndim == 2 and (isinstance(stream, RngStream) or len(stream) != z.shape[0]):
+            raise PreconditionError(f"a batch of {z.shape[0]} latents needs a sequence of one stream per row")
+        churn = _churn_noises(spec, model.dim, [stream] if z.ndim == 1 else stream).reshape(shape)
+    latents = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
+    latents[..., 0, :] = z
+    _advance(model, spec, z, 0, spec.steps, churn, nfe, latents)
+    return latents, churn if churn is not None else np.zeros(shape)
 
 
 @dataclass

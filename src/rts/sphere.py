@@ -30,6 +30,7 @@ from .core import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    as_integer,
     as_latent,
     check_scalar,
     row_norm,
@@ -125,8 +126,7 @@ def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream)
     Candidate i consumes the sub-stream ``stream.child(i)``, so each
     candidate is the same whatever ``n`` is.
     """
-    if n < 1:
-        raise PreconditionError(f"need n >= 1 candidates, got {n}")
+    n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     base, radius, u = _base_frame(base)
     # every row starts collapsed, so each candidate draws its tangent
@@ -153,6 +153,7 @@ def guided_spherical_sample(
     tolerance (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is replaced by a
     fresh random tangent drawn from ``stream``.
     """
+    n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     check_scalar(alpha, "alpha", 0, 1)
     base, radius, u = _base_frame(base)

@@ -18,7 +18,6 @@ from rts import (
     MixtureModel,
     ModePreferenceReward,
     NeighborSet,
-    NoiseTrajectory,
     PreconditionError,
     QuadraticReward,
     RngStream,
@@ -45,11 +44,6 @@ from rts import (
 from rts.cli import main as cli_main
 from rts.search import SearchState, coarse_round, fine_round
 from rts.sim import _velocity
-
-
-def make_traj(latents):
-    latents = np.asarray(latents, dtype=np.float64)
-    return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])))
 
 
 def wilcoxon_greater(a, b):
@@ -295,7 +289,7 @@ class TestCriterion4:
         # Energy identity at the size limits, against an eigendecomposition
         # of the centered covariance computed without the factorization.
         latents = rng.standard_normal((64, 256))
-        proj = project_trajectory(make_traj(latents))
+        proj = project_trajectory(latents)
         energy = float(np.sum(proj**2))
         centered = latents - latents.mean(axis=0)
         eigenvalues = np.sort(np.linalg.eigvalsh(centered.T @ centered))[::-1]
@@ -311,15 +305,15 @@ class TestCriterion4:
                 direction = rng.standard_normal(128)
                 direction /= np.linalg.norm(direction)
             points.append(points[-1] + direction)
-        keys = select_key_steps(project_trajectory(make_traj(np.array(points))), 3)
+        keys = select_key_steps(project_trajectory(np.array(points)), 3)
         corners_ok = sorted(keys.indices) == [8, 20, 35]
 
         # Rotation invariance of scores and selection on a generic polyline.
         polyline = rng.standard_normal((30, 24))
         q, r = np.linalg.qr(rng.standard_normal((24, 24)))
         q = q * np.sign(np.diag(r))
-        proj_a = project_trajectory(make_traj(polyline))
-        proj_b = project_trajectory(make_traj(polyline @ q.T))
+        proj_a = project_trajectory(polyline)
+        proj_b = project_trajectory(polyline @ q.T)
         curv_a = curvature(proj_a)[1:29]
         curv_b = curvature(proj_b)[1:29]
         rotation_err = float(np.max(np.abs(curv_a - curv_b) / np.abs(curv_a)))
@@ -362,15 +356,14 @@ class TestCriterion5:
         # Deterministic solver is bitwise reproducible.
         ode = SolverSpec(mode="ode", steps=12)
         z = np.array([0.8, -1.1])
-        first = denoise(model, ode, z)
-        second = denoise(model, ode, z)
-        ode_ok = np.array_equal(first.latents, second.latents)
+        first, _ = denoise(model, ode, z)
+        second, _ = denoise(model, ode, z)
+        ode_ok = np.array_equal(first, second)
 
         # Stochastic solver replays exactly from its recorded noises.
         sde = SolverSpec(mode="sde", steps=12, churn=0.6)
-        traj = denoise(model, sde, z, stream=RngStream(3))
-        replay = denoise(model, sde, z, injected=traj.injected)
-        replay_ok = np.array_equal(replay.latents, traj.latents)
+        latents, injected = denoise(model, sde, z, stream=RngStream(3))
+        replay_ok = np.array_equal(denoise(model, sde, z, injected=injected)[0], latents)
 
         # Final-sample moments of a single-Gaussian target over 10^5 runs
         # at d=2, L=50: mean within 0.02, variance within 0.05.

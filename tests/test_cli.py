@@ -516,6 +516,19 @@ class TestReportCommand:
         records = self._records("alpha", range(6), a) + self._records("beta", range(100, 105), b)
         self._check_p_values(tmp_path, records, expected)
 
+    def test_two_configs_over_the_same_seeds_give_the_mann_whitney_p_value(self, tmp_path):
+        # alpha has two records per seed; pairing by seed would keep one of them
+        rng = np.random.default_rng(5)
+        first, second, b = rng.uniform(0.0, 0.5, 10), rng.uniform(0.5, 1.0, 10), rng.uniform(0.2, 0.8, 10)
+        alpha = [{**r, "config": c} for rows, c in ((first, "c1"), (second, "c2"))
+                 for r in self._records("alpha", range(10), rows)]
+        a = np.concatenate([first, second])
+        expected = {
+            "alpha>beta": float(stats.mannwhitneyu(a, b, alternative="greater").pvalue),
+            "beta>alpha": float(stats.mannwhitneyu(b, a, alternative="greater").pvalue),
+        }
+        self._check_p_values(tmp_path, alpha + self._records("beta", range(10), b), expected)
+
     def test_single_record_has_zero_stddev(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config]) == 0

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from rts import (
     DimensionError,
     NfeCounter,
-    NoiseTrajectory,
     NonFiniteError,
     PreconditionError,
     RngStream,
@@ -223,37 +222,6 @@ class TestSampleGaussian:
         values = np.concatenate([sample_gaussian(parent.child(i), 16) for i in range(2500)])
         assert abs(values.mean()) < 0.02
         assert abs(values.var() - 1.0) < 0.03
-
-
-class TestNoiseTrajectory:
-    def test_deterministic_run_shape(self):
-        traj = NoiseTrajectory(
-            latents=np.zeros((5, 3)),
-            injected=np.zeros((0, 3)),
-        )
-        assert traj.steps == 4
-        assert traj.dim == 3
-        assert traj.injected.shape == (0, 3)
-
-    def test_stochastic_run_carries_steps_minus_one_noises(self):
-        traj = NoiseTrajectory(
-            latents=np.zeros((5, 3)),
-            injected=np.ones((3, 3)),
-        )
-        assert traj.injected.shape == (3, 3)
-
-    def test_rejects_wrong_injected_count(self):
-        with pytest.raises(DimensionError):
-            NoiseTrajectory(
-                latents=np.zeros((5, 3)),
-                injected=np.ones((2, 3)),
-            )
-
-    def test_rejects_nonfinite_latents(self):
-        latents = np.zeros((4, 2))
-        latents[1, 0] = np.nan
-        with pytest.raises(NonFiniteError):
-            NoiseTrajectory(latents, np.zeros((0, 2)))
 
 
 class TestNfeCounter:

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from rts import (
+    DimensionError,
     KeyStepSet,
-    NoiseTrajectory,
+    NonFiniteError,
     PreconditionError,
     curvature,
     project_trajectory,
     select_key_steps,
 )
-
-
-def make_traj(latents):
-    latents = np.asarray(latents, dtype=np.float64)
-    return NoiseTrajectory(latents=latents, injected=np.empty((0, latents.shape[1])))
 
 
 def top_eigenvalue_sum(latents, k):
@@ -44,8 +40,8 @@ def corner_path(n_steps, corners, dim, rng):
 
 class TestProjectTrajectory:
     def test_identical_latents_project_to_origin(self):
-        traj = make_traj(np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (6, 1)))
-        np.testing.assert_allclose(project_trajectory(traj), 0.0, atol=1e-12)
+        latents = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (6, 1))
+        np.testing.assert_allclose(project_trajectory(latents), 0.0, atol=1e-12)
 
     def test_3d_affine_subspace_is_isometric(self):
         # Latents in a 3D affine subspace of d=32: projected pairwise
@@ -54,7 +50,7 @@ class TestProjectTrajectory:
         basis, _ = np.linalg.qr(rng.standard_normal((32, 3)))
         coords = rng.standard_normal((10, 3))
         latents = coords @ basis.T + rng.standard_normal(32)
-        points = project_trajectory(make_traj(latents))
+        points = project_trajectory(latents)
         for i in range(10):
             for j in range(i + 1, 10):
                 original = np.linalg.norm(latents[i] - latents[j])
@@ -65,12 +61,12 @@ class TestProjectTrajectory:
         # Sum of squared projected norms equals the top-3 eigenvalues of the
         # centered covariance, computed without the factorization.
         latents = np.random.default_rng(42).standard_normal((16, 64))
-        energy = float(np.sum(project_trajectory(make_traj(latents)) ** 2))
+        energy = float(np.sum(project_trajectory(latents) ** 2))
         np.testing.assert_allclose(energy, top_eigenvalue_sum(latents, 3), rtol=1e-8)
 
     def test_energy_identity_large(self):
         latents = np.random.default_rng(7).standard_normal((64, 256))
-        energy = float(np.sum(project_trajectory(make_traj(latents)) ** 2))
+        energy = float(np.sum(project_trajectory(latents) ** 2))
         np.testing.assert_allclose(energy, top_eigenvalue_sum(latents, 3), rtol=1e-8)
 
     def test_rank_one_input_keeps_distances_on_the_first_axis(self):
@@ -79,7 +75,7 @@ class TestProjectTrajectory:
         direction = np.zeros(16)
         direction[2] = 1.0
         latents = np.outer(np.arange(8, dtype=np.float64), direction)
-        points = project_trajectory(make_traj(latents))
+        points = project_trajectory(latents)
         np.testing.assert_allclose(np.abs(points[:, 0]), np.abs(np.arange(8) - 3.5), atol=1e-12)
         np.testing.assert_allclose(points[:, 1:], 0.0, atol=1e-12)
 
@@ -87,14 +83,24 @@ class TestProjectTrajectory:
         # Latent dimension below 3 leaves nothing to complete with: the
         # third point coordinate stays zero.
         latents = np.random.default_rng(5).standard_normal((9, 2))
-        points = project_trajectory(make_traj(latents))
+        points = project_trajectory(latents)
         np.testing.assert_allclose(points[:, 2], 0.0, atol=1e-15)
         np.testing.assert_allclose(float(np.sum(points**2)), top_eigenvalue_sum(latents, 2), rtol=1e-8)
 
     def test_too_few_latents_rejected(self):
-        traj = make_traj(np.random.default_rng(0).standard_normal((3, 8)))
         with pytest.raises(PreconditionError):
-            project_trajectory(traj)
+            project_trajectory(np.random.default_rng(0).standard_normal((3, 8)))
+
+    def test_one_dimensional_latents_rejected(self):
+        with pytest.raises(DimensionError):
+            project_trajectory(np.arange(8.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+    def test_non_finite_latents_rejected(self, bad):
+        latents = np.random.default_rng(1).standard_normal((6, 4))
+        latents[2, 1] = bad
+        with pytest.raises(NonFiniteError):
+            project_trajectory(latents)
 
 
 class TestCurvature:
@@ -141,7 +147,7 @@ class TestSelectKeySteps:
         # strict curvature maximum before asserting selection.
         rng = np.random.default_rng(42)
         latents = corner_path(24, {10}, 16, rng)
-        proj = project_trajectory(make_traj(latents))
+        proj = project_trajectory(latents)
         scores = curvature(proj)[1:23]
         assert int(np.argmax(scores)) + 1 == 10
         selected = select_key_steps(proj, 1)
@@ -150,7 +156,7 @@ class TestSelectKeySteps:
     def test_three_planted_corners_d128(self):
         rng = np.random.default_rng(42)
         latents = corner_path(48, {8, 20, 35}, 128, rng)
-        proj = project_trajectory(make_traj(latents))
+        proj = project_trajectory(latents)
         selected = select_key_steps(proj, 3)
         assert sorted(selected.indices) == [8, 20, 35]
 
@@ -158,14 +164,14 @@ class TestSelectKeySteps:
         direction = np.zeros(8)
         direction[0] = 1.0
         latents = np.outer(np.arange(10, dtype=np.float64), direction)
-        proj = project_trajectory(make_traj(latents))
+        proj = project_trajectory(latents)
         selected = select_key_steps(proj, 2)
         assert selected.indices == (1, 2)
         assert selected.curvatures == (0.0, 0.0)
 
     def test_curvatures_sorted_descending(self):
         rng = np.random.default_rng(11)
-        proj = project_trajectory(make_traj(rng.standard_normal((20, 12))))
+        proj = project_trajectory(rng.standard_normal((20, 12)))
         selected = select_key_steps(proj, 8)
         assert all(
             c1 >= c2 for c1, c2 in zip(selected.curvatures, selected.curvatures[1:])
@@ -173,7 +179,7 @@ class TestSelectKeySteps:
 
     def test_endpoints_never_selected(self):
         rng = np.random.default_rng(12)
-        proj = project_trajectory(make_traj(rng.standard_normal((12, 8))))
+        proj = project_trajectory(rng.standard_normal((12, 8)))
         selected = select_key_steps(proj, 10)
         assert 0 not in selected.indices
         assert 11 not in selected.indices
@@ -186,29 +192,29 @@ class TestSelectKeySteps:
         rng = np.random.default_rng(42)
         latents = rng.standard_normal((30, 24))
         rotation = random_orthogonal(24, rng)
-        base = select_key_steps(project_trajectory(make_traj(latents)), 5)
-        rotated = select_key_steps(project_trajectory(make_traj(latents @ rotation.T)), 5)
+        base = select_key_steps(project_trajectory(latents), 5)
+        rotated = select_key_steps(project_trajectory(latents @ rotation.T), 5)
         assert base.indices == rotated.indices
         np.testing.assert_allclose(base.curvatures, rotated.curvatures, atol=1e-9)
 
     def test_selection_deterministic(self):
         rng = np.random.default_rng(13)
         latents = rng.standard_normal((18, 10))
-        a = select_key_steps(project_trajectory(make_traj(latents)), 4)
-        b = select_key_steps(project_trajectory(make_traj(latents)), 4)
+        a = select_key_steps(project_trajectory(latents), 4)
+        b = select_key_steps(project_trajectory(latents), 4)
         assert a.indices == b.indices
         assert a.curvatures == b.curvatures
 
     @pytest.mark.parametrize("k", [0, -1, 11])
     def test_bad_k_rejected(self, k):
         rng = np.random.default_rng(16)
-        proj = project_trajectory(make_traj(rng.standard_normal((12, 6))))
+        proj = project_trajectory(rng.standard_normal((12, 6)))
         with pytest.raises(PreconditionError):
             select_key_steps(proj, k)
 
     def test_result_type(self):
         rng = np.random.default_rng(17)
-        proj = project_trajectory(make_traj(rng.standard_normal((10, 6))))
+        proj = project_trajectory(rng.standard_normal((10, 6)))
         selected = select_key_steps(proj, 3)
         assert isinstance(selected, KeyStepSet)
         assert len(selected.indices) == len(selected.curvatures) == 3

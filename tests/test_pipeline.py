@@ -25,13 +25,16 @@ from rts import (
     denoise,
     evaluate_reward,
     expected_rts_nfe,
+    guided_spherical_sample,
     nearest_mode,
+    random_spherical_sample,
     run_bon,
     run_free,
     run_rts,
     run_search,
     run_zo,
     sample_gaussian,
+    select_key_steps,
 )
 
 
@@ -93,6 +96,11 @@ counts = pytest.mark.parametrize("make,valid", [
                  id="bon-budget"),
     pytest.param(lambda v: run_zo(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, 0.9, RngStream(0)), 16,
                  id="zo-budget"),
+    pytest.param(lambda v: select_key_steps(np.arange(18.0).reshape(6, 3) ** 2, v), 2, id="key-steps-k"),
+    pytest.param(lambda v: random_spherical_sample(np.ones(2), v, 0.9, RngStream(0)), 2, id="random-sample-n"),
+    pytest.param(lambda v: guided_spherical_sample(np.ones(2), v, 0.9, 0.5, np.array([1.0, -1.0]),
+                                                   np.array([[0.6, -0.6], [-0.6, 0.6]]), RngStream(0)), 2,
+                 id="guided-sample-n"),
 ])
 
 
@@ -231,6 +239,18 @@ class TestNfeLedger:
             positions = rng.choice(np.arange(1, 16), size=6, replace=False)
             total = expected_rts_nfe(cfg, spec, key_positions=positions)["total"]
             assert total <= worst["total"]
+
+    @pytest.mark.parametrize("positions", [[0, 99], [0, 3], [3, 8]], ids=["both", "first", "last"])
+    def test_positions_outside_the_interior_are_refused(self, positions):
+        # interior steps of an 8-step solve are 1..7; 0 and 8 are its endpoints
+        spec = SolverSpec(mode="sde", steps=8, churn=0.4)
+        with pytest.raises(PreconditionError, match=r"key position must lie in \[1, 7\]"):
+            expected_rts_nfe(RtsConfig(), spec, key_positions=positions)
+
+    def test_repeated_position_is_refused(self):
+        spec = SolverSpec(mode="sde", steps=8, churn=0.4)
+        with pytest.raises(PreconditionError, match="distinct"):
+            expected_rts_nfe(RtsConfig(), spec, key_positions=[5, 2, 5])
 
 
 class TestBudgetProperty:
@@ -413,10 +433,10 @@ class TestReplayCorrectness:
         replays = [(z, inj) for z, inj in calls if inj is not None and len(inj) > 0]
         assert len(replays) == 1
         z_init, injected = replays[-1]
-        fresh = denoise(model, spec, z_init, injected=injected)
-        np.testing.assert_array_equal(fresh.latents[-1], result.final_sample)
+        fresh, _ = denoise(model, spec, z_init, injected=injected)
+        np.testing.assert_array_equal(fresh[-1], result.final_sample)
         np.testing.assert_allclose(
-            result.final_reward, reward.evaluate(fresh.latents[-1]), rtol=0, atol=0
+            result.final_reward, reward.evaluate(fresh[-1]), rtol=0, atol=0
         )
 
 
@@ -577,8 +597,8 @@ class TestRunZo:
         stream = RngStream(5)
         result = run_zo(model, spec, RowReward(lambda x: 1.0), 96, 0.9, stream)
         base = sample_gaussian(stream.child(0), model.dim)
-        traj = denoise(model, spec, base, stream=stream.child(1).child(0))
-        np.testing.assert_array_equal(result.final_sample, traj.latents[-1])
+        latents, _ = denoise(model, spec, base, stream=stream.child(1).child(0))
+        np.testing.assert_array_equal(result.final_sample, latents[-1])
 
     def test_final_reward_is_running_max(self):
         model = four_corner_model()

@@ -29,7 +29,6 @@ from rts.sim import (
     _advance,
     _clean,
     _posterior,
-    _solve,
     _velocity,
     heun_step,
 )
@@ -226,9 +225,7 @@ class TestDenoise:
         model = two_component()
         spec = SolverSpec(mode=ODE, steps=12)
         z = RngStream(5).child(0).generator().standard_normal(2)
-        t1 = denoise(model, spec, z)
-        t2 = denoise(model, spec, z)
-        np.testing.assert_array_equal(t1.latents, t2.latents)
+        np.testing.assert_array_equal(denoise(model, spec, z)[0], denoise(model, spec, z)[0])
 
     def test_sde_replay_exactness(self):
         # Re-supplying the recorded injected noises replays the trajectory
@@ -236,37 +233,56 @@ class TestDenoise:
         model = two_component()
         spec = SolverSpec(mode=SDE, steps=10, churn=0.7)
         z = np.array([0.3, -1.2])
-        recorded = denoise(model, spec, z, stream=RngStream(8))
-        replayed = denoise(model, spec, z, injected=recorded.injected)
-        np.testing.assert_array_equal(replayed.latents, recorded.latents)
-        np.testing.assert_array_equal(replayed.injected, recorded.injected)
+        latents, injected = denoise(model, spec, z, stream=RngStream(8))
+        replayed, replayed_injected = denoise(model, spec, z, injected=injected)
+        np.testing.assert_array_equal(replayed, latents)
+        np.testing.assert_array_equal(replayed_injected, injected)
 
     def test_sde_same_stream_is_deterministic(self):
         model = two_component()
         spec = SolverSpec(mode=SDE, steps=6, churn=0.5)
         z = np.array([0.3, -1.2])
-        a = denoise(model, spec, z, stream=RngStream(3))
-        b = denoise(model, spec, z, stream=RngStream(3))
-        np.testing.assert_array_equal(a.latents, b.latents)
+        a, _ = denoise(model, spec, z, stream=RngStream(3))
+        b, _ = denoise(model, spec, z, stream=RngStream(3))
+        np.testing.assert_array_equal(a, b)
 
     def test_trajectory_shapes_and_endpoints(self):
+        # one noise for each of the first L - 1 steps
         model = two_component()
         spec = SolverSpec(mode=SDE, steps=9, churn=0.4)
         z = np.array([1.0, 1.0])
-        traj = denoise(model, spec, z, stream=RngStream(2))
-        assert traj.latents.shape == (10, 2)
-        assert traj.injected.shape == (8, 2)
-        np.testing.assert_array_equal(traj.latents[0], z)
+        latents, injected = denoise(model, spec, z, stream=RngStream(2))
+        assert latents.shape == (10, 2)
+        assert injected.shape == (8, 2)
+        np.testing.assert_array_equal(latents[0], z)
 
     def test_ode_has_no_injected_noises(self):
         model = two_component()
-        traj = denoise(model, SolverSpec(mode=ODE, steps=5), np.array([1.0, 1.0]))
-        assert traj.injected.shape == (0, 2)
+        latents, injected = denoise(model, SolverSpec(mode=ODE, steps=5), np.array([1.0, 1.0]))
+        assert latents.shape == (6, 2)
+        assert injected.shape == (0, 2)
 
     def test_ode_rejects_injected(self):
         model = two_component()
         with pytest.raises(PreconditionError):
             denoise(model, SolverSpec(mode=ODE, steps=5), np.ones(2), injected=np.ones((4, 2)))
+
+    def test_ode_rejects_scalar_injected(self):
+        model = two_component()
+        with pytest.raises(PreconditionError, match="ODE mode accepts no injected noises"):
+            denoise(model, SolverSpec(mode=ODE, steps=5), np.ones(2), injected=np.float64(1.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e160])
+    def test_non_finite_injected_rejected_before_any_model_call(self, bad):
+        # the suite turns a RuntimeWarning into an error, so this also checks that no solve ran
+        model = two_component()
+        spec = SolverSpec(mode=SDE, steps=5, churn=0.5)
+        injected = np.zeros((4, 2))
+        injected[1, 0] = bad
+        nfe = NfeCounter()
+        with pytest.raises(NonFiniteError):
+            denoise(model, spec, np.ones(2), injected=injected, nfe=nfe)
+        assert nfe.count == 0
 
     def test_sde_requires_stream_or_injected(self):
         model = two_component()
@@ -276,8 +292,9 @@ class TestDenoise:
     def test_wrong_injected_count_rejected(self):
         model = two_component()
         spec = SolverSpec(mode=SDE, steps=5, churn=0.5)
-        with pytest.raises(DimensionError):
-            denoise(model, spec, np.ones(2), injected=np.ones((5, 2)))
+        for shape in [(5, 2), (4, 3), (2, 4, 2)]:
+            with pytest.raises(DimensionError):
+                denoise(model, spec, np.ones(2), injected=np.ones(shape))
 
     def test_nfe_is_two_per_step(self):
         model = two_component()
@@ -292,10 +309,11 @@ class TestDenoise:
         # the only step is the last one, which never gets churn
         model = two_component()
         nfe = NfeCounter()
-        traj = denoise(model, SolverSpec(mode=SDE, steps=1, churn=0.5), np.ones(2), stream=RngStream(1), nfe=nfe)
-        assert traj.injected.shape == (0, 2)
+        spec = SolverSpec(mode=SDE, steps=1, churn=0.5)
+        latents, injected = denoise(model, spec, np.ones(2), stream=RngStream(1), nfe=nfe)
+        assert injected.shape == (0, 2)
         assert nfe.count == 2
-        np.testing.assert_array_equal(traj.latents[-1], heun_step(model, np.ones(2), 1.0, 0.0))
+        np.testing.assert_array_equal(latents[-1], heun_step(model, np.ones(2), 1.0, 0.0))
 
     def test_batched_heun_matches_scalar(self):
         # The vectorized velocity broadcasts over rows; integrating a batch
@@ -312,8 +330,7 @@ class TestDenoise:
             v_to = _velocity(model, x + dt * v_from, grid[i + 1])
             x = x + dt * 0.5 * (v_from + v_to)
         for row in range(16):
-            traj = denoise(model, spec, batch[row])
-            np.testing.assert_array_equal(x[row], traj.latents[-1])
+            np.testing.assert_array_equal(x[row], denoise(model, spec, batch[row])[0][-1])
 
     def test_single_component_moments(self):
         # Quick distributional check (the full 10^5-run version lives in the
@@ -433,13 +450,12 @@ class TestOverflowingLatents:
             "marginal_velocity": lambda: marginal_velocity(model, x, 0.5),
             "one_step_clean_estimate": lambda: one_step_clean_estimate(model, x, 0.5),
             "evaluate_reward": lambda: evaluate_reward(reward, x),
-            "denoise": lambda: denoise(model, SolverSpec(ODE, 4), x).latents,
+            "denoise": lambda: denoise(model, SolverSpec(ODE, 4), x)[0],
         }
 
     @pytest.mark.parametrize("name", CALLS)
     def test_entry_above_the_bound_is_refused(self, name):
-        batches = [np.array([[0.0, 1.0], [0.0, -1e160]])] if name != "denoise" else []  # denoise takes one latent
-        for x in [np.array([1e160, 0.0]), *batches]:
+        for x in [np.array([1e160, 0.0]), np.array([[0.0, 1.0], [0.0, -1e160]])]:
             with pytest.raises(NonFiniteError, match="magnitude"):
                 self.calls(x)[name]()
 
@@ -489,17 +505,36 @@ class TestBatchedPath:
 
     @pytest.mark.parametrize("make_model,n", [(four_corner, 7), (wide_model, 2)])
     def test_batched_solve_equals_denoise_per_row(self, make_model, n):
+        # per-row streams, given noises and ODE: both arrays, bit for bit
         model = make_model()
-        spec = SolverSpec(mode=SDE, steps=5, churn=0.4)
+        sde, ode = SolverSpec(mode=SDE, steps=5, churn=0.4), SolverSpec(mode=ODE, steps=5)
         rng = np.random.default_rng(11)
         zs = rng.standard_normal((n, model.dim))
-        noises = rng.standard_normal((n, spec.steps - 1, model.dim))
-        nfe = NfeCounter()
-        trace = _solve(model, spec, zs, noises, nfe)
-        assert nfe.count == 2 * spec.steps * n
-        for row in range(n):
-            traj = denoise(model, spec, zs[row], injected=noises[row])
-            np.testing.assert_array_equal(trace[row], traj.latents)
+        noises = rng.standard_normal((n, sde.steps - 1, model.dim))
+        streams = [RngStream(4).child(row) for row in range(n)]
+        for spec, per_row, batch_kwargs in [
+            (sde, lambda row: {"stream": streams[row]}, {"stream": streams}),
+            (sde, lambda row: {"injected": noises[row]}, {"injected": noises}),
+            (ode, lambda row: {}, {}),
+        ]:
+            nfe = NfeCounter()
+            latents, injected = denoise(model, spec, zs, nfe=nfe, **batch_kwargs)
+            assert nfe.count == 2 * spec.steps * n
+            assert injected.shape == (n, spec.steps - 1 if spec.mode == SDE else 0, model.dim)
+            for row in range(n):
+                row_latents, row_injected = denoise(model, spec, zs[row], **per_row(row))
+                np.testing.assert_array_equal(latents[row], row_latents)
+                np.testing.assert_array_equal(injected[row], row_injected)
+
+    def test_batch_needs_one_stream_per_row(self):
+        model = four_corner()
+        spec = SolverSpec(mode=SDE, steps=5, churn=0.4)
+        zs = np.ones((3, 2))
+        for stream in [RngStream(0), [RngStream(0), RngStream(1)]]:
+            with pytest.raises(PreconditionError, match="one stream per row"):
+                denoise(model, spec, zs, stream=stream)
+        with pytest.raises(DimensionError):
+            denoise(model, spec, zs, injected=np.ones((spec.steps - 1, 2)))
 
     def test_shared_noises_broadcast_over_rows(self):
         model = four_corner()
@@ -509,8 +544,7 @@ class TestBatchedPath:
         injected = rng.standard_normal((spec.steps - 1, 2))
         finals = _advance(model, spec, zs, 0, spec.steps, injected)
         for row in range(4):
-            traj = denoise(model, spec, zs[row], injected=injected)
-            np.testing.assert_array_equal(finals[row], traj.latents[-1])
+            np.testing.assert_array_equal(finals[row], denoise(model, spec, zs[row], injected=injected)[0][-1])
 
     @pytest.mark.parametrize("make_model,n", BATCH_CASES)
     def test_mode_preference_reward_equals_single_rows(self, make_model, n):
