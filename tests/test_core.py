@@ -9,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rts import (
+    ODE,
+    SDE,
     DimensionError,
+    MixtureModel,
     NfeCounter,
     NonFiniteError,
     PreconditionError,
     RngStream,
+    SolverSpec,
     as_latent,
+    denoise,
     sample_gaussian,
 )
 from rts.core import LATENT_BOUND
@@ -222,6 +227,32 @@ class TestSampleGaussian:
         values = np.concatenate([sample_gaussian(parent.child(i), 16) for i in range(2500)])
         assert abs(values.mean()) < 0.02
         assert abs(values.var() - 1.0) < 0.03
+
+
+class TestNoiseTrajectory:
+    """A noise trajectory is the (latents, injected) pair that denoise returns."""
+
+    model = MixtureModel(
+        weights=[0.5, 0.5], means=[[1.0, 0.0, -1.0], [-1.0, 0.5, 1.0]], stddevs=[0.6, 0.9]
+    )
+
+    def test_deterministic_run_shape(self):
+        latents, injected = denoise(self.model, SolverSpec(mode=ODE, steps=4), np.zeros(3))
+        assert latents.shape == (5, 3)
+        assert injected.shape == (0, 3)
+
+    def test_stochastic_run_carries_steps_minus_one_noises(self):
+        spec = SolverSpec(mode=SDE, steps=4, churn=0.5)
+        latents, injected = denoise(self.model, spec, np.zeros(3), injected=np.ones((3, 3)))
+        assert latents.shape == (5, 3)
+        np.testing.assert_array_equal(injected, np.ones((3, 3)))
+
+    def test_rejects_wrong_injected_count(self):
+        spec = SolverSpec(mode=SDE, steps=4, churn=0.5)
+        nfe = NfeCounter()
+        with pytest.raises(DimensionError):
+            denoise(self.model, spec, np.zeros(3), injected=np.ones((2, 3)), nfe=nfe)
+        assert nfe.count == 0
 
 
 class TestNfeCounter:
