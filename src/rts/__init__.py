@@ -22,6 +22,7 @@ from .core import (
     PreconditionError,
     RngStream,
     RtsError,
+    StreamBlock,
     as_latent,
     sample_gaussian,
 )
@@ -36,9 +37,13 @@ from .pipeline import (
     RunResult,
     expected_rts_nfe,
     run_bon,
+    run_bon_block,
     run_free,
+    run_free_block,
     run_rts,
+    run_rts_block,
     run_zo,
+    run_zo_block,
 )
 from .search import Evaluator, RoundSummary, SearchConfig, SearchState, coarse_round, fine_round, run_search
 from .sim import (

@@ -2,8 +2,10 @@
 
 Subcommands:
     run                execute the configured method for each replicate and
-                       append one JSON record per line to the output file,
-                       each flushed in replicate order as soon as it is done
+                       append one JSON record per line to the output file:
+                       the replicates run in contiguous blocks, each block in
+                       lockstep, and every block's records are flushed in
+                       replicate order as soon as the block is done
     report             aggregate a results file into per-method statistics
                        with pairwise one-sided rank-test p-values; a file
                        that repeats a (method, seed, config), or a record
@@ -21,6 +23,14 @@ next to ``config``, a hash of the validated config that ``report`` keys
 duplicates on.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
+
+``run`` splits the replicates into contiguous blocks of at most
+``MAX_BLOCK``, about one per worker. With more than one worker the blocks go
+to processes forked from this one, which start with numpy and the package
+already imported; the parent writes each block's records in replicate order.
+A failing block ends the run, and the records of every block before it
+stay. A record's ``wall_ms`` is its block's wall time over the block's size,
+so the sum over records is still the compute time.
 
 Every subcommand, ``report`` included, loads the standard library, numpy and
 the package alone, so each starts in a fraction of a second. ``report``
@@ -57,10 +67,10 @@ from .pipeline import (
     RunResult,
     check_rts_budget,
     denoise_count,
-    run_bon,
-    run_free,
-    run_rts,
-    run_zo,
+    run_bon_block,
+    run_free_block,
+    run_rts_block,
+    run_zo_block,
 )
 from .search import MAX_NEIGHBORS, SearchConfig
 from .sim import (
@@ -77,10 +87,14 @@ from .sim import (
 
 WORKER_ENV = "RTS_MAX_WORKERS"
 
-# Most worker processes a run may ask for. Each is a fresh interpreter, and
-# the pool starts one per queued replicate up to this count, so an absurd
-# count is refused up front instead of starting thousands of processes.
+# Most worker processes a run may ask for. The pool starts one per block up
+# to this count, so an absurd count is refused up front instead of starting
+# thousands of processes.
 MAX_WORKERS = 256
+
+# Most replicates one block runs in lockstep. Past a few dozen seeds a larger
+# block no longer runs faster per seed, and a failing block loses its records.
+MAX_BLOCK = 64
 
 
 class _Invalid(ConfigError):
@@ -378,22 +392,31 @@ def _check_budget(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> None:
         raise _Invalid("budget_nfe", str(exc)) from exc
 
 
-def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
-    """Execute one replicate (seed = base seed + index) and build its record; ``cmd_run`` checked the budget."""
+def run_block(cfg: dict, indices: range, overrides: dict) -> list[dict]:
+    """Execute the replicates ``indices`` (seed = base seed + index) in lockstep; their records in order.
+
+    ``cmd_run`` checked the budget. Each record's ``wall_ms`` is the block's
+    wall time over its size.
+    """
     model, spec, reward, rts_cfg = build_experiment(cfg)
-    stream = RngStream(root_seed=cfg["seed"] + index, path=())
+    streams = [RngStream(root_seed=cfg["seed"] + index, path=()) for index in indices]
     method = cfg["method"]
     start = time.perf_counter()
     if method == RTS:
-        result = run_rts(model, spec, reward, rts_cfg, stream)
+        results = run_rts_block(model, spec, reward, rts_cfg, streams)
     elif method == BON:
-        result = run_bon(model, spec, reward, cfg["budget_nfe"], stream)
+        results = run_bon_block(model, spec, reward, cfg["budget_nfe"], streams)
     elif method == ZO:
-        result = run_zo(model, spec, reward, cfg["budget_nfe"], cfg["zo_step_tau"], stream)
+        results = run_zo_block(model, spec, reward, cfg["budget_nfe"], cfg["zo_step_tau"], streams)
     else:
-        result = run_free(model, spec, reward, stream)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return _result_record(result, cfg, model, overrides, wall_ms)
+        results = run_free_block(model, spec, reward, streams)
+    wall_ms = (time.perf_counter() - start) * 1000.0 / len(streams)
+    return [_result_record(result, cfg, model, overrides, wall_ms) for result in results]
+
+
+def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
+    """Execute one replicate and build its record: the block of this one index."""
+    return run_block(cfg, range(index, index + 1), overrides)[0]
 
 
 def _worker_count(cfg: dict) -> int:
@@ -411,20 +434,26 @@ def _refuse_overwrite(out: str, source: str, what: str) -> None:
         raise ConfigError(f"'{out}' would overwrite the {what}; choose another --out")
 
 
-def _append_records(path: str, records) -> None:
-    """Append each record as one JSON line and flush it as soon as it arrives.
+def _blocks(replicates: int, workers: int) -> list[range]:
+    """Contiguous blocks of replicate indices, about one per worker and at most ``MAX_BLOCK`` each."""
+    size = min(MAX_BLOCK, -(-replicates // workers))
+    return [range(first, min(first + size, replicates)) for first in range(0, replicates, size)]
 
-    A replicate that fails ends the run, and every record before it stays
-    in the file.
+
+def _append_records(path: str, blocks) -> None:
+    """Append each block's records as JSON lines and flush them as soon as the block arrives.
+
+    A block that fails ends the run, and every record of the blocks before
+    it stays in the file.
     """
     try:
         sink = open(path, "a", encoding="utf-8")
     except OSError as exc:
         raise RtsError(f"cannot write output '{path}': {exc}") from exc
     with sink:
-        for record in records:
+        for records in blocks:
             try:
-                sink.write(json.dumps(record) + "\n")
+                sink.writelines(json.dumps(record) + "\n" for record in records)
                 sink.flush()
             except OSError as exc:
                 raise RtsError(f"cannot write output '{path}': {exc}") from exc
@@ -436,15 +465,21 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     _, spec, _, rts_cfg = build_experiment(cfg)  # fail on bad values before any work is queued
     _check_budget(cfg, spec, rts_cfg)
     workers = _worker_count(cfg)
-    indices = range(cfg["replicates"])
+    blocks = _blocks(cfg["replicates"], workers)
+    workers = min(workers, len(blocks))
     if workers == 1:
-        _append_records(cfg["out"], (run_replicate(cfg, i, overrides) for i in indices))
+        _append_records(cfg["out"], (run_block(cfg, block, overrides) for block in blocks))
     else:
-        # spawn keeps worker state identical to a fresh interpreter; map yields
-        # records in submission order so the output is deterministic
-        executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+        # fork: each worker starts as a copy of this process, numpy and the
+        # package already imported, and runs one contiguous block at a time in
+        # lockstep. The pool forks every worker at its first task, before it
+        # starts its own thread, so this process has no other thread then.
+        # map yields the blocks in replicate order, so the output is
+        # deterministic. Shutting down cancels the blocks not yet started and
+        # waits for every worker, so none outlives the run.
+        executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
         try:
-            _append_records(cfg["out"], executor.map(run_replicate, repeat(cfg), indices, repeat(overrides)))
+            _append_records(cfg["out"], executor.map(run_block, repeat(cfg), blocks, repeat(overrides)))
         finally:
             executor.shutdown(cancel_futures=True)
     print(f"wrote {cfg['replicates']} record(s) to {cfg['out']}")

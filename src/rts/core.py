@@ -18,10 +18,17 @@ whole path. A draw turns the pool into the two-word Philox key exactly as
 on one reused Philox generator per thread. Every draw is bit for bit the one
 a fresh ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))``
 makes, at a fraction of its cost.
+
+A ``StreamBlock`` is an array of such streams, say one per seed of a
+lockstep block or one per candidate row: it folds a label into every
+element, turns every pool into its key and draws one latent per element
+with array arithmetic, and each element draws what its ``RngStream`` draws.
+An ``RngStream`` keeps its pool as a one-element block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -76,7 +83,11 @@ class DegeneratePerturbationError(RtsError, ArithmeticError):
 
 
 class DegenerateGradientError(RtsError, ArithmeticError):
-    """A guidance gradient has no usable tangential component."""
+    """A guidance gradient has no usable tangential component; ``rows`` marks the seeds of a block whose has none."""
+
+    def __init__(self, message: str, rows=None) -> None:
+        super().__init__(message)
+        self.rows = rows
 
 
 class BudgetError(RtsError, RuntimeError):
@@ -111,43 +122,6 @@ def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
     return arr
 
 
-def _words(n: int) -> list[int]:
-    """The 32-bit words of ``n``, least significant first; one zero word for 0."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _root_pool(root: int) -> tuple[tuple[int, ...], int]:
-    """The pool and hash constant once SeedSequence has mixed in ``root``.
-
-    numpy pads the root's words with zeros to the pool size when a spawn key
-    follows and hashes zeros for the missing words when none does, so the
-    pool of ``SeedSequence(root)`` starts every path.
-    """
-    return tuple(int(word) for word in np.random.SeedSequence(root).pool), _ROOT_HASH
-
-
-def _fold(pool: tuple[int, ...], hash_const: int, label: int) -> tuple[tuple[int, ...], int]:
-    """Fold one path label into the pool, as SeedSequence mixes entropy past the pool size.
-
-    Each word of the label is hashed once per pool word and mixed into it.
-    """
-    pool = list(pool)
-    for word in _words(label):
-        for i in range(_POOL_SIZE):
-            hashed = word ^ hash_const
-            hash_const = hash_const * _MULT_A & _MASK32
-            hashed = hashed * hash_const & _MASK32
-            hashed ^= hashed >> 16
-            mixed = (_MIX_L * pool[i] - _MIX_R * hashed) & _MASK32
-            pool[i] = mixed ^ (mixed >> 16)
-    return tuple(pool), hash_const
-
-
 def as_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
     """A seed, label or count as a Python int in [low, high]; 2.7 or "3" is refused, not truncated or parsed."""
     try:
@@ -174,6 +148,145 @@ def check_scalar(value, what: str, low: float | None = None, high: float | None 
         raise PreconditionError(f"{what} must lie in [{low}, {high}], got {value}")
 
 
+# SeedSequence's mixing multiplier to the powers 0..4: a label word is hashed
+# into pool word i with the running constant times A**i and multiplied by it
+# times A**(i+1), so one word folds into all four pool words at once
+_POWERS_A = np.array([pow(_MULT_A, i, 2**32) for i in range(_POOL_SIZE + 1)], dtype=np.uint64)
+# generate_state hashes the pool with constants that do not depend on it
+_KEY_XOR = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
+_KEY_MULT = np.array([_INIT_B * pow(_MULT_B, i + 1, 2**32) & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
+
+
+def _mix(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> 16)
+
+
+def _fold_terms(word, hash_const) -> tuple[np.ndarray, np.ndarray]:
+    """Folding ``word`` at ``hash_const``: the ``(..., 4)`` terms it subtracts from ``_MIX_L`` times each
+    pool word, modulo 2**32, and the next hash constant ``(..., 1)``."""
+    xor = hash_const * _POWERS_A[:-1] & _MASK32
+    mult = hash_const * _POWERS_A[1:] & _MASK32
+    return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[..., -1:]
+
+
+# Label words below this take their fold terms from a table per hash
+# constant: small labels at a few depths make up nearly every derivation.
+_TABLE_WORDS = 256
+
+
+@functools.lru_cache(maxsize=64)
+def _fold_table(hash_const: int) -> tuple[np.ndarray, int]:
+    """The ``(_TABLE_WORDS, 4)`` fold terms of the words below ``_TABLE_WORDS`` at ``hash_const``, and the next one."""
+    terms, next_hash = _fold_terms(np.arange(_TABLE_WORDS, dtype=np.uint64)[:, None], hash_const)
+    terms.flags.writeable = False  # every caller shares the cached table
+    return terms, int(next_hash[0])
+
+
+class StreamBlock:
+    """An array of streams, derived and drawn at once; each element is bit for bit one ``RngStream``.
+
+    A block keeps each element's SeedSequence pool as uint64 words below
+    2**32, so that the product of two words is exact, and derives, keys and
+    draws with array arithmetic over all elements. The running hash constant
+    depends only on how many label words were folded in, so it is one int for
+    the whole block unless labels of one and of two words were mixed. Indexing
+    a block indexes its leading axes, and ``child`` broadcasts its labels
+    against them.
+    """
+
+    __slots__ = ("_pool", "_hash")
+
+    def __init__(self, pool: np.ndarray, hash_const) -> None:
+        self._pool = pool  # (..., 4) pool words
+        self._hash = hash_const  # an int, or (..., 1) per element
+
+    @classmethod
+    def of(cls, streams) -> "StreamBlock":
+        """The block of one ``RngStream`` (shape ``()``) or of a sequence of them (shape ``(S,)``); a block as it is."""
+        if isinstance(streams, StreamBlock):
+            return streams
+        if isinstance(streams, RngStream):
+            return streams._pool
+        pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint64).reshape(-1, _POOL_SIZE)
+        hashes = [stream._pool._hash for stream in streams]  # an RngStream's is an int
+        if len(set(hashes)) == 1:
+            return cls(pool, hashes[0])
+        return cls(pool, np.array(hashes, dtype=np.uint64).reshape(-1, 1))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._pool.shape[:-1]
+
+    def __getitem__(self, index) -> "StreamBlock":
+        index = (index if isinstance(index, tuple) else (index,)) + (slice(None),)  # the private last axis stays
+        return StreamBlock(self._pool[index], self._hash if isinstance(self._hash, int) else self._hash[index])
+
+    def _fold(self, word, fold=None, small: bool = False) -> "StreamBlock":
+        """Fold one 32-bit label word, an int or a uint64 array broadcast against the block, into every
+        pool word; where ``fold`` is False, keep the stream. ``small`` says that every word is below
+        ``_TABLE_WORDS``."""
+        single = isinstance(word, int)
+        if isinstance(self._hash, int):
+            table, hash_const = _fold_table(self._hash)
+            if small or (single and word < _TABLE_WORDS):
+                terms = table[word]
+            else:
+                terms = _fold_terms(word if single else word[..., None], self._hash)[0]
+        else:
+            terms, hash_const = _fold_terms(word if single else word[..., None], self._hash)
+        pool = _mix((_MIX_L * self._pool - terms) & _MASK32)
+        if fold is not None:
+            pool = np.where(fold[..., None], pool, self._pool)
+            hash_const = np.where(fold[..., None], hash_const, self._hash).astype(np.uint64)
+        if not isinstance(hash_const, int):
+            hash_const = np.broadcast_to(hash_const, pool.shape[:-1] + (1,))
+        return StreamBlock(pool, hash_const)
+
+    def child(self, labels) -> "StreamBlock":
+        """Append a label to every path: one integer for all, or an array broadcast against the block.
+
+        numpy folds a label one 32-bit word at a time, least significant
+        first; an array label takes one or two words, so it must lie below
+        2**64. Negative labels are refused.
+        """
+        if isinstance(labels, (int, np.integer)):
+            block = self
+            for word in _words(as_integer(labels, "derivation label", 0)):
+                block = block._fold(word)
+            return block
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu" or (labels.dtype.kind == "i" and labels.size and labels.min() < 0):
+            raise PreconditionError(f"derivation labels must be integers in [0, 2**64), got {labels!r}")
+        labels = labels.astype(np.uint64, copy=False)
+        top = labels.max(initial=0)
+        if top < _TABLE_WORDS:
+            return self._fold(labels, small=True)
+        if top <= _MASK32:
+            return self._fold(labels)
+        return self._fold(labels & _MASK32)._fold(labels >> 32, fold=labels > _MASK32)
+
+    def keys(self) -> np.ndarray:
+        """The ``(..., 2)`` Philox keys, as ``SeedSequence.generate_state(2, np.uint64)`` makes them."""
+        words = _mix((self._pool ^ _KEY_XOR) * _KEY_MULT & _MASK32)
+        return words[..., 0::2] | words[..., 1::2] << 32
+
+    def normal(self, dim: int) -> np.ndarray:
+        """One standard normal latent of dimension ``dim`` per stream, ``(..., dim)``."""
+        rewound = _THREAD_GENERATOR.rewound
+        draws = [rewound(key).standard_normal(dim) for key in self.keys().reshape(-1, 2).tolist()]
+        return np.array(draws).reshape(self.shape + (dim,))
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of ``n``, least significant first; one zero word for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A replayable random stream identified by ``(root_seed, path)``.
@@ -181,23 +294,25 @@ class RngStream:
     The stream is realized as a Philox counter-based generator keyed by a
     ``SeedSequence`` over the root seed and the derivation path, so sibling
     streams are statistically independent and derivation order is irrelevant.
-    The stream carries that SeedSequence's entropy pool (``_pool``: four
-    words and the running hash constant), derived one label at a time:
-    ``child`` folds only the new label into its parent's pool. The pool is a
-    function of ``(root_seed, path)`` and takes no part in equality, hashing
-    or the repr.
+    The stream carries that SeedSequence's entropy pool as a one-element
+    ``StreamBlock`` (``_pool``), derived one label at a time: ``child`` folds
+    only the new label into its parent's pool. The pool is a function of
+    ``(root_seed, path)`` and takes no part in equality, hashing or the repr.
     """
 
     root_seed: int
     path: tuple[int, ...] = ()
-    _pool: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _pool: StreamBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         root = as_integer(self.root_seed, "root_seed", 0, _MAX_SEED)
         path = tuple(as_integer(label, "path label", 0) for label in self.path)
-        pool = _root_pool(root)
+        # numpy pads the root's words with zeros to the pool size when a spawn
+        # key follows and hashes zeros for the missing words when none does,
+        # so the pool of SeedSequence(root) starts every path
+        pool = StreamBlock(np.random.SeedSequence(root).pool.astype(np.uint64), _ROOT_HASH)
         for label in path:
-            pool = _fold(*pool, label)
+            pool = pool.child(label)
         object.__setattr__(self, "root_seed", root)
         object.__setattr__(self, "path", path)
         object.__setattr__(self, "_pool", pool)
@@ -213,22 +328,12 @@ class RngStream:
         child = object.__new__(RngStream)
         object.__setattr__(child, "root_seed", self.root_seed)
         object.__setattr__(child, "path", self.path + (label,))
-        object.__setattr__(child, "_pool", _fold(*self._pool, label))
+        object.__setattr__(child, "_pool", self._pool.child(label))
         return child
-
-    def _key(self) -> tuple[int, int]:
-        """The two-word Philox key, as ``SeedSequence.generate_state(2, np.uint64)`` makes it."""
-        words, hash_const = [], _INIT_B
-        for value in self._pool[0]:
-            value ^= hash_const
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * hash_const & _MASK32
-            words.append(value ^ (value >> 16))
-        return words[0] | words[1] << 32, words[2] | words[3] << 32
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(key=np.array(self._key(), dtype=np.uint64)))
+        return np.random.Generator(np.random.Philox(key=self._pool.keys()))
 
 
 class _ThreadGenerator(threading.local):
@@ -242,7 +347,7 @@ class _ThreadGenerator(threading.local):
         self.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def rewound(self, key: tuple[int, int]) -> np.random.Generator:
+    def rewound(self, key) -> np.random.Generator:
         self.state["state"]["key"] = key
         self.bits.state = self.state
         return self.generator
@@ -251,8 +356,8 @@ class _ThreadGenerator(threading.local):
 _THREAD_GENERATOR = _ThreadGenerator()
 
 
-def sample_gaussian(stream: RngStream, dim: int) -> Latent:
-    """Draw one standard normal latent of dimension ``dim`` from ``stream``.
+def sample_gaussian(stream: RngStream | StreamBlock, dim: int) -> Latent:
+    """Draw one standard normal latent of dimension ``dim`` from ``stream``, or ``(..., dim)`` from a block.
 
     The draw is a pure function of the stream identity: calling again with
     the same stream returns the identical vector, the one
@@ -260,7 +365,7 @@ def sample_gaussian(stream: RngStream, dim: int) -> Latent:
     """
     if dim < 2:
         raise DimensionError(f"latent dimension must be >= 2, got {dim}")
-    return _THREAD_GENERATOR.rewound(stream._key()).standard_normal(dim)
+    return StreamBlock.of(stream).normal(dim)
 
 
 def row_norm(rows: np.ndarray) -> np.ndarray:

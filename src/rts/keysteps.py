@@ -5,7 +5,8 @@ returns) are centered and factored with an SVD; projecting onto
 the top three right-singular directions gives a 3D polyline whose sharp turns
 mark the steps where the trajectory changes course. ``project_trajectory``
 returns that polyline as an ``(L, 3)`` array of points and
-``select_key_steps`` takes it. Each interior step is scored by the Menger
+``select_key_steps`` takes it, or an ``(S, L, 3)`` stack of S polylines, one
+per seed of a lockstep block. Each interior step is scored by the Menger
 curvature of its consecutive point triple (four times the triangle area over
 the product of pairwise distances, the reciprocal circumradius), and the
 Top-k steps by curvature become the key steps.
@@ -58,10 +59,19 @@ def project_trajectory(latents: np.ndarray) -> np.ndarray:
     return points
 
 
+def _checked_points(points) -> np.ndarray:
+    """Finite ``(..., L, 3)`` points as float64; other widths raise ``DimensionError``, NaN or inf ``NonFiniteError``."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim < 2 or points.shape[-1] != 3:
+        raise DimensionError(f"points must be (L, 3) polylines, got shape {points.shape}")
+    as_latent(points.reshape(-1, 3), batch=True)
+    return points
+
+
 def curvature(points: np.ndarray) -> np.ndarray:
     """Menger curvature ``(..., L)`` at each point of ``(..., L, 3)`` polylines; 0 at ends and coincident triples."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim < 2 or points.shape[-2] < 3:
+    points = _checked_points(points)
+    if points.shape[-2] < 3:
         raise PreconditionError(f"curvature needs at least 3 points, got shape {points.shape}")
     a, b, c = points[..., :-2, :], points[..., 1:-1, :], points[..., 2:, :]
     d_ab, d_bc, d_ac = row_norm(b - a), row_norm(c - b), row_norm(c - a)
@@ -72,15 +82,21 @@ def curvature(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def select_key_steps(points: np.ndarray, k: int) -> KeyStepSet:
+def select_key_steps(points: np.ndarray, k: int) -> KeyStepSet | list[KeyStepSet]:
     """Pick the Top-k interior steps of ``(L, 3)`` projected points by Menger curvature, deterministically.
 
     Endpoints are never eligible. Ties break toward the smaller step index.
+    An ``(S, L, 3)`` stack gives a list of S sets, each the set of its own polyline.
     """
-    n_interior = points.shape[0] - 2
+    points = _checked_points(points)
+    if points.ndim > 3:
+        raise DimensionError(f"points must be (L, 3) or (S, L, 3), got shape {points.shape}")
+    scores = curvature(points)
+    n_interior = points.shape[-2] - 2
     k = as_integer(k, "k", 1)
     if k > n_interior:
         raise PreconditionError(f"k={k} exceeds the {n_interior} interior steps")
-    scores = curvature(points)
-    top = np.argsort(-scores[1:-1], kind="stable")[:k] + 1
-    return KeyStepSet(indices=tuple(top.tolist()), curvatures=tuple(scores[top].tolist()))
+    top = np.argsort(-scores[..., 1:-1], axis=-1, kind="stable")[..., :k] + 1
+    sets = [KeyStepSet(indices=tuple(row.tolist()), curvatures=tuple(score[row].tolist()))
+            for row, score in zip(top.reshape(-1, k), scores.reshape(-1, points.shape[-2]))]
+    return sets[0] if points.ndim == 2 else sets

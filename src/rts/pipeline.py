@@ -25,6 +25,16 @@ exceeds the budget and matches one-at-a-time scoring exactly; when the
 budget runs out mid-phase the run returns the best result so far with
 ``truncated`` set. ``expected_rts_nfe`` reproduces the ledger arithmetic
 independently, so the ledger can be audited exactly.
+
+Each method is one lockstep implementation over a block of S seeds
+(``run_rts_block``, ``run_bon_block``, ``run_zo_block``, ``run_free_block``):
+the search state carries a leading seed axis, one evaluator call scores a
+round for every seed, the block's streams are derived at once, and each seed
+keeps its own ledger. A seed the budget cuts short drops out while the others
+go on; its rows are no longer scored. The key-step phase steps through the
+solver steps in order, and the seeds whose key step falls at a step search
+together there. ``run_rts`` and its siblings run the block of one stream, and
+a block gives every seed, bit for bit, the result of its one-seed call.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from .core import (
     NfeCounter,
     PreconditionError,
     RngStream,
+    StreamBlock,
     as_integer,
     check_scalar,
     sample_gaussian,
@@ -82,7 +93,7 @@ class _PhaseTruncated(Exception):
 
 @dataclass
 class _Ledger(NfeCounter):
-    """The NFE counter of one ``run_rts``: charges each NFE to ``phase`` and keeps the budget.
+    """The NFE counter of one seed of an rts run: charges each NFE to ``phase`` and keeps the budget.
 
     The current phase may spend ``limit`` less the NFEs ``owed`` to later
     phases; ``by_phase`` is the run's ``nfe_breakdown``.
@@ -102,19 +113,6 @@ class _Ledger(NfeCounter):
         if self.limit is None:
             return n
         return min(n, max(0, self.limit - self.owed - self.count) // cost)
-
-    def score(self, fn, rows: np.ndarray, cost: int) -> np.ndarray:
-        """``fn`` on the rows that fit at ``cost`` NFEs each, then signal truncation if any did not.
-
-        The prefix rule spends exactly what scoring the rows one at a time would
-        have spent before the budget check failed.
-        """
-        fit = self.affordable(rows.shape[0], cost)
-        if fit < rows.shape[0]:
-            if fit > 0:
-                fn(rows[:fit])
-            raise _PhaseTruncated()
-        return fn(rows)
 
 
 @dataclass
@@ -246,19 +244,59 @@ def run_rts(
     cfg: RtsConfig,
     stream: RngStream,
 ) -> RunResult:
-    """Full two-phase search; see the module docstring for the stage layout.
+    """Full two-phase search of one seed: ``run_rts_block`` over the block of this one stream."""
+    return run_rts_block(model, spec, reward, cfg, [stream])[0]
 
-    ``k_keysteps`` is clamped to the number of interior steps. Raises
-    ``BudgetError`` as ``check_rts_budget`` does.
+
+def _fitting_rows(ledgers: list[_Ledger], live: np.ndarray, batch: np.ndarray, cost: int):
+    """Charge and pick the rows of an ``(S, n, d)`` batch that each live seed's budget affords at ``cost`` NFEs each.
+
+    Each seed takes the prefix of its rows that fits, which spends exactly
+    what scoring them one at a time would have spent before the budget check
+    failed; a seed whose rows did not all fit leaves ``live``. Returns the
+    picked rows, the seed of each, and their flat indices into the ``(S, n)``
+    scores, None when every row was picked.
+    """
+    seeds, n = batch.shape[:2]
+    fit = [ledger.affordable(n, cost) if ok else 0 for ledger, ok in zip(ledgers, live)]
+    for ledger, count in zip(ledgers, fit):
+        ledger.add(count * cost)
+    if min(fit) == n:
+        return batch.reshape(seeds * n, -1), np.repeat(np.arange(seeds), n), None
+    live &= np.array(fit) == n
+    index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
+    return batch.reshape(seeds * n, -1)[index], index // n, index
+
+
+def _scores(values: np.ndarray, index, shape: tuple[int, int]) -> np.ndarray:
+    """The ``(S, n)`` scores of a batch from the ``values`` of its picked rows; a row left out scores 0."""
+    if index is None:
+        return values.reshape(shape)
+    scores = np.zeros(shape[0] * shape[1])
+    scores[index] = values
+    return scores.reshape(shape)
+
+
+def run_rts_block(
+    model: MixtureModel,
+    spec: SolverSpec,
+    reward: RewardModel,
+    cfg: RtsConfig,
+    streams: list[RngStream],
+) -> list[RunResult]:
+    """Full two-phase search of a block of S seeds in lockstep; see the module docstring for the stages.
+
+    Each result is bit for bit the one-seed run of its stream. ``k_keysteps``
+    is clamped to the number of interior steps. Raises ``BudgetError`` as
+    ``check_rts_budget`` does.
     """
     check_rts_budget(cfg, spec)
-    dim = model.dim
-    steps = spec.steps
-    grid = spec.time_grid
+    block = StreamBlock.of(streams)
+    seeds, dim, steps = len(streams), model.dim, spec.steps
     plan = _plan(cfg, spec)
-    ledger = _Ledger(limit=cfg.budget_nfe, owed=plan.record)
-    truncated = False
-    round_history: dict = {"init": [], "inter": []}
+    ledgers = [_Ledger(limit=cfg.budget_nfe, owed=plan.record) for _ in range(seeds)]
+    truncated = np.zeros(seeds, dtype=bool)
+    histories = [{"init": [], "inter": []} for _ in range(seeds)]
 
     if plan.init_search:
         # Short-rollout scoring must be deterministic: re-rolled churn would
@@ -266,110 +304,191 @@ def run_rts(
         # survive the full-length record run. Full-length scoring keeps the
         # run's own mode because the winner keeps its scored trajectory.
         eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps)
-        noise_stream = stream.child(_S_EVAL_NOISE)
-        scored: dict[bytes, tuple[float, np.ndarray, np.ndarray]] = {}  # score, path, noises
+        noise_stream = block.child(_S_EVAL_NOISE)
+        # per seed, by latent: score, path and noises of the best row so far and of the latest round's rows,
+        # the only rows the search can return
+        scored: list[dict[bytes, tuple]] = [{} for _ in range(seeds)]
+        live = np.ones(seeds, dtype=bool)
 
         def score_latents(zs: np.ndarray) -> np.ndarray:
             # A candidate's churn noises derive from a hash of the candidate, so
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
-            streams = [noise_stream.child(_latent_label(z)) for z in zs] if eval_spec.mode == SDE else None
-            paths, noises = denoise(model, eval_spec, zs, stream=streams, nfe=ledger)
-            scores = evaluate_reward(reward, paths[:, -1])
-            for z, score, path, injected in zip(zs, scores.tolist(), paths, noises):
-                scored[z.tobytes()] = (score, path, injected)
-            return scores
+            for entries in scored:
+                if len(entries) > 1:  # the first best-scored row, as a strict running maximum keeps it
+                    key, entry = max(entries.items(), key=lambda item: item[1][0])
+                    entries.clear()
+                    entries[key] = entry
+            rows, row_seeds, index = _fitting_rows(ledgers, live, zs, 2 * plan.eval_steps)
+            stream = None
+            if eval_spec.mode == SDE:
+                stream = noise_stream[row_seeds].child(np.array([_latent_label(z) for z in rows], dtype=np.uint64))
+            paths, noises = denoise(model, eval_spec, rows, stream=stream)
+            values = evaluate_reward(reward, paths[:, -1])
+            for s, z, score, path, injected in zip(row_seeds.tolist(), rows, values.tolist(), paths, noises):
+                scored[s][z.tobytes()] = (score, path, injected)
+            if not live.any():
+                raise _PhaseTruncated()
+            return _scores(values, index, zs.shape[:2])
 
         try:
-            best_z, _, history = run_search(
-                np.zeros(dim),
-                cfg.search_init,
-                lambda zs: ledger.score(score_latents, zs, 2 * plan.eval_steps),
-                stream.child(_S_INIT_SEARCH),
-            )
-            round_history["init"] = [s.best_candidate_reward for s in history]
-            _, path, noises = scored[best_z.tobytes()]
+            best_z, _, history = run_search(np.zeros((seeds, dim)), cfg.search_init, score_latents,
+                                            block.child(_S_INIT_SEARCH))
         except _PhaseTruncated:
-            truncated = True
-            # the first best-scored latent, as a strict running maximum keeps it
-            _, path, noises = max(scored.values(), key=lambda entry: entry[0])
-        z_init = path[0]
+            pass
+        picked = []
+        for s in range(seeds):
+            if live[s]:
+                histories[s]["init"] = [float(h.best_candidate_reward[s]) for h in history]
+                picked.append(scored[s][best_z[s].tobytes()])
+            else:
+                # the first best-scored latent, as a strict running maximum keeps it
+                picked.append(max(scored[s].values(), key=lambda entry: entry[0]))
+        truncated = ~live
+        paths = np.stack([path for _, path, _ in picked])
+        noises = np.stack([injected for _, _, injected in picked])
+        z_init = paths[:, 0]
     else:
-        z_init = sample_gaussian(stream.child(_S_FRESH_INIT), dim)
+        z_init = sample_gaussian(block.child(_S_FRESH_INIT), dim)
 
     if plan.record:
-        ledger.phase = "record"
-        path, noises = denoise(model, spec, z_init, stream=stream.child(_S_RECORD), nfe=ledger)
+        paths, noises = denoise(model, spec, z_init, stream=block.child(_S_RECORD))
+        for ledger in ledgers:
+            ledger.phase = "record"
+            ledger.add(2 * steps)
 
-    keys: KeyStepSet | None = None
-    final_sample = path[-1]
-    if plan.inter_search and not truncated:
-        ledger.phase, ledger.owed = "inter_search", 0
-        if ledger.affordable(1, 2 * steps):  # the final denoise fits
-            ledger.owed = 2 * steps
-            keys = select_key_steps(project_trajectory(path), min(cfg.k_keysteps, steps - 1))
-            latents = path.copy()
-            injected = noises.copy()
-            valid_through = steps
-            try:
-                for position in sorted(keys.indices):
-                    slot = position - 1
-                    if valid_through < slot:
-                        # re-simulate with the chosen noises as far as the budget
-                        # allows; when it falls short, the check below cuts the run
-                        stop = valid_through + ledger.affordable(slot - valid_through, 2)
-                        _advance(model, spec, latents[valid_through], valid_through, stop, injected, ledger, latents)
-                        valid_through = stop
-                    if not ledger.affordable(1, 2):
-                        raise _PhaseTruncated()
-                    pre_churn = heun_step(model, latents[slot], grid[slot], grid[slot + 1], ledger)
-                    scale = spec.churn * math.sqrt(grid[slot] - grid[position])
-                    stop, cost = _preview(spec, position, cfg.eval_steps_inter)
+    keys: list[KeyStepSet | None] = [None] * seeds
+    final_samples = paths[:, -1].copy()
+    if plan.inter_search:
+        searching = []
+        for s in np.flatnonzero(~truncated).tolist():
+            ledger = ledgers[s]
+            ledger.phase, ledger.owed = "inter_search", 0
+            if ledger.affordable(1, 2 * steps):  # the final denoise fits
+                ledger.owed = 2 * steps
+                searching.append(s)
+            else:
+                truncated[s] = True
+        if searching:
+            _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, z_init,
+                             ledgers, truncated, histories, keys, final_samples)
 
-                    # A candidate replaces the injected noise right after the fixed
-                    # pre-churn state; the preview integrates to ``stop`` with the
-                    # chosen noises, then takes a clean estimate unless it reached
-                    # t = 0. It and the evaluator below see this key step's pre_churn,
-                    # scale, stop and cost only because run_search returns before the
-                    # next iteration rebinds them.
-                    def score_noises(candidates: np.ndarray) -> np.ndarray:
-                        x = _advance(model, spec, pre_churn + scale * candidates, position, stop, injected, ledger)
-                        if stop < steps:
-                            x = one_step_clean_estimate(model, x, grid[stop], ledger)
-                        return evaluate_reward(reward, x)
+    final_rewards = evaluate_reward(reward, final_samples).tolist()
+    return [
+        RunResult(
+            method=RTS,
+            final_sample=final_samples[s],
+            final_reward=final_rewards[s],
+            nfe_used=ledgers[s].count,
+            seed=streams[s].root_seed,
+            key_steps=keys[s],
+            round_history=histories[s],
+            truncated=bool(truncated[s]),
+            nfe_breakdown=ledgers[s].by_phase,
+        )
+        for s in range(seeds)
+    ]
 
-                    best_noise, _, history = run_search(
-                        injected[slot],
-                        cfg.search_inter,
-                        lambda candidates: ledger.score(score_noises, candidates, cost),
-                        stream.child(_S_INTER).child(position),
-                        start_from_z0=True,
-                        resample_to_z0=not cfg.resample_inter_fresh,
-                    )
-                    round_history["inter"].append([s.best_candidate_reward for s in history])
-                    injected[slot] = best_noise
-                    latents[slot + 1] = pre_churn + scale * best_noise
-                    valid_through = slot + 1
-            except _PhaseTruncated:
-                truncated = True
-            if round_history["inter"]:  # at least one key step was committed
-                ledger.phase = "final"
-                final_sample = denoise(model, spec, z_init, injected=injected, nfe=ledger)[0][-1]
-        else:
-            truncated = True
 
-    final_reward = evaluate_reward(reward, final_sample)
-    return RunResult(
-        method=RTS,
-        final_sample=final_sample,
-        final_reward=final_reward,
-        nfe_used=ledger.count,
-        seed=stream.root_seed,
-        key_steps=keys,
-        round_history=round_history,
-        truncated=truncated,
-        nfe_breakdown=ledger.by_phase,
-    )
+def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, z_init,
+                     ledgers, truncated, histories, keys, final_samples) -> None:
+    """Stages (3)-(5) for the ``searching`` seeds, stepping through the solver steps in order.
+
+    At each step the seeds whose latents stop there, short of their next
+    key's slot, re-simulate together as far as the nearest of their stops,
+    and the seeds whose next key position ends the step search together
+    there. A seed the budget cuts short stops and is marked in
+    ``truncated``; every seed that committed a key step is replayed.
+    """
+    steps, grid = spec.steps, spec.time_grid
+    owners = np.array(searching)
+    sets = select_key_steps(np.stack([project_trajectory(paths[s]) for s in searching]),
+                            min(cfg.k_keysteps, steps - 1))
+    for s, key_set in zip(searching, sets):
+        keys[s] = key_set
+    # per seed, in plain lists: the key positions still to search, in ascending order, and how far
+    # its latents are valid; a seed the budget cut short is no longer active
+    todo = [sorted(key_set.indices) for key_set in sets]
+    valid_through = [steps] * len(searching)
+    active = [True] * len(searching)
+    latents, injected = paths[owners].copy(), noises[owners].copy()
+    inter_stream = block.child(_S_INTER)
+    for slot in range(steps - 1):
+        position = slot + 1
+        # a seed whose latents stop short of its next key's slot re-simulates
+        # from here with its chosen noises, as far as its budget allows; the
+        # seeds re-simulating from one step advance together to the nearest stop
+        moving = [i for i in range(len(searching))
+                  if active[i] and todo[i] and todo[i][0] > position and valid_through[i] == slot]
+        reach = {i: ledgers[owners[i]].affordable(todo[i][0] - position, 2) for i in moving}
+        for i in moving:
+            active[i] = reach[i] > 0
+        moving = [i for i in moving if active[i]]
+        if moving:
+            stop = slot + min(reach[i] for i in moving)
+            rows = np.array(moving)
+            trace = latents[rows]
+            _advance(model, spec, trace[:, slot], slot, stop, injected[rows], None, trace)
+            latents[rows] = trace
+            for i in moving:
+                valid_through[i] = stop
+                ledgers[owners[i]].add(2 * (stop - slot))
+        # a seed whose next key is this position searches here
+        here = [i for i in range(len(searching)) if active[i] and todo[i] and todo[i][0] == position]
+        for i in here:
+            active[i] = ledgers[owners[i]].affordable(1, 2) > 0
+        here = np.array([i for i in here if active[i]], dtype=int)
+        if not here.size:
+            continue
+        pre_churn = heun_step(model, latents[here, slot], grid[slot], grid[position])
+        for i in here.tolist():
+            ledgers[owners[i]].add(2)
+        scale = spec.churn * math.sqrt(grid[slot] - grid[position])
+        stop, cost = _preview(spec, position, cfg.eval_steps_inter)
+        group = [ledgers[i] for i in owners[here].tolist()]
+        live = np.ones(here.size, dtype=bool)
+
+        # A candidate replaces the injected noise right after the fixed
+        # pre-churn state; the preview integrates to ``stop`` with the chosen
+        # noises, then takes a clean estimate unless it reached t = 0.
+        def score_noises(candidates: np.ndarray) -> np.ndarray:
+            rows, row_seeds, index = _fitting_rows(group, live, candidates, cost)
+            churn = injected[here[row_seeds], :stop] if stop > position else None  # the preview's noises, if it steps
+            x = _advance(model, spec, pre_churn[row_seeds] + scale * rows, position, stop, churn)
+            if stop < steps:
+                x = one_step_clean_estimate(model, x, grid[stop])
+            values = evaluate_reward(reward, x)
+            if not live.any():
+                raise _PhaseTruncated()
+            return _scores(values, index, candidates.shape[:2])
+
+        try:
+            best_noise, _, history = run_search(
+                injected[here, slot],
+                cfg.search_inter,
+                score_noises,
+                inter_stream[owners[here]].child(position),
+                start_from_z0=True,
+                resample_to_z0=not cfg.resample_inter_fresh,
+            )
+        except _PhaseTruncated:
+            pass
+        for g, i in enumerate(here.tolist()):
+            todo[i].pop(0)
+            active[i] = bool(live[g])
+            if active[i]:
+                histories[owners[i]]["inter"].append([float(h.best_candidate_reward[g]) for h in history])
+                injected[i, slot] = best_noise[g]
+                latents[i, position] = pre_churn[g] + scale * best_noise[g]
+                valid_through[i] = position
+    truncated[owners[np.logical_not(active)]] = True
+    committed = np.array([bool(histories[s]["inter"]) for s in searching])
+    if committed.any():
+        replay = owners[committed]
+        final_samples[replay] = denoise(model, spec, z_init[replay], injected=injected[committed])[0][:, -1]
+        for s in replay.tolist():
+            ledgers[s].phase = "final"
+            ledgers[s].add(2 * steps)
 
 
 def denoise_count(method: str, spec: SolverSpec, budget_nfe: int) -> int:
@@ -397,25 +516,42 @@ def run_bon(
     budget_nfe: int,
     stream: RngStream,
 ) -> RunResult:
-    """Best-of-N: as many independent full denoises as the budget allows."""
+    """Best-of-N of one seed: ``run_bon_block`` over the block of this one stream."""
+    return run_bon_block(model, spec, reward, budget_nfe, [stream])[0]
+
+
+def run_bon_block(
+    model: MixtureModel,
+    spec: SolverSpec,
+    reward: RewardModel,
+    budget_nfe: int,
+    streams: list[RngStream],
+) -> list[RunResult]:
+    """Best-of-N for a block of seeds: as many independent full denoises as the budget allows, per seed."""
     n_candidates = denoise_count(BON, spec, budget_nfe)
-    counter = NfeCounter()
-    zs = np.stack([sample_gaussian(stream.child(0).child(i), model.dim) for i in range(n_candidates)])
+    block = StreamBlock.of(streams)
+    candidates = np.arange(n_candidates)
+    zs = sample_gaussian(block.child(0)[:, None].child(candidates), model.dim).reshape(-1, model.dim)
     noises = None
     if spec.mode == SDE:
-        noises = _churn_noises(spec, model.dim, [stream.child(1).child(i) for i in range(n_candidates)])
-    finals = _advance(model, spec, zs, 0, spec.steps, noises, counter)
-    rewards = evaluate_reward(reward, finals).tolist()
-    best = int(np.argmax(rewards))  # the first of tied maxima, as a strict running max
-    return RunResult(
-        method=BON,
-        final_sample=finals[best],
-        final_reward=rewards[best],
-        nfe_used=counter.count,
-        seed=stream.root_seed,
-        round_history={"candidates": rewards},
-        nfe_breakdown={"denoise": counter.count},
-    )
+        noises = _churn_noises(spec, model.dim, block.child(1)[:, None].child(candidates))
+        noises = noises.reshape(zs.shape[0], spec.steps - 1, model.dim)
+    finals = _advance(model, spec, zs, 0, spec.steps, noises).reshape(len(streams), n_candidates, model.dim)
+    rewards = evaluate_reward(reward, finals.reshape(zs.shape)).reshape(len(streams), n_candidates)
+    nfe = n_candidates * 2 * spec.steps
+    results = []
+    for stream, samples, scores in zip(streams, finals, rewards.tolist()):
+        best = int(np.argmax(scores))  # the first of tied maxima, as a strict running max
+        results.append(RunResult(
+            method=BON,
+            final_sample=samples[best],
+            final_reward=scores[best],
+            nfe_used=nfe,
+            seed=stream.root_seed,
+            round_history={"candidates": scores},
+            nfe_breakdown={"denoise": nfe},
+        ))
+    return results
 
 
 def run_zo(
@@ -426,29 +562,49 @@ def run_zo(
     step_tau: float,
     stream: RngStream,
 ) -> RunResult:
-    """Hill climbing on the initial noise with spherical steps at fixed tau."""
+    """Hill climbing of one seed: ``run_zo_block`` over the block of this one stream."""
+    return run_zo_block(model, spec, reward, budget_nfe, step_tau, [stream])[0]
+
+
+def run_zo_block(
+    model: MixtureModel,
+    spec: SolverSpec,
+    reward: RewardModel,
+    budget_nfe: int,
+    step_tau: float,
+    streams: list[RngStream],
+) -> list[RunResult]:
+    """Hill climbing on the initial noise with spherical steps at fixed tau, every seed of a block in lockstep."""
     total = denoise_count(ZO, spec, budget_nfe)
-    counter = NfeCounter()
-    base = sample_gaussian(stream.child(0), model.dim)
-    best_sample = denoise(model, spec, base, stream=stream.child(1).child(0), nfe=counter)[0][-1]
+    block = StreamBlock.of(streams)
+    noise, steps = block.child(1), block.child(2)
+    base = sample_gaussian(block.child(0), model.dim)
+    best_sample = denoise(model, spec, base, stream=noise.child(0))[0][:, -1]
     best_reward = evaluate_reward(reward, best_sample)
     rewards = [best_reward]
     for step in range(1, total):
-        neighbor = random_spherical_sample(base, 1, step_tau, stream.child(2).child(step)).candidates[0]
-        sample = denoise(model, spec, neighbor, stream=stream.child(1).child(step), nfe=counter)[0][-1]
+        neighbor = random_spherical_sample(base, 1, step_tau, steps.child(step)).candidates[:, 0]
+        sample = denoise(model, spec, neighbor, stream=noise.child(step))[0][:, -1]
         score = evaluate_reward(reward, sample)
         rewards.append(score)
-        if score > best_reward:
-            base, best_reward, best_sample = neighbor, score, sample
-    return RunResult(
-        method=ZO,
-        final_sample=best_sample,
-        final_reward=best_reward,
-        nfe_used=counter.count,
-        seed=stream.root_seed,
-        round_history={"evaluations": rewards},
-        nfe_breakdown={"denoise": counter.count},
-    )
+        better = score > best_reward
+        base = np.where(better[:, None], neighbor, base)
+        best_sample = np.where(better[:, None], sample, best_sample)
+        best_reward = np.where(better, score, best_reward)
+    nfe = total * 2 * spec.steps
+    return [
+        RunResult(
+            method=ZO,
+            final_sample=sample,
+            final_reward=score,
+            nfe_used=nfe,
+            seed=stream.root_seed,
+            round_history={"evaluations": history},
+            nfe_breakdown={"denoise": nfe},
+        )
+        for stream, sample, score, history in zip(streams, best_sample, best_reward.tolist(),
+                                                    np.stack(rewards, axis=1).tolist())
+    ]
 
 
 def run_free(
@@ -457,17 +613,29 @@ def run_free(
     reward: RewardModel,
     stream: RngStream,
 ) -> RunResult:
-    """A single unsearched denoise, the no-extra-compute reference."""
-    counter = NfeCounter()
-    z = sample_gaussian(stream.child(0), model.dim)
-    sample = denoise(model, spec, z, stream=stream.child(1), nfe=counter)[0][-1]
-    score = evaluate_reward(reward, sample)
-    return RunResult(
-        method=FREE,
-        final_sample=sample,
-        final_reward=score,
-        nfe_used=counter.count,
-        seed=stream.root_seed,
-        round_history={},
-        nfe_breakdown={"denoise": counter.count},
-    )
+    """A single unsearched denoise of one seed: ``run_free_block`` over the block of this one stream."""
+    return run_free_block(model, spec, reward, [stream])[0]
+
+
+def run_free_block(
+    model: MixtureModel,
+    spec: SolverSpec,
+    reward: RewardModel,
+    streams: list[RngStream],
+) -> list[RunResult]:
+    """A single unsearched denoise per seed, the no-extra-compute reference."""
+    block = StreamBlock.of(streams)
+    samples = denoise(model, spec, sample_gaussian(block.child(0), model.dim), stream=block.child(1))[0][:, -1]
+    nfe = 2 * spec.steps
+    return [
+        RunResult(
+            method=FREE,
+            final_sample=sample,
+            final_reward=score,
+            nfe_used=nfe,
+            seed=stream.root_seed,
+            round_history={},
+            nfe_breakdown={"denoise": nfe},
+        )
+        for stream, sample, score in zip(streams, samples, evaluate_reward(reward, samples).tolist())
+    ]

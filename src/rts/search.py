@@ -12,6 +12,12 @@ round and is never carried across cycle boundaries.
 Each round hands its candidates to the evaluator as one ``(n, d)`` batch:
 a coarse round scores ``[base; neighbors]`` in one call, a fine round its
 neighbors in one call.
+
+A search runs one seed, with a ``(d,)`` start and an ``RngStream``, or a
+lockstep block of S seeds, with an ``(S, d)`` start and a ``StreamBlock``:
+then every state field and every ``RoundSummary`` reward gets a leading seed
+axis, each round hands the evaluator one ``(S, n, d)`` batch, and each seed
+follows, bit for bit, the search it would run alone.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .core import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    StreamBlock,
     as_integer,
     as_latent,
     check_scalar,
@@ -40,9 +47,9 @@ from .surrogate import estimate_gradient
 logger = logging.getLogger(__name__)
 
 # An evaluator maps an (n, d) batch of latents, one per row, to their n
-# rewards. Calls may consume NFEs through a denoiser; each reward must be a
-# deterministic function of its row alone, so that scoring is independent of
-# order and batching.
+# rewards, and a block's (S, n, d) batch to (S, n). Calls may consume NFEs
+# through a denoiser; each reward must be a deterministic function of its row
+# alone, so that scoring is independent of order and batching.
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 # Most neighbours a round may sample (and most best-of-N candidates), far
@@ -80,12 +87,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RoundSummary:
+    """One round's rewards: floats for one seed, ``(S,)`` arrays for a block.
+
+    ``guided_fallback`` counts the seeds whose fine round fell back to random
+    sampling (0 or 1 for one seed).
+    """
+
     round: int
     kind: str
     base_reward: float
     best_candidate_reward: float
     best_so_far: float
-    guided_fallback: bool = False
+    guided_fallback: int = 0
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,8 @@ class SearchState:
     ``round`` is the 1-indexed number of the next round to execute.
     ``seed_base`` preempts the fresh Gaussian in round 1; ``resample_base``
     replaces the fresh Gaussian in every later no-relocation branch. Both
-    default to None, meaning standard normal resampling.
+    default to None, meaning standard normal resampling. The fields of a
+    lockstep block carry a leading seed axis.
     """
 
     dim: int
@@ -113,32 +127,45 @@ class SearchState:
     history: tuple[RoundSummary, ...] = field(default_factory=tuple)
 
 
+def _scalar(value):
+    """One seed's reward as a float; a block's stays an array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def _score(evaluate: Evaluator, batch: np.ndarray) -> np.ndarray:
     rewards = np.asarray(evaluate(batch), dtype=np.float64)
-    if rewards.shape != (batch.shape[0],):
-        raise DimensionError(f"evaluator must return {batch.shape[0]} rewards, got shape {rewards.shape}")
-    if not np.all(np.isfinite(rewards)):
+    if rewards.shape != batch.shape[:-1]:
+        raise DimensionError(f"evaluator must return rewards of shape {batch.shape[:-1]}, got shape {rewards.shape}")
+    if not np.isfinite(rewards).all():
         raise NonFiniteError(f"evaluator returned a non-finite reward for row {int(np.argmin(np.isfinite(rewards)))}")
     return rewards
 
 
-def _fold_best(state_best: Latent | None, state_reward: float, latents, rewards) -> tuple[Latent | None, float]:
+def _best_rows(latents: np.ndarray, rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each seed's first best row ``(..., d)`` and its reward, for one seed or a block."""
+    i = np.argmax(rewards, axis=-1)
+    index = (np.arange(i.shape[0]), i) if i.ndim else i
+    return latents[index], rewards[index]
+
+
+def _fold_best(state_best: Latent | None, state_reward, latents, rewards):
     """Adopt the first best row only when it strictly beats the state, so earlier ties win."""
-    i = int(np.argmax(rewards))
-    if rewards[i] > state_reward:
-        return latents[i], float(rewards[i])
-    return state_best, state_reward
+    row, top = _best_rows(latents, rewards)
+    adopt = top > state_reward
+    if state_best is None:
+        state_best = row
+    return np.where(adopt[..., None], row, state_best), _scalar(np.where(adopt, top, state_reward))
 
 
 def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborSet, rewards,
-               fallback: bool = False, **changes) -> SearchState:
+               fallback: int = 0, **changes) -> SearchState:
     """Fold the scored ``rows`` into the best so far, summarize the round and advance the state.
 
     ``rewards`` are the neighbors' scores; ``changes`` sets what only one kind of round changes.
     """
     best, best_reward = _fold_best(state.global_best, state.global_best_reward, rows, scores)
     summary = RoundSummary(state.round, kind, changes.get("base_reward", state.base_reward),
-                           float(np.max(rewards)), best_reward, fallback)
+                           _scalar(np.max(rewards, axis=-1)), best_reward, fallback)
     return replace(
         state,
         round=state.round + 1,
@@ -152,79 +179,113 @@ def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborS
     )
 
 
-def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, stream: RngStream) -> SearchState:
+def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
+    """Each seed's base: its previous round's best candidate if that strictly beat its base, else the fallback."""
+    relocate = np.zeros(stream.shape, dtype=bool)
+    if state.last_rewards is not None:
+        best, top = _best_rows(state.last_candidates, state.last_rewards)
+        relocate = top > state.base_reward
+        if relocate.all():
+            return best
+    if state.round == 1 and state.seed_base is not None:
+        other = state.seed_base
+    elif state.round > 1 and state.resample_base is not None:
+        other = state.resample_base
+    elif not relocate.any():
+        return sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
+    else:
+        other = np.empty(stream.shape + (state.dim,))
+        other[~relocate] = sample_gaussian(stream[~relocate].child(_STREAM_RESAMPLE), state.dim)
+    return np.where(relocate[..., None], best, other) if relocate.any() else other
+
+
+def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
+                 stream: RngStream | StreamBlock) -> SearchState:
     """Relocate or resample the base, then explore random spherical neighbors."""
     if state.round % 2 != 1:
         raise PreconditionError(f"coarse rounds run at odd round numbers, got {state.round}")
-    if state.last_rewards is not None and float(np.max(state.last_rewards)) > state.base_reward:
-        best_idx = int(np.argmax(state.last_rewards))
-        base = state.last_candidates[best_idx]
-    elif state.round == 1 and state.seed_base is not None:
-        base = state.seed_base
-    elif state.round > 1 and state.resample_base is not None:
-        base = state.resample_base
-    else:
-        base = sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
-
+    stream = StreamBlock.of(stream)
+    base = _next_base(state, stream)
     neighbors = random_spherical_sample(base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
-    batch = np.vstack([base, neighbors.candidates])
+    batch = np.concatenate([base[..., None, :], neighbors.candidates], axis=-2)
     scores = _score(evaluate, batch)
-    base_reward, rewards = float(scores[0]), scores[1:]
+    base_reward, rewards = _scalar(scores[..., 0]), scores[..., 1:]
     gradient = estimate_gradient(base_reward, neighbors.with_rewards(rewards))
     return _end_round(state, "coarse", batch, scores, neighbors, rewards,
                       base=base, base_reward=base_reward, last_gradient=gradient)
 
 
-def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator, stream: RngStream) -> SearchState:
-    """Exploit the stored gradient around the unchanged base."""
+def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
+               stream: RngStream | StreamBlock) -> SearchState:
+    """Exploit the stored gradient around the unchanged base; a seed whose gradient is degenerate samples at random."""
     if state.round % 2 != 0:
         raise PreconditionError(f"fine rounds run at even round numbers, got {state.round}")
     if state.last_gradient is None or state.last_perturbations is None:
         raise PreconditionError("fine round requires the preceding coarse round's gradient")
 
-    fallback = False
+    stream = StreamBlock.of(stream).child(_STREAM_NEIGHBORS)
+    fallback = 0
     try:
-        neighbors = guided_spherical_sample(
-            state.base,
-            cfg.n_neighbors,
-            cfg.tau,
-            cfg.alpha,
-            state.last_gradient,
-            state.last_perturbations,
-            stream.child(_STREAM_NEIGHBORS),
-        )
-    except DegenerateGradientError:
+        neighbors = guided_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient,
+                                            state.last_perturbations, stream)
+    except DegenerateGradientError as exc:
         logger.info("round %d: degenerate gradient, falling back to random sampling", state.round)
-        fallback = True
-        neighbors = random_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
+        fallback = int(np.count_nonzero(exc.rows))
+        neighbors = _fall_back(state, cfg, stream, exc.rows)
     rewards = _score(evaluate, neighbors.candidates)
     return _end_round(state, "fine", neighbors.candidates, rewards, neighbors, rewards, fallback, last_gradient=None)
+
+
+def _fall_back(state: SearchState, cfg: SearchConfig, stream: StreamBlock, rows: np.ndarray) -> NeighborSet:
+    """A fine round's neighborhood when the seeds marked in ``rows`` have a degenerate gradient.
+
+    Those seeds sample at random, the others are guided as usual.
+    """
+    n, tau = cfg.n_neighbors, cfg.tau
+    if rows.all():
+        return random_spherical_sample(state.base, n, tau, stream)
+    keep = ~rows
+    parts = (random_spherical_sample(state.base[rows], n, tau, stream[rows]),
+             guided_spherical_sample(state.base[keep], n, tau, cfg.alpha, state.last_gradient[keep],
+                                     state.last_perturbations[keep], stream[keep]))
+    candidates = np.empty(state.base.shape[:-1] + (n, state.dim))
+    tangents = np.empty_like(candidates)
+    for mask, part in zip((rows, keep), parts):
+        candidates[mask] = part.candidates
+        tangents[mask] = part.perturbations
+    return NeighborSet(state.base, candidates, tangents)
 
 
 def run_search(
     z0: Latent,
     cfg: SearchConfig,
     evaluate: Evaluator,
-    stream: RngStream,
+    stream: RngStream | StreamBlock,
     *,
     start_from_z0: bool = False,
     resample_to_z0: bool = False,
 ) -> tuple[Latent, float, tuple[RoundSummary, ...]]:
     """Alternate coarse and fine rounds for ``cfg.rounds`` rounds.
 
-    ``z0`` fixes the dimension. By default round 1 samples a fresh Gaussian
-    base; ``start_from_z0`` adopts ``z0`` as the round-1 base instead, and
-    ``resample_to_z0`` pins later no-relocation branches to ``z0`` rather
-    than fresh noise (both used by the intermediate-noise phase).
+    ``z0`` fixes the dimension: one ``(d,)`` start with an ``RngStream``, or
+    ``(S, d)`` with a ``StreamBlock`` of S streams. By default round 1
+    samples a fresh Gaussian base; ``start_from_z0`` adopts ``z0`` as the
+    round-1 base instead, and ``resample_to_z0`` pins later no-relocation
+    branches to ``z0`` rather than fresh noise (both used by the
+    intermediate-noise phase).
 
     Exactly ``rounds * n_neighbors`` candidate evaluations plus one base
-    evaluation per coarse round are performed.
+    evaluation per coarse round are performed, per seed.
     """
     if cfg.rounds < 1:
         raise PreconditionError(f"run_search needs at least one round, got {cfg.rounds}")
-    z0 = as_latent(z0)
+    z0 = as_latent(z0, batch=True)
+    stream = StreamBlock.of(stream)
+    if stream.shape != z0.shape[:-1]:
+        raise PreconditionError(f"a start of shape {z0.shape} needs streams of shape {z0.shape[:-1]}, "
+                                f"got {stream.shape}")
     state = SearchState(
-        dim=z0.shape[0],
+        dim=z0.shape[-1],
         seed_base=z0 if start_from_z0 else None,
         resample_base=z0 if resample_to_z0 else None,
     )
@@ -234,5 +295,5 @@ def run_search(
 
     if cfg.track_global_best:
         return state.global_best, state.global_best_reward, state.history
-    final_idx = int(np.argmax(state.last_rewards))
-    return state.last_candidates[final_idx], float(state.last_rewards[final_idx]), state.history
+    latent, reward = _best_rows(state.last_candidates, state.last_rewards)
+    return latent, _scalar(reward), state.history

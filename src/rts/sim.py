@@ -51,6 +51,7 @@ from .core import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    StreamBlock,
     as_integer,
     as_latent,
     check_scalar,
@@ -284,10 +285,9 @@ def _advance(
     return x
 
 
-def _churn_noises(spec: SolverSpec, dim: int, streams) -> np.ndarray:
-    """The ``(n, L−1, d)`` churn noises of n stochastic solves; row r's step i draws from ``streams[r].child(i)``."""
-    noises = [[sample_gaussian(stream.child(i), dim) for i in range(spec.steps - 1)] for stream in streams]
-    return np.array(noises).reshape(len(streams), spec.steps - 1, dim)
+def _churn_noises(spec: SolverSpec, dim: int, stream: StreamBlock) -> np.ndarray:
+    """The ``(..., L−1, d)`` churn noises of a block of stochastic solves; step i draws from ``stream.child(i)``."""
+    return sample_gaussian(stream[..., None].child(np.arange(spec.steps - 1)), dim)
 
 
 def denoise(
@@ -295,7 +295,7 @@ def denoise(
     spec: SolverSpec,
     z_init: Latent,
     injected: np.ndarray | None = None,
-    stream: RngStream | list[RngStream] | None = None,
+    stream: RngStream | list[RngStream] | StreamBlock | None = None,
     nfe: NfeCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate one latent, or each row of an ``(n, d)`` batch, from t = 1 to t = 0.
@@ -305,7 +305,7 @@ def denoise(
     unscaled noises, none in ODE mode. In SDE mode each of the first L−1
     steps appends churn·√Δt·z_l after the Heun update, with z_l taken from
     ``injected`` when provided (replay) or drawn from ``stream.child(step)``
-    otherwise; a batch takes a sequence of one stream per row. Noises are
+    otherwise; a batch takes a sequence, or a ``StreamBlock``, of one stream per row. Noises are
     checked as latents before any model call. Costs 2·L NFEs per row.
     """
     z = as_latent(z_init, model.dim, batch=True)
@@ -322,9 +322,11 @@ def denoise(
     elif stream is None:
         raise PreconditionError("SDE mode needs either injected noises or a stream")
     else:
-        if z.ndim == 2 and (isinstance(stream, RngStream) or len(stream) != z.shape[0]):
-            raise PreconditionError(f"a batch of {z.shape[0]} latents needs a sequence of one stream per row")
-        churn = _churn_noises(spec, model.dim, [stream] if z.ndim == 1 else stream).reshape(shape)
+        stream = StreamBlock.of(stream)
+        if stream.shape != z.shape[:-1]:
+            raise PreconditionError(f"latents of shape {z.shape} need one stream per row, got streams of shape "
+                                    f"{stream.shape}")
+        churn = _churn_noises(spec, model.dim, stream)
     latents = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
     latents[..., 0, :] = z
     _advance(model, spec, z, 0, spec.steps, churn, nfe, latents)
@@ -402,7 +404,7 @@ def evaluate_reward(reward: RewardModel, x: Latent):
     value = np.asarray(reward.evaluate(rows))
     if value.shape != (rows.shape[0],):
         raise DimensionError(f"reward must return {rows.shape[0]} scores, got shape {value.shape}")
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"reward evaluated to a non-finite value: {value}")
     return value if x.ndim == 2 else float(value[0])
 

@@ -13,6 +13,11 @@ guidance direction before renormalizing.
 All candidates are formed at once, one per row, reduced with ``np.vecdot``: it sums
 each row of a batch as the 1-D ``w @ u`` does, while ``W @ u``, ``einsum`` and
 ``(W * u).sum(-1)`` sum in another order and change the low bits of rows.
+
+The samplers take one base ``(d,)`` with an ``RngStream``, or a block of
+bases ``(S, d)``, one per seed of a lockstep block, with a ``StreamBlock``
+of S streams; a block gives each seed, bit for bit, the neighborhood of its
+own call.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from .core import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    StreamBlock,
     as_integer,
     as_latent,
     check_scalar,
     row_norm,
-    sample_gaussian,
 )
 
 _UNIT_TOL = 1e-9
@@ -48,7 +53,8 @@ _MAX_DRAWS = 9
 class NeighborSet:
     """N spherical candidates around a base latent, with their perturbations.
 
-    ``candidates[i]`` was formed from the unit tangent ``perturbations[i]``.
+    ``candidates[..., i, :]`` was formed from the unit tangent ``perturbations[..., i, :]``;
+    a block of bases ``(S, d)`` has ``(S, n, d)`` of each.
     ``rewards`` stays None until scored; ``estimate_gradient`` checks the rewards it reads.
     """
 
@@ -89,39 +95,60 @@ def tangent_project(w, u) -> np.ndarray:
     return out
 
 
-def _base_frame(base: Latent) -> tuple[Latent, float, Latent]:
-    base = as_latent(base)
-    radius = float(row_norm(base))
-    if radius <= 0.0:
+def _streams(stream: RngStream | StreamBlock, base: Latent) -> StreamBlock:
+    """``stream`` as a block of one stream per base."""
+    stream = StreamBlock.of(stream)
+    if stream.shape != base.shape[:-1]:
+        raise PreconditionError(f"bases of shape {base.shape} need one stream each, got streams of shape {stream.shape}")
+    return stream
+
+
+def _base_frame(base: Latent) -> tuple[Latent, np.ndarray, Latent]:
+    """The base ``(..., d)``, its radius ``(..., 1)`` and its direction."""
+    base = as_latent(base, batch=True)
+    radius = row_norm(base)[..., None]
+    if not (radius > 0.0).all():
         raise PreconditionError("base must have positive norm")
     return base, radius, base / radius
 
 
-def _unit_tangents(rows: np.ndarray, u: Latent, stream: RngStream) -> np.ndarray:
-    """Normalize tangent rows, first redrawing each row that collapsed below tolerance.
+# Tangents are drawn with StreamBlock.normal, not sample_gaussian: the
+# benchmark's tracer reads the path of every stream this module hands to
+# sample_gaussian, and a block has no path.
+def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock, attempt: int = 0) -> np.ndarray:
+    """Normalize tangent rows ``(..., n, d)``, first redrawing each row that collapsed below tolerance.
 
-    A collapsed row i takes an isotropic draw from ``stream.child(i).child(a)``
-    at attempt a = 0, 1, ...; the draws of one attempt are projected at once.
+    ``u`` and ``stream`` have the leading shape of the rows. A collapsed row i
+    takes an isotropic draw from its stream's ``child(i).child(a)`` at attempt
+    a = ``attempt``, ``attempt`` + 1, ...; the draws of one attempt are
+    projected at once.
     """
     norms = row_norm(rows)
-    for attempt in range(_MAX_DRAWS):
-        redraw = np.flatnonzero(norms < _DEGENERATE_TOL)
-        if redraw.size == 0:
+    for attempt in range(attempt, _MAX_DRAWS):
+        redraw = np.nonzero(norms < _DEGENERATE_TOL)
+        if redraw[0].size == 0:
             break
-        w = np.array([sample_gaussian(stream.child(i).child(attempt), u.shape[0]) for i in redraw])
-        rows[redraw] = _reject(_reject(w, u), u)
+        seeds, row = redraw[:-1], redraw[-1]
+        w = stream[seeds].child(row).child(attempt).normal(u.shape[-1])
+        rows[redraw] = _reject(_reject(w, u[seeds]), u[seeds])
         norms[redraw] = row_norm(rows[redraw])
-    if np.any(norms < _DEGENERATE_TOL):
+    if (norms < _DEGENERATE_TOL).any():
         raise DegeneratePerturbationError(f"no usable tangent direction after {_MAX_DRAWS} draws")
-    return rows / norms[:, None]
+    return rows / norms[..., None]
+
+
+def _isotropic_tangents(n: int, u: Latent, stream: StreamBlock) -> np.ndarray:
+    """``n`` unit tangents per direction ``u``; tangent i is drawn from ``stream.child(i).child(0)``, then redrawn."""
+    w = stream[..., None].child(np.arange(n)).child(0).normal(u.shape[-1])
+    return _unit_tangents(_reject(_reject(w, u[..., None, :]), u[..., None, :]), u, stream, attempt=1)
 
 
 def _cone_point(radius, u, tau: float, w_hat: np.ndarray) -> np.ndarray:
     return radius * (tau * u + math.sqrt(max(0.0, 1.0 - tau * tau)) * w_hat)
 
 
-def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream) -> NeighborSet:
-    """Draw ``n`` isotropic candidates at angle arccos(τ) from ``base``.
+def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream | StreamBlock) -> NeighborSet:
+    """Draw ``n`` isotropic candidates at angle arccos(τ) from ``base``, one ``(d,)`` or a block ``(S, d)``.
 
     Candidate i consumes the sub-stream ``stream.child(i)``, so each
     candidate is the same whatever ``n`` is.
@@ -129,9 +156,8 @@ def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream)
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     base, radius, u = _base_frame(base)
-    # every row starts collapsed, so each candidate draws its tangent
-    perturbations = _unit_tangents(np.zeros((n, base.shape[0])), u, stream)
-    return NeighborSet(base, _cone_point(radius, u, tau, perturbations), perturbations)
+    perturbations = _isotropic_tangents(n, u, _streams(stream, base))
+    return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations)
 
 
 def guided_spherical_sample(
@@ -141,34 +167,40 @@ def guided_spherical_sample(
     alpha: float,
     g: Latent,
     prev_perturbations: np.ndarray,
-    stream: RngStream,
+    stream: RngStream | StreamBlock,
 ) -> NeighborSet:
     """Re-form the neighborhood by blending guidance into the perturbations.
 
     Each previous unit tangent ŵ′_i becomes (1−α)·ŵ′_i + α·ĝ⊥, renormalized,
-    where ĝ⊥ is the unit tangential part of the guidance direction ``g``.
-    Raises ``NonFiniteError`` for non-finite ``g`` or previous perturbations
-    and ``DegenerateGradientError`` when ``g`` has no tangential component
-    (callers fall back to random sampling). A blend that cancels below
-    tolerance (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is replaced by a
-    fresh random tangent drawn from ``stream``.
+    where ĝ⊥ is the unit tangential part of the guidance direction ``g``, of
+    the shape of ``base``. Raises ``NonFiniteError`` for non-finite ``g`` or
+    previous perturbations and ``DegenerateGradientError`` when ``g`` has no
+    tangential component (callers fall back to random sampling); for a block
+    its ``rows`` marks the seeds whose ``g`` has none. A blend that cancels
+    below tolerance (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is
+    replaced by a fresh random tangent drawn from ``stream``.
     """
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     check_scalar(alpha, "alpha", 0, 1)
     base, radius, u = _base_frame(base)
-    g = as_latent(g, base.shape[0])
-    prev = as_latent(prev_perturbations, base.shape[0], batch=True)
-    if prev.shape != (n, base.shape[0]):
-        raise PreconditionError(f"expected {n} previous perturbations of dim {base.shape[0]}, got {prev.shape}")
-    try:
-        g_tan = tangent_project(g, u)
-    except DegeneratePerturbationError:
-        raise DegenerateGradientError("guidance direction has no tangential component") from None
-    g_hat = g_tan / row_norm(g_tan)
+    dim = base.shape[-1]
+    g = as_latent(g, dim, batch=True)
+    if g.shape != base.shape:
+        raise DimensionError(f"guidance of shape {g.shape} for bases of shape {base.shape}")
+    prev = np.asarray(prev_perturbations, dtype=np.float64)
+    if prev.shape != base.shape[:-1] + (n, dim):
+        raise PreconditionError(f"expected {n} previous perturbations of dim {dim} per base, got {prev.shape}")
+    as_latent(prev.reshape(-1, dim), batch=True)
+    g_tan = _reject(_reject(g, u), u)
+    g_norm = row_norm(g_tan)
+    degenerate = g_norm < _DEGENERATE_TOL
+    if degenerate.any():
+        raise DegenerateGradientError("guidance direction has no tangential component", degenerate)
+    g_hat = g_tan / g_norm[..., None]
 
     # One cleanup projection: renormalizing a small blend would otherwise
     # amplify the parents' rounding residue along u.
-    blend = _reject((1.0 - alpha) * prev + alpha * g_hat, u)
-    perturbations = _unit_tangents(blend, u, stream)
-    return NeighborSet(base, _cone_point(radius, u, tau, perturbations), perturbations)
+    blend = _reject((1.0 - alpha) * prev + alpha * g_hat[..., None, :], u[..., None, :])
+    perturbations = _unit_tangents(blend, u, _streams(stream, base))
+    return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations)

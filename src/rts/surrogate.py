@@ -9,7 +9,8 @@ at 1e-8 against blow-up. A signed denominator would flip g into a descent
 direction whenever rewards are uniformly negative (e.g. quadratic distance
 rewards), breaking the estimator's alignment with the true ascent direction;
 with the magnitude, scaling all rewards by c > 0 still leaves g unchanged.
-``estimate_gradient`` returns g itself, a ``(d,)`` array.
+``estimate_gradient`` returns g itself, a ``(d,)`` array, or ``(S, d)`` for
+a block of S scored neighborhoods, each row bit for bit its own estimate.
 """
 
 from __future__ import annotations
@@ -22,24 +23,27 @@ from .sphere import NeighborSet
 _DENOMINATOR_FLOOR = 1e-8
 
 
-def estimate_gradient(base_reward: float, neighbors: NeighborSet) -> Latent:
+def estimate_gradient(base_reward, neighbors: NeighborSet) -> Latent:
     """Estimate the ascent direction ``g`` from a scored NeighborSet.
 
     The result lies in the span of the perturbations, hence tangent to the
     base direction. Requires ``neighbors.rewards`` to be populated, one per
-    perturbation row; other rewards raise ``DimensionError``.
+    perturbation row (and ``base_reward`` one per base); other rewards raise
+    ``DimensionError``.
     """
     if neighbors.rewards is None:
         raise PreconditionError("neighbors must carry rewards; score the candidates first")
     rewards = np.asarray(neighbors.rewards, dtype=np.float64)
-    if rewards.shape != (len(neighbors.perturbations),):
-        raise DimensionError(f"rewards of shape {rewards.shape} for {len(neighbors.perturbations)} perturbations")
-    if not np.isfinite(base_reward) or not np.all(np.isfinite(rewards)):
+    base_reward = np.asarray(base_reward, dtype=np.float64)
+    if rewards.shape != neighbors.perturbations.shape[:-1] or base_reward.shape != rewards.shape[:-1]:
+        raise DimensionError(f"rewards of shape {rewards.shape} for {neighbors.perturbations.shape[-2]} "
+                             f"perturbations per base reward of shape {base_reward.shape}")
+    if not (np.isfinite(base_reward).all() and np.isfinite(rewards).all()):
         raise NonFiniteError("rewards must be finite")
-    denominator = float(np.sum(rewards) + base_reward)
-    scale = max(abs(denominator), _DENOMINATOR_FLOOR)
-    coefficients = (rewards - base_reward) / scale
-    g = coefficients @ neighbors.perturbations
-    if not np.all(np.isfinite(g)):
+    scale = np.maximum(np.abs(np.sum(rewards, axis=-1) + base_reward), _DENOMINATOR_FLOOR)
+    coefficients = (rewards - base_reward[..., None]) / scale[..., None]
+    # each row as the 1-D coefficients @ perturbations sums it
+    g = (coefficients[..., None, :] @ neighbors.perturbations)[..., 0, :]
+    if not np.isfinite(g).all():
         raise NonFiniteError("surrogate gradient is non-finite")
     return g

@@ -32,11 +32,12 @@ from rts import (
     one_step_clean_estimate,
     project_trajectory,
     random_spherical_sample,
-    run_bon,
-    run_free,
+    run_bon_block,
+    run_free_block,
     run_rts,
+    run_rts_block,
     run_search,
-    run_zo,
+    run_zo_block,
     sample_gaussian,
     select_key_steps,
     tangent_project,
@@ -93,18 +94,21 @@ def testbed():
     )
     worst = [1] + list(range(spec.steps - full.k_keysteps + 1, spec.steps))
     budget = expected_rts_nfe(full, spec, key_positions=worst)["total"]
-    rewards = {name: [] for name in ("rts", "init", "inter", "bon", "zo", "free")}
-    hits = {name: [] for name in rewards}
-    for seed in range(200):
-        runs = {
-            "rts": run_rts(model, spec, reward, full, RngStream(seed)),
-            "init": run_rts(model, spec, reward, init_only, RngStream(seed)),
-            "inter": run_rts(model, spec, reward, inter_only, RngStream(seed)),
-            "bon": run_bon(model, spec, reward, budget, RngStream(seed)),
-            "zo": run_zo(model, spec, reward, budget, 0.9, RngStream(seed)),
-            "free": run_free(model, spec, reward, RngStream(seed)),
-        }
-        for name, result in runs.items():
+    # each variant is one lockstep block call over the 200 seeds; TestLockstep
+    # in test_pipeline.py holds every block result to its one-seed call
+    streams = [RngStream(seed) for seed in range(200)]
+    runs = {
+        "rts": run_rts_block(model, spec, reward, full, streams),
+        "init": run_rts_block(model, spec, reward, init_only, streams),
+        "inter": run_rts_block(model, spec, reward, inter_only, streams),
+        "bon": run_bon_block(model, spec, reward, budget, streams),
+        "zo": run_zo_block(model, spec, reward, budget, 0.9, streams),
+        "free": run_free_block(model, spec, reward, streams),
+    }
+    rewards = {name: [] for name in runs}
+    hits = {name: [] for name in runs}
+    for name, results in runs.items():
+        for result in results:
             assert result.nfe_used <= budget
             rewards[name].append(result.final_reward)
             hits[name].append(nearest_mode(model, result.final_sample) == 0)

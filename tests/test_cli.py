@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -282,27 +283,81 @@ class TestRunCommand:
         assert "replicates" in capsys.readouterr().err
         assert not (tmp_path / "results.jsonl").exists()
 
-    def test_failing_replicate_keeps_the_records_before_it(self, tmp_path, monkeypatch, capsys):
-        config, out = write_config(tmp_path, method="rts", replicates=4, workers=1)
-        whole = tmp_path / "whole.jsonl"
-        assert main(["run", "--config", config, "--out", str(whole)]) == 0
-        run_replicate = rts.cli.run_replicate
+    @staticmethod
+    def fail_block_of(monkeypatch, method: str, failing: int) -> None:
+        """Make the lockstep call of the block holding replicate ``failing`` raise."""
+        name = f"run_{method}_block"
+        real = getattr(rts.cli, name)
 
-        def third_fails(cfg, index, overrides):
-            if index == 2:
-                raise RtsError("replicate 2 failed")
-            return run_replicate(cfg, index, overrides)
+        def block_fails(*args):
+            if any(stream.root_seed == failing for stream in args[-1]):
+                raise RtsError(f"replicate {failing} failed")
+            return real(*args)
 
-        monkeypatch.setattr(rts.cli, "run_replicate", third_fails)
-        assert main(["run", "--config", config]) == 3
-        assert "replicate 2 failed" in capsys.readouterr().err
-        kept = read_records(out)
-        assert [record["seed"] for record in kept] == [0, 1]
-        for left, right in zip(kept, read_records(whole)):
+        monkeypatch.setattr(rts.cli, name, block_fails)
+
+    @staticmethod
+    def assert_kept_records_match(kept, whole) -> None:
+        for left, right in zip(kept, whole):
             for record in (left, right):
                 record.pop("wall_ms")
                 record.pop("overrides")
             assert json.dumps(left) == json.dumps(right)
+
+    def test_failing_replicate_keeps_the_records_before_it(self, tmp_path, monkeypatch, capsys):
+        # two workers run the blocks [0, 2) and [2, 4); the second fails in its forked worker
+        config, out = write_config(tmp_path, method="rts", replicates=4, workers=2)
+        whole = tmp_path / "whole.jsonl"
+        assert main(["run", "--config", config, "--out", str(whole)]) == 0
+        self.fail_block_of(monkeypatch, "rts", 2)
+        assert main(["run", "--config", config]) == 3
+        assert "replicate 2 failed" in capsys.readouterr().err
+        kept = read_records(out)
+        assert [record["seed"] for record in kept] == [0, 1]
+        self.assert_kept_records_match(kept, read_records(whole))
+
+    def test_failing_block_of_a_serial_run_keeps_the_blocks_before_it(self, tmp_path, monkeypatch, capsys):
+        replicates = rts.cli.MAX_BLOCK + 2
+        config, out = write_config(tmp_path, replicates=replicates, workers=1)
+        whole = tmp_path / "whole.jsonl"
+        assert main(["run", "--config", config, "--out", str(whole)]) == 0
+        self.fail_block_of(monkeypatch, "free", replicates - 1)
+        assert main(["run", "--config", config]) == 3
+        assert f"replicate {replicates - 1} failed" in capsys.readouterr().err
+        kept = read_records(out)
+        assert [record["seed"] for record in kept] == list(range(rts.cli.MAX_BLOCK))
+        self.assert_kept_records_match(kept, read_records(whole))
+
+    def test_no_worker_outlives_a_failing_parallel_run(self, tmp_path, monkeypatch):
+        config, out = write_config(tmp_path, method="rts", replicates=6, workers=3)
+        self.fail_block_of(monkeypatch, "rts", 3)
+        assert main(["run", "--config", config]) == 3
+        assert multiprocessing.active_children() == []
+        assert [record["seed"] for record in read_records(out)] == [0, 1]
+
+    @pytest.mark.parametrize("method, budget", [("rts", 295), ("bon", 64)])
+    def test_uneven_blocks_write_the_records_of_one_block(self, tmp_path, method, budget):
+        # 7 replicates on 1, 2 and 3 workers: blocks [0, 7); [0, 4), [4, 7); [0, 3), [3, 6), [6, 7)
+        config, _ = write_config(tmp_path, method=method, replicates=7, budget_nfe=budget)
+        runs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers{workers}.jsonl"
+            assert main(["run", "--config", config, "--out", str(out), f"workers={workers}"]) == 0
+            records = read_records(out)
+            for record in records:
+                record.pop("wall_ms")
+                record.pop("overrides")
+            runs.append([json.dumps(record) for record in records])
+        assert len(runs[0]) == 7 and runs[0] == runs[1] == runs[2]
+        cfg = rts.cli.load_config(config)
+        for index, line in enumerate(runs[0]):
+            alone = rts.cli.run_replicate(cfg, index, {})
+            alone.pop("wall_ms")
+            alone.pop("overrides")
+            assert line == json.dumps(alone)
+        if method == "rts":  # the budget cuts some seeds short and not others
+            truncated = {json.loads(line)["truncated"] for line in runs[0]}
+            assert truncated == {True, False}
 
     @pytest.mark.parametrize("method", ["bon", "zo"])
     def test_budget_past_denoise_bound_exits_2_before_any_record(self, tmp_path, capsys, method):

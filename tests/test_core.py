@@ -18,6 +18,7 @@ from rts import (
     PreconditionError,
     RngStream,
     SolverSpec,
+    StreamBlock,
     as_latent,
     denoise,
     sample_gaussian,
@@ -201,6 +202,54 @@ class TestIncrementalDerivation:
     def test_negative_label_in_a_given_path_is_refused(self):
         with pytest.raises(PreconditionError):
             RngStream(5, (1, -2))
+
+
+# one derivation step of a block: one label for every stream, or one label (below 2**64) per stream
+BLOCK_STEPS = st.one_of(
+    st.tuples(st.just("all"), LABELS),
+    st.tuples(st.just("each"), st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                                        min_size=5, max_size=5)),
+)
+
+
+class TestStreamBlock:
+    """A block derives, keys and draws each stream bit for bit as its RngStream and numpy's SeedSequence do."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        roots=st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32, 2**64 - 1])),
+                       min_size=5, max_size=5),
+        steps=st.lists(BLOCK_STEPS, max_size=6),
+        dim=st.integers(2, 5),
+    )
+    def test_matches_rng_stream_and_seed_sequence(self, roots, steps, dim):
+        block = StreamBlock.of([RngStream(root) for root in roots])
+        paths = [() for _ in roots]
+        for kind, labels in steps:
+            block = block.child(labels if kind == "all" else np.array(labels, dtype=np.uint64))
+            paths = [path + ((labels if kind == "all" else labels[e]),) for e, path in enumerate(paths)]
+        assert block.shape == (len(roots),)
+        keys, draws = block.keys(), block.normal(dim)
+        for e, (root, path) in enumerate(zip(roots, paths)):
+            expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(keys[e], expected)
+            np.testing.assert_array_equal(draws[e], numpy_stream(root, path).standard_normal(dim))
+            np.testing.assert_array_equal(draws[e], sample_gaussian(RngStream(root, path), dim))
+
+    def test_labels_broadcast_against_the_leading_axes(self):
+        streams = [RngStream(seed, (3,)) for seed in range(4)]
+        block = StreamBlock.of(streams)[:, None].child(np.arange(6)).child(2)
+        assert block.shape == (4, 6)
+        draws = sample_gaussian(block, 3)
+        for s, stream in enumerate(streams):
+            for i in range(6):
+                np.testing.assert_array_equal(draws[s, i], sample_gaussian(stream.child(i).child(2), 3))
+        np.testing.assert_array_equal(sample_gaussian(block[1:3][:, 4], 3), draws[1:3, 4])
+
+    @pytest.mark.parametrize("labels", [np.array([1, -2]), np.array([0.0, 1.0]), np.array(["1"])])
+    def test_labels_that_are_not_non_negative_integers_are_refused(self, labels):
+        with pytest.raises(PreconditionError):
+            StreamBlock.of([RngStream(1), RngStream(2)]).child(labels)
 
 
 class TestSampleGaussian:

@@ -218,3 +218,47 @@ class TestSelectKeySteps:
         selected = select_key_steps(proj, 3)
         assert isinstance(selected, KeyStepSet)
         assert len(selected.indices) == len(selected.curvatures) == 3
+
+
+class TestPointChecks:
+    """curvature and select_key_steps take finite (L, 3) polylines, one or an (S, L, 3) stack."""
+
+    @staticmethod
+    def both_calls():
+        return {"curvature": curvature, "select_key_steps": lambda points: select_key_steps(points, 2)}
+
+    @staticmethod
+    def shaped(points, stack):
+        # the stack holds one good polyline before the given one
+        good = np.random.default_rng(20).standard_normal(points.shape)
+        return np.stack([good, points]) if stack else points
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["polyline", "stack"])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_width_other_than_three_is_refused(self, width, stack):
+        # before: (6, 2) ended in numpy's DeprecationWarning from np.cross, (6, 4) in a raw ValueError
+        points = self.shaped(np.random.default_rng(21).standard_normal((6, width)), stack)
+        for call in self.both_calls().values():
+            with pytest.raises(DimensionError, match="3"):
+                call(points)
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["polyline", "stack"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+    def test_non_finite_points_are_refused(self, bad, stack):
+        # before: all-NaN points gave KeyStepSet((1, 2), (nan, nan))
+        points = self.shaped(np.full((6, 3), bad), stack)
+        for call in self.both_calls().values():
+            with pytest.raises(NonFiniteError):
+                call(points)
+
+    def test_stack_selects_each_polyline_as_it_would_alone(self):
+        rng = np.random.default_rng(23)
+        stack = np.stack([project_trajectory(rng.standard_normal((12, 5))) for _ in range(4)])
+        sets = select_key_steps(stack, 3)
+        assert sets == [select_key_steps(points, 3) for points in stack]
+        np.testing.assert_array_equal(curvature(stack), [curvature(points) for points in stack])
+
+    def test_select_refuses_more_than_one_stack_axis(self):
+        points = np.random.default_rng(24).standard_normal((2, 2, 6, 3))
+        with pytest.raises(DimensionError):
+            select_key_steps(points, 2)

@@ -29,10 +29,14 @@ from rts import (
     nearest_mode,
     random_spherical_sample,
     run_bon,
+    run_bon_block,
     run_free,
+    run_free_block,
     run_rts,
+    run_rts_block,
     run_search,
     run_zo,
+    run_zo_block,
     sample_gaussian,
     select_key_steps,
 )
@@ -432,8 +436,10 @@ class TestReplayCorrectness:
         result = run_rts(model, spec, reward, cfg, RngStream(6))
         replays = [(z, inj) for z, inj in calls if inj is not None and len(inj) > 0]
         assert len(replays) == 1
+        # the pipeline replays its block of one seed; replay that seed alone
         z_init, injected = replays[-1]
-        fresh, _ = denoise(model, spec, z_init, injected=injected)
+        assert z_init.shape == (1, model.dim)
+        fresh, _ = denoise(model, spec, z_init[0], injected=injected[0])
         np.testing.assert_array_equal(fresh[-1], result.final_sample)
         np.testing.assert_allclose(
             result.final_reward, reward.evaluate(fresh[-1]), rtol=0, atol=0
@@ -447,10 +453,13 @@ class TestKeyStepOrdering:
         # index, i.e. descend in time.
         seen = []
         real_run_search = rts.pipeline.run_search
+        # the run hands run_search a block of its one stream; tell the positions apart by their Philox keys
+        positions = {tuple(RngStream(7).child(3).child(p)._pool.keys().tolist()): p for p in range(1, 12)}
 
         def spy(z0, cfg, evaluate, stream, **kwargs):
-            if len(stream.path) == 2 and stream.path[0] == 3:
-                seen.append(stream.path[1])
+            key = tuple(stream.keys()[0].tolist())
+            if key in positions:
+                seen.append(positions[key])
             return real_run_search(z0, cfg, evaluate, stream, **kwargs)
 
         monkeypatch.setattr(rts.pipeline, "run_search", spy)
@@ -794,3 +803,73 @@ class TestGoldenRecords:
         assert fingerprint(result) == (
             "0.6442761284979024", {"denoise": 96}, None, False, "f5ea25532c18a7cd"
         )
+
+
+def criterion7_variants(budget_nfe=None):
+    """The six criterion-7/8 variants as (block call, one-seed call) pairs; the rts family capped at ``budget_nfe``."""
+    model, spec, reward, full = criterion7_setup()
+    off = SearchConfig(rounds=0)
+    configs = {
+        "rts": full,
+        "init": dataclasses.replace(full, search_inter=off, k_keysteps=0),
+        "inter": dataclasses.replace(full, search_init=off, eval_steps_init=None),
+    }
+    matched = 238
+    variants = {
+        name: (lambda streams, cfg=dataclasses.replace(cfg, budget_nfe=budget_nfe): run_rts_block(
+            model, spec, reward, cfg, streams),
+               lambda stream, cfg=dataclasses.replace(cfg, budget_nfe=budget_nfe): run_rts(
+            model, spec, reward, cfg, stream))
+        for name, cfg in configs.items()
+    }
+    variants["bon"] = (lambda streams: run_bon_block(model, spec, reward, matched, streams),
+                       lambda stream: run_bon(model, spec, reward, matched, stream))
+    variants["zo"] = (lambda streams: run_zo_block(model, spec, reward, matched, 0.9, streams),
+                      lambda stream: run_zo(model, spec, reward, matched, 0.9, stream))
+    variants["free"] = (lambda streams: run_free_block(model, spec, reward, streams),
+                        lambda stream: run_free(model, spec, reward, stream))
+    return variants
+
+
+def assert_same_result(block, alone):
+    """Every RunResult field equal, the final sample bit for bit."""
+    assert block.final_sample.shape == alone.final_sample.shape
+    assert block.final_sample.tobytes() == alone.final_sample.tobytes()
+    assert dataclasses.replace(block, final_sample=None) == dataclasses.replace(alone, final_sample=None)
+
+
+class TestLockstep:
+    """One block call over the 200 criterion-7 seeds gives each seed's one-seed result, field for field."""
+
+    STREAMS = [RngStream(seed) for seed in range(200)]
+
+    @pytest.mark.parametrize("variant", ["rts", "init", "inter", "bon", "zo", "free"])
+    def test_block_equals_one_seed_calls(self, variant):
+        block, alone = criterion7_variants()[variant]
+        results = block(self.STREAMS)
+        assert len(results) == len(self.STREAMS)
+        for stream, result in zip(self.STREAMS, results):
+            assert_same_result(result, alone(stream))
+
+    @pytest.mark.parametrize("budget", sorted(TestGoldenRecords.TRUNCATED))
+    def test_truncated_block_equals_one_seed_calls(self, budget):
+        block, alone = criterion7_variants(budget)["rts"]
+        results = block(self.STREAMS)
+        assert any(result.truncated for result in results)
+        for stream, result in zip(self.STREAMS, results):
+            assert_same_result(result, alone(stream))
+
+    def test_budget_sweep_block_equals_one_seed_calls(self):
+        # a block over all 200 seeds at each budget of the sweep digest; the
+        # one-seed reference runs seed 3 (the digest's seed) and three seeds
+        # that rotate, so every seed is checked at some budget
+        cut_before_key_steps = set()
+        for k, budget in enumerate(range(36, 240, 3)):
+            block, alone = criterion7_variants(budget)["rts"]
+            results = block(self.STREAMS)
+            assert all(result.nfe_used <= budget for result in results)
+            for seed in {3} | {(3 * k + j) % 200 for j in range(3)}:
+                assert_same_result(results[seed], alone(self.STREAMS[seed]))
+            cut_before_key_steps |= {result.key_steps is None for result in results if result.truncated}
+        # the budget cuts some seeds before their key-step search and others during it
+        assert cut_before_key_steps == {True, False}

@@ -14,6 +14,7 @@ from rts import (
     PreconditionError,
     RngStream,
     SearchConfig,
+    StreamBlock,
     run_search,
     sample_gaussian,
 )
@@ -373,3 +374,39 @@ class TestImprovementOverBlindSearch:
             search_scores - bon_scores, zero_method="zsplit", alternative="greater"
         ).pvalue
         assert p < 0.05
+
+
+class TestLockstepBlock:
+    """A block of seeds searches in lockstep, each seed bit for bit as it searches alone."""
+
+    # seed 0 scores every latent alike, so each of its fine rounds falls back to random sampling
+    REWARDS = (lambda x: 1.0, quadratic_reward(np.full(4, 0.3)), quadratic_reward([1.0, -0.5, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("track_global_best", [True, False])
+    @pytest.mark.parametrize("start_from_z0, resample_to_z0", [(False, False), (True, False), (True, True)])
+    def test_block_follows_each_seed_alone(self, track_global_best, start_from_z0, resample_to_z0):
+        streams = [RngStream(seed) for seed in (3, 4, 5)]
+        z0 = np.random.default_rng(8).standard_normal((3, 4))
+        calls = []
+
+        def evaluate(batch):
+            calls.append(batch.shape)
+            return np.array([[reward(x) for x in rows] for reward, rows in zip(self.REWARDS, batch)])
+
+        cfg = SearchConfig(n_neighbors=3, rounds=5, track_global_best=track_global_best)
+        options = {"start_from_z0": start_from_z0, "resample_to_z0": resample_to_z0}
+        best, score, history = run_search(z0, cfg, evaluate, StreamBlock.of(streams), **options)
+        assert calls == [(3, 4, 4), (3, 3, 4), (3, 4, 4), (3, 3, 4), (3, 4, 4)]
+        assert [h.guided_fallback for h in history if h.kind == "fine"] == [1, 1]
+        for s, (stream, reward) in enumerate(zip(streams, self.REWARDS)):
+            alone_best, alone_score, alone_history = run_search(z0[s], cfg, rows(reward), stream, **options)
+            np.testing.assert_array_equal(best[s], alone_best)
+            assert score[s] == alone_score
+            for block_round, alone_round in zip(history, alone_history, strict=True):
+                assert (block_round.base_reward[s], block_round.best_candidate_reward[s], block_round.best_so_far[s]) \
+                    == (alone_round.base_reward, alone_round.best_candidate_reward, alone_round.best_so_far)
+
+    def test_streams_must_match_the_starts(self):
+        with pytest.raises(PreconditionError):
+            run_search(np.ones((2, 4)), SearchConfig(rounds=1), rows(lambda x: 0.0), StreamBlock.of([RngStream(1)]))
+

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rts.sphere
 from rts import (
     DegenerateGradientError,
     DegeneratePerturbationError,
@@ -14,6 +13,7 @@ from rts import (
     NonFiniteError,
     PreconditionError,
     RngStream,
+    StreamBlock,
     estimate_gradient,
     guided_spherical_sample,
     random_spherical_sample,
@@ -144,19 +144,24 @@ class TestDegenerateRedraw:
     """A draw parallel to the base is redrawn from the next attempt, for that candidate only."""
 
     @staticmethod
-    def parallel_draws(monkeypatch, collapsing):
-        # draws whose (candidate, attempt) path is in ``collapsing`` point along u
-        def draw(stream, dim):
-            if stream.path[-2:] in collapsing:
-                return np.full(dim, 2.0)
-            return sample_gaussian(stream, dim)
+    def parallel_draws(monkeypatch, stream, collapsing):
+        # the block draws of the streams whose (candidate, attempt) path is in ``collapsing`` point along u
+        targets = {tuple(stream.child(i).child(a)._pool.keys().tolist()) for i, a in collapsing}
+        normal = StreamBlock.normal
 
-        monkeypatch.setattr(rts.sphere, "sample_gaussian", draw)
+        def draw(block, dim):
+            rows = normal(block, dim).reshape(-1, dim)
+            for row, key in zip(rows, block.keys().reshape(-1, 2).tolist()):
+                if tuple(key) in targets:
+                    row[:] = 2.0
+            return rows.reshape(block.shape + (dim,))
+
+        monkeypatch.setattr(StreamBlock, "normal", draw)
 
     def test_only_the_collapsed_candidate_is_redrawn(self, monkeypatch):
         base, stream = np.ones(3), RngStream(21)
         clean = random_spherical_sample(base, 3, 0.6, stream)
-        self.parallel_draws(monkeypatch, {(1, 0), (1, 1)})
+        self.parallel_draws(monkeypatch, stream, {(1, 0), (1, 1)})
         redrawn = random_spherical_sample(base, 3, 0.6, stream)
         np.testing.assert_array_equal(redrawn.candidates[[0, 2]], clean.candidates[[0, 2]])
         u = base / np.linalg.norm(base)
@@ -164,9 +169,10 @@ class TestDegenerateRedraw:
         np.testing.assert_array_equal(redrawn.perturbations[1], expected / np.linalg.norm(expected))
 
     def test_exhausted_redraws_raise(self, monkeypatch):
-        self.parallel_draws(monkeypatch, {(0, attempt) for attempt in range(9)})
+        stream = RngStream(22)
+        self.parallel_draws(monkeypatch, stream, {(0, attempt) for attempt in range(9)})
         with pytest.raises(DegeneratePerturbationError):
-            random_spherical_sample(np.ones(3), 2, 0.6, RngStream(22))
+            random_spherical_sample(np.ones(3), 2, 0.6, stream)
 
 
 class TestGuidedSphericalSample:
@@ -313,3 +319,20 @@ class TestSphereInvariantProperty:
         except DegenerateGradientError:
             return
         self.assert_invariants(guided, base, tau)
+
+
+class TestBlockOfBases:
+    def test_a_block_of_bases_draws_as_each_base_alone(self):
+        bases = np.random.default_rng(3).standard_normal((3, 5))
+        streams = [RngStream(seed) for seed in (4, 5, 6)]
+        block = random_spherical_sample(bases, 4, 0.7, StreamBlock.of(streams))
+        for base, stream, candidates in zip(bases, streams, block.candidates):
+            np.testing.assert_array_equal(candidates, random_spherical_sample(base, 4, 0.7, stream).candidates)
+
+    def test_a_block_of_bases_needs_one_stream_each(self):
+        bases = np.ones((3, 5))
+        with pytest.raises(PreconditionError):
+            random_spherical_sample(bases, 2, 0.7, RngStream(1))
+        with pytest.raises(PreconditionError):
+            guided_spherical_sample(bases, 2, 0.7, 0.5, np.eye(3, 5), np.zeros((3, 2, 5)), RngStream(1))
+
