@@ -24,10 +24,13 @@ duplicates on.
 
 Exit codes: 0 success, 2 config error, 3 runtime error.
 
-``run`` splits the replicates into contiguous blocks of at most
-``MAX_BLOCK``, about one per worker. With more than one worker the blocks go
-to processes forked from this one, which start with numpy and the package
-already imported; the parent writes each block's records in replicate order.
+``run`` splits the replicates into contiguous blocks, about one per worker,
+of at most ``MAX_BLOCK`` replicates and of at most ``BLOCK_BYTES`` of arrays
+by an estimate from the config. With more than one worker the blocks go to
+worker processes: on CPython 3.11 on Linux they are forked from this one and
+start with numpy and the package already imported, elsewhere they are
+spawned (``START_METHOD``). The parent writes each block's records in
+replicate order.
 A failing block ends the run, and the records of every block before it
 stay. A record's ``wall_ms`` is its block's wall time over the block's size,
 so the sum over records is still the compute time.
@@ -92,9 +95,25 @@ WORKER_ENV = "RTS_MAX_WORKERS"
 # thousands of processes.
 MAX_WORKERS = 256
 
-# Most replicates one block runs in lockstep. Past a few dozen seeds a larger
-# block no longer runs faster per seed, and a failing block loses its records.
+# Most replicates one block runs in lockstep. A larger block still runs
+# faster per seed (rts on the d = 2 cli config: 1.3 ms per seed at 64 seeds,
+# 0.84 ms at 256, one core of a 2-vCPU x86 host), but records are written per
+# block, so the cap bounds the work a failing or interrupted run loses.
 MAX_BLOCK = 64
+
+# Most bytes of arrays one block may hold at once, by ``_seed_bytes``: a
+# best-of-N seed at d = 1024 with 50 steps and 200 candidates holds about
+# 160 MB, so such a run goes one seed per block, while a d = 2 block of 64
+# rts seeds holds well under a megabyte.
+BLOCK_BYTES = 64 * 2**20
+
+# fork is checked on CPython 3.11 on Linux: the pool forks every worker at its
+# first task, before it starts its manager thread, and the OpenBLAS that
+# numpy's wheels ship joins its threads in its own fork handler, so the
+# process has one thread at each fork. Other interpreters and platforms,
+# where this is unchecked, spawn the workers, each importing numpy and the
+# package afresh.
+START_METHOD = "fork" if sys.platform == "linux" and sys.version_info[:2] == (3, 11) else "spawn"
 
 
 class _Invalid(ConfigError):
@@ -434,9 +453,27 @@ def _refuse_overwrite(out: str, source: str, what: str) -> None:
         raise ConfigError(f"'{out}' would overwrite the {what}; choose another --out")
 
 
-def _blocks(replicates: int, workers: int) -> list[range]:
-    """Contiguous blocks of replicate indices, about one per worker and at most ``MAX_BLOCK`` each."""
-    size = min(MAX_BLOCK, -(-replicates // workers))
+def _seed_bytes(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> int:
+    """About the most bytes of arrays one seed of a block holds at once.
+
+    Each row a seed carries through the solver keeps an ``(L + 1, d)`` path
+    and ``(L - 1, d)`` churn noises of float64. A best-of-N seed carries its
+    candidates; an rts seed its best row and the neighbors of two rounds, the
+    latest one and the one being scored.
+    """
+    if cfg["method"] == BON:
+        rows = denoise_count(BON, spec, cfg["budget_nfe"])
+    elif cfg["method"] == RTS:
+        rows = 2 * max(rts_cfg.search_init.n_neighbors, rts_cfg.search_inter.n_neighbors) + 1
+    else:
+        rows = 1
+    return rows * 2 * spec.steps * cfg["dimension"] * 8
+
+
+def _blocks(replicates: int, workers: int, seed_bytes: int) -> list[range]:
+    """Contiguous blocks of replicate indices, about one per worker, of at most ``MAX_BLOCK`` seeds and
+    ``BLOCK_BYTES`` of arrays each."""
+    size = max(1, min(MAX_BLOCK, -(-replicates // workers), BLOCK_BYTES // seed_bytes))
     return [range(first, min(first + size, replicates)) for first in range(0, replicates, size)]
 
 
@@ -465,19 +502,17 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     _, spec, _, rts_cfg = build_experiment(cfg)  # fail on bad values before any work is queued
     _check_budget(cfg, spec, rts_cfg)
     workers = _worker_count(cfg)
-    blocks = _blocks(cfg["replicates"], workers)
+    blocks = _blocks(cfg["replicates"], workers, _seed_bytes(cfg, spec, rts_cfg))
     workers = min(workers, len(blocks))
     if workers == 1:
         _append_records(cfg["out"], (run_block(cfg, block, overrides) for block in blocks))
     else:
-        # fork: each worker starts as a copy of this process, numpy and the
-        # package already imported, and runs one contiguous block at a time in
-        # lockstep. The pool forks every worker at its first task, before it
-        # starts its own thread, so this process has no other thread then.
-        # map yields the blocks in replicate order, so the output is
-        # deterministic. Shutting down cancels the blocks not yet started and
-        # waits for every worker, so none outlives the run.
-        executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
+        # Each worker runs one contiguous block at a time in lockstep; see
+        # START_METHOD for how the workers start. map yields the blocks in
+        # replicate order, so the output is deterministic. Shutting down
+        # cancels the blocks not yet started and waits for every worker, so
+        # none outlives the run.
+        executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context(START_METHOD))
         try:
             _append_records(cfg["out"], executor.map(run_block, repeat(cfg), blocks, repeat(overrides)))
         finally:

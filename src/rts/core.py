@@ -28,7 +28,6 @@ An ``RngStream`` keeps its pool as a one-element block.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -78,16 +77,20 @@ class PreconditionError(RtsError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegeneratePerturbationError(RtsError, ArithmeticError):
-    """A tangential perturbation collapsed below numerical tolerance."""
-
-
-class DegenerateGradientError(RtsError, ArithmeticError):
-    """A guidance gradient has no usable tangential component; ``rows`` marks the seeds of a block whose has none."""
+class _DegenerateRows(RtsError, ArithmeticError):
+    """A direction collapsed below numerical tolerance; ``rows``, a boolean mask, marks the rows that did."""
 
     def __init__(self, message: str, rows=None) -> None:
         super().__init__(message)
         self.rows = rows
+
+
+class DegeneratePerturbationError(_DegenerateRows):
+    """A tangential perturbation collapsed below numerical tolerance."""
+
+
+class DegenerateGradientError(_DegenerateRows):
+    """A guidance gradient has no usable tangential component; for a block, ``rows`` marks the seeds whose has none."""
 
 
 class BudgetError(RtsError, RuntimeError):
@@ -169,19 +172,6 @@ def _fold_terms(word, hash_const) -> tuple[np.ndarray, np.ndarray]:
     return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[..., -1:]
 
 
-# Label words below this take their fold terms from a table per hash
-# constant: small labels at a few depths make up nearly every derivation.
-_TABLE_WORDS = 256
-
-
-@functools.lru_cache(maxsize=64)
-def _fold_table(hash_const: int) -> tuple[np.ndarray, int]:
-    """The ``(_TABLE_WORDS, 4)`` fold terms of the words below ``_TABLE_WORDS`` at ``hash_const``, and the next one."""
-    terms, next_hash = _fold_terms(np.arange(_TABLE_WORDS, dtype=np.uint64)[:, None], hash_const)
-    terms.flags.writeable = False  # every caller shares the cached table
-    return terms, int(next_hash[0])
-
-
 class StreamBlock:
     """An array of streams, derived and drawn at once; each element is bit for bit one ``RngStream``.
 
@@ -221,19 +211,12 @@ class StreamBlock:
         index = (index if isinstance(index, tuple) else (index,)) + (slice(None),)  # the private last axis stays
         return StreamBlock(self._pool[index], self._hash if isinstance(self._hash, int) else self._hash[index])
 
-    def _fold(self, word, fold=None, small: bool = False) -> "StreamBlock":
+    def _fold(self, word, fold=None) -> "StreamBlock":
         """Fold one 32-bit label word, an int or a uint64 array broadcast against the block, into every
-        pool word; where ``fold`` is False, keep the stream. ``small`` says that every word is below
-        ``_TABLE_WORDS``."""
-        single = isinstance(word, int)
+        pool word; where ``fold`` is False, keep the stream."""
+        terms, hash_const = _fold_terms(word if isinstance(word, int) else word[..., None], self._hash)
         if isinstance(self._hash, int):
-            table, hash_const = _fold_table(self._hash)
-            if small or (single and word < _TABLE_WORDS):
-                terms = table[word]
-            else:
-                terms = _fold_terms(word if single else word[..., None], self._hash)[0]
-        else:
-            terms, hash_const = _fold_terms(word if single else word[..., None], self._hash)
+            hash_const = int(hash_const[0])
         pool = _mix((_MIX_L * self._pool - terms) & _MASK32)
         if fold is not None:
             pool = np.where(fold[..., None], pool, self._pool)
@@ -258,10 +241,7 @@ class StreamBlock:
         if labels.dtype.kind not in "iu" or (labels.dtype.kind == "i" and labels.size and labels.min() < 0):
             raise PreconditionError(f"derivation labels must be integers in [0, 2**64), got {labels!r}")
         labels = labels.astype(np.uint64, copy=False)
-        top = labels.max(initial=0)
-        if top < _TABLE_WORDS:
-            return self._fold(labels, small=True)
-        if top <= _MASK32:
+        if labels.max(initial=0) <= _MASK32:
             return self._fold(labels)
         return self._fold(labels & _MASK32)._fold(labels >> 32, fold=labels > _MASK32)
 

@@ -79,7 +79,8 @@ def tangent_project(w, u) -> np.ndarray:
     the residual orthogonality at machine precision even for large d. Raises
     ``NonFiniteError`` for non-finite input, ``DimensionError`` when ``w`` and
     ``u`` differ in their last dimension and ``DegeneratePerturbationError``
-    when a row is parallel to ``u`` (projection below 1e-12).
+    when a row is parallel to ``u`` (projection below 1e-12), its ``rows``
+    marking each such row.
     """
     w = np.asarray(w, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -90,8 +91,9 @@ def tangent_project(w, u) -> np.ndarray:
     if np.any(np.abs(row_norm(u) - 1.0) > _UNIT_TOL):
         raise PreconditionError("u must be unit norm within 1e-9")
     out = _reject(_reject(w, u), u)
-    if np.any(row_norm(out) < _DEGENERATE_TOL):
-        raise DegeneratePerturbationError("perturbation is parallel to the base direction")
+    degenerate = row_norm(out) < _DEGENERATE_TOL
+    if degenerate.any():
+        raise DegeneratePerturbationError("perturbation is parallel to the base direction", degenerate)
     return out
 
 
@@ -132,8 +134,9 @@ def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock, attempt: in
         w = stream[seeds].child(row).child(attempt).normal(u.shape[-1])
         rows[redraw] = _reject(_reject(w, u[seeds]), u[seeds])
         norms[redraw] = row_norm(rows[redraw])
-    if (norms < _DEGENERATE_TOL).any():
-        raise DegeneratePerturbationError(f"no usable tangent direction after {_MAX_DRAWS} draws")
+    degenerate = norms < _DEGENERATE_TOL
+    if degenerate.any():
+        raise DegeneratePerturbationError(f"no usable tangent direction after {_MAX_DRAWS} draws", degenerate)
     return rows / norms[..., None]
 
 
@@ -189,15 +192,16 @@ def guided_spherical_sample(
     if g.shape != base.shape:
         raise DimensionError(f"guidance of shape {g.shape} for bases of shape {base.shape}")
     prev = np.asarray(prev_perturbations, dtype=np.float64)
+    if prev.shape[-1:] != (dim,):
+        raise DimensionError(f"expected previous perturbations of dim {dim}, got shape {prev.shape}")
+    as_latent(prev.reshape(-1, dim), batch=True)
     if prev.shape != base.shape[:-1] + (n, dim):
         raise PreconditionError(f"expected {n} previous perturbations of dim {dim} per base, got {prev.shape}")
-    as_latent(prev.reshape(-1, dim), batch=True)
-    g_tan = _reject(_reject(g, u), u)
-    g_norm = row_norm(g_tan)
-    degenerate = g_norm < _DEGENERATE_TOL
-    if degenerate.any():
-        raise DegenerateGradientError("guidance direction has no tangential component", degenerate)
-    g_hat = g_tan / g_norm[..., None]
+    try:
+        g_tan = tangent_project(g, u)
+    except DegeneratePerturbationError as exc:
+        raise DegenerateGradientError("guidance direction has no tangential component", exc.rows) from None
+    g_hat = g_tan / row_norm(g_tan)[..., None]
 
     # One cleanup projection: renormalizing a small blend would otherwise
     # amplify the parents' rounding residue along u.

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: configs, runs, reports, exports."""
 
 import csv
+import functools
 import json
 import multiprocessing
 import os
@@ -31,6 +32,20 @@ FOUR_CORNERS = {
     "means": [[1.5, 1.5], [-1.5, 1.5], [-1.5, -1.5], [1.5, -1.5]],
     "stddevs": [0.6, 0.6, 0.6, 0.6],
 }
+
+
+_RUN_BLOCK = rts.cli.run_block
+
+
+def _run_block_failing_at(failing: int, cfg: dict, indices: range, overrides: dict) -> list[dict]:
+    """``rts.cli.run_block``, failing for the block that holds replicate ``failing``.
+
+    A module-level function, so that a worker process, forked or spawned,
+    unpickles it by name.
+    """
+    if failing in indices:
+        raise RtsError(f"replicate {failing} failed")
+    return _RUN_BLOCK(cfg, indices, overrides)
 
 
 def base_config(out, **extra):
@@ -284,17 +299,9 @@ class TestRunCommand:
         assert not (tmp_path / "results.jsonl").exists()
 
     @staticmethod
-    def fail_block_of(monkeypatch, method: str, failing: int) -> None:
-        """Make the lockstep call of the block holding replicate ``failing`` raise."""
-        name = f"run_{method}_block"
-        real = getattr(rts.cli, name)
-
-        def block_fails(*args):
-            if any(stream.root_seed == failing for stream in args[-1]):
-                raise RtsError(f"replicate {failing} failed")
-            return real(*args)
-
-        monkeypatch.setattr(rts.cli, name, block_fails)
+    def fail_block_of(monkeypatch, failing: int) -> None:
+        """Make the block holding replicate ``failing`` raise, in whichever process runs it."""
+        monkeypatch.setattr(rts.cli, "run_block", functools.partial(_run_block_failing_at, failing))
 
     @staticmethod
     def assert_kept_records_match(kept, whole) -> None:
@@ -304,12 +311,19 @@ class TestRunCommand:
                 record.pop("overrides")
             assert json.dumps(left) == json.dumps(right)
 
+    @pytest.fixture(params=["fork", "spawn"])
+    def start_method(self, request, monkeypatch):
+        """Start the workers of parallel runs with each start method, whichever this interpreter uses."""
+        if request.param not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {request.param} start method here")
+        monkeypatch.setattr(rts.cli, "START_METHOD", request.param)
+
     def test_failing_replicate_keeps_the_records_before_it(self, tmp_path, monkeypatch, capsys):
-        # two workers run the blocks [0, 2) and [2, 4); the second fails in its forked worker
+        # two workers run the blocks [0, 2) and [2, 4); the second fails in its worker
         config, out = write_config(tmp_path, method="rts", replicates=4, workers=2)
         whole = tmp_path / "whole.jsonl"
         assert main(["run", "--config", config, "--out", str(whole)]) == 0
-        self.fail_block_of(monkeypatch, "rts", 2)
+        self.fail_block_of(monkeypatch, 2)
         assert main(["run", "--config", config]) == 3
         assert "replicate 2 failed" in capsys.readouterr().err
         kept = read_records(out)
@@ -321,22 +335,22 @@ class TestRunCommand:
         config, out = write_config(tmp_path, replicates=replicates, workers=1)
         whole = tmp_path / "whole.jsonl"
         assert main(["run", "--config", config, "--out", str(whole)]) == 0
-        self.fail_block_of(monkeypatch, "free", replicates - 1)
+        self.fail_block_of(monkeypatch, replicates - 1)
         assert main(["run", "--config", config]) == 3
         assert f"replicate {replicates - 1} failed" in capsys.readouterr().err
         kept = read_records(out)
         assert [record["seed"] for record in kept] == list(range(rts.cli.MAX_BLOCK))
         self.assert_kept_records_match(kept, read_records(whole))
 
-    def test_no_worker_outlives_a_failing_parallel_run(self, tmp_path, monkeypatch):
+    def test_no_worker_outlives_a_failing_parallel_run(self, tmp_path, monkeypatch, start_method):
         config, out = write_config(tmp_path, method="rts", replicates=6, workers=3)
-        self.fail_block_of(monkeypatch, "rts", 3)
+        self.fail_block_of(monkeypatch, 3)
         assert main(["run", "--config", config]) == 3
         assert multiprocessing.active_children() == []
         assert [record["seed"] for record in read_records(out)] == [0, 1]
 
     @pytest.mark.parametrize("method, budget", [("rts", 295), ("bon", 64)])
-    def test_uneven_blocks_write_the_records_of_one_block(self, tmp_path, method, budget):
+    def test_uneven_blocks_write_the_records_of_one_block(self, tmp_path, method, budget, start_method):
         # 7 replicates on 1, 2 and 3 workers: blocks [0, 7); [0, 4), [4, 7); [0, 3), [3, 6), [6, 7)
         config, _ = write_config(tmp_path, method=method, replicates=7, budget_nfe=budget)
         runs = []
@@ -358,6 +372,23 @@ class TestRunCommand:
         if method == "rts":  # the budget cuts some seeds short and not others
             truncated = {json.loads(line)["truncated"] for line in runs[0]}
             assert truncated == {True, False}
+
+    def test_a_block_holds_at_most_block_bytes_of_arrays(self, tmp_path):
+        # best-of-N at d = 1024, 50 steps and 200 candidates: 160 MB a seed, so one seed a block
+        dim = 1024
+        config, _ = write_config(
+            tmp_path, dimension=dim, method="bon", budget_nfe=200 * 2 * 50, replicates=8, workers=2,
+            solver={"mode": "sde", "steps": 50, "churn": 0.4},
+            mixture={"weights": [1.0], "means": [[0.0] * dim], "stddevs": [1.0]},
+        )
+        cfg = rts.cli.load_config(config)
+        _, spec, _, rts_cfg = rts.cli.build_experiment(cfg)
+        seed_bytes = rts.cli._seed_bytes(cfg, spec, rts_cfg)
+        assert seed_bytes == 200 * (51 + 49) * dim * 8
+        assert rts.cli._blocks(8, 2, seed_bytes) == [range(i, i + 1) for i in range(8)]
+        three = rts.cli.BLOCK_BYTES // 3
+        assert rts.cli._blocks(10, 2, three) == [range(0, 3), range(3, 6), range(6, 9), range(9, 10)]
+        assert rts.cli._blocks(10, 2, 1) == [range(0, 5), range(5, 10)]
 
     @pytest.mark.parametrize("method", ["bon", "zo"])
     def test_budget_past_denoise_bound_exits_2_before_any_record(self, tmp_path, capsys, method):

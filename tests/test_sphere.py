@@ -36,6 +36,12 @@ class TestTangentProject:
         with pytest.raises(DegeneratePerturbationError):
             tangent_project(u, u)
 
+    def test_degenerate_rows_are_marked(self):
+        u = np.array([1.0, 0.0])
+        with pytest.raises(DegeneratePerturbationError) as caught:
+            tangent_project([[0.0, 1.0], [3.0, 0.0], [1.0, 1.0]], u)
+        np.testing.assert_array_equal(caught.value.rows, [False, True, False])
+
     def test_requires_unit_direction(self):
         with pytest.raises(PreconditionError):
             tangent_project([1.0, 1.0], [2.0, 0.0])
@@ -269,6 +275,13 @@ class TestGuidedSphericalSample:
             guided_spherical_sample(
                 [1.0, 0.0], n=2, tau=0.9, alpha=0.5, g=[0.0, 1.0],
                 prev_perturbations=prev, stream=RngStream(0),
+            )
+
+    def test_previous_perturbations_of_another_width_are_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            guided_spherical_sample(
+                [1.0, 0.0, 0.0], n=1, tau=0.9, alpha=0.5, g=[0.0, 1.0, 0.0],
+                prev_perturbations=np.array([[0.0, 1.0]]), stream=RngStream(0),
             )
 
     def test_reproducible_for_fixed_stream(self):
