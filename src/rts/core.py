@@ -13,11 +13,17 @@ Philox generator, derived one label at a time: numpy mixes the root into a
 pool of four 32-bit words and then folds every word of the path into that
 pool in turn, so a stream carries its pool and the running hash constant, and
 ``child(label)`` folds in only the label's words instead of re-mixing the
-whole path. A draw turns the pool into the two-word Philox key exactly as
-``SeedSequence.generate_state(2, np.uint64)`` does and sets it, at counter 0,
-on one reused Philox generator per thread. Every draw is bit for bit the one
-a fresh ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))``
-makes, at a fraction of its cost.
+whole path. Folding a word subtracts from the pool terms that depend only
+on the word and the hash constant; for an integer label word at an integer
+hash constant, the case of every ``RngStream`` and of a block derived with
+one label for all, those terms are memoized (``_int_fold_terms``, a
+bounded ``lru_cache`` of read-only arrays), so deriving a child costs a
+few array operations on four words. A draw turns the pool into the
+two-word Philox key exactly as ``SeedSequence.generate_state(2, np.uint64)``
+does and sets it, at counter 0, on one reused Philox generator per thread.
+Every draw is bit for bit the one a fresh
+``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))`` makes, at a
+fraction of its cost.
 
 A ``StreamBlock`` is an array of such streams, say one per seed of a
 lockstep block or one per candidate row: it folds a label into every
@@ -28,10 +34,12 @@ An ``RngStream`` keeps its pool as a one-element block.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,6 +180,20 @@ def _fold_terms(word, hash_const) -> tuple[np.ndarray, np.ndarray]:
     return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[..., -1:]
 
 
+# Most (word, hash constant) pairs whose fold terms are kept. The call sites
+# fold a few small labels at a few depths, so a handful of entries serve
+# every derivation; the bound keeps distinct 64-bit labels from growing it.
+_FOLD_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
+def _int_fold_terms(word: int, hash_const: int) -> tuple[np.ndarray, int]:
+    """``_fold_terms`` of an int word at an int hash constant, memoized: read-only ``(4,)`` terms and an int."""
+    terms, next_hash = _fold_terms(word, hash_const)
+    terms.flags.writeable = False
+    return terms, int(next_hash[0])
+
+
 class StreamBlock:
     """An array of streams, derived and drawn at once; each element is bit for bit one ``RngStream``.
 
@@ -192,11 +214,18 @@ class StreamBlock:
 
     @classmethod
     def of(cls, streams) -> "StreamBlock":
-        """The block of one ``RngStream`` (shape ``()``) or of a sequence of them (shape ``(S,)``); a block as it is."""
+        """The block of one ``RngStream`` (shape ``()``) or of a sequence of them (shape ``(S,)``); a block as it is.
+
+        Anything else, an iterator of streams or a sequence holding something
+        other than an ``RngStream``, raises ``PreconditionError``.
+        """
         if isinstance(streams, StreamBlock):
             return streams
         if isinstance(streams, RngStream):
             return streams._pool
+        if not isinstance(streams, Sequence) or not all(isinstance(stream, RngStream) for stream in streams):
+            raise PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
+                                    f"got {type(streams).__name__}")
         pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint64).reshape(-1, _POOL_SIZE)
         hashes = [stream._pool._hash for stream in streams]  # an RngStream's is an int
         if len(set(hashes)) == 1:
@@ -214,9 +243,12 @@ class StreamBlock:
     def _fold(self, word, fold=None) -> "StreamBlock":
         """Fold one 32-bit label word, an int or a uint64 array broadcast against the block, into every
         pool word; where ``fold`` is False, keep the stream."""
-        terms, hash_const = _fold_terms(word if isinstance(word, int) else word[..., None], self._hash)
-        if isinstance(self._hash, int):
-            hash_const = int(hash_const[0])
+        if isinstance(word, int) and isinstance(self._hash, int):
+            terms, hash_const = _int_fold_terms(word, self._hash)
+        else:
+            terms, hash_const = _fold_terms(word if isinstance(word, int) else word[..., None], self._hash)
+            if isinstance(self._hash, int):
+                hash_const = int(hash_const[0])
         pool = _mix((_MIX_L * self._pool - terms) & _MASK32)
         if fold is not None:
             pool = np.where(fold[..., None], pool, self._pool)
@@ -343,6 +375,7 @@ def sample_gaussian(stream: RngStream | StreamBlock, dim: int) -> Latent:
     the same stream returns the identical vector, the one
     ``stream.generator().standard_normal(dim)`` returns.
     """
+    dim = as_integer(dim, "latent dimension")
     if dim < 2:
         raise DimensionError(f"latent dimension must be >= 2, got {dim}")
     return StreamBlock.of(stream).normal(dim)

@@ -258,11 +258,11 @@ def _fitting_rows(ledgers: list[_Ledger], live: np.ndarray, batch: np.ndarray, c
     scores, None when every row was picked.
     """
     seeds, n = batch.shape[:2]
-    fit = [ledger.affordable(n, cost) if ok else 0 for ledger, ok in zip(ledgers, live)]
+    fit = [ledger.affordable(n, cost) if ok else 0 for ledger, ok in zip(ledgers, live.tolist())]
     for ledger, count in zip(ledgers, fit):
         ledger.add(count * cost)
-    if min(fit) == n:
-        return batch.reshape(seeds * n, -1), np.repeat(np.arange(seeds), n), None
+    if fit.count(n) == seeds:
+        return batch.reshape(seeds * n, -1), np.arange(seeds).repeat(n), None
     live &= np.array(fit) == n
     index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
     return batch.reshape(seeds * n, -1)[index], index // n, index
@@ -275,6 +275,18 @@ def _scores(values: np.ndarray, index, shape: tuple[int, int]) -> np.ndarray:
     scores = np.zeros(shape[0] * shape[1])
     scores[index] = values
     return scores.reshape(shape)
+
+
+def _keep_best(entries: dict) -> None:
+    """Keep only the first best-scored ``(score, path, noises)`` entry, as a strict running maximum keeps it.
+
+    The kept arrays are copied: as views they would keep the whole batch of
+    the round that scored them alive.
+    """
+    if entries:
+        key, (score, path, injected) = max(entries.items(), key=lambda item: item[1][0])
+        entries.clear()
+        entries[key] = (score, path.copy(), injected.copy())
 
 
 def run_rts_block(
@@ -292,6 +304,8 @@ def run_rts_block(
     """
     check_rts_budget(cfg, spec)
     block = StreamBlock.of(streams)
+    if not streams:
+        return []
     seeds, dim, steps = len(streams), model.dim, spec.steps
     plan = _plan(cfg, spec)
     ledgers = [_Ledger(limit=cfg.budget_nfe, owed=plan.record) for _ in range(seeds)]
@@ -305,8 +319,8 @@ def run_rts_block(
         # run's own mode because the winner keeps its scored trajectory.
         eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps)
         noise_stream = block.child(_S_EVAL_NOISE)
-        # per seed, by latent: score, path and noises of the best row so far and of the latest round's rows,
-        # the only rows the search can return
+        # per seed, by latent: score, path and noises of the best row so far, copied out of its round's batch,
+        # and of the latest round's rows, the only rows the search can return
         scored: list[dict[bytes, tuple]] = [{} for _ in range(seeds)]
         live = np.ones(seeds, dtype=bool)
 
@@ -315,10 +329,7 @@ def run_rts_block(
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
             for entries in scored:
-                if len(entries) > 1:  # the first best-scored row, as a strict running maximum keeps it
-                    key, entry = max(entries.items(), key=lambda item: item[1][0])
-                    entries.clear()
-                    entries[key] = entry
+                _keep_best(entries)
             rows, row_seeds, index = _fitting_rows(ledgers, live, zs, 2 * plan.eval_steps)
             stream = None
             if eval_spec.mode == SDE:
@@ -400,7 +411,7 @@ def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, 
     there. A seed the budget cuts short stops and is marked in
     ``truncated``; every seed that committed a key step is replayed.
     """
-    steps, grid = spec.steps, spec.time_grid
+    steps, grid = spec.steps, spec.time_grid.tolist()
     owners = np.array(searching)
     sets = select_key_steps(np.stack([project_trajectory(paths[s]) for s in searching]),
                             min(cfg.k_keysteps, steps - 1))

@@ -23,7 +23,7 @@ follows, bit for bit, the search it would run alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -143,7 +143,7 @@ def _score(evaluate: Evaluator, batch: np.ndarray) -> np.ndarray:
 
 def _best_rows(latents: np.ndarray, rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each seed's first best row ``(..., d)`` and its reward, for one seed or a block."""
-    i = np.argmax(rewards, axis=-1)
+    i = rewards.argmax(axis=-1)
     index = (np.arange(i.shape[0]), i) if i.ndim else i
     return latents[index], rewards[index]
 
@@ -152,6 +152,8 @@ def _fold_best(state_best: Latent | None, state_reward, latents, rewards):
     """Adopt the first best row only when it strictly beats the state, so earlier ties win."""
     row, top = _best_rows(latents, rewards)
     adopt = top > state_reward
+    if adopt.all():
+        return row, _scalar(top)
     if state_best is None:
         state_best = row
     return np.where(adopt[..., None], row, state_best), _scalar(np.where(adopt, top, state_reward))
@@ -165,9 +167,11 @@ def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborS
     """
     best, best_reward = _fold_best(state.global_best, state.global_best_reward, rows, scores)
     summary = RoundSummary(state.round, kind, changes.get("base_reward", state.base_reward),
-                           _scalar(np.max(rewards, axis=-1)), best_reward, fallback)
-    return replace(
-        state,
+                           _scalar(np.maximum.reduce(rewards, axis=-1)), best_reward, fallback)
+    # what dataclasses.replace makes, without its per-field scan: a SearchState checks nothing on creation
+    advanced = object.__new__(SearchState)
+    advanced.__dict__.update(
+        vars(state),
         round=state.round + 1,
         last_perturbations=neighbors.perturbations,
         last_candidates=neighbors.candidates,
@@ -177,26 +181,29 @@ def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborS
         history=state.history + (summary,),
         **changes,
     )
+    return advanced
 
 
 def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
     """Each seed's base: its previous round's best candidate if that strictly beat its base, else the fallback."""
-    relocate = np.zeros(stream.shape, dtype=bool)
+    relocate = None  # which seeds relocate, None for none
     if state.last_rewards is not None:
         best, top = _best_rows(state.last_candidates, state.last_rewards)
         relocate = top > state.base_reward
         if relocate.all():
             return best
+        if not relocate.any():
+            relocate = None
     if state.round == 1 and state.seed_base is not None:
         other = state.seed_base
     elif state.round > 1 and state.resample_base is not None:
         other = state.resample_base
-    elif not relocate.any():
+    elif relocate is None:
         return sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
     else:
         other = np.empty(stream.shape + (state.dim,))
         other[~relocate] = sample_gaussian(stream[~relocate].child(_STREAM_RESAMPLE), state.dim)
-    return np.where(relocate[..., None], best, other) if relocate.any() else other
+    return other if relocate is None else np.where(relocate[..., None], best, other)
 
 
 def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,

@@ -187,27 +187,35 @@ class SolverSpec:
 
 def _posterior(model: MixtureModel, x: np.ndarray, t: float):
     """Responsibilities ``(..., K)`` and x' = x − (1−t)·c, with the constants of t; broadcasts over rows of x."""
-    consts = model._at(t)
+    consts = model._by_time.get(t) or model._at(t)
     shifted = x - (1.0 - t) * model._center
-    log_resp = consts.log_prior + consts.linear * np.vecdot(shifted[..., None, :], model._offsets)
-    log_resp += consts.quadratic * np.vecdot(shifted, shifted)[..., None]
-    log_resp -= log_resp.max(axis=-1, keepdims=True)
+    log_resp = np.vecdot(shifted[..., None, :], model._offsets)
+    log_resp *= consts.linear
+    log_resp += consts.log_prior
+    log_resp += consts.quadratic * np.vecdot(shifted, shifted, keepdims=True)
+    log_resp -= np.maximum.reduce(log_resp, axis=-1, keepdims=True)
     resp = np.exp(log_resp, out=log_resp)
-    resp /= resp.sum(axis=-1, keepdims=True)
+    resp /= np.add.reduce(resp, axis=-1, keepdims=True)
     return resp, shifted, consts
 
 
 def _velocity(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     """Marginal velocity, valid on all of [0, 1] by continuity; broadcasts."""
     resp, shifted, consts = _posterior(model, x, t)
-    offset = np.vecdot((resp * consts.velocity_offset)[..., None, :], model._offsets_t)
-    return np.vecdot(resp, consts.velocity)[..., None] * shifted - offset - model._center
+    shifted *= np.vecdot(resp, consts.velocity, keepdims=True)
+    resp *= consts.velocity_offset
+    shifted -= np.vecdot(resp[..., None, :], model._offsets_t)
+    shifted -= model._center
+    return shifted
 
 
 def _clean(model: MixtureModel, x: np.ndarray, t: float) -> np.ndarray:
     resp, shifted, consts = _posterior(model, x, t)
-    offset = np.vecdot((resp * consts.clean_offset)[..., None, :], model._offsets_t)
-    return np.vecdot(resp, consts.clean)[..., None] * shifted + offset + model._center
+    shifted *= np.vecdot(resp, consts.clean, keepdims=True)
+    resp *= consts.clean_offset
+    shifted += np.vecdot(resp[..., None, :], model._offsets_t)
+    shifted += model._center
+    return shifted
 
 
 def _check_time(t: float) -> float:
@@ -252,10 +260,12 @@ def heun_step(
     """
     dt = t_to - t_from
     v_from = _velocity(model, x, t_from)
-    predicted = x + dt * v_from
-    v_to = _velocity(model, predicted, t_to)
+    v_to = _velocity(model, x + dt * v_from, t_to)
     _charge(nfe, x, 2)
-    return x + dt * 0.5 * (v_from + v_to)
+    v_to += v_from
+    v_to *= dt * 0.5
+    v_to += x
+    return v_to
 
 
 def _advance(
@@ -275,11 +285,11 @@ def _advance(
     noises across rows, an ``(n, L−1, d)`` array gives each row its own, and
     None adds no churn. ``trace[..., step + 1, :]`` receives each new state.
     """
-    grid = spec.time_grid
+    grid = spec.time_grid.tolist()  # Python floats give the differences np.float64 does, at less cost
     for step in range(start, stop):
         x = heun_step(model, x, grid[step], grid[step + 1], nfe)
         if injected is not None and step < spec.steps - 1:
-            x = x + spec.churn * math.sqrt(grid[step] - grid[step + 1]) * injected[..., step, :]
+            x += spec.churn * math.sqrt(grid[step] - grid[step + 1]) * injected[..., step, :]  # x is heun_step's own
         if trace is not None:
             trace[..., step + 1, :] = x
     return x
@@ -383,8 +393,13 @@ class ModePreferenceReward:
         """Each row's reward; ‖x − μ_j‖² is expanded about c as in the kernel, error ~ε·‖x − c‖²/(2·sharpness²)."""
         model = self.model
         shifted = x - model._center
-        sq = np.vecdot(shifted, shifted)[..., None] - 2.0 * np.vecdot(shifted[..., None, :], model._offsets)
-        return np.vecdot(np.exp(-(sq + model._offset_sq) / self._width), self._tilted)
+        # in place, and bit for bit (x·x − 2·x·M + M·M)·(−1) / width: IEEE rounding is symmetric in the sign
+        sq = np.vecdot(shifted[..., None, :], model._offsets)
+        sq *= -2.0
+        sq += np.vecdot(shifted, shifted, keepdims=True)
+        sq += model._offset_sq
+        sq /= -self._width
+        return np.vecdot(np.exp(sq, out=sq), self._tilted)
 
 
 # the built-in rewards; any object with the protocol of ``evaluate_reward`` serves as well
@@ -400,7 +415,7 @@ def evaluate_reward(reward: RewardModel, x: Latent):
     Rows of another dimension than the reward's, or scores of another shape than ``(n,)``, raise ``DimensionError``.
     """
     x = as_latent(x, reward.dim, batch=True)
-    rows = np.atleast_2d(x)
+    rows = x if x.ndim == 2 else x[None]
     value = np.asarray(reward.evaluate(rows))
     if value.shape != (rows.shape[0],):
         raise DimensionError(f"reward must return {rows.shape[0]} scores, got shape {value.shape}")

@@ -23,7 +23,7 @@ own call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class NeighborSet:
     rewards: np.ndarray | None = None
 
     def with_rewards(self, rewards) -> "NeighborSet":
-        return replace(self, rewards=rewards)
+        return NeighborSet(self.base, self.candidates, self.perturbations, rewards)
 
 
 def _reject(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -86,9 +86,9 @@ def tangent_project(w, u) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if w.shape[-1:] != u.shape[-1:]:
         raise DimensionError(f"w of shape {w.shape} and u of shape {u.shape} differ in dimension")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(w).all() and np.isfinite(u).all()):
         raise NonFiniteError("tangent_project needs finite w and u")
-    if np.any(np.abs(row_norm(u) - 1.0) > _UNIT_TOL):
+    if (np.abs(row_norm(u) - 1.0) > _UNIT_TOL).any():
         raise PreconditionError("u must be unit norm within 1e-9")
     out = _reject(_reject(w, u), u)
     degenerate = row_norm(out) < _DEGENERATE_TOL
@@ -126,17 +126,18 @@ def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock, attempt: in
     projected at once.
     """
     norms = row_norm(rows)
+    collapsed = norms < _DEGENERATE_TOL
     for attempt in range(attempt, _MAX_DRAWS):
-        redraw = np.nonzero(norms < _DEGENERATE_TOL)
-        if redraw[0].size == 0:
+        if not collapsed.any():
             break
+        redraw = collapsed.nonzero()
         seeds, row = redraw[:-1], redraw[-1]
         w = stream[seeds].child(row).child(attempt).normal(u.shape[-1])
         rows[redraw] = _reject(_reject(w, u[seeds]), u[seeds])
         norms[redraw] = row_norm(rows[redraw])
-    degenerate = norms < _DEGENERATE_TOL
-    if degenerate.any():
-        raise DegeneratePerturbationError(f"no usable tangent direction after {_MAX_DRAWS} draws", degenerate)
+        collapsed = norms < _DEGENERATE_TOL
+    if collapsed.any():
+        raise DegeneratePerturbationError(f"no usable tangent direction after {_MAX_DRAWS} draws", collapsed)
     return rows / norms[..., None]
 
 

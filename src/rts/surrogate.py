@@ -40,7 +40,7 @@ def estimate_gradient(base_reward, neighbors: NeighborSet) -> Latent:
                              f"perturbations per base reward of shape {base_reward.shape}")
     if not (np.isfinite(base_reward).all() and np.isfinite(rewards).all()):
         raise NonFiniteError("rewards must be finite")
-    scale = np.maximum(np.abs(np.sum(rewards, axis=-1) + base_reward), _DENOMINATOR_FLOOR)
+    scale = np.maximum(np.abs(rewards.sum(axis=-1) + base_reward), _DENOMINATOR_FLOOR)
     coefficients = (rewards - base_reward[..., None]) / scale[..., None]
     # each row as the 1-D coefficients @ perturbations sums it
     g = (coefficients[..., None, :] @ neighbors.perturbations)[..., 0, :]

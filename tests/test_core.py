@@ -23,7 +23,7 @@ from rts import (
     denoise,
     sample_gaussian,
 )
-from rts.core import LATENT_BOUND
+from rts.core import LATENT_BOUND, _fold_terms, _int_fold_terms
 
 
 class TestAsLatent:
@@ -251,6 +251,42 @@ class TestStreamBlock:
         with pytest.raises(PreconditionError):
             StreamBlock.of([RngStream(1), RngStream(2)]).child(labels)
 
+    @pytest.mark.parametrize(
+        "streams",
+        [lambda: [1, 2], lambda: [RngStream(1), 2], lambda: (RngStream(seed) for seed in range(2)), lambda: 3],
+        ids=["ints", "a stream and an int", "generator", "int"],
+    )
+    def test_what_is_not_a_sequence_of_streams_is_refused(self, streams):
+        with pytest.raises(PreconditionError):
+            StreamBlock.of(streams())
+
+    def test_memoized_fold_terms_equal_the_computed_ones_at_every_depth(self):
+        block = StreamBlock.of([RngStream(11)])
+        for depth in range(6):  # the hash constant moves on with every folded word
+            for word in (0, 1, 5, 2**31, 2**32 - 1):
+                terms, next_hash = _int_fold_terms(word, block._hash)
+                expected_terms, expected_hash = _fold_terms(word, block._hash)
+                np.testing.assert_array_equal(terms, expected_terms)
+                assert next_hash == int(expected_hash[0])
+                with pytest.raises(ValueError, match="read-only"):
+                    terms[0] = 0
+            block = block.child(depth)
+
+    def test_repeated_derivations_equal_seed_sequence(self):
+        # the first pass fills the memo, the later ones hit it
+        _int_fold_terms.cache_clear()
+        paths = [(1,), (1, 2), (4, 0, 4), (2**33 + 5, 1), (7, 2**32 - 1, 0, 3)]
+        for _ in range(3):
+            for root in (0, 9, 2**63):
+                for path in paths:
+                    stream, block = RngStream(root), StreamBlock.of([RngStream(root)])
+                    for label in path:
+                        stream, block = stream.child(label), block.child(label)
+                    expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
+                    np.testing.assert_array_equal(stream._pool.keys(), expected)
+                    np.testing.assert_array_equal(block.keys()[0], expected)
+        assert _int_fold_terms.cache_info().hits > 0
+
 
 class TestSampleGaussian:
     def test_shape_and_finiteness(self):
@@ -261,6 +297,14 @@ class TestSampleGaussian:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(DimensionError):
             sample_gaussian(RngStream(42), 1)
+
+    @pytest.mark.parametrize("dim", [2.5, "3", 3.0, None])
+    def test_rejects_a_count_that_is_not_an_integer(self, dim):
+        with pytest.raises(PreconditionError):
+            sample_gaussian(RngStream(42), dim)
+
+    def test_accepts_a_numpy_integer_count(self):
+        np.testing.assert_array_equal(sample_gaussian(RngStream(42), np.int64(3)), sample_gaussian(RngStream(42), 3))
 
     def test_moments_over_many_draws(self):
         # law-of-large-numbers sanity: 10^5 scalar draws per coordinate

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -873,3 +874,47 @@ class TestLockstep:
             cut_before_key_steps |= {result.key_steps is None for result in results if result.truncated}
         # the budget cuts some seeds before their key-step search and others during it
         assert cut_before_key_steps == {True, False}
+
+
+BLOCK_METHODS = ["rts", "bon", "zo", "free"]
+
+
+class TestBlockInputs:
+    """The four block entry points agree on an empty block and refuse what is not a sequence of streams."""
+
+    @pytest.mark.parametrize("variant", BLOCK_METHODS)
+    def test_empty_block_gives_no_results(self, variant):
+        block, _ = criterion7_variants()[variant]
+        assert block([]) == []
+
+    @pytest.mark.parametrize("variant", BLOCK_METHODS)
+    @pytest.mark.parametrize("streams", [lambda: [1, 2], lambda: (RngStream(seed) for seed in range(2))],
+                             ids=["ints", "generator"])
+    def test_what_is_not_a_sequence_of_streams_is_refused(self, variant, streams):
+        block, _ = criterion7_variants()[variant]
+        with pytest.raises(PreconditionError):
+            block(streams())
+
+
+class TestInitSearchMemo:
+    def test_no_batch_of_an_earlier_round_stays_alive(self, monkeypatch):
+        # full-length scoring and no key-step phase, so every denoise is an
+        # initial-search round; when a round is scored, the memo must hold
+        # copies of the best rows, not views that keep an earlier batch alive
+        model, spec, reward, cfg = criterion7_setup()
+        cfg = dataclasses.replace(cfg, eval_steps_init=None, search_inter=SearchConfig(rounds=0), k_keysteps=0)
+        batches, alive = [], []
+
+        def tracking_denoise(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in batches))
+            paths, noises = denoise(*args, **kwargs)
+            batches.extend([weakref.ref(paths), weakref.ref(noises)])
+            return paths, noises
+
+        monkeypatch.setattr(rts.pipeline, "denoise", tracking_denoise)
+        streams = [RngStream(seed) for seed in range(8)]
+        results = run_rts_block(model, spec, reward, cfg, streams)
+        assert alive == [0] * cfg.search_init.rounds
+        monkeypatch.undo()
+        for stream, result in zip(streams, results):
+            assert_same_result(result, run_rts(model, spec, reward, cfg, stream))
