@@ -17,7 +17,6 @@ from .core import (
     DegeneratePerturbationError,
     DimensionError,
     Latent,
-    NfeCounter,
     NonFiniteError,
     PreconditionError,
     RngStream,

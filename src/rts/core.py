@@ -385,14 +385,3 @@ def row_norm(rows: np.ndarray) -> np.ndarray:
     """Norm along the last axis, bit for bit each row's ``np.linalg.norm`` (``vecdot`` sums as ``w @ w``)."""
     return np.sqrt(np.vecdot(rows, rows))
 
-
-@dataclass
-class NfeCounter:
-    """Tally of denoiser evaluations (velocity or clean-estimate calls)."""
-
-    count: int = 0
-
-    def add(self, n: int = 1) -> None:
-        if n < 0:
-            raise PreconditionError("NFE increments must be non-negative")
-        self.count += n

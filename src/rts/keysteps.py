@@ -60,19 +60,18 @@ def project_trajectory(latents: np.ndarray) -> np.ndarray:
 
 
 def _checked_points(points) -> np.ndarray:
-    """Finite ``(..., L, 3)`` points as float64; other widths raise ``DimensionError``, NaN or inf ``NonFiniteError``."""
+    """Finite float64 ``(..., L, 3)`` points, at least three to a polyline; anything else raises an ``RtsError``."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim < 2 or points.shape[-1] != 3:
         raise DimensionError(f"points must be (L, 3) polylines, got shape {points.shape}")
     as_latent(points.reshape(-1, 3), batch=True)
+    if points.shape[-2] < 3:
+        raise PreconditionError(f"curvature needs at least 3 points, got shape {points.shape}")
     return points
 
 
-def curvature(points: np.ndarray) -> np.ndarray:
-    """Menger curvature ``(..., L)`` at each point of ``(..., L, 3)`` polylines; 0 at ends and coincident triples."""
-    points = _checked_points(points)
-    if points.shape[-2] < 3:
-        raise PreconditionError(f"curvature needs at least 3 points, got shape {points.shape}")
+def _menger(points: np.ndarray) -> np.ndarray:
+    """``curvature`` of points ``_checked_points`` has checked."""
     a, b, c = points[..., :-2, :], points[..., 1:-1, :], points[..., 2:, :]
     d_ab, d_bc, d_ac = row_norm(b - a), row_norm(c - b), row_norm(c - a)
     area = 0.5 * row_norm(np.cross(b - a, c - a))
@@ -80,6 +79,11 @@ def curvature(points: np.ndarray) -> np.ndarray:
     out = np.zeros(points.shape[:-1])
     np.divide(4.0 * area, d_ab * d_bc * d_ac, out=out[..., 1:-1], where=~near)
     return out
+
+
+def curvature(points: np.ndarray) -> np.ndarray:
+    """Menger curvature ``(..., L)`` at each point of ``(..., L, 3)`` polylines; 0 at ends and coincident triples."""
+    return _menger(_checked_points(points))
 
 
 def select_key_steps(points: np.ndarray, k: int) -> KeyStepSet | list[KeyStepSet]:
@@ -91,11 +95,11 @@ def select_key_steps(points: np.ndarray, k: int) -> KeyStepSet | list[KeyStepSet
     points = _checked_points(points)
     if points.ndim > 3:
         raise DimensionError(f"points must be (L, 3) or (S, L, 3), got shape {points.shape}")
-    scores = curvature(points)
     n_interior = points.shape[-2] - 2
     k = as_integer(k, "k", 1)
     if k > n_interior:
         raise PreconditionError(f"k={k} exceeds the {n_interior} interior steps")
+    scores = _menger(points)
     top = np.argsort(-scores[..., 1:-1], axis=-1, kind="stable")[..., :k] + 1
     sets = [KeyStepSet(indices=tuple(row.tolist()), curvatures=tuple(score[row].tolist()))
             for row, score in zip(top.reshape(-1, k), scores.reshape(-1, points.shape[-2]))]

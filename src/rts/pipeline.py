@@ -31,16 +31,16 @@ Each method is one lockstep implementation over a block of S seeds
 the search state carries a leading seed axis, one evaluator call scores a
 round for every seed, the block's streams are derived at once, and each seed
 keeps its own ledger. A seed the budget cuts short drops out while the others
-go on; its rows are no longer scored. The key-step phase steps through the
-solver steps in order, and the seeds whose key step falls at a step search
-together there. ``run_rts`` and its siblings run the block of one stream, and
-a block gives every seed, bit for bit, the result of its one-seed call.
+go on; its rows are no longer scored. The key-step phase walks the solver one
+Heun+churn step at a time, and the seeds whose key ends a step search together
+there. ``run_rts`` and its siblings run the block of one stream, and a block
+gives every seed, bit for bit, the result of its one-seed call.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,6 @@ import numpy as np
 from .core import (
     BudgetError,
     Latent,
-    NfeCounter,
     PreconditionError,
     RngStream,
     StreamBlock,
@@ -67,9 +66,9 @@ from .sim import (
     SolverSpec,
     _advance,
     _churn_noises,
+    _heun_churn,
     denoise,
     evaluate_reward,
-    heun_step,
     one_step_clean_estimate,
 )
 
@@ -92,8 +91,8 @@ class _PhaseTruncated(Exception):
 
 
 @dataclass
-class _Ledger(NfeCounter):
-    """The NFE counter of one seed of an rts run: charges each NFE to ``phase`` and keeps the budget.
+class _Ledger:
+    """The NFE count of one seed of an rts run: charges each NFE to ``phase`` and keeps the budget.
 
     The current phase may spend ``limit`` less the NFEs ``owed`` to later
     phases; ``by_phase`` is the run's ``nfe_breakdown``.
@@ -102,10 +101,11 @@ class _Ledger(NfeCounter):
     limit: int | None = None
     owed: int = 0
     phase: str = "init_search"
+    count: int = 0
     by_phase: dict = field(default_factory=lambda: dict.fromkeys(("init_search", "record", "inter_search", "final"), 0))
 
-    def add(self, n: int = 1) -> None:
-        super().add(n)
+    def add(self, n: int) -> None:
+        self.count += n
         self.by_phase[self.phase] += n
 
     def affordable(self, n: int, cost: int) -> int:
@@ -166,6 +166,17 @@ class RunResult:
     nfe_breakdown: dict = field(default_factory=dict)
 
 
+def _seed_block(streams) -> StreamBlock:
+    """The block of a sequence of ``RngStream``s, one per seed; anything else raises ``PreconditionError``."""
+    kind = type(streams).__name__
+    if isinstance(streams, Sequence):
+        odd = sorted({type(stream).__name__ for stream in streams if not isinstance(stream, RngStream)})
+        if not odd:
+            return StreamBlock.of(streams)
+        kind += " holding " + ", ".join(odd)
+    raise PreconditionError(f"expected a sequence of RngStreams, got {kind}")
+
+
 def _latent_label(z: np.ndarray) -> int:
     """Stable 64-bit stream label for a latent's exact float64 contents."""
     digest = hashlib.blake2b(np.ascontiguousarray(z).tobytes(), digest_size=8).digest()
@@ -217,13 +228,10 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     if len(set(positions)) < len(positions):
         raise PreconditionError(f"key positions must be distinct, got {positions}")
     if plan.inter_search and positions:
+        # one Heun+churn step per solver step from the first key's step through the last's, then each key's search
         per_search = _search_evaluations(cfg.search_inter)
-        valid_through = spec.steps
-        for position in positions:
-            # re-simulate up to the slot, one pre-churn Heun step, then the slot's search
-            _, cost = _preview(spec, position, cfg.eval_steps_inter)
-            inter += 2 * max(0, position - 1 - valid_through) + 2 + per_search * cost
-            valid_through = position
+        inter = 2 * (positions[-1] - positions[0] + 1)
+        inter += per_search * sum(_preview(spec, position, cfg.eval_steps_inter)[1] for position in positions)
         final = 2 * spec.steps
     total = init + plan.record + inter + final
     return {"init_search": init, "record": plan.record, "inter_search": inter, "final": final, "total": total}
@@ -303,7 +311,7 @@ def run_rts_block(
     ``check_rts_budget`` does.
     """
     check_rts_budget(cfg, spec)
-    block = StreamBlock.of(streams)
+    block = _seed_block(streams)
     if not streams:
         return []
     seeds, dim, steps = len(streams), model.dim, spec.steps
@@ -403,13 +411,14 @@ def run_rts_block(
 
 def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, z_init,
                      ledgers, truncated, histories, keys, final_samples) -> None:
-    """Stages (3)-(5) for the ``searching`` seeds, stepping through the solver steps in order.
+    """Stages (3)-(5) for the ``searching`` seeds, one Heun+churn step of the solver at a time.
 
-    At each step the seeds whose latents stop there, short of their next
-    key's slot, re-simulate together as far as the nearest of their stops,
-    and the seeds whose next key position ends the step search together
-    there. A seed the budget cuts short stops and is marked in
-    ``truncated``; every seed that committed a key step is replayed.
+    A seed walks the steps from its first key's through its last key's, 2 NFEs
+    a step, and the seeds walking a step take it as one batch. Those whose key
+    ends the step search its noise together from the pre-churn state; then each
+    walking seed adds its churn, at a key the chosen noise. A seed the budget
+    cuts short stops and is marked in ``truncated``; every seed that committed
+    a key step is replayed.
     """
     steps, grid = spec.steps, spec.time_grid.tolist()
     owners = np.array(searching)
@@ -417,81 +426,63 @@ def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, 
                             min(cfg.k_keysteps, steps - 1))
     for s, key_set in zip(searching, sets):
         keys[s] = key_set
-    # per seed, in plain lists: the key positions still to search, in ascending order, and how far
-    # its latents are valid; a seed the budget cut short is no longer active
+    # per seed, in plain lists: the key positions still to search, in ascending order, the first of them,
+    # and whether the budget still lets it go on
     todo = [sorted(key_set.indices) for key_set in sets]
-    valid_through = [steps] * len(searching)
+    first = [positions[0] for positions in todo]
     active = [True] * len(searching)
     latents, injected = paths[owners].copy(), noises[owners].copy()
     inter_stream = block.child(_S_INTER)
     for slot in range(steps - 1):
         position = slot + 1
-        # a seed whose latents stop short of its next key's slot re-simulates
-        # from here with its chosen noises, as far as its budget allows; the
-        # seeds re-simulating from one step advance together to the nearest stop
-        moving = [i for i in range(len(searching))
-                  if active[i] and todo[i] and todo[i][0] > position and valid_through[i] == slot]
-        reach = {i: ledgers[owners[i]].affordable(todo[i][0] - position, 2) for i in moving}
-        for i in moving:
-            active[i] = reach[i] > 0
-        moving = [i for i in moving if active[i]]
-        if moving:
-            stop = slot + min(reach[i] for i in moving)
-            rows = np.array(moving)
-            trace = latents[rows]
-            _advance(model, spec, trace[:, slot], slot, stop, injected[rows], None, trace)
-            latents[rows] = trace
-            for i in moving:
-                valid_through[i] = stop
-                ledgers[owners[i]].add(2 * (stop - slot))
-        # a seed whose next key is this position searches here
-        here = [i for i in range(len(searching)) if active[i] and todo[i] and todo[i][0] == position]
-        for i in here:
+        walking = [i for i in range(len(searching)) if active[i] and todo[i] and first[i] <= position]
+        for i in walking:
             active[i] = ledgers[owners[i]].affordable(1, 2) > 0
-        here = np.array([i for i in here if active[i]], dtype=int)
-        if not here.size:
-            continue
-        pre_churn = heun_step(model, latents[here, slot], grid[slot], grid[position])
-        for i in here.tolist():
-            ledgers[owners[i]].add(2)
-        scale = spec.churn * math.sqrt(grid[slot] - grid[position])
-        stop, cost = _preview(spec, position, cfg.eval_steps_inter)
-        group = [ledgers[i] for i in owners[here].tolist()]
-        live = np.ones(here.size, dtype=bool)
-
-        # A candidate replaces the injected noise right after the fixed
-        # pre-churn state; the preview integrates to ``stop`` with the chosen
-        # noises, then takes a clean estimate unless it reached t = 0.
-        def score_noises(candidates: np.ndarray) -> np.ndarray:
-            rows, row_seeds, index = _fitting_rows(group, live, candidates, cost)
-            churn = injected[here[row_seeds], :stop] if stop > position else None  # the preview's noises, if it steps
-            x = _advance(model, spec, pre_churn[row_seeds] + scale * rows, position, stop, churn)
-            if stop < steps:
-                x = one_step_clean_estimate(model, x, grid[stop])
-            values = evaluate_reward(reward, x)
-            if not live.any():
-                raise _PhaseTruncated()
-            return _scores(values, index, candidates.shape[:2])
-
-        try:
-            best_noise, _, history = run_search(
-                injected[here, slot],
-                cfg.search_inter,
-                score_noises,
-                inter_stream[owners[here]].child(position),
-                start_from_z0=True,
-                resample_to_z0=not cfg.resample_inter_fresh,
-            )
-        except _PhaseTruncated:
-            pass
-        for g, i in enumerate(here.tolist()):
-            todo[i].pop(0)
-            active[i] = bool(live[g])
             if active[i]:
-                histories[owners[i]]["inter"].append([float(h.best_candidate_reward[g]) for h in history])
-                injected[i, slot] = best_noise[g]
-                latents[i, position] = pre_churn[g] + scale * best_noise[g]
-                valid_through[i] = position
+                ledgers[owners[i]].add(2)
+        walking = [i for i in walking if active[i]]
+        if not walking:
+            continue
+        pre_churn, scale = _heun_churn(model, spec, latents[walking, slot], grid, slot)
+        at_key = [g for g, i in enumerate(walking) if todo[i][0] == position]
+        if at_key:
+            here, pre = np.array(walking)[at_key], pre_churn[at_key]
+            stop, cost = _preview(spec, position, cfg.eval_steps_inter)
+            group = [ledgers[i] for i in owners[here].tolist()]
+            live = np.ones(here.size, dtype=bool)
+
+            # A candidate replaces the injected noise right after the fixed
+            # pre-churn state; the preview integrates to ``stop`` with the chosen
+            # noises, then takes a clean estimate unless it reached t = 0.
+            def score_noises(candidates: np.ndarray) -> np.ndarray:
+                rows, row_seeds, index = _fitting_rows(group, live, candidates, cost)
+                churn = injected[here[row_seeds], :stop] if stop > position else None  # the preview's noises
+                x = _advance(model, spec, pre[row_seeds] + scale * rows, position, stop, churn)
+                if stop < steps:
+                    x = one_step_clean_estimate(model, x, grid[stop])
+                values = evaluate_reward(reward, x)
+                if not live.any():
+                    raise _PhaseTruncated()
+                return _scores(values, index, candidates.shape[:2])
+
+            try:
+                best_noise, _, history = run_search(
+                    injected[here, slot],
+                    cfg.search_inter,
+                    score_noises,
+                    inter_stream[owners[here]].child(position),
+                    start_from_z0=True,
+                    resample_to_z0=not cfg.resample_inter_fresh,
+                )
+            except _PhaseTruncated:
+                pass
+            for g, i in enumerate(here.tolist()):
+                todo[i].pop(0)
+                active[i] = bool(live[g])
+                if active[i]:
+                    histories[owners[i]]["inter"].append([float(h.best_candidate_reward[g]) for h in history])
+                    injected[i, slot] = best_noise[g]
+        latents[walking, position] = pre_churn + scale * injected[walking, slot]
     truncated[owners[np.logical_not(active)]] = True
     committed = np.array([bool(histories[s]["inter"]) for s in searching])
     if committed.any():
@@ -540,7 +531,7 @@ def run_bon_block(
 ) -> list[RunResult]:
     """Best-of-N for a block of seeds: as many independent full denoises as the budget allows, per seed."""
     n_candidates = denoise_count(BON, spec, budget_nfe)
-    block = StreamBlock.of(streams)
+    block = _seed_block(streams)
     candidates = np.arange(n_candidates)
     zs = sample_gaussian(block.child(0)[:, None].child(candidates), model.dim).reshape(-1, model.dim)
     noises = None
@@ -587,7 +578,7 @@ def run_zo_block(
 ) -> list[RunResult]:
     """Hill climbing on the initial noise with spherical steps at fixed tau, every seed of a block in lockstep."""
     total = denoise_count(ZO, spec, budget_nfe)
-    block = StreamBlock.of(streams)
+    block = _seed_block(streams)
     noise, steps = block.child(1), block.child(2)
     base = sample_gaussian(block.child(0), model.dim)
     best_sample = denoise(model, spec, base, stream=noise.child(0))[0][:, -1]
@@ -635,7 +626,7 @@ def run_free_block(
     streams: list[RngStream],
 ) -> list[RunResult]:
     """A single unsearched denoise per seed, the no-extra-compute reference."""
-    block = StreamBlock.of(streams)
+    block = _seed_block(streams)
     samples = denoise(model, spec, sample_gaussian(block.child(0), model.dim), stream=block.child(1))[0][:, -1]
     nfe = 2 * spec.steps
     return [

@@ -19,9 +19,9 @@ run's stream, which keeps every trajectory a pure function of
 
 The model calls, ``heun_step``, ``denoise`` and ``evaluate_reward`` take one
 latent ``(d,)`` or a batch ``(n, d)`` of independent rows; a batch costs n
-NFEs per model call and gives, row for row, the same bits as n single-latent
-calls. ``denoise`` returns a trajectory as two arrays, its per-step states
-and its injected noises.
+NFEs per model call, counted by the caller, and gives, row for row, the bits
+of n single-latent calls. ``_heun_churn`` is the one solver step; ``denoise``
+returns a trajectory as its per-step states and its injected noises.
 
 The kernel expands ‖x − s·μ_k‖², s = 1 − t, about the center c of the
 means: with M_c = μ − c and x' = x − s·c it is x'·x' − 2s·x'·M_c,k +
@@ -47,7 +47,6 @@ import numpy as np
 from .core import (
     DimensionError,
     Latent,
-    NfeCounter,
     NonFiniteError,
     PreconditionError,
     RngStream,
@@ -225,34 +224,19 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _charge(nfe: NfeCounter | None, x: np.ndarray, per_row: int) -> None:
-    if nfe is not None:
-        nfe.add(per_row * (x.shape[0] if x.ndim == 2 else 1))
-
-
-def marginal_velocity(model: MixtureModel, x: Latent, t: float, nfe: NfeCounter | None = None) -> Latent:
+def marginal_velocity(model: MixtureModel, x: Latent, t: float) -> Latent:
     """Exact marginal velocity E[ε − x₀ | x_t = x] of the mixture flow, per row."""
     x = as_latent(x, model.dim, batch=True)
-    t = _check_time(t)
-    _charge(nfe, x, 1)
-    return _velocity(model, x, t)
+    return _velocity(model, x, _check_time(t))
 
 
-def one_step_clean_estimate(model: MixtureModel, x: Latent, t: float, nfe: NfeCounter | None = None) -> Latent:
+def one_step_clean_estimate(model: MixtureModel, x: Latent, t: float) -> Latent:
     """Conditional expectation E[x₀ | x_t = x], the single-call clean prediction, per row."""
     x = as_latent(x, model.dim, batch=True)
-    t = _check_time(t)
-    _charge(nfe, x, 1)
-    return _clean(model, x, t)
+    return _clean(model, x, _check_time(t))
 
 
-def heun_step(
-    model: MixtureModel,
-    x: np.ndarray,
-    t_from: float,
-    t_to: float,
-    nfe: NfeCounter | None = None,
-) -> np.ndarray:
+def heun_step(model: MixtureModel, x: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
     """One predictor-corrector step from t_from to t_to (two velocity calls per row).
 
     The corrector slope at t_to = 0 uses the continuous limit of the
@@ -261,11 +245,16 @@ def heun_step(
     dt = t_to - t_from
     v_from = _velocity(model, x, t_from)
     v_to = _velocity(model, x + dt * v_from, t_to)
-    _charge(nfe, x, 2)
     v_to += v_from
     v_to *= dt * 0.5
     v_to += x
     return v_to
+
+
+def _heun_churn(model: MixtureModel, spec: SolverSpec, x: np.ndarray, grid: list, step: int):
+    """Heun step ``step`` of ``x`` on ``grid``, ``spec.time_grid`` as floats, and its churn scale churn·√Δt."""
+    t_from, t_to = grid[step], grid[step + 1]
+    return heun_step(model, x, t_from, t_to), spec.churn * math.sqrt(t_from - t_to)
 
 
 def _advance(
@@ -275,21 +264,20 @@ def _advance(
     start: int,
     stop: int,
     injected: np.ndarray | None = None,
-    nfe: NfeCounter | None = None,
     trace: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Move ``x``, one latent or an ``(n, d)`` batch, across solver steps [start, stop).
+    """Move ``x``, one latent or an ``(n, d)`` batch, across solver steps [start, stop) with ``_heun_churn``.
 
-    Each step is a Heun step, then, at every step but the last of the grid,
-    churn·√Δt·``injected[..., step, :]``: an ``(L−1, d)`` array shares its
-    noises across rows, an ``(n, L−1, d)`` array gives each row its own, and
-    None adds no churn. ``trace[..., step + 1, :]`` receives each new state.
+    The churn noise of a step is ``injected[..., step, :]``: an ``(L−1, d)``
+    array shares its noises across rows, an ``(n, L−1, d)`` array gives each
+    row its own, and None adds no churn. ``trace[..., step + 1, :]`` receives
+    each new state.
     """
     grid = spec.time_grid.tolist()  # Python floats give the differences np.float64 does, at less cost
     for step in range(start, stop):
-        x = heun_step(model, x, grid[step], grid[step + 1], nfe)
+        x, scale = _heun_churn(model, spec, x, grid, step)
         if injected is not None and step < spec.steps - 1:
-            x += spec.churn * math.sqrt(grid[step] - grid[step + 1]) * injected[..., step, :]  # x is heun_step's own
+            x += scale * injected[..., step, :]  # x is heun_step's own
         if trace is not None:
             trace[..., step + 1, :] = x
     return x
@@ -306,7 +294,6 @@ def denoise(
     z_init: Latent,
     injected: np.ndarray | None = None,
     stream: RngStream | list[RngStream] | StreamBlock | None = None,
-    nfe: NfeCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate one latent, or each row of an ``(n, d)`` batch, from t = 1 to t = 0.
 
@@ -339,7 +326,7 @@ def denoise(
         churn = _churn_noises(spec, model.dim, stream)
     latents = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
     latents[..., 0, :] = z
-    _advance(model, spec, z, 0, spec.steps, churn, nfe, latents)
+    _advance(model, spec, z, 0, spec.steps, churn, latents)
     return latents, churn if churn is not None else np.zeros(shape)
 
 

@@ -13,7 +13,6 @@ from rts import (
     SDE,
     DimensionError,
     MixtureModel,
-    NfeCounter,
     NonFiniteError,
     PreconditionError,
     RngStream,
@@ -340,22 +339,8 @@ class TestNoiseTrajectory:
         assert latents.shape == (5, 3)
         np.testing.assert_array_equal(injected, np.ones((3, 3)))
 
-    def test_rejects_wrong_injected_count(self):
+    def test_rejects_wrong_injected_count(self, model_rows):
         spec = SolverSpec(mode=SDE, steps=4, churn=0.5)
-        nfe = NfeCounter()
         with pytest.raises(DimensionError):
-            denoise(self.model, spec, np.zeros(3), injected=np.ones((2, 3)), nfe=nfe)
-        assert nfe.count == 0
-
-
-class TestNfeCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        counter = NfeCounter()
-        assert counter.count == 0
-        counter.add()
-        counter.add(2)
-        assert counter.count == 3
-
-    def test_rejects_negative_increments(self):
-        with pytest.raises(PreconditionError):
-            NfeCounter().add(-1)
+            denoise(self.model, spec, np.zeros(3), injected=np.ones((2, 3)))
+        assert model_rows.count == 0

@@ -23,6 +23,7 @@ from rts import (
     RtsConfig,
     SearchConfig,
     SolverSpec,
+    StreamBlock,
     denoise,
     evaluate_reward,
     expected_rts_nfe,
@@ -419,8 +420,8 @@ class TestReplayCorrectness:
         calls = []
         real_denoise = rts.pipeline.denoise
 
-        def spy(model, spec, z_init, injected=None, stream=None, nfe=None):
-            result = real_denoise(model, spec, z_init, injected=injected, stream=stream, nfe=nfe)
+        def spy(model, spec, z_init, injected=None, stream=None):
+            result = real_denoise(model, spec, z_init, injected=injected, stream=stream)
             calls.append((np.array(z_init, copy=True), injected))
             return result
 
@@ -876,6 +877,28 @@ class TestLockstep:
         assert cut_before_key_steps == {True, False}
 
 
+class TestLedgerAudit:
+    """``nfe_used`` equals the model rows a run evaluates, counted outside the code under test by ``model_rows``."""
+
+    @pytest.mark.parametrize("budget", [None, 150])
+    def test_a_one_seed_run_spends_what_its_ledger_says(self, model_rows, budget):
+        for name, (_, alone) in criterion7_variants(budget).items():
+            for seed in range(10):
+                model_rows.count = 0
+                assert alone(RngStream(seed)).nfe_used == model_rows.count, (name, seed)
+
+    # the rts family unbudgeted, at both truncated golden budgets and at a few of the budget sweep's; the baselines
+    @pytest.mark.parametrize("variant,budget", [
+        *((variant, budget) for variant in ("rts", "init", "inter")
+          for budget in (None, *sorted(TestGoldenRecords.TRUNCATED), 36, 99, 171, 237)),
+        *((variant, None) for variant in ("bon", "zo", "free")),
+    ])
+    def test_a_block_spends_what_its_ledgers_say(self, model_rows, variant, budget):
+        block, _ = criterion7_variants(budget)[variant]
+        results = block(TestLockstep.STREAMS)
+        assert sum(result.nfe_used for result in results) == model_rows.count
+
+
 BLOCK_METHODS = ["rts", "bon", "zo", "free"]
 
 
@@ -894,6 +917,22 @@ class TestBlockInputs:
         block, _ = criterion7_variants()[variant]
         with pytest.raises(PreconditionError):
             block(streams())
+
+    @pytest.mark.parametrize("variant", BLOCK_METHODS)
+    @pytest.mark.parametrize("streams", [lambda: StreamBlock.of([RngStream(1), RngStream(2)]), lambda: RngStream(1)],
+                             ids=["stream-block", "lone-stream"])
+    def test_a_stream_block_or_a_lone_stream_is_refused_by_name(self, variant, streams):
+        # each result takes its stream's root_seed, which a StreamBlock does not keep
+        block, _ = criterion7_variants()[variant]
+        given = streams()
+        with pytest.raises(PreconditionError, match=f"got {type(given).__name__}$"):
+            block(given)
+
+    @pytest.mark.parametrize("variant", BLOCK_METHODS)
+    def test_a_one_seed_call_names_the_stream_block_it_refuses(self, variant):
+        _, alone = criterion7_variants()[variant]
+        with pytest.raises(PreconditionError, match="holding StreamBlock"):
+            alone(StreamBlock.of([RngStream(1)]))
 
 
 class TestInitSearchMemo:

@@ -10,7 +10,6 @@ from rts import (
     DimensionError,
     MixtureModel,
     ModePreferenceReward,
-    NfeCounter,
     NonFiniteError,
     ODE,
     PreconditionError,
@@ -176,10 +175,9 @@ class TestMarginalVelocity:
         with pytest.raises(PreconditionError):
             marginal_velocity(single_standard(), np.zeros(2), t)
 
-    def test_nfe_increment(self):
-        nfe = NfeCounter()
-        marginal_velocity(single_standard(), np.zeros(2), 0.5, nfe=nfe)
-        assert nfe.count == 1
+    def test_nfe_increment(self, model_rows):
+        marginal_velocity(single_standard(), np.zeros(2), 0.5)
+        assert model_rows.count == 1
 
 
 class TestCleanEstimate:
@@ -214,10 +212,9 @@ class TestCleanEstimate:
             clean = one_step_clean_estimate(model, x, t)
             np.testing.assert_allclose(x - t * v, clean, rtol=1e-9, atol=1e-12)
 
-    def test_nfe_increment(self):
-        nfe = NfeCounter()
-        one_step_clean_estimate(single_standard(), np.zeros(2), 0.5, nfe=nfe)
-        assert nfe.count == 1
+    def test_nfe_increment(self, model_rows):
+        one_step_clean_estimate(single_standard(), np.zeros(2), 0.5)
+        assert model_rows.count == 1
 
 
 class TestDenoise:
@@ -273,16 +270,15 @@ class TestDenoise:
             denoise(model, SolverSpec(mode=ODE, steps=5), np.ones(2), injected=np.float64(1.0))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e160])
-    def test_non_finite_injected_rejected_before_any_model_call(self, bad):
+    def test_non_finite_injected_rejected_before_any_model_call(self, bad, model_rows):
         # the suite turns a RuntimeWarning into an error, so this also checks that no solve ran
         model = two_component()
         spec = SolverSpec(mode=SDE, steps=5, churn=0.5)
         injected = np.zeros((4, 2))
         injected[1, 0] = bad
-        nfe = NfeCounter()
         with pytest.raises(NonFiniteError):
-            denoise(model, spec, np.ones(2), injected=injected, nfe=nfe)
-        assert nfe.count == 0
+            denoise(model, spec, np.ones(2), injected=injected)
+        assert model_rows.count == 0
 
     def test_sde_requires_stream_or_injected(self):
         model = two_component()
@@ -296,23 +292,21 @@ class TestDenoise:
             with pytest.raises(DimensionError):
                 denoise(model, spec, np.ones(2), injected=np.ones(shape))
 
-    def test_nfe_is_two_per_step(self):
+    def test_nfe_is_two_per_step(self, model_rows):
         model = two_component()
-        nfe = NfeCounter()
-        denoise(model, SolverSpec(mode=ODE, steps=7), np.ones(2), nfe=nfe)
-        assert nfe.count == 14
-        nfe = NfeCounter()
-        heun_step(model, np.ones(2), 1.0, 0.5, nfe=nfe)
-        assert nfe.count == 2
+        denoise(model, SolverSpec(mode=ODE, steps=7), np.ones(2))
+        assert model_rows.count == 14
+        model_rows.count = 0
+        heun_step(model, np.ones(2), 1.0, 0.5)
+        assert model_rows.count == 2
 
-    def test_single_step_sde_draws_no_churn(self):
+    def test_single_step_sde_draws_no_churn(self, model_rows):
         # the only step is the last one, which never gets churn
         model = two_component()
-        nfe = NfeCounter()
         spec = SolverSpec(mode=SDE, steps=1, churn=0.5)
-        latents, injected = denoise(model, spec, np.ones(2), stream=RngStream(1), nfe=nfe)
+        latents, injected = denoise(model, spec, np.ones(2), stream=RngStream(1))
         assert injected.shape == (0, 2)
-        assert nfe.count == 2
+        assert model_rows.count == 2
         np.testing.assert_array_equal(latents[-1], heun_step(model, np.ones(2), 1.0, 0.0))
 
     def test_batched_heun_matches_scalar(self):
@@ -489,22 +483,22 @@ class TestBatchedPath:
     """A batch must give, row for row, the bits of single-latent calls."""
 
     @pytest.mark.parametrize("make_model,n", BATCH_CASES)
-    def test_model_calls_equal_single_rows(self, make_model, n):
+    def test_model_calls_equal_single_rows(self, make_model, n, model_rows):
         model = make_model()
         x = np.random.default_rng(n).standard_normal((n, model.dim)) * 1.5
         for call in (marginal_velocity, one_step_clean_estimate):
-            nfe = NfeCounter()
-            batch = call(model, x, 0.37, nfe=nfe)
-            assert nfe.count == n
+            model_rows.count = 0
+            batch = call(model, x, 0.37)
+            assert model_rows.count == n
             rows = np.stack([call(model, row, 0.37) for row in x])
             np.testing.assert_array_equal(batch, rows)
-        nfe = NfeCounter()
-        batch = heun_step(model, x, 0.5, 0.25, nfe=nfe)
-        assert nfe.count == 2 * n
+        model_rows.count = 0
+        batch = heun_step(model, x, 0.5, 0.25)
+        assert model_rows.count == 2 * n
         np.testing.assert_array_equal(batch, np.stack([heun_step(model, row, 0.5, 0.25) for row in x]))
 
     @pytest.mark.parametrize("make_model,n", [(four_corner, 7), (wide_model, 2)])
-    def test_batched_solve_equals_denoise_per_row(self, make_model, n):
+    def test_batched_solve_equals_denoise_per_row(self, make_model, n, model_rows):
         # per-row streams, given noises and ODE: both arrays, bit for bit
         model = make_model()
         sde, ode = SolverSpec(mode=SDE, steps=5, churn=0.4), SolverSpec(mode=ODE, steps=5)
@@ -517,9 +511,9 @@ class TestBatchedPath:
             (sde, lambda row: {"injected": noises[row]}, {"injected": noises}),
             (ode, lambda row: {}, {}),
         ]:
-            nfe = NfeCounter()
-            latents, injected = denoise(model, spec, zs, nfe=nfe, **batch_kwargs)
-            assert nfe.count == 2 * spec.steps * n
+            model_rows.count = 0
+            latents, injected = denoise(model, spec, zs, **batch_kwargs)
+            assert model_rows.count == 2 * spec.steps * n
             assert injected.shape == (n, spec.steps - 1 if spec.mode == SDE else 0, model.dim)
             for row in range(n):
                 row_latents, row_injected = denoise(model, spec, zs[row], **per_row(row))
