@@ -18,12 +18,16 @@ on the word and the hash constant; for an integer label word at an integer
 hash constant, the case of every ``RngStream`` and of a block derived with
 one label for all, those terms are memoized (``_int_fold_terms``, a
 bounded ``lru_cache`` of read-only arrays), so deriving a child costs a
-few array operations on four words. A draw turns the pool into the
-two-word Philox key exactly as ``SeedSequence.generate_state(2, np.uint64)``
-does and sets it, at counter 0, on one reused Philox generator per thread.
+few array operations on four words; for an array label, the products that
+depend only on an integer hash constant are (``_int_hash_products``). A
+draw turns the pool into the two-word Philox key exactly as
+``SeedSequence.generate_state(2, np.uint64)`` does and sets it, at counter
+0, on one reused Philox generator per thread, built at the first draw.
 Every draw is bit for bit the one a fresh
 ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))`` makes, at a
 fraction of its cost.
+
+The error taxonomy lives in ``errors`` and is importable from here too.
 
 A ``StreamBlock`` is an array of such streams, say one per seed of a
 lockstep block or one per candidate row: it folds a label into every
@@ -43,6 +47,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import (  # noqa: F401  (the error taxonomy is importable from here too)
+    BudgetError,
+    ConfigError,
+    DegenerateGradientError,
+    DegeneratePerturbationError,
+    DimensionError,
+    NonFiniteError,
+    PreconditionError,
+    RtsError,
+)
 
 # A latent is a 1-D float64 vector of dimension >= 2. Plain arrays keep the
 # numerics idiomatic; validation happens at operation boundaries.
@@ -67,46 +82,6 @@ _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 # root: SeedSequence hashes 16 words into the pool first (the root padded to
 # four words, then each pool word into the other three).
 _ROOT_HASH = 0x43B0_D7E5 * pow(_MULT_A, 16, 2**32) & _MASK32
-
-
-class RtsError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DimensionError(RtsError, ValueError):
-    """A latent or configuration has an unusable dimension."""
-
-
-class NonFiniteError(RtsError, ValueError):
-    """A NaN or infinity appeared where a finite value is required."""
-
-
-class PreconditionError(RtsError, ValueError):
-    """An argument violates a documented precondition."""
-
-
-class _DegenerateRows(RtsError, ArithmeticError):
-    """A direction collapsed below numerical tolerance; ``rows``, a boolean mask, marks the rows that did."""
-
-    def __init__(self, message: str, rows=None) -> None:
-        super().__init__(message)
-        self.rows = rows
-
-
-class DegeneratePerturbationError(_DegenerateRows):
-    """A tangential perturbation collapsed below numerical tolerance."""
-
-
-class DegenerateGradientError(_DegenerateRows):
-    """A guidance gradient has no usable tangential component; for a block, ``rows`` marks the seeds whose has none."""
-
-
-class BudgetError(RtsError, RuntimeError):
-    """An evaluation budget is too small for the requested operation."""
-
-
-class ConfigError(RtsError, ValueError):
-    """A run configuration is malformed."""
 
 
 def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
@@ -172,18 +147,33 @@ def _mix(value: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
+def _hash_products(hash_const) -> tuple[np.ndarray, np.ndarray]:
+    """What folding at ``hash_const`` xors each word with and multiplies it by, ``(..., 4)`` each; the last
+    product is the next hash constant."""
+    return hash_const * _POWERS_A[:-1] & _MASK32, hash_const * _POWERS_A[1:] & _MASK32
+
+
 def _fold_terms(word, hash_const) -> tuple[np.ndarray, np.ndarray]:
     """Folding ``word`` at ``hash_const``: the ``(..., 4)`` terms it subtracts from ``_MIX_L`` times each
     pool word, modulo 2**32, and the next hash constant ``(..., 1)``."""
-    xor = hash_const * _POWERS_A[:-1] & _MASK32
-    mult = hash_const * _POWERS_A[1:] & _MASK32
+    xor, mult = _int_hash_products(hash_const) if isinstance(hash_const, int) else _hash_products(hash_const)
     return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[..., -1:]
 
 
-# Most (word, hash constant) pairs whose fold terms are kept. The call sites
-# fold a few small labels at a few depths, so a handful of entries serve
-# every derivation; the bound keeps distinct 64-bit labels from growing it.
+# Most (word, hash constant) pairs whose fold terms are kept, and most hash
+# constants whose products are. The call sites fold a few small labels at a
+# few depths, so a handful of entries serve every derivation; the bound keeps
+# distinct 64-bit labels from growing it.
 _FOLD_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
+def _int_hash_products(hash_const: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_hash_products`` of an int hash constant, memoized as read-only arrays."""
+    products = _hash_products(hash_const)
+    for array in products:
+        array.flags.writeable = False
+    return products
 
 
 @functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
@@ -284,7 +274,7 @@ class StreamBlock:
 
     def normal(self, dim: int) -> np.ndarray:
         """One standard normal latent of dimension ``dim`` per stream, ``(..., dim)``."""
-        rewound = _THREAD_GENERATOR.rewound
+        rewound = _thread_generator().rewound
         draws = [rewound(key).standard_normal(dim) for key in self.keys().reshape(-1, 2).tolist()]
         return np.array(draws).reshape(self.shape + (dim,))
 
@@ -365,7 +355,11 @@ class _ThreadGenerator(threading.local):
         return self.generator
 
 
-_THREAD_GENERATOR = _ThreadGenerator()
+@functools.cache
+def _thread_generator() -> _ThreadGenerator:
+    """The per-thread generators, built at the first draw, so that importing this module leaves numpy.random
+    unloaded."""
+    return _ThreadGenerator()
 
 
 def sample_gaussian(stream: RngStream | StreamBlock, dim: int) -> Latent:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +18,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rts.cli
+import rts.schema
 from rts import ConfigError, RtsError
 from rts.cli import (
     WORKER_ENV,
     apply_overrides,
     main,
     parse_override,
-    summarize,
     validate_config,
 )
+from rts.report import summarize
 
 FOUR_CORNERS = {
     "weights": [0.1, 0.3, 0.3, 0.3],
@@ -673,6 +675,24 @@ class TestReportCommand:
         assert main(["run", "--config", str(config)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rewards, nfe_used, statistic", [
+        ([1e308, 1e308], 10, "mean_reward"),
+        ([-1.7e308, 1.7e308], 10, "stddev_reward"),
+        ([0.5, 0.25], 10**400, "mean_nfe"),
+    ], ids=["mean_reward", "stddev_reward", "mean_nfe"])
+    def test_finite_values_whose_statistic_overflows_exit_2_naming_it(self, tmp_path, capsys, rewards, nfe_used,
+                                                                      statistic):
+        # each value passes the record check; their mean or spread is past the largest float
+        results = tmp_path / "results.jsonl"
+        records = [{**r, "nfe_used": nfe_used} for r in self._records("alpha", range(2), rewards)]
+        records += self._records("beta", range(2), [0.5, 0.25])
+        results.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(results)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"method 'alpha': {statistic} overflows a float\n"
+        assert captured.out == ""
+        assert not Path(f"{results}.summary.json").exists()
+
     def test_duplicate_records_exit_2_naming_both_lines(self, tmp_path, capsys):
         config, out = write_config(tmp_path, replicates=2)
         assert main(["run", "--config", config]) == 0
@@ -833,27 +853,57 @@ class TestRankTestsMatchScipy:
 _CYTHON_RUNTIME = re.compile(r"cython_runtime|_cython_[0-9_]+")
 
 
-def _foreign_modules(statements: str) -> list[str]:
-    """Top-level modules outside the stdlib, numpy and rts that ``statements`` load in a fresh interpreter."""
-    # a fresh interpreter, so what earlier tests imported does not count;
-    # the diff ignores whatever site loads before the statements
+def _modules_loaded_by(statements: str) -> set[str]:
+    """The modules that ``statements`` load in a fresh interpreter, beyond those that site loads before them."""
+    # a fresh interpreter, so what earlier tests imported does not count
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         f"{statements}\n"
-        "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    package_root = str(Path(rts.cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    loaded = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True,
                             check=True).stdout.splitlines()[-1].split()
+    return set(loaded)
+
+
+def _package_env() -> dict:
+    package_root = str(Path(rts.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def _foreign_modules(statements: str) -> list[str]:
+    """Top-level modules outside the stdlib, numpy and rts that ``statements`` load in a fresh interpreter."""
+    loaded = {name.partition(".")[0] for name in _modules_loaded_by(statements)}
     assert "rts" in loaded
-    return [
+    return sorted(
         name for name in loaded
         if name not in sys.stdlib_module_names and name not in ("numpy", "rts")
         and name != "__mp_main__"  # multiprocessing's alias of __main__
         and not _CYTHON_RUNTIME.fullmatch(name)
-    ]
+    )
+
+
+def _report_statements(results) -> str:
+    """``python -m rts.cli report RESULTS`` as statements: rts.cli runs as __main__, as under -m."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['rts', 'report', {str(results)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('rts.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+
+
+def _results_for_both_rank_tests(tmp_path) -> Path:
+    # alpha and beta share seeds (Wilcoxon), gamma shares none (Mann-Whitney)
+    results = tmp_path / "results.jsonl"
+    records = (TestReportCommand._records("alpha", range(6), [0.9, 0.4, 0.75, 0.6, 0.8, 0.3])
+               + TestReportCommand._records("beta", range(6), [0.5, 0.45, 0.2, 0.3, 0.1, 0.25])
+               + TestReportCommand._records("gamma", range(100, 105), [0.5, 0.45, 0.2, 0.1, 0.35]))
+    results.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return results
 
 
 def test_importing_the_cli_loads_only_stdlib_numpy_and_rts():
@@ -861,16 +911,44 @@ def test_importing_the_cli_loads_only_stdlib_numpy_and_rts():
 
 
 def test_report_loads_only_stdlib_numpy_and_rts(tmp_path):
-    # alpha and beta share seeds (Wilcoxon), gamma shares none (Mann-Whitney)
-    results = tmp_path / "results.jsonl"
-    records = (TestReportCommand._records("alpha", range(6), [0.9, 0.4, 0.75, 0.6, 0.8, 0.3])
-               + TestReportCommand._records("beta", range(6), [0.5, 0.45, 0.2, 0.3, 0.1, 0.25])
-               + TestReportCommand._records("gamma", range(100, 105), [0.5, 0.45, 0.2, 0.1, 0.35]))
-    results.write_text("".join(json.dumps(r) + "\n" for r in records))
+    results = _results_for_both_rank_tests(tmp_path)
     statements = f"import rts.cli\nassert rts.cli.main(['report', {str(results)!r}]) == 0"
     assert _foreign_modules(statements) == []
     assert set(json.loads(Path(f"{results}.summary.json").read_text())["comparisons"]) == {
         f"{a}>{b}" for a in ("alpha", "beta", "gamma") for b in ("alpha", "beta", "gamma") if a != b}
+
+
+# what only ``rts run`` and ``rts export-trajectory`` need
+_SOLVER_MODULES = ("rts.core", "rts.pipeline", "rts.sim", "rts.search", "rts.sphere", "rts.surrogate",
+                   "rts.keysteps", "numpy.random", "multiprocessing", "concurrent.futures")
+
+
+def test_report_loads_neither_the_solver_nor_the_cli_a_second_time(tmp_path):
+    results = _results_for_both_rank_tests(tmp_path)
+    loaded = _modules_loaded_by(_report_statements(results))
+    assert {"rts.report", "rts.ranktests"} <= loaded
+    assert sorted(loaded.intersection(_SOLVER_MODULES)) == []
+    # under -m, rts.cli is __main__; importing it would compile and run the module again
+    assert "rts.cli" not in loaded
+    assert len(json.loads(Path(f"{results}.summary.json").read_text())["comparisons"]) == 6
+
+
+@pytest.mark.skipif(rts.cli.START_METHOD != "fork", reason="spawned workers import the package afresh")
+def test_forked_workers_import_nothing(tmp_path):
+    # -X importtime lists every module a process imports, on stderr, which
+    # forked workers share; a module a worker imported after the fork would
+    # be listed once more for each worker
+    config, out = write_config(tmp_path, method="rts", replicates=4)
+    argv = [sys.executable, "-X", "importtime", "-m", "rts.cli", "run", "--config", config, "--workers", "2"]
+    done = subprocess.run(argv, env=_package_env(), capture_output=True, text=True, check=True)
+    listed = Counter(line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                     if line.startswith("import time:"))
+    ours = {name: count for name, count in listed.items() if name == "rts" or name.startswith("rts.")}
+    assert set(ours) >= {"rts", "rts.errors", "rts.core", "rts.schema", "rts.pipeline", "rts.sim", "rts.search",
+                         "rts.sphere", "rts.surrogate", "rts.keysteps"}
+    assert set(ours.values()) == {1}
+    assert listed["numpy.random"] == 1
+    assert len(read_records(out)) == 4
 
 
 class TestExportTrajectory:
@@ -981,7 +1059,7 @@ _OVERRIDES = {
 
 def _leaf_paths(schema, prefix=""):
     for key, (kind, _) in schema.items():
-        if isinstance(kind, rts.cli._Tagged):
+        if isinstance(kind, rts.schema._Tagged):
             for variant in kind.values():
                 yield from _leaf_paths(variant, f"{prefix}{key}.")
         elif isinstance(kind, dict):
@@ -998,7 +1076,7 @@ def test_every_config_key_is_fuzzed():
         for a, b in (("search_init.", "search_inter."), ("search_inter.", "search_init.")):
             if key.startswith(a):
                 fuzzed.add(b + key[len(a):])
-    paths = set(_leaf_paths(rts.cli.CONFIG_SCHEMA))
+    paths = set(_leaf_paths(rts.cli.config_schema()))
     assert len(paths) == 32
     assert sorted(paths - fuzzed) == []
 

@@ -22,7 +22,7 @@ from rts import (
     denoise,
     sample_gaussian,
 )
-from rts.core import LATENT_BOUND, _fold_terms, _int_fold_terms
+from rts.core import LATENT_BOUND, _fold_terms, _hash_products, _int_fold_terms, _int_hash_products
 
 
 class TestAsLatent:
@@ -285,6 +285,31 @@ class TestStreamBlock:
                     np.testing.assert_array_equal(stream._pool.keys(), expected)
                     np.testing.assert_array_equal(block.keys()[0], expected)
         assert _int_fold_terms.cache_info().hits > 0
+
+
+    def test_array_label_derivations_equal_seed_sequence_at_every_depth(self):
+        # one-word and two-word labels, mixed within a block and across depths;
+        # the first pass fills the memo of hash products, the second hits it
+        _int_hash_products.cache_clear()
+        roots = (0, 9, 2**63)
+        depths = [np.array([1, 4, 0]), np.array([7, 7, 7]), np.array([2**33 + 5, 3, 2**32 - 1]),
+                  np.array([2, 2**64 - 1, 6], dtype=np.uint64), np.array([0, 5, 2**40])]
+        for _ in range(2):
+            block, paths = StreamBlock.of([RngStream(root) for root in roots]), [() for _ in roots]
+            for labels in depths:
+                block = block.child(labels)
+                paths = [path + (int(label),) for path, label in zip(paths, labels)]
+                for e, (root, path) in enumerate(zip(roots, paths)):
+                    expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
+                    np.testing.assert_array_equal(block.keys()[e], expected)
+        assert _int_hash_products.cache_info().hits > 0
+        block = StreamBlock.of([RngStream(11)])
+        for depth in range(4):  # the memoized products are the computed ones, and read-only
+            for memo, computed in zip(_int_hash_products(block._hash), _hash_products(block._hash)):
+                np.testing.assert_array_equal(memo, computed)
+                with pytest.raises(ValueError, match="read-only"):
+                    memo[0] = 0
+            block = block.child(depth)
 
 
 class TestSampleGaussian:
