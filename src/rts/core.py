@@ -109,9 +109,9 @@ def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
 
 
 def as_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
-    """A seed, label or count as a Python int in [low, high]; 2.7 or "3" is refused, not truncated or parsed."""
-    try:
-        number = operator.index(value)
+    """A seed, label or count as a Python int in [low, high]; 2.7, "3" or True is refused, not truncated or parsed."""
+    try:  # a bool is an int to operator.index, True a 1
+        number = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
     if (low is not None and number < low) or (high is not None and number > high):

@@ -17,14 +17,15 @@ Stage (2) runs only if (1) is off or scores with a shorter solver; stages
 
 Every velocity or clean-estimate call on one latent is one NFE. One ledger
 per run counts them and charges each to the phase that spends it, which
-gives ``nfe_breakdown``. A search phase may spend the budget less what later
-phases are owed: the record denoise during the initial search, the final
-denoise during the key-step search. Each atomic operation is pre-checked
-against that, and a batch is cut to the rows that fit, so ``nfe_used`` never
-exceeds the budget and matches one-at-a-time scoring exactly; when the
-budget runs out mid-phase the run returns the best result so far with
-``truncated`` set. ``expected_rts_nfe`` reproduces the ledger arithmetic
-independently, so the ledger can be audited exactly.
+gives ``nfe_breakdown`` and its sum ``nfe_used``. A search phase may spend
+the budget less what later phases are owed: the record denoise during the
+initial search, the final denoise during the key-step search. Each atomic
+operation is pre-checked against that, and ``_budgeted_search`` cuts each
+seed's rows of a search round to the prefix that fits, for both phases, so
+``nfe_used`` never exceeds the budget and matches one-at-a-time scoring
+exactly; when the budget runs out mid-phase the run returns the best result
+so far with ``truncated`` set. ``expected_rts_nfe`` reproduces the ledger
+arithmetic independently, so the ledger can be audited exactly.
 
 Each method is one lockstep implementation over a block of S seeds
 (``run_rts_block``, ``run_bon_block``, ``run_zo_block``, ``run_free_block``):
@@ -95,24 +96,22 @@ class _Ledger:
     """The NFE count of one seed of an rts run: charges each NFE to ``phase`` and keeps the budget.
 
     The current phase may spend ``limit`` less the NFEs ``owed`` to later
-    phases; ``by_phase`` is the run's ``nfe_breakdown``.
+    phases; ``by_phase`` is the run's ``nfe_breakdown``, and its sum ``nfe_used``.
     """
 
     limit: int | None = None
     owed: int = 0
     phase: str = "init_search"
-    count: int = 0
     by_phase: dict = field(default_factory=lambda: dict.fromkeys(("init_search", "record", "inter_search", "final"), 0))
 
     def add(self, n: int) -> None:
-        self.count += n
         self.by_phase[self.phase] += n
 
     def affordable(self, n: int, cost: int) -> int:
         """How many of ``n`` operations of ``cost`` (>= 1) NFEs each fit, taken in order."""
         if self.limit is None:
             return n
-        return min(n, max(0, self.limit - self.owed - self.count) // cost)
+        return min(n, max(0, self.limit - self.owed - sum(self.by_phase.values())) // cost)
 
 
 @dataclass
@@ -256,33 +255,41 @@ def run_rts(
     return run_rts_block(model, spec, reward, cfg, [stream])[0]
 
 
-def _fitting_rows(ledgers: list[_Ledger], live: np.ndarray, batch: np.ndarray, cost: int):
-    """Charge and pick the rows of an ``(S, n, d)`` batch that each live seed's budget affords at ``cost`` NFEs each.
+def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, ledgers: list[_Ledger], cost: int, score,
+                     **options):
+    """``run_search`` for a group of seeds, each charged ``cost`` NFEs a row to its ledger.
 
-    Each seed takes the prefix of its rows that fits, which spends exactly
-    what scoring them one at a time would have spent before the budget check
-    failed; a seed whose rows did not all fit leaves ``live``. Returns the
-    picked rows, the seed of each, and their flat indices into the ``(S, n)``
-    scores, None when every row was picked.
+    Each seed takes the prefix of a round's rows that its ledger affords, which
+    spends exactly what scoring them one at a time would have spent, and
+    ``score(rows, seeds)`` scores the taken rows given the seed of each; a row
+    left out scores 0. A seed whose rows did not all fit is cut short, and the
+    search ends when no seed can go on. Returns the best latents and each
+    seed's per-round best rewards, None for a seed cut short.
     """
-    seeds, n = batch.shape[:2]
-    fit = [ledger.affordable(n, cost) if ok else 0 for ledger, ok in zip(ledgers, live.tolist())]
-    for ledger, count in zip(ledgers, fit):
-        ledger.add(count * cost)
-    if fit.count(n) == seeds:
-        return batch.reshape(seeds * n, -1), np.arange(seeds).repeat(n), None
-    live &= np.array(fit) == n
-    index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
-    return batch.reshape(seeds * n, -1)[index], index // n, index
+    seeds = len(ledgers)
+    live = np.ones(seeds, dtype=bool)
 
+    def evaluate(batch: np.ndarray) -> np.ndarray:
+        n = batch.shape[1]
+        fit = [ledger.affordable(n, cost) if ok else 0 for ledger, ok in zip(ledgers, live.tolist())]
+        for ledger, count in zip(ledgers, fit):
+            ledger.add(count * cost)
+        rows = batch.reshape(seeds * n, -1)
+        if fit.count(n) == seeds:
+            return score(rows, np.arange(seeds).repeat(n)).reshape(seeds, n)
+        live[np.array(fit) < n] = False
+        index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
+        scores = np.zeros(seeds * n)
+        scores[index] = score(rows[index], index // n)
+        if not live.any():
+            raise _PhaseTruncated()
+        return scores.reshape(seeds, n)
 
-def _scores(values: np.ndarray, index, shape: tuple[int, int]) -> np.ndarray:
-    """The ``(S, n)`` scores of a batch from the ``values`` of its picked rows; a row left out scores 0."""
-    if index is None:
-        return values.reshape(shape)
-    scores = np.zeros(shape[0] * shape[1])
-    scores[index] = values
-    return scores.reshape(shape)
+    try:
+        best, _, history = run_search(z0, cfg, evaluate, stream, **options)
+    except _PhaseTruncated:
+        return None, [None] * seeds
+    return best, [[float(h.best_candidate_reward[s]) for h in history] if live[s] else None for s in range(seeds)]
 
 
 def _keep_best(entries: dict) -> None:
@@ -330,15 +337,13 @@ def run_rts_block(
         # per seed, by latent: score, path and noises of the best row so far, copied out of its round's batch,
         # and of the latest round's rows, the only rows the search can return
         scored: list[dict[bytes, tuple]] = [{} for _ in range(seeds)]
-        live = np.ones(seeds, dtype=bool)
 
-        def score_latents(zs: np.ndarray) -> np.ndarray:
+        def score_latents(rows: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
             # A candidate's churn noises derive from a hash of the candidate, so
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
             for entries in scored:
                 _keep_best(entries)
-            rows, row_seeds, index = _fitting_rows(ledgers, live, zs, 2 * plan.eval_steps)
             stream = None
             if eval_spec.mode == SDE:
                 stream = noise_stream[row_seeds].child(np.array([_latent_label(z) for z in rows], dtype=np.uint64))
@@ -346,24 +351,17 @@ def run_rts_block(
             values = evaluate_reward(reward, paths[:, -1])
             for s, z, score, path, injected in zip(row_seeds.tolist(), rows, values.tolist(), paths, noises):
                 scored[s][z.tobytes()] = (score, path, injected)
-            if not live.any():
-                raise _PhaseTruncated()
-            return _scores(values, index, zs.shape[:2])
+            return values
 
-        try:
-            best_z, _, history = run_search(np.zeros((seeds, dim)), cfg.search_init, score_latents,
-                                            block.child(_S_INIT_SEARCH))
-        except _PhaseTruncated:
-            pass
+        best_z, searched = _budgeted_search(np.zeros((seeds, dim)), cfg.search_init, block.child(_S_INIT_SEARCH),
+                                            ledgers, 2 * plan.eval_steps, score_latents)
+        truncated = np.array([history is None for history in searched])
         picked = []
-        for s in range(seeds):
-            if live[s]:
-                histories[s]["init"] = [float(h.best_candidate_reward[s]) for h in history]
-                picked.append(scored[s][best_z[s].tobytes()])
-            else:
-                # the first best-scored latent, as a strict running maximum keeps it
-                picked.append(max(scored[s].values(), key=lambda entry: entry[0]))
-        truncated = ~live
+        for s, history in enumerate(searched):
+            histories[s]["init"] = history or []
+            # a seed cut short takes its first best-scored latent, as a strict running maximum keeps it
+            picked.append(max(scored[s].values(), key=lambda entry: entry[0]) if history is None
+                          else scored[s][best_z[s].tobytes()])
         paths = np.stack([path for _, path, _ in picked])
         noises = np.stack([injected for _, _, injected in picked])
         z_init = paths[:, 0]
@@ -398,7 +396,7 @@ def run_rts_block(
             method=RTS,
             final_sample=final_samples[s],
             final_reward=final_rewards[s],
-            nfe_used=ledgers[s].count,
+            nfe_used=sum(ledgers[s].by_phase.values()),
             seed=streams[s].root_seed,
             key_steps=keys[s],
             round_history=histories[s],
@@ -448,39 +446,27 @@ def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, 
         if at_key:
             here, pre = np.array(walking)[at_key], pre_churn[at_key]
             stop, cost = _preview(spec, position, cfg.eval_steps_inter)
-            group = [ledgers[i] for i in owners[here].tolist()]
-            live = np.ones(here.size, dtype=bool)
 
             # A candidate replaces the injected noise right after the fixed
             # pre-churn state; the preview integrates to ``stop`` with the chosen
             # noises, then takes a clean estimate unless it reached t = 0.
-            def score_noises(candidates: np.ndarray) -> np.ndarray:
-                rows, row_seeds, index = _fitting_rows(group, live, candidates, cost)
+            def score_noises(rows: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
                 churn = injected[here[row_seeds], :stop] if stop > position else None  # the preview's noises
                 x = _advance(model, spec, pre[row_seeds] + scale * rows, position, stop, churn)
                 if stop < steps:
                     x = one_step_clean_estimate(model, x, grid[stop])
-                values = evaluate_reward(reward, x)
-                if not live.any():
-                    raise _PhaseTruncated()
-                return _scores(values, index, candidates.shape[:2])
+                return evaluate_reward(reward, x)
 
-            try:
-                best_noise, _, history = run_search(
-                    injected[here, slot],
-                    cfg.search_inter,
-                    score_noises,
-                    inter_stream[owners[here]].child(position),
-                    start_from_z0=True,
-                    resample_to_z0=not cfg.resample_inter_fresh,
-                )
-            except _PhaseTruncated:
-                pass
-            for g, i in enumerate(here.tolist()):
+            group = [ledgers[i] for i in owners[here].tolist()]
+            best_noise, searched = _budgeted_search(injected[here, slot], cfg.search_inter,
+                                                    inter_stream[owners[here]].child(position), group, cost,
+                                                    score_noises, start_from_z0=True,
+                                                    resample_to_z0=not cfg.resample_inter_fresh)
+            for g, (i, history) in enumerate(zip(here.tolist(), searched)):
                 todo[i].pop(0)
-                active[i] = bool(live[g])
+                active[i] = history is not None
                 if active[i]:
-                    histories[owners[i]]["inter"].append([float(h.best_candidate_reward[g]) for h in history])
+                    histories[owners[i]]["inter"].append(history)
                     injected[i, slot] = best_noise[g]
         latents[walking, position] = pre_churn + scale * injected[walking, slot]
     truncated[owners[np.logical_not(active)]] = True
@@ -533,27 +519,12 @@ def run_bon_block(
     n_candidates = denoise_count(BON, spec, budget_nfe)
     block = _seed_block(streams)
     candidates = np.arange(n_candidates)
-    zs = sample_gaussian(block.child(0)[:, None].child(candidates), model.dim).reshape(-1, model.dim)
-    noises = None
-    if spec.mode == SDE:
-        noises = _churn_noises(spec, model.dim, block.child(1)[:, None].child(candidates))
-        noises = noises.reshape(zs.shape[0], spec.steps - 1, model.dim)
-    finals = _advance(model, spec, zs, 0, spec.steps, noises).reshape(len(streams), n_candidates, model.dim)
-    rewards = evaluate_reward(reward, finals.reshape(zs.shape)).reshape(len(streams), n_candidates)
-    nfe = n_candidates * 2 * spec.steps
-    results = []
-    for stream, samples, scores in zip(streams, finals, rewards.tolist()):
-        best = int(np.argmax(scores))  # the first of tied maxima, as a strict running max
-        results.append(RunResult(
-            method=BON,
-            final_sample=samples[best],
-            final_reward=scores[best],
-            nfe_used=nfe,
-            seed=stream.root_seed,
-            round_history={"candidates": scores},
-            nfe_breakdown={"denoise": nfe},
-        ))
-    return results
+    zs = sample_gaussian(block.child(0)[:, None].child(candidates), model.dim)
+    finals = _samples(model, spec, zs, block.child(1)[:, None].child(candidates))
+    rewards = evaluate_reward(reward, finals.reshape(-1, model.dim)).reshape(zs.shape[:2])
+    best = (np.arange(len(streams)), rewards.argmax(axis=1))  # the first of tied maxima, as a strict running max
+    return _results(BON, streams, finals[best], rewards[best], n_candidates * 2 * spec.steps,
+                    [{"candidates": scores} for scores in rewards.tolist()])
 
 
 def run_zo(
@@ -581,32 +552,20 @@ def run_zo_block(
     block = _seed_block(streams)
     noise, steps = block.child(1), block.child(2)
     base = sample_gaussian(block.child(0), model.dim)
-    best_sample = denoise(model, spec, base, stream=noise.child(0))[0][:, -1]
+    best_sample = _samples(model, spec, base, noise.child(0))
     best_reward = evaluate_reward(reward, best_sample)
     rewards = [best_reward]
     for step in range(1, total):
         neighbor = random_spherical_sample(base, 1, step_tau, steps.child(step)).candidates[:, 0]
-        sample = denoise(model, spec, neighbor, stream=noise.child(step))[0][:, -1]
+        sample = _samples(model, spec, neighbor, noise.child(step))
         score = evaluate_reward(reward, sample)
         rewards.append(score)
         better = score > best_reward
         base = np.where(better[:, None], neighbor, base)
         best_sample = np.where(better[:, None], sample, best_sample)
         best_reward = np.where(better, score, best_reward)
-    nfe = total * 2 * spec.steps
-    return [
-        RunResult(
-            method=ZO,
-            final_sample=sample,
-            final_reward=score,
-            nfe_used=nfe,
-            seed=stream.root_seed,
-            round_history={"evaluations": history},
-            nfe_breakdown={"denoise": nfe},
-        )
-        for stream, sample, score, history in zip(streams, best_sample, best_reward.tolist(),
-                                                    np.stack(rewards, axis=1).tolist())
-    ]
+    return _results(ZO, streams, best_sample, best_reward, total * 2 * spec.steps,
+                    [{"evaluations": history} for history in np.stack(rewards, axis=1).tolist()])
 
 
 def run_free(
@@ -627,17 +586,22 @@ def run_free_block(
 ) -> list[RunResult]:
     """A single unsearched denoise per seed, the no-extra-compute reference."""
     block = _seed_block(streams)
-    samples = denoise(model, spec, sample_gaussian(block.child(0), model.dim), stream=block.child(1))[0][:, -1]
-    nfe = 2 * spec.steps
+    samples = _samples(model, spec, sample_gaussian(block.child(0), model.dim), block.child(1))
+    return _results(FREE, streams, samples, evaluate_reward(reward, samples), 2 * spec.steps,
+                    [{} for _ in streams])
+
+
+def _samples(model: MixtureModel, spec: SolverSpec, z: np.ndarray, stream: StreamBlock) -> np.ndarray:
+    """``denoise``'s samples at t = 0 from the latents ``z``, one per stream, without the trajectories."""
+    churn = _churn_noises(spec, model.dim, stream) if spec.mode == SDE else None
+    return _advance(model, spec, z, 0, spec.steps, churn)
+
+
+def _results(method: str, streams, samples: np.ndarray, rewards: np.ndarray, nfe: int,
+             histories: list[dict]) -> list[RunResult]:
+    """The ``RunResult`` of each seed of a baseline block, one sample, reward and round history per stream."""
     return [
-        RunResult(
-            method=FREE,
-            final_sample=sample,
-            final_reward=score,
-            nfe_used=nfe,
-            seed=stream.root_seed,
-            round_history={},
-            nfe_breakdown={"denoise": nfe},
-        )
-        for stream, sample, score in zip(streams, samples, evaluate_reward(reward, samples).tolist())
+        RunResult(method=method, final_sample=sample, final_reward=score, nfe_used=nfe, seed=stream.root_seed,
+                  round_history=history, nfe_breakdown={"denoise": nfe})
+        for stream, sample, score, history in zip(streams, samples, rewards.tolist(), histories)
     ]

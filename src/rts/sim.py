@@ -45,6 +45,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import (
+    LATENT_BOUND,
     DimensionError,
     Latent,
     NonFiniteError,
@@ -75,6 +76,13 @@ _PREFERRED_BOOST = 10.0
 # is computed once; past it the table starts over, so calls at arbitrary
 # times cannot grow memory without limit.
 _TIME_TABLE_SIZE = 256
+
+_FLOAT = np.finfo(np.float64)
+
+
+def _normal(values):
+    """Whether each value is a positive normal float, not 0, subnormal or infinite, as a variance or width must be."""
+    return (values >= _FLOAT.tiny) & (values <= _FLOAT.max)
 
 
 class _TimeConstants(NamedTuple):
@@ -122,8 +130,12 @@ class MixtureModel:
             raise PreconditionError("mixture weights must be positive")
         if abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
             raise PreconditionError("mixture weights must sum to 1 within 1e-12")
-        if np.any(self.stddevs <= 0.0):
-            raise PreconditionError("component stddevs must be positive")
+        with np.errstate(over="ignore"):
+            variances = self.stddevs**2
+        if not (_normal(variances) & (self.stddevs > 0.0)).all():
+            raise PreconditionError("component stddevs must be positive, with squares that are normal floats")
+        if not (np.abs(self.means) < LATENT_BOUND).all():
+            raise PreconditionError(f"mixture means must have entries of magnitude below {LATENT_BOUND:g}")
         self._log_weights = np.log(self.weights)
         self._center = self.means.mean(axis=0)
         self._offsets = self.means - self._center
@@ -365,12 +377,14 @@ class ModePreferenceReward:
     def __post_init__(self) -> None:
         self.preferred = as_integer(self.preferred, "preferred component", 0, self.model.n_components - 1)
         check_scalar(self.sharpness, "sharpness")
-        if not self.sharpness > 0.0:
-            raise PreconditionError("sharpness must be positive")
         try:
-            self._width = 2.0 * self.sharpness**2
-        except OverflowError:
-            raise PreconditionError(f"sharpness {self.sharpness} is too large") from None
+            with np.errstate(over="ignore"):
+                self._width = 2.0 * self.sharpness**2
+        except OverflowError:  # a Python float's power raises
+            self._width = math.inf
+        if not (self.sharpness > 0.0 and _normal(self._width)):
+            raise PreconditionError(f"sharpness must be positive, with 2·sharpness² a normal float, "
+                                    f"got {self.sharpness}")
         tilted = self.model.weights.copy()
         tilted[self.preferred] *= _PREFERRED_BOOST
         self._tilted = tilted / np.sum(tilted)

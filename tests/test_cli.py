@@ -425,6 +425,20 @@ class TestRunCommand:
         assert "config error at 'zo_step_tau': must lie in [0, 1]" in capsys.readouterr().err
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ("reward.sharpness=1e-200", "2·sharpness² a normal float"),
+        ("mixture.stddevs=[0.6,1e-200,0.6,0.6]", "squares that are normal floats"),
+        ("mixture.stddevs=[0.6,1e200,0.6,0.6]", "squares that are normal floats"),
+        ("mixture.means=[[1e200,1.5],[-1.5,1.5],[-1.5,-1.5],[1.5,-1.5]]", "magnitude below 1e+150"),
+    ])
+    def test_scale_outside_the_float_range_exits_2_before_the_output_is_opened(self, tmp_path, capsys, override,
+                                                                                message):
+        # each ran: a sharpness of 1e-200 wrote rewards of 0.0 with exit 0, the others ended in exit 3
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, override]) == 2
+        assert message in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_quadratic_target_of_wrong_dimension_exits_2(self, tmp_path, capsys):
         reward = {"kind": "quadratic", "target": [0.0, 0.0, 0.0]}
         config, _ = write_config(tmp_path, reward=reward)

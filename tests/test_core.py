@@ -108,9 +108,9 @@ class TestRngStream:
         with pytest.raises(PreconditionError):
             RngStream(0).child(-3)
 
-    @pytest.mark.parametrize("label", [2.7, 2.0, "3", None, np.float64(1.0)])
+    @pytest.mark.parametrize("label", [2.7, 2.0, "3", None, np.float64(1.0), True, False, np.bool_(True)])
     def test_non_integer_labels_rejected_everywhere(self, label):
-        # int() would truncate 2.7 to 2 and parse "3"; every label is checked one way
+        # int() would truncate 2.7 to 2 and parse "3", operator.index reads True as 1; every label is checked one way
         with pytest.raises(PreconditionError, match="must be an integer"):
             RngStream(0).child(label)
         with pytest.raises(PreconditionError, match="must be an integer"):

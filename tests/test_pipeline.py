@@ -107,14 +107,16 @@ counts = pytest.mark.parametrize("make,valid", [
     pytest.param(lambda v: guided_spherical_sample(np.ones(2), v, 0.9, 0.5, np.array([1.0, -1.0]),
                                                    np.array([[0.6, -0.6], [-0.6, 0.6]]), RngStream(0)), 2,
                  id="guided-sample-n"),
+    pytest.param(lambda v: sample_gaussian(RngStream(0), v), 2, id="latent-dim"),
 ])
 
 
 class TestIntegerCounts:
-    """Counts go through ``operator.index``: 2.5, 2.0 or "2" is refused, not truncated or parsed."""
+    """Counts go through ``operator.index``: 2.5, 2.0, "2" or True is refused, not truncated, parsed or read as 1."""
 
     @counts
-    @pytest.mark.parametrize("spoil", [lambda v: v + 0.5, float, str], ids=["fraction", "float", "string"])
+    @pytest.mark.parametrize("spoil", [lambda v: v + 0.5, float, str, lambda v: True],
+                             ids=["fraction", "float", "string", "bool"])
     def test_non_integer_count_is_refused(self, make, valid, spoil):
         with pytest.raises(PreconditionError, match="must be an integer"):
             make(spoil(valid))
@@ -957,3 +959,15 @@ class TestInitSearchMemo:
         monkeypatch.undo()
         for stream, result in zip(streams, results):
             assert_same_result(result, run_rts(model, spec, reward, cfg, stream))
+
+
+class TestBaselineResults:
+    @pytest.mark.parametrize("variant", ["bon", "zo", "free"])
+    def test_a_result_does_not_keep_its_blocks_arrays_alive(self, variant):
+        # a sample that is a view into the block's (k, n, d) candidates or (k, L+1, d) trajectories keeps the
+        # whole array alive for as long as the result lives
+        block, _ = criterion7_variants()[variant]
+        streams = [RngStream(seed) for seed in range(8)]
+        for result in block(streams):
+            base = result.final_sample.base
+            assert base is None or base.size <= len(streams) * result.final_sample.size

@@ -90,6 +90,21 @@ class TestMixtureModel:
         with pytest.raises(NonFiniteError):
             MixtureModel(weights=[1.0], means=[[np.inf, 0.0]], stddevs=[1.0])
 
+    @pytest.mark.parametrize("stddev", [1e-200, 1e-155, 1e155, 1e200])
+    def test_stddev_whose_variance_is_zero_subnormal_or_infinite_is_refused(self, stddev):
+        # a variance of 0 or inf at t = 0 ran until the first model call, then ended in NonFiniteError
+        with pytest.raises(PreconditionError, match="stddevs must be positive, with squares that are normal floats"):
+            MixtureModel(weights=[0.5, 0.5], means=[[0.0, 0.0], [1.0, 1.0]], stddevs=[0.6, stddev])
+
+    @pytest.mark.parametrize("mean", [1e150, -1e200])
+    def test_mean_entry_at_the_latent_bound_is_refused(self, mean):
+        with pytest.raises(PreconditionError, match="means must have entries of magnitude below 1e\\+150"):
+            MixtureModel(weights=[0.5, 0.5], means=[[0.0, 0.0], [mean, 1.0]], stddevs=[0.6, 0.6])
+
+    def test_extreme_scales_whose_squares_are_normal_are_accepted(self):
+        model = MixtureModel(weights=[0.5, 0.5], means=[[0.0, 1e149], [1.0, 1.0]], stddevs=[1e-150, 1e150])
+        assert model.dim == 2
+
 
 class TestSolverSpec:
     def test_uniform_grid(self):
@@ -382,6 +397,18 @@ class TestRewards:
             ModePreferenceReward(model=model, preferred=2, sharpness=1.0)
         with pytest.raises(PreconditionError):
             ModePreferenceReward(model=model, preferred=0, sharpness=0.0)
+
+    @pytest.mark.parametrize("sharpness", [1e-200, 1e-155, 1e155, 1e200, np.float64(1e-200), np.float64(1e200),
+                                           pytest.param(10**200, id="int-1e200"), -1.0])
+    def test_sharpness_whose_width_is_not_a_normal_float_is_refused(self, sharpness):
+        # a width 2·sharpness² of 0 scored every latent 0.0, with a numpy divide-by-zero warning
+        with pytest.raises(PreconditionError, match="sharpness must be positive, with 2·sharpness² a normal float"):
+            ModePreferenceReward(model=two_component(), preferred=0, sharpness=sharpness)
+
+    @pytest.mark.parametrize("sharpness", [1e-150, 1e150])
+    def test_extreme_sharpness_with_a_normal_width_is_accepted(self, sharpness):
+        reward = ModePreferenceReward(model=two_component(), preferred=0, sharpness=sharpness)
+        assert reward._width == 2.0 * sharpness**2
 
     def test_non_finite_input_rejected(self):
         reward = QuadraticReward(target=np.zeros(2))
