@@ -7,7 +7,7 @@ ascent directions from reward differences (`surrogate`), the alternating
 search loop (`search`), curvature-based key-step selection (`keysteps`), the
 analytic mixture testbed and solver (`sim`), the end-to-end pipeline with
 Best-of-N and zeroth-order baselines (`pipeline`), and a CLI (`cli`) whose
-report (`report`) takes its p-values from numpy rank tests (`ranktests`).
+report (`report`) takes its p-values from pure-Python rank tests (`ranktests`).
 
 Importing the package loads none of its modules: each name below is
 imported from its home module at its first use, so that a command loads

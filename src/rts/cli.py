@@ -32,16 +32,16 @@ replicate order. A failing block ends the run, and the records of every
 block before it stay. A record's ``wall_ms`` is its block's wall time over the block's size,
 so the sum over records is still the compute time.
 
-Each subcommand loads the standard library, numpy and the modules of the
-package that it runs. ``report`` loads ``errors``, ``schema``, ``report``
-and ``ranktests``: not ``core``, no solver module, no ``numpy.random``, no
-worker pool, and not this module a second time under ``python -m``. ``run``
-and ``export-trajectory`` load the solver at the first validation of a
-config; ``run`` loads the pool and ``numpy.random`` before its first fork,
-so a forked worker imports nothing. With no bytecode cache on a 2-vCPU x86
-host, where ``import numpy`` takes about 190 ms, ``rts report`` on a
-200-record file takes about 215 ms (345 ms when it loaded every module), a
-one-replicate ``rts run`` or ``rts export-trajectory`` 290-300 ms.
+Each subcommand loads the standard library and the modules of the package
+that it runs. ``report`` loads ``errors``, ``schema``, ``report`` and
+``ranktests``: not numpy, not ``core``, no solver module, no worker pool,
+and not this module a second time under ``python -m``. ``run`` and
+``export-trajectory`` load numpy and the solver at the first validation of
+a config; ``run`` loads the pool and ``numpy.random`` before its first
+fork, so a forked worker imports nothing. With no bytecode cache on a
+2-vCPU x86 host, where ``import numpy`` takes 160-190 ms, ``rts report``
+on a 200-record file takes 90-105 ms (190-215 ms when it loaded numpy),
+a one-replicate ``rts run`` or ``rts export-trajectory`` 290-300 ms.
 """
 
 from __future__ import annotations

@@ -4,16 +4,15 @@ Each ordered pair of methods gets the one-sided rank-test p-value of "row
 beats column" from ``ranktests``. A file that repeats a (method, seed,
 config), holds a record field of the wrong type, or whose rewards or NFE
 counts make a statistic overflow a float, is refused with a config error
-and no summary is written. The report loads the standard library, numpy,
-``errors``, ``schema`` and ``ranktests`` only: none of the solver.
+and no summary is written. The report loads the standard library, ``errors``,
+``schema`` and ``ranktests`` only: no numpy and none of the solver. Means
+and spreads come from exactly rounded sums (``math.fsum``, two passes).
 """
 
 from __future__ import annotations
 
 import json
 import math
-
-import numpy as np
 
 from .errors import ConfigError, RtsError
 from .ranktests import mann_whitney_greater, wilcoxon_greater
@@ -64,24 +63,23 @@ def _one_sided_p(a: list[dict], b: list[dict]) -> float:
     by_seed_b = {r["seed"]: r["final_reward"] for r in b}
     shared = sorted(set(by_seed_a) & set(by_seed_b))
     if len(shared) >= 5 and len(shared) == len(by_seed_a) == len(by_seed_b) == len(a) == len(b):
-        diff = np.array([by_seed_a[s] - by_seed_b[s] for s in shared])
-        if np.all(diff == 0.0):
+        diff = [float(by_seed_a[s] - by_seed_b[s]) for s in shared]
+        if not any(diff):
             return 0.5
         return wilcoxon_greater(diff)
-    x = np.array([r["final_reward"] for r in a])
-    y = np.array([r["final_reward"] for r in b])
-    if np.all(x[:, None] == y[None, :]):
+    x = [float(r["final_reward"]) for r in a]
+    y = [float(r["final_reward"]) for r in b]
+    if len(set(x) | set(y)) == 1:
         return 0.5
     return mann_whitney_greater(x, y)
 
 
-def _finite(method: str, statistic: str, reduce, values, **kwargs) -> float:
-    """``reduce(values, **kwargs)`` as a float; finite values whose statistic overflows a float refuse the file."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            value = float(reduce(values, **kwargs))
-        except OverflowError:  # the mean of integers past the range of a float
-            value = math.inf
+def _finite(method: str, statistic: str, compute) -> float:
+    """``compute()``; finite values whose statistic overflows a float refuse the file."""
+    try:
+        value = compute()
+    except OverflowError:  # a sum, square or quotient past the range of a float
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"method '{method}': {statistic} overflows a float")
     return value
@@ -95,15 +93,19 @@ def summarize(records: list[dict]) -> dict:
     methods = sorted(groups)
     table = {}
     for method in methods:
-        rewards = np.array([r["final_reward"] for r in groups[method]])
+        rewards = [float(r["final_reward"]) for r in groups[method]]
+        nfe = [r["nfe_used"] for r in groups[method]]
         hits = [r["hit"] for r in groups[method] if r.get("hit") is not None]
+        n = len(rewards)
+        mean = _finite(method, "mean_reward", lambda: math.fsum(rewards) / n)
         table[method] = {
-            "n": len(rewards),
-            "mean_reward": _finite(method, "mean_reward", np.mean, rewards),
-            "stddev_reward": _finite(method, "stddev_reward", np.std, rewards, ddof=1) if len(rewards) > 1 else 0.0,
-            "mean_nfe": _finite(method, "mean_nfe", np.mean, [r["nfe_used"] for r in groups[method]]),
-            "hit_rate": float(np.mean(hits)) if hits else None,
-            "truncated": int(sum(bool(r["truncated"]) for r in groups[method])),
+            "n": n,
+            "mean_reward": mean,
+            "stddev_reward": _finite(method, "stddev_reward", lambda: math.sqrt(
+                math.fsum((v - mean) ** 2 for v in rewards) / (n - 1))) if n > 1 else 0.0,
+            "mean_nfe": _finite(method, "mean_nfe", lambda: sum(nfe) / n),  # an exact sum, rounded once
+            "hit_rate": sum(hits) / len(hits) if hits else None,
+            "truncated": sum(bool(r["truncated"]) for r in groups[method]),
         }
     comparisons = {}
     for a in methods:

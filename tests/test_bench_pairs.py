@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -77,8 +78,55 @@ class TestParseRun:
         run = bench_pairs.parse_run(stdout + "\n")
         assert run == {"correct": True, "attempted": 12, "failed": 0,
                        "outputs": '{"budget": 238, "digest": "5a6346a1b787e064"}',
-                       "metrics": {"seeds_per_s": 30.1}}
+                       "metrics": {"seeds_per_s": 30.1}, "details": {"seeds_per_s": ""}}
+
+    def test_keeps_each_metric_lines_detail(self):
+        # the benchmark's table: name, value, unit, better, detail
+        stdout = "\n".join([
+            "metric                                            value unit          better  detail",
+            "seeds_per_s                                       107.6 1/s           higher  median over 21 sweeps of 100 "
+            "seeds at reference host speed; raw 109.3/s at host factor 0.989; sweep wall median 0.914938 s, n=21",
+            "peak_rss_mb                                       96.84 MB            lower   ",
+            "error_rate                                            0 share         lower   0 failed of 3416 runs",
+            json.dumps({"correct": True, "attempted": 3416, "failed": 0, "metrics": {
+                name: {"value": value, "unit": unit}
+                for name, value, unit in (("seeds_per_s", 107.6, "1/s"), ("peak_rss_mb", 96.84, "MB"),
+                                          ("error_rate", 0.0, "share"))}}),
+        ])
+        assert bench_pairs.parse_run(stdout)["details"] == {
+            "seeds_per_s": "median over 21 sweeps of 100 seeds at reference host speed; raw 109.3/s at host factor "
+                           "0.989; sweep wall median 0.914938 s, n=21",
+            "peak_rss_mb": "",
+            "error_rate": "0 failed of 3416 runs",
+        }
 
     def test_empty_output_is_an_error(self):
         with pytest.raises(ValueError):
             bench_pairs.parse_run("")
+
+
+class TestFailedRun:
+    def test_a_run_that_exits_non_zero_is_recorded_and_the_series_goes_on(self, tmp_path, monkeypatch):
+        result = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                             "metrics": {"seeds_per_s": {"value": 10.0, "unit": "1/s"}}})
+        calls = []
+
+        def fake_run(argv, cwd, **kwargs):
+            calls.append(cwd)
+            if len(calls) == 2:  # pair 0, the change
+                return subprocess.CompletedProcess(argv, 1, stdout="", stderr="x" * 5000 + "Traceback: boom\n")
+            return subprocess.CompletedProcess(argv, 0, stdout=result + "\n", stderr="")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        out = tmp_path / "bench.json"
+        argv = ["--parent", "P", "--change", "C", "--workload", "cli-sweep", "--pairs", "3", "--out", str(out),
+                "--host", "test host", "--parent-commit", "0" * 40]
+        assert bench_pairs.main(argv) == 0
+        assert calls == ["P", "C", "C", "P", "P", "C"]
+        runs = json.loads(out.read_text())["pairs"]["cli-sweep"]
+        failed = runs[1]
+        assert failed == {"pair": 0, "side": "change", "returncode": 1,
+                          "stderr_tail": ("x" * 5000 + "Traceback: boom\n")[-bench_pairs.STDERR_TAIL:]}
+        assert all("metrics" in run for i, run in enumerate(runs) if i != 1)
+        entry = json.loads(out.read_text())["summary"]["cli-sweep"]["seeds_per_s"]
+        assert entry["pairs"] == 2  # the pair with the failed run is left out

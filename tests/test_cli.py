@@ -2,12 +2,15 @@
 
 import csv
 import functools
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from rts.cli import (
     parse_override,
     validate_config,
 )
+from rts.ranktests import _u_counts, mann_whitney_greater
 from rts.report import summarize
 
 FOUR_CORNERS = {
@@ -817,11 +821,36 @@ def _assert_matches(actual, expected, exact):
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0)
 
 
+def _average_ranks(values):
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group], counts
+
+
+def _wilcoxon_normal_reference(diff):
+    """The normal approximation's p-value in numpy arithmetic, which the report's equals bit for bit."""
+    n = diff.size
+    ranks, counts = _average_ranks(np.abs(diff))
+    r_plus = ranks[diff > 0].sum() + ranks[diff == 0].sum() / 2
+    variance = (n * (n + 1.0) * (2.0 * n + 1.0) - np.sum(counts**3 - counts) / 2) / 24
+    return 0.5 * math.erfc((r_plus - n * (n + 1.0) * 0.25) / math.sqrt(variance) / math.sqrt(2.0))
+
+
+def _mann_whitney_normal_reference(x, y):
+    """The normal approximation's p-value in numpy arithmetic, which the report's equals bit for bit."""
+    n1, n2 = x.size, y.size
+    n = n1 + n2
+    ranks, counts = _average_ranks(np.concatenate([x, y]))
+    u = ranks[:n1].sum() - n1 * (n1 + 1) / 2
+    scale = math.sqrt(n1 * n2 / 12 * ((n + 1) - np.sum(counts**3 - counts) / (n * (n - 1))))
+    return 0.5 * math.erfc((u - n1 * n2 / 2 - 0.5) / scale / math.sqrt(2.0))
+
+
 class TestRankTestsMatchScipy:
     """Each report p-value equals scipy 1.17's default on the branch scipy takes.
 
     Bit for bit on the exact and permutation branches, within rtol 1e-12 on the
-    asymptotic ones, for both directions of every pair.
+    asymptotic ones (and there bit for bit the same formulas in numpy), for
+    both directions of every pair.
     """
 
     # Wilcoxon (seeds shared): exact up to 50 pairs without ties or zeros,
@@ -846,6 +875,7 @@ class TestRankTestsMatchScipy:
         for pair, d in (("alpha>beta", diff), ("beta>alpha", -diff)):
             expected = float(stats.wilcoxon(d, zero_method="zsplit", alternative="greater").pvalue)
             _assert_matches(comparisons[pair], expected, exact)
+            assert exact or comparisons[pair] == _wilcoxon_normal_reference(d)
 
     # Mann-Whitney (seeds disjoint): exact when either sample has at most 8
     # values and none tie, else asymptotic.
@@ -861,6 +891,82 @@ class TestRankTestsMatchScipy:
         for pair, first, second in (("alpha>beta", x, y), ("beta>alpha", y, x)):
             expected = float(stats.mannwhitneyu(first, second, alternative="greater").pvalue)
             _assert_matches(comparisons[pair], expected, exact)
+            assert exact or comparisons[pair] == _mann_whitney_normal_reference(first, second)
+
+
+class TestMannWhitneyCounts:
+    """The exact U counts are Python integers: exact past 2**53, and in time linear in the tail."""
+
+    def test_count_vector_past_2_53_sums_exactly_to_the_binomial(self):
+        # a recursion whose float sums pass 2**53 here (j · ways[j] does) loses the last bits of most counts
+        ways = _u_counts(8, 600, 8 * 600)
+        assert math.comb(608, 8) > 2**53
+        assert sum(ways) == math.comb(608, 8)
+        assert ways == ways[::-1]  # U and n1·n2 − U are equally likely
+
+    @pytest.mark.parametrize("small, large", [(1, 1), (1, 6), (2, 3), (3, 3), (3, 7), (4, 6), (5, 5), (6, 8)])
+    def test_counts_match_brute_force(self, small, large):
+        # the i-th smallest of the small sample, at position p_i of the merged order, is above p_i − i others
+        tally = Counter(sum(position - i for i, position in enumerate(chosen))
+                        for chosen in itertools.combinations(range(small + large), small))
+        expected = [tally[u] for u in range(small * large + 1)]
+        assert _u_counts(small, large, small * large) == expected
+        top = small * large // 3
+        assert _u_counts(small, large, top) == expected[:top + 1]
+
+    def test_eight_against_twenty_thousand_is_fast_and_matches_scipy(self):
+        rng = np.random.default_rng(21)
+        x, y = rng.standard_normal(8) + 0.2, rng.standard_normal(20000)
+        start = time.perf_counter()
+        p = mann_whitney_greater(x.tolist(), y.tolist())
+        assert time.perf_counter() - start < 1.0
+        assert 0.05 < p < 0.95  # a tail that ends far from either end of the U range
+        expected = float(stats.mannwhitneyu(x, y, alternative="greater").pvalue)
+        np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0)
+
+
+class TestReportStatistics:
+    """The per-method statistics, from exactly rounded sums, against numpy's."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mean_and_stddev_are_within_two_ulp_of_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 500))
+        rewards = rng.uniform(0.0, 1.0, n) ** rng.uniform(0.2, 5.0) * 10.0 ** rng.integers(-3, 4)
+        row = summarize(TestReportCommand._records("alpha", range(n), rewards.tolist()))["methods"]["alpha"]
+        for actual, expected in ((row["mean_reward"], np.mean(rewards)),
+                                 (row["stddev_reward"], np.std(rewards, ddof=1))):
+            assert abs(actual - float(expected)) <= 2 * math.ulp(float(expected))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hit_rate_and_mean_nfe_equal_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 500))
+        nfe = rng.integers(0, 10**6, n)
+        hits = [None if draw < 0.2 else bool(draw < 0.6) for draw in rng.random(n)]
+        records = [{"method": "alpha", "seed": s, "final_reward": 0.5, "nfe_used": int(f), "truncated": False,
+                    "hit": h} for s, f, h in zip(range(n), nfe, hits)]
+        row = summarize(records)["methods"]["alpha"]
+        assert row["mean_nfe"] == float(np.mean(nfe))
+        known = [h for h in hits if h is not None]
+        assert row["hit_rate"] == (float(np.mean(known)) if known else None)
+
+    def test_a_hundred_thousand_records_are_reported_in_under_two_seconds(self, tmp_path):
+        rng = np.random.default_rng(3)
+        results = tmp_path / "results.jsonl"
+        with open(results, "w", encoding="utf-8") as sink:
+            for method in ("bon", "rts"):
+                for seed, reward in enumerate(rng.random(50_000).tolist()):
+                    sink.write(json.dumps({"method": method, "seed": seed, "final_reward": reward, "nfe_used": 238,
+                                           "truncated": False, "hit": reward > 0.5,
+                                           "config": "0123456789abcdef"}) + "\n")
+        summary_path = tmp_path / "summary.json"
+        start = time.perf_counter()
+        assert main(["report", str(results), "--out", str(summary_path)]) == 0
+        assert time.perf_counter() - start < 2.0
+        summary = json.loads(summary_path.read_text())
+        assert summary["methods"]["rts"]["n"] == 50_000
+        assert set(summary["comparisons"]) == {"bon>rts", "rts>bon"}
 
 
 # Cython-compiled extensions (numpy.random's) register these runtime modules
@@ -942,6 +1048,7 @@ def test_report_loads_neither_the_solver_nor_the_cli_a_second_time(tmp_path):
     loaded = _modules_loaded_by(_report_statements(results))
     assert {"rts.report", "rts.ranktests"} <= loaded
     assert sorted(loaded.intersection(_SOLVER_MODULES)) == []
+    assert sorted(name for name in loaded if name.partition(".")[0] == "numpy") == []
     # under -m, rts.cli is __main__; importing it would compile and run the module again
     assert "rts.cli" not in loaded
     assert len(json.loads(Path(f"{results}.summary.json").read_text())["comparisons"]) == 6

@@ -10,8 +10,12 @@ speed falls on both sides alike. Each run's last stdout line is the
 benchmark's JSON result. The output file holds every run under ``pairs``
 and, per workload and end-to-end metric, the quartiles of each side, how
 many pairs the change was above or below the parent and the ratio of the
-medians (change over parent) under ``summary``. It is rewritten after every
-pair, so an interrupted series keeps the pairs it finished.
+medians (change over parent) under ``summary``. A run keeps each metric's
+detail text (for ``seeds_per_s`` the raw rate, the host factor and the
+sweep wall time). A run that exits non-zero is kept as its exit code and
+the tail of its stderr, its pair is left out of the summary, and the series
+goes on. The file is rewritten after every pair, so an interrupted series
+keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -24,29 +28,41 @@ import subprocess
 import sys
 
 OUTPUTS_PREFIX = "deterministic outputs: "
+STDERR_TAIL = 2000  # characters of a failed run's stderr that its record keeps
 
 
 def parse_run(stdout: str) -> dict:
-    """One run's record from the benchmark's stdout: its JSON result line and its deterministic outputs line."""
+    """One run's record from the benchmark's stdout: its JSON result line, its metric lines' details and its
+    deterministic outputs line."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("the benchmark printed nothing")
     result = json.loads(lines[-1])
     outputs = next((line[len(OUTPUTS_PREFIX):] for line in lines if line.startswith(OUTPUTS_PREFIX)), None)
+    # each metric's table line: name, value, unit, better, then its detail (a raw rate, a host factor, a spread)
+    details = {}
+    for line in lines[:-1]:
+        parts = line.split(None, 4)
+        if parts and parts[0] in result["metrics"] and parts[0] not in details:
+            details[parts[0]] = parts[4] if len(parts) == 5 else ""
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "outputs": outputs,
         "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
+        "details": details,
     }
 
 
 def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """Run the benchmark once in ``checkout`` and parse its result."""
+    """Run the benchmark once in ``checkout`` and parse its result; a run that exits non-zero is kept as its exit
+    code and the tail of its stderr."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        return {"returncode": done.returncode, "stderr_tail": done.stderr[-STDERR_TAIL:]}
     return parse_run(done.stdout)
 
 
@@ -67,7 +83,8 @@ def summarize(runs: list[dict]) -> dict:
     """Per metric: both sides' quartiles, the pairs with the change above or below the parent, the median ratio."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+        if "metrics" in run:  # a failed run leaves its pair incomplete
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
     complete = [sides for _, sides in sorted(by_pair.items()) if len(sides) == 2]
     summary = {}
     for name in (complete[0]["parent"] if complete else {}):
@@ -128,8 +145,9 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 runs.append({"pair": pair, "side": side, **run_side(sides[side], workload, args.seed, seconds)})
-                print(f"{workload} pair {pair} {side}: seeds_per_s {runs[-1]['metrics'].get('seeds_per_s')}",
-                      file=sys.stderr)
+                outcome = (f"seeds_per_s {runs[-1]['metrics'].get('seeds_per_s')}" if "metrics" in runs[-1]
+                           else f"exited with {runs[-1]['returncode']}")
+                print(f"{workload} pair {pair} {side}: {outcome}", file=sys.stderr)
             record["summary"][workload] = summarize(runs)
             with open(args.out, "w") as handle:
                 json.dump(record, handle, indent=1)
