@@ -55,7 +55,7 @@ import time
 from itertools import repeat
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, PreconditionError, RtsError
+from .errors import BudgetError, ConfigError, PreconditionError, RtsError
 from .schema import (
     REQUIRED,
     _boolean,
@@ -267,11 +267,13 @@ def _result_record(result: RunResult, cfg: dict, model: MixtureModel, overrides:
 
 def _check_budget(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> None:
     """Refuse a budget the method cannot run on, before any work: too small (exit 3), missing or too large (2)."""
-    from .pipeline import BON, RTS, ZO, check_rts_budget, denoise_count
+    from .pipeline import BON, FREE, RTS, ZO, check_rts_budget, denoise_count
 
     method, budget = cfg["method"], cfg["budget_nfe"]
     if method == RTS:
         check_rts_budget(rts_cfg, spec)
+    if method == FREE and budget is not None and budget < 2 * spec.steps:
+        raise BudgetError(f"{method} budget {budget} is below 1 denoise(s) of {2 * spec.steps} NFEs")
     if method not in (BON, ZO):
         return
     if budget is None:

@@ -6,17 +6,18 @@ a full denoise plus reward; (2) recording of the winning trajectory; (3)
 key-step selection by projected curvature; (4) for each key step in
 descending time order, one short coarse-to-fine search over the injected
 noise at that step, scored by the one-step clean estimate, with the
-trajectory re-simulated forward between key steps; (5) a final full denoise
-with every chosen noise fixed, which is exactly the replay of (z_init,
-injected). A trajectory is the pair of arrays ``denoise`` returns: its
-``(L+1, d)`` states and its ``(L−1, d)`` injected noises.
+trajectory re-simulated forward between key steps; (5) for each seed that
+committed a key step, a final full denoise with every chosen noise fixed,
+which is exactly the replay of (z_init, injected). A trajectory is the pair
+of arrays ``denoise`` returns: its ``(L+1, d)`` states and its ``(L−1, d)``
+injected noises.
 
 Stage (2) runs only if (1) is off or scores with a shorter solver; stages
 (3)-(5) need SDE mode, ``steps >= 3`` (the projection needs four latents),
 ``k_keysteps >= 1`` and ``search_inter.rounds >= 1``. ``_plan`` decides this.
 
 Every velocity or clean-estimate call on one latent is one NFE. One ledger
-per run counts them and charges each to the phase that spends it, which
+per seed counts them and charges each to the phase that spends it, which
 gives ``nfe_breakdown`` and its sum ``nfe_used``. A search phase may spend
 the budget less what later phases are owed: the record denoise during the
 initial search, the final denoise during the key-step search. Each atomic
@@ -24,18 +25,21 @@ operation is pre-checked against that, and ``_budgeted_search`` cuts each
 seed's rows of a search round to the prefix that fits, for both phases, so
 ``nfe_used`` never exceeds the budget and matches one-at-a-time scoring
 exactly; when the budget runs out mid-phase the run returns the best result
-so far with ``truncated`` set. ``expected_rts_nfe`` reproduces the ledger
-arithmetic independently, so the ledger can be audited exactly.
+so far with ``truncated`` set. A cut happens at one of three sites: a search
+round, entering the key-step phase (the final denoise does not fit) and a
+step of the walk. ``expected_rts_nfe`` reproduces the ledger arithmetic
+independently, so the ledger can be audited exactly.
 
 Each method is one lockstep implementation over a block of S seeds
 (``run_rts_block``, ``run_bon_block``, ``run_zo_block``, ``run_free_block``):
 the search state carries a leading seed axis, one evaluator call scores a
-round for every seed, the block's streams are derived at once, and each seed
-keeps its own ledger. A seed the budget cuts short drops out while the others
-go on; its rows are no longer scored. The key-step phase walks the solver one
-Heun+churn step at a time, and the seeds whose key ends a step search together
-there. ``run_rts`` and its siblings run the block of one stream, and a block
-gives every seed, bit for bit, the result of its one-seed call.
+round for every seed, and the block's streams are derived at once. In rts
+each seed keeps one record, ``_Seed``: its ledger, round history, key steps
+and cut. A seed the budget cuts short drops out while the others go on; its
+rows are no longer scored. The key-step phase walks the solver one Heun+churn
+step at a time, and the seeds whose key ends a step search together there.
+``run_rts`` and its siblings run the block of one stream, and a block gives
+every seed, bit for bit, the result of its one-seed call.
 """
 
 from __future__ import annotations
@@ -92,17 +96,22 @@ class _PhaseTruncated(Exception):
 
 
 @dataclass
-class _Ledger:
-    """The NFE count of one seed of an rts run: charges each NFE to ``phase`` and keeps the budget.
+class _Seed:
+    """One seed of an rts run: its NFE ledger, round history, key steps and whether the budget cut it short.
 
-    The current phase may spend ``limit`` less the NFEs ``owed`` to later
-    phases; ``by_phase`` is the run's ``nfe_breakdown``, and its sum ``nfe_used``.
+    The ledger charges each NFE to ``phase`` and keeps the budget: the current
+    phase may spend ``limit`` less the NFEs ``owed`` to later phases;
+    ``by_phase`` is the run's ``nfe_breakdown``, and its sum ``nfe_used``. A
+    seed with ``cut`` set spends nothing more and is not searched further.
     """
 
     limit: int | None = None
     owed: int = 0
     phase: str = "init_search"
     by_phase: dict = field(default_factory=lambda: dict.fromkeys(("init_search", "record", "inter_search", "final"), 0))
+    history: dict = field(default_factory=lambda: {"init": [], "inter": []})
+    keys: KeyStepSet | None = None
+    cut: bool = False
 
     def add(self, n: int) -> None:
         self.by_phase[self.phase] += n
@@ -255,41 +264,41 @@ def run_rts(
     return run_rts_block(model, spec, reward, cfg, [stream])[0]
 
 
-def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, ledgers: list[_Ledger], cost: int, score,
+def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Seed], cost: int, score,
                      **options):
-    """``run_search`` for a group of seeds, each charged ``cost`` NFEs a row to its ledger.
+    """``run_search`` for a group of seeds, none of them cut, each charged ``cost`` NFEs a row to its ledger.
 
     Each seed takes the prefix of a round's rows that its ledger affords, which
     spends exactly what scoring them one at a time would have spent, and
     ``score(rows, seeds)`` scores the taken rows given the seed of each; a row
-    left out scores 0. A seed whose rows did not all fit is cut short, and the
-    search ends when no seed can go on. Returns the best latents and each
-    seed's per-round best rewards, None for a seed cut short.
+    left out scores 0. A seed whose rows did not all fit is cut short: this
+    sets its ``cut``, and the search ends when every seed is cut. Returns the
+    best latents, None if every seed was cut, and each seed's per-round best
+    rewards, which only a seed not cut keeps.
     """
-    seeds = len(ledgers)
-    live = np.ones(seeds, dtype=bool)
+    size = len(seeds)
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         n = batch.shape[1]
-        fit = [ledger.affordable(n, cost) if ok else 0 for ledger, ok in zip(ledgers, live.tolist())]
-        for ledger, count in zip(ledgers, fit):
-            ledger.add(count * cost)
-        rows = batch.reshape(seeds * n, -1)
-        if fit.count(n) == seeds:
-            return score(rows, np.arange(seeds).repeat(n)).reshape(seeds, n)
-        live[np.array(fit) < n] = False
+        fit = [0 if seed.cut else seed.affordable(n, cost) for seed in seeds]
+        for seed, count in zip(seeds, fit):
+            seed.add(count * cost)
+            seed.cut = count < n
+        rows = batch.reshape(size * n, -1)
+        if fit.count(n) == size:
+            return score(rows, np.arange(size).repeat(n)).reshape(size, n)
         index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
-        scores = np.zeros(seeds * n)
+        scores = np.zeros(size * n)
         scores[index] = score(rows[index], index // n)
-        if not live.any():
+        if all(seed.cut for seed in seeds):
             raise _PhaseTruncated()
-        return scores.reshape(seeds, n)
+        return scores.reshape(size, n)
 
     try:
         best, _, history = run_search(z0, cfg, evaluate, stream, **options)
     except _PhaseTruncated:
-        return None, [None] * seeds
-    return best, [[float(h.best_candidate_reward[s]) for h in history] if live[s] else None for s in range(seeds)]
+        return None, None
+    return best, [[float(h.best_candidate_reward[s]) for h in history] for s in range(size)]
 
 
 def _keep_best(entries: dict) -> None:
@@ -321,11 +330,9 @@ def run_rts_block(
     block = _seed_block(streams)
     if not streams:
         return []
-    seeds, dim, steps = len(streams), model.dim, spec.steps
+    dim, steps = model.dim, spec.steps
     plan = _plan(cfg, spec)
-    ledgers = [_Ledger(limit=cfg.budget_nfe, owed=plan.record) for _ in range(seeds)]
-    truncated = np.zeros(seeds, dtype=bool)
-    histories = [{"init": [], "inter": []} for _ in range(seeds)]
+    seeds = [_Seed(limit=cfg.budget_nfe, owed=plan.record) for _ in streams]
 
     if plan.init_search:
         # Short-rollout scoring must be deterministic: re-rolled churn would
@@ -336,7 +343,7 @@ def run_rts_block(
         noise_stream = block.child(_S_EVAL_NOISE)
         # per seed, by latent: score, path and noises of the best row so far, copied out of its round's batch,
         # and of the latest round's rows, the only rows the search can return
-        scored: list[dict[bytes, tuple]] = [{} for _ in range(seeds)]
+        scored: list[dict[bytes, tuple]] = [{} for _ in streams]
 
         def score_latents(rows: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
             # A candidate's churn noises derive from a hash of the candidate, so
@@ -353,15 +360,15 @@ def run_rts_block(
                 scored[s][z.tobytes()] = (score, path, injected)
             return values
 
-        best_z, searched = _budgeted_search(np.zeros((seeds, dim)), cfg.search_init, block.child(_S_INIT_SEARCH),
-                                            ledgers, 2 * plan.eval_steps, score_latents)
-        truncated = np.array([history is None for history in searched])
+        best_z, rewards = _budgeted_search(np.zeros((len(seeds), dim)), cfg.search_init,
+                                           block.child(_S_INIT_SEARCH), seeds, 2 * plan.eval_steps, score_latents)
         picked = []
-        for s, history in enumerate(searched):
-            histories[s]["init"] = history or []
-            # a seed cut short takes its first best-scored latent, as a strict running maximum keeps it
-            picked.append(max(scored[s].values(), key=lambda entry: entry[0]) if history is None
-                          else scored[s][best_z[s].tobytes()])
+        for s, seed in enumerate(seeds):
+            if seed.cut:  # it takes its first best-scored latent, as a strict running maximum keeps it
+                picked.append(max(scored[s].values(), key=lambda entry: entry[0]))
+            else:
+                seed.history["init"] = rewards[s]
+                picked.append(scored[s][best_z[s].tobytes()])
         paths = np.stack([path for _, path, _ in picked])
         noises = np.stack([injected for _, _, injected in picked])
         z_init = paths[:, 0]
@@ -370,25 +377,27 @@ def run_rts_block(
 
     if plan.record:
         paths, noises = denoise(model, spec, z_init, stream=block.child(_S_RECORD))
-        for ledger in ledgers:
-            ledger.phase = "record"
-            ledger.add(2 * steps)
+        for seed in seeds:
+            seed.phase = "record"
+            seed.add(2 * steps)
 
-    keys: list[KeyStepSet | None] = [None] * seeds
     final_samples = paths[:, -1].copy()
     if plan.inter_search:
-        searching = []
-        for s in np.flatnonzero(~truncated).tolist():
-            ledger = ledgers[s]
-            ledger.phase, ledger.owed = "inter_search", 0
-            if ledger.affordable(1, 2 * steps):  # the final denoise fits
-                ledger.owed = 2 * steps
-                searching.append(s)
-            else:
-                truncated[s] = True
+        for seed in seeds:
+            # a seed whose final denoise does not fit searches no key step
+            seed.phase, seed.owed = "inter_search", 0
+            seed.cut = seed.cut or not seed.affordable(1, 2 * steps)
+            seed.owed = 2 * steps
+        searching = [s for s, seed in enumerate(seeds) if not seed.cut]
         if searching:
-            _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, z_init,
-                             ledgers, truncated, histories, keys, final_samples)
+            noises = _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, noises)
+        # the final denoise replays every seed that committed a key step from (z_init, injected)
+        replay = [s for s, seed in enumerate(seeds) if seed.history["inter"]]
+        if replay:
+            final_samples[replay] = denoise(model, spec, z_init[replay], injected=noises[replay])[0][:, -1]
+            for s in replay:
+                seeds[s].phase = "final"
+                seeds[s].add(2 * steps)
 
     final_rewards = evaluate_reward(reward, final_samples).tolist()
     return [
@@ -396,53 +405,48 @@ def run_rts_block(
             method=RTS,
             final_sample=final_samples[s],
             final_reward=final_rewards[s],
-            nfe_used=sum(ledgers[s].by_phase.values()),
+            nfe_used=sum(seed.by_phase.values()),
             seed=streams[s].root_seed,
-            key_steps=keys[s],
-            round_history=histories[s],
-            truncated=bool(truncated[s]),
-            nfe_breakdown=ledgers[s].by_phase,
+            key_steps=seed.keys,
+            round_history=seed.history,
+            truncated=seed.cut,
+            nfe_breakdown=seed.by_phase,
         )
-        for s in range(seeds)
+        for s, seed in enumerate(seeds)
     ]
 
 
-def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, z_init,
-                     ledgers, truncated, histories, keys, final_samples) -> None:
-    """Stages (3)-(5) for the ``searching`` seeds, one Heun+churn step of the solver at a time.
+def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, noises) -> np.ndarray:
+    """Stages (3) and (4) for the ``searching`` seeds of the block, one Heun+churn step of the solver at a time.
 
-    A seed walks the steps from its first key's through its last key's, 2 NFEs
-    a step, and the seeds walking a step take it as one batch. Those whose key
-    ends the step search its noise together from the pre-churn state; then each
-    walking seed adds its churn, at a key the chosen noise. A seed the budget
-    cuts short stops and is marked in ``truncated``; every seed that committed
-    a key step is replayed.
+    Each of these seeds gets its key steps, and walks the steps from its first
+    key's through its last key's, 2 NFEs a step; the seeds walking a step take
+    it as one batch. Those whose key ends the step search its noise together
+    from the pre-churn state; then each walking seed adds its churn, at a key
+    the chosen noise. A seed the budget cuts short stops. Mutates only the
+    ``searching`` seeds' records, and returns the block's injected noises with
+    the chosen noise at each key a seed committed.
     """
     steps, grid = spec.steps, spec.time_grid.tolist()
-    owners = np.array(searching)
     sets = select_key_steps(np.stack([project_trajectory(paths[s]) for s in searching]),
                             min(cfg.k_keysteps, steps - 1))
     for s, key_set in zip(searching, sets):
-        keys[s] = key_set
-    # per seed, in plain lists: the key positions still to search, in ascending order, the first of them,
-    # and whether the budget still lets it go on
-    todo = [sorted(key_set.indices) for key_set in sets]
-    first = [positions[0] for positions in todo]
-    active = [True] * len(searching)
-    latents, injected = paths[owners].copy(), noises[owners].copy()
+        seeds[s].keys = key_set
+    latents, injected = paths.copy(), noises.copy()
     inter_stream = block.child(_S_INTER)
     for slot in range(steps - 1):
         position = slot + 1
-        walking = [i for i in range(len(searching)) if active[i] and todo[i] and first[i] <= position]
-        for i in walking:
-            active[i] = ledgers[owners[i]].affordable(1, 2) > 0
-            if active[i]:
-                ledgers[owners[i]].add(2)
-        walking = [i for i in walking if active[i]]
+        walking = [s for s in searching
+                   if not seeds[s].cut and min(seeds[s].keys.indices) <= position <= max(seeds[s].keys.indices)]
+        for s in walking:
+            seeds[s].cut = not seeds[s].affordable(1, 2)
+            if not seeds[s].cut:
+                seeds[s].add(2)
+        walking = [s for s in walking if not seeds[s].cut]
         if not walking:
             continue
         pre_churn, scale = _heun_churn(model, spec, latents[walking, slot], grid, slot)
-        at_key = [g for g, i in enumerate(walking) if todo[i][0] == position]
+        at_key = [g for g, s in enumerate(walking) if position in seeds[s].keys.indices]
         if at_key:
             here, pre = np.array(walking)[at_key], pre_churn[at_key]
             stop, cost = _preview(spec, position, cfg.eval_steps_inter)
@@ -457,26 +461,16 @@ def _key_step_search(model, spec, reward, cfg, block, searching, paths, noises, 
                     x = one_step_clean_estimate(model, x, grid[stop])
                 return evaluate_reward(reward, x)
 
-            group = [ledgers[i] for i in owners[here].tolist()]
-            best_noise, searched = _budgeted_search(injected[here, slot], cfg.search_inter,
-                                                    inter_stream[owners[here]].child(position), group, cost,
-                                                    score_noises, start_from_z0=True,
-                                                    resample_to_z0=not cfg.resample_inter_fresh)
-            for g, (i, history) in enumerate(zip(here.tolist(), searched)):
-                todo[i].pop(0)
-                active[i] = history is not None
-                if active[i]:
-                    histories[owners[i]]["inter"].append(history)
-                    injected[i, slot] = best_noise[g]
+            best_noise, rewards = _budgeted_search(injected[here, slot], cfg.search_inter,
+                                                   inter_stream[here].child(position), [seeds[s] for s in here],
+                                                   cost, score_noises, start_from_z0=True,
+                                                   resample_to_z0=not cfg.resample_inter_fresh)
+            for g, s in enumerate(here.tolist()):
+                if not seeds[s].cut:
+                    seeds[s].history["inter"].append(rewards[g])
+                    injected[s, slot] = best_noise[g]
         latents[walking, position] = pre_churn + scale * injected[walking, slot]
-    truncated[owners[np.logical_not(active)]] = True
-    committed = np.array([bool(histories[s]["inter"]) for s in searching])
-    if committed.any():
-        replay = owners[committed]
-        final_samples[replay] = denoise(model, spec, z_init[replay], injected=injected[committed])[0][:, -1]
-        for s in replay.tolist():
-            ledgers[s].phase = "final"
-            ledgers[s].add(2 * steps)
+    return injected
 
 
 def denoise_count(method: str, spec: SolverSpec, budget_nfe: int) -> int:

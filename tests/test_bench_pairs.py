@@ -67,6 +67,40 @@ class TestSummarize:
                                                   else {q: pytest.approx(v, rel=1e-12) for q, v in value.items()})
 
 
+class TestVerdict:
+    END_TO_END = {"seeds_per_s": {"better": "higher", "bound": 0.25}, "peak_rss_mb": {"better": "lower", "bound": 0.1}}
+
+    @pytest.mark.parametrize("parent, change, better, bound, worse_by, within", [
+        (100.0, 80.0, "higher", 0.25, 0.2, True),
+        (100.0, 70.0, "higher", 0.25, 0.3, False),
+        (100.0, 130.0, "higher", 0.25, 0.0, True),
+        (40.0, 46.0, "lower", 0.1, 0.15, False),
+        (40.0, 42.0, "lower", 0.1, 0.05, True),
+        (40.0, 30.0, "lower", 0.1, 0.0, True),
+        (0.0, 0.0, "higher", 0.25, 0.0, True),
+        (0.0, 1.0, "lower", 0.25, None, False),
+    ])
+    def test_shortfall_in_the_worse_direction(self, parent, change, better, bound, worse_by, within):
+        got = bench_pairs.verdict(parent, change, better=better, bound=bound)
+        assert got == {"worse_by": pytest.approx(worse_by, rel=1e-12) if worse_by else worse_by,
+                       "within_bound": within}
+
+    def test_summary_gives_each_declared_metric_its_verdict(self):
+        records = runs([10.0, 12.0, 11.0], [8.0, 8.5, 9.0], extra={"peak_rss_mb": 40.0, "error_rate": 0.0})
+        summary = bench_pairs.summarize(records, self.END_TO_END)
+        assert summary["seeds_per_s"]["worse_by"] == pytest.approx(2.5 / 11)
+        assert summary["seeds_per_s"]["within_bound"] is True
+        assert (summary["peak_rss_mb"]["worse_by"], summary["peak_rss_mb"]["within_bound"]) == (0.0, True)
+        assert "worse_by" not in summary["error_rate"]  # not an end-to-end metric
+
+    def test_reads_the_declared_metrics_of_the_repository(self):
+        declared = bench_pairs.end_to_end_metrics(ROOT)
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+            names = [metric["name"] for metric in json.load(handle)["end_to_end"]]
+        assert list(declared) == names
+        assert declared["seeds_per_s"] == {"better": "higher", "bound": 0.25}
+
+
 class TestParseRun:
     def test_reads_the_last_json_line_and_the_outputs_line(self):
         stdout = "\n".join([
@@ -118,6 +152,9 @@ class TestFailedRun:
             return subprocess.CompletedProcess(argv, 0, stdout=result + "\n", stderr="")
 
         monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        monkeypatch.chdir(tmp_path)  # the checkouts P and C, of which the change's declares the metrics
+        (tmp_path / "C").mkdir()
+        (tmp_path / "C" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
         out = tmp_path / "bench.json"
         argv = ["--parent", "P", "--change", "C", "--workload", "cli-sweep", "--pairs", "3", "--out", str(out),
                 "--host", "test host", "--parent-commit", "0" * 40]
@@ -130,3 +167,29 @@ class TestFailedRun:
         assert all("metrics" in run for i, run in enumerate(runs) if i != 1)
         entry = json.loads(out.read_text())["summary"]["cli-sweep"]["seeds_per_s"]
         assert entry["pairs"] == 2  # the pair with the failed run is left out
+
+
+class TestSeries:
+    def test_records_the_verdict_and_each_sides_bytecode_cache(self, tmp_path, monkeypatch):
+        for side in ("parent", "change"):
+            (tmp_path / side / "src" / "rts").mkdir(parents=True)
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+                {"end_to_end": [{"name": "seeds_per_s", "better": "higher", "bound": 0.25}]}))
+        (tmp_path / "change" / "src" / "rts" / "__pycache__").mkdir()
+        rates = {str(tmp_path / "parent"): 10.0, str(tmp_path / "change"): 9.0}
+
+        def fake_run(argv, cwd, **kwargs):
+            result = {"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {"seeds_per_s": {"value": rates[cwd], "unit": "1/s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                                 "--workload", "testbed-d2", "--pairs", "2", "--out", str(out),
+                                 "--host", "test host", "--parent-commit", "0" * 40]) == 0
+        record = json.loads(out.read_text())
+        assert record["pycache_at_start"] == {"testbed-d2": {"parent": False, "change": True}}
+        entry = record["summary"]["testbed-d2"]["seeds_per_s"]
+        assert entry["worse_by"] == pytest.approx(0.1)
+        assert entry["within_bound"] is True

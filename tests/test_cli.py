@@ -422,6 +422,19 @@ class TestRunCommand:
         assert "budget 5 cannot cover one scored candidate (16 NFEs)" in capsys.readouterr().err
         assert not Path(out).exists()
 
+    def test_free_budget_below_one_denoise_exits_3_before_the_output_is_opened(self, tmp_path, capsys):
+        from rts.search import MAX_NEIGHBORS
+
+        config, out = write_config(tmp_path, method="free", replicates=2)
+        one_denoise = 2 * 8
+        assert main(["run", "--config", config, "--budget", str(one_denoise - 1)]) == 3
+        assert "free budget 15 is below 1 denoise(s) of 16 NFEs" in capsys.readouterr().err
+        assert not Path(out).exists()
+        # one denoise is enough, and a budget past the bon and zo denoise bound is no error for free
+        for budget in (one_denoise, one_denoise * (MAX_NEIGHBORS + 1)):
+            assert main(["run", "--config", config, "--budget", str(budget)]) == 0
+        assert [record["nfe_used"] for record in read_records(out)] == [one_denoise] * 4
+
     @pytest.mark.parametrize("tau", ["1.5", "-0.1"])
     def test_zo_step_tau_outside_unit_interval_exits_2_before_the_output_is_opened(self, tmp_path, capsys, tau):
         config, out = write_config(tmp_path)

@@ -901,6 +901,26 @@ class TestLedgerAudit:
         assert sum(result.nfe_used for result in results) == model_rows.count
 
 
+class TestReplayRule:
+    """A run cut short replays its final denoise exactly when it committed a key step."""
+
+    def test_over_the_budget_sweep(self):
+        steps = criterion7_setup()[1].steps
+        # per truncated result: whether it has key steps and whether it committed one
+        seen = set()
+        for budget in range(36, 240, 3):
+            block, _ = criterion7_variants(budget)["rts"]
+            for result in block(TestLockstep.STREAMS):
+                if not result.truncated:
+                    continue
+                committed = bool(result.round_history["inter"])
+                assert result.nfe_breakdown["final"] == (2 * steps if committed else 0)
+                assert (result.key_steps is None) == (result.nfe_breakdown["inter_search"] == 0)
+                seen.add((result.key_steps is not None, committed))
+        # cut before the key-step phase, in it before any key was committed, and after one was
+        assert seen == {(False, False), (True, False), (True, True)}
+
+
 BLOCK_METHODS = ["rts", "bon", "zo", "free"]
 
 

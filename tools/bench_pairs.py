@@ -10,7 +10,15 @@ speed falls on both sides alike. Each run's last stdout line is the
 benchmark's JSON result. The output file holds every run under ``pairs``
 and, per workload and end-to-end metric, the quartiles of each side, how
 many pairs the change was above or below the parent and the ratio of the
-medians (change over parent) under ``summary``. A run keeps each metric's
+medians (change over parent) under ``summary``. Each end-to-end metric of
+the change checkout's ``BENCHMARK.json`` also gets the no-regression
+verdict: ``worse_by``, the relative shortfall of the change's median from
+the parent's in the metric's worse direction (0 when it is not worse), and
+``within_bound``, whether that shortfall is within the metric's ``bound``.
+``pycache_at_start`` records, per workload and side, whether the checkout
+held any ``__pycache__`` under ``src/`` when the series started: the runs
+write no bytecode, and a start-up time such as cli-sweep ``setup_s``
+depends on whether the modules are compiled already. A run keeps each metric's
 detail text (for ``seeds_per_s`` the raw rate, the host factor and the
 sweep wall time). A run that exits non-zero is kept as its exit code and
 the tail of its stderr, its pair is left out of the summary, and the series
@@ -79,8 +87,9 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": at(0.25), "median": at(0.5), "q3": at(0.75)}
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, the pairs with the change above or below the parent, the median ratio."""
+def summarize(runs: list[dict], end_to_end: dict | None = None) -> dict:
+    """Per metric: both sides' quartiles, the pairs with the change above or below the parent, the median ratio,
+    and for a metric of ``end_to_end`` (name to its ``better`` and ``bound``) the no-regression verdict."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         if "metrics" in run:  # a failed run leaves its pair incomplete
@@ -99,7 +108,31 @@ def summarize(runs: list[dict]) -> dict:
             "pairs": len(complete),
             "ratio_of_medians": change_q["median"] / parent_q["median"] if parent_q["median"] else None,
         }
+        if name in (end_to_end or {}):
+            summary[name].update(verdict(parent_q["median"], change_q["median"], **end_to_end[name]))
     return summary
+
+
+def verdict(parent: float, change: float, better: str, bound: float) -> dict:
+    """How far the change's median falls short of the parent's, relative to it, and whether that is within
+    ``bound``; a shortfall from a parent median of 0 has no relative size and is not within any bound."""
+    shortfall = max(0.0, parent - change if better == "higher" else change - parent)
+    if not shortfall:
+        return {"worse_by": 0.0, "within_bound": True}
+    worse_by = shortfall / abs(parent) if parent else None
+    return {"worse_by": worse_by, "within_bound": worse_by is not None and worse_by <= bound}
+
+
+def end_to_end_metrics(checkout: str) -> dict:
+    """The end-to-end metrics of a checkout's ``BENCHMARK.json``: name to its ``better`` and ``bound``."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as handle:
+        declared = json.load(handle)["end_to_end"]
+    return {metric["name"]: {"better": metric["better"], "bound": metric["bound"]} for metric in declared}
+
+
+def has_pycache(checkout: str) -> bool:
+    """Whether any directory under the checkout's ``src/`` holds a ``__pycache__``."""
+    return any("__pycache__" in dirs for _, dirs, _ in os.walk(os.path.join(checkout, "src")))
 
 
 def default_host() -> str:
@@ -135,11 +168,14 @@ def main(argv=None) -> int:
         "host": args.host or default_host(),
         "parent": args.parent_commit or _commit(args.parent),
         "claim": args.claim,
+        "pycache_at_start": {},
         "pairs": {},
         "summary": {},
     }
     sides = {"parent": args.parent, "change": args.change}
+    end_to_end = end_to_end_metrics(args.change)
     for workload in args.workload:
+        record["pycache_at_start"][workload] = {side: has_pycache(checkout) for side, checkout in sides.items()}
         runs = record["pairs"][workload] = []
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -148,7 +184,7 @@ def main(argv=None) -> int:
                 outcome = (f"seeds_per_s {runs[-1]['metrics'].get('seeds_per_s')}" if "metrics" in runs[-1]
                            else f"exited with {runs[-1]['returncode']}")
                 print(f"{workload} pair {pair} {side}: {outcome}", file=sys.stderr)
-            record["summary"][workload] = summarize(runs)
+            record["summary"][workload] = summarize(runs, end_to_end)
             with open(args.out, "w") as handle:
                 json.dump(record, handle, indent=1)
                 handle.write("\n")
