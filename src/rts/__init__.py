@@ -20,7 +20,7 @@ import importlib
 _EXPORTS = {
     "core": ("Latent", "RngStream", "StreamBlock", "as_latent", "sample_gaussian"),
     "errors": (
-        "BudgetError", "ConfigError", "DegenerateGradientError", "DegeneratePerturbationError", "DimensionError",
+        "BudgetError", "ConfigError", "DegeneratePerturbationError", "DimensionError",
         "NonFiniteError", "PreconditionError", "RtsError",
     ),
     "keysteps": ("KeyStepSet", "curvature", "project_trajectory", "select_key_steps"),

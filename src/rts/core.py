@@ -51,7 +51,6 @@ import numpy as np
 from .errors import (  # noqa: F401  (the error taxonomy is importable from here too)
     BudgetError,
     ConfigError,
-    DegenerateGradientError,
     DegeneratePerturbationError,
     DimensionError,
     NonFiniteError,

@@ -22,20 +22,12 @@ class PreconditionError(RtsError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class _DegenerateRows(RtsError, ArithmeticError):
-    """A direction collapsed below numerical tolerance; ``rows``, a boolean mask, marks the rows that did."""
+class DegeneratePerturbationError(RtsError, ArithmeticError):
+    """A tangent collapsed below numerical tolerance; ``rows``, a boolean mask, marks the rows that did."""
 
     def __init__(self, message: str, rows=None) -> None:
         super().__init__(message)
         self.rows = rows
-
-
-class DegeneratePerturbationError(_DegenerateRows):
-    """A tangential perturbation collapsed below numerical tolerance."""
-
-
-class DegenerateGradientError(_DegenerateRows):
-    """A guidance gradient has no usable tangential component; for a block, ``rows`` marks the seeds whose has none."""
 
 
 class BudgetError(RtsError, RuntimeError):

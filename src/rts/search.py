@@ -5,9 +5,10 @@ relocation rule (adopt the previous round's best candidate only when it
 strictly beats the previous base reward, otherwise resample), then draw
 random spherical neighbors and estimate a surrogate gradient from their
 rewards. Even rounds are fine: keep the base and re-form the neighborhood by
-blending the stored perturbations with the gradient direction. The gradient
-used by a fine round always comes from the immediately preceding coarse
-round and is never carried across cycle boundaries.
+blending the stored perturbations with the gradient direction, or sample at
+random where the gradient has no tangential part. The gradient used by a
+fine round always comes from the immediately preceding coarse round and is
+never carried across cycle boundaries.
 
 Each round hands its candidates to the evaluator as one ``(n, d)`` batch:
 a coarse round scores ``[base; neighbors]`` in one call, a fine round its
@@ -29,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DegenerateGradientError,
     DimensionError,
     Latent,
     NonFiniteError,
@@ -230,37 +230,13 @@ def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
     if state.last_gradient is None or state.last_perturbations is None:
         raise PreconditionError("fine round requires the preceding coarse round's gradient")
 
-    stream = StreamBlock.of(stream).child(_STREAM_NEIGHBORS)
-    fallback = 0
-    try:
-        neighbors = guided_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient,
-                                            state.last_perturbations, stream)
-    except DegenerateGradientError as exc:
+    neighbors = guided_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient,
+                                        state.last_perturbations, StreamBlock.of(stream).child(_STREAM_NEIGHBORS))
+    fallback = int(np.count_nonzero(neighbors.fallback))
+    if fallback:
         logger.info("round %d: degenerate gradient, falling back to random sampling", state.round)
-        fallback = int(np.count_nonzero(exc.rows))
-        neighbors = _fall_back(state, cfg, stream, exc.rows)
     rewards = _score(evaluate, neighbors.candidates)
     return _end_round(state, "fine", neighbors.candidates, rewards, neighbors, rewards, fallback, last_gradient=None)
-
-
-def _fall_back(state: SearchState, cfg: SearchConfig, stream: StreamBlock, rows: np.ndarray) -> NeighborSet:
-    """A fine round's neighborhood when the seeds marked in ``rows`` have a degenerate gradient.
-
-    Those seeds sample at random, the others are guided as usual.
-    """
-    n, tau = cfg.n_neighbors, cfg.tau
-    if rows.all():
-        return random_spherical_sample(state.base, n, tau, stream)
-    keep = ~rows
-    parts = (random_spherical_sample(state.base[rows], n, tau, stream[rows]),
-             guided_spherical_sample(state.base[keep], n, tau, cfg.alpha, state.last_gradient[keep],
-                                     state.last_perturbations[keep], stream[keep]))
-    candidates = np.empty(state.base.shape[:-1] + (n, state.dim))
-    tangents = np.empty_like(candidates)
-    for mask, part in zip((rows, keep), parts):
-        candidates[mask] = part.candidates
-        tangents[mask] = part.perturbations
-    return NeighborSet(state.base, candidates, tangents)
 
 
 def run_search(

@@ -8,7 +8,10 @@ where ``ŵ`` is a unit direction tangent to ``u``. τ controls the angular
 deviation from the base direction: every candidate keeps the base norm
 exactly and satisfies cos∠(m, z) = τ. Coarse search draws ``ŵ`` isotropically
 on the tangent sphere; fine search blends the previous perturbations with a
-guidance direction before renormalizing.
+guidance direction before renormalizing, and a base whose guidance has no
+tangential part samples as coarse search does. One rule draws every tangent
+(``_unit_tangents``): a fresh row, a cancelled blend and a fallback base's
+rows alike take candidate i's isotropic draw from ``stream.child(i)``.
 
 All candidates are formed at once, one per row, reduced with ``np.vecdot``: it sums
 each row of a batch as the 1-D ``w @ u`` does, while ``W @ u``, ``einsum`` and
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegenerateGradientError,
     DegeneratePerturbationError,
     DimensionError,
     Latent,
@@ -44,8 +46,8 @@ from .core import (
 
 _UNIT_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
-# One initial draw plus up to 8 redraws for perturbations that collapse
-# under tangential projection (measure-zero for d >= 2, defensive only).
+# Draw attempts 0 to 8 per tangent; a draw collapses under tangential
+# projection with probability 0 for d >= 2, so a redraw is defensive only.
 _MAX_DRAWS = 9
 
 
@@ -56,15 +58,18 @@ class NeighborSet:
     ``candidates[..., i, :]`` was formed from the unit tangent ``perturbations[..., i, :]``;
     a block of bases ``(S, d)`` has ``(S, n, d)`` of each.
     ``rewards`` stays None until scored; ``estimate_gradient`` checks the rewards it reads.
+    ``fallback`` marks the bases a guided sample drew at random, their guidance having
+    no tangential part (a bool, or ``(S,)`` for a block); a random sample leaves it False.
     """
 
     base: Latent
     candidates: np.ndarray
     perturbations: np.ndarray
     rewards: np.ndarray | None = None
+    fallback: np.ndarray | bool = False
 
     def with_rewards(self, rewards) -> "NeighborSet":
-        return NeighborSet(self.base, self.candidates, self.perturbations, rewards)
+        return NeighborSet(self.base, self.candidates, self.perturbations, rewards, self.fallback)
 
 
 def _reject(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -117,34 +122,29 @@ def _base_frame(base: Latent) -> tuple[Latent, np.ndarray, Latent]:
 # Tangents are drawn with StreamBlock.normal, not sample_gaussian: the
 # benchmark's tracer reads the path of every stream this module hands to
 # sample_gaussian, and a block has no path.
-def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock, attempt: int = 0) -> np.ndarray:
-    """Normalize tangent rows ``(..., n, d)``, first redrawing each row that collapsed below tolerance.
+def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock) -> np.ndarray:
+    """Normalize tangent rows ``(..., n, d)``, first redrawing each row that is below tolerance.
 
-    ``u`` and ``stream`` have the leading shape of the rows. A collapsed row i
-    takes an isotropic draw from its stream's ``child(i).child(a)`` at attempt
-    a = ``attempt``, ``attempt`` + 1, ...; the draws of one attempt are
-    projected at once.
+    The only code that draws a tangent. ``u`` and ``stream`` have the leading
+    shape of the rows. Row i, while below tolerance, takes at attempt a = 0,
+    ..., 8 an isotropic draw from its stream's ``child(i).child(a)``, projected
+    off ``u`` twice; the draws of one attempt are made at once.
     """
     norms = row_norm(rows)
     collapsed = norms < _DEGENERATE_TOL
-    for attempt in range(attempt, _MAX_DRAWS):
+    for attempt in range(_MAX_DRAWS):
         if not collapsed.any():
             break
         redraw = collapsed.nonzero()
         seeds, row = redraw[:-1], redraw[-1]
         w = stream[seeds].child(row).child(attempt).normal(u.shape[-1])
-        rows[redraw] = _reject(_reject(w, u[seeds]), u[seeds])
-        norms[redraw] = row_norm(rows[redraw])
+        w = _reject(_reject(w, u[seeds]), u[seeds])
+        rows[redraw] = w
+        norms[redraw] = row_norm(w)
         collapsed = norms < _DEGENERATE_TOL
     if collapsed.any():
         raise DegeneratePerturbationError(f"no usable tangent direction after {_MAX_DRAWS} draws", collapsed)
     return rows / norms[..., None]
-
-
-def _isotropic_tangents(n: int, u: Latent, stream: StreamBlock) -> np.ndarray:
-    """``n`` unit tangents per direction ``u``; tangent i is drawn from ``stream.child(i).child(0)``, then redrawn."""
-    w = stream[..., None].child(np.arange(n)).child(0).normal(u.shape[-1])
-    return _unit_tangents(_reject(_reject(w, u[..., None, :]), u[..., None, :]), u, stream, attempt=1)
 
 
 def _cone_point(radius, u, tau: float, w_hat: np.ndarray) -> np.ndarray:
@@ -160,7 +160,7 @@ def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream 
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     base, radius, u = _base_frame(base)
-    perturbations = _isotropic_tangents(n, u, _streams(stream, base))
+    perturbations = _unit_tangents(np.zeros(base.shape[:-1] + (n, base.shape[-1])), u, _streams(stream, base))
     return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations)
 
 
@@ -178,11 +178,10 @@ def guided_spherical_sample(
     Each previous unit tangent ŵ′_i becomes (1−α)·ŵ′_i + α·ĝ⊥, renormalized,
     where ĝ⊥ is the unit tangential part of the guidance direction ``g``, of
     the shape of ``base``. Raises ``NonFiniteError`` for non-finite ``g`` or
-    previous perturbations and ``DegenerateGradientError`` when ``g`` has no
-    tangential component (callers fall back to random sampling); for a block
-    its ``rows`` marks the seeds whose ``g`` has none. A blend that cancels
-    below tolerance (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is
-    replaced by a fresh random tangent drawn from ``stream``.
+    previous perturbations. A base whose ``g`` has no tangential part (below
+    1e-12) samples at random, bit for bit as ``random_spherical_sample`` on its
+    stream, and ``fallback`` marks it; a blend that cancels below tolerance
+    (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is redrawn alone.
     """
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
@@ -198,14 +197,15 @@ def guided_spherical_sample(
     as_latent(prev.reshape(-1, dim), batch=True)
     if prev.shape != base.shape[:-1] + (n, dim):
         raise PreconditionError(f"expected {n} previous perturbations of dim {dim} per base, got {prev.shape}")
-    try:
-        g_tan = tangent_project(g, u)
-    except DegeneratePerturbationError as exc:
-        raise DegenerateGradientError("guidance direction has no tangential component", exc.rows) from None
-    g_hat = g_tan / row_norm(g_tan)[..., None]
+    g_tan = _reject(_reject(g, u), u)
+    g_norm = row_norm(g_tan)
+    fallback = g_norm < _DEGENERATE_TOL
+    g_hat = g_tan / np.where(fallback, 1.0, g_norm)[..., None]
 
     # One cleanup projection: renormalizing a small blend would otherwise
     # amplify the parents' rounding residue along u.
     blend = _reject((1.0 - alpha) * prev + alpha * g_hat[..., None, :], u[..., None, :])
+    blend[fallback] = 0.0
     perturbations = _unit_tangents(blend, u, _streams(stream, base))
-    return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations)
+    return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations,
+                       fallback=fallback)

@@ -101,6 +101,50 @@ class TestVerdict:
         assert declared["seeds_per_s"] == {"better": "higher", "bound": 0.25}
 
 
+def completed(side, outputs, attempted=10, failed=0, pair=0):
+    """A completed run's record with its outputs line and counts."""
+    return {"pair": pair, "side": side, "correct": True, "attempted": attempted, "failed": failed,
+            "outputs": outputs, "metrics": {"seeds_per_s": 1.0}}
+
+
+class TestOutputsVerdict:
+    def test_one_line_everywhere_is_equal(self):
+        runs = [completed("parent", "a"), completed("change", "a"), completed("change", "a", pair=1),
+                completed("parent", "a", pair=1)]
+        assert bench_pairs.outputs_verdict(runs) == {"parent": ["a"], "change": ["a"], "equal": True}
+
+    def test_each_side_lists_its_distinct_lines_in_the_order_printed(self):
+        runs = [completed("parent", "b"), completed("change", "c"), completed("change", "a", pair=1),
+                completed("parent", "b", pair=1), completed("parent", "a", pair=2)]
+        assert bench_pairs.outputs_verdict(runs) == {"parent": ["b", "a"], "change": ["c", "a"], "equal": False}
+
+    def test_sides_that_differ_are_not_equal(self):
+        runs = [completed("parent", "a"), completed("change", "b")]
+        assert bench_pairs.outputs_verdict(runs)["equal"] is False
+
+    def test_a_missing_line_or_no_completed_run_is_not_equal(self):
+        assert bench_pairs.outputs_verdict([completed("parent", None), completed("change", None)])["equal"] is False
+        failed = [{"pair": 0, "side": "parent", "returncode": 1, "stderr_tail": ""}]
+        assert bench_pairs.outputs_verdict(failed) == {"parent": [], "change": [], "equal": False}
+
+    def test_a_run_that_exited_non_zero_is_left_out(self):
+        runs = [completed("parent", "a"), completed("change", "a"),
+                {"pair": 1, "side": "change", "returncode": 1, "stderr_tail": ""}]
+        assert bench_pairs.outputs_verdict(runs) == {"parent": ["a"], "change": ["a"], "equal": True}
+
+
+class TestFailedShare:
+    def test_sums_failed_over_attempted_per_side(self):
+        runs = [completed("parent", "a", attempted=10, failed=1), completed("parent", "a", attempted=30, failed=0),
+                completed("change", "a", attempted=20, failed=0), completed("change", "a", attempted=20, failed=0),
+                {"pair": 2, "side": "change", "returncode": 1, "stderr_tail": ""}]
+        assert bench_pairs.failed_share(runs) == {"parent": 0.025, "change": 0.0}
+
+    def test_a_side_without_a_completed_run_has_no_share(self):
+        runs = [completed("parent", "a", attempted=4, failed=4), {"pair": 0, "side": "change", "returncode": 1}]
+        assert bench_pairs.failed_share(runs) == {"parent": 1.0, "change": None}
+
+
 class TestParseRun:
     def test_reads_the_last_json_line_and_the_outputs_line(self):
         stdout = "\n".join([
@@ -167,6 +211,9 @@ class TestFailedRun:
         assert all("metrics" in run for i, run in enumerate(runs) if i != 1)
         entry = json.loads(out.read_text())["summary"]["cli-sweep"]["seeds_per_s"]
         assert entry["pairs"] == 2  # the pair with the failed run is left out
+        record = json.loads(out.read_text())
+        assert record["outputs"]["cli-sweep"] == {"parent": [None], "change": [None], "equal": False}
+        assert record["failed_share"]["cli-sweep"] == {"parent": 0.0, "change": 0.0}
 
 
 class TestSeries:
@@ -179,9 +226,10 @@ class TestSeries:
         rates = {str(tmp_path / "parent"): 10.0, str(tmp_path / "change"): 9.0}
 
         def fake_run(argv, cwd, **kwargs):
-            result = {"correct": True, "attempted": 1, "failed": 0,
+            result = {"correct": True, "attempted": 4, "failed": int(cwd.endswith("change")),
                       "metrics": {"seeds_per_s": {"value": rates[cwd], "unit": "1/s"}}}
-            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result) + "\n", stderr="")
+            stdout = f'deterministic outputs: {{"digest": "d"}}\n{json.dumps(result)}\n'
+            return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
         monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
         out = tmp_path / "bench.json"
@@ -193,3 +241,6 @@ class TestSeries:
         entry = record["summary"]["testbed-d2"]["seeds_per_s"]
         assert entry["worse_by"] == pytest.approx(0.1)
         assert entry["within_bound"] is True
+        line = '{"digest": "d"}'
+        assert record["outputs"] == {"testbed-d2": {"parent": [line], "change": [line], "equal": True}}
+        assert record["failed_share"] == {"testbed-d2": {"parent": 0.0, "change": 0.25}}

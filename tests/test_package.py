@@ -13,7 +13,7 @@ import rts
 # every name the package root exported when it imported its modules eagerly, by home module
 EXPORTS = {
     "core": (
-        "BudgetError", "ConfigError", "DegenerateGradientError", "DegeneratePerturbationError", "DimensionError",
+        "BudgetError", "ConfigError", "DegeneratePerturbationError", "DimensionError",
         "Latent", "NonFiniteError", "PreconditionError", "RngStream", "RtsError", "StreamBlock", "as_latent",
         "sample_gaussian",
     ),

@@ -15,6 +15,8 @@ from rts import (
     RngStream,
     SearchConfig,
     StreamBlock,
+    guided_spherical_sample,
+    random_spherical_sample,
     run_search,
     sample_gaussian,
 )
@@ -197,6 +199,37 @@ class TestFineRound:
         cands = out.last_candidates
         assert not np.allclose(cands[0], cands[1])
         assert not np.allclose(cands[1], cands[2])
+
+    def test_fallback_is_the_random_sample(self):
+        cfg = SearchConfig(n_neighbors=3)
+        stream = RngStream(9)
+        state = self._after_coarse(lambda x: 1.0, cfg, stream)
+        out = fine_round(state, cfg, rows(lambda x: 1.0), stream.child(2))
+        expected = random_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, stream.child(2).child(1))
+        np.testing.assert_array_equal(out.last_candidates, expected.candidates)
+        np.testing.assert_array_equal(out.last_perturbations, expected.perturbations)
+
+    def test_block_falls_back_only_for_the_degenerate_seed(self):
+        # seed 0 scores every latent alike; seeds 1 and 2 are guided as they would be alone
+        rewards = (lambda x: 1.0, quadratic_reward(np.full(6, 0.3)), quadratic_reward(np.linspace(-1.0, 1.0, 6)))
+        cfg = SearchConfig(n_neighbors=3)
+        streams = [RngStream(seed) for seed in (3, 4, 5)]
+        block = StreamBlock.of(streams)
+
+        def evaluate(batch):
+            return np.array([[reward(x) for x in seed_rows] for reward, seed_rows in zip(rewards, batch)])
+
+        state = coarse_round(SearchState(dim=6), cfg, evaluate, block.child(1))
+        out = fine_round(state, cfg, evaluate, block.child(2))
+        assert out.history[-1].guided_fallback == 1
+        fallback = random_spherical_sample(state.base[0], cfg.n_neighbors, cfg.tau, streams[0].child(2).child(1))
+        np.testing.assert_array_equal(out.last_candidates[0], fallback.candidates)
+        np.testing.assert_array_equal(out.last_perturbations[0], fallback.perturbations)
+        for s in (1, 2):
+            guided = guided_spherical_sample(state.base[s], cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient[s],
+                                             state.last_perturbations[s], streams[s].child(2).child(1))
+            np.testing.assert_array_equal(out.last_candidates[s], guided.candidates)
+            np.testing.assert_array_equal(out.last_perturbations[s], guided.perturbations)
 
     def test_fine_gradient_consumed(self):
         reward = quadratic_reward(np.full(6, 0.3))

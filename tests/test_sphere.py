@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rts import (
-    DegenerateGradientError,
     DegeneratePerturbationError,
     DimensionError,
     NeighborSet,
@@ -222,13 +221,10 @@ class TestGuidedSphericalSample:
             alpha = rng.uniform(0.0, 1.0)
             prev = random_spherical_sample(base, n=3, tau=tau, stream=stream.child(2 * case))
             g = rng.standard_normal(d)
-            try:
-                ns = guided_spherical_sample(
-                    base, n=3, tau=tau, alpha=alpha, g=g,
-                    prev_perturbations=prev.perturbations, stream=stream.child(2 * case + 1),
-                )
-            except DegenerateGradientError:
-                continue
+            ns = guided_spherical_sample(
+                base, n=3, tau=tau, alpha=alpha, g=g,
+                prev_perturbations=prev.perturbations, stream=stream.child(2 * case + 1),
+            )
             radius = np.linalg.norm(base)
             norms = np.linalg.norm(ns.candidates, axis=1)
             assert np.max(np.abs(norms - radius) / radius) < 1e-9
@@ -237,13 +233,18 @@ class TestGuidedSphericalSample:
             assert np.max(np.abs(ns.perturbations @ (base / radius))) < 1e-12
 
     def test_gradient_parallel_to_base_is_degenerate(self):
-        base = np.array([2.0, 0.0])
-        prev = np.array([[0.0, 1.0]])
-        with pytest.raises(DegenerateGradientError):
-            guided_spherical_sample(
-                base, n=1, tau=0.9, alpha=0.5, g=[5.0, 0.0],
-                prev_perturbations=prev, stream=RngStream(12),
-            )
+        # no tangential guidance: the base falls back to random sampling on its stream
+        # (at d = 2 the random tangent of this stream is prev itself, so d = 3 tells them apart)
+        base = np.array([2.0, 0.0, 0.0])
+        prev = np.array([[0.0, 1.0, 0.0]])
+        ns = guided_spherical_sample(
+            base, n=1, tau=0.9, alpha=0.5, g=[5.0, 0.0, 0.0],
+            prev_perturbations=prev, stream=RngStream(12),
+        )
+        expected = random_spherical_sample(base, 1, 0.9, RngStream(12))
+        np.testing.assert_array_equal(ns.candidates, expected.candidates)
+        np.testing.assert_array_equal(ns.perturbations, expected.perturbations)
+        assert ns.fallback
 
     def test_non_finite_previous_perturbation_rejected(self):
         prev = np.array([[0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]])
@@ -327,10 +328,7 @@ class TestSphereInvariantProperty:
         ns = random_spherical_sample(base, n, tau, stream.child(0))
         self.assert_invariants(ns, base, tau)
         g = rng.standard_normal(d)
-        try:
-            guided = guided_spherical_sample(base, n, tau, alpha, g, ns.perturbations, stream.child(1))
-        except DegenerateGradientError:
-            return
+        guided = guided_spherical_sample(base, n, tau, alpha, g, ns.perturbations, stream.child(1))
         self.assert_invariants(guided, base, tau)
 
 

@@ -15,6 +15,13 @@ the change checkout's ``BENCHMARK.json`` also gets the no-regression
 verdict: ``worse_by``, the relative shortfall of the change's median from
 the parent's in the metric's worse direction (0 when it is not worse), and
 ``within_bound``, whether that shortfall is within the metric's ``bound``.
+``outputs`` holds, per workload, each side's distinct ``deterministic
+outputs`` lines and ``equal``, whether every completed run printed one and
+the same line. The cli-sweep line changes on every run, because
+``benchmarks/child.py`` hashes each record with the temporary output path of
+its run, so ``equal`` reads False there until ROADMAP item 9 lands.
+``failed_share`` holds, per workload and side, the runs the benchmark counted
+as failed over those it attempted, summed over the completed runs.
 ``pycache_at_start`` records, per workload and side, whether the checkout
 held any ``__pycache__`` under ``src/`` when the series started: the runs
 write no bytecode, and a start-up time such as cli-sweep ``setup_s``
@@ -113,6 +120,26 @@ def summarize(runs: list[dict], end_to_end: dict | None = None) -> dict:
     return summary
 
 
+def outputs_verdict(runs: list[dict]) -> dict:
+    """Each side's distinct ``deterministic outputs`` lines, in the order first printed, and whether every
+    completed run printed one and the same line."""
+    lines = {side: [run["outputs"] for run in runs if run["side"] == side and "metrics" in run]
+             for side in ("parent", "change")}
+    printed = lines["parent"] + lines["change"]
+    return {**{side: list(dict.fromkeys(seen)) for side, seen in lines.items()},
+            "equal": bool(printed) and None not in printed and len(set(printed)) == 1}
+
+
+def failed_share(runs: list[dict]) -> dict:
+    """Per side, the sum of ``failed`` over the sum of ``attempted`` of its completed runs; None when it has none."""
+    shares = {}
+    for side in ("parent", "change"):
+        completed = [run for run in runs if run["side"] == side and "metrics" in run]
+        attempted = sum(run["attempted"] for run in completed)
+        shares[side] = sum(run["failed"] for run in completed) / attempted if attempted else None
+    return shares
+
+
 def verdict(parent: float, change: float, better: str, bound: float) -> dict:
     """How far the change's median falls short of the parent's, relative to it, and whether that is within
     ``bound``; a shortfall from a parent median of 0 has no relative size and is not within any bound."""
@@ -171,6 +198,8 @@ def main(argv=None) -> int:
         "pycache_at_start": {},
         "pairs": {},
         "summary": {},
+        "outputs": {},
+        "failed_share": {},
     }
     sides = {"parent": args.parent, "change": args.change}
     end_to_end = end_to_end_metrics(args.change)
@@ -185,6 +214,8 @@ def main(argv=None) -> int:
                            else f"exited with {runs[-1]['returncode']}")
                 print(f"{workload} pair {pair} {side}: {outcome}", file=sys.stderr)
             record["summary"][workload] = summarize(runs, end_to_end)
+            record["outputs"][workload] = outputs_verdict(runs)
+            record["failed_share"][workload] = failed_share(runs)
             with open(args.out, "w") as handle:
                 json.dump(record, handle, indent=1)
                 handle.write("\n")
