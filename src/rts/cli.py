@@ -86,6 +86,10 @@ WORKER_ENV = "RTS_MAX_WORKERS"
 # thousands of processes.
 MAX_WORKERS = 256
 
+# Most replicates a run may ask for: the run builds, and its pool submits,
+# every block up front, so 10**10 replicates would take about 19 GB first.
+MAX_REPLICATES = 10**7
+
 # Most replicates one block runs in lockstep. A larger block still runs
 # faster per seed (rts on the d = 2 cli config: 1.3 ms per seed at 64 seeds,
 # 0.84 ms at 256, one core of a 2-vCPU x86 host), but records are written per
@@ -135,7 +139,7 @@ def config_schema() -> dict:
                            quadratic={"target": (_numbers, REQUIRED)}), REQUIRED),
         "method": (_choice(*METHODS), REQUIRED),
         "seed": (_integer(0, 2**64 - 1), REQUIRED),
-        "replicates": (_integer(1), REQUIRED),
+        "replicates": (_integer(1, MAX_REPLICATES), REQUIRED),
         "out": (_string, "results.jsonl"),
         "workers": (_integer(1, MAX_WORKERS), 1),
         "budget_nfe": (_nullable(_integer()), RtsConfig.budget_nfe),

@@ -9,31 +9,28 @@ values, not cursors: drawing from a stream twice yields the same numbers, and
 distinct logical draws must use distinct child streams.
 
 A stream is numpy's ``SeedSequence(root_seed, spawn_key=path)`` keying a
-Philox generator, derived one label at a time: numpy mixes the root into a
-pool of four 32-bit words and then folds every word of the path into that
-pool in turn, so a stream carries its pool and the running hash constant, and
-``child(label)`` folds in only the label's words instead of re-mixing the
-whole path. Folding a word subtracts from the pool terms that depend only
-on the word and the hash constant; for an integer label word at an integer
-hash constant, the case of every ``RngStream`` and of a block derived with
-one label for all, those terms are memoized (``_int_fold_terms``, a
-bounded ``lru_cache`` of read-only arrays), so deriving a child costs a
-few array operations on four words; for an array label, the products that
-depend only on an integer hash constant are (``_int_hash_products``). A
-draw turns the pool into the two-word Philox key exactly as
-``SeedSequence.generate_state(2, np.uint64)`` does and sets it, at counter
-0, on one reused Philox generator per thread, built at the first draw.
-Every draw is bit for bit the one a fresh
+Philox generator, derived one label at a time. numpy mixes the root into a
+pool of four 32-bit words, then folds each 32-bit word of the path into the
+pool under a running hash constant, which depends only on how many words
+were folded. So a stream carries its pool, and ``child(label)`` folds in
+only the label's words. The terms a word subtracts from the pool depend only
+on the word and the hash constant, and are memoized (``_int_fold_terms``, and
+``_int_hash_products`` for an array label: bounded ``lru_cache``s of
+read-only arrays). A draw turns the pool into the two-word Philox key exactly
+as ``SeedSequence.generate_state(2, np.uint64)`` does and sets it, at counter
+0, on one reused Philox generator per thread, built at the first draw. Every
+draw is bit for bit the one a fresh
 ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))`` makes, at a
 fraction of its cost.
 
 The error taxonomy lives in ``errors`` and is importable from here too.
 
 A ``StreamBlock`` is an array of such streams, say one per seed of a
-lockstep block or one per candidate row: it folds a label into every
-element, turns every pool into its key and draws one latent per element
-with array arithmetic, and each element draws what its ``RngStream`` draws.
-An ``RngStream`` keeps its pool as a one-element block.
+lockstep block or one per candidate row. Its elements have folded as many
+words, so it has one hash constant. It folds a label into every element,
+turns every pool into its key and draws one latent per element with array
+arithmetic, and each element draws what its ``RngStream`` draws. An
+``RngStream`` keeps its pool as a one-element block.
 """
 
 from __future__ import annotations
@@ -146,17 +143,11 @@ def _mix(value: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _hash_products(hash_const) -> tuple[np.ndarray, np.ndarray]:
-    """What folding at ``hash_const`` xors each word with and multiplies it by, ``(..., 4)`` each; the last
-    product is the next hash constant."""
-    return hash_const * _POWERS_A[:-1] & _MASK32, hash_const * _POWERS_A[1:] & _MASK32
-
-
-def _fold_terms(word, hash_const) -> tuple[np.ndarray, np.ndarray]:
-    """Folding ``word`` at ``hash_const``: the ``(..., 4)`` terms it subtracts from ``_MIX_L`` times each
-    pool word, modulo 2**32, and the next hash constant ``(..., 1)``."""
-    xor, mult = _int_hash_products(hash_const) if isinstance(hash_const, int) else _hash_products(hash_const)
-    return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[..., -1:]
+def _fold_terms(word, hash_const: int) -> tuple[np.ndarray, np.ndarray]:
+    """Folding ``word``, an int or a ``(..., 1)`` array, at ``hash_const``: the ``(..., 4)`` terms it
+    subtracts from ``_MIX_L`` times each pool word, modulo 2**32, and the next hash constant ``(1,)``."""
+    xor, mult = _int_hash_products(hash_const)
+    return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[-1:]
 
 
 # Most (word, hash constant) pairs whose fold terms are kept, and most hash
@@ -168,8 +159,9 @@ _FOLD_CACHE_SIZE = 1024
 
 @functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
 def _int_hash_products(hash_const: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_hash_products`` of an int hash constant, memoized as read-only arrays."""
-    products = _hash_products(hash_const)
+    """What folding at ``hash_const`` xors each word with and multiplies it by, read-only ``(4,)`` arrays; the
+    last product is the next hash constant."""
+    products = hash_const * _POWERS_A[:-1] & _MASK32, hash_const * _POWERS_A[1:] & _MASK32
     for array in products:
         array.flags.writeable = False
     return products
@@ -188,25 +180,25 @@ class StreamBlock:
 
     A block keeps each element's SeedSequence pool as uint64 words below
     2**32, so that the product of two words is exact, and derives, keys and
-    draws with array arithmetic over all elements. The running hash constant
-    depends only on how many label words were folded in, so it is one int for
-    the whole block unless labels of one and of two words were mixed. Indexing
-    a block indexes its leading axes, and ``child`` broadcasts its labels
-    against them.
+    draws with array arithmetic over all elements. Every element has folded
+    as many label words, so the block has one running hash constant, an int.
+    Indexing a block indexes its leading axes, and ``child`` broadcasts its
+    labels against them.
     """
 
     __slots__ = ("_pool", "_hash")
 
-    def __init__(self, pool: np.ndarray, hash_const) -> None:
+    def __init__(self, pool: np.ndarray, hash_const: int) -> None:
         self._pool = pool  # (..., 4) pool words
-        self._hash = hash_const  # an int, or (..., 1) per element
+        self._hash = hash_const
 
     @classmethod
     def of(cls, streams) -> "StreamBlock":
         """The block of one ``RngStream`` (shape ``()``) or of a sequence of them (shape ``(S,)``); a block as it is.
 
         Anything else, an iterator of streams or a sequence holding something
-        other than an ``RngStream``, raises ``PreconditionError``.
+        other than an ``RngStream``, raises ``PreconditionError``, and so do
+        streams whose paths hold different numbers of 32-bit label words.
         """
         if isinstance(streams, StreamBlock):
             return streams
@@ -216,10 +208,10 @@ class StreamBlock:
             raise PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
                                     f"got {type(streams).__name__}")
         pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint64).reshape(-1, _POOL_SIZE)
-        hashes = [stream._pool._hash for stream in streams]  # an RngStream's is an int
-        if len(set(hashes)) == 1:
-            return cls(pool, hashes[0])
-        return cls(pool, np.array(hashes, dtype=np.uint64).reshape(-1, 1))
+        hashes = {stream._pool._hash for stream in streams}
+        if len(hashes) > 1:
+            raise PreconditionError("the streams of a block must have paths of as many 32-bit label words")
+        return cls(pool, hashes.pop() if hashes else _ROOT_HASH)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -227,31 +219,24 @@ class StreamBlock:
 
     def __getitem__(self, index) -> "StreamBlock":
         index = (index if isinstance(index, tuple) else (index,)) + (slice(None),)  # the private last axis stays
-        return StreamBlock(self._pool[index], self._hash if isinstance(self._hash, int) else self._hash[index])
+        return StreamBlock(self._pool[index], self._hash)
 
-    def _fold(self, word, fold=None) -> "StreamBlock":
-        """Fold one 32-bit label word, an int or a uint64 array broadcast against the block, into every
-        pool word; where ``fold`` is False, keep the stream."""
-        if isinstance(word, int) and isinstance(self._hash, int):
+    def _fold(self, word) -> "StreamBlock":
+        """Fold one 32-bit label word, an int or a uint64 array broadcast against the block, into every pool word."""
+        if isinstance(word, int):
             terms, hash_const = _int_fold_terms(word, self._hash)
         else:
-            terms, hash_const = _fold_terms(word if isinstance(word, int) else word[..., None], self._hash)
-            if isinstance(self._hash, int):
-                hash_const = int(hash_const[0])
-        pool = _mix((_MIX_L * self._pool - terms) & _MASK32)
-        if fold is not None:
-            pool = np.where(fold[..., None], pool, self._pool)
-            hash_const = np.where(fold[..., None], hash_const, self._hash).astype(np.uint64)
-        if not isinstance(hash_const, int):
-            hash_const = np.broadcast_to(hash_const, pool.shape[:-1] + (1,))
-        return StreamBlock(pool, hash_const)
+            terms, next_hash = _fold_terms(word[..., None], self._hash)
+            hash_const = int(next_hash[0])
+        return StreamBlock(_mix((_MIX_L * self._pool - terms) & _MASK32), hash_const)
 
     def child(self, labels) -> "StreamBlock":
         """Append a label to every path: one integer for all, or an array broadcast against the block.
 
         numpy folds a label one 32-bit word at a time, least significant
-        first; an array label takes one or two words, so it must lie below
-        2**64. Negative labels are refused.
+        first. An integer label may take any number of words. An array label
+        is one word per element, so that every element folds as many: it must
+        lie below 2**32. Negative labels are refused.
         """
         if isinstance(labels, (int, np.integer)):
             block = self
@@ -259,12 +244,9 @@ class StreamBlock:
                 block = block._fold(word)
             return block
         labels = np.asarray(labels)
-        if labels.dtype.kind not in "iu" or (labels.dtype.kind == "i" and labels.size and labels.min() < 0):
-            raise PreconditionError(f"derivation labels must be integers in [0, 2**64), got {labels!r}")
-        labels = labels.astype(np.uint64, copy=False)
-        if labels.max(initial=0) <= _MASK32:
-            return self._fold(labels)
-        return self._fold(labels & _MASK32)._fold(labels >> 32, fold=labels > _MASK32)
+        if labels.dtype.kind not in "iu" or (labels.size and (labels.min() < 0 or labels.max() > _MASK32)):
+            raise PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
+        return self._fold(labels.astype(np.uint64, copy=False))
 
     def keys(self) -> np.ndarray:
         """The ``(..., 2)`` Philox keys, as ``SeedSequence.generate_state(2, np.uint64)`` makes them."""

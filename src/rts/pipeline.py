@@ -349,11 +349,14 @@ def run_rts_block(
             # A candidate's churn noises derive from a hash of the candidate, so
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
+            # Its 64-bit label folds as two one-word children: numpy's fold of a label
+            # >= 2**32, and one below (probability 2**-32 a row) gets an extra zero word.
             for entries in scored:
                 _keep_best(entries)
             stream = None
             if eval_spec.mode == SDE:
-                stream = noise_stream[row_seeds].child(np.array([_latent_label(z) for z in rows], dtype=np.uint64))
+                labels = np.array([_latent_label(z) for z in rows], dtype=np.uint64)
+                stream = noise_stream[row_seeds].child(labels & 0xFFFF_FFFF).child(labels >> 32)
             paths, noises = denoise(model, eval_spec, rows, stream=stream)
             values = evaluate_reward(reward, paths[:, -1])
             for s, z, score, path, injected in zip(row_seeds.tolist(), rows, values.tolist(), paths, noises):

@@ -147,6 +147,11 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"'{field}'"):
             validate_config(base_config("r.jsonl", **{field: 10**5000}))
 
+    def test_replicates_at_the_cap_are_valid(self):
+        validate_config(base_config("r.jsonl", replicates=rts.cli.MAX_REPLICATES))
+        with pytest.raises(ConfigError, match="replicates"):
+            validate_config(base_config("r.jsonl", replicates=rts.cli.MAX_REPLICATES + 1))
+
     def test_last_replicate_seed_must_fit_u64(self):
         validate_config(base_config("r.jsonl", seed=2**64 - 2, replicates=2))
         with pytest.raises(ConfigError, match="replicates"):
@@ -408,6 +413,14 @@ class TestRunCommand:
         config, out = write_config(tmp_path)
         assert main(["run", "--config", config, "replicates=4096", *args]) == 2
         assert f"config error at 'workers': must lie in [1, {rts.cli.MAX_WORKERS}]" in capsys.readouterr().err
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("args", [[f"replicates={rts.cli.MAX_REPLICATES + 1}"], ["--replicates", str(10**10)]])
+    def test_replicates_above_the_cap_exit_2_before_the_output_is_opened(self, tmp_path, capsys, args):
+        # blocks are built, and submitted to the pool, all at once, so an absurd count would exhaust memory
+        config, out = write_config(tmp_path)
+        assert main(["run", "--config", config, *args]) == 2
+        assert f"config error at 'replicates': must lie in [1, {rts.cli.MAX_REPLICATES}]" in capsys.readouterr().err
         assert not Path(out).exists()
 
     def test_workers_at_the_cap_run(self, tmp_path):

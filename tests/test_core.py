@@ -22,7 +22,7 @@ from rts import (
     denoise,
     sample_gaussian,
 )
-from rts.core import LATENT_BOUND, _fold_terms, _hash_products, _int_fold_terms, _int_hash_products
+from rts.core import LATENT_BOUND, _fold_terms, _int_fold_terms, _int_hash_products
 
 
 class TestAsLatent:
@@ -203,11 +203,10 @@ class TestIncrementalDerivation:
             RngStream(5, (1, -2))
 
 
-# one derivation step of a block: one label for every stream, or one label (below 2**64) per stream
+# one derivation step of a block: one label for every stream, or one one-word label (below 2**32) per stream
 BLOCK_STEPS = st.one_of(
     st.tuples(st.just("all"), LABELS),
-    st.tuples(st.just("each"), st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
-                                        min_size=5, max_size=5)),
+    st.tuples(st.just("each"), st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5)),
 )
 
 
@@ -235,6 +234,22 @@ class TestStreamBlock:
             np.testing.assert_array_equal(draws[e], numpy_stream(root, path).standard_normal(dim))
             np.testing.assert_array_equal(draws[e], sample_gaussian(RngStream(root, path), dim))
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        roots=st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3),
+        prefix=st.lists(LABELS, max_size=3).map(tuple),
+        labels=st.lists(st.one_of(st.integers(2**32, 2**64 - 1), st.sampled_from([2**32, 2**64 - 1])),
+                        min_size=3, max_size=3),
+    )
+    def test_a_two_word_label_folds_as_two_one_word_children(self, roots, prefix, labels):
+        # numpy folds a label's 32-bit words least significant first, so for labels in [2**32, 2**64) the
+        # children of its low and then its high word are the child of the label
+        wide = np.array(labels, dtype=np.uint64)
+        block = StreamBlock.of([RngStream(root, prefix) for root in roots]).child(wide & 0xFFFF_FFFF).child(wide >> 32)
+        for e, (root, label) in enumerate(zip(roots, labels)):
+            expected = np.random.SeedSequence(root, spawn_key=prefix + (label,)).generate_state(2, np.uint64)
+            np.testing.assert_array_equal(block.keys()[e], expected)
+
     def test_labels_broadcast_against_the_leading_axes(self):
         streams = [RngStream(seed, (3,)) for seed in range(4)]
         block = StreamBlock.of(streams)[:, None].child(np.arange(6)).child(2)
@@ -245,10 +260,25 @@ class TestStreamBlock:
                 np.testing.assert_array_equal(draws[s, i], sample_gaussian(stream.child(i).child(2), 3))
         np.testing.assert_array_equal(sample_gaussian(block[1:3][:, 4], 3), draws[1:3, 4])
 
-    @pytest.mark.parametrize("labels", [np.array([1, -2]), np.array([0.0, 1.0]), np.array(["1"])])
+    # an array label is one 32-bit word per stream, so that every stream folds as many
+    @pytest.mark.parametrize("labels", [np.array([1, -2]), np.array([0.0, 1.0]), np.array(["1"]),
+                                        np.array([1, 2**32]), np.array([0, 2**64 - 1], dtype=np.uint64)])
     def test_labels_that_are_not_non_negative_integers_are_refused(self, labels):
         with pytest.raises(PreconditionError):
             StreamBlock.of([RngStream(1), RngStream(2)]).child(labels)
+
+    @pytest.mark.parametrize("paths", [[(2**40,), (1,)], [(), (0,)], [(1, 2), (2**32,), (0,)]])
+    def test_streams_of_mixed_word_width_are_refused(self, paths):
+        with pytest.raises(PreconditionError, match="as many 32-bit label words"):
+            StreamBlock.of([RngStream(seed, path) for seed, path in enumerate(paths)])
+
+    def test_streams_of_as_many_words_share_a_block(self):
+        # (2**40,) and (1, 2) both fold two words; an empty block has no streams to disagree
+        streams = [RngStream(1, (2**40,)), RngStream(2, (1, 2))]
+        draws = sample_gaussian(StreamBlock.of(streams).child(np.array([3, 4])), 3)
+        for stream, label, draw in zip(streams, (3, 4), draws):
+            np.testing.assert_array_equal(draw, sample_gaussian(stream.child(label), 3))
+        assert sample_gaussian(StreamBlock.of([]).child(np.arange(0)), 3).shape == (0, 3)
 
     @pytest.mark.parametrize(
         "streams",
@@ -288,25 +318,27 @@ class TestStreamBlock:
 
 
     def test_array_label_derivations_equal_seed_sequence_at_every_depth(self):
-        # one-word and two-word labels, mixed within a block and across depths;
-        # the first pass fills the memo of hash products, the second hits it
+        # one-word array labels between integer labels of one and two words; the first pass fills the memo
+        # of hash products, the second hits it
         _int_hash_products.cache_clear()
         roots = (0, 9, 2**63)
-        depths = [np.array([1, 4, 0]), np.array([7, 7, 7]), np.array([2**33 + 5, 3, 2**32 - 1]),
-                  np.array([2, 2**64 - 1, 6], dtype=np.uint64), np.array([0, 5, 2**40])]
+        depths = [np.array([1, 4, 0]), 2**40 + 3, np.array([7, 7, 7]), np.array([5, 3, 2**32 - 1]), 6,
+                  np.array([2, 2**32 - 2, 6], dtype=np.uint64), np.array([0, 5, 2**31])]
         for _ in range(2):
             block, paths = StreamBlock.of([RngStream(root) for root in roots]), [() for _ in roots]
             for labels in depths:
                 block = block.child(labels)
-                paths = [path + (int(label),) for path, label in zip(paths, labels)]
+                paths = [path + (int(np.broadcast_to(labels, len(roots))[e]),) for e, path in enumerate(paths)]
                 for e, (root, path) in enumerate(zip(roots, paths)):
                     expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
                     np.testing.assert_array_equal(block.keys()[e], expected)
         assert _int_hash_products.cache_info().hits > 0
         block = StreamBlock.of([RngStream(11)])
-        for depth in range(4):  # the memoized products are the computed ones, and read-only
-            for memo, computed in zip(_int_hash_products(block._hash), _hash_products(block._hash)):
-                np.testing.assert_array_equal(memo, computed)
+        for depth in range(4):  # the memoized products are SeedSequence's hash constants, and read-only
+            powers = [block._hash * pow(0x931E_8875, i, 2**32) % 2**32 for i in range(5)]
+            xor, mult = _int_hash_products(block._hash)
+            assert xor.tolist() == powers[:-1] and mult.tolist() == powers[1:]
+            for memo in (xor, mult):
                 with pytest.raises(ValueError, match="read-only"):
                     memo[0] = 0
             block = block.child(depth)

@@ -801,6 +801,22 @@ class TestGoldenRecords:
             )
         assert lines.hexdigest()[:16] == "c83d55c9df23e24d"
 
+    # full-length SDE initial scoring (``eval_steps_init`` unset), where each candidate's churn derives from a
+    # 64-bit label of its latent: a block of 24 seeds, unbudgeted and at a budget that cuts every seed short in
+    # the initial search
+    FULL_LENGTH = {None: "40513ba24fe95606", 300: "3cf7ccb8741a4640"}
+
+    @pytest.mark.parametrize("budget", [None, 300])
+    def test_full_length_initial_scoring_digest(self, budget):
+        model, spec, reward, cfg = criterion7_setup()
+        cfg = dataclasses.replace(cfg, eval_steps_init=None, budget_nfe=budget)
+        results = run_rts_block(model, spec, reward, cfg, [RngStream(seed) for seed in range(24)])
+        assert all(result.truncated for result in results) == (budget is not None)
+        lines = hashlib.sha256()
+        for result in results:
+            lines.update(f"{fingerprint(result)!r}\n".encode())
+        assert lines.hexdigest()[:16] == self.FULL_LENGTH[budget]
+
     def test_bon_ode(self):
         model, _, reward, _ = criterion7_setup()
         result = run_bon(model, SolverSpec(mode="ode", steps=8), reward, 100, RngStream(5))
@@ -951,6 +967,13 @@ class TestBlockInputs:
             block(given)
 
     @pytest.mark.parametrize("variant", BLOCK_METHODS)
+    def test_streams_of_mixed_word_width_are_refused(self, variant):
+        # a path of one 64-bit label folds two 32-bit words, a path of one small label one word
+        block, _ = criterion7_variants()[variant]
+        with pytest.raises(PreconditionError, match="as many 32-bit label words"):
+            block([RngStream(1, (2**40,)), RngStream(2, (1,))])
+
+    @pytest.mark.parametrize("variant", BLOCK_METHODS)
     def test_a_one_seed_call_names_the_stream_block_it_refuses(self, variant):
         _, alone = criterion7_variants()[variant]
         with pytest.raises(PreconditionError, match="holding StreamBlock"):
@@ -979,6 +1002,38 @@ class TestInitSearchMemo:
         monkeypatch.undo()
         for stream, result in zip(streams, results):
             assert_same_result(result, run_rts(model, spec, reward, cfg, stream))
+
+
+class TestFullLengthScoring:
+    """Under full-length SDE scoring a candidate's reward is a pure function of its latent, and the winner keeps it."""
+
+    def test_a_rescored_latent_and_the_winners_sample_keep_their_scores(self, monkeypatch):
+        model, spec, reward, cfg = criterion7_setup()
+        cfg = dataclasses.replace(cfg, eval_steps_init=None, search_inter=SearchConfig(rounds=0), k_keysteps=0)
+        scores, rescored = {}, 0
+        search = rts.pipeline._budgeted_search
+
+        def recording_search(z0, search_cfg, stream, seeds, cost, score, **options):
+            def recording_score(rows, row_seeds):
+                nonlocal rescored
+                values = score(rows, row_seeds)
+                for s, z, value in zip(row_seeds.tolist(), rows, values.tolist()):
+                    key = (s, z.tobytes())
+                    if key in scores:  # a relocated base, scored again in a later round
+                        rescored += 1
+                        assert value == scores[key]
+                    scores[key] = value
+                return values
+
+            return search(z0, search_cfg, stream, seeds, cost, recording_score, **options)
+
+        monkeypatch.setattr(rts.pipeline, "_budgeted_search", recording_search)
+        results = run_rts_block(model, spec, reward, cfg, [RngStream(seed) for seed in range(24)])
+        assert rescored > 0
+        for s, result in enumerate(results):
+            best = max(value for (seed, _), value in scores.items() if seed == s)
+            assert result.final_reward == best
+            assert evaluate_reward(reward, result.final_sample[None]).tolist() == [best]
 
 
 class TestBaselineResults:
