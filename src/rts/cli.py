@@ -148,7 +148,6 @@ def config_schema() -> dict:
         "k_keysteps": (_integer(), RtsConfig.k_keysteps),
         "eval_steps_init": (_nullable(_integer(1, MAX_STEPS)), RtsConfig.eval_steps_init),
         "eval_steps_inter": (_integer(), RtsConfig.eval_steps_inter),
-        "resample_inter_fresh": (_boolean, RtsConfig.resample_inter_fresh),
         "zo_step_tau": (_fraction, 0.9),
     }
 

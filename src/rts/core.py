@@ -9,12 +9,13 @@ values, not cursors: drawing from a stream twice yields the same numbers, and
 distinct logical draws must use distinct child streams.
 
 A stream is numpy's ``SeedSequence(root_seed, spawn_key=path)`` keying a
-Philox generator, derived one label at a time. numpy mixes the root into a
-pool of four 32-bit words, then folds each 32-bit word of the path into the
-pool under a running hash constant, which depends only on how many words
-were folded. So a stream carries its pool, and ``child(label)`` folds in
-only the label's words. The terms a word subtracts from the pool depend only
-on the word and the hash constant, and are memoized (``_int_fold_terms``, and
+Philox generator, derived one label at a time. Every label is one 32-bit
+word, in [0, 2**32); a wider one raises ``PreconditionError``. numpy mixes
+the root into a pool of four 32-bit words, then folds each label of the path
+into the pool under a running hash constant, which depends only on how many
+labels were folded. So a stream carries its pool, and ``child(label)`` folds
+in only the label. The terms a label subtracts from the pool depend only on
+the label and the hash constant, and are memoized (``_int_fold_terms``, and
 ``_int_hash_products`` for an array label: bounded ``lru_cache``s of
 read-only arrays). A draw turns the pool into the two-word Philox key exactly
 as ``SeedSequence.generate_state(2, np.uint64)`` does and sets it, at counter
@@ -26,8 +27,8 @@ fraction of its cost.
 The error taxonomy lives in ``errors`` and is importable from here too.
 
 A ``StreamBlock`` is an array of such streams, say one per seed of a
-lockstep block or one per candidate row. Its elements have folded as many
-words, so it has one hash constant. It folds a label into every element,
+lockstep block or one per candidate row. Its elements' paths are of one
+length, so it has one hash constant. It folds a label into every element,
 turns every pool into its key and draws one latent per element with array
 arithmetic, and each element draws what its ``RngStream`` draws. An
 ``RngStream`` keeps its pool as a one-element block.
@@ -153,7 +154,7 @@ def _fold_terms(word, hash_const: int) -> tuple[np.ndarray, np.ndarray]:
 # Most (word, hash constant) pairs whose fold terms are kept, and most hash
 # constants whose products are. The call sites fold a few small labels at a
 # few depths, so a handful of entries serve every derivation; the bound keeps
-# distinct 64-bit labels from growing it.
+# distinct labels from growing it.
 _FOLD_CACHE_SIZE = 1024
 
 
@@ -180,8 +181,8 @@ class StreamBlock:
 
     A block keeps each element's SeedSequence pool as uint64 words below
     2**32, so that the product of two words is exact, and derives, keys and
-    draws with array arithmetic over all elements. Every element has folded
-    as many label words, so the block has one running hash constant, an int.
+    draws with array arithmetic over all elements. Every element's path is
+    of one length, so the block has one running hash constant, an int.
     Indexing a block indexes its leading axes, and ``child`` broadcasts its
     labels against them.
     """
@@ -198,7 +199,7 @@ class StreamBlock:
 
         Anything else, an iterator of streams or a sequence holding something
         other than an ``RngStream``, raises ``PreconditionError``, and so do
-        streams whose paths hold different numbers of 32-bit label words.
+        streams whose paths differ in length.
         """
         if isinstance(streams, StreamBlock):
             return streams
@@ -207,11 +208,10 @@ class StreamBlock:
         if not isinstance(streams, Sequence) or not all(isinstance(stream, RngStream) for stream in streams):
             raise PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
                                     f"got {type(streams).__name__}")
+        if len({len(stream.path) for stream in streams}) > 1:
+            raise PreconditionError("the streams of a block must have paths of one length")
         pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint64).reshape(-1, _POOL_SIZE)
-        hashes = {stream._pool._hash for stream in streams}
-        if len(hashes) > 1:
-            raise PreconditionError("the streams of a block must have paths of as many 32-bit label words")
-        return cls(pool, hashes.pop() if hashes else _ROOT_HASH)
+        return cls(pool, streams[0]._pool._hash if streams else _ROOT_HASH)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -221,32 +221,21 @@ class StreamBlock:
         index = (index if isinstance(index, tuple) else (index,)) + (slice(None),)  # the private last axis stays
         return StreamBlock(self._pool[index], self._hash)
 
-    def _fold(self, word) -> "StreamBlock":
-        """Fold one 32-bit label word, an int or a uint64 array broadcast against the block, into every pool word."""
-        if isinstance(word, int):
-            terms, hash_const = _int_fold_terms(word, self._hash)
-        else:
-            terms, next_hash = _fold_terms(word[..., None], self._hash)
-            hash_const = int(next_hash[0])
-        return StreamBlock(_mix((_MIX_L * self._pool - terms) & _MASK32), hash_const)
-
     def child(self, labels) -> "StreamBlock":
         """Append a label to every path: one integer for all, or an array broadcast against the block.
 
-        numpy folds a label one 32-bit word at a time, least significant
-        first. An integer label may take any number of words. An array label
-        is one word per element, so that every element folds as many: it must
-        lie below 2**32. Negative labels are refused.
+        Every label is one 32-bit word, folded into every pool word: a label
+        outside [0, 2**32) raises ``PreconditionError``.
         """
         if isinstance(labels, (int, np.integer)):
-            block = self
-            for word in _words(as_integer(labels, "derivation label", 0)):
-                block = block._fold(word)
-            return block
-        labels = np.asarray(labels)
-        if labels.dtype.kind not in "iu" or (labels.size and (labels.min() < 0 or labels.max() > _MASK32)):
-            raise PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
-        return self._fold(labels.astype(np.uint64, copy=False))
+            terms, hash_const = _int_fold_terms(as_integer(labels, "derivation label", 0, _MASK32), self._hash)
+        else:
+            labels = np.asarray(labels)
+            if labels.dtype.kind not in "iu" or (labels.size and (labels.min() < 0 or labels.max() > _MASK32)):
+                raise PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
+            terms, next_hash = _fold_terms(labels.astype(np.uint64, copy=False)[..., None], self._hash)
+            hash_const = int(next_hash[0])
+        return StreamBlock(_mix((_MIX_L * self._pool - terms) & _MASK32), hash_const)
 
     def keys(self) -> np.ndarray:
         """The ``(..., 2)`` Philox keys, as ``SeedSequence.generate_state(2, np.uint64)`` makes them."""
@@ -258,16 +247,6 @@ class StreamBlock:
         rewound = _thread_generator().rewound
         draws = [rewound(key).standard_normal(dim) for key in self.keys().reshape(-1, 2).tolist()]
         return np.array(draws).reshape(self.shape + (dim,))
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of ``n``, least significant first; one zero word for 0."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
 
 
 @dataclass(frozen=True)
@@ -289,7 +268,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         root = as_integer(self.root_seed, "root_seed", 0, _MAX_SEED)
-        path = tuple(as_integer(label, "path label", 0) for label in self.path)
+        path = tuple(as_integer(label, "path label", 0, _MASK32) for label in self.path)
         # numpy pads the root's words with zeros to the pool size when a spawn
         # key follows and hashes zeros for the missing words when none does,
         # so the pool of SeedSequence(root) starts every path
@@ -307,7 +286,7 @@ class RngStream:
         labels give statistically independent children. Only the new label
         is checked and folded in; the parent's path already was.
         """
-        label = as_integer(label, "derivation label", 0)
+        label = as_integer(label, "derivation label", 0, _MASK32)
         child = object.__new__(RngStream)
         object.__setattr__(child, "root_seed", self.root_seed)
         object.__setattr__(child, "path", self.path + (label,))

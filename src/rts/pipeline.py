@@ -57,7 +57,6 @@ from .core import (
     RngStream,
     StreamBlock,
     as_integer,
-    check_scalar,
     sample_gaussian,
 )
 from .keysteps import KeyStepSet, project_trajectory, select_key_steps
@@ -132,9 +131,9 @@ class RtsConfig:
     disables the intermediate phase. ``eval_steps_init`` sets the solver
     length used to score initial-noise candidates (None means the full
     length); ``eval_steps_inter`` is the scoring lookahead at a key step,
-    1 meaning a single clean-estimate call. With ``resample_inter_fresh``
-    the intermediate phase's no-relocation branch draws fresh noise;
-    otherwise it falls back to the recorded noise at that step.
+    1 meaning a single clean-estimate call. The intermediate phase's search
+    starts from the recorded noise at the key step, and a later round that
+    does not relocate draws fresh noise.
 
     The intermediate phase also needs SDE mode and ``steps >= 3``.
     ``budget_nfe`` caps the run: the initial search may spend it less the
@@ -147,7 +146,6 @@ class RtsConfig:
     eval_steps_init: int | None = None
     eval_steps_inter: int = 1
     budget_nfe: int | None = None
-    resample_inter_fresh: bool = True
 
     def __post_init__(self) -> None:
         as_integer(self.k_keysteps, "k_keysteps", 0)
@@ -156,7 +154,6 @@ class RtsConfig:
             as_integer(self.eval_steps_init, "eval_steps_init", 1)
         if self.budget_nfe is not None:
             as_integer(self.budget_nfe, "budget_nfe", 1)
-        check_scalar(self.resample_inter_fresh, "resample_inter_fresh", kind=bool)
 
 
 @dataclass
@@ -186,7 +183,7 @@ def _seed_block(streams) -> StreamBlock:
 
 
 def _latent_label(z: np.ndarray) -> int:
-    """Stable 64-bit stream label for a latent's exact float64 contents."""
+    """Stable 64-bit hash of a latent's exact float64 contents, which keys its stream as two one-word labels."""
     digest = hashlib.blake2b(np.ascontiguousarray(z).tobytes(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
@@ -349,8 +346,8 @@ def run_rts_block(
             # A candidate's churn noises derive from a hash of the candidate, so
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
-            # Its 64-bit label folds as two one-word children: numpy's fold of a label
-            # >= 2**32, and one below (probability 2**-32 a row) gets an extra zero word.
+            # A label is one word, so the 64-bit hash enters as two labels: its
+            # low word, then its high word (the golden digests pin this order).
             for entries in scored:
                 _keep_best(entries)
             stream = None
@@ -466,8 +463,7 @@ def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, n
 
             best_noise, rewards = _budgeted_search(injected[here, slot], cfg.search_inter,
                                                    inter_stream[here].child(position), [seeds[s] for s in here],
-                                                   cost, score_noises, start_from_z0=True,
-                                                   resample_to_z0=not cfg.resample_inter_fresh)
+                                                   cost, score_noises, start_from_z0=True)
             for g, s in enumerate(here.tolist()):
                 if not seeds[s].cut:
                     seeds[s].history["inter"].append(rewards[g])

@@ -21,9 +21,9 @@ from .schema import REQUIRED, _boolean, _Invalid, _integer, _json, _nullable, _n
 # the fields of a results record that ``rts report`` reads
 _RECORD_SCHEMA = {
     "method": (_string, REQUIRED),
-    "seed": (_integer(), REQUIRED),
+    "seed": (_integer(0, 2**64 - 1), REQUIRED),
     "final_reward": (_number, REQUIRED),
-    "nfe_used": (_integer(), REQUIRED),
+    "nfe_used": (_integer(0), REQUIRED),
     "truncated": (_boolean, REQUIRED),
     "hit": (_nullable(_boolean), None),
     "config": (_nullable(_string), None),

@@ -106,10 +106,9 @@ class SearchState:
     """Bookkeeping between rounds: base, gradient, last candidates, best yet.
 
     ``round`` is the 1-indexed number of the next round to execute.
-    ``seed_base`` preempts the fresh Gaussian in round 1; ``resample_base``
-    replaces the fresh Gaussian in every later no-relocation branch. Both
-    default to None, meaning standard normal resampling. The fields of a
-    lockstep block carry a leading seed axis.
+    ``seed_base`` preempts the fresh Gaussian in round 1; None means standard
+    normal resampling there too. The fields of a lockstep block carry a
+    leading seed axis.
     """
 
     dim: int
@@ -123,7 +122,6 @@ class SearchState:
     global_best: Latent | None = None
     global_best_reward: float = float("-inf")
     seed_base: Latent | None = None
-    resample_base: Latent | None = None
     history: tuple[RoundSummary, ...] = field(default_factory=tuple)
 
 
@@ -185,7 +183,8 @@ def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborS
 
 
 def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
-    """Each seed's base: its previous round's best candidate if that strictly beat its base, else the fallback."""
+    """Each seed's base: its previous round's best candidate if that strictly beat its base, else the seed base
+    in round 1 or a fresh Gaussian."""
     relocate = None  # which seeds relocate, None for none
     if state.last_rewards is not None:
         best, top = _best_rows(state.last_candidates, state.last_rewards)
@@ -196,8 +195,6 @@ def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
             relocate = None
     if state.round == 1 and state.seed_base is not None:
         other = state.seed_base
-    elif state.round > 1 and state.resample_base is not None:
-        other = state.resample_base
     elif relocate is None:
         return sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
     else:
@@ -246,16 +243,14 @@ def run_search(
     stream: RngStream | StreamBlock,
     *,
     start_from_z0: bool = False,
-    resample_to_z0: bool = False,
 ) -> tuple[Latent, float, tuple[RoundSummary, ...]]:
     """Alternate coarse and fine rounds for ``cfg.rounds`` rounds.
 
     ``z0`` fixes the dimension: one ``(d,)`` start with an ``RngStream``, or
     ``(S, d)`` with a ``StreamBlock`` of S streams. By default round 1
     samples a fresh Gaussian base; ``start_from_z0`` adopts ``z0`` as the
-    round-1 base instead, and ``resample_to_z0`` pins later no-relocation
-    branches to ``z0`` rather than fresh noise (both used by the
-    intermediate-noise phase).
+    round-1 base instead (the intermediate-noise phase does). A later coarse
+    round that does not relocate always resamples a fresh Gaussian.
 
     Exactly ``rounds * n_neighbors`` candidate evaluations plus one base
     evaluation per coarse round are performed, per seed.
@@ -267,11 +262,7 @@ def run_search(
     if stream.shape != z0.shape[:-1]:
         raise PreconditionError(f"a start of shape {z0.shape} needs streams of shape {z0.shape[:-1]}, "
                                 f"got {stream.shape}")
-    state = SearchState(
-        dim=z0.shape[-1],
-        seed_base=z0 if start_from_z0 else None,
-        resample_base=z0 if resample_to_z0 else None,
-    )
+    state = SearchState(dim=z0.shape[-1], seed_base=z0 if start_from_z0 else None)
     for t in range(1, cfg.rounds + 1):
         step = coarse_round if t % 2 == 1 else fine_round
         state = step(state, cfg, evaluate, stream.child(t))

@@ -90,7 +90,6 @@ class TestValidateConfig:
         assert cfg["search_inter"] == {**cfg["search_init"], "rounds": 2}
         assert cfg["k_keysteps"] == 6
         assert cfg["eval_steps_inter"] == 1
-        assert cfg["resample_inter_fresh"] is True
         assert cfg["zo_step_tau"] == 0.9
 
     def test_unknown_top_level_key_names_path(self):
@@ -162,7 +161,7 @@ class TestOverrides:
     def test_json_values_parse(self):
         assert parse_override("search_init.alpha=0.65") == ("search_init.alpha", 0.65)
         assert parse_override("replicates=3") == ("replicates", 3)
-        assert parse_override("resample_inter_fresh=false") == ("resample_inter_fresh", False)
+        assert parse_override("search_inter.track_global_best=false") == ("search_inter.track_global_best", False)
 
     def test_bare_strings_pass_through(self):
         assert parse_override("method=free") == ("method", "free")
@@ -284,14 +283,16 @@ class TestRunCommand:
         assert f"config error at '{WORKER_ENV}'" in capsys.readouterr().err
         assert not Path(out).exists()
 
-    def test_unknown_config_key_exits_2_with_dotted_path(self, tmp_path, capsys):
-        out = tmp_path / "r.jsonl"
-        raw = base_config(out)
-        raw["solver"]["typo"] = 1
+    # resample_inter_fresh is no key: the key-step search always resamples fresh
+    @pytest.mark.parametrize("section, key", [("solver", "typo"), (None, "resample_inter_fresh")])
+    def test_unknown_config_key_exits_2_with_dotted_path(self, tmp_path, capsys, section, key):
+        raw = base_config(tmp_path / "r.jsonl")
+        (raw[section] if section else raw)[key] = True
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(config)]) == 2
-        assert "solver.typo" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{section + '.' if section else ''}{key}'" in err and "unknown key" in err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -810,8 +811,11 @@ class TestReportCommand:
             ("seed", "0"),
             ("seed", True),
             ("seed", 1.5),
+            ("seed", -3),
+            ("seed", 2**64),
             ("nfe_used", None),
             ("nfe_used", False),
+            ("nfe_used", -10),
             ("final_reward", None),
             ("final_reward", "0.5"),
             ("final_reward", True),
@@ -1198,7 +1202,6 @@ _OVERRIDES = {
     "k_keysteps": st.one_of(_JUNK, st.integers(-1, 10**18)),
     "eval_steps_init": st.one_of(_NOT_INT, st.integers(-1, 4), _ABSURD),
     "eval_steps_inter": st.one_of(_JUNK, st.integers(-1, 10**18)),
-    "resample_inter_fresh": _JUNK,
     "zo_step_tau": _JUNK,
     "search_init.typo": _JUNK,
 }
@@ -1224,7 +1227,7 @@ def test_every_config_key_is_fuzzed():
             if key.startswith(a):
                 fuzzed.add(b + key[len(a):])
     paths = set(_leaf_paths(rts.cli.config_schema()))
-    assert len(paths) == 32
+    assert len(paths) == 31
     assert sorted(paths - fuzzed) == []
 
 

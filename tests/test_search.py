@@ -75,7 +75,7 @@ class TestSearchConfig:
 class TestGreedyRelocation:
     """Branch cases of the base update at the start of a coarse round."""
 
-    def _state_at_round_3(self, base_reward, last_rewards, **extra):
+    def _state_at_round_3(self, base_reward, last_rewards):
         rng = np.random.default_rng(42)
         candidates = rng.standard_normal((len(last_rewards), 6))
         return SearchState(
@@ -85,7 +85,6 @@ class TestGreedyRelocation:
             base_reward=base_reward,
             last_candidates=candidates,
             last_rewards=np.array(last_rewards, dtype=np.float64),
-            **extra,
         )
 
     def test_better_neighbor_adopted(self):
@@ -107,12 +106,6 @@ class TestGreedyRelocation:
         out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), stream)
         expected = sample_gaussian(stream.child(0), 6)
         np.testing.assert_array_equal(out.base, expected)
-
-    def test_resample_base_pins_no_relocation_branch(self):
-        pinned = np.full(6, 2.0)
-        state = self._state_at_round_3(0.5, [0.4, 0.2, 0.1], resample_base=pinned)
-        out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
-        np.testing.assert_array_equal(out.base, pinned)
 
     def test_seed_base_used_in_round_1(self):
         seed = np.full(6, -1.5)
@@ -305,20 +298,21 @@ class TestRunSearch:
         _, _, history = run_search(z0, cfg, rows(reward), RngStream(3), start_from_z0=True)
         assert history[0].base_reward == reward(z0)
 
-    def test_resample_to_z0_pins_later_bases(self):
-        # Spherical neighbors preserve the base norm, so R(x) = -|x|^2 ties
-        # every candidate with its base and relocation never fires; with
-        # resample_to_z0 each coarse round must then return to z0 exactly.
+    def test_later_no_relocation_branches_resample_fresh(self):
+        # A constant reward never strictly improves, so relocation never fires;
+        # after the round-1 start at z0, each coarse round t bases on
+        # stream.child(t).child(0). A coarse batch is [base; 3 neighbors].
         z0 = np.array([1.0, -2.0, 0.5, 0.25])
-        reward = lambda x: -float(np.sum(x * x))
-        cfg = SearchConfig(n_neighbors=3, rounds=5)
-        _, _, history = run_search(
-            z0, cfg, rows(reward), RngStream(17), start_from_z0=True, resample_to_z0=True
-        )
-        expected = reward(z0)
-        for h in history:
-            if h.kind == "coarse":
-                np.testing.assert_allclose(h.base_reward, expected, rtol=1e-12)
+        bases = []
+
+        def evaluate(batch):
+            if len(batch) == 4:
+                bases.append(batch[0])
+            return np.zeros(len(batch))
+
+        stream = RngStream(17)
+        run_search(z0, SearchConfig(n_neighbors=3, rounds=5), evaluate, stream, start_from_z0=True)
+        np.testing.assert_array_equal(bases, [z0] + [sample_gaussian(stream.child(t).child(0), 4) for t in (3, 5)])
 
 
 class TestBatchedEvaluation:
@@ -416,8 +410,8 @@ class TestLockstepBlock:
     REWARDS = (lambda x: 1.0, quadratic_reward(np.full(4, 0.3)), quadratic_reward([1.0, -0.5, 0.0, 2.0]))
 
     @pytest.mark.parametrize("track_global_best", [True, False])
-    @pytest.mark.parametrize("start_from_z0, resample_to_z0", [(False, False), (True, False), (True, True)])
-    def test_block_follows_each_seed_alone(self, track_global_best, start_from_z0, resample_to_z0):
+    @pytest.mark.parametrize("start_from_z0", [False, True])
+    def test_block_follows_each_seed_alone(self, track_global_best, start_from_z0):
         streams = [RngStream(seed) for seed in (3, 4, 5)]
         z0 = np.random.default_rng(8).standard_normal((3, 4))
         calls = []
@@ -427,12 +421,12 @@ class TestLockstepBlock:
             return np.array([[reward(x) for x in rows] for reward, rows in zip(self.REWARDS, batch)])
 
         cfg = SearchConfig(n_neighbors=3, rounds=5, track_global_best=track_global_best)
-        options = {"start_from_z0": start_from_z0, "resample_to_z0": resample_to_z0}
-        best, score, history = run_search(z0, cfg, evaluate, StreamBlock.of(streams), **options)
+        best, score, history = run_search(z0, cfg, evaluate, StreamBlock.of(streams), start_from_z0=start_from_z0)
         assert calls == [(3, 4, 4), (3, 3, 4), (3, 4, 4), (3, 3, 4), (3, 4, 4)]
         assert [h.guided_fallback for h in history if h.kind == "fine"] == [1, 1]
         for s, (stream, reward) in enumerate(zip(streams, self.REWARDS)):
-            alone_best, alone_score, alone_history = run_search(z0[s], cfg, rows(reward), stream, **options)
+            alone_best, alone_score, alone_history = run_search(z0[s], cfg, rows(reward), stream,
+                                                                start_from_z0=start_from_z0)
             np.testing.assert_array_equal(best[s], alone_best)
             assert score[s] == alone_score
             for block_round, alone_round in zip(history, alone_history, strict=True):

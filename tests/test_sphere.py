@@ -319,7 +319,7 @@ class TestSphereInvariantProperty:
         scale=st.floats(1e-3, 1e3),
         data_seed=st.integers(0, 2**32 - 1),
         root=st.integers(0, 2**64 - 1),
-        label=st.integers(0, 2**40),
+        label=st.integers(0, 2**32 - 1),
     )
     def test_random_and_guided_samples_keep_norm_and_angle(self, d, n, tau, alpha, scale, data_seed, root, label):
         rng = np.random.default_rng(data_seed)
