@@ -14,13 +14,17 @@ word, in [0, 2**32); a wider one raises ``PreconditionError``. numpy mixes
 the root into a pool of four 32-bit words, then folds each label of the path
 into the pool under a running hash constant, which depends only on how many
 labels were folded. So a stream carries its pool, and ``child(label)`` folds
-in only the label. The terms a label subtracts from the pool depend only on
-the label and the hash constant, and are memoized (``_int_fold_terms``, and
-``_int_hash_products`` for an array label: bounded ``lru_cache``s of
-read-only arrays). A draw turns the pool into the two-word Philox key exactly
-as ``SeedSequence.generate_state(2, np.uint64)`` does and sets it, at counter
-0, on one reused Philox generator per thread, built at the first draw. Every
-draw is bit for bit the one a fresh
+in only the label. Pools and fold terms are uint32 arrays, whose arithmetic
+wraps modulo 2**32 as SeedSequence's does. The terms a label subtracts from
+the pool depend only on the label and the hash constant, and are memoized in
+bounded ``lru_cache``s of read-only arrays: per int label
+(``_int_fold_terms``), and per hash constant as the table of labels 0-255
+that an array label below 256 indexes (``_table_fold_terms``); a wider array
+label is folded with array arithmetic. A draw turns the pool into the
+two-word Philox key exactly as ``SeedSequence.generate_state(2, np.uint64)``
+does, reading each pair of mixed words as one little-endian uint64, and sets
+it, at counter 0, on one reused Philox generator per thread, built at the
+first draw. Every draw is bit for bit the one a fresh
 ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))`` makes, at a
 fraction of its cost.
 
@@ -134,10 +138,10 @@ def check_scalar(value, what: str, low: float | None = None, high: float | None 
 # SeedSequence's mixing multiplier to the powers 0..4: a label word is hashed
 # into pool word i with the running constant times A**i and multiplied by it
 # times A**(i+1), so one word folds into all four pool words at once
-_POWERS_A = np.array([pow(_MULT_A, i, 2**32) for i in range(_POOL_SIZE + 1)], dtype=np.uint64)
+_POWERS_A = np.array([pow(_MULT_A, i, 2**32) for i in range(_POOL_SIZE + 1)], dtype=np.uint32)
 # generate_state hashes the pool with constants that do not depend on it
-_KEY_XOR = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
-_KEY_MULT = np.array([_INIT_B * pow(_MULT_B, i + 1, 2**32) & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
+_KEY_XOR = np.array([_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint32)
+_KEY_MULT = np.array([_INIT_B * pow(_MULT_B, i + 1, 2**32) & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint32)
 
 
 def _mix(value: np.ndarray) -> np.ndarray:
@@ -145,10 +149,10 @@ def _mix(value: np.ndarray) -> np.ndarray:
 
 
 def _fold_terms(word, hash_const: int) -> tuple[np.ndarray, np.ndarray]:
-    """Folding ``word``, an int or a ``(..., 1)`` array, at ``hash_const``: the ``(..., 4)`` terms it
-    subtracts from ``_MIX_L`` times each pool word, modulo 2**32, and the next hash constant ``(1,)``."""
+    """Folding ``word``, an int or a uint32 ``(..., 1)`` array, at ``hash_const``: the uint32 ``(..., 4)`` terms
+    it subtracts from ``_MIX_L`` times each pool word, and the next hash constant ``(1,)``."""
     xor, mult = _int_hash_products(hash_const)
-    return _MIX_R * _mix((word ^ xor) * mult & _MASK32) & _MASK32, mult[-1:]
+    return _MIX_R * _mix((word ^ xor) * mult), mult[-1:]
 
 
 # Most (word, hash constant) pairs whose fold terms are kept, and most hash
@@ -156,13 +160,18 @@ def _fold_terms(word, hash_const: int) -> tuple[np.ndarray, np.ndarray]:
 # few depths, so a handful of entries serve every derivation; the bound keeps
 # distinct labels from growing it.
 _FOLD_CACHE_SIZE = 1024
+# Array labels below _TABLE_SIZE fold by indexing a table of their terms. A
+# hash constant follows from a path's length, so few tables are ever built;
+# the bound holds them to 64 tables of 4 KB.
+_TABLE_SIZE = 256
+_TABLE_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
 def _int_hash_products(hash_const: int) -> tuple[np.ndarray, np.ndarray]:
-    """What folding at ``hash_const`` xors each word with and multiplies it by, read-only ``(4,)`` arrays; the
-    last product is the next hash constant."""
-    products = hash_const * _POWERS_A[:-1] & _MASK32, hash_const * _POWERS_A[1:] & _MASK32
+    """What folding at ``hash_const`` xors each word with and multiplies it by, read-only uint32 ``(4,)`` arrays;
+    the last product is the next hash constant."""
+    products = hash_const * _POWERS_A[:-1], hash_const * _POWERS_A[1:]
     for array in products:
         array.flags.writeable = False
     return products
@@ -176,21 +185,32 @@ def _int_fold_terms(word: int, hash_const: int) -> tuple[np.ndarray, int]:
     return terms, int(next_hash[0])
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _table_fold_terms(hash_const: int) -> tuple[np.ndarray, int]:
+    """``_fold_terms`` of the words 0 to 255 at ``hash_const``, memoized: a read-only ``(256, 4)`` table whose
+    row i holds word i's terms, and the next hash constant as an int."""
+    terms, next_hash = _fold_terms(np.arange(_TABLE_SIZE, dtype=np.uint32)[:, None], hash_const)
+    terms.flags.writeable = False
+    return terms, int(next_hash[0])
+
+
 class StreamBlock:
     """An array of streams, derived and drawn at once; each element is bit for bit one ``RngStream``.
 
-    A block keeps each element's SeedSequence pool as uint64 words below
-    2**32, so that the product of two words is exact, and derives, keys and
-    draws with array arithmetic over all elements. Every element's path is
-    of one length, so the block has one running hash constant, an int.
-    Indexing a block indexes its leading axes, and ``child`` broadcasts its
-    labels against them.
+    A block keeps each element's SeedSequence pool as four uint32 words,
+    whose products and differences wrap modulo 2**32 as SeedSequence's do,
+    and derives, keys and draws with array arithmetic over all elements.
+    Every element's path is of one length, so the block has one running hash
+    constant, an int. An array label below 256 folds by indexing that
+    constant's table of terms. A key is the block's mixed words read in
+    pairs as little-endian uint64s, a view. Indexing a block indexes its
+    leading axes, and ``child`` broadcasts its labels against them.
     """
 
     __slots__ = ("_pool", "_hash")
 
     def __init__(self, pool: np.ndarray, hash_const: int) -> None:
-        self._pool = pool  # (..., 4) pool words
+        self._pool = pool  # (..., 4) uint32 pool words
         self._hash = hash_const
 
     @classmethod
@@ -210,7 +230,7 @@ class StreamBlock:
                                     f"got {type(streams).__name__}")
         if len({len(stream.path) for stream in streams}) > 1:
             raise PreconditionError("the streams of a block must have paths of one length")
-        pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint64).reshape(-1, _POOL_SIZE)
+        pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint32).reshape(-1, _POOL_SIZE)
         return cls(pool, streams[0]._pool._hash if streams else _ROOT_HASH)
 
     @property
@@ -231,22 +251,31 @@ class StreamBlock:
             terms, hash_const = _int_fold_terms(as_integer(labels, "derivation label", 0, _MASK32), self._hash)
         else:
             labels = np.asarray(labels)
-            if labels.dtype.kind not in "iu" or (labels.size and (labels.min() < 0 or labels.max() > _MASK32)):
+            # the dtype check comes first: min and max of a string array raise numpy's own error
+            if (labels.dtype.kind not in "iu" or (high := labels.max(initial=0)) > _MASK32
+                    or labels.min(initial=0) < 0):
                 raise PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
-            terms, next_hash = _fold_terms(labels.astype(np.uint64, copy=False)[..., None], self._hash)
-            hash_const = int(next_hash[0])
-        return StreamBlock(_mix((_MIX_L * self._pool - terms) & _MASK32), hash_const)
+            if high < _TABLE_SIZE:
+                table, hash_const = _table_fold_terms(self._hash)
+                terms = table[labels]
+            else:
+                terms, next_hash = _fold_terms(labels.astype(np.uint32)[..., None], self._hash)
+                hash_const = int(next_hash[0])
+        return StreamBlock(_mix(_MIX_L * self._pool - terms), hash_const)
 
     def keys(self) -> np.ndarray:
-        """The ``(..., 2)`` Philox keys, as ``SeedSequence.generate_state(2, np.uint64)`` makes them."""
-        words = _mix((self._pool ^ _KEY_XOR) * _KEY_MULT & _MASK32)
-        return words[..., 0::2] | words[..., 1::2] << 32
+        """The ``(..., 2)`` Philox keys, as ``SeedSequence.generate_state(2, np.uint64)`` makes them: C-contiguous
+        uint64."""
+        words = _mix((self._pool ^ _KEY_XOR) * _KEY_MULT)
+        return words.astype("<u4", order="C", copy=False).view("<u8")
 
     def normal(self, dim: int) -> np.ndarray:
         """One standard normal latent of dimension ``dim`` per stream, ``(..., dim)``."""
         rewound = _thread_generator().rewound
-        draws = [rewound(key).standard_normal(dim) for key in self.keys().reshape(-1, 2).tolist()]
-        return np.array(draws).reshape(self.shape + (dim,))
+        draws = np.empty(self.shape + (dim,))
+        for key, row in zip(self.keys().reshape(-1, 2).tolist(), draws.reshape(-1, dim)):
+            rewound(key).standard_normal(out=row)
+        return draws
 
 
 @dataclass(frozen=True)
@@ -272,7 +301,7 @@ class RngStream:
         # numpy pads the root's words with zeros to the pool size when a spawn
         # key follows and hashes zeros for the missing words when none does,
         # so the pool of SeedSequence(root) starts every path
-        pool = StreamBlock(np.random.SeedSequence(root).pool.astype(np.uint64), _ROOT_HASH)
+        pool = StreamBlock(np.random.SeedSequence(root).pool.astype(np.uint32), _ROOT_HASH)
         for label in path:
             pool = pool.child(label)
         object.__setattr__(self, "root_seed", root)

@@ -9,9 +9,12 @@ deviation from the base direction: every candidate keeps the base norm
 exactly and satisfies cos∠(m, z) = τ. Coarse search draws ``ŵ`` isotropically
 on the tangent sphere; fine search blends the previous perturbations with a
 guidance direction before renormalizing, and a base whose guidance has no
-tangential part samples as coarse search does. One rule draws every tangent
-(``_unit_tangents``): a fresh row, a cancelled blend and a fallback base's
-rows alike take candidate i's isotropic draw from ``stream.child(i)``.
+tangential part samples as coarse search does. Candidate i's isotropic draws
+come from ``stream.child(i)``: a random sample draws all its rows at once
+from attempt 0, ``child(i).child(0)``. One rule redraws every row that is
+below tolerance (``_unit_tangents``), from the next attempt on: a random
+sample's collapsed row from attempt 1, a cancelled blend and a fallback
+base's rows from attempt 0.
 
 All candidates are formed at once, one per row, reduced with ``np.vecdot``: it sums
 each row of a batch as the 1-D ``w @ u`` does, while ``W @ u``, ``einsum`` and
@@ -122,17 +125,18 @@ def _base_frame(base: Latent) -> tuple[Latent, np.ndarray, Latent]:
 # Tangents are drawn with StreamBlock.normal, not sample_gaussian: the
 # benchmark's tracer reads the path of every stream this module hands to
 # sample_gaussian, and a block has no path.
-def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock) -> np.ndarray:
+def _unit_tangents(rows: np.ndarray, u: Latent, stream: StreamBlock, first_attempt: int) -> np.ndarray:
     """Normalize tangent rows ``(..., n, d)``, first redrawing each row that is below tolerance.
 
-    The only code that draws a tangent. ``u`` and ``stream`` have the leading
-    shape of the rows. Row i, while below tolerance, takes at attempt a = 0,
-    ..., 8 an isotropic draw from its stream's ``child(i).child(a)``, projected
-    off ``u`` twice; the draws of one attempt are made at once.
+    The only code that redraws a tangent. ``u`` and ``stream`` have the
+    leading shape of the rows. Row i, while below tolerance, takes at attempt
+    a = ``first_attempt``, ..., 8 an isotropic draw from its stream's
+    ``child(i).child(a)``, projected off ``u`` twice; the draws of one attempt
+    are made at once.
     """
     norms = row_norm(rows)
     collapsed = norms < _DEGENERATE_TOL
-    for attempt in range(_MAX_DRAWS):
+    for attempt in range(first_attempt, _MAX_DRAWS):
         if not collapsed.any():
             break
         redraw = collapsed.nonzero()
@@ -155,13 +159,17 @@ def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream 
     """Draw ``n`` isotropic candidates at angle arccos(τ) from ``base``, one ``(d,)`` or a block ``(S, d)``.
 
     Candidate i consumes the sub-stream ``stream.child(i)``, so each
-    candidate is the same whatever ``n`` is.
+    candidate is the same whatever ``n`` is. Its first draw, from
+    ``child(i).child(0)``, is made with every other candidate's at once; a
+    draw that collapses onto the base direction is redrawn from attempt 1.
     """
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     base, radius, u = _base_frame(base)
-    perturbations = _unit_tangents(np.zeros(base.shape[:-1] + (n, base.shape[-1])), u, _streams(stream, base))
-    return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations)
+    streams, u_rows = _streams(stream, base), u[..., None, :]
+    w = streams[..., None].child(np.arange(n)).child(0).normal(base.shape[-1])
+    perturbations = _unit_tangents(_reject(_reject(w, u_rows), u_rows), u, streams, 1)
+    return NeighborSet(base, _cone_point(radius[..., None], u_rows, tau, perturbations), perturbations)
 
 
 def guided_spherical_sample(
@@ -206,6 +214,6 @@ def guided_spherical_sample(
     # amplify the parents' rounding residue along u.
     blend = _reject((1.0 - alpha) * prev + alpha * g_hat[..., None, :], u[..., None, :])
     blend[fallback] = 0.0
-    perturbations = _unit_tangents(blend, u, _streams(stream, base))
+    perturbations = _unit_tangents(blend, u, _streams(stream, base), 0)
     return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations,
                        fallback=fallback)

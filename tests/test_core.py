@@ -22,7 +22,7 @@ from rts import (
     denoise,
     sample_gaussian,
 )
-from rts.core import LATENT_BOUND, _fold_terms, _int_fold_terms, _int_hash_products
+from rts.core import LATENT_BOUND, _fold_terms, _int_fold_terms, _int_hash_products, _table_fold_terms
 
 
 class TestAsLatent:
@@ -143,6 +143,8 @@ def numpy_stream(root, path):
 
 # every label is one 32-bit word
 LABELS = st.integers(0, 2**32 - 1)
+# the ends of the label range and of the table of array labels
+EDGE_LABELS = (0, 255, 256, 2**32 - 1)
 
 
 class TestIncrementalDerivation:
@@ -265,7 +267,8 @@ class TestStreamBlock:
 
     # an array label is one 32-bit word per stream, so that every stream folds as many
     @pytest.mark.parametrize("labels", [np.array([1, -2]), np.array([0.0, 1.0]), np.array(["1"]),
-                                        np.array([1, 2**32]), np.array([0, 2**64 - 1], dtype=np.uint64)])
+                                        np.array([1, 2**32]), np.array([0, 2**64 - 1], dtype=np.uint64),
+                                        np.array([300, -1])])
     def test_labels_that_are_not_non_negative_integers_are_refused(self, labels):
         with pytest.raises(PreconditionError):
             StreamBlock.of([RngStream(1), RngStream(2)]).child(labels)
@@ -344,6 +347,58 @@ class TestStreamBlock:
                 with pytest.raises(ValueError, match="read-only"):
                     memo[0] = 0
             block = block.child(depth)
+
+    @pytest.mark.parametrize("form", ["int", "array"])
+    def test_edge_labels_fold_as_seed_sequence_at_every_depth(self, form):
+        # 0 and 255 fold by the table, 256 and 2**32 - 1 by array arithmetic; each is the last of 1 to 6 labels
+        root = 7
+        for depth in range(1, 7):
+            prefix = tuple(EDGE_LABELS[(3 * k + 1) % 4] for k in range(depth - 1))
+            for label in EDGE_LABELS:
+                path = prefix + (label,)
+                for block in (RngStream(root, prefix)._pool, StreamBlock.of([RngStream(root, prefix)])):
+                    folded = block.child(label if form == "int" else np.full(block.shape, label))
+                    expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
+                    np.testing.assert_array_equal(folded.keys().reshape(2), expected)
+
+    @pytest.mark.parametrize("columns", [EDGE_LABELS, (255, 0, 255)], ids=["computed", "table"])
+    def test_edge_labels_broadcast_into_a_block_of_seeds_by_candidates(self, columns):
+        # an (S, n) block folds a label per column, then one per element, then an int: depths 1 to 6 in all
+        roots = (0, 7, 2**64 - 1)
+        for depth in range(1, 5):
+            prefix = tuple(EDGE_LABELS[(k + 2) % 4] for k in range(depth - 1))
+            block = StreamBlock.of([RngStream(root, prefix) for root in roots])[:, None].child(np.array(columns))
+            each = np.array(columns)[(np.arange(3)[:, None] + np.arange(len(columns))) % len(columns)]
+            block = block.child(each).child(EDGE_LABELS[depth % 4])
+            assert block.shape == (3, len(columns))
+            keys = block.keys()
+            for s, root in enumerate(roots):
+                for j, column in enumerate(columns):
+                    path = prefix + (column, int(each[s, j]), EDGE_LABELS[depth % 4])
+                    expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
+                    np.testing.assert_array_equal(keys[s, j], expected)
+
+    def test_table_rows_equal_the_computed_fold_terms_at_every_depth(self):
+        block = StreamBlock.of([RngStream(11)])
+        for depth in range(6):
+            table, next_hash = _table_fold_terms(block._hash)
+            assert table.shape == (256, 4) and table.dtype == np.uint32
+            for word in range(256):
+                terms, expected_hash = _fold_terms(word, block._hash)
+                np.testing.assert_array_equal(table[word], terms)
+            assert next_hash == int(expected_hash[0])
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0
+            block = block.child(depth)
+
+    def test_pools_are_uint32_words_and_keys_contiguous_uint64_pairs(self):
+        stream = RngStream(3, (1, 2))
+        pair = StreamBlock.of([stream, RngStream(4, (5, 6))])
+        grid = pair[:, None].child(np.arange(5))
+        for block in (stream._pool, pair, grid, grid[:, 1::2], grid.child(300)):
+            assert block._pool.dtype == np.uint32
+            keys = block.keys()
+            assert keys.dtype == np.uint64 and keys.shape == block.shape + (2,) and keys.flags.c_contiguous
 
 
 class TestSampleGaussian:

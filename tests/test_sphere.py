@@ -1,5 +1,7 @@
 """Tests for norm-preserving spherical neighborhood sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from rts import (
     sample_gaussian,
     tangent_project,
 )
+from rts.core import row_norm
 
 
 class TestTangentProject:
@@ -145,18 +148,61 @@ class TestRandomSphericalSample:
             random_spherical_sample([0.0, 0.0], n=1, tau=0.5, stream=RngStream(0))
 
 
+def redraw_loop_sample(base, n, tau, stream):
+    """``random_spherical_sample`` as one redraw loop: all-zero rows, each redrawn from attempt 0 on.
+
+    A copy of the rule the sampler followed before it drew its first attempt
+    at once, and the reference it must equal bit for bit.
+    """
+    base, streams = np.asarray(base, dtype=np.float64), StreamBlock.of(stream)
+    radius = row_norm(base)[..., None]
+    u = base / radius
+    rows = np.zeros(base.shape[:-1] + (n, base.shape[-1]))
+    norms = row_norm(rows)
+    for attempt in range(9):
+        collapsed = norms < 1e-12
+        if not collapsed.any():
+            break
+        redraw = collapsed.nonzero()
+        w = streams[redraw[:-1]].child(redraw[-1]).child(attempt).normal(base.shape[-1])
+        rows[redraw] = w = tangent_project(w, u[redraw[:-1]])
+        norms[redraw] = row_norm(w)
+    w_hat = rows / norms[..., None]
+    return radius[..., None] * (tau * u[..., None, :] + math.sqrt(1.0 - tau * tau) * w_hat), w_hat
+
+
+class TestFirstDrawAtOnce:
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    @pytest.mark.parametrize("seeds", [None, 3], ids=["one base", "block of bases"])
+    def test_equals_the_redraw_loop_bit_for_bit(self, seeds, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        shape = (d,) if seeds is None else (seeds, d)
+        for trial in range(5):
+            base = rng.standard_normal(shape) * rng.uniform(0.1, 10.0)
+            roots = [RngStream(1000 * trial + s, (2, n)) for s in range(seeds or 1)]
+            stream = roots[0] if seeds is None else StreamBlock.of(roots)
+            sample = random_spherical_sample(base, n, 0.7, stream)
+            candidates, perturbations = redraw_loop_sample(base, n, 0.7, stream)
+            np.testing.assert_array_equal(sample.candidates, candidates)
+            np.testing.assert_array_equal(sample.perturbations, perturbations)
+
+
 class TestDegenerateRedraw:
     """A draw parallel to the base is redrawn from the next attempt, for that candidate only."""
 
     @staticmethod
-    def parallel_draws(monkeypatch, stream, collapsing):
-        # the block draws of the streams whose (candidate, attempt) path is in ``collapsing`` point along u
+    def parallel_draws(monkeypatch, stream, collapsing, drawn=None):
+        # the block draws of the streams whose (candidate, attempt) path is in ``collapsing`` point along u;
+        # ``drawn`` collects the key of every stream drawn from
         targets = {tuple(stream.child(i).child(a)._pool.keys().tolist()) for i, a in collapsing}
         normal = StreamBlock.normal
 
         def draw(block, dim):
             rows = normal(block, dim).reshape(-1, dim)
             for row, key in zip(rows, block.keys().reshape(-1, 2).tolist()):
+                if drawn is not None:
+                    drawn.append(tuple(key))
                 if tuple(key) in targets:
                     row[:] = 2.0
             return rows.reshape(block.shape + (dim,))
@@ -172,6 +218,23 @@ class TestDegenerateRedraw:
         u = base / np.linalg.norm(base)
         expected = tangent_project(sample_gaussian(stream.child(1).child(2), 3), u)
         np.testing.assert_array_equal(redrawn.perturbations[1], expected / np.linalg.norm(expected))
+
+    @pytest.mark.parametrize("block", [False, True], ids=["one base", "block of bases"])
+    def test_a_collapsed_first_draw_is_redrawn_once_from_attempt_one(self, monkeypatch, block):
+        # candidate 2 of ``stream`` collapses at attempt 0; in a block, its base is the second of two
+        base, stream = np.ones(3), RngStream(23)
+        owners = [RngStream(24), stream] if block else [stream]
+        bases = np.stack([2.0 * base, base]) if block else base
+        drawn = []
+        self.parallel_draws(monkeypatch, stream, {(2, 0)}, drawn)
+        redrawn = random_spherical_sample(bases, 4, 0.6, StreamBlock.of(owners) if block else stream)
+        # every candidate's attempt 0 is drawn once, and only the collapsed one draws again
+        first = [owner.child(i).child(0) for owner in owners for i in range(4)]
+        expected_draws = [tuple(s._pool.keys().tolist()) for s in first + [stream.child(2).child(1)]]
+        assert sorted(drawn) == sorted(expected_draws)
+        expected = tangent_project(sample_gaussian(stream.child(2).child(1), 3), base / np.linalg.norm(base))
+        np.testing.assert_array_equal(redrawn.perturbations[..., 2, :].reshape(-1, 3)[-1],
+                                      expected / np.linalg.norm(expected))
 
     def test_exhausted_redraws_raise(self, monkeypatch):
         stream = RngStream(22)
