@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from itertools import repeat
@@ -58,7 +57,6 @@ from typing import TYPE_CHECKING
 from .errors import BudgetError, ConfigError, PreconditionError, RtsError
 from .schema import (
     REQUIRED,
-    _boolean,
     _choice,
     _fraction,
     _integer,
@@ -78,8 +76,6 @@ from .schema import (
 if TYPE_CHECKING:  # the solver, which only run and export-trajectory import
     from .pipeline import RtsConfig, RunResult
     from .sim import MixtureModel, SolverSpec
-
-WORKER_ENV = "RTS_MAX_WORKERS"
 
 # Most worker processes a run may ask for. The pool starts one per block up
 # to this count, so an absurd count is refused up front instead of starting
@@ -125,8 +121,7 @@ def config_schema() -> dict:
     from .sim import MAX_STEPS, ODE, SDE, SolverSpec
 
     def search(phase) -> dict:  # SearchConfig's arguments, each defaulting to its value in ``phase``
-        kinds = {"n_neighbors": _integer(1, MAX_NEIGHBORS), "rounds": _integer(), "tau": _number, "alpha": _number,
-                 "track_global_best": _boolean}
+        kinds = {"n_neighbors": _integer(1, MAX_NEIGHBORS), "rounds": _integer(), "tau": _number, "alpha": _number}
         return {key: (kind, getattr(phase, key)) for key, kind in kinds.items()}
 
     return {
@@ -317,22 +312,15 @@ def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
     return run_block(cfg, range(index, index + 1), overrides)[0]
 
 
-def _worker_count(cfg: dict) -> int:
-    """The configured workers, capped by the replicates and by ``RTS_MAX_WORKERS`` when it is set."""
-    limit = min(cfg["workers"], cfg["replicates"])
-    env = os.environ.get(WORKER_ENV)
-    if env is not None:
-        limit = min(limit, _integer(1)(_json(env), WORKER_ENV))
-    return limit
-
-
 def _seed_bytes(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> int:
     """About the most bytes of arrays one seed of a block holds at once.
 
     Each row a seed carries through the solver keeps an ``(L + 1, d)`` path
     and ``(L - 1, d)`` churn noises of float64. A best-of-N seed carries its
-    candidates; an rts seed its best row and the neighbors of two rounds, the
-    latest one and the one being scored.
+    candidates. An rts seed counts ``2n + 1`` rows for n neighbors, about
+    what the round being scored, its best row and the solver's temporaries
+    hold: by ``tracemalloc``, an 8-seed block at d = 512 and 20 steps peaked
+    at 3.5 rows a seed with n = 1, 6.0 with n = 3 and 9.8 with n = 6.
     """
     from .pipeline import BON, RTS, denoise_count
 
@@ -376,9 +364,8 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     _refuse_overwrite(cfg["out"], config_path, "config it was run from")
     _, spec, _, rts_cfg = build_experiment(cfg)  # fail on bad values before any work is queued
     _check_budget(cfg, spec, rts_cfg)
-    workers = _worker_count(cfg)
-    blocks = _blocks(cfg["replicates"], workers, _seed_bytes(cfg, spec, rts_cfg))
-    workers = min(workers, len(blocks))
+    blocks = _blocks(cfg["replicates"], cfg["workers"], _seed_bytes(cfg, spec, rts_cfg))
+    workers = min(cfg["workers"], len(blocks))
     if workers == 1:
         _append_records(cfg["out"], (run_block(cfg, block, overrides) for block in blocks))
     else:

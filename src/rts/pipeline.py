@@ -269,9 +269,10 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
     spends exactly what scoring them one at a time would have spent, and
     ``score(rows, seeds)`` scores the taken rows given the seed of each; a row
     left out scores 0. A seed whose rows did not all fit is cut short: this
-    sets its ``cut``, and the search ends when every seed is cut. Returns the
-    best latents, None if every seed was cut, and each seed's per-round best
-    rewards, which only a seed not cut keeps.
+    sets its ``cut``, and the search ends when every seed is cut. Returns
+    ``run_search``'s best latents and each seed's per-round best rewards, or
+    None twice if every seed was cut; a seed cut short keeps neither, since its
+    left-out rows scored 0.
     """
     size = len(seeds)
 
@@ -296,18 +297,6 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
     except _PhaseTruncated:
         return None, None
     return best, [[float(h.best_candidate_reward[s]) for h in history] for s in range(size)]
-
-
-def _keep_best(entries: dict) -> None:
-    """Keep only the first best-scored ``(score, path, noises)`` entry, as a strict running maximum keeps it.
-
-    The kept arrays are copied: as views they would keep the whole batch of
-    the round that scored them alive.
-    """
-    if entries:
-        key, (score, path, injected) = max(entries.items(), key=lambda item: item[1][0])
-        entries.clear()
-        entries[key] = (score, path.copy(), injected.copy())
 
 
 def run_rts_block(
@@ -338,9 +327,9 @@ def run_rts_block(
         # run's own mode because the winner keeps its scored trajectory.
         eval_spec = spec if plan.eval_steps == steps else SolverSpec(ODE, plan.eval_steps)
         noise_stream = block.child(_S_EVAL_NOISE)
-        # per seed, by latent: score, path and noises of the best row so far, copied out of its round's batch,
-        # and of the latest round's rows, the only rows the search can return
-        scored: list[dict[bytes, tuple]] = [{} for _ in streams]
+        # per seed, the score, path and noises of the first of its best-scored rows, the row run_search returns
+        # for a seed the budget does not cut; a strict running maximum keeps the first of tied rows
+        best = [(float("-inf"), None, None)] * len(streams)
 
         def score_latents(rows: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
             # A candidate's churn noises derive from a hash of the candidate, so
@@ -348,29 +337,24 @@ def run_rts_block(
             # and parallelism) and a relocated base re-scores to its stored reward.
             # A label is one word, so the 64-bit hash enters as two labels: its
             # low word, then its high word (the golden digests pin this order).
-            for entries in scored:
-                _keep_best(entries)
             stream = None
             if eval_spec.mode == SDE:
                 labels = np.array([_latent_label(z) for z in rows], dtype=np.uint64)
                 stream = noise_stream[row_seeds].child(labels & 0xFFFF_FFFF).child(labels >> 32)
             paths, noises = denoise(model, eval_spec, rows, stream=stream)
             values = evaluate_reward(reward, paths[:, -1])
-            for s, z, score, path, injected in zip(row_seeds.tolist(), rows, values.tolist(), paths, noises):
-                scored[s][z.tobytes()] = (score, path, injected)
+            for s, score, path, injected in zip(row_seeds.tolist(), values.tolist(), paths, noises):
+                if score > best[s][0]:  # copied: a view would keep the whole batch alive
+                    best[s] = (score, path.copy(), injected.copy())
             return values
 
-        best_z, rewards = _budgeted_search(np.zeros((len(seeds), dim)), cfg.search_init,
-                                           block.child(_S_INIT_SEARCH), seeds, 2 * plan.eval_steps, score_latents)
-        picked = []
+        _, rewards = _budgeted_search(np.zeros((len(seeds), dim)), cfg.search_init, block.child(_S_INIT_SEARCH),
+                                      seeds, 2 * plan.eval_steps, score_latents)
         for s, seed in enumerate(seeds):
-            if seed.cut:  # it takes its first best-scored latent, as a strict running maximum keeps it
-                picked.append(max(scored[s].values(), key=lambda entry: entry[0]))
-            else:
+            if not seed.cut:
                 seed.history["init"] = rewards[s]
-                picked.append(scored[s][best_z[s].tobytes()])
-        paths = np.stack([path for _, path, _ in picked])
-        noises = np.stack([injected for _, _, injected in picked])
+        paths = np.stack([path for _, path, _ in best])
+        noises = np.stack([injected for _, _, injected in best])
         z_init = paths[:, 0]
     else:
         z_init = sample_gaussian(block.child(_S_FRESH_INIT), dim)

@@ -66,23 +66,19 @@ class SearchConfig:
     """Knobs of the alternating search.
 
     ``rounds = 0`` is allowed so that pipelines can disable a phase outright;
-    ``run_search`` itself requires at least one round. With
-    ``track_global_best`` the search returns the best latent seen anywhere,
-    otherwise it returns the argmax over the final round's candidates only.
+    ``run_search`` itself requires at least one round.
     """
 
     n_neighbors: int = 3
     rounds: int = 4
     tau: float = 0.9
     alpha: float = 0.7
-    track_global_best: bool = True
 
     def __post_init__(self) -> None:
         as_integer(self.n_neighbors, "n_neighbors", 1, MAX_NEIGHBORS)
         as_integer(self.rounds, "rounds", 0)
         check_scalar(self.tau, "tau", 0, 1)
         check_scalar(self.alpha, "alpha", 0, 1)
-        check_scalar(self.track_global_best, "track_global_best", kind=bool)
 
 
 @dataclass(frozen=True)
@@ -252,8 +248,10 @@ def run_search(
     round-1 base instead (the intermediate-noise phase does). A later coarse
     round that does not relocate always resamples a fresh Gaussian.
 
-    Exactly ``rounds * n_neighbors`` candidate evaluations plus one base
-    evaluation per coarse round are performed, per seed.
+    Returns each seed's first best-scored row of all rounds, its reward and
+    the round summaries. Exactly ``rounds * n_neighbors`` candidate
+    evaluations plus one base evaluation per coarse round are performed, per
+    seed.
     """
     if cfg.rounds < 1:
         raise PreconditionError(f"run_search needs at least one round, got {cfg.rounds}")
@@ -266,8 +264,4 @@ def run_search(
     for t in range(1, cfg.rounds + 1):
         step = coarse_round if t % 2 == 1 else fine_round
         state = step(state, cfg, evaluate, stream.child(t))
-
-    if cfg.track_global_best:
-        return state.global_best, state.global_best_reward, state.history
-    latent, reward = _best_rows(state.last_candidates, state.last_rewards)
-    return latent, _scalar(reward), state.history
+    return state.global_best, state.global_best_reward, state.history

@@ -257,15 +257,20 @@ class TestCriterion3:
                 fresh = sample_gaussian(stream.child(0), 6)
                 branch_results.append(np.array_equal(after.base, fresh))
 
-        # Return modes: the last-round argmax versus the best seen anywhere,
-        # with a non-decreasing best-so-far sequence.
-        strict_cfg = SearchConfig(n_neighbors=3, rounds=4, tau=0.9, alpha=0.7, track_global_best=False)
-        latent_s, reward_s, history_s = run_search(np.zeros(6), strict_cfg, evaluate, RngStream(5))
+        # Return rules: the last round's argmax, driven round by round here,
+        # versus the best seen anywhere, which run_search returns, with a
+        # non-decreasing best-so-far sequence.
+        state = SearchState(dim=6)
+        for t in range(1, cfg.rounds + 1):
+            state = (coarse_round if t % 2 == 1 else fine_round)(state, cfg, evaluate, RngStream(5).child(t))
+        top = int(np.argmax(state.last_rewards))
+        latent_s, reward_s, history_s = state.last_candidates[top], float(state.last_rewards[top]), state.history
         latent_e, reward_e, history_e = run_search(np.zeros(6), cfg, evaluate, RngStream(5))
         best_so_far = [summary.best_so_far for summary in history_e]
         elapsed = time.perf_counter() - started
         ok = (
             all(branch_results)
+            and history_s == history_e
             and reward_s == history_s[-1].best_candidate_reward
             and reward_s == evaluate(latent_s)
             and reward_e == history_e[-1].best_so_far

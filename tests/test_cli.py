@@ -24,7 +24,6 @@ import rts.cli
 import rts.schema
 from rts import ConfigError, RtsError
 from rts.cli import (
-    WORKER_ENV,
     apply_overrides,
     main,
     parse_override,
@@ -86,7 +85,7 @@ class TestValidateConfig:
         cfg = validate_config(base_config("r.jsonl"))
         assert cfg["workers"] == 1
         assert cfg["budget_nfe"] is None
-        assert cfg["search_init"] == {"n_neighbors": 3, "rounds": 4, "tau": 0.9, "alpha": 0.7, "track_global_best": True}
+        assert cfg["search_init"] == {"n_neighbors": 3, "rounds": 4, "tau": 0.9, "alpha": 0.7}
         assert cfg["search_inter"] == {**cfg["search_init"], "rounds": 2}
         assert cfg["k_keysteps"] == 6
         assert cfg["eval_steps_inter"] == 1
@@ -269,25 +268,14 @@ class TestRunCommand:
                 record.pop("overrides")
             assert left == right
 
-    def test_worker_env_cap_must_be_positive_integer(self, tmp_path, monkeypatch, capsys):
-        config, _ = write_config(tmp_path)
-        monkeypatch.setenv(WORKER_ENV, "zero")
-        assert main(["run", "--config", config]) == 2
-        assert WORKER_ENV in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "2.5", "true", "[2]"])
-    def test_worker_env_cap_is_parsed_and_checked_like_an_override(self, tmp_path, monkeypatch, capsys, value):
-        config, out = write_config(tmp_path)
-        monkeypatch.setenv(WORKER_ENV, value)
-        assert main(["run", "--config", config]) == 2
-        assert f"config error at '{WORKER_ENV}'" in capsys.readouterr().err
-        assert not Path(out).exists()
-
-    # resample_inter_fresh is no key: the key-step search always resamples fresh
-    @pytest.mark.parametrize("section, key", [("solver", "typo"), (None, "resample_inter_fresh")])
+    # resample_inter_fresh and track_global_best are no keys: the key-step search always resamples fresh, and
+    # every search returns its best row of all rounds
+    @pytest.mark.parametrize("section, key", [("solver", "typo"), (None, "resample_inter_fresh"),
+                                              ("search_init", "track_global_best"),
+                                              ("search_inter", "track_global_best")])
     def test_unknown_config_key_exits_2_with_dotted_path(self, tmp_path, capsys, section, key):
         raw = base_config(tmp_path / "r.jsonl")
-        (raw[section] if section else raw)[key] = True
+        (raw.setdefault(section, {}) if section else raw)[key] = True
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(config)]) == 2
@@ -759,11 +747,10 @@ class TestReportCommand:
         assert main(["report", out, "--out", str(summary_path)]) == 0
         assert json.loads(summary_path.read_text())["methods"]["rts"]["n"] == 4
 
-    def test_rerun_with_other_run_keys_is_a_duplicate(self, tmp_path, monkeypatch, capsys):
+    def test_rerun_with_other_run_keys_is_a_duplicate(self, tmp_path, capsys):
         config, out = write_config(tmp_path, replicates=2)
         assert main(["run", "--config", config]) == 0
-        # the echoed workers differ; the cap keeps the rerun in this process
-        monkeypatch.setenv(WORKER_ENV, "1")
+        # the echoed workers differ, and the rerun forks two of them
         assert main(["run", "--config", config, "--workers", "2", "replicates=3", "seed=0"]) == 0
         records = read_records(out)
         assert records[0]["overrides"] == {} and records[2]["overrides"] == {"replicates": 3, "seed": 0, "workers": 2}
@@ -781,10 +768,10 @@ class TestReportCommand:
     def test_defaults_written_out_hash_as_the_bare_config(self, tmp_path, capsys):
         config, out = write_config(tmp_path, method="rts")
         assert main(["run", "--config", config]) == 0
-        spelled = ["search_init.alpha=0.7", "search_inter.track_global_best=true"]
+        spelled = ["search_init.alpha=0.7", "search_inter.rounds=2"]
         assert main(["run", "--config", config, *spelled]) == 0
         records = read_records(out)
-        assert records[2]["overrides"] == {"search_init.alpha": 0.7, "search_inter.track_global_best": True}
+        assert records[2]["overrides"] == {"search_init.alpha": 0.7, "search_inter.rounds": 2}
         assert records[0]["config"] == records[2]["config"]
         assert main(["report", out]) == 2
         assert "line 3 repeats the method, seed and config of line 1" in capsys.readouterr().err
@@ -1198,7 +1185,6 @@ _OVERRIDES = {
     "search_init.rounds": _small_count(2),
     "search_init.tau": _JUNK,
     "search_inter.alpha": _JUNK,
-    "search_inter.track_global_best": _JUNK,
     "k_keysteps": st.one_of(_JUNK, st.integers(-1, 10**18)),
     "eval_steps_init": st.one_of(_NOT_INT, st.integers(-1, 4), _ABSURD),
     "eval_steps_inter": st.one_of(_JUNK, st.integers(-1, 10**18)),
@@ -1227,7 +1213,7 @@ def test_every_config_key_is_fuzzed():
             if key.startswith(a):
                 fuzzed.add(b + key[len(a):])
     paths = set(_leaf_paths(rts.cli.config_schema()))
-    assert len(paths) == 31
+    assert len(paths) == 29
     assert sorted(paths - fuzzed) == []
 
 

@@ -125,13 +125,12 @@ class TestIntegerCounts:
         make(np.int64(valid))
 
 
-# every float or bool field of a library constructor: its name, a call that takes it, and a valid numpy value
+# every float field of a library constructor: its name, a call that takes it, and a valid numpy value
 _SCALARS = [
     ("churn", lambda v: SolverSpec("sde", 8, churn=v), np.float64(0.4)),
     ("tau", lambda v: SearchConfig(tau=v), np.float64(0.5)),
     ("alpha", lambda v: SearchConfig(alpha=v), np.float64(0.7)),
     ("sharpness", lambda v: ModePreferenceReward(four_corner_model(), 0, v), np.float64(1.0)),
-    ("track_global_best", lambda v: SearchConfig(track_global_best=v), np.bool_(False)),
 ]
 scalars = pytest.mark.parametrize("name,make,valid", _SCALARS, ids=[name for name, _, _ in _SCALARS])
 _FLOATS = [field for field in _SCALARS if isinstance(field[2], np.float64)]
@@ -999,6 +998,20 @@ class TestInitSearchMemo:
         monkeypatch.undo()
         for stream, result in zip(streams, results):
             assert_same_result(result, run_rts(model, spec, reward, cfg, stream))
+
+    @pytest.mark.parametrize("budget", [None, 32, 48, 80])
+    def test_constant_reward_never_relocates(self, budget):
+        # Every row ties, so the running best keeps the first row scored, the
+        # round-1 fresh base, whether the budget cuts the seed short or not
+        # (32, 48 and 80 NFEs cut every seed of this config).
+        model = four_corner_model()
+        spec = SolverSpec(mode="ode", steps=8)
+        cfg = RtsConfig(eval_steps_init=None, k_keysteps=0, budget_nfe=budget)
+        results = run_rts_block(model, spec, RowReward(lambda x: 1.0), cfg, [RngStream(s) for s in range(5)])
+        for s, result in enumerate(results):
+            assert result.truncated == (budget is not None)
+            base = sample_gaussian(RngStream(s).child(1).child(1).child(0), 2)
+            np.testing.assert_array_equal(result.final_sample, denoise(model, spec, base)[0][-1])
 
 
 class TestFullLengthScoring:

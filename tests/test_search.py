@@ -50,7 +50,6 @@ class TestSearchConfig:
         assert cfg.n_neighbors == 3
         assert cfg.tau == 0.9
         assert cfg.alpha == 0.7
-        assert cfg.track_global_best
 
     def test_rounds_zero_allowed_on_config(self):
         # Pipelines use rounds=0 to switch a phase off entirely.
@@ -238,19 +237,6 @@ class TestRunSearch:
         with pytest.raises(PreconditionError):
             run_search(np.zeros(4), SearchConfig(rounds=0), rows(lambda x: 0.0), RngStream(1))
 
-    def test_single_round_single_neighbor_returns_the_neighbor(self):
-        # Strict mode returns the argmax over the final round's candidates,
-        # which for T=1, N=1 under a constant reward is the one neighbor.
-        cfg = SearchConfig(n_neighbors=1, rounds=1, track_global_best=False)
-        latent, reward, history = run_search(
-            np.zeros(4), cfg, rows(lambda x: 0.7), RngStream(5)
-        )
-        assert reward == 0.7
-        assert len(history) == 1
-        base = sample_gaussian(RngStream(5).child(1).child(0), 4)
-        assert not np.allclose(latent, base)
-        np.testing.assert_allclose(np.linalg.norm(latent), np.linalg.norm(base), rtol=1e-12)
-
     def test_evaluation_count(self):
         # T*N candidate evaluations plus one base evaluation per coarse round.
         for rounds, n in [(1, 1), (4, 3), (6, 4), (5, 2)]:
@@ -274,13 +260,6 @@ class TestRunSearch:
         for h in history:
             assert final_reward >= h.best_candidate_reward
             assert final_reward >= h.base_reward
-
-    def test_strict_mode_returns_member_of_final_round(self):
-        reward = quadratic_reward(np.full(8, 0.5))
-        cfg = SearchConfig(n_neighbors=4, rounds=4, track_global_best=False)
-        latent, score, history = run_search(np.zeros(8), cfg, rows(reward), RngStream(13))
-        assert score == history[-1].best_candidate_reward
-        np.testing.assert_allclose(reward(latent), score, rtol=1e-12)
 
     def test_determinism(self):
         reward = quadratic_reward(np.full(6, 0.2))
@@ -409,9 +388,8 @@ class TestLockstepBlock:
     # seed 0 scores every latent alike, so each of its fine rounds falls back to random sampling
     REWARDS = (lambda x: 1.0, quadratic_reward(np.full(4, 0.3)), quadratic_reward([1.0, -0.5, 0.0, 2.0]))
 
-    @pytest.mark.parametrize("track_global_best", [True, False])
     @pytest.mark.parametrize("start_from_z0", [False, True])
-    def test_block_follows_each_seed_alone(self, track_global_best, start_from_z0):
+    def test_block_follows_each_seed_alone(self, start_from_z0):
         streams = [RngStream(seed) for seed in (3, 4, 5)]
         z0 = np.random.default_rng(8).standard_normal((3, 4))
         calls = []
@@ -420,7 +398,7 @@ class TestLockstepBlock:
             calls.append(batch.shape)
             return np.array([[reward(x) for x in rows] for reward, rows in zip(self.REWARDS, batch)])
 
-        cfg = SearchConfig(n_neighbors=3, rounds=5, track_global_best=track_global_best)
+        cfg = SearchConfig(n_neighbors=3, rounds=5)
         best, score, history = run_search(z0, cfg, evaluate, StreamBlock.of(streams), start_from_z0=start_from_z0)
         assert calls == [(3, 4, 4), (3, 3, 4), (3, 4, 4), (3, 3, 4), (3, 4, 4)]
         assert [h.guided_fallback for h in history if h.kind == "fine"] == [1, 1]
