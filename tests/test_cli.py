@@ -268,6 +268,21 @@ class TestRunCommand:
                 record.pop("overrides")
             assert left == right
 
+    def test_worker_env_var_is_not_read(self, tmp_path, monkeypatch):
+        # RTS_MAX_WORKERS once capped the worker count and refused "0"; the CLI now reads no environment variable
+        config, out = write_config(tmp_path)
+        plain = tmp_path / "plain.jsonl"
+        assert main(["run", "--config", config, "--out", str(plain)]) == 0
+        monkeypatch.setenv("RTS_MAX_WORKERS", "0")
+        assert main(["run", "--config", config]) == 0
+        a, b = read_records(plain), read_records(out)
+        assert len(a) == len(b) == 2
+        for left, right in zip(a, b):
+            for record in (left, right):
+                record.pop("wall_ms")
+                record.pop("overrides")
+            assert left == right
+
     # resample_inter_fresh and track_global_best are no keys: the key-step search always resamples fresh, and
     # every search returns its best row of all rounds
     @pytest.mark.parametrize("section, key", [("solver", "typo"), (None, "resample_inter_fresh"),

@@ -1014,6 +1014,17 @@ class TestInitSearchMemo:
             np.testing.assert_array_equal(result.final_sample, denoise(model, spec, base)[0][-1])
 
 
+    def test_constant_reward_keeps_the_first_row_under_short_scoring(self):
+        # With 2-step scoring the winner is re-denoised at full length from its
+        # latent, which under a constant reward is still the round-1 fresh base.
+        model = four_corner_model()
+        spec = SolverSpec(mode="ode", steps=8)
+        cfg = RtsConfig(eval_steps_init=2, k_keysteps=0)
+        results = run_rts_block(model, spec, RowReward(lambda x: 1.0), cfg, [RngStream(s) for s in range(5)])
+        for s, result in enumerate(results):
+            base = sample_gaussian(RngStream(s).child(1).child(1).child(0), 2)
+            np.testing.assert_array_equal(result.final_sample, denoise(model, spec, base)[0][-1])
+
 class TestFullLengthScoring:
     """Under full-length SDE scoring a candidate's reward is a pure function of its latent, and the winner keeps it."""
 

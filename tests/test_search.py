@@ -1,5 +1,7 @@
 """Tests for the coarse-to-fine alternating search loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,12 @@ class TestSearchConfig:
         assert cfg.n_neighbors == 3
         assert cfg.tau == 0.9
         assert cfg.alpha == 0.7
+
+    def test_track_global_best_is_no_field(self):
+        # every search returns its best row of all rounds; no option picks the last round's argmax
+        assert "track_global_best" not in {field.name for field in dataclasses.fields(SearchConfig)}
+        with pytest.raises(TypeError):
+            SearchConfig(track_global_best=False)
 
     def test_rounds_zero_allowed_on_config(self):
         # Pipelines use rounds=0 to switch a phase off entirely.
@@ -236,6 +244,35 @@ class TestRunSearch:
     def test_rounds_zero_rejected(self):
         with pytest.raises(PreconditionError):
             run_search(np.zeros(4), SearchConfig(rounds=0), rows(lambda x: 0.0), RngStream(1))
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_constant_reward_returns_the_round_1_base(self, rounds):
+        # Under a constant reward no row beats the first one scored, the
+        # round-1 base: not its neighbor, nor any row of a later round.
+        cfg = SearchConfig(n_neighbors=1, rounds=rounds)
+        latent, reward, history = run_search(np.zeros(4), cfg, rows(lambda x: 0.7), RngStream(5))
+        assert reward == 0.7
+        assert len(history) == rounds
+        np.testing.assert_array_equal(latent, sample_gaussian(RngStream(5).child(1).child(0), 4))
+
+    def test_returns_first_best_row_of_all_rounds(self):
+        # A reward that counts positive coordinates ties often, across rounds
+        # too; the search returns the first row, in scoring order, of the
+        # highest reward of any round.
+        scored, scores = [], []
+
+        def evaluate(batch):
+            values = np.sum(batch[:, :2] > 0, axis=1).astype(np.float64)
+            scored.extend(batch)
+            scores.extend(values)
+            return values
+
+        latent, score, history = run_search(np.zeros(8), SearchConfig(n_neighbors=4, rounds=4), evaluate,
+                                            RngStream(13))
+        top = int(np.argmax(scores))
+        assert scores.count(scores[top]) > 1
+        assert score == scores[top] == history[-1].best_so_far
+        np.testing.assert_array_equal(latent, scored[top])
 
     def test_evaluation_count(self):
         # T*N candidate evaluations plus one base evaluation per coarse round.
