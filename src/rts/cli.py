@@ -142,7 +142,6 @@ def config_schema() -> dict:
         "search_inter": (search(RtsConfig.search_inter), {}),
         "k_keysteps": (_integer(), RtsConfig.k_keysteps),
         "eval_steps_init": (_nullable(_integer(1, MAX_STEPS)), RtsConfig.eval_steps_init),
-        "eval_steps_inter": (_integer(), RtsConfig.eval_steps_inter),
         "zo_step_tau": (_fraction, 0.9),
     }
 
@@ -317,17 +316,18 @@ def _seed_bytes(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> int:
 
     Each row a seed carries through the solver keeps an ``(L + 1, d)`` path
     and ``(L - 1, d)`` churn noises of float64. A best-of-N seed carries its
-    candidates. An rts seed counts ``2n + 1`` rows for n neighbors, about
+    candidates. An rts seed counts ``2n + 2`` rows for n neighbors, about
     what the round being scored, its best row and the solver's temporaries
     hold: by ``tracemalloc``, an 8-seed block at d = 512 and 20 steps peaked
-    at 3.5 rows a seed with n = 1, 6.0 with n = 3 and 9.8 with n = 6.
+    at 3.5 rows a seed with n = 1, 4.8 with n = 2, 6.0 with n = 3 and 9.8
+    with n = 6.
     """
     from .pipeline import BON, RTS, denoise_count
 
     if cfg["method"] == BON:
         rows = denoise_count(BON, spec, cfg["budget_nfe"])
     elif cfg["method"] == RTS:
-        rows = 2 * max(rts_cfg.search_init.n_neighbors, rts_cfg.search_inter.n_neighbors) + 1
+        rows = 2 * max(rts_cfg.search_init.n_neighbors, rts_cfg.search_inter.n_neighbors) + 2
     else:
         rows = 1
     return rows * 2 * spec.steps * cfg["dimension"] * 8

@@ -16,15 +16,15 @@ into the pool under a running hash constant, which depends only on how many
 labels were folded. So a stream carries its pool, and ``child(label)`` folds
 in only the label. Pools and fold terms are uint32 arrays, whose arithmetic
 wraps modulo 2**32 as SeedSequence's does. The terms a label subtracts from
-the pool depend only on the label and the hash constant, and are memoized in
-bounded ``lru_cache``s of read-only arrays: per int label
-(``_int_fold_terms``), and per hash constant as the table of labels 0-255
-that an array label below 256 indexes (``_table_fold_terms``); a wider array
-label is folded with array arithmetic. A draw turns the pool into the
-two-word Philox key exactly as ``SeedSequence.generate_state(2, np.uint64)``
-does, reading each pair of mixed words as one little-endian uint64, and sets
-it, at counter 0, on one reused Philox generator per thread, built at the
-first draw. Every draw is bit for bit the one a fresh
+the pool depend only on the label and the hash constant. Every label below
+256, an int or an array element, indexes its hash constant's table of the
+terms of labels 0-255, one read-only array memoized in a bounded
+``lru_cache`` (``_table_fold_terms``); a wider label is folded with array
+arithmetic (``_fold_terms``). A draw turns the pool into the two-word
+Philox key exactly as ``SeedSequence.generate_state(2, np.uint64)`` does,
+reading each pair of mixed words as one little-endian uint64, and sets it,
+at counter 0, on one reused Philox generator per thread, built at the first
+draw. Every draw is bit for bit the one a fresh
 ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))`` makes, at a
 fraction of its cost.
 
@@ -148,39 +148,16 @@ def _mix(value: np.ndarray) -> np.ndarray:
 
 def _fold_terms(word, hash_const: int) -> tuple[np.ndarray, np.ndarray]:
     """Folding ``word``, an int or a uint32 ``(..., 1)`` array, at ``hash_const``: the uint32 ``(..., 4)`` terms
-    it subtracts from ``_MIX_L`` times each pool word, and the next hash constant ``(1,)``."""
-    xor, mult = _int_hash_products(hash_const)
+    it subtracts from ``_MIX_L`` times each pool word, and the next hash constant ``(1,)``, the last product."""
+    xor, mult = hash_const * _POWERS_A[:-1], hash_const * _POWERS_A[1:]
     return _MIX_R * _mix((word ^ xor) * mult), mult[-1:]
 
 
-# Most (word, hash constant) pairs whose fold terms are kept, and most hash
-# constants whose products are. The call sites fold a few small labels at a
-# few depths, so a handful of entries serve every derivation; the bound keeps
-# distinct labels from growing it.
-_FOLD_CACHE_SIZE = 1024
-# Array labels below _TABLE_SIZE fold by indexing a table of their terms. A
-# hash constant follows from a path's length, so few tables are ever built;
-# the bound holds them to 64 tables of 4 KB.
+# Labels below _TABLE_SIZE fold by indexing a table of their terms. A hash
+# constant follows from a path's length, so few tables are ever built; the
+# bound holds them to 64 tables of 4 KB.
 _TABLE_SIZE = 256
 _TABLE_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
-def _int_hash_products(hash_const: int) -> tuple[np.ndarray, np.ndarray]:
-    """What folding at ``hash_const`` xors each word with and multiplies it by, read-only uint32 ``(4,)`` arrays;
-    the last product is the next hash constant."""
-    products = hash_const * _POWERS_A[:-1], hash_const * _POWERS_A[1:]
-    for array in products:
-        array.flags.writeable = False
-    return products
-
-
-@functools.lru_cache(maxsize=_FOLD_CACHE_SIZE)
-def _int_fold_terms(word: int, hash_const: int) -> tuple[np.ndarray, int]:
-    """``_fold_terms`` of an int word at an int hash constant, memoized: read-only ``(4,)`` terms and an int."""
-    terms, next_hash = _fold_terms(word, hash_const)
-    terms.flags.writeable = False
-    return terms, int(next_hash[0])
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -199,10 +176,11 @@ class StreamBlock:
     whose products and differences wrap modulo 2**32 as SeedSequence's do,
     and derives, keys and draws with array arithmetic over all elements.
     Every element's path is of one length, so the block has one running hash
-    constant, an int. An array label below 256 folds by indexing that
-    constant's table of terms. A key is the block's mixed words read in
-    pairs as little-endian uint64s, a view. Indexing a block indexes its
-    leading axes, and ``child`` broadcasts its labels against them.
+    constant, an int. A label below 256, an int or an array element, folds by
+    indexing that constant's table of terms; a wider one is computed. A key
+    is the block's mixed words read in pairs as little-endian uint64s, a
+    view. Indexing a block indexes its leading axes, and ``child``
+    broadcasts its labels against them.
     """
 
     __slots__ = ("_pool", "_hash")
@@ -246,19 +224,19 @@ class StreamBlock:
         outside [0, 2**32) raises ``PreconditionError``.
         """
         if isinstance(labels, (int, np.integer)):
-            terms, hash_const = _int_fold_terms(as_integer(labels, "derivation label", 0, _MASK32), self._hash)
+            labels = high = as_integer(labels, "derivation label", 0, _MASK32)
         else:
             labels = np.asarray(labels)
             # the dtype check comes first: min and max of a string array raise numpy's own error
             if (labels.dtype.kind not in "iu" or (high := labels.max(initial=0)) > _MASK32
                     or labels.min(initial=0) < 0):
                 raise PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
-            if high < _TABLE_SIZE:
-                table, hash_const = _table_fold_terms(self._hash)
-                terms = table[labels]
-            else:
-                terms, next_hash = _fold_terms(labels.astype(np.uint32)[..., None], self._hash)
-                hash_const = int(next_hash[0])
+        if high < _TABLE_SIZE:
+            table, hash_const = _table_fold_terms(self._hash)
+            terms = table[labels]
+        else:
+            terms, next_hash = _fold_terms(np.asarray(labels, dtype=np.uint32)[..., None], self._hash)
+            hash_const = int(next_hash[0])
         return StreamBlock(_mix(_MIX_L * self._pool - terms), hash_const)
 
     def keys(self) -> np.ndarray:

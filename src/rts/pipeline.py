@@ -130,10 +130,10 @@ class RtsConfig:
     trajectory then comes from one fresh denoise); ``k_keysteps = 0``
     disables the intermediate phase. ``eval_steps_init`` sets the solver
     length used to score initial-noise candidates (None means the full
-    length); ``eval_steps_inter`` is the scoring lookahead at a key step,
-    1 meaning a single clean-estimate call. The intermediate phase's search
-    starts from the recorded noise at the key step, and a later round that
-    does not relocate draws fresh noise.
+    length); a key-step candidate is always scored by one clean-estimate
+    call. The intermediate phase's search starts from the recorded noise at
+    the key step, and a later round that does not relocate draws fresh
+    noise.
 
     The intermediate phase also needs SDE mode and ``steps >= 3``.
     ``budget_nfe`` caps the run: the initial search may spend it less the
@@ -144,12 +144,10 @@ class RtsConfig:
     search_inter: SearchConfig = SearchConfig(rounds=2)
     k_keysteps: int = 6
     eval_steps_init: int | None = None
-    eval_steps_inter: int = 1
     budget_nfe: int | None = None
 
     def __post_init__(self) -> None:
         as_integer(self.k_keysteps, "k_keysteps", 0)
-        as_integer(self.eval_steps_inter, "eval_steps_inter", 1)
         if self.eval_steps_init is not None:
             as_integer(self.eval_steps_init, "eval_steps_init", 1)
         if self.budget_nfe is not None:
@@ -188,12 +186,6 @@ def _latent_label(z: np.ndarray) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _preview(spec: SolverSpec, position: int, lookahead: int) -> tuple[int, int]:
-    """The step a key-step preview from ``position`` stops at, and its NFEs per candidate."""
-    stop = min(position + lookahead - 1, spec.steps)
-    return stop, 2 * (stop - position) + (stop < spec.steps)
-
-
 def _search_evaluations(cfg: SearchConfig) -> int:
     """Evaluator calls per search: N per round plus one base per coarse round."""
     return cfg.rounds * cfg.n_neighbors + (cfg.rounds + 1) // 2
@@ -223,8 +215,10 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     """Exact NFE ledger of an untruncated run with the given key positions.
 
     Returns per-phase integers plus their total, mirroring
-    ``RunResult.nfe_breakdown``. Raises ``PreconditionError`` for a position
-    that repeats or lies outside the interior steps [1, steps − 1].
+    ``RunResult.nfe_breakdown``. The key-step term, 2·(p_last − p_first +
+    1) + evaluations per search · k, is the walk's 2 NFEs a step and one
+    clean estimate per candidate. Raises ``PreconditionError`` for a
+    position that repeats or lies outside the interior steps [1, steps − 1].
     """
     plan = _plan(cfg, spec)
     init = _search_evaluations(cfg.search_init) * 2 * plan.eval_steps if plan.init_search else 0
@@ -233,10 +227,7 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     if len(set(positions)) < len(positions):
         raise PreconditionError(f"key positions must be distinct, got {positions}")
     if plan.inter_search and positions:
-        # one Heun+churn step per solver step from the first key's step through the last's, then each key's search
-        per_search = _search_evaluations(cfg.search_inter)
-        inter = 2 * (positions[-1] - positions[0] + 1)
-        inter += per_search * sum(_preview(spec, position, cfg.eval_steps_inter)[1] for position in positions)
+        inter = 2 * (positions[-1] - positions[0] + 1) + _search_evaluations(cfg.search_inter) * len(positions)
         final = 2 * spec.steps
     total = init + plan.record + inter + final
     return {"init_search": init, "record": plan.record, "inter_search": inter, "final": final, "total": total}
@@ -406,8 +397,9 @@ def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, n
     Each of these seeds gets its key steps, and walks the steps from its first
     key's through its last key's, 2 NFEs a step; the seeds walking a step take
     it as one batch. Those whose key ends the step search its noise together
-    from the pre-churn state; then each walking seed adds its churn, at a key
-    the chosen noise. A seed the budget cuts short stops. Mutates only the
+    from the pre-churn state, scoring each candidate by its one-step clean
+    estimate, 1 NFE; then each walking seed adds its churn, at a key the
+    chosen noise. A seed the budget cuts short stops. Mutates only the
     ``searching`` seeds' records, and returns the block's injected noises with
     the chosen noise at each key a seed committed.
     """
@@ -433,21 +425,16 @@ def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, n
         at_key = [g for g, s in enumerate(walking) if position in seeds[s].keys.indices]
         if at_key:
             here, pre = np.array(walking)[at_key], pre_churn[at_key]
-            stop, cost = _preview(spec, position, cfg.eval_steps_inter)
 
             # A candidate replaces the injected noise right after the fixed
-            # pre-churn state; the preview integrates to ``stop`` with the chosen
-            # noises, then takes a clean estimate unless it reached t = 0.
+            # pre-churn state and is scored by its clean estimate, 1 NFE.
             def score_noises(rows: np.ndarray, row_seeds: np.ndarray) -> np.ndarray:
-                churn = injected[here[row_seeds], :stop] if stop > position else None  # the preview's noises
-                x = _advance(model, spec, pre[row_seeds] + scale * rows, position, stop, churn)
-                if stop < steps:
-                    x = one_step_clean_estimate(model, x, grid[stop])
-                return evaluate_reward(reward, x)
+                return evaluate_reward(reward, one_step_clean_estimate(model, pre[row_seeds] + scale * rows,
+                                                                       grid[position]))
 
             best_noise, rewards = _budgeted_search(injected[here, slot], cfg.search_inter,
                                                    inter_stream[here].child(position), [seeds[s] for s in here],
-                                                   cost, score_noises, start_from_z0=True)
+                                                   1, score_noises, start_from_z0=True)
             for g, s in enumerate(here.tolist()):
                 if not seeds[s].cut:
                     seeds[s].history["inter"].append(rewards[g])
@@ -571,7 +558,7 @@ def run_free_block(
 def _samples(model: MixtureModel, spec: SolverSpec, z: np.ndarray, stream: StreamBlock) -> np.ndarray:
     """``denoise``'s samples at t = 0 from the latents ``z``, one per stream, without the trajectories."""
     churn = _churn_noises(spec, model.dim, stream) if spec.mode == SDE else None
-    return _advance(model, spec, z, 0, spec.steps, churn)
+    return _advance(model, spec, z, churn)
 
 
 def _results(method: str, streams, samples: np.ndarray, rewards: np.ndarray, nfe: int,

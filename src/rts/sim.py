@@ -273,12 +273,10 @@ def _advance(
     model: MixtureModel,
     spec: SolverSpec,
     x: np.ndarray,
-    start: int,
-    stop: int,
     injected: np.ndarray | None = None,
     trace: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Move ``x``, one latent or an ``(n, d)`` batch, across solver steps [start, stop) with ``_heun_churn``.
+    """Move ``x``, one latent or an ``(n, d)`` batch, across every solver step with ``_heun_churn``, t = 1 to 0.
 
     The churn noise of a step is ``injected[..., step, :]``: an ``(L−1, d)``
     array shares its noises across rows, an ``(n, L−1, d)`` array gives each
@@ -286,7 +284,7 @@ def _advance(
     each new state.
     """
     grid = spec.time_grid.tolist()  # Python floats give the differences np.float64 does, at less cost
-    for step in range(start, stop):
+    for step in range(spec.steps):
         x, scale = _heun_churn(model, spec, x, grid, step)
         if injected is not None and step < spec.steps - 1:
             x += scale * injected[..., step, :]  # x is heun_step's own
@@ -338,7 +336,7 @@ def denoise(
         churn = _churn_noises(spec, model.dim, stream)
     latents = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
     latents[..., 0, :] = z
-    _advance(model, spec, z, 0, spec.steps, churn, latents)
+    _advance(model, spec, z, churn, latents)
     return latents, churn if churn is not None else np.zeros(shape)
 
 

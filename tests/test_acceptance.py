@@ -78,7 +78,6 @@ def testbed():
         search_inter=inter_cfg,
         k_keysteps=6,
         eval_steps_init=2,
-        eval_steps_inter=1,
     )
     init_only = RtsConfig(
         search_init=init_cfg,
@@ -90,7 +89,6 @@ def testbed():
         search_init=SearchConfig(rounds=0),
         search_inter=inter_cfg,
         k_keysteps=6,
-        eval_steps_inter=1,
     )
     worst = [1] + list(range(spec.steps - full.k_keysteps + 1, spec.steps))
     budget = expected_rts_nfe(full, spec, key_positions=worst)["total"]
@@ -435,13 +433,13 @@ class TestCriterion6:
                        k_keysteps=6, eval_steps_init=2)),
             (SolverSpec(mode="sde", steps=12, churn=0.5),
              RtsConfig(search_init=SearchConfig(n_neighbors=3, rounds=0),
-                       k_keysteps=4, eval_steps_inter=2)),
+                       k_keysteps=4)),
             (SolverSpec(mode="sde", steps=8, churn=0.3),
              RtsConfig(search_init=SearchConfig(n_neighbors=4, rounds=2), k_keysteps=0)),
             (SolverSpec(mode="sde", steps=10, churn=0.6),
              RtsConfig(search_init=SearchConfig(n_neighbors=1, rounds=1),
                        search_inter=SearchConfig(n_neighbors=2, rounds=2),
-                       k_keysteps=2, eval_steps_inter=3)),
+                       k_keysteps=2)),
             (SolverSpec(mode="ode", steps=6),
              RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=2), eval_steps_init=3)),
         ]

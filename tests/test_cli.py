@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from scipy import stats
 
 import rts.cli
 import rts.schema
-from rts import ConfigError, RtsError
+from rts import ConfigError, RngStream, RtsError
 from rts.cli import (
     apply_overrides,
     main,
@@ -88,7 +89,6 @@ class TestValidateConfig:
         assert cfg["search_init"] == {"n_neighbors": 3, "rounds": 4, "tau": 0.9, "alpha": 0.7}
         assert cfg["search_inter"] == {**cfg["search_init"], "rounds": 2}
         assert cfg["k_keysteps"] == 6
-        assert cfg["eval_steps_inter"] == 1
         assert cfg["zo_step_tau"] == 0.9
 
     def test_unknown_top_level_key_names_path(self):
@@ -283,11 +283,12 @@ class TestRunCommand:
                 record.pop("overrides")
             assert left == right
 
-    # resample_inter_fresh and track_global_best are no keys: the key-step search always resamples fresh, and
-    # every search returns its best row of all rounds
+    # resample_inter_fresh, track_global_best and eval_steps_inter are no keys: the key-step search always
+    # resamples fresh, every search returns its best row of all rounds, and a key-step candidate is always scored
+    # by one clean estimate
     @pytest.mark.parametrize("section, key", [("solver", "typo"), (None, "resample_inter_fresh"),
                                               ("search_init", "track_global_best"),
-                                              ("search_inter", "track_global_best")])
+                                              ("search_inter", "track_global_best"), (None, "eval_steps_inter")])
     def test_unknown_config_key_exits_2_with_dotted_path(self, tmp_path, capsys, section, key):
         raw = base_config(tmp_path / "r.jsonl")
         (raw.setdefault(section, {}) if section else raw)[key] = True
@@ -404,6 +405,27 @@ class TestRunCommand:
         three = rts.cli.BLOCK_BYTES // 3
         assert rts.cli._blocks(10, 2, three) == [range(0, 3), range(3, 6), range(6, 9), range(9, 10)]
         assert rts.cli._blocks(10, 2, 1) == [range(0, 5), range(5, 10)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_an_rts_block_peaks_within_its_seed_bytes(self, tmp_path, n):
+        # an 8-seed rts block at d = 512 and 20 steps peaks at about 3.5, 4.8 and 6.0 rows a seed for n = 1, 2, 3
+        dim, size = 512, 8
+        config, _ = write_config(
+            tmp_path, dimension=dim, method="rts", replicates=size, solver={"mode": "sde", "steps": 20, "churn": 0.4},
+            mixture={"weights": [0.5, 0.5], "means": [[1.0] * dim, [-1.0] * dim], "stddevs": [1.0, 1.0]},
+            search_init={"n_neighbors": n}, search_inter={"n_neighbors": n},
+        )
+        cfg = rts.cli.load_config(config)
+        model, spec, reward, rts_cfg = rts.cli.build_experiment(cfg)
+        streams = [RngStream(seed) for seed in range(size)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rts.run_rts_block(model, spec, reward, rts_cfg, streams)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= size * rts.cli._seed_bytes(cfg, spec, rts_cfg)
 
     @pytest.mark.parametrize("method", ["bon", "zo"])
     def test_budget_past_denoise_bound_exits_2_before_any_record(self, tmp_path, capsys, method):
@@ -1202,7 +1224,6 @@ _OVERRIDES = {
     "search_inter.alpha": _JUNK,
     "k_keysteps": st.one_of(_JUNK, st.integers(-1, 10**18)),
     "eval_steps_init": st.one_of(_NOT_INT, st.integers(-1, 4), _ABSURD),
-    "eval_steps_inter": st.one_of(_JUNK, st.integers(-1, 10**18)),
     "zo_step_tau": _JUNK,
     "search_init.typo": _JUNK,
 }
@@ -1228,7 +1249,7 @@ def test_every_config_key_is_fuzzed():
             if key.startswith(a):
                 fuzzed.add(b + key[len(a):])
     paths = set(_leaf_paths(rts.cli.config_schema()))
-    assert len(paths) == 29
+    assert len(paths) == 28
     assert sorted(paths - fuzzed) == []
 
 

@@ -22,7 +22,7 @@ from rts import (
     denoise,
     sample_gaussian,
 )
-from rts.core import LATENT_BOUND, _fold_terms, _int_fold_terms, _int_hash_products, _table_fold_terms
+from rts.core import LATENT_BOUND, _fold_terms, _table_fold_terms
 
 
 class TestAsLatent:
@@ -295,21 +295,8 @@ class TestStreamBlock:
         with pytest.raises(PreconditionError):
             StreamBlock.of(streams())
 
-    def test_memoized_fold_terms_equal_the_computed_ones_at_every_depth(self):
-        block = StreamBlock.of([RngStream(11)])
-        for depth in range(6):  # the hash constant moves on with every folded word
-            for word in (0, 1, 5, 2**31, 2**32 - 1):
-                terms, next_hash = _int_fold_terms(word, block._hash)
-                expected_terms, expected_hash = _fold_terms(word, block._hash)
-                np.testing.assert_array_equal(terms, expected_terms)
-                assert next_hash == int(expected_hash[0])
-                with pytest.raises(ValueError, match="read-only"):
-                    terms[0] = 0
-            block = block.child(depth)
-
     def test_repeated_derivations_equal_seed_sequence(self):
-        # the first pass fills the memo, the later ones hit it
-        _int_fold_terms.cache_clear()
+        # the later passes fold by the memoized tables the first one built
         paths = [(1,), (1, 2), (4, 0, 4), (2**31 + 5, 1), (7, 2**32 - 1, 0, 3)]
         for _ in range(3):
             for root in (0, 9, 2**63):
@@ -320,12 +307,10 @@ class TestStreamBlock:
                     expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
                     np.testing.assert_array_equal(stream._pool.keys(), expected)
                     np.testing.assert_array_equal(block.keys()[0], expected)
-        assert _int_fold_terms.cache_info().hits > 0
 
 
     def test_array_label_derivations_equal_seed_sequence_at_every_depth(self):
-        # array labels between integer labels; the first pass fills the memo of hash products, the second hits it
-        _int_hash_products.cache_clear()
+        # array labels between integer labels, folded twice
         roots = (0, 9, 2**63)
         depths = [np.array([1, 4, 0]), 2**31 + 3, np.array([7, 7, 7]), np.array([5, 3, 2**32 - 1]), 6,
                   np.array([2, 2**32 - 2, 6], dtype=np.uint64), np.array([0, 5, 2**31])]
@@ -337,16 +322,6 @@ class TestStreamBlock:
                 for e, (root, path) in enumerate(zip(roots, paths)):
                     expected = np.random.SeedSequence(root, spawn_key=path).generate_state(2, np.uint64)
                     np.testing.assert_array_equal(block.keys()[e], expected)
-        assert _int_hash_products.cache_info().hits > 0
-        block = StreamBlock.of([RngStream(11)])
-        for depth in range(4):  # the memoized products are SeedSequence's hash constants, and read-only
-            powers = [block._hash * pow(0x931E_8875, i, 2**32) % 2**32 for i in range(5)]
-            xor, mult = _int_hash_products(block._hash)
-            assert xor.tolist() == powers[:-1] and mult.tolist() == powers[1:]
-            for memo in (xor, mult):
-                with pytest.raises(ValueError, match="read-only"):
-                    memo[0] = 0
-            block = block.child(depth)
 
     @pytest.mark.parametrize("form", ["int", "array"])
     def test_edge_labels_fold_as_seed_sequence_at_every_depth(self, form):

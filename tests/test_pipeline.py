@@ -68,7 +68,6 @@ class TestRtsConfig:
         assert cfg.search_inter.rounds == 2
         assert cfg.k_keysteps == 6
         assert cfg.eval_steps_init is None
-        assert cfg.eval_steps_inter == 1
         assert cfg.budget_nfe is None
 
     @pytest.mark.parametrize(
@@ -76,13 +75,18 @@ class TestRtsConfig:
         [
             {"k_keysteps": -1},
             {"eval_steps_init": 0},
-            {"eval_steps_inter": 0},
             {"budget_nfe": 0},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(PreconditionError):
             RtsConfig(**kwargs)
+
+    def test_eval_steps_inter_is_no_field(self):
+        # a key-step candidate is always scored by one clean estimate; no option previews further steps
+        assert "eval_steps_inter" not in {field.name for field in dataclasses.fields(RtsConfig)}
+        with pytest.raises(TypeError):
+            RtsConfig(eval_steps_inter=2)
 
 
 _QUADRATIC = QuadraticReward(target=[0.0, 0.0])
@@ -94,7 +98,6 @@ counts = pytest.mark.parametrize("make,valid", [
     pytest.param(lambda v: SearchConfig(rounds=v), 4, id="rounds"),
     pytest.param(lambda v: RtsConfig(k_keysteps=v), 6, id="k_keysteps"),
     pytest.param(lambda v: RtsConfig(eval_steps_init=v), 2, id="eval_steps_init"),
-    pytest.param(lambda v: RtsConfig(eval_steps_inter=v), 1, id="eval_steps_inter"),
     pytest.param(lambda v: RtsConfig(budget_nfe=v), 100, id="budget_nfe"),
     pytest.param(lambda v: ModePreferenceReward(four_corner_model(), v, 1.0), 1, id="preferred"),
     pytest.param(lambda v: run_bon(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, RngStream(0)), 16,
@@ -186,7 +189,6 @@ class TestNfeLedger:
             RtsConfig(
                 search_init=SearchConfig(n_neighbors=3, rounds=0),
                 k_keysteps=4,
-                eval_steps_inter=2,
             ),
         ),
         (
@@ -199,7 +201,6 @@ class TestNfeLedger:
                 search_init=SearchConfig(n_neighbors=1, rounds=1),
                 search_inter=SearchConfig(n_neighbors=2, rounds=2),
                 k_keysteps=2,
-                eval_steps_inter=3,
             ),
         ),
         (
@@ -245,6 +246,16 @@ class TestNfeLedger:
             total = expected_rts_nfe(cfg, spec, key_positions=positions)["total"]
             assert total <= worst["total"]
 
+    def test_key_step_term_is_the_walk_plus_one_estimate_per_candidate(self):
+        # 2 NFEs a step from the first key through the last, and one clean estimate per candidate of each search
+        spec = SolverSpec(mode="sde", steps=16, churn=0.4)
+        cfg = RtsConfig(search_init=SearchConfig(rounds=0), search_inter=SearchConfig(n_neighbors=4, rounds=3))
+        per_search = 3 * 4 + 2  # three rounds of four rows, and the bases of the two coarse rounds
+        for positions in ([5], [9, 3, 7], [1, 15], list(range(1, 16))):
+            inter = 2 * (max(positions) - min(positions) + 1) + per_search * len(positions)
+            assert expected_rts_nfe(cfg, spec, key_positions=positions) == {
+                "init_search": 0, "record": 32, "inter_search": inter, "final": 32, "total": 64 + inter}
+
     @pytest.mark.parametrize("positions", [[0, 99], [0, 3], [3, 8]], ids=["both", "first", "last"])
     def test_positions_outside_the_interior_are_refused(self, positions):
         # interior steps of an 8-step solve are 1..7; 0 and 8 are its endpoints
@@ -269,12 +280,11 @@ class TestBudgetProperty:
         search_inter=st.builds(SearchConfig, n_neighbors=st.integers(1, 3), rounds=st.integers(0, 2)),
         k_keysteps=st.integers(0, 4),
         eval_steps_init=st.none() | st.integers(1, 6),
-        eval_steps_inter=st.integers(1, 3),
         budget=st.none() | st.integers(1, 200),
         seed=st.integers(0, 1000),
     )
     def test_budget_cap_and_ledger(
-        self, mode, steps, search_init, search_inter, k_keysteps, eval_steps_init, eval_steps_inter, budget, seed
+        self, mode, steps, search_init, search_inter, k_keysteps, eval_steps_init, budget, seed
     ):
         model = four_corner_model()
         reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
@@ -284,7 +294,6 @@ class TestBudgetProperty:
             search_inter=search_inter,
             k_keysteps=k_keysteps,
             eval_steps_init=eval_steps_init,
-            eval_steps_inter=eval_steps_inter,
             budget_nfe=budget,
         )
         # one scored initial noise plus the record denoise it owes
@@ -730,7 +739,6 @@ def criterion7_setup():
         search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
         k_keysteps=6,
         eval_steps_init=2,
-        eval_steps_inter=1,
     )
     return model, spec, reward, cfg
 

@@ -563,7 +563,7 @@ class TestBatchedPath:
         rng = np.random.default_rng(5)
         zs = rng.standard_normal((4, 2))
         injected = rng.standard_normal((spec.steps - 1, 2))
-        finals = _advance(model, spec, zs, 0, spec.steps, injected)
+        finals = _advance(model, spec, zs, injected)
         for row in range(4):
             np.testing.assert_array_equal(finals[row], denoise(model, spec, zs[row], injected=injected)[0][-1])
 
