@@ -71,6 +71,7 @@ from .schema import (
     _string,
     _tagged,
     _walk,
+    _write,
 )
 
 if TYPE_CHECKING:  # the solver, which only run and export-trajectory import
@@ -341,22 +342,13 @@ def _blocks(replicates: int, workers: int, seed_bytes: int) -> list[range]:
 
 
 def _append_records(path: str, blocks) -> None:
-    """Append each block's records as JSON lines and flush them as soon as the block arrives.
+    """Append each block's records as JSON lines, one ``_write`` per block as soon as the block arrives.
 
-    A block that fails ends the run, and every record of the blocks before
-    it stays in the file.
+    A block that fails, or a write that fails, ends the run, and every
+    record of the blocks before it stays in the file.
     """
-    try:
-        sink = open(path, "a", encoding="utf-8")
-    except OSError as exc:
-        raise RtsError(f"cannot write output '{path}': {exc}") from exc
-    with sink:
-        for records in blocks:
-            try:
-                sink.writelines(json.dumps(record) + "\n" for record in records)
-                sink.flush()
-            except OSError as exc:
-                raise RtsError(f"cannot write output '{path}': {exc}") from exc
+    for records in blocks:
+        _write(path, "".join(json.dumps(record) + "\n" for record in records), "output", "a")
 
 
 def cmd_run(config_path: str, overrides: dict) -> int:
@@ -366,6 +358,7 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     _check_budget(cfg, spec, rts_cfg)
     blocks = _blocks(cfg["replicates"], cfg["workers"], _seed_bytes(cfg, spec, rts_cfg))
     workers = min(cfg["workers"], len(blocks))
+    _write(cfg["out"], "", "output", "a")  # an output that cannot be opened fails before any block runs
     if workers == 1:
         _append_records(cfg["out"], (run_block(cfg, block, overrides) for block in blocks))
     else:
@@ -414,17 +407,14 @@ def export_trajectory(cfg: dict) -> list[tuple]:
 
 def cmd_export(config_path: str, out_path: str, overrides: dict) -> int:
     import csv
+    import io
 
     cfg = load_config(config_path, overrides)
     _refuse_overwrite(out_path, config_path, "config it was exported from")
     rows = export_trajectory(cfg)
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as sink:
-            writer = csv.writer(sink)
-            writer.writerow(["step", "t", "p1", "p2", "p3", "curvature", "selected"])
-            writer.writerows(rows)
-    except OSError as exc:
-        raise RtsError(f"cannot write export '{out_path}': {exc}") from exc
+    text = io.StringIO()
+    csv.writer(text).writerows([("step", "t", "p1", "p2", "p3", "curvature", "selected"), *rows])
+    _write(out_path, text.getvalue(), "export")
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 

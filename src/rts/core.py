@@ -190,24 +190,31 @@ class StreamBlock:
         self._hash = hash_const
 
     @classmethod
-    def of(cls, streams) -> "StreamBlock":
+    def of(cls, streams, shape: tuple[int, ...] | None = None) -> "StreamBlock":
         """The block of one ``RngStream`` (shape ``()``) or of a sequence of them (shape ``(S,)``); a block as it is.
 
-        Anything else, an iterator of streams or a sequence holding something
-        other than an ``RngStream``, raises ``PreconditionError``, and so do
-        streams whose paths differ in length.
+        The one check of a stream argument: anything else, an iterator or a
+        sequence holding what is not an ``RngStream`` (named), raises
+        ``PreconditionError``, as do paths of different lengths and, given the
+        leading ``shape`` of the latents drawn for, a block of another shape.
         """
-        if isinstance(streams, StreamBlock):
-            return streams
         if isinstance(streams, RngStream):
-            return streams._pool
-        if not isinstance(streams, Sequence) or not all(isinstance(stream, RngStream) for stream in streams):
-            raise PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
-                                    f"got {type(streams).__name__}")
-        if len({len(stream.path) for stream in streams}) > 1:
-            raise PreconditionError("the streams of a block must have paths of one length")
-        pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint32).reshape(-1, _POOL_SIZE)
-        return cls(pool, streams[0]._pool._hash if streams else _ROOT_HASH)
+            streams = streams._pool
+        elif not isinstance(streams, StreamBlock):
+            if not isinstance(streams, Sequence):
+                raise PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
+                                        f"got {type(streams).__name__}")
+            if odd := sorted({type(stream).__name__ for stream in streams if not isinstance(stream, RngStream)}):
+                raise PreconditionError(f"expected a sequence of RngStreams, got {type(streams).__name__} "
+                                        f"holding {', '.join(odd)}")
+            if len({len(stream.path) for stream in streams}) > 1:
+                raise PreconditionError("the streams of a block must have paths of one length")
+            pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint32).reshape(-1, _POOL_SIZE)
+            streams = cls(pool, streams[0]._pool._hash if streams else _ROOT_HASH)
+        if shape is not None and streams.shape != shape:
+            raise PreconditionError(f"latents of leading shape {shape} need one stream per row, got streams of "
+                                    f"shape {streams.shape}")
+        return streams
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -170,14 +170,10 @@ class RunResult:
 
 
 def _seed_block(streams) -> StreamBlock:
-    """The block of a sequence of ``RngStream``s, one per seed; anything else raises ``PreconditionError``."""
-    kind = type(streams).__name__
-    if isinstance(streams, Sequence):
-        odd = sorted({type(stream).__name__ for stream in streams if not isinstance(stream, RngStream)})
-        if not odd:
-            return StreamBlock.of(streams)
-        kind += " holding " + ", ".join(odd)
-    raise PreconditionError(f"expected a sequence of RngStreams, got {kind}")
+    """``StreamBlock.of`` a sequence of ``RngStream``s, one per seed, whose ``root_seed`` each result takes."""
+    if not isinstance(streams, Sequence):
+        raise PreconditionError(f"expected a sequence of RngStreams, got {type(streams).__name__}")
+    return StreamBlock.of(streams)
 
 
 def _latent_label(z: np.ndarray) -> int:

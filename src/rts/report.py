@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import ConfigError, RtsError
+from .errors import ConfigError
 from .ranktests import mann_whitney_greater, wilcoxon_greater
-from .schema import REQUIRED, _boolean, _Invalid, _integer, _json, _nullable, _number, _refuse_overwrite, _string
+from .schema import (REQUIRED, _boolean, _Invalid, _integer, _json, _nullable, _number, _refuse_overwrite, _string,
+                     _write)
 
 # the fields of a results record that ``rts report`` reads
 _RECORD_SCHEMA = {
@@ -139,11 +140,6 @@ def cmd_report(results_path: str, table_path: str | None) -> int:
     _refuse_overwrite(out, results_path, "results it summarizes")
     summary = summarize(records)
     print(_format_summary(summary))
-    try:
-        with open(out, "w", encoding="utf-8") as sink:
-            json.dump(summary, sink, indent=2)
-            sink.write("\n")
-    except OSError as exc:
-        raise RtsError(f"cannot write summary '{out}': {exc}") from exc
+    _write(out, json.dumps(summary, indent=2) + "\n", "summary")
     print(f"\nsummary table written to {out}")
     return 0

@@ -1,12 +1,12 @@
-"""JSON value kinds and the checks that ``rts run`` and ``rts report`` share.
+"""JSON value kinds, the checks that ``rts run`` and ``rts report`` share, and the one output writer.
 
 A kind checks one JSON value found at a dotted path and returns it
 normalized, or raises ``_Invalid`` at that path. A schema maps each key to
 ``(kind, default)``, where a dict kind is a section of keys and ``REQUIRED``
 marks a key that must be given; ``_walk`` checks an object against one. The
 CLI's config schema and the report's record schema are built from these
-kinds. This module loads the standard library and ``rts.errors`` only, so
-the report never loads the solver.
+kinds; ``_write`` writes every output file of the CLI. This module loads the
+standard library and ``rts.errors`` only: the report never loads the solver.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import os
 import reprlib
 
-from .errors import ConfigError
+from .errors import ConfigError, RtsError
 
 
 class _Invalid(ConfigError):
@@ -139,7 +139,7 @@ def _json(text: str, where: str | None = None):
     """Parse JSON text; text that is not JSON raises a ConfigError naming ``where`` or, without it, is a bare string."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, an integer past Python's digit limit, or nested too deep
         if where is None:
             return text
         raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
@@ -149,3 +149,12 @@ def _refuse_overwrite(out: str, source: str, what: str) -> None:
     """Refuse an output path that names the input file ``source`` itself."""
     if os.path.exists(out) and os.path.samefile(out, source):
         raise ConfigError(f"'{out}' would overwrite the {what}; choose another --out")
+
+
+def _write(path: str, text: str, what: str, mode: str = "w") -> None:
+    """Write ``text`` to ``path`` as it is; a failing open, write or close raises ``RtsError`` naming ``what``."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as sink:
+            sink.write(text)
+    except OSError as exc:
+        raise RtsError(f"cannot write {what} '{path}': {exc}") from exc

@@ -243,7 +243,7 @@ def run_search(
     """Alternate coarse and fine rounds for ``cfg.rounds`` rounds.
 
     ``z0`` fixes the dimension: one ``(d,)`` start with an ``RngStream``, or
-    ``(S, d)`` with a ``StreamBlock`` of S streams. By default round 1
+    ``(S, d)`` with S streams, checked by ``StreamBlock.of``. By default round 1
     samples a fresh Gaussian base; ``start_from_z0`` adopts ``z0`` as the
     round-1 base instead (the intermediate-noise phase does). A later coarse
     round that does not relocate always resamples a fresh Gaussian.
@@ -256,10 +256,7 @@ def run_search(
     if cfg.rounds < 1:
         raise PreconditionError(f"run_search needs at least one round, got {cfg.rounds}")
     z0 = as_latent(z0, batch=True)
-    stream = StreamBlock.of(stream)
-    if stream.shape != z0.shape[:-1]:
-        raise PreconditionError(f"a start of shape {z0.shape} needs streams of shape {z0.shape[:-1]}, "
-                                f"got {stream.shape}")
+    stream = StreamBlock.of(stream, z0.shape[:-1])
     state = SearchState(dim=z0.shape[-1], seed_base=z0 if start_from_z0 else None)
     for t in range(1, cfg.rounds + 1):
         step = coarse_round if t % 2 == 1 else fine_round

@@ -312,8 +312,8 @@ def denoise(
     unscaled noises, none in ODE mode. In SDE mode each of the first L−1
     steps appends churn·√Δt·z_l after the Heun update, with z_l taken from
     ``injected`` when provided (replay) or drawn from ``stream.child(step)``
-    otherwise; a batch takes a sequence, or a ``StreamBlock``, of one stream per row. Noises are
-    checked as latents before any model call. Costs 2·L NFEs per row.
+    otherwise; a batch takes a sequence, or a ``StreamBlock``, of one stream per row, as ``StreamBlock.of``
+    checks. Noises are checked as latents before any model call. Costs 2·L NFEs per row.
     """
     z = as_latent(z_init, model.dim, batch=True)
     shape = z.shape[:-1] + (spec.steps - 1 if spec.mode == SDE else 0, model.dim)
@@ -329,11 +329,7 @@ def denoise(
     elif stream is None:
         raise PreconditionError("SDE mode needs either injected noises or a stream")
     else:
-        stream = StreamBlock.of(stream)
-        if stream.shape != z.shape[:-1]:
-            raise PreconditionError(f"latents of shape {z.shape} need one stream per row, got streams of shape "
-                                    f"{stream.shape}")
-        churn = _churn_noises(spec, model.dim, stream)
+        churn = _churn_noises(spec, model.dim, StreamBlock.of(stream, z.shape[:-1]))
     latents = np.empty(z.shape[:-1] + (spec.steps + 1, model.dim))
     latents[..., 0, :] = z
     _advance(model, spec, z, churn, latents)

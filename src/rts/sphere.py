@@ -22,8 +22,8 @@ each row of a batch as the 1-D ``w @ u`` does, while ``W @ u``, ``einsum`` and
 
 The samplers take one base ``(d,)`` with an ``RngStream``, or a block of
 bases ``(S, d)``, one per seed of a lockstep block, with a ``StreamBlock``
-of S streams; a block gives each seed, bit for bit, the neighborhood of its
-own call.
+of S streams, as ``StreamBlock.of`` checks; a block gives each seed, bit for
+bit, the neighborhood of its own call.
 """
 
 from __future__ import annotations
@@ -105,14 +105,6 @@ def tangent_project(w, u) -> np.ndarray:
     return out
 
 
-def _streams(stream: RngStream | StreamBlock, base: Latent) -> StreamBlock:
-    """``stream`` as a block of one stream per base."""
-    stream = StreamBlock.of(stream)
-    if stream.shape != base.shape[:-1]:
-        raise PreconditionError(f"bases of shape {base.shape} need one stream each, got streams of shape {stream.shape}")
-    return stream
-
-
 def _base_frame(base: Latent) -> tuple[Latent, np.ndarray, Latent]:
     """The base ``(..., d)``, its radius ``(..., 1)`` and its direction."""
     base = as_latent(base, batch=True)
@@ -158,15 +150,14 @@ def _cone_point(radius, u, tau: float, w_hat: np.ndarray) -> np.ndarray:
 def random_spherical_sample(base: Latent, n: int, tau: float, stream: RngStream | StreamBlock) -> NeighborSet:
     """Draw ``n`` isotropic candidates at angle arccos(τ) from ``base``, one ``(d,)`` or a block ``(S, d)``.
 
-    Candidate i consumes the sub-stream ``stream.child(i)``, so each
-    candidate is the same whatever ``n`` is. Its first draw, from
-    ``child(i).child(0)``, is made with every other candidate's at once; a
-    draw that collapses onto the base direction is redrawn from attempt 1.
+    Candidate i consumes the sub-stream ``stream.child(i)``, so each candidate is the same whatever ``n`` is.
+    Its first draw, from ``child(i).child(0)``, is made with every other candidate's at once; a draw that
+    collapses onto the base direction is redrawn from attempt 1. ``StreamBlock.of`` checks one stream per base.
     """
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
     base, radius, u = _base_frame(base)
-    streams, u_rows = _streams(stream, base), u[..., None, :]
+    streams, u_rows = StreamBlock.of(stream, base.shape[:-1]), u[..., None, :]
     w = streams[..., None].child(np.arange(n)).child(0).normal(base.shape[-1])
     perturbations = _unit_tangents(_reject(_reject(w, u_rows), u_rows), u, streams, 1)
     return NeighborSet(base, _cone_point(radius[..., None], u_rows, tau, perturbations), perturbations)
@@ -190,6 +181,7 @@ def guided_spherical_sample(
     1e-12) samples at random, bit for bit as ``random_spherical_sample`` on its
     stream, and ``fallback`` marks it; a blend that cancels below tolerance
     (possible only at α = 0.5 with ŵ′ opposing ĝ⊥) is redrawn alone.
+    ``StreamBlock.of`` checks one stream per base.
     """
     n = as_integer(n, "n", 1)
     check_scalar(tau, "tau", 0, 1)
@@ -214,6 +206,6 @@ def guided_spherical_sample(
     # amplify the parents' rounding residue along u.
     blend = _reject((1.0 - alpha) * prev + alpha * g_hat[..., None, :], u[..., None, :])
     blend[fallback] = 0.0
-    perturbations = _unit_tangents(blend, u, _streams(stream, base), 0)
+    perturbations = _unit_tangents(blend, u, StreamBlock.of(stream, base.shape[:-1]), 0)
     return NeighborSet(base, _cone_point(radius[..., None], u[..., None, :], tau, perturbations), perturbations,
                        fallback=fallback)

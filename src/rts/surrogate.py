@@ -41,9 +41,10 @@ def estimate_gradient(base_reward, neighbors: NeighborSet) -> Latent:
     if not (np.isfinite(base_reward).all() and np.isfinite(rewards).all()):
         raise NonFiniteError("rewards must be finite")
     scale = np.maximum(np.abs(rewards.sum(axis=-1) + base_reward), _DENOMINATOR_FLOOR)
-    coefficients = (rewards - base_reward[..., None]) / scale[..., None]
-    # each row as the 1-D coefficients @ perturbations sums it
-    g = (coefficients[..., None, :] @ neighbors.perturbations)[..., 0, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned about
+        coefficients = (rewards - base_reward[..., None]) / scale[..., None]
+        # each row as the 1-D coefficients @ perturbations sums it
+        g = (coefficients[..., None, :] @ neighbors.perturbations)[..., 0, :]
     if not np.isfinite(g).all():
         raise NonFiniteError("surrogate gradient is non-finite")
     return g

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: configs, runs, reports, exports."""
 
+import concurrent.futures
 import csv
 import functools
 import itertools
@@ -26,10 +27,12 @@ import rts.schema
 from rts import ConfigError, RngStream, RtsError
 from rts.cli import (
     apply_overrides,
+    build_experiment,
     main,
     parse_override,
     validate_config,
 )
+from rts.pipeline import run_zo_block
 from rts.ranktests import _u_counts, mann_whitney_greater
 from rts.report import summarize
 
@@ -52,6 +55,10 @@ def _run_block_failing_at(failing: int, cfg: dict, indices: range, overrides: di
     if failing in indices:
         raise RtsError(f"replicate {failing} failed")
     return _RUN_BLOCK(cfg, indices, overrides)
+
+
+# JSON nesting far past the interpreter's recursion limit, which json.loads reaches as a RecursionError
+_DEEP = 10**5
 
 
 def base_config(out, **extra):
@@ -197,6 +204,19 @@ class TestRunCommand:
             assert record["truncated"] is False
         assert "wrote 2 record(s)" in capsys.readouterr().out
 
+    def test_zo_run_writes_the_records_of_run_zo_block(self, tmp_path):
+        config, _ = write_config(tmp_path, method="zo", budget_nfe=64, replicates=3)
+        model, spec, reward, _ = build_experiment(validate_config(json.loads(Path(config).read_text())))
+        runs = {}
+        for tau, overrides in ((0.9, []), (0.5, ["zo_step_tau=0.5"])):
+            out = tmp_path / f"zo-{tau}.jsonl"
+            assert main(["run", "--config", config, "--out", str(out), *overrides]) == 0
+            runs[tau] = [(r.method, r.seed, r.final_reward, r.final_sample.tolist(), r.nfe_used, r.truncated)
+                         for r in run_zo_block(model, spec, reward, 64, tau, [RngStream(seed) for seed in range(3)])]
+            assert [(r["method"], r["seed"], r["final_reward"], r["final_sample"], r["nfe_used"], r["truncated"])
+                    for r in read_records(out)] == runs[tau]
+        assert runs[0.9] != runs[0.5]
+
     def test_rts_without_interior_steps_reports_empty_key_steps(self, tmp_path):
         config, out = write_config(
             tmp_path,
@@ -307,6 +327,19 @@ class TestRunCommand:
         config.write_text("{not json")
         assert main(["run", "--config", str(config)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_nested_too_deep_to_parse_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"typo": ' + "[" * _DEEP + "]" * _DEEP + "}")
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"config '{config}' is not valid JSON" in capsys.readouterr().err
+
+    def test_override_nested_too_deep_to_parse_is_a_bare_string(self, tmp_path, capsys):
+        # a value that does not parse passes as a string, so the unknown key is what is refused
+        config, _ = write_config(tmp_path)
+        assert main(["run", "--config", config, "a=" + "[" * _DEEP + "]" * _DEEP]) == 2
+        err = capsys.readouterr().err
+        assert "'a'" in err and "unknown key" in err
 
     def test_seed_overflow_exits_2_before_any_record(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, seed=2**64 - 1, replicates=2)
@@ -687,6 +720,10 @@ class TestReportCommand:
         }
         self._check_p_values(tmp_path, alpha + self._records("beta", range(10), b), expected)
 
+    def test_identical_rewards_over_disjoint_seeds_report_half_p_value(self, tmp_path):
+        records = self._records("alpha", range(6), [1.25] * 6) + self._records("beta", range(100, 105), [1.25] * 5)
+        self._check_p_values(tmp_path, records, {"alpha>beta": 0.5, "beta>alpha": 0.5})
+
     def test_single_record_has_zero_stddev(self, tmp_path):
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config]) == 0
@@ -733,6 +770,12 @@ class TestReportCommand:
         results.write_text('{"method": "free"}\n{oops\n')
         assert main(["report", str(results)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_results_line_nested_too_deep_to_parse_exits_2(self, tmp_path, capsys):
+        results = tmp_path / "results.jsonl"
+        results.write_text("[" * _DEEP + "]" * _DEEP + "\n")
+        assert main(["report", str(results)]) == 2
+        assert "results line 1 is not valid JSON" in capsys.readouterr().err
 
     def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
         huge = "1" + "0" * 5000
@@ -1179,6 +1222,76 @@ class TestExportTrajectory:
         rows = self._export(tmp_path, "solver.steps=12", "k_keysteps=2")
         assert len(rows) == 13
         assert sum(int(r["selected"]) for r in rows) == 2
+
+
+_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that is always full")
+
+
+def _cli(*args) -> subprocess.CompletedProcess:
+    """``python -m rts.cli ARGS`` in a fresh interpreter, so that stderr shows whatever escapes ``main``."""
+    return subprocess.run([sys.executable, "-m", "rts.cli", *args], env=_package_env(), capture_output=True,
+                          text=True)
+
+
+class TestOutputWrites:
+    """Every output file goes through ``rts.schema._write``: a failing open, write or close exits 3."""
+
+    @_DEV_FULL
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_into_a_full_disk_exits_3_without_a_traceback(self, tmp_path, workers):
+        config, _ = write_config(tmp_path, replicates=4)
+        done = _cli("run", "--config", config, "--out", "/dev/full", "--workers", workers)
+        assert done.returncode == 3
+        assert "runtime error: cannot write output '/dev/full'" in done.stderr and "Traceback" not in done.stderr
+
+    @_DEV_FULL
+    def test_export_into_a_full_disk_exits_3_without_a_traceback(self, tmp_path):
+        config, _ = write_config(tmp_path)
+        done = _cli("export-trajectory", "--config", config, "--out", "/dev/full")
+        assert done.returncode == 3
+        assert "runtime error: cannot write export '/dev/full'" in done.stderr and "Traceback" not in done.stderr
+
+    @_DEV_FULL
+    def test_report_into_a_full_disk_exits_3_without_a_traceback(self, tmp_path):
+        results = _results_for_both_rank_tests(tmp_path)
+        done = _cli("report", str(results), "--out", "/dev/full")
+        assert done.returncode == 3
+        assert "runtime error: cannot write summary '/dev/full'" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_output_that_cannot_be_opened_exits_3_before_any_block_runs(self, tmp_path, monkeypatch, capsys,
+                                                                        workers):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block was started")
+
+        monkeypatch.setattr(rts.cli, "run_block", no_block)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_block)
+        config, _ = write_config(tmp_path, replicates=4, workers=workers)
+        out = tmp_path / "absent" / "results.jsonl"
+        assert main(["run", "--config", config, "--out", str(out)]) == 3
+        assert f"runtime error: cannot write output '{out}'" in capsys.readouterr().err
+
+    @_DEV_FULL
+    def test_a_close_that_fails_at_the_second_block_keeps_the_first(self, tmp_path, monkeypatch, capsys):
+        # the open before any block, the first block's, then the second block's, whose close flushes into a
+        # full device
+        config, out = write_config(tmp_path, replicates=rts.cli.MAX_BLOCK + 2, workers=1)
+        whole = tmp_path / "whole.jsonl"
+        assert main(["run", "--config", config, "--out", str(whole)]) == 0
+        opened = []
+
+        def open_full_third(path, *args, **kwargs):
+            opened.append(path)
+            return open("/dev/full" if len(opened) == 3 else path, *args, **kwargs)
+
+        monkeypatch.setattr(rts.schema, "open", open_full_third, raising=False)
+        assert main(["run", "--config", config]) == 3
+        assert f"runtime error: cannot write output '{out}'" in capsys.readouterr().err
+        assert opened == [out] * 3
+        kept = read_records(out)
+        assert [record["seed"] for record in kept] == list(range(rts.cli.MAX_BLOCK))
+        TestRunCommand.assert_kept_records_match(kept, read_records(whole))
+
 
 # JSON values of the wrong type or out of range for any key: scalars with
 # NaN, ±Infinity and integers past the range of a float or a u64, flat lists

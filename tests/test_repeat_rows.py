@@ -7,11 +7,22 @@ import sys
 import rts.pipeline
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SPEC = importlib.util.spec_from_file_location("repeat_rows", os.path.join(ROOT, "tools", "repeat_rows.py"))
-repeat_rows = importlib.util.module_from_spec(_SPEC)
-_PATH = list(sys.path)
-_SPEC.loader.exec_module(repeat_rows)
-sys.path[:] = _PATH  # the script puts benchmarks/ first on the path to import its testbed
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("repeat_rows", os.path.join(ROOT, "tools", "repeat_rows.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+repeat_rows = _load()
+
+
+def test_loading_the_tool_leaves_sys_path_as_it_was():
+    path = list(sys.path)
+    _load()
+    assert sys.path == path
 
 
 def test_count_over_200_seeds_is_the_readme_figure():

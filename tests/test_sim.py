@@ -86,6 +86,12 @@ class TestMixtureModel:
         with pytest.raises(DimensionError):
             MixtureModel(weights=[1.0], means=[[0.0, 0.0], [1.0, 1.0]], stddevs=[1.0])
 
+    @pytest.mark.parametrize("means", [[0.0, 1.0], [[0.0], [1.0]], [[[0.0, 1.0]], [[1.0, 0.0]]]],
+                             ids=["1-D", "dim-1", "3-D"])
+    def test_means_that_are_not_components_by_dim_of_two_or_more_are_refused(self, means):
+        with pytest.raises(DimensionError, match=r"means must be \(components, dim >= 2\)"):
+            MixtureModel(weights=[0.5, 0.5], means=means, stddevs=[1.0, 1.0])
+
     def test_non_finite_means_rejected(self):
         with pytest.raises(NonFiniteError):
             MixtureModel(weights=[1.0], means=[[np.inf, 0.0]], stddevs=[1.0])

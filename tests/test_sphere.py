@@ -348,6 +348,12 @@ class TestGuidedSphericalSample:
                 prev_perturbations=np.array([[0.0, 1.0]]), stream=RngStream(0),
             )
 
+    @pytest.mark.parametrize("g", [np.ones((2, 3)), np.ones((1, 3))], ids=["two-rows", "one-row"])
+    def test_guidance_of_another_shape_than_the_base_is_a_dimension_error(self, g):
+        with pytest.raises(DimensionError, match=r"guidance of shape \(\d, 3\) for bases of shape \(3,\)"):
+            guided_spherical_sample([1.0, 0.0, 0.0], n=1, tau=0.9, alpha=0.5, g=g,
+                                    prev_perturbations=np.array([[0.0, 1.0, 0.0]]), stream=RngStream(0))
+
     def test_reproducible_for_fixed_stream(self):
         base = np.array([0.3, 1.7, -2.2])
         prev = random_spherical_sample(base, n=2, tau=0.8, stream=RngStream(14))

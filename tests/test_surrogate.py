@@ -1,5 +1,7 @@
 """Tests for the reward-difference surrogate gradient estimate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -90,6 +92,14 @@ class TestValidation:
         ns = _neighbor_set([1.0, 0.0], [[0.0, 1.0]], [1.0])
         with pytest.raises(NonFiniteError):
             estimate_gradient(float("inf"), ns)
+
+    def test_overflowing_coefficients_are_refused_without_a_warning(self):
+        # the rewards cancel, so the scale floors at 1e-8 and (±1e301 - 0) / 1e-8 overflows
+        ns = _neighbor_set([1.0, 0.0], [[0.0, 1.0], [0.0, -1.0]], [1e301, -1e301])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="surrogate gradient is non-finite"):
+                estimate_gradient(0.0, ns)
 
     @pytest.mark.parametrize("rewards", [[1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]], 1.0])
     def test_rejects_rewards_that_miss_the_perturbation_rows(self, rewards):

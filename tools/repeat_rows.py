@@ -13,17 +13,19 @@ before.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 
+import rts.pipeline
+from rts.cli import build_experiment, validate_config
+from rts.core import RngStream
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
-
-import testbed  # noqa: E402
-
-import rts.pipeline  # noqa: E402
-from rts.cli import build_experiment, validate_config  # noqa: E402
-from rts.core import RngStream  # noqa: E402
+# loaded by its file path, so that importing this script leaves sys.path as it was
+_SPEC = importlib.util.spec_from_file_location("testbed", os.path.join(ROOT, "benchmarks", "testbed.py"))
+testbed = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(testbed)
 
 
 def count_rows(seeds: int) -> dict:
