@@ -24,13 +24,14 @@ Exit codes: 0 success, 2 config error, 3 runtime error.
 
 ``run`` splits the replicates into contiguous blocks, about one per worker,
 of at most ``MAX_BLOCK`` replicates and of at most ``BLOCK_BYTES`` of arrays
-by an estimate from the config. With more than one worker the blocks go to
-worker processes: on CPython 3.11 on Linux they are forked from this one and
-start with numpy and the package already imported, elsewhere they are
-spawned (``START_METHOD``). The parent writes each block's records in
-replicate order. A failing block ends the run, and the records of every
-block before it stay. A record's ``wall_ms`` is its block's wall time over the block's size,
-so the sum over records is still the compute time.
+by an estimate from the config. With W workers, W processes compute: this
+one runs blocks 0, W, 2W, ... and a pool of W - 1 workers runs the others.
+On CPython 3.11 on Linux the workers are forked from this process and start
+with numpy and the package imported, elsewhere they are spawned
+(``START_METHOD``). This process writes each block's records in replicate
+order as each block is done. A failing block ends the run, and the records
+of every block before it stay. A record's ``wall_ms`` is its block's wall
+time over the block's size, so the sum over records is the compute time.
 
 Each subcommand loads the standard library and the modules of the package
 that it runs. ``report`` loads ``errors``, ``schema``, ``report`` and
@@ -51,7 +52,6 @@ import functools
 import json
 import sys
 import time
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import BudgetError, ConfigError, PreconditionError, RtsError
@@ -78,9 +78,9 @@ if TYPE_CHECKING:  # the solver, which only run and export-trajectory import
     from .pipeline import RtsConfig, RunResult
     from .sim import MixtureModel, SolverSpec
 
-# Most worker processes a run may ask for. The pool starts one per block up
-# to this count, so an absurd count is refused up front instead of starting
-# thousands of processes.
+# Most worker processes a run may ask for. The run computes in its own and in
+# a pool of one fewer, so an absurd count is refused up front instead of
+# starting thousands of processes.
 MAX_WORKERS = 256
 
 # Most replicates a run may ask for: the run builds, and its pool submits,
@@ -239,7 +239,8 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.blake2b(json.dumps(kept, sort_keys=True).encode(), digest_size=8).hexdigest()
 
 
-def _result_record(result: RunResult, cfg: dict, model: MixtureModel, overrides: dict, wall_ms: float) -> dict:
+def _result_record(result: RunResult, cfg: dict, model: MixtureModel, config: str, overrides: dict,
+                   wall_ms: float) -> dict:
     from .sim import nearest_mode
 
     hit = None
@@ -257,7 +258,7 @@ def _result_record(result: RunResult, cfg: dict, model: MixtureModel, overrides:
         "truncated": result.truncated,
         "hit": hit,
         "nfe_breakdown": result.nfe_breakdown,
-        "config": _config_hash(cfg),
+        "config": config,
         "overrides": overrides,
         "wall_ms": wall_ms,
     }
@@ -304,7 +305,8 @@ def run_block(cfg: dict, indices: range, overrides: dict) -> list[dict]:
     else:
         results = run_free_block(model, spec, reward, streams)
     wall_ms = (time.perf_counter() - start) * 1000.0 / len(streams)
-    return [_result_record(result, cfg, model, overrides, wall_ms) for result in results]
+    config = _config_hash(cfg)
+    return [_result_record(result, cfg, model, config, overrides, wall_ms) for result in results]
 
 
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
@@ -341,16 +343,6 @@ def _blocks(replicates: int, workers: int, seed_bytes: int) -> list[range]:
     return [range(first, min(first + size, replicates)) for first in range(0, replicates, size)]
 
 
-def _append_records(path: str, blocks) -> None:
-    """Append each block's records as JSON lines, one ``_write`` per block as soon as the block arrives.
-
-    A block that fails, or a write that fails, ends the run, and every
-    record of the blocks before it stays in the file.
-    """
-    for records in blocks:
-        _write(path, "".join(json.dumps(record) + "\n" for record in records), "output", "a")
-
-
 def cmd_run(config_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
     _refuse_overwrite(cfg["out"], config_path, "config it was run from")
@@ -359,24 +351,26 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     blocks = _blocks(cfg["replicates"], cfg["workers"], _seed_bytes(cfg, spec, rts_cfg))
     workers = min(cfg["workers"], len(blocks))
     _write(cfg["out"], "", "output", "a")  # an output that cannot be opened fails before any block runs
-    if workers == 1:
-        _append_records(cfg["out"], (run_block(cfg, block, overrides) for block in blocks))
-    else:
+    pool = None
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
         import numpy.random  # noqa: F401  (the first draw would load it; a forked worker starts with it)
 
-        # Each worker runs one contiguous block at a time in lockstep; see
-        # START_METHOD for how the workers start. map yields the blocks in
-        # replicate order, so the output is deterministic. Shutting down
-        # cancels the blocks not yet started and waits for every worker, so
-        # none outlives the run.
-        executor = ProcessPoolExecutor(max_workers=workers, mp_context=get_context(START_METHOD))
-        try:
-            _append_records(cfg["out"], executor.map(run_block, repeat(cfg), blocks, repeat(overrides)))
-        finally:
-            executor.shutdown(cancel_futures=True)
+        pool = ProcessPoolExecutor(max_workers=workers - 1, mp_context=get_context(START_METHOD))
+    try:
+        # Every pool block is submitted before this process runs its first, so the pool forks every worker
+        # before this process computes anything (see START_METHOD). Each block's records are appended, one
+        # ``_write``, as soon as the block is done; shutting down cancels the blocks not yet started and waits
+        # for every worker, so none outlives the run.
+        pooled = {i: pool.submit(run_block, cfg, block, overrides) for i, block in enumerate(blocks) if i % workers}
+        for i, block in enumerate(blocks):
+            records = pooled[i].result() if i in pooled else run_block(cfg, block, overrides)
+            _write(cfg["out"], "".join(json.dumps(record) + "\n" for record in records), "output", "a")
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     print(f"wrote {cfg['replicates']} record(s) to {cfg['out']}")
     return 0
 

@@ -67,6 +67,38 @@ class TestSummarize:
                                                   else {q: pytest.approx(v, rel=1e-12) for q, v in value.items()})
 
 
+def detailed(side, pair, raw):
+    """A completed run's record whose seeds_per_s detail gives the raw rate ``raw``, or no raw rate for None."""
+    detail = "median over 21 sweeps of 100 seeds at reference host speed"
+    if raw is not None:
+        detail += f"; raw {raw:.4g}/s at host factor 0.950; sweep wall median 0.9 s, n=21"
+    return {"pair": pair, "side": side, "metrics": {"seeds_per_s": 1.0}, "details": {"seeds_per_s": detail}}
+
+
+class TestRawRateSummary:
+    def test_summarizes_the_raw_rate_of_each_detail(self):
+        parent, change = [100.0, 96.5, 103.0, 99.0], [104.0, 96.5, 110.0, 1.5e4]
+        records = [detailed(side, pair, rate) for pair, rates in enumerate(zip(parent, change))
+                   for side, rate in zip(("parent", "change"), rates)]
+        entry = bench_pairs.raw_rate_summary(records)
+        assert entry == bench_pairs.summarize(runs(parent, change))["seeds_per_s"]
+        assert (entry["change_above_parent"], entry["change_below_parent"], entry["pairs"]) == (3, 0, 4)
+
+    def test_a_run_without_a_raw_rate_contributes_nothing(self):
+        records = [detailed("parent", 0, 100.0), detailed("change", 0, 110.0), detailed("parent", 1, 90.0),
+                   detailed("change", 1, None), {"pair": 2, "side": "parent", "metrics": {"seeds_per_s": 1.0}},
+                   detailed("change", 2, 80.0), {"pair": 3, "side": "change", "returncode": 1, "stderr_tail": ""},
+                   detailed("parent", 3, 70.0)]
+        entry = bench_pairs.raw_rate_summary(records)
+        assert entry["pairs"] == 1
+        assert entry["ratio_of_medians"] == pytest.approx(1.1)
+
+    def test_no_complete_pair_gives_none(self):
+        with open(os.path.join(ROOT, "BENCH_16.json")) as handle:  # written before runs kept their details
+            record = json.load(handle)
+        assert all(bench_pairs.raw_rate_summary(pairs) is None for pairs in record["pairs"].values())
+
+
 class TestVerdict:
     END_TO_END = {"seeds_per_s": {"better": "higher", "bound": 0.25}, "peak_rss_mb": {"better": "lower", "bound": 0.1}}
 
@@ -244,3 +276,27 @@ class TestSeries:
         line = '{"digest": "d"}'
         assert record["outputs"] == {"testbed-d2": {"parent": [line], "change": [line], "equal": True}}
         assert record["failed_share"] == {"testbed-d2": {"parent": 0.0, "change": 0.25}}
+
+    def test_records_the_raw_rate_of_each_workload(self, tmp_path, monkeypatch):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+        raw = {str(tmp_path / "parent"): 100.0, str(tmp_path / "change"): 120.0}
+
+        def fake_run(argv, cwd, **kwargs):
+            # the benchmark's table line: name, value, unit, better, detail; then its JSON result
+            line = f"seeds_per_s 105.0 1/s higher median over 21 sweeps; raw {raw[cwd]:.4g}/s at host factor 1.05"
+            result = {"correct": True, "attempted": 4, "failed": 0,
+                      "metrics": {"seeds_per_s": {"value": 105.0, "unit": "1/s"}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=f"{line}\n{json.dumps(result)}\n", stderr="")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                                 "--workload", "cli-sweep", "--pairs", "2", "--out", str(out),
+                                 "--host", "test host", "--parent-commit", "0" * 40]) == 0
+        record = json.loads(out.read_text())
+        entry = record["raw_seeds_per_s"]["cli-sweep"]
+        assert (entry["parent"]["median"], entry["change"]["median"]) == (100.0, 120.0)
+        assert (entry["change_above_parent"], entry["pairs"]) == (2, 2)
+        assert record["summary"]["cli-sweep"]["seeds_per_s"]["change_above_parent"] == 0  # the normalized rates tie

@@ -57,6 +57,16 @@ def _run_block_failing_at(failing: int, cfg: dict, indices: range, overrides: di
     return _RUN_BLOCK(cfg, indices, overrides)
 
 
+def _run_block_recorded(calls: list, cfg: dict, indices: range, overrides: dict) -> list[dict]:
+    """``rts.cli.run_block``, appending ``indices`` to ``calls`` first.
+
+    A worker process receives ``calls`` pickled, so only the blocks that the
+    ``rts run`` process computes itself reach the caller's list.
+    """
+    calls.append(indices)
+    return _RUN_BLOCK(cfg, indices, overrides)
+
+
 # JSON nesting far past the interpreter's recursion limit, which json.loads reaches as a RecursionError
 _DEEP = 10**5
 
@@ -368,7 +378,7 @@ class TestRunCommand:
         monkeypatch.setattr(rts.cli, "START_METHOD", request.param)
 
     def test_failing_replicate_keeps_the_records_before_it(self, tmp_path, monkeypatch, capsys):
-        # two workers run the blocks [0, 2) and [2, 4); the second fails in its worker
+        # the run process computes the block [0, 2) and its one pool worker [2, 4), which fails
         config, out = write_config(tmp_path, method="rts", replicates=4, workers=2)
         whole = tmp_path / "whole.jsonl"
         assert main(["run", "--config", config, "--out", str(whole)]) == 0
@@ -397,6 +407,63 @@ class TestRunCommand:
         assert main(["run", "--config", config]) == 3
         assert multiprocessing.active_children() == []
         assert [record["seed"] for record in read_records(out)] == [0, 1]
+
+    @pytest.mark.parametrize("workers, failing, kept", [(2, 0, []), (3, 0, []), (2, 3, [0, 1, 2]), (3, 3, [0, 1])],
+                             ids=["w2-run", "w3-run", "w2-worker", "w3-worker"])
+    def test_a_failing_block_keeps_the_blocks_before_it_and_no_worker(self, tmp_path, monkeypatch, capsys,
+                                                                      start_method, workers, failing, kept):
+        # 6 replicates: blocks [0, 3), [3, 6) on 2 workers, [0, 2), [2, 4), [4, 6) on 3; block 0 fails in the
+        # run process, the block holding replicate 3 in a pool worker
+        config, out = write_config(tmp_path, method="rts", replicates=6, workers=workers)
+        self.fail_block_of(monkeypatch, failing)
+        assert main(["run", "--config", config]) == 3
+        assert f"replicate {failing} failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert [record["seed"] for record in read_records(out)] == kept
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_pool_of_one_worker_fewer_gets_its_blocks_before_the_run_computes(self, tmp_path, monkeypatch,
+                                                                                workers):
+        events = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                events.append(("pool", kwargs["max_workers"]))
+                super().__init__(*args, **kwargs)
+
+            def submit(self, fn, cfg, indices, overrides):
+                events.append(("submit", indices))
+                return super().submit(fn, cfg, indices, overrides)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(rts.cli, "MAX_BLOCK", 2)
+        monkeypatch.setattr(rts.cli, "run_block", functools.partial(_run_block_recorded, events))
+        config, out = write_config(tmp_path, replicates=7, workers=workers)
+        assert main(["run", "--config", config]) == 0
+        blocks = [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
+        pool = [("pool", workers - 1), *(("submit", block) for i, block in enumerate(blocks) if i % workers)]
+        assert events == (pool if workers > 1 else []) + blocks[::workers]
+        assert [record["seed"] for record in read_records(out)] == list(range(7))
+
+    @pytest.mark.parametrize("workers, max_block, computed", [
+        (1, 2, [(0, 2), (2, 4), (4, 6), (6, 7)]),
+        (2, None, [(0, 4)]),  # blocks [0, 4), [4, 7)
+        (3, None, [(0, 3)]),  # [0, 3), [3, 6), [6, 7)
+        (2, 2, [(0, 2), (4, 6)]),  # [0, 2), [2, 4), [4, 6), [6, 7)
+        (3, 2, [(0, 2), (6, 7)]),
+    ], ids=["w1-block2", "w2", "w3", "w2-block2", "w3-block2"])
+    def test_the_run_process_computes_every_workers_th_block(self, tmp_path, monkeypatch, start_method, workers,
+                                                             max_block, computed):
+        if max_block is not None:
+            monkeypatch.setattr(rts.cli, "MAX_BLOCK", max_block)
+        calls = []
+        monkeypatch.setattr(rts.cli, "run_block", functools.partial(_run_block_recorded, calls))
+        config, out = write_config(tmp_path, method="rts", replicates=7, budget_nfe=295, workers=workers)
+        assert main(["run", "--config", config]) == 0
+        assert calls == [range(*bounds) for bounds in computed]
+        cfg = rts.cli.load_config(config)
+        self.assert_kept_records_match(read_records(out), [_RUN_BLOCK(cfg, range(i, i + 1), {})[0] for i in range(7)])
+        assert len(read_records(out)) == 7
 
     @pytest.mark.parametrize("method, budget", [("rts", 295), ("bon", 64)])
     def test_uneven_blocks_write_the_records_of_one_block(self, tmp_path, method, budget, start_method):
@@ -830,7 +897,7 @@ class TestReportCommand:
     def test_rerun_with_other_run_keys_is_a_duplicate(self, tmp_path, capsys):
         config, out = write_config(tmp_path, replicates=2)
         assert main(["run", "--config", config]) == 0
-        # the echoed workers differ, and the rerun forks two of them
+        # the echoed workers differ, and the rerun computes in two processes
         assert main(["run", "--config", config, "--workers", "2", "replicates=3", "seed=0"]) == 0
         records = read_records(out)
         assert records[0]["overrides"] == {} and records[2]["overrides"] == {"replicates": 3, "seed": 0, "workers": 2}

@@ -20,8 +20,14 @@ outputs`` lines and ``equal``, whether every completed run printed one and
 the same line. The cli-sweep line changes on every run, because
 ``benchmarks/child.py`` hashes each record with the temporary output path of
 its run, so ``equal`` reads False there until ROADMAP item 9 lands.
-``failed_share`` holds, per workload and side, the runs the benchmark counted
-as failed over those it attempted, summed over the completed runs.
+``raw_seeds_per_s`` holds, per workload, the same summary of each run's raw
+``seeds_per_s``, the rate before the benchmark's host factor, read from the
+metric's detail (``raw <x>/s``): the host factor can spread more than a
+change moves the rate. A run whose detail gives no raw rate, as in older
+records, contributes nothing, so its pair is left out, and a workload with
+no complete pair gets None. ``failed_share`` holds, per workload and side,
+the runs the benchmark counted as failed over those it attempted, summed
+over the completed runs.
 ``pycache_at_start`` records, per workload and side, whether the checkout
 held any ``__pycache__`` under ``src/`` when the series started: the runs
 write no bytecode, and a start-up time such as cli-sweep ``setup_s``
@@ -39,11 +45,13 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 
 OUTPUTS_PREFIX = "deterministic outputs: "
 STDERR_TAIL = 2000  # characters of a failed run's stderr that its record keeps
+RAW_RATE = re.compile(r"\braw ([0-9.eE+-]+)/s")  # in the seeds_per_s detail: "raw 109.3/s at host factor 0.989"
 
 
 def parse_run(stdout: str) -> dict:
@@ -118,6 +126,17 @@ def summarize(runs: list[dict], end_to_end: dict | None = None) -> dict:
         if name in (end_to_end or {}):
             summary[name].update(verdict(parent_q["median"], change_q["median"], **end_to_end[name]))
     return summary
+
+
+def raw_rate_summary(runs: list[dict]) -> dict | None:
+    """``summarize``'s entry for the raw ``seeds_per_s`` that each run's detail gives; None without a complete
+    pair."""
+    rated = []
+    for run in runs:
+        match = RAW_RATE.search(run.get("details", {}).get("seeds_per_s", ""))
+        if match:
+            rated.append({"pair": run["pair"], "side": run["side"], "metrics": {"raw": float(match.group(1))}})
+    return summarize(rated).get("raw")
 
 
 def outputs_verdict(runs: list[dict]) -> dict:
@@ -198,6 +217,7 @@ def main(argv=None) -> int:
         "pycache_at_start": {},
         "pairs": {},
         "summary": {},
+        "raw_seeds_per_s": {},
         "outputs": {},
         "failed_share": {},
     }
@@ -214,6 +234,7 @@ def main(argv=None) -> int:
                            else f"exited with {runs[-1]['returncode']}")
                 print(f"{workload} pair {pair} {side}: {outcome}", file=sys.stderr)
             record["summary"][workload] = summarize(runs, end_to_end)
+            record["raw_seeds_per_s"][workload] = raw_rate_summary(runs)
             record["outputs"][workload] = outputs_verdict(runs)
             record["failed_share"][workload] = failed_share(runs)
             with open(args.out, "w") as handle:
