@@ -283,11 +283,11 @@ def _check_budget(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> None:
         raise _Invalid("budget_nfe", str(exc)) from exc
 
 
-def run_block(cfg: dict, indices: range, overrides: dict) -> list[dict]:
+def run_block(cfg: dict, indices: range, overrides: dict, config: str) -> list[dict]:
     """Execute the replicates ``indices`` (seed = base seed + index) in lockstep; their records in order.
 
-    ``cmd_run`` checked the budget. Each record's ``wall_ms`` is the block's
-    wall time over its size.
+    ``cmd_run`` checked the budget and hashed the config into ``config``, once a run. Each record's ``wall_ms``
+    is the block's wall time over its size.
     """
     from .core import RngStream
     from .pipeline import BON, RTS, ZO, run_bon_block, run_free_block, run_rts_block, run_zo_block
@@ -305,13 +305,12 @@ def run_block(cfg: dict, indices: range, overrides: dict) -> list[dict]:
     else:
         results = run_free_block(model, spec, reward, streams)
     wall_ms = (time.perf_counter() - start) * 1000.0 / len(streams)
-    config = _config_hash(cfg)
     return [_result_record(result, cfg, model, config, overrides, wall_ms) for result in results]
 
 
 def run_replicate(cfg: dict, index: int, overrides: dict) -> dict:
     """Execute one replicate and build its record: the block of this one index."""
-    return run_block(cfg, range(index, index + 1), overrides)[0]
+    return run_block(cfg, range(index, index + 1), overrides, _config_hash(cfg))[0]
 
 
 def _seed_bytes(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> int:
@@ -350,6 +349,7 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     _check_budget(cfg, spec, rts_cfg)
     blocks = _blocks(cfg["replicates"], cfg["workers"], _seed_bytes(cfg, spec, rts_cfg))
     workers = min(cfg["workers"], len(blocks))
+    config = _config_hash(cfg)
     _write(cfg["out"], "", "output", "a")  # an output that cannot be opened fails before any block runs
     pool = None
     if workers > 1:
@@ -364,9 +364,10 @@ def cmd_run(config_path: str, overrides: dict) -> int:
         # before this process computes anything (see START_METHOD). Each block's records are appended, one
         # ``_write``, as soon as the block is done; shutting down cancels the blocks not yet started and waits
         # for every worker, so none outlives the run.
-        pooled = {i: pool.submit(run_block, cfg, block, overrides) for i, block in enumerate(blocks) if i % workers}
+        pooled = {i: pool.submit(run_block, cfg, block, overrides, config)
+                  for i, block in enumerate(blocks) if i % workers}
         for i, block in enumerate(blocks):
-            records = pooled[i].result() if i in pooled else run_block(cfg, block, overrides)
+            records = pooled[i].result() if i in pooled else run_block(cfg, block, overrides, config)
             _write(cfg["out"], "".join(json.dumps(record) + "\n" for record in records), "output", "a")
     finally:
         if pool is not None:

@@ -249,7 +249,7 @@ def run_rts(
 
 
 def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Seed], cost: int, score,
-                     **options):
+                     *, start_from_z0: bool = False):
     """``run_search`` for a group of seeds, none of them cut, each charged ``cost`` NFEs a row to its ledger.
 
     Each seed takes the prefix of a round's rows that its ledger affords, which
@@ -280,7 +280,7 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
         return scores.reshape(size, n)
 
     try:
-        best, _, history = run_search(z0, cfg, evaluate, stream, **options)
+        best, _, history = run_search(z0, cfg, evaluate, stream, start_from_z0=start_from_z0)
     except _PhaseTruncated:
         return None, None
     return best, [[float(h.best_candidate_reward[s]) for h in history] for s in range(size)]

@@ -1,14 +1,19 @@
 """Coarse-to-fine alternating search over latents on the reward landscape.
 
 Rounds are 1-indexed. Odd rounds are coarse: move the base by the greedy
-relocation rule (adopt the previous round's best candidate only when it
-strictly beats the previous base reward, otherwise resample), then draw
-random spherical neighbors and estimate a surrogate gradient from their
-rewards. Even rounds are fine: keep the base and re-form the neighborhood by
-blending the stored perturbations with the gradient direction, or sample at
-random where the gradient has no tangential part. The gradient used by a
-fine round always comes from the immediately preceding coarse round and is
-never carried across cycle boundaries.
+relocation rule, then draw random spherical neighbors and estimate a
+surrogate gradient from their rewards. Even rounds are fine: keep the base
+and re-form the neighborhood by blending the stored perturbations with the
+gradient direction, or sample at random where the gradient has no
+tangential part. The gradient used by a fine round always comes from the
+immediately preceding coarse round and is never carried across cycle
+boundaries.
+
+One improvement rule, ``_fold_best``, keeps the best so far and relocates:
+a row replaces what is held only when it strictly beats it, the first of
+tied rows winning. Relocation folds the last round's candidates into a
+fallback base (the seed base in round 1, else a fresh Gaussian) held at
+the last base reward.
 
 Each round hands its candidates to the evaluator as one ``(n, d)`` batch:
 a coarse round scores ``[base; neighbors]`` in one call, a fine round its
@@ -24,8 +29,8 @@ follows, bit for bit, the search it would run alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,10 +102,10 @@ class RoundSummary:
     guided_fallback: int = 0
 
 
-@dataclass(frozen=True)
-class SearchState:
+class SearchState(NamedTuple):
     """Bookkeeping between rounds: base, gradient, last candidates, best yet.
 
+    A value: each round returns the state ``_replace``d with what it changed.
     ``round`` is the 1-indexed number of the next round to execute.
     ``seed_base`` preempts the fresh Gaussian in round 1; None means standard
     normal resampling there too. The fields of a lockstep block carry a
@@ -118,7 +123,7 @@ class SearchState:
     global_best: Latent | None = None
     global_best_reward: float = float("-inf")
     seed_base: Latent | None = None
-    history: tuple[RoundSummary, ...] = field(default_factory=tuple)
+    history: tuple[RoundSummary, ...] = ()
 
 
 def _scalar(value):
@@ -135,22 +140,19 @@ def _score(evaluate: Evaluator, batch: np.ndarray) -> np.ndarray:
     return rewards
 
 
-def _best_rows(latents: np.ndarray, rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each seed's first best row ``(..., d)`` and its reward, for one seed or a block."""
+def _fold_best(held: Latent | None, held_reward, latents, rewards):
+    """Fold the rows ``latents`` scored ``rewards`` into ``held``: each seed adopts its first best row only when it
+    strictly beats ``held_reward``, so earlier ties win. Returns the rows held after and their rewards.
+
+    ``held`` is None only against a reward of -inf, which every row beats: ``_score`` refuses non-finite rewards.
+    """
     i = rewards.argmax(axis=-1)
     index = (np.arange(i.shape[0]), i) if i.ndim else i
-    return latents[index], rewards[index]
-
-
-def _fold_best(state_best: Latent | None, state_reward, latents, rewards):
-    """Adopt the first best row only when it strictly beats the state, so earlier ties win."""
-    row, top = _best_rows(latents, rewards)
-    adopt = top > state_reward
+    row, top = latents[index], rewards[index]
+    adopt = top > held_reward
     if adopt.all():
         return row, _scalar(top)
-    if state_best is None:
-        state_best = row
-    return np.where(adopt[..., None], row, state_best), _scalar(np.where(adopt, top, state_reward))
+    return np.where(adopt[..., None], row, held), _scalar(np.where(adopt, top, held_reward))
 
 
 def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborSet, rewards,
@@ -162,41 +164,23 @@ def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborS
     best, best_reward = _fold_best(state.global_best, state.global_best_reward, rows, scores)
     summary = RoundSummary(state.round, kind, changes.get("base_reward", state.base_reward),
                            _scalar(np.maximum.reduce(rewards, axis=-1)), best_reward, fallback)
-    # what dataclasses.replace makes, without its per-field scan: a SearchState checks nothing on creation
-    advanced = object.__new__(SearchState)
-    advanced.__dict__.update(
-        vars(state),
-        round=state.round + 1,
-        last_perturbations=neighbors.perturbations,
-        last_candidates=neighbors.candidates,
-        last_rewards=rewards,
-        global_best=best,
-        global_best_reward=best_reward,
-        history=state.history + (summary,),
-        **changes,
-    )
-    return advanced
+    return state._replace(round=state.round + 1, last_perturbations=neighbors.perturbations,
+                          last_candidates=neighbors.candidates, last_rewards=rewards, global_best=best,
+                          global_best_reward=best_reward, history=state.history + (summary,), **changes)
 
 
 def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
-    """Each seed's base: its previous round's best candidate if that strictly beat its base, else the seed base
-    in round 1 or a fresh Gaussian."""
-    relocate = None  # which seeds relocate, None for none
-    if state.last_rewards is not None:
-        best, top = _best_rows(state.last_candidates, state.last_rewards)
-        relocate = top > state.base_reward
-        if relocate.all():
-            return best
-        if not relocate.any():
-            relocate = None
+    """Each seed's base: its last round's candidates folded into its fallback held at its base reward, so the best
+    candidate relocates the base only when it strictly beats that reward. The fallback is the seed base in round 1,
+    else a fresh Gaussian drawn for every seed; a stream is a value, so a seed that relocates moves no other draw.
+    """
     if state.round == 1 and state.seed_base is not None:
-        other = state.seed_base
-    elif relocate is None:
-        return sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
+        fallback = state.seed_base
     else:
-        other = np.empty(stream.shape + (state.dim,))
-        other[~relocate] = sample_gaussian(stream[~relocate].child(_STREAM_RESAMPLE), state.dim)
-    return other if relocate is None else np.where(relocate[..., None], best, other)
+        fallback = sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
+    if state.last_rewards is None:
+        return fallback
+    return _fold_best(fallback, state.base_reward, state.last_candidates, state.last_rewards)[0]
 
 
 def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,

@@ -44,9 +44,10 @@ FOUR_CORNERS = {
 
 
 _RUN_BLOCK = rts.cli.run_block
+_CONFIG_HASH = rts.cli._config_hash
 
 
-def _run_block_failing_at(failing: int, cfg: dict, indices: range, overrides: dict) -> list[dict]:
+def _run_block_failing_at(failing: int, cfg: dict, indices: range, overrides: dict, config: str) -> list[dict]:
     """``rts.cli.run_block``, failing for the block that holds replicate ``failing``.
 
     A module-level function, so that a worker process, forked or spawned,
@@ -54,17 +55,17 @@ def _run_block_failing_at(failing: int, cfg: dict, indices: range, overrides: di
     """
     if failing in indices:
         raise RtsError(f"replicate {failing} failed")
-    return _RUN_BLOCK(cfg, indices, overrides)
+    return _RUN_BLOCK(cfg, indices, overrides, config)
 
 
-def _run_block_recorded(calls: list, cfg: dict, indices: range, overrides: dict) -> list[dict]:
+def _run_block_recorded(calls: list, cfg: dict, indices: range, overrides: dict, config: str) -> list[dict]:
     """``rts.cli.run_block``, appending ``indices`` to ``calls`` first.
 
     A worker process receives ``calls`` pickled, so only the blocks that the
     ``rts run`` process computes itself reach the caller's list.
     """
     calls.append(indices)
-    return _RUN_BLOCK(cfg, indices, overrides)
+    return _RUN_BLOCK(cfg, indices, overrides, config)
 
 
 # JSON nesting far past the interpreter's recursion limit, which json.loads reaches as a RecursionError
@@ -431,9 +432,9 @@ class TestRunCommand:
                 events.append(("pool", kwargs["max_workers"]))
                 super().__init__(*args, **kwargs)
 
-            def submit(self, fn, cfg, indices, overrides):
+            def submit(self, fn, cfg, indices, overrides, config):
                 events.append(("submit", indices))
-                return super().submit(fn, cfg, indices, overrides)
+                return super().submit(fn, cfg, indices, overrides, config)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         monkeypatch.setattr(rts.cli, "MAX_BLOCK", 2)
@@ -462,8 +463,19 @@ class TestRunCommand:
         assert main(["run", "--config", config]) == 0
         assert calls == [range(*bounds) for bounds in computed]
         cfg = rts.cli.load_config(config)
-        self.assert_kept_records_match(read_records(out), [_RUN_BLOCK(cfg, range(i, i + 1), {})[0] for i in range(7)])
+        alone = [_RUN_BLOCK(cfg, range(i, i + 1), {}, _CONFIG_HASH(cfg))[0] for i in range(7)]
+        self.assert_kept_records_match(read_records(out), alone)
         assert len(read_records(out)) == 7
+
+    def test_a_run_hashes_its_config_once(self, tmp_path, monkeypatch):
+        # 5 replicates in blocks of at most 2: three blocks, one hash
+        hashes = []
+        monkeypatch.setattr(rts.cli, "MAX_BLOCK", 2)
+        monkeypatch.setattr(rts.cli, "_config_hash", lambda cfg: hashes.append(cfg) or _CONFIG_HASH(cfg))
+        config, out = write_config(tmp_path, replicates=5, workers=1)
+        assert main(["run", "--config", config]) == 0
+        assert len(hashes) == 1
+        assert {record["config"] for record in read_records(out)} == {_CONFIG_HASH(hashes[0])}
 
     @pytest.mark.parametrize("method, budget", [("rts", 295), ("bon", 64)])
     def test_uneven_blocks_write_the_records_of_one_block(self, tmp_path, method, budget, start_method):

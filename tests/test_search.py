@@ -127,6 +127,37 @@ class TestGreedyRelocation:
         expected = sample_gaussian(stream.child(0), 6)
         np.testing.assert_array_equal(out.base, expected)
 
+    @staticmethod
+    def _block_and_alone(streams, round_, **fields):
+        """The bases of one block ``coarse_round`` from ``fields``, each with a leading seed axis, and of each seed's
+        one-seed ``coarse_round`` from its rows."""
+        def flat(batch):
+            return np.zeros(batch.shape[:-1])
+
+        block = coarse_round(SearchState(dim=6, round=round_, **fields), SearchConfig(), flat, StreamBlock.of(streams))
+        alone = [coarse_round(SearchState(dim=6, round=round_, **{name: value[s] for name, value in fields.items()}),
+                              SearchConfig(), flat, stream).base for s, stream in enumerate(streams)]
+        return block.base, np.array(alone)
+
+    def test_block_seeds_that_relocate_tie_and_fall_short_each_take_their_base_alone(self):
+        # seed 0's best candidate beats its base reward, seed 1's ties it and seed 2's falls short
+        rng = np.random.default_rng(7)
+        candidates = rng.standard_normal((3, 3, 6))
+        streams = [RngStream(seed) for seed in (1, 2, 3)]
+        block, alone = self._block_and_alone(
+            streams, 3, base=rng.standard_normal((3, 6)), base_reward=np.full(3, 0.5), last_candidates=candidates,
+            last_rewards=np.array([[0.1, 0.9, 0.3], [0.5, 0.5, 0.5], [0.4, 0.2, 0.1]]))
+        np.testing.assert_array_equal(block, alone)
+        np.testing.assert_array_equal(block[0], candidates[0, 1])
+        for s in (1, 2):
+            np.testing.assert_array_equal(block[s], sample_gaussian(streams[s].child(0), 6))
+
+    def test_block_seed_base_is_each_seeds_base_in_round_1(self):
+        seed_base = np.random.default_rng(8).standard_normal((3, 6))
+        block, alone = self._block_and_alone([RngStream(seed) for seed in (1, 2, 3)], 1, seed_base=seed_base)
+        np.testing.assert_array_equal(block, alone)
+        np.testing.assert_array_equal(block, seed_base)
+
 
 class TestRoundParity:
     def test_coarse_rejects_even_round(self):
