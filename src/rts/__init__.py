@@ -33,7 +33,7 @@ _EXPORTS = {
         "ODE", "SDE", "MixtureModel", "ModePreferenceReward", "QuadraticReward", "RewardModel", "SolverSpec",
         "denoise", "evaluate_reward", "marginal_velocity", "nearest_mode", "one_step_clean_estimate",
     ),
-    "sphere": ("NeighborSet", "guided_spherical_sample", "random_spherical_sample", "tangent_project"),
+    "sphere": ("NeighborSet", "guided_spherical_sample", "random_spherical_sample"),
     "surrogate": ("estimate_gradient",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -445,6 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's OpenBLAS reads this when numpy loads, which no command has done yet. Its
+    # threads would spin between seeds for the one BLAS call, a small SVD a seed; a user's value wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     # every KEY=VALUE override is a leftover of parse_known_args, so it may stand
     # anywhere among the flags; a leftover flag, or any leftover of report, is a usage error

@@ -28,8 +28,6 @@ draw. Every draw is bit for bit the one a fresh
 ``Generator(Philox(SeedSequence(root_seed, spawn_key=path)))`` makes, at a
 fraction of its cost.
 
-The error taxonomy lives in ``errors`` and is importable from here too.
-
 A ``StreamBlock`` is an array of such streams, say one per seed of a
 lockstep block or one per candidate row. Its elements' paths are of one
 length, so it has one hash constant. It folds a label into every element,
@@ -50,15 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (  # noqa: F401  (the error taxonomy is importable from here too)
-    BudgetError,
-    ConfigError,
-    DegeneratePerturbationError,
-    DimensionError,
-    NonFiniteError,
-    PreconditionError,
-    RtsError,
-)
+from . import errors  # by module, so that no error name has a second home here
 
 # A latent is a 1-D float64 vector of dimension >= 2. Plain arrays keep the
 # numerics idiomatic; validation happens at operation boundaries.
@@ -97,15 +87,16 @@ def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 and not (batch and arr.ndim == 2):
         expected = "(d,) or (n, d)" if batch else "1-D"
-        raise DimensionError(f"latent must be {expected}, got shape {arr.shape}")
+        raise errors.DimensionError(f"latent must be {expected}, got shape {arr.shape}")
     if arr.shape[-1] < 2:
-        raise DimensionError(f"latent dimension must be >= 2, got {arr.shape[-1]}")
+        raise errors.DimensionError(f"latent dimension must be >= 2, got {arr.shape[-1]}")
     if dim is not None and arr.shape[-1] != dim:
-        raise DimensionError(f"expected dimension {dim}, got {arr.shape[-1]}")
+        raise errors.DimensionError(f"expected dimension {dim}, got {arr.shape[-1]}")
     if not (np.abs(arr) < LATENT_BOUND).all():
         if not np.isfinite(arr).all():
-            raise NonFiniteError("latent contains NaN or infinite entries")
-        raise NonFiniteError(f"latent has an entry of magnitude >= {LATENT_BOUND:g}, whose square would overflow")
+            raise errors.NonFiniteError("latent contains NaN or infinite entries")
+        raise errors.NonFiniteError(f"latent has an entry of magnitude >= {LATENT_BOUND:g}, "
+                                    "whose square would overflow")
     return arr
 
 
@@ -114,10 +105,10 @@ def as_integer(value, what: str, low: int | None = None, high: int | None = None
     try:  # a bool is an int to operator.index, True a 1
         number = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+        raise errors.PreconditionError(f"{what} must be an integer, got {value!r}") from None
     if (low is not None and number < low) or (high is not None and number > high):
         bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
-        raise PreconditionError(f"{what} must {bounds}, got {number}")
+        raise errors.PreconditionError(f"{what} must {bounds}, got {number}")
     return number
 
 
@@ -128,9 +119,9 @@ def check_scalar(value, what: str, low: float | None = None, high: float | None 
     except OverflowError:
         valid = False
     if not valid:
-        raise PreconditionError(f"{what} must be a finite float, got {value!r}")
+        raise errors.PreconditionError(f"{what} must be a finite float, got {value!r}")
     if (low is not None and not value >= low) or (high is not None and not value <= high):
-        raise PreconditionError(f"{what} must lie in [{low}, {high}], got {value}")
+        raise errors.PreconditionError(f"{what} must lie in [{low}, {high}], got {value}")
 
 
 # SeedSequence's mixing multiplier to the powers 0..4: a label word is hashed
@@ -202,17 +193,17 @@ class StreamBlock:
             streams = streams._pool
         elif not isinstance(streams, StreamBlock):
             if not isinstance(streams, Sequence):
-                raise PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
+                raise errors.PreconditionError(f"expected an RngStream, a StreamBlock or a sequence of RngStreams, "
                                         f"got {type(streams).__name__}")
             if odd := sorted({type(stream).__name__ for stream in streams if not isinstance(stream, RngStream)}):
-                raise PreconditionError(f"expected a sequence of RngStreams, got {type(streams).__name__} "
+                raise errors.PreconditionError(f"expected a sequence of RngStreams, got {type(streams).__name__} "
                                         f"holding {', '.join(odd)}")
             if len({len(stream.path) for stream in streams}) > 1:
-                raise PreconditionError("the streams of a block must have paths of one length")
+                raise errors.PreconditionError("the streams of a block must have paths of one length")
             pool = np.array([stream._pool._pool for stream in streams], dtype=np.uint32).reshape(-1, _POOL_SIZE)
             streams = cls(pool, streams[0]._pool._hash if streams else _ROOT_HASH)
         if shape is not None and streams.shape != shape:
-            raise PreconditionError(f"latents of leading shape {shape} need one stream per row, got streams of "
+            raise errors.PreconditionError(f"latents of leading shape {shape} need one stream per row, got streams of "
                                     f"shape {streams.shape}")
         return streams
 
@@ -237,7 +228,7 @@ class StreamBlock:
             # the dtype check comes first: min and max of a string array raise numpy's own error
             if (labels.dtype.kind not in "iu" or (high := labels.max(initial=0)) > _MASK32
                     or labels.min(initial=0) < 0):
-                raise PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
+                raise errors.PreconditionError(f"derivation labels must be integers in [0, 2**32), got {labels!r}")
         if high < _TABLE_SIZE:
             table, hash_const = _table_fold_terms(self._hash)
             terms = table[labels]
@@ -343,7 +334,7 @@ def sample_gaussian(stream: RngStream | StreamBlock, dim: int) -> Latent:
     """
     dim = as_integer(dim, "latent dimension")
     if dim < 2:
-        raise DimensionError(f"latent dimension must be >= 2, got {dim}")
+        raise errors.DimensionError(f"latent dimension must be >= 2, got {dim}")
     return StreamBlock.of(stream).normal(dim)
 
 

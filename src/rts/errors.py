@@ -2,7 +2,7 @@
 
 A module of its own, with no import, so that a command that only checks
 input and reports errors, such as ``rts report``, loads neither numpy's
-random module nor the solver; ``core`` re-exports every name.
+random module nor the solver. Every module imports its errors from here.
 """
 
 
@@ -23,7 +23,7 @@ class PreconditionError(RtsError, ValueError):
 
 
 class DegeneratePerturbationError(RtsError, ArithmeticError):
-    """A tangent collapsed below numerical tolerance; ``rows``, a boolean mask, marks the rows that did."""
+    """A tangent stayed below numerical tolerance after 9 draws; ``rows``, a boolean mask, marks the rows that did."""
 
     def __init__(self, message: str, rows=None) -> None:
         super().__init__(message)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, PreconditionError, as_integer, as_latent, row_norm
+from .core import as_integer, as_latent, row_norm
+from .errors import DimensionError, PreconditionError
 
 _DISTANCE_TOL = 1e-12
 

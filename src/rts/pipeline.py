@@ -51,14 +51,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    BudgetError,
     Latent,
-    PreconditionError,
     RngStream,
     StreamBlock,
     as_integer,
     sample_gaussian,
 )
+from .errors import BudgetError, PreconditionError
 from .keysteps import KeyStepSet, project_trajectory, select_key_steps
 from .search import MAX_NEIGHBORS, SearchConfig, run_search
 from .sphere import random_spherical_sample

@@ -5,9 +5,9 @@ relocation rule, then draw random spherical neighbors and estimate a
 surrogate gradient from their rewards. Even rounds are fine: keep the base
 and re-form the neighborhood by blending the stored perturbations with the
 gradient direction, or sample at random where the gradient has no
-tangential part. The gradient used by a fine round always comes from the
-immediately preceding coarse round and is never carried across cycle
-boundaries.
+tangential part, which the round's ``RoundSummary.guided_fallback`` counts.
+The gradient used by a fine round always comes from the immediately
+preceding coarse round and is never carried across cycle boundaries.
 
 One improvement rule, ``_fold_best``, keeps the best so far and relocates:
 a row replaces what is held only when it strictly beats it, the first of
@@ -28,17 +28,13 @@ follows, bit for bit, the search it would run alone.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
-    DimensionError,
     Latent,
-    NonFiniteError,
-    PreconditionError,
     RngStream,
     StreamBlock,
     as_integer,
@@ -46,10 +42,9 @@ from .core import (
     check_scalar,
     sample_gaussian,
 )
+from .errors import DimensionError, NonFiniteError, PreconditionError
 from .sphere import NeighborSet, guided_spherical_sample, random_spherical_sample
 from .surrogate import estimate_gradient
-
-logger = logging.getLogger(__name__)
 
 # An evaluator maps an (n, d) batch of latents, one per row, to their n
 # rewards, and a block's (S, n, d) batch to (S, n). Calls may consume NFEs
@@ -210,8 +205,6 @@ def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
     neighbors = guided_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient,
                                         state.last_perturbations, StreamBlock.of(stream).child(_STREAM_NEIGHBORS))
     fallback = int(np.count_nonzero(neighbors.fallback))
-    if fallback:
-        logger.info("round %d: degenerate gradient, falling back to random sampling", state.round)
     rewards = _score(evaluate, neighbors.candidates)
     return _end_round(state, "fine", neighbors.candidates, rewards, neighbors, rewards, fallback, last_gradient=None)
 

@@ -46,10 +46,7 @@ import numpy as np
 
 from .core import (
     LATENT_BOUND,
-    DimensionError,
     Latent,
-    NonFiniteError,
-    PreconditionError,
     RngStream,
     StreamBlock,
     as_integer,
@@ -57,6 +54,7 @@ from .core import (
     check_scalar,
     sample_gaussian,
 )
+from .errors import DimensionError, NonFiniteError, PreconditionError
 
 ODE = "ode"
 SDE = "sde"

@@ -34,11 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DegeneratePerturbationError,
-    DimensionError,
     Latent,
-    NonFiniteError,
-    PreconditionError,
     RngStream,
     StreamBlock,
     as_integer,
@@ -46,8 +42,8 @@ from .core import (
     check_scalar,
     row_norm,
 )
+from .errors import DegeneratePerturbationError, DimensionError, PreconditionError
 
-_UNIT_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
 # Draw attempts 0 to 8 per tangent; a draw collapses under tangential
 # projection with probability 0 for d >= 2, so a redraw is defensive only.
@@ -78,31 +74,6 @@ class NeighborSet:
 def _reject(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Each row of ``w`` minus its component along ``u``."""
     return w - np.vecdot(w, u)[..., None] * u
-
-
-def tangent_project(w, u) -> np.ndarray:
-    """Remove from each row of ``w`` its component along the unit direction ``u``.
-
-    ``w`` is ``(d,)``, ``(n, d)`` or ``(S, n, d)``. Two Gram-Schmidt passes keep
-    the residual orthogonality at machine precision even for large d. Raises
-    ``NonFiniteError`` for non-finite input, ``DimensionError`` when ``w`` and
-    ``u`` differ in their last dimension and ``DegeneratePerturbationError``
-    when a row is parallel to ``u`` (projection below 1e-12), its ``rows``
-    marking each such row.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if w.shape[-1:] != u.shape[-1:]:
-        raise DimensionError(f"w of shape {w.shape} and u of shape {u.shape} differ in dimension")
-    if not (np.isfinite(w).all() and np.isfinite(u).all()):
-        raise NonFiniteError("tangent_project needs finite w and u")
-    if (np.abs(row_norm(u) - 1.0) > _UNIT_TOL).any():
-        raise PreconditionError("u must be unit norm within 1e-9")
-    out = _reject(_reject(w, u), u)
-    degenerate = row_norm(out) < _DEGENERATE_TOL
-    if degenerate.any():
-        raise DegeneratePerturbationError("perturbation is parallel to the base direction", degenerate)
-    return out
 
 
 def _base_frame(base: Latent) -> tuple[Latent, np.ndarray, Latent]:

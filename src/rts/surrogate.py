@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DimensionError, Latent, NonFiniteError, PreconditionError
+from .core import Latent
+from .errors import DimensionError, NonFiniteError, PreconditionError
 from .sphere import NeighborSet
 
 _DENOMINATOR_FLOOR = 1e-8

@@ -1,4 +1,4 @@
-"""Shared test plumbing: the acceptance-criteria result board, a reward defined outside ``rts`` and a model-row count.
+"""Shared test plumbing: the criteria board, a reward defined outside ``rts``, a model-row count, a tangent projection.
 
 Acceptance tests report one line per criterion through record_criterion;
 the lines are printed in the terminal summary so a full run always ends
@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 
 import rts.sim
+
+
+def tangent_part(w, u):
+    """Each row of ``w`` with its part along the unit direction ``u`` removed twice, bit for bit as the samplers do."""
+    for _ in range(2):
+        w = w - np.vecdot(w, u)[..., None] * u
+    return w
 
 
 class RowReward:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import record_criterion
+from conftest import record_criterion, tangent_part
 from rts import (
     MixtureModel,
     ModePreferenceReward,
@@ -40,7 +40,6 @@ from rts import (
     run_zo_block,
     sample_gaussian,
     select_key_steps,
-    tangent_project,
 )
 from rts.cli import main as cli_main
 from rts.search import SearchState, coarse_round, fine_round
@@ -193,7 +192,7 @@ class TestCriterion2:
             neighbors = neighbors.with_rewards([reward(c) for c in neighbors.candidates])
             g = estimate_gradient(reward(z), neighbors)
             u = z / np.linalg.norm(z)
-            true_tangent = tangent_project(-2.0 * (z - target), u)
+            true_tangent = tangent_part(-2.0 * (z - target), u)
             cosines.append(g @ true_tangent / (np.linalg.norm(g) * np.linalg.norm(true_tangent)))
         cosines = np.array(cosines)
         positives = int(np.sum(cosines > 0.0))

@@ -1248,6 +1248,29 @@ def test_forked_workers_import_nothing(tmp_path):
     assert len(read_records(out)) == 4
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the thread count from /proc")
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "set by the user"])
+def test_the_entry_point_runs_blas_on_one_thread_unless_told_otherwise(tmp_path, setting):
+    # a fresh interpreter: OpenBLAS starts its threads when numpy loads, which main does here
+    config, _ = write_config(tmp_path)
+    statements = (
+        "import os, re\n"
+        "from rts.cli import main\n"
+        f"assert main(['export-trajectory', '--config', {config!r}, '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(re.search(r'^Threads:\\s*(\\d+)', status, re.M).group(1), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    env = {key: value for key, value in _package_env().items() if key != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    done = subprocess.run([sys.executable, "-c", statements], env=env, capture_output=True, text=True, check=True)
+    threads, kept = done.stdout.splitlines()[-1].split()
+    if setting is None:
+        assert (threads, kept) == ("1", "1")
+    else:
+        assert kept == setting
+
+
 class TestExportTrajectory:
     def _export(self, tmp_path, *overrides, **extra):
         config, _ = write_config(tmp_path, **extra)

@@ -12,10 +12,10 @@ import rts
 
 # every name the package root exported when it imported its modules eagerly, by home module
 EXPORTS = {
-    "core": (
+    "core": ("Latent", "RngStream", "StreamBlock", "as_latent", "sample_gaussian"),
+    "errors": (
         "BudgetError", "ConfigError", "DegeneratePerturbationError", "DimensionError",
-        "Latent", "NonFiniteError", "PreconditionError", "RngStream", "RtsError", "StreamBlock", "as_latent",
-        "sample_gaussian",
+        "NonFiniteError", "PreconditionError", "RtsError",
     ),
     "keysteps": ("KeyStepSet", "curvature", "project_trajectory", "select_key_steps"),
     "pipeline": (
@@ -27,7 +27,7 @@ EXPORTS = {
         "ODE", "SDE", "MixtureModel", "ModePreferenceReward", "QuadraticReward", "RewardModel", "SolverSpec",
         "denoise", "evaluate_reward", "marginal_velocity", "nearest_mode", "one_step_clean_estimate",
     ),
-    "sphere": ("NeighborSet", "guided_spherical_sample", "random_spherical_sample", "tangent_project"),
+    "sphere": ("NeighborSet", "guided_spherical_sample", "random_spherical_sample"),
     "surrogate": ("estimate_gradient",),
 }
 
@@ -51,6 +51,11 @@ def test_every_export_is_the_object_of_its_home_module():
         home = importlib.import_module(f"rts.{module}")
         for name in names:
             assert getattr(rts, name) is getattr(home, name), name
+
+
+def test_the_errors_have_one_home():
+    core = importlib.import_module("rts.core")
+    assert [name for name in EXPORTS["errors"] if hasattr(core, name)] == []
 
 
 def test_an_unknown_name_is_an_attribute_error():

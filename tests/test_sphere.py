@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tangent_part
 from rts import (
     DegeneratePerturbationError,
     DimensionError,
@@ -19,56 +20,8 @@ from rts import (
     guided_spherical_sample,
     random_spherical_sample,
     sample_gaussian,
-    tangent_project,
 )
 from rts.core import row_norm
-
-
-class TestTangentProject:
-    def test_hand_case(self):
-        np.testing.assert_allclose(tangent_project([1.0, 1.0], [1.0, 0.0]), [0.0, 1.0])
-
-    def test_already_tangential_is_unchanged(self):
-        np.testing.assert_allclose(
-            tangent_project([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0]
-        )
-
-    def test_parallel_input_is_degenerate(self):
-        u = np.array([1.0, 0.0])
-        with pytest.raises(DegeneratePerturbationError):
-            tangent_project(u, u)
-
-    def test_degenerate_rows_are_marked(self):
-        u = np.array([1.0, 0.0])
-        with pytest.raises(DegeneratePerturbationError) as caught:
-            tangent_project([[0.0, 1.0], [3.0, 0.0], [1.0, 1.0]], u)
-        np.testing.assert_array_equal(caught.value.rows, [False, True, False])
-
-    def test_requires_unit_direction(self):
-        with pytest.raises(PreconditionError):
-            tangent_project([1.0, 1.0], [2.0, 0.0])
-
-    @pytest.mark.parametrize("w, u", [([1.0, 0.5], [np.nan, np.nan]), ([np.nan, 1.0], [1.0, 0.0])])
-    def test_non_finite_input_rejected(self, w, u):
-        # a NaN norm compares False against the unit tolerance, so only an
-        # explicit finiteness check stops it
-        with pytest.raises(NonFiniteError):
-            tangent_project(w, u)
-
-    @pytest.mark.parametrize("w, u", [([1.0, 2.0, 3.0], [1.0, 0.0]), (np.ones((4, 2)), [1.0, 0.0, 0.0])])
-    def test_dimension_mismatch_rejected(self, w, u):
-        with pytest.raises(DimensionError):
-            tangent_project(w, u)
-
-    def test_orthogonality_at_machine_precision(self):
-        rng = np.random.default_rng(42)
-        for d in (2, 8, 64, 512):
-            for _ in range(20):
-                u = rng.standard_normal(d)
-                u /= np.linalg.norm(u)
-                w = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
-                out = tangent_project(w, u)
-                assert abs(out @ u) < 1e-12
 
 
 class TestNeighborSet:
@@ -165,7 +118,7 @@ def redraw_loop_sample(base, n, tau, stream):
             break
         redraw = collapsed.nonzero()
         w = streams[redraw[:-1]].child(redraw[-1]).child(attempt).normal(base.shape[-1])
-        rows[redraw] = w = tangent_project(w, u[redraw[:-1]])
+        rows[redraw] = w = tangent_part(w, u[redraw[:-1]])
         norms[redraw] = row_norm(w)
     w_hat = rows / norms[..., None]
     return radius[..., None] * (tau * u[..., None, :] + math.sqrt(1.0 - tau * tau) * w_hat), w_hat
@@ -216,7 +169,7 @@ class TestDegenerateRedraw:
         redrawn = random_spherical_sample(base, 3, 0.6, stream)
         np.testing.assert_array_equal(redrawn.candidates[[0, 2]], clean.candidates[[0, 2]])
         u = base / np.linalg.norm(base)
-        expected = tangent_project(sample_gaussian(stream.child(1).child(2), 3), u)
+        expected = tangent_part(sample_gaussian(stream.child(1).child(2), 3), u)
         np.testing.assert_array_equal(redrawn.perturbations[1], expected / np.linalg.norm(expected))
 
     @pytest.mark.parametrize("block", [False, True], ids=["one base", "block of bases"])
@@ -232,7 +185,7 @@ class TestDegenerateRedraw:
         first = [owner.child(i).child(0) for owner in owners for i in range(4)]
         expected_draws = [tuple(s._pool.keys().tolist()) for s in first + [stream.child(2).child(1)]]
         assert sorted(drawn) == sorted(expected_draws)
-        expected = tangent_project(sample_gaussian(stream.child(2).child(1), 3), base / np.linalg.norm(base))
+        expected = tangent_part(sample_gaussian(stream.child(2).child(1), 3), base / np.linalg.norm(base))
         np.testing.assert_array_equal(redrawn.perturbations[..., 2, :].reshape(-1, 3)[-1],
                                       expected / np.linalg.norm(expected))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import tangent_part
 from rts import (
     DimensionError,
     NeighborSet,
@@ -14,7 +15,6 @@ from rts import (
     RngStream,
     estimate_gradient,
     random_spherical_sample,
-    tangent_project,
 )
 
 
@@ -137,7 +137,7 @@ class TestDirectionalAlignment:
             ns = ns.with_rewards([reward(c) for c in ns.candidates])
             g = estimate_gradient(reward(z), ns)
             u = z / np.linalg.norm(z)
-            true_tangent = tangent_project(-2.0 * (z - target), u)
+            true_tangent = tangent_part(-2.0 * (z - target), u)
             cosines.append(
                 g @ true_tangent / (np.linalg.norm(g) * np.linalg.norm(true_tangent))
             )
