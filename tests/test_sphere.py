@@ -195,6 +195,61 @@ class TestDegenerateRedraw:
         with pytest.raises(DegeneratePerturbationError):
             random_spherical_sample(np.ones(3), 2, 0.6, stream)
 
+    @pytest.mark.parametrize("block", [False, True], ids=["one base", "block of bases"])
+    def test_exhausted_rows_are_marked(self, monkeypatch, block):
+        # candidate 1 of ``stream`` collapses at every attempt; in a block, its base is the second of two
+        base, stream = np.ones(3), RngStream(25)
+        owners = [RngStream(26), stream] if block else [stream]
+        self.parallel_draws(monkeypatch, stream, {(1, attempt) for attempt in range(9)})
+        with pytest.raises(DegeneratePerturbationError) as caught:
+            random_spherical_sample(np.stack([2.0 * base, base]) if block else base, 3, 0.6,
+                                    StreamBlock.of(owners) if block else stream)
+        marked = [[False, False, False], [False, True, False]] if block else [False, True, False]
+        np.testing.assert_array_equal(caught.value.rows, marked)
+
+
+class TestTangentStep:
+    """The samplers' own projection onto the tangent space of the base: exact, orthogonal, and checked."""
+
+    @staticmethod
+    def guided_tangent(base, g):
+        prev = np.eye(len(base))[[1]]
+        return guided_spherical_sample(base, n=1, tau=0.5, alpha=1.0, g=g, prev_perturbations=prev,
+                                       stream=RngStream(0)).perturbations[0]
+
+    def test_hand_case(self):
+        np.testing.assert_allclose(self.guided_tangent([1.0, 0.0], [1.0, 1.0]), [0.0, 1.0])
+
+    def test_already_tangential_guidance_is_unchanged(self):
+        np.testing.assert_array_equal(self.guided_tangent([2.0, 0.0, 0.0], [0.0, 3.0, 0.0]), [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("base", [[np.nan, 1.0], [np.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_base_rejected(self, base):
+        with pytest.raises(NonFiniteError):
+            random_spherical_sample(base, n=1, tau=0.5, stream=RngStream(0))
+
+    def test_non_finite_guidance_rejected(self):
+        with pytest.raises(NonFiniteError):
+            self.guided_tangent([1.0, 0.0, 0.0], [0.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("g", [[0.0, 1.0], [0.0, 1.0, 0.0, 0.0]], ids=["narrower", "wider"])
+    def test_guidance_of_another_width_rejected(self, g):
+        with pytest.raises(DimensionError):
+            self.guided_tangent([1.0, 0.0, 0.0], g)
+
+    def test_orthogonality_at_machine_precision(self):
+        rng = np.random.default_rng(42)
+        stream = RngStream(27)
+        for d in (2, 8, 64, 512):
+            for trial in range(20):
+                base = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
+                g = rng.standard_normal(d) * rng.uniform(0.1, 100.0)
+                u, case = base / np.linalg.norm(base), stream.child(d).child(trial)
+                ns = random_spherical_sample(base, 2, 0.5, case.child(0))
+                guided = guided_spherical_sample(base, 2, 0.5, 0.8, g, ns.perturbations, case.child(1))
+                assert np.max(np.abs(ns.perturbations @ u)) < 1e-12
+                assert np.max(np.abs(guided.perturbations @ u)) < 1e-12
+
 
 class TestGuidedSphericalSample:
     def test_alpha_one_collapses_to_the_guidance_direction(self):
