@@ -55,7 +55,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .errors import BudgetError, ConfigError, PreconditionError, RtsError
+from .errors import ConfigError, PreconditionError, RtsError
 from .schema import (
     REQUIRED,
     _choice,
@@ -265,25 +265,6 @@ def _result_record(result: RunResult, cfg: dict, model: MixtureModel, config: st
     }
 
 
-def _check_budget(cfg: dict, spec: SolverSpec, rts_cfg: RtsConfig) -> None:
-    """Refuse a budget the method cannot run on, before any work: too small (exit 3), missing or too large (2)."""
-    from .pipeline import BON, FREE, RTS, ZO, check_rts_budget, denoise_count
-
-    method, budget = cfg["method"], cfg["budget_nfe"]
-    if method == RTS:
-        check_rts_budget(rts_cfg, spec)
-    if method == FREE and budget is not None and budget < 2 * spec.steps:
-        raise BudgetError(f"{method} budget {budget} is below 1 denoise(s) of {2 * spec.steps} NFEs")
-    if method not in (BON, ZO):
-        return
-    if budget is None:
-        raise _Invalid("budget_nfe", f"required for method '{method}'")
-    try:
-        denoise_count(method, spec, budget)
-    except PreconditionError as exc:
-        raise _Invalid("budget_nfe", str(exc)) from exc
-
-
 def run_block(cfg: dict, indices: range, overrides: dict, config: str) -> list[dict]:
     """Execute the replicates ``indices`` (seed = base seed + index) in lockstep; their records in order.
 
@@ -347,7 +328,12 @@ def cmd_run(config_path: str, overrides: dict) -> int:
     cfg = load_config(config_path, overrides)
     _refuse_overwrite(cfg["out"], config_path, "config it was run from")
     _, spec, _, rts_cfg = build_experiment(cfg)  # fail on bad values before any work is queued
-    _check_budget(cfg, spec, rts_cfg)
+    from .pipeline import check_budget
+
+    try:  # a budget too small exits 3, a missing or too large one 2, before any work
+        check_budget(cfg["method"], spec, rts_cfg, cfg["budget_nfe"])
+    except PreconditionError as exc:
+        raise _Invalid("budget_nfe", str(exc)) from exc
     blocks = _blocks(cfg["replicates"], cfg["workers"], _seed_bytes(cfg, spec, rts_cfg))
     workers = min(cfg["workers"], len(blocks))
     config = _config_hash(cfg)

@@ -20,15 +20,16 @@ Every velocity or clean-estimate call on one latent is one NFE. One ledger
 per seed counts them and charges each to the phase that spends it, which
 gives ``nfe_breakdown`` and its sum ``nfe_used``. A search phase may spend
 the budget less what later phases are owed: the record denoise during the
-initial search, the final denoise during the key-step search. Each atomic
-operation is pre-checked against that, and ``_budgeted_search`` cuts each
-seed's rows of a search round to the prefix that fits, for both phases, so
+initial search, the final denoise during the key-step search. Every charge
+goes through ``_Seed.spend``, which charges the prefix of a batch of
+operations that fits and cuts the seed if not all of it fits, so
 ``nfe_used`` never exceeds the budget and matches one-at-a-time scoring
-exactly; when the budget runs out mid-phase the run returns the best result
-so far with ``truncated`` set. A cut happens at one of three sites: a search
-round, entering the key-step phase (the final denoise does not fit) and a
-step of the walk. ``expected_rts_nfe`` reproduces the ledger arithmetic
-independently, so the ledger can be audited exactly.
+exactly. A cut seed spends nothing more and keeps the best result so far
+and every search round it completed, with ``truncated`` set. A cut happens
+at one of three sites: a search round, entering the key-step phase (the
+final denoise does not fit) and a step of the walk. ``expected_rts_nfe``
+reproduces the ledger arithmetic independently, so the ledger can be
+audited exactly.
 
 Each method is one lockstep implementation over a block of S seeds
 (``run_rts_block``, ``run_bon_block``, ``run_zo_block``, ``run_free_block``):
@@ -45,6 +46,7 @@ every seed, bit for bit, the result of its one-seed call.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -55,6 +57,7 @@ from .core import (
     RngStream,
     StreamBlock,
     as_integer,
+    check_scalar,
     sample_gaussian,
 )
 from .errors import BudgetError, PreconditionError
@@ -89,18 +92,17 @@ _S_INTER = 3
 _S_EVAL_NOISE = 4
 
 
-class _PhaseTruncated(Exception):
-    """Internal signal: the next operation does not fit in the budget."""
-
-
 @dataclass
 class _Seed:
-    """One seed of an rts run: its NFE ledger, round history, key steps and whether the budget cut it short.
+    """One seed of an rts run: its NFE ledger, round history, key steps, and whether it committed one or was cut.
 
-    The ledger charges each NFE to ``phase`` and keeps the budget: the current
-    phase may spend ``limit`` less the NFEs ``owed`` to later phases;
-    ``by_phase`` is the run's ``nfe_breakdown``, and its sum ``nfe_used``. A
-    seed with ``cut`` set spends nothing more and is not searched further.
+    ``by_phase`` is the run's ``nfe_breakdown``, and its sum ``nfe_used``.
+    ``spend`` charges a search's NFEs to ``phase`` and keeps the budget: the
+    current phase may spend ``limit`` less the NFEs ``owed`` to later phases,
+    the record and final denoises, which are charged where they run. A seed
+    with ``cut`` set spends nothing more and is not searched further; it keeps
+    the rounds it completed. ``committed`` is set where a key search's noise
+    is adopted, and marks the seeds the final denoise replays.
     """
 
     limit: int | None = None
@@ -109,16 +111,20 @@ class _Seed:
     by_phase: dict = field(default_factory=lambda: dict.fromkeys(("init_search", "record", "inter_search", "final"), 0))
     history: dict = field(default_factory=lambda: {"init": [], "inter": []})
     keys: KeyStepSet | None = None
+    committed: bool = False
     cut: bool = False
 
-    def add(self, n: int) -> None:
-        self.by_phase[self.phase] += n
+    def left(self) -> float:
+        """NFEs the current phase may still spend, negative when the owed ones no longer fit; inf without a limit."""
+        return math.inf if self.limit is None else self.limit - self.owed - sum(self.by_phase.values())
 
-    def affordable(self, n: int, cost: int) -> int:
-        """How many of ``n`` operations of ``cost`` (>= 1) NFEs each fit, taken in order."""
-        if self.limit is None:
-            return n
-        return min(n, max(0, self.limit - self.owed - sum(self.by_phase.values())) // cost)
+    def spend(self, n: int, cost: int) -> int:
+        """Charge the first of ``n`` operations of ``cost`` (>= 1) NFEs each that fit, cut the seed unless all of
+        them fit, and return how many were charged: none once the seed is cut."""
+        fit = 0 if self.cut else min(n, max(0, self.left()) // cost)
+        self.by_phase[self.phase] += fit * cost
+        self.cut = fit < n
+        return fit
 
 
 @dataclass
@@ -146,6 +152,9 @@ class RtsConfig:
     budget_nfe: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("search_init", "search_inter"):
+            if not isinstance(value := getattr(self, name), SearchConfig):
+                raise PreconditionError(f"{name} must be a SearchConfig, got {type(value).__name__}")
         as_integer(self.k_keysteps, "k_keysteps", 0)
         if self.eval_steps_init is not None:
             as_integer(self.eval_steps_init, "eval_steps_init", 1)
@@ -228,12 +237,21 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     return {"init_search": init, "record": plan.record, "inter_search": inter, "final": final, "total": total}
 
 
-def check_rts_budget(cfg: RtsConfig, spec: SolverSpec) -> None:
-    """Raise ``BudgetError`` when the budget cannot cover one scored candidate plus the record denoise it owes."""
-    plan = _plan(cfg, spec)
-    minimum = (2 * plan.eval_steps if plan.init_search else 0) + plan.record
-    if cfg.budget_nfe is not None and cfg.budget_nfe < minimum:
-        raise BudgetError(f"budget {cfg.budget_nfe} cannot cover one scored candidate ({minimum} NFEs)")
+def check_budget(method: str, spec: SolverSpec, cfg: RtsConfig, budget_nfe: int | None) -> None:
+    """Refuse a budget ``method`` cannot run on, before any draw; ``cfg`` is read for rts only.
+
+    ``BudgetError``: below rts's one scored candidate plus the record denoise it owes, or below the denoises that
+    ``denoise_count`` needs. ``PreconditionError``: bon or zo without a budget, or past ``denoise_count``'s bound.
+    """
+    if method == RTS:
+        plan = _plan(cfg, spec)
+        minimum = (2 * plan.eval_steps if plan.init_search else 0) + plan.record
+        if budget_nfe is not None and budget_nfe < minimum:
+            raise BudgetError(f"budget {budget_nfe} cannot cover one scored candidate ({minimum} NFEs)")
+    elif budget_nfe is not None:
+        denoise_count(method, spec, budget_nfe)
+    elif method != FREE:
+        raise PreconditionError(f"required for method '{method}'")
 
 
 def run_rts(
@@ -251,38 +269,32 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
                      *, start_from_z0: bool = False):
     """``run_search`` for a group of seeds, none of them cut, each charged ``cost`` NFEs a row to its ledger.
 
-    Each seed takes the prefix of a round's rows that its ledger affords, which
+    Each seed ``spend``s on the prefix of a round's rows that fits, which
     spends exactly what scoring them one at a time would have spent, and
     ``score(rows, seeds)`` scores the taken rows given the seed of each; a row
-    left out scores 0. A seed whose rows did not all fit is cut short: this
-    sets its ``cut``, and the search ends when every seed is cut. Returns
-    ``run_search``'s best latents and each seed's per-round best rewards, or
-    None twice if every seed was cut; a seed cut short keeps neither, since its
-    left-out rows scored 0.
+    left out scores 0. A seed whose rows did not all fit is cut, and its rows
+    are not scored from then on, so a round of cut seeds makes no call to
+    ``score``. Returns ``run_search``'s best latents, of no use for a cut seed
+    whose left-out rows scored 0, and for each seed the best reward of every
+    round it completed (one round is one evaluator call).
     """
-    size = len(seeds)
+    size, completed = len(seeds), [0] * len(seeds)
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         n = batch.shape[1]
-        fit = [0 if seed.cut else seed.affordable(n, cost) for seed in seeds]
-        for seed, count in zip(seeds, fit):
-            seed.add(count * cost)
-            seed.cut = count < n
+        fit = [seed.spend(n, cost) for seed in seeds]
+        completed[:] = [rounds + (count == n) for rounds, count in zip(completed, fit)]
         rows = batch.reshape(size * n, -1)
         if fit.count(n) == size:
             return score(rows, np.arange(size).repeat(n)).reshape(size, n)
         index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
         scores = np.zeros(size * n)
-        scores[index] = score(rows[index], index // n)
-        if all(seed.cut for seed in seeds):
-            raise _PhaseTruncated()
+        if index.size:
+            scores[index] = score(rows[index], index // n)
         return scores.reshape(size, n)
 
-    try:
-        best, _, history = run_search(z0, cfg, evaluate, stream, start_from_z0=start_from_z0)
-    except _PhaseTruncated:
-        return None, None
-    return best, [[float(h.best_candidate_reward[s]) for h in history] for s in range(size)]
+    best, _, history = run_search(z0, cfg, evaluate, stream, start_from_z0=start_from_z0)
+    return best, [[float(h.best_candidate_reward[s]) for h in history[:completed[s]]] for s in range(size)]
 
 
 def run_rts_block(
@@ -296,9 +308,9 @@ def run_rts_block(
 
     Each result is bit for bit the one-seed run of its stream. ``k_keysteps``
     is clamped to the number of interior steps. Raises ``BudgetError`` as
-    ``check_rts_budget`` does.
+    ``check_budget`` does.
     """
-    check_rts_budget(cfg, spec)
+    check_budget(RTS, spec, cfg, cfg.budget_nfe)
     block = _seed_block(streams)
     if not streams:
         return []
@@ -336,9 +348,8 @@ def run_rts_block(
 
         _, rewards = _budgeted_search(np.zeros((len(seeds), dim)), cfg.search_init, block.child(_S_INIT_SEARCH),
                                       seeds, 2 * plan.eval_steps, score_latents)
-        for s, seed in enumerate(seeds):
-            if not seed.cut:
-                seed.history["init"] = rewards[s]
+        for seed, rounds in zip(seeds, rewards):
+            seed.history["init"] = rounds
         paths = np.stack([path for _, path, _ in best])
         noises = np.stack([injected for _, _, injected in best])
         z_init = paths[:, 0]
@@ -348,26 +359,23 @@ def run_rts_block(
     if plan.record:
         paths, noises = denoise(model, spec, z_init, stream=block.child(_S_RECORD))
         for seed in seeds:
-            seed.phase = "record"
-            seed.add(2 * steps)
+            seed.by_phase["record"] += 2 * steps
 
     final_samples = paths[:, -1].copy()
     if plan.inter_search:
         for seed in seeds:
             # a seed whose final denoise does not fit searches no key step
-            seed.phase, seed.owed = "inter_search", 0
-            seed.cut = seed.cut or not seed.affordable(1, 2 * steps)
-            seed.owed = 2 * steps
+            seed.phase, seed.owed = "inter_search", 2 * steps
+            seed.cut = seed.cut or seed.left() < 0
         searching = [s for s, seed in enumerate(seeds) if not seed.cut]
         if searching:
             noises = _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, noises)
         # the final denoise replays every seed that committed a key step from (z_init, injected)
-        replay = [s for s, seed in enumerate(seeds) if seed.history["inter"]]
+        replay = [s for s, seed in enumerate(seeds) if seed.committed]
         if replay:
             final_samples[replay] = denoise(model, spec, z_init[replay], injected=noises[replay])[0][:, -1]
             for s in replay:
-                seeds[s].phase = "final"
-                seeds[s].add(2 * steps)
+                seeds[s].by_phase["final"] += 2 * steps
 
     final_rewards = evaluate_reward(reward, final_samples).tolist()
     return [
@@ -394,9 +402,10 @@ def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, n
     it as one batch. Those whose key ends the step search its noise together
     from the pre-churn state, scoring each candidate by its one-step clean
     estimate, 1 NFE; then each walking seed adds its churn, at a key the
-    chosen noise. A seed the budget cuts short stops. Mutates only the
-    ``searching`` seeds' records, and returns the block's injected noises with
-    the chosen noise at each key a seed committed.
+    chosen noise. A seed the budget cuts short stops, and keeps the rounds it
+    completed of the key search that cut it. Mutates only the ``searching``
+    seeds' records, and returns the block's injected noises with the chosen
+    noise at each key a seed committed.
     """
     steps, grid = spec.steps, spec.time_grid.tolist()
     sets = select_key_steps(np.stack([project_trajectory(paths[s]) for s in searching]),
@@ -408,12 +417,7 @@ def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, n
     for slot in range(steps - 1):
         position = slot + 1
         walking = [s for s in searching
-                   if not seeds[s].cut and min(seeds[s].keys.indices) <= position <= max(seeds[s].keys.indices)]
-        for s in walking:
-            seeds[s].cut = not seeds[s].affordable(1, 2)
-            if not seeds[s].cut:
-                seeds[s].add(2)
-        walking = [s for s in walking if not seeds[s].cut]
+                   if min(seeds[s].keys.indices) <= position <= max(seeds[s].keys.indices) and seeds[s].spend(1, 2)]
         if not walking:
             continue
         pre_churn, scale = _heun_churn(model, spec, latents[walking, slot], grid, slot)
@@ -431,8 +435,9 @@ def _key_step_search(model, spec, reward, cfg, block, searching, seeds, paths, n
                                                    inter_stream[here].child(position), [seeds[s] for s in here],
                                                    1, score_noises, start_from_z0=True)
             for g, s in enumerate(here.tolist()):
+                seeds[s].history["inter"].append(rewards[g])
                 if not seeds[s].cut:
-                    seeds[s].history["inter"].append(rewards[g])
+                    seeds[s].committed = True
                     injected[s, slot] = best_noise[g]
         latents[walking, position] = pre_churn + scale * injected[walking, slot]
     return injected
@@ -442,14 +447,15 @@ def denoise_count(method: str, spec: SolverSpec, budget_nfe: int) -> int:
     """How many full denoises ``run_bon`` or ``run_zo`` makes within ``budget_nfe``.
 
     Raises ``BudgetError`` below one denoise (two for zo: the base and one
-    step) and ``PreconditionError`` above ``MAX_NEIGHBORS``, before any draw.
+    step) and, but for free, which makes one denoise whatever its budget,
+    ``PreconditionError`` above ``MAX_NEIGHBORS``, before any draw.
     """
     cost = 2 * spec.steps
     count = as_integer(budget_nfe, "budget_nfe") // cost
     least = 2 if method == ZO else 1
     if count < least:
         raise BudgetError(f"{method} budget {budget_nfe} is below {least} denoise(s) of {cost} NFEs")
-    if count > MAX_NEIGHBORS:
+    if count > MAX_NEIGHBORS and method != FREE:
         raise PreconditionError(
             f"{method} budget {budget_nfe} asks for {count} denoises of {cost} NFEs, more than {MAX_NEIGHBORS}"
         )
@@ -508,6 +514,7 @@ def run_zo_block(
 ) -> list[RunResult]:
     """Hill climbing on the initial noise with spherical steps at fixed tau, every seed of a block in lockstep."""
     total = denoise_count(ZO, spec, budget_nfe)
+    check_scalar(step_tau, "step_tau", 0, 1)
     block = _seed_block(streams)
     noise, steps = block.child(1), block.child(2)
     base = sample_gaussian(block.child(0), model.dim)

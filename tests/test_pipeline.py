@@ -1,6 +1,7 @@
 """Tests for the end-to-end pipeline, baselines, and NFE accounting."""
 
 import dataclasses
+import functools
 import hashlib
 import weakref
 
@@ -76,10 +77,12 @@ class TestRtsConfig:
             {"k_keysteps": -1},
             {"eval_steps_init": 0},
             {"budget_nfe": 0},
+            {"search_init": {"rounds": 2}},
+            {"search_inter": None},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=next(iter(kwargs))):
             RtsConfig(**kwargs)
 
     def test_eval_steps_inter_is_no_field(self):
@@ -652,6 +655,16 @@ class TestRunZo:
         with pytest.raises(PreconditionError):
             run_zo(model, spec, reward, 16 * 10_001, 0.9, RngStream(0))
 
+    @pytest.mark.parametrize("step_tau", [2.0, float("nan")])
+    def test_step_tau_outside_unit_interval_is_refused_before_any_denoise(self, monkeypatch, step_tau):
+        calls = []
+        monkeypatch.setattr(rts.pipeline, "_samples", lambda *args: calls.append(args))
+        model = four_corner_model()
+        spec = SolverSpec(mode="sde", steps=8, churn=0.4)
+        with pytest.raises(PreconditionError, match="step_tau"):
+            run_zo(model, spec, QuadraticReward(target=np.zeros(2)), 64, step_tau, RngStream(0))
+        assert calls == []
+
     def test_zo_beats_bon_on_quadratic(self):
         # Hill climbing on a smooth unimodal landscape outruns blind draws
         # once the budget allows real refinement. Measured at these settings:
@@ -922,24 +935,71 @@ class TestLedgerAudit:
         assert sum(result.nfe_used for result in results) == model_rows.count
 
 
+@functools.cache
+def budget_sweep():
+    """The rts results of the ``TestLockstep.STREAMS`` block at each budget of the sweep digest, by budget."""
+    return {budget: criterion7_variants(budget)["rts"][0](TestLockstep.STREAMS) for budget in range(36, 240, 3)}
+
+
 class TestReplayRule:
     """A run cut short replays its final denoise exactly when it committed a key step."""
 
     def test_over_the_budget_sweep(self):
-        steps = criterion7_setup()[1].steps
+        _, spec, _, cfg = criterion7_setup()
         # per truncated result: whether it has key steps and whether it committed one
         seen = set()
-        for budget in range(36, 240, 3):
-            block, _ = criterion7_variants(budget)["rts"]
-            for result in block(TestLockstep.STREAMS):
+        for results in budget_sweep().values():
+            for result in results:
                 if not result.truncated:
                     continue
-                committed = bool(result.round_history["inter"])
-                assert result.nfe_breakdown["final"] == (2 * steps if committed else 0)
+                # a key search the cut let complete has all its rounds; one it cut has fewer
+                committed = any(len(rounds) == cfg.search_inter.rounds for rounds in result.round_history["inter"])
+                assert result.nfe_breakdown["final"] == (2 * spec.steps if committed else 0)
                 assert (result.key_steps is None) == (result.nfe_breakdown["inter_search"] == 0)
                 seen.add((result.key_steps is not None, committed))
         # cut before the key-step phase, in it before any key was committed, and after one was
         assert seen == {(False, False), (True, False), (True, True)}
+
+
+def kept_rounds(history):
+    """Every round of an rts ``round_history`` in run order, each as (phase, search, round, best reward)."""
+    searches = [("init", 0, history["init"])] + [("inter", j, rounds) for j, rounds in enumerate(history["inter"])]
+    return [(phase, j, t, value) for phase, j, rounds in searches for t, value in enumerate(rounds)]
+
+
+class TestCutHistory:
+    """A seed the budget cuts keeps, round for round, the rounds it completed of its unbudgeted run."""
+
+    def _seed_3(self, budget):
+        model, spec, reward, cfg = criterion7_setup()
+        return run_rts(model, spec, reward, dataclasses.replace(cfg, budget_nfe=budget), RngStream(3))
+
+    def test_a_seed_cut_in_the_initial_search_keeps_its_completed_round(self):
+        # 45 NFEs leave 13 for the initial search after the record denoise: one coarse round of 3 rows at 4 each
+        cut, full = self._seed_3(45), self._seed_3(None)
+        assert cut.truncated and cut.nfe_breakdown["init_search"] == 12
+        assert cut.round_history == {"init": full.round_history["init"][:1], "inter": []}
+
+    def test_a_seed_cut_in_a_key_search_keeps_its_completed_rounds(self):
+        cut, full = self._seed_3(150), self._seed_3(None)
+        inter, rounds = cut.round_history["inter"], criterion7_setup()[3].search_inter.rounds
+        assert cut.truncated and cut.key_steps == full.key_steps
+        assert inter[:-1] == full.round_history["inter"][:len(inter) - 1]
+        # the last key search is the one the cut ended: it kept the rounds it completed, and fewer than all
+        assert 1 <= len(inter[-1]) < rounds
+        assert inter[-1] == full.round_history["inter"][len(inter) - 1][:len(inter[-1])]
+
+    def test_over_the_budget_sweep_every_kept_round_is_its_unbudgeted_round(self):
+        full = [kept_rounds(result.round_history) for result in criterion7_variants()["rts"][0](TestLockstep.STREAMS)]
+        cut_short = 0
+        for budget, results in budget_sweep().items():
+            for s, result in enumerate(results):
+                kept = kept_rounds(result.round_history)
+                assert kept == full[s][:len(kept)], (budget, s)
+                cut_short += len(kept) < len(full[s])
+            kept = kept_rounds(self._seed_3(budget).round_history)
+            assert kept == full[3][:len(kept)], budget
+        assert cut_short > 0
 
 
 BLOCK_METHODS = ["rts", "bon", "zo", "free"]
