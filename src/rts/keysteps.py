@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_integer, as_latent, row_norm
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, NonFiniteError, PreconditionError
 
 _DISTANCE_TOL = 1e-12
 
@@ -74,11 +74,14 @@ def _checked_points(points) -> np.ndarray:
 def _menger(points: np.ndarray) -> np.ndarray:
     """``curvature`` of points ``_checked_points`` has checked."""
     a, b, c = points[..., :-2, :], points[..., 1:-1, :], points[..., 2:, :]
-    d_ab, d_bc, d_ac = row_norm(b - a), row_norm(c - b), row_norm(c - a)
-    area = 0.5 * row_norm(np.cross(b - a, c - a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_ab, d_bc, d_ac = row_norm(b - a), row_norm(c - b), row_norm(c - a)
+        area, product = 0.5 * row_norm(np.cross(b - a, c - a)), d_ab * d_bc * d_ac
+    if not np.isfinite((area, product)).all():
+        raise NonFiniteError(f"curvature overflows float64 on points of shape {points.shape}")
     near = np.minimum(np.minimum(d_ab, d_bc), d_ac) < _DISTANCE_TOL
     out = np.zeros(points.shape[:-1])
-    np.divide(4.0 * area, d_ab * d_bc * d_ac, out=out[..., 1:-1], where=~near)
+    np.divide(4.0 * area, product, out=out[..., 1:-1], where=~near)
     return out
 
 

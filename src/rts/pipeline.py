@@ -26,29 +26,31 @@ operations that fits and cuts the seed if not all of it fits, so
 ``nfe_used`` never exceeds the budget and matches one-at-a-time scoring
 exactly. A cut seed spends nothing more and keeps the best result so far
 and every search round it completed, with ``truncated`` set. A cut happens
-at one of three sites: a search round, entering the key-step phase (the
-final denoise does not fit) and a step of the walk. ``expected_rts_nfe``
-reproduces the ledger arithmetic independently, so the ledger can be
-audited exactly.
+at one of three sites: a search (each charged once, up front, for its
+rows), entering the key-step phase (the final denoise does not fit) and a
+step of the walk. ``expected_rts_nfe`` reproduces the ledger arithmetic
+independently, so the ledger can be audited exactly.
 
 Each method is one lockstep implementation over a block of S seeds
 (``run_rts_block``, ``run_bon_block``, ``run_zo_block``, ``run_free_block``):
 the search state carries a leading seed axis, one evaluator call scores a
 round for every seed, and the block's streams are derived at once. In rts
 each seed keeps one record, ``_Seed``: its ledger, round history, key steps
-and cut. A seed the budget cuts short drops out while the others go on; its
-rows are no longer scored. The key-step phase walks the solver one Heun+churn
-step at a time, and the seeds whose key ends a step search together there.
+and cut. A seed the budget cuts short drops out while the others go on: its
+unpaid rows are sampled but not scored, and a search stops after its last
+paid round. The key-step phase walks the solver one Heun+churn step at a
+time, and the seeds whose key ends a step search together there.
 ``run_rts`` and its siblings run the block of one stream, and a block gives
 every seed, bit for bit, the result of its one-seed call.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,8 +102,9 @@ class _Seed:
     ``spend`` charges a search's NFEs to ``phase`` and keeps the budget: the
     current phase may spend ``limit`` less the NFEs ``owed`` to later phases,
     the record and final denoises, which are charged where they run. A seed
-    with ``cut`` set spends nothing more and is not searched further; it keeps
-    the rounds it completed. ``committed`` is set where a key search's noise
+    with ``cut`` set spends nothing more and keeps the rounds it completed; in
+    a block its rows are still sampled, just not scored, and the search stops
+    after its last paid round. ``committed`` is set where a key search's noise
     is adopted, and marks the seeds the final denoise replays.
     """
 
@@ -184,15 +187,11 @@ def _seed_block(streams) -> StreamBlock:
     return StreamBlock.of(streams)
 
 
-def _latent_label(z: np.ndarray) -> int:
-    """Stable 64-bit hash of a latent's exact float64 contents, which keys its stream as two one-word labels."""
-    digest = hashlib.blake2b(np.ascontiguousarray(z).tobytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
-def _search_evaluations(cfg: SearchConfig) -> int:
-    """Evaluator calls per search: N per round plus one base per coarse round."""
-    return cfg.rounds * cfg.n_neighbors + (cfg.rounds + 1) // 2
+def _search_evaluations(cfg: SearchConfig, rounds: int | None = None) -> int:
+    """Evaluator calls in a search's first ``rounds`` rounds, all of them by default: N per round plus one base per
+    coarse round. Scored in order, round t's rows follow those of the first t − 1 rounds."""
+    rounds = cfg.rounds if rounds is None else rounds
+    return rounds * cfg.n_neighbors + (rounds + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -267,34 +266,34 @@ def run_rts(
 
 def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Seed], cost: int, score,
                      *, start_from_z0: bool = False):
-    """``run_search`` for a group of seeds, none of them cut, each charged ``cost`` NFEs a row to its ledger.
+    """``run_search`` for a group of seeds, none of them cut, each charged once for the rows it can pay, ``cost`` each.
 
-    Each seed ``spend``s on the prefix of a round's rows that fits, which
-    spends exactly what scoring them one at a time would have spent, and
-    ``score(rows, seeds)`` scores the taken rows given the seed of each; a row
-    left out scores 0. A seed whose rows did not all fit is cut, and its rows
-    are not scored from then on, so a round of cut seeds makes no call to
-    ``score``. Returns ``run_search``'s best latents, of no use for a cut seed
-    whose left-out rows scored 0, and for each seed the best reward of every
-    round it completed (one round is one evaluator call).
+    Each seed ``spend``s up front on the prefix of the search's rows, in scoring order, that fits, which is what
+    scoring them one at a time would spend; a seed that cannot pay for every row is cut. ``score(rows, seeds)`` scores
+    a round's paid rows given the seed of each, and an unpaid row scores 0. The search stops after the last round any
+    seed pays into, so every round it runs calls ``score``. Returns ``run_search``'s best latents, of no use for a cut
+    seed, and for each seed the best reward of every round that ends inside its prefix.
     """
-    size, completed = len(seeds), [0] * len(seeds)
+    ends = [_search_evaluations(cfg, rounds) for rounds in range(cfg.rounds + 1)]
+    paid = [seed.spend(ends[-1], cost) for seed in seeds]
+    size, rounds, starts = len(seeds), bisect.bisect_left(ends, max(paid)), iter(ends)
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
-        n = batch.shape[1]
-        fit = [seed.spend(n, cost) for seed in seeds]
-        completed[:] = [rounds + (count == n) for rounds, count in zip(completed, fit)]
+        start, n = next(starts), batch.shape[1]
         rows = batch.reshape(size * n, -1)
-        if fit.count(n) == size:
+        if start + n <= min(paid):  # every seed pays for the whole round
             return score(rows, np.arange(size).repeat(n)).reshape(size, n)
-        index = np.flatnonzero(np.arange(n) < np.array(fit)[:, None])
+        index = np.flatnonzero(np.arange(start, start + n) < np.array(paid)[:, None])
         scores = np.zeros(size * n)
-        if index.size:
-            scores[index] = score(rows[index], index // n)
+        scores[index] = score(rows[index], index // n)
         return scores.reshape(size, n)
 
-    best, _, history = run_search(z0, cfg, evaluate, stream, start_from_z0=start_from_z0)
-    return best, [[float(h.best_candidate_reward[s]) for h in history[:completed[s]]] for s in range(size)]
+    best, history = z0, ()
+    if rounds:
+        best, _, history = run_search(z0, cfg if rounds == cfg.rounds else replace(cfg, rounds=rounds), evaluate,
+                                      stream, start_from_z0=start_from_z0)
+    return best, [[float(h.best_candidate_reward[s]) for h in history[:bisect.bisect_right(ends, p) - 1]]
+                  for s, p in enumerate(paid)]
 
 
 def run_rts_block(
@@ -333,12 +332,13 @@ def run_rts_block(
             # A candidate's churn noises derive from a hash of the candidate, so
             # its reward is a pure function of the latent (independent of order
             # and parallelism) and a relocated base re-scores to its stored reward.
-            # A label is one word, so the 64-bit hash enters as two labels: its
-            # low word, then its high word (the golden digests pin this order).
+            # A label is one word, so the 8-byte hash enters as two labels: its low
+            # little-endian word, then its high word (the golden digests pin this order).
             stream = None
             if eval_spec.mode == SDE:
-                labels = np.array([_latent_label(z) for z in rows], dtype=np.uint64)
-                stream = noise_stream[row_seeds].child(labels & 0xFFFF_FFFF).child(labels >> 32)
+                words = np.frombuffer(b"".join(hashlib.blake2b(z.tobytes(), digest_size=8).digest() for z in rows),
+                                      "<u4").reshape(-1, 2)
+                stream = noise_stream[row_seeds].child(words[:, 0]).child(words[:, 1])
             paths, noises = denoise(model, eval_spec, rows, stream=stream)
             values = evaluate_reward(reward, paths[:, -1])
             for s, score, path, injected in zip(row_seeds.tolist(), values.tolist(), paths, noises):

@@ -607,6 +607,14 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not Path(out).exists()
 
+    def test_means_whose_key_step_curvature_overflows_exit_3(self, tmp_path, capsys):
+        # means within the mixture's bound, whose projected trajectories overflow the curvature; before: numpy
+        # RuntimeWarnings, exit 0 and key steps picked from NaN curvatures
+        means = [[1e149, 1e149], [-1e149, 1e149], [-1e149, -1e149], [1e149, -1e149]]
+        config, _ = write_config(tmp_path, method="rts", mixture=dict(FOUR_CORNERS, means=means))
+        assert main(["run", "--config", config]) == 3
+        assert "runtime error: curvature overflows" in capsys.readouterr().err
+
     def test_quadratic_target_of_wrong_dimension_exits_2(self, tmp_path, capsys):
         reward = {"kind": "quadratic", "target": [0.0, 0.0, 0.0]}
         config, _ = write_config(tmp_path, reward=reward)

@@ -251,6 +251,15 @@ class TestPointChecks:
             with pytest.raises(NonFiniteError):
                 call(points)
 
+    @pytest.mark.parametrize("stack", [False, True], ids=["polyline", "stack"])
+    def test_a_polyline_too_long_for_its_curvature_is_refused(self, stack):
+        # finite points whose cross products overflow float64; before: a RuntimeWarning and NaN curvatures
+        points = np.array([[0.0, 0.0, 0.0], [1.0, 0.3, 0.0], [2.0, -0.5, 0.2], [3.0, 1.0, 0.1]])
+        assert np.isfinite(curvature(self.shaped(points * 1e70, stack))).all()
+        for call in self.both_calls().values():
+            with pytest.raises(NonFiniteError, match="overflows"):
+                call(self.shaped(points * 1e78, stack))
+
     def test_stack_selects_each_polyline_as_it_would_alone(self):
         rng = np.random.default_rng(23)
         stack = np.stack([project_trajectory(rng.standard_normal((12, 5))) for _ in range(4)])

@@ -1,9 +1,12 @@
 """Tests for the end-to-end pipeline, baselines, and NFE accounting."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import weakref
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1000,6 +1003,92 @@ class TestCutHistory:
             kept = kept_rounds(self._seed_3(budget).round_history)
             assert kept == full[3][:len(kept)], budget
         assert cut_short > 0
+
+
+@contextlib.contextmanager
+def recorded_searches():
+    """Log each ``_budgeted_search`` of the run made inside: its config and group size, the rows scored in each
+    round ``run_search`` ran, counted at its evaluator and the search's ``score``, and for each ``_Seed.spend`` call
+    made during the search whether it charged every operation asked for."""
+    log = []
+    budgeted, search, spend = rts.pipeline._budgeted_search, rts.pipeline.run_search, rts.pipeline._Seed.spend
+
+    def recording_budgeted(z0, cfg, stream, seeds, cost, score, **options):
+        entry = SimpleNamespace(cfg=cfg, size=len(seeds), rounds=[], paid=[], open=True)
+        log.append(entry)
+
+        def counted_score(rows, row_seeds):
+            entry.rounds[-1] += len(rows)
+            return score(rows, row_seeds)
+
+        try:
+            return budgeted(z0, cfg, stream, seeds, cost, counted_score, **options)
+        finally:
+            entry.open = False
+
+    def recording_search(z0, cfg, evaluate, stream, **options):
+        def counted(batch):
+            log[-1].rounds.append(0)
+            return evaluate(batch)
+
+        return search(z0, cfg, counted, stream, **options)
+
+    def counted_spend(seed, n, cost):
+        fit = spend(seed, n, cost)
+        if log and log[-1].open:
+            log[-1].paid.append(fit == n)
+        return fit
+
+    with (mock.patch.object(rts.pipeline, "_budgeted_search", recording_budgeted),
+          mock.patch.object(rts.pipeline, "run_search", recording_search),
+          mock.patch.object(rts.pipeline._Seed, "spend", counted_spend)):
+        yield log
+
+
+@functools.cache
+def recorded_sweep():
+    """The searches of the ``TestLockstep.STREAMS`` block's rts run at each budget of the sweep digest, by budget."""
+    sweep = {}
+    for budget in range(36, 240, 3):
+        with recorded_searches() as log:
+            criterion7_variants(budget)["rts"][0](TestLockstep.STREAMS)
+        sweep[budget] = log
+    return sweep
+
+
+class TestUpFrontCharge:
+    """A budgeted search charges each seed once, before its first round, and runs no round that no seed pays into."""
+
+    def test_a_block_cut_in_its_second_initial_round_runs_one_round(self):
+        # 45 NFEs leave every seed one coarse round of 3 rows at 4 NFEs each and cut it in the second
+        with recorded_searches() as log:
+            results = criterion7_variants(45)["rts"][0](TestLockstep.STREAMS)
+        assert all(result.truncated for result in results)
+        assert len(log) == 1 and log[0].rounds == [3 * len(results)]
+
+    @pytest.mark.parametrize("budget", [None, *sorted(TestGoldenRecords.TRUNCATED)])
+    def test_each_seed_is_charged_once_a_search(self, budget):
+        with recorded_searches() as log:
+            criterion7_variants(budget)["rts"][0](TestLockstep.STREAMS)
+        assert log and all(len(entry.paid) == entry.size for entry in log)
+
+    def test_over_the_budget_sweep_no_round_runs_that_no_seed_pays_into(self):
+        stopped_early = 0
+        for budget, log in recorded_sweep().items():
+            for entry in log:
+                assert all(entry.rounds), (budget, entry.rounds)
+                stopped_early += len(entry.rounds) < entry.cfg.rounds
+        assert stopped_early > 0
+
+    def test_a_group_with_a_seed_that_pays_for_every_row_runs_every_round(self):
+        mixed = 0
+        for budget, log in recorded_sweep().items():
+            for entry in log:
+                if any(entry.paid):
+                    assert len(entry.rounds) == entry.cfg.rounds, budget
+                # a group where the budget cuts some seeds and not others
+                mixed += any(entry.paid) and not all(entry.paid)
+        assert mixed > 0
 
 
 BLOCK_METHODS = ["rts", "bon", "zo", "free"]
