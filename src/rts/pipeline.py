@@ -27,7 +27,7 @@ operations that fits and cuts the seed if not all of it fits, so
 exactly. A cut seed spends nothing more and keeps the best result so far
 and every search round it completed, with ``truncated`` set. A cut happens
 at one of three sites: a search (each charged once, up front, for its
-rows), entering the key-step phase (the final denoise does not fit) and a
+``search.row_count`` rows), entering the key-step phase (the final denoise does not fit) and a
 step of the walk. ``expected_rts_nfe`` reproduces the ledger arithmetic
 independently, so the ledger can be audited exactly.
 
@@ -51,6 +51,7 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .core import (
 )
 from .errors import BudgetError, PreconditionError
 from .keysteps import KeyStepSet, project_trajectory, select_key_steps
-from .search import MAX_NEIGHBORS, SearchConfig, run_search
+from .search import MAX_NEIGHBORS, SearchConfig, row_count, run_search
 from .sphere import random_spherical_sample
 from .sim import (
     ODE,
@@ -187,13 +188,6 @@ def _seed_block(streams) -> StreamBlock:
     return StreamBlock.of(streams)
 
 
-def _search_evaluations(cfg: SearchConfig, rounds: int | None = None) -> int:
-    """Evaluator calls in a search's first ``rounds`` rounds, all of them by default: N per round plus one base per
-    coarse round. Scored in order, round t's rows follow those of the first t − 1 rounds."""
-    rounds = cfg.rounds if rounds is None else rounds
-    return rounds * cfg.n_neighbors + (rounds + 1) // 2
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The stages of ``run_rts`` for one config; ``record`` is 0 or the record denoise's NFEs."""
@@ -224,13 +218,13 @@ def expected_rts_nfe(cfg: RtsConfig, spec: SolverSpec, key_positions=()) -> dict
     position that repeats or lies outside the interior steps [1, steps − 1].
     """
     plan = _plan(cfg, spec)
-    init = _search_evaluations(cfg.search_init) * 2 * plan.eval_steps if plan.init_search else 0
+    init = row_count(cfg.search_init) * 2 * plan.eval_steps if plan.init_search else 0
     inter = final = 0
     positions = sorted(as_integer(position, "key position", 1, spec.steps - 1) for position in key_positions)
     if len(set(positions)) < len(positions):
         raise PreconditionError(f"key positions must be distinct, got {positions}")
     if plan.inter_search and positions:
-        inter = 2 * (positions[-1] - positions[0] + 1) + _search_evaluations(cfg.search_inter) * len(positions)
+        inter = 2 * (positions[-1] - positions[0] + 1) + row_count(cfg.search_inter) * len(positions)
         final = 2 * spec.steps
     total = init + plan.record + inter + final
     return {"init_search": init, "record": plan.record, "inter_search": inter, "final": final, "total": total}
@@ -268,15 +262,17 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
                      *, start_from_z0: bool = False):
     """``run_search`` for a group of seeds, none of them cut, each charged once for the rows it can pay, ``cost`` each.
 
-    Each seed ``spend``s up front on the prefix of the search's rows, in scoring order, that fits, which is what
-    scoring them one at a time would spend; a seed that cannot pay for every row is cut. ``score(rows, seeds)`` scores
-    a round's paid rows given the seed of each, and an unpaid row scores 0. The search stops after the last round any
-    seed pays into, so every round it runs calls ``score``. Returns ``run_search``'s best latents, of no use for a cut
-    seed, and for each seed the best reward of every round that ends inside its prefix.
+    Each seed ``spend``s up front on the prefix of the search's ``row_count(cfg)`` rows, in scoring order, that fits,
+    which is what scoring them one at a time would spend; a seed that cannot pay for every row is cut.
+    ``score(rows, seeds)`` scores a round's paid rows given the seed of each, and an unpaid row scores 0. The search
+    stops after the last round any seed pays into, so every round it runs calls ``score``, and costs what is paid for,
+    not what ``cfg.rounds`` asks. Returns ``run_search``'s best latents, of no use for a cut seed, and for each seed
+    the best reward of every round that ends inside its prefix.
     """
-    ends = [_search_evaluations(cfg, rounds) for rounds in range(cfg.rounds + 1)]
-    paid = [seed.spend(ends[-1], cost) for seed in seeds]
-    size, rounds, starts = len(seeds), bisect.bisect_left(ends, max(paid)), iter(ends)
+    # the first r rounds' rows end at end(r), read lazily: cfg.rounds may be far above the rounds any seed pays for
+    end, span = partial(row_count, cfg), range(cfg.rounds + 1)
+    paid = [seed.spend(row_count(cfg), cost) for seed in seeds]
+    size, rounds, starts = len(seeds), bisect.bisect_left(span, max(paid), key=end), map(end, span)
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         start, n = next(starts), batch.shape[1]
@@ -292,7 +288,7 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
     if rounds:
         best, _, history = run_search(z0, cfg if rounds == cfg.rounds else replace(cfg, rounds=rounds), evaluate,
                                       stream, start_from_z0=start_from_z0)
-    return best, [[float(h.best_candidate_reward[s]) for h in history[:bisect.bisect_right(ends, p) - 1]]
+    return best, [[float(h.best_candidate_reward[s]) for h in history[:bisect.bisect_right(span, p, key=end) - 1]]
                   for s, p in enumerate(paid)]
 
 

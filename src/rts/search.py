@@ -1,13 +1,14 @@
 """Coarse-to-fine alternating search over latents on the reward landscape.
 
 Rounds are 1-indexed. Odd rounds are coarse: move the base by the greedy
-relocation rule, then draw random spherical neighbors and estimate a
-surrogate gradient from their rewards. Even rounds are fine: keep the base
-and re-form the neighborhood by blending the stored perturbations with the
-gradient direction, or sample at random where the gradient has no
-tangential part, which the round's ``RoundSummary.guided_fallback`` counts.
-The gradient used by a fine round always comes from the immediately
-preceding coarse round and is never carried across cycle boundaries.
+relocation rule, then score random spherical neighbors. Even rounds are
+fine: keep the base, estimate a surrogate gradient from the preceding
+coarse round's scored neighbors and re-form the neighborhood by blending
+their perturbations with the gradient direction, or sample at random where
+the gradient has no tangential part, which the round's
+``RoundSummary.guided_fallback`` counts. The state keeps only the last
+round's scored ``NeighborSet``, so a fine round's gradient always comes from
+the immediately preceding coarse round and is never carried across cycles.
 
 One improvement rule, ``_fold_best``, keeps the best so far and relocates:
 a row replaces what is held only when it strictly beats it, the first of
@@ -17,7 +18,7 @@ the last base reward.
 
 Each round hands its candidates to the evaluator as one ``(n, d)`` batch:
 a coarse round scores ``[base; neighbors]`` in one call, a fine round its
-neighbors in one call.
+neighbors in one call. ``row_count`` states this layout.
 
 A search runs one seed, with a ``(d,)`` start and an ``RngStream``, or a
 lockstep block of S seeds, with an ``(S, d)`` start and a ``StreamBlock``:
@@ -98,10 +99,11 @@ class RoundSummary:
 
 
 class SearchState(NamedTuple):
-    """Bookkeeping between rounds: base, gradient, last candidates, best yet.
+    """Bookkeeping between rounds: base, the last round's scored neighbors, best yet.
 
     A value: each round returns the state ``_replace``d with what it changed.
-    ``round`` is the 1-indexed number of the next round to execute.
+    ``round`` is the 1-indexed number of the next round to execute. ``last``
+    is the last round's ``NeighborSet`` with its rewards, None before round 1.
     ``seed_base`` preempts the fresh Gaussian in round 1; None means standard
     normal resampling there too. The fields of a lockstep block carry a
     leading seed axis.
@@ -111,10 +113,7 @@ class SearchState(NamedTuple):
     round: int = 1
     base: Latent | None = None
     base_reward: float = float("-inf")
-    last_gradient: Latent | None = None
-    last_perturbations: np.ndarray | None = None
-    last_candidates: np.ndarray | None = None
-    last_rewards: np.ndarray | None = None
+    last: NeighborSet | None = None
     global_best: Latent | None = None
     global_best_reward: float = float("-inf")
     seed_base: Latent | None = None
@@ -150,18 +149,17 @@ def _fold_best(held: Latent | None, held_reward, latents, rewards):
     return np.where(adopt[..., None], row, held), _scalar(np.where(adopt, top, held_reward))
 
 
-def _end_round(state: SearchState, kind: str, rows, scores, neighbors: NeighborSet, rewards,
-               fallback: int = 0, **changes) -> SearchState:
+def _end_round(state: SearchState, kind: str, rows, scores, last: NeighborSet, **changes) -> SearchState:
     """Fold the scored ``rows`` into the best so far, summarize the round and advance the state.
 
-    ``rewards`` are the neighbors' scores; ``changes`` sets what only one kind of round changes.
+    ``last`` is the round's scored neighbors; ``changes`` sets what only a coarse round changes.
     """
     best, best_reward = _fold_best(state.global_best, state.global_best_reward, rows, scores)
     summary = RoundSummary(state.round, kind, changes.get("base_reward", state.base_reward),
-                           _scalar(np.maximum.reduce(rewards, axis=-1)), best_reward, fallback)
-    return state._replace(round=state.round + 1, last_perturbations=neighbors.perturbations,
-                          last_candidates=neighbors.candidates, last_rewards=rewards, global_best=best,
-                          global_best_reward=best_reward, history=state.history + (summary,), **changes)
+                           _scalar(np.maximum.reduce(last.rewards, axis=-1)), best_reward,
+                           int(np.count_nonzero(last.fallback)))
+    return state._replace(round=state.round + 1, last=last, global_best=best, global_best_reward=best_reward,
+                          history=state.history + (summary,), **changes)
 
 
 def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
@@ -173,9 +171,9 @@ def _next_base(state: SearchState, stream: StreamBlock) -> Latent:
         fallback = state.seed_base
     else:
         fallback = sample_gaussian(stream.child(_STREAM_RESAMPLE), state.dim)
-    if state.last_rewards is None:
+    if state.last is None:
         return fallback
-    return _fold_best(fallback, state.base_reward, state.last_candidates, state.last_rewards)[0]
+    return _fold_best(fallback, state.base_reward, state.last.candidates, state.last.rewards)[0]
 
 
 def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
@@ -188,25 +186,30 @@ def coarse_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
     neighbors = random_spherical_sample(base, cfg.n_neighbors, cfg.tau, stream.child(_STREAM_NEIGHBORS))
     batch = np.concatenate([base[..., None, :], neighbors.candidates], axis=-2)
     scores = _score(evaluate, batch)
-    base_reward, rewards = _scalar(scores[..., 0]), scores[..., 1:]
-    gradient = estimate_gradient(base_reward, neighbors.with_rewards(rewards))
-    return _end_round(state, "coarse", batch, scores, neighbors, rewards,
-                      base=base, base_reward=base_reward, last_gradient=gradient)
+    return _end_round(state, "coarse", batch, scores, neighbors.with_rewards(scores[..., 1:]),
+                      base=base, base_reward=_scalar(scores[..., 0]))
 
 
 def fine_round(state: SearchState, cfg: SearchConfig, evaluate: Evaluator,
                stream: RngStream | StreamBlock) -> SearchState:
-    """Exploit the stored gradient around the unchanged base; a seed whose gradient is degenerate samples at random."""
+    """Guide neighbors by the gradient of the preceding coarse round's scores, or sample at random where it is 0."""
     if state.round % 2 != 0:
         raise PreconditionError(f"fine rounds run at even round numbers, got {state.round}")
-    if state.last_gradient is None or state.last_perturbations is None:
-        raise PreconditionError("fine round requires the preceding coarse round's gradient")
+    if state.last is None:
+        raise PreconditionError("fine round requires the preceding coarse round's scored neighbors")
 
-    neighbors = guided_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient,
-                                        state.last_perturbations, StreamBlock.of(stream).child(_STREAM_NEIGHBORS))
-    fallback = int(np.count_nonzero(neighbors.fallback))
+    gradient = estimate_gradient(state.base_reward, state.last)
+    neighbors = guided_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, cfg.alpha, gradient,
+                                        state.last.perturbations, StreamBlock.of(stream).child(_STREAM_NEIGHBORS))
     rewards = _score(evaluate, neighbors.candidates)
-    return _end_round(state, "fine", neighbors.candidates, rewards, neighbors, rewards, fallback, last_gradient=None)
+    return _end_round(state, "fine", neighbors.candidates, rewards, neighbors.with_rewards(rewards))
+
+
+def row_count(cfg: SearchConfig, rounds: int | None = None) -> int:
+    """Rows a search scores in its first ``rounds`` rounds, all of them by default: ``n_neighbors`` a round plus one
+    base per coarse round. Scored in order, round t's rows follow those of the first t − 1 rounds."""
+    rounds = cfg.rounds if rounds is None else rounds
+    return rounds * cfg.n_neighbors + (rounds + 1) // 2
 
 
 def run_search(
@@ -226,9 +229,7 @@ def run_search(
     round that does not relocate always resamples a fresh Gaussian.
 
     Returns each seed's first best-scored row of all rounds, its reward and
-    the round summaries. Exactly ``rounds * n_neighbors`` candidate
-    evaluations plus one base evaluation per coarse round are performed, per
-    seed.
+    the round summaries. Each seed has exactly ``row_count(cfg)`` rows scored.
     """
     if cfg.rounds < 1:
         raise PreconditionError(f"run_search needs at least one round, got {cfg.rounds}")

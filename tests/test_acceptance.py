@@ -244,7 +244,7 @@ class TestCriterion3:
         ):
             state = SearchState(
                 dim=6, round=3, base=np.zeros(6), base_reward=0.5,
-                last_candidates=candidates, last_rewards=rewards,
+                last=NeighborSet(np.zeros(6), candidates, np.zeros_like(candidates), rewards),
             )
             stream = RngStream(9).child(3)
             after = coarse_round(state, cfg, evaluate, stream)
@@ -260,8 +260,8 @@ class TestCriterion3:
         state = SearchState(dim=6)
         for t in range(1, cfg.rounds + 1):
             state = (coarse_round if t % 2 == 1 else fine_round)(state, cfg, evaluate, RngStream(5).child(t))
-        top = int(np.argmax(state.last_rewards))
-        latent_s, reward_s, history_s = state.last_candidates[top], float(state.last_rewards[top]), state.history
+        top = int(np.argmax(state.last.rewards))
+        latent_s, reward_s, history_s = state.last.candidates[top], float(state.last.rewards[top]), state.history
         latent_e, reward_e, history_e = run_search(np.zeros(6), cfg, evaluate, RngStream(5))
         best_so_far = [summary.best_so_far for summary in history_e]
         elapsed = time.perf_counter() - started

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 from unittest import mock
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import rts.pipeline
+import rts.search
 from conftest import RowReward
 from rts import (
     BudgetError,
@@ -29,6 +31,7 @@ from rts import (
     SolverSpec,
     StreamBlock,
     denoise,
+    estimate_gradient,
     evaluate_reward,
     expected_rts_nfe,
     guided_spherical_sample,
@@ -1089,6 +1092,46 @@ class TestUpFrontCharge:
                 # a group where the budget cuts some seeds and not others
                 mixed += any(entry.paid) and not all(entry.paid)
         assert mixed > 0
+
+
+class TestBudgetedSearchCost:
+    """A budgeted search costs what its budget pays for, however many rounds its config asks for."""
+
+    STREAMS = [RngStream(seed) for seed in range(8)]
+
+    @pytest.mark.parametrize("phase", ["search_init", "search_inter"])
+    def test_rounds_past_the_budget_change_nothing_and_take_no_memory(self, phase):
+        model, spec, reward, cfg = criterion7_setup()
+
+        def run(rounds):
+            search = dataclasses.replace(getattr(cfg, phase), rounds=rounds)
+            return run_rts_block(model, spec, reward, dataclasses.replace(cfg, budget_nfe=238, **{phase: search}),
+                                 self.STREAMS)
+
+        short = run(50)
+        tracemalloc.start()
+        try:
+            long = run(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 238 NFEs pay for a few rounds of either search, far fewer than 50
+        assert all(result.truncated for result in short)
+        for result, reference in zip(long, short, strict=True):
+            assert_same_result(result, reference)
+        assert peak < 4 * 2**20
+
+    def test_the_criterion_7_block_estimates_a_gradient_only_for_a_fine_round(self):
+        # one gradient per fine round of a group: 3 in the initial search and one at each of the 15 interior steps
+        calls = []
+
+        def spy(base_reward, neighbors):
+            calls.append(len(calls))
+            return estimate_gradient(base_reward, neighbors)
+
+        with mock.patch.object(rts.search, "estimate_gradient", spy):
+            criterion7_variants(238)["rts"][0](TestLockstep.STREAMS)
+        assert len(calls) == 18
 
 
 BLOCK_METHODS = ["rts", "bon", "zo", "free"]

@@ -1,6 +1,7 @@
 """Tests for the coarse-to-fine alternating search loop."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,17 +13,19 @@ from rts import (
     DimensionError,
     MixtureModel,
     ModePreferenceReward,
+    NeighborSet,
     NonFiniteError,
     PreconditionError,
     RngStream,
     SearchConfig,
     StreamBlock,
+    estimate_gradient,
     guided_spherical_sample,
     random_spherical_sample,
     run_search,
     sample_gaussian,
 )
-from rts.search import SearchState, _fold_best, coarse_round, fine_round
+from rts.search import SearchState, _fold_best, coarse_round, fine_round, row_count
 
 
 def counting(fn):
@@ -39,6 +42,14 @@ def counting(fn):
 def rows(fn):
     """Lift a per-latent reward to the evaluator protocol: an (n, d) batch to n rewards."""
     return lambda batch: np.array([fn(x) for x in batch])
+
+
+def scored(candidates, rewards):
+    """The last round's scored neighbors as relocation reads them: candidates and rewards, with a leading seed axis
+    for a block; the base and perturbations, which relocation does not read, are zeros."""
+    candidates = np.asarray(candidates, dtype=np.float64)
+    return NeighborSet(np.zeros_like(candidates[..., 0, :]), candidates, np.zeros_like(candidates),
+                       np.asarray(rewards, dtype=np.float64))
 
 
 def quadratic_reward(target):
@@ -90,14 +101,13 @@ class TestGreedyRelocation:
             round=3,
             base=rng.standard_normal(6),
             base_reward=base_reward,
-            last_candidates=candidates,
-            last_rewards=np.array(last_rewards, dtype=np.float64),
+            last=scored(candidates, last_rewards),
         )
 
     def test_better_neighbor_adopted(self):
         state = self._state_at_round_3(0.5, [0.1, 0.9, 0.3])
         out = coarse_round(state, SearchConfig(), rows(lambda x: 0.0), RngStream(1))
-        np.testing.assert_array_equal(out.base, state.last_candidates[1])
+        np.testing.assert_array_equal(out.base, state.last.candidates[1])
 
     def test_worse_neighbor_triggers_fresh_resample(self):
         state = self._state_at_round_3(0.5, [0.4, 0.2, 0.1])
@@ -128,15 +138,19 @@ class TestGreedyRelocation:
         np.testing.assert_array_equal(out.base, expected)
 
     @staticmethod
-    def _block_and_alone(streams, round_, **fields):
-        """The bases of one block ``coarse_round`` from ``fields``, each with a leading seed axis, and of each seed's
-        one-seed ``coarse_round`` from its rows."""
+    def _block_and_alone(streams, round_, last=(), **fields):
+        """The bases of one block ``coarse_round`` from ``fields`` and the ``last`` round's candidates and rewards,
+        each with a leading seed axis, and of each seed's one-seed ``coarse_round`` from its rows."""
         def flat(batch):
             return np.zeros(batch.shape[:-1])
 
-        block = coarse_round(SearchState(dim=6, round=round_, **fields), SearchConfig(), flat, StreamBlock.of(streams))
-        alone = [coarse_round(SearchState(dim=6, round=round_, **{name: value[s] for name, value in fields.items()}),
-                              SearchConfig(), flat, stream).base for s, stream in enumerate(streams)]
+        def state(pick):
+            return SearchState(dim=6, round=round_, last=scored(*map(pick, last)) if last else None,
+                               **{name: pick(value) for name, value in fields.items()})
+
+        block = coarse_round(state(lambda value: value), SearchConfig(), flat, StreamBlock.of(streams))
+        alone = [coarse_round(state(lambda value: value[s]), SearchConfig(), flat, stream).base
+                 for s, stream in enumerate(streams)]
         return block.base, np.array(alone)
 
     def test_block_seeds_that_relocate_tie_and_fall_short_each_take_their_base_alone(self):
@@ -145,8 +159,8 @@ class TestGreedyRelocation:
         candidates = rng.standard_normal((3, 3, 6))
         streams = [RngStream(seed) for seed in (1, 2, 3)]
         block, alone = self._block_and_alone(
-            streams, 3, base=rng.standard_normal((3, 6)), base_reward=np.full(3, 0.5), last_candidates=candidates,
-            last_rewards=np.array([[0.1, 0.9, 0.3], [0.5, 0.5, 0.5], [0.4, 0.2, 0.1]]))
+            streams, 3, base=rng.standard_normal((3, 6)), base_reward=np.full(3, 0.5),
+            last=(candidates, np.array([[0.1, 0.9, 0.3], [0.5, 0.5, 0.5], [0.4, 0.2, 0.1]])))
         np.testing.assert_array_equal(block, alone)
         np.testing.assert_array_equal(block[0], candidates[0, 1])
         for s in (1, 2):
@@ -197,7 +211,7 @@ class TestFineRound:
         stream = RngStream(9)
         state = self._after_coarse(reward, cfg, stream)
         out = fine_round(state, cfg, rows(reward), stream.child(2))
-        np.testing.assert_allclose(out.last_candidates, state.last_candidates, atol=1e-12)
+        np.testing.assert_allclose(out.last.candidates, state.last.candidates, atol=1e-12)
 
     def test_alpha_one_collapses_candidates(self):
         reward = quadratic_reward(np.full(6, 0.3))
@@ -207,7 +221,7 @@ class TestFineRound:
         out = fine_round(state, cfg, rows(reward), stream.child(2))
         for i in range(1, 5):
             np.testing.assert_allclose(
-                out.last_candidates[i], out.last_candidates[0], atol=1e-12
+                out.last.candidates[i], out.last.candidates[0], atol=1e-12
             )
 
     def test_base_unchanged_by_fine_round(self):
@@ -227,7 +241,7 @@ class TestFineRound:
         state = self._after_coarse(lambda x: 1.0, cfg, stream)
         out = fine_round(state, cfg, rows(lambda x: 1.0), stream.child(2))
         assert out.history[-1].guided_fallback
-        cands = out.last_candidates
+        cands = out.last.candidates
         assert not np.allclose(cands[0], cands[1])
         assert not np.allclose(cands[1], cands[2])
 
@@ -237,8 +251,8 @@ class TestFineRound:
         state = self._after_coarse(lambda x: 1.0, cfg, stream)
         out = fine_round(state, cfg, rows(lambda x: 1.0), stream.child(2))
         expected = random_spherical_sample(state.base, cfg.n_neighbors, cfg.tau, stream.child(2).child(1))
-        np.testing.assert_array_equal(out.last_candidates, expected.candidates)
-        np.testing.assert_array_equal(out.last_perturbations, expected.perturbations)
+        np.testing.assert_array_equal(out.last.candidates, expected.candidates)
+        np.testing.assert_array_equal(out.last.perturbations, expected.perturbations)
 
     def test_block_falls_back_only_for_the_degenerate_seed(self):
         # seed 0 scores every latent alike; seeds 1 and 2 are guided as they would be alone
@@ -254,21 +268,32 @@ class TestFineRound:
         out = fine_round(state, cfg, evaluate, block.child(2))
         assert out.history[-1].guided_fallback == 1
         fallback = random_spherical_sample(state.base[0], cfg.n_neighbors, cfg.tau, streams[0].child(2).child(1))
-        np.testing.assert_array_equal(out.last_candidates[0], fallback.candidates)
-        np.testing.assert_array_equal(out.last_perturbations[0], fallback.perturbations)
+        np.testing.assert_array_equal(out.last.candidates[0], fallback.candidates)
+        np.testing.assert_array_equal(out.last.perturbations[0], fallback.perturbations)
+        gradient = estimate_gradient(state.base_reward, state.last)
         for s in (1, 2):
-            guided = guided_spherical_sample(state.base[s], cfg.n_neighbors, cfg.tau, cfg.alpha, state.last_gradient[s],
-                                             state.last_perturbations[s], streams[s].child(2).child(1))
-            np.testing.assert_array_equal(out.last_candidates[s], guided.candidates)
-            np.testing.assert_array_equal(out.last_perturbations[s], guided.perturbations)
+            guided = guided_spherical_sample(state.base[s], cfg.n_neighbors, cfg.tau, cfg.alpha, gradient[s],
+                                             state.last.perturbations[s], streams[s].child(2).child(1))
+            np.testing.assert_array_equal(out.last.candidates[s], guided.candidates)
+            np.testing.assert_array_equal(out.last.perturbations[s], guided.perturbations)
 
-    def test_fine_gradient_consumed(self):
+    def test_gradient_comes_from_the_preceding_coarse_round(self, monkeypatch):
+        # the coarse round estimates nothing; the fine round estimates once, from the coarse round's scored neighbors
+        calls = []
+
+        def spy(base_reward, neighbors):
+            calls.append((base_reward, neighbors))
+            return estimate_gradient(base_reward, neighbors)
+
+        monkeypatch.setattr("rts.search.estimate_gradient", spy)
         reward = quadratic_reward(np.full(6, 0.3))
         cfg = SearchConfig(n_neighbors=3)
         stream = RngStream(9)
         state = self._after_coarse(reward, cfg, stream)
-        out = fine_round(state, cfg, rows(reward), stream.child(2))
-        assert out.last_gradient is None
+        assert calls == []
+        fine_round(state, cfg, rows(reward), stream.child(2))
+        assert len(calls) == 1
+        assert calls[0][0] == state.base_reward and calls[0][1] is state.last
 
 
 class TestRunSearch:
@@ -304,6 +329,18 @@ class TestRunSearch:
         assert scores.count(scores[top]) > 1
         assert score == scores[top] == history[-1].best_so_far
         np.testing.assert_array_equal(latent, scored[top])
+
+    def test_a_gradient_is_estimated_only_for_a_fine_round(self, monkeypatch):
+        # rounds 1 to 5 are coarse, fine, coarse, fine, coarse: the last coarse round's neighbors feed no gradient
+        calls = []
+
+        def spy(base_reward, neighbors):
+            calls.append(len(calls))
+            return estimate_gradient(base_reward, neighbors)
+
+        monkeypatch.setattr("rts.search.estimate_gradient", spy)
+        run_search(np.zeros(5), SearchConfig(rounds=5), rows(quadratic_reward(np.ones(5))), RngStream(3))
+        assert len(calls) == 2
 
     def test_evaluation_count(self):
         # T*N candidate evaluations plus one base evaluation per coarse round.
@@ -393,6 +430,27 @@ class TestBatchedEvaluation:
         with pytest.raises(NonFiniteError):
             run_search(np.zeros(4), SearchConfig(n_neighbors=3, rounds=2), evaluate, RngStream(6))
         assert len(calls) == 2
+
+
+class TestRowCount:
+    """``row_count`` states the rows a search scores, a seed's first ``row_count(cfg, r)`` in its first r rounds."""
+
+    @pytest.mark.parametrize("seeds", [None, 3])
+    def test_each_round_ends_where_row_count_says(self, seeds):
+        for n, rounds in itertools.product(range(1, 5), range(1, 8)):
+            cfg = SearchConfig(n_neighbors=n, rounds=rounds)
+            ends = [0]
+
+            def evaluate(batch):
+                ends.append(ends[-1] + batch.shape[-2])
+                return -np.sum(batch * batch, axis=-1)
+
+            if seeds is None:
+                run_search(np.zeros(4), cfg, evaluate, RngStream(n))
+            else:
+                run_search(np.zeros((seeds, 4)), cfg, evaluate, StreamBlock.of([RngStream(s) for s in range(seeds)]))
+            assert ends == [row_count(cfg, r) for r in range(rounds + 1)], (n, rounds)
+            assert ends[-1] == row_count(cfg)
 
 
 class TestFoldBest:
