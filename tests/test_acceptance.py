@@ -6,6 +6,7 @@ run. Statistical criteria use fixed seeds, so their measured values are
 reproducible constants, quoted in comments next to the assertions.
 """
 
+import dataclasses
 import json
 import time
 
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import record_criterion, tangent_part
+from conftest import (LEDGER_CONFIGS, STREAMS, criterion7_setup, criterion7_variants, record_criterion, tangent_part,
+                      testbed)
 from rts import (
     MixtureModel,
-    ModePreferenceReward,
     NeighborSet,
     PreconditionError,
     QuadraticReward,
@@ -32,89 +33,42 @@ from rts import (
     one_step_clean_estimate,
     project_trajectory,
     random_spherical_sample,
-    run_bon_block,
-    run_free_block,
     run_rts,
-    run_rts_block,
     run_search,
-    run_zo_block,
     sample_gaussian,
     select_key_steps,
 )
+from rts import ranktests
 from rts.cli import main as cli_main
 from rts.search import SearchState, coarse_round, fine_round
 from rts.sim import _velocity
 
 
-def wilcoxon_greater(a, b):
-    return float(stats.wilcoxon(a - b, zero_method="zsplit", alternative="greater").pvalue)
-
-
-def four_corner_model():
-    return MixtureModel(
-        weights=[0.1, 0.3, 0.3, 0.3],
-        means=[[1.5, 1.5], [-1.5, 1.5], [-1.5, -1.5], [1.5, -1.5]],
-        stddevs=[0.6, 0.6, 0.6, 0.6],
-    )
-
-
 @pytest.fixture(scope="module")
-def testbed():
-    """Six method variants on the four-corner preference testbed, 200 seeds.
+def criterion7_runs():
+    """The six criterion-7/8 variants on the 200 testbed seeds, each one lockstep block call.
 
-    All methods run at the same NFE budget: the worst-case full-pipeline
-    cost. The searched variants stay at or under it by construction; BoN
-    and the zeroth-order climber consume it in full denoises.
+    All methods run at the matched budget ``testbed.BUDGET_NFE``, the
+    worst-case full-pipeline cost. The searched variants stay at or under it
+    by construction; BoN and the zeroth-order climber consume it in full
+    denoises. TestLockstep in test_pipeline.py holds every block result to
+    its one-seed call.
     """
     started = time.perf_counter()
-    model = four_corner_model()
-    spec = SolverSpec(mode="sde", steps=16, churn=0.4)
-    reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
-    init_cfg = SearchConfig(n_neighbors=2, rounds=6, tau=0.7)
-    inter_cfg = SearchConfig(n_neighbors=4, rounds=3, tau=0.8)
-    full = RtsConfig(
-        search_init=init_cfg,
-        search_inter=inter_cfg,
-        k_keysteps=6,
-        eval_steps_init=2,
-    )
-    init_only = RtsConfig(
-        search_init=init_cfg,
-        search_inter=SearchConfig(rounds=0),
-        k_keysteps=0,
-        eval_steps_init=2,
-    )
-    inter_only = RtsConfig(
-        search_init=SearchConfig(rounds=0),
-        search_inter=inter_cfg,
-        k_keysteps=6,
-    )
-    worst = [1] + list(range(spec.steps - full.k_keysteps + 1, spec.steps))
-    budget = expected_rts_nfe(full, spec, key_positions=worst)["total"]
-    # each variant is one lockstep block call over the 200 seeds; TestLockstep
-    # in test_pipeline.py holds every block result to its one-seed call
-    streams = [RngStream(seed) for seed in range(200)]
-    runs = {
-        "rts": run_rts_block(model, spec, reward, full, streams),
-        "init": run_rts_block(model, spec, reward, init_only, streams),
-        "inter": run_rts_block(model, spec, reward, inter_only, streams),
-        "bon": run_bon_block(model, spec, reward, budget, streams),
-        "zo": run_zo_block(model, spec, reward, budget, 0.9, streams),
-        "free": run_free_block(model, spec, reward, streams),
-    }
-    rewards = {name: [] for name in runs}
-    hits = {name: [] for name in runs}
-    for name, results in runs.items():
-        for result in results:
-            assert result.nfe_used <= budget
-            rewards[name].append(result.final_reward)
-            hits[name].append(nearest_mode(model, result.final_sample) == 0)
-    return {
-        "rewards": {name: np.array(values) for name, values in rewards.items()},
-        "hits": {name: np.array(values) for name, values in hits.items()},
-        "budget": budget,
-        "elapsed": time.perf_counter() - started,
-    }
+    model = criterion7_setup().model
+    budget = testbed.BUDGET_NFE
+    rewards, hits = {}, {}
+    for name, (block, _) in criterion7_variants().items():
+        results = block(STREAMS)
+        assert all(result.nfe_used <= budget for result in results)
+        rewards[name] = np.array([result.final_reward for result in results])
+        hits[name] = np.array([nearest_mode(model, result.final_sample) == 0 for result in results])
+    return {"rewards": rewards, "hits": hits, "budget": budget, "elapsed": time.perf_counter() - started}
+
+
+def wilcoxon_greater(a, b):
+    """The one-sided paired p-value of "a is above b" that ``rts report`` prints."""
+    return ranktests.wilcoxon_greater((a - b).tolist())
 
 
 class TestCriterion1:
@@ -419,31 +373,9 @@ class TestCriterion5:
 class TestCriterion6:
     def test_nfe_ledger(self):
         started = time.perf_counter()
-        model = four_corner_model()
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
-        configs = [
-            (SolverSpec(mode="ode", steps=8),
-             RtsConfig(search_init=SearchConfig(n_neighbors=3, rounds=4), k_keysteps=6)),
-            (SolverSpec(mode="sde", steps=16, churn=0.4),
-             RtsConfig(search_init=SearchConfig(n_neighbors=3, rounds=4), k_keysteps=6)),
-            (SolverSpec(mode="sde", steps=16, churn=0.4),
-             RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=6, tau=0.7),
-                       search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
-                       k_keysteps=6, eval_steps_init=2)),
-            (SolverSpec(mode="sde", steps=12, churn=0.5),
-             RtsConfig(search_init=SearchConfig(n_neighbors=3, rounds=0),
-                       k_keysteps=4)),
-            (SolverSpec(mode="sde", steps=8, churn=0.3),
-             RtsConfig(search_init=SearchConfig(n_neighbors=4, rounds=2), k_keysteps=0)),
-            (SolverSpec(mode="sde", steps=10, churn=0.6),
-             RtsConfig(search_init=SearchConfig(n_neighbors=1, rounds=1),
-                       search_inter=SearchConfig(n_neighbors=2, rounds=2),
-                       k_keysteps=2)),
-            (SolverSpec(mode="ode", steps=6),
-             RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=2), eval_steps_init=3)),
-        ]
+        model, _, reward, _ = criterion7_setup()
         exact = 0
-        for spec, cfg in configs:
+        for spec, cfg in LEDGER_CONFIGS:
             result = run_rts(model, spec, reward, cfg, RngStream(0))
             positions = result.key_steps.indices if result.key_steps is not None else ()
             expected = expected_rts_nfe(cfg, spec, key_positions=positions)
@@ -461,31 +393,26 @@ class TestCriterion6:
         total = run_rts(model, spec, reward, base, RngStream(0)).nfe_used
         overruns = 0
         for budget in range(20, total + 8, 5):
-            capped = RtsConfig(
-                search_init=base.search_init, search_inter=base.search_inter,
-                k_keysteps=base.k_keysteps, eval_steps_init=base.eval_steps_init,
-                budget_nfe=budget,
-            )
-            result = run_rts(model, spec, reward, capped, RngStream(0))
+            result = run_rts(model, spec, reward, dataclasses.replace(base, budget_nfe=budget), RngStream(0))
             if result.nfe_used > budget:
                 overruns += 1
         elapsed = time.perf_counter() - started
-        ok = exact == len(configs) and overruns == 0 and elapsed < 60.0
+        ok = exact == len(LEDGER_CONFIGS) and overruns == 0 and elapsed < 60.0
         record_criterion(
             6, "NFE ledger", ok,
-            f"{exact}/{len(configs)} configurations exact, 0 budget overruns "
+            f"{exact}/{len(LEDGER_CONFIGS)} configurations exact, 0 budget overruns "
             f"in sweep, {elapsed:.1f}s",
         )
         assert ok
 
 
 class TestCriterion7:
-    def test_search_beats_baselines(self, testbed):
-        rewards, hits = testbed["rewards"], testbed["hits"]
+    def test_search_beats_baselines(self, criterion7_runs):
+        rewards, hits = criterion7_runs["rewards"], criterion7_runs["hits"]
         p_zo = wilcoxon_greater(rewards["rts"], rewards["zo"])
         p_bon = wilcoxon_greater(rewards["rts"], rewards["bon"])
         hit_gap = float(hits["rts"].mean() - hits["free"].mean())
-        elapsed = testbed["elapsed"]
+        elapsed = criterion7_runs["elapsed"]
         # Measured: rts 0.603 vs zo 0.499 (p 2.7e-17) and bon 0.545
         # (p 3.5e-12); hit rates 0.810 vs 0.115 free.
         ok = (
@@ -500,17 +427,17 @@ class TestCriterion7:
             7, "beats baselines at matched budget", ok,
             f"mean reward rts {rewards['rts'].mean():.4f} vs zo {rewards['zo'].mean():.4f} "
             f"(p {p_zo:.1e}) vs bon {rewards['bon'].mean():.4f} (p {p_bon:.1e}), "
-            f"hit gap over free +{hit_gap:.3f}, budget {testbed['budget']}, {elapsed:.0f}s",
+            f"hit gap over free +{hit_gap:.3f}, budget {criterion7_runs['budget']}, {elapsed:.0f}s",
         )
         assert ok
 
 
 class TestCriterion8:
-    def test_each_phase_contributes(self, testbed):
-        rewards = testbed["rewards"]
+    def test_each_phase_contributes(self, criterion7_runs):
+        rewards = criterion7_runs["rewards"]
         p_init = wilcoxon_greater(rewards["init"], rewards["free"])
         p_inter = wilcoxon_greater(rewards["inter"], rewards["free"])
-        elapsed = testbed["elapsed"]
+        elapsed = criterion7_runs["elapsed"]
         # Measured: init 0.549, inter 0.440, free 0.375; combined 0.603
         # dominates both single phases.
         ok = (
@@ -545,12 +472,8 @@ class TestCriterion9:
             cfg = {
                 "dimension": 2,
                 "solver": {"mode": "sde", "steps": 8, "churn": 0.4},
-                "mixture": {
-                    "weights": [0.1, 0.3, 0.3, 0.3],
-                    "means": [[1.5, 1.5], [-1.5, 1.5], [-1.5, -1.5], [1.5, -1.5]],
-                    "stddevs": [0.6, 0.6, 0.6, 0.6],
-                },
-                "reward": {"kind": "mode_preference", "preferred": 0, "sharpness": 2.0},
+                "mixture": testbed.MIXTURE,
+                "reward": {"kind": "mode_preference", "preferred": testbed.PREFERRED, "sharpness": testbed.SHARPNESS},
                 "method": "rts",
                 "seed": 0,
                 "replicates": 6,

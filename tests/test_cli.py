@@ -24,6 +24,7 @@ from scipy import stats
 
 import rts.cli
 import rts.schema
+from conftest import STREAMS, criterion7_variants, testbed
 from rts import ConfigError, RngStream, RtsError
 from rts.cli import (
     apply_overrides,
@@ -35,13 +36,6 @@ from rts.cli import (
 from rts.pipeline import run_zo_block
 from rts.ranktests import _u_counts, mann_whitney_greater
 from rts.report import summarize
-
-FOUR_CORNERS = {
-    "weights": [0.1, 0.3, 0.3, 0.3],
-    "means": [[1.5, 1.5], [-1.5, 1.5], [-1.5, -1.5], [1.5, -1.5]],
-    "stddevs": [0.6, 0.6, 0.6, 0.6],
-}
-
 
 _RUN_BLOCK = rts.cli.run_block
 _CONFIG_HASH = rts.cli._config_hash
@@ -76,7 +70,7 @@ def base_config(out, **extra):
     cfg = {
         "dimension": 2,
         "solver": {"mode": "sde", "steps": 8, "churn": 0.4},
-        "mixture": dict(FOUR_CORNERS),
+        "mixture": dict(testbed.MIXTURE),
         "reward": {"kind": "mode_preference", "preferred": 0, "sharpness": 2.0},
         "method": "free",
         "seed": 0,
@@ -611,7 +605,7 @@ class TestRunCommand:
         # means within the mixture's bound, whose projected trajectories overflow the curvature; before: numpy
         # RuntimeWarnings, exit 0 and key steps picked from NaN curvatures
         means = [[1e149, 1e149], [-1e149, 1e149], [-1e149, -1e149], [1e149, -1e149]]
-        config, _ = write_config(tmp_path, method="rts", mixture=dict(FOUR_CORNERS, means=means))
+        config, _ = write_config(tmp_path, method="rts", mixture=dict(testbed.MIXTURE, means=means))
         assert main(["run", "--config", config]) == 3
         assert "runtime error: curvature overflows" in capsys.readouterr().err
 
@@ -713,6 +707,17 @@ class TestRunCommand:
         config, out = write_config(tmp_path, replicates=1)
         assert main(["run", "--config", config, "solver.steps=12"]) == 0
         assert read_records(out)[0]["nfe_used"] == 24
+
+    def test_the_criterion_7_config_writes_criterion_7s_rewards(self, tmp_path):
+        # the testbed as a user writes it, at its matched budget: each record's reward is the rts block's, bit for bit
+        out = tmp_path / "results.jsonl"
+        config = tmp_path / "config.json"
+        raw = dict(testbed.cli_config(seed=0, replicates=8, out=str(out)), budget_nfe=testbed.BUDGET_NFE)
+        config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config)]) == 0
+        block, _ = criterion7_variants()["rts"]
+        expected = [result.final_reward for result in block(STREAMS[:8])]
+        assert [record["final_reward"] for record in read_records(out)] == expected
 
 
 class TestReportCommand:

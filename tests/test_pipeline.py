@@ -17,7 +17,8 @@ from scipy import stats
 
 import rts.pipeline
 import rts.search
-from conftest import RowReward
+from conftest import (LEDGER_CONFIGS, STREAMS, RowReward, criterion7_setup, criterion7_variants, testbed,
+                      worst_case_positions)
 from rts import (
     BudgetError,
     DimensionError,
@@ -38,31 +39,14 @@ from rts import (
     nearest_mode,
     random_spherical_sample,
     run_bon,
-    run_bon_block,
     run_free,
-    run_free_block,
     run_rts,
     run_rts_block,
     run_search,
     run_zo,
-    run_zo_block,
     sample_gaussian,
     select_key_steps,
 )
-
-
-def four_corner_model(preferred_weight=0.1, spread=1.5, stddev=0.6):
-    other = (1.0 - preferred_weight) / 3.0
-    return MixtureModel(
-        weights=[preferred_weight, other, other, other],
-        means=[[spread, spread], [-spread, spread], [-spread, -spread], [spread, -spread]],
-        stddevs=[stddev] * 4,
-    )
-
-
-def worst_case_positions(steps, k):
-    """Key-step positions maximizing re-simulation cost in the NFE ledger."""
-    return [1] + list(range(steps - k + 1, steps))
 
 
 class TestRtsConfig:
@@ -108,10 +92,10 @@ counts = pytest.mark.parametrize("make,valid", [
     pytest.param(lambda v: RtsConfig(k_keysteps=v), 6, id="k_keysteps"),
     pytest.param(lambda v: RtsConfig(eval_steps_init=v), 2, id="eval_steps_init"),
     pytest.param(lambda v: RtsConfig(budget_nfe=v), 100, id="budget_nfe"),
-    pytest.param(lambda v: ModePreferenceReward(four_corner_model(), v, 1.0), 1, id="preferred"),
-    pytest.param(lambda v: run_bon(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, RngStream(0)), 16,
+    pytest.param(lambda v: ModePreferenceReward(criterion7_setup().model, v, 1.0), 1, id="preferred"),
+    pytest.param(lambda v: run_bon(criterion7_setup().model, SolverSpec("ode", 4), _QUADRATIC, v, RngStream(0)), 16,
                  id="bon-budget"),
-    pytest.param(lambda v: run_zo(four_corner_model(), SolverSpec("ode", 4), _QUADRATIC, v, 0.9, RngStream(0)), 16,
+    pytest.param(lambda v: run_zo(criterion7_setup().model, SolverSpec("ode", 4), _QUADRATIC, v, 0.9, RngStream(0)), 16,
                  id="zo-budget"),
     pytest.param(lambda v: select_key_steps(np.arange(18.0).reshape(6, 3) ** 2, v), 2, id="key-steps-k"),
     pytest.param(lambda v: random_spherical_sample(np.ones(2), v, 0.9, RngStream(0)), 2, id="random-sample-n"),
@@ -142,7 +126,7 @@ _SCALARS = [
     ("churn", lambda v: SolverSpec("sde", 8, churn=v), np.float64(0.4)),
     ("tau", lambda v: SearchConfig(tau=v), np.float64(0.5)),
     ("alpha", lambda v: SearchConfig(alpha=v), np.float64(0.7)),
-    ("sharpness", lambda v: ModePreferenceReward(four_corner_model(), 0, v), np.float64(1.0)),
+    ("sharpness", lambda v: ModePreferenceReward(criterion7_setup().model, 0, v), np.float64(1.0)),
 ]
 scalars = pytest.mark.parametrize("name,make,valid", _SCALARS, ids=[name for name, _, _ in _SCALARS])
 _FLOATS = [field for field in _SCALARS if isinstance(field[2], np.float64)]
@@ -175,60 +159,9 @@ class TestScalarFields:
 class TestNfeLedger:
     """The counter must equal the ledger formula exactly, per configuration."""
 
-    CONFIGS = [
-        (
-            SolverSpec(mode="ode", steps=8),
-            RtsConfig(search_init=SearchConfig(n_neighbors=3, rounds=4), k_keysteps=6),
-        ),
-        (
-            SolverSpec(mode="sde", steps=16, churn=0.4),
-            RtsConfig(search_init=SearchConfig(n_neighbors=3, rounds=4), k_keysteps=6),
-        ),
-        (
-            SolverSpec(mode="sde", steps=16, churn=0.4),
-            RtsConfig(
-                search_init=SearchConfig(n_neighbors=2, rounds=6, tau=0.7),
-                search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
-                k_keysteps=6,
-                eval_steps_init=2,
-            ),
-        ),
-        (
-            SolverSpec(mode="sde", steps=12, churn=0.5),
-            RtsConfig(
-                search_init=SearchConfig(n_neighbors=3, rounds=0),
-                k_keysteps=4,
-            ),
-        ),
-        (
-            SolverSpec(mode="sde", steps=8, churn=0.3),
-            RtsConfig(search_init=SearchConfig(n_neighbors=4, rounds=2), k_keysteps=0),
-        ),
-        (
-            SolverSpec(mode="sde", steps=10, churn=0.6),
-            RtsConfig(
-                search_init=SearchConfig(n_neighbors=1, rounds=1),
-                search_inter=SearchConfig(n_neighbors=2, rounds=2),
-                k_keysteps=2,
-            ),
-        ),
-        (
-            SolverSpec(mode="ode", steps=6),
-            RtsConfig(
-                search_init=SearchConfig(n_neighbors=2, rounds=2),
-                eval_steps_init=3,
-            ),
-        ),
-        (
-            SolverSpec(mode="sde", steps=2, churn=0.4),
-            RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=2), k_keysteps=6, eval_steps_init=1),
-        ),
-    ]
-
-    @pytest.mark.parametrize("spec,cfg", CONFIGS)
+    @pytest.mark.parametrize("spec,cfg", LEDGER_CONFIGS)
     def test_counter_matches_formula(self, spec, cfg):
-        model = four_corner_model()
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
+        model, _, reward, _ = criterion7_setup()
         for seed in (0, 1):
             result = run_rts(model, spec, reward, cfg, RngStream(seed))
             positions = result.key_steps.indices if result.key_steps is not None else ()
@@ -240,15 +173,11 @@ class TestNfeLedger:
 
     def test_worst_case_positions_dominate(self):
         # The budget helper assumes these positions maximize re-simulation;
-        # verify against random position sets.
-        spec = SolverSpec(mode="sde", steps=16, churn=0.4)
-        cfg = RtsConfig(
-            search_init=SearchConfig(n_neighbors=2, rounds=6, tau=0.7),
-            search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
-            k_keysteps=6,
-            eval_steps_init=2,
-        )
+        # verify against random position sets. Their cost is the matched
+        # budget that benchmarks/testbed.py pins for criteria 7 and 8.
+        _, spec, _, cfg = criterion7_setup()
         worst = expected_rts_nfe(cfg, spec, key_positions=worst_case_positions(16, 6))
+        assert worst["total"] == testbed.BUDGET_NFE
         rng = np.random.default_rng(42)
         for _ in range(200):
             positions = rng.choice(np.arange(1, 16), size=6, replace=False)
@@ -257,7 +186,7 @@ class TestNfeLedger:
 
     def test_key_step_term_is_the_walk_plus_one_estimate_per_candidate(self):
         # 2 NFEs a step from the first key through the last, and one clean estimate per candidate of each search
-        spec = SolverSpec(mode="sde", steps=16, churn=0.4)
+        spec = criterion7_setup().spec
         cfg = RtsConfig(search_init=SearchConfig(rounds=0), search_inter=SearchConfig(n_neighbors=4, rounds=3))
         per_search = 3 * 4 + 2  # three rounds of four rows, and the bases of the two coarse rounds
         for positions in ([5], [9, 3, 7], [1, 15], list(range(1, 16))):
@@ -295,8 +224,7 @@ class TestBudgetProperty:
     def test_budget_cap_and_ledger(
         self, mode, steps, search_init, search_inter, k_keysteps, eval_steps_init, budget, seed
     ):
-        model = four_corner_model()
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode=mode, steps=steps, churn=0.4 if mode == "sde" else 0.0)
         cfg = RtsConfig(
             search_init=search_init,
@@ -330,9 +258,8 @@ class TestBudgetProperty:
 
 class TestBudgetSafety:
     def _setup(self):
-        model = four_corner_model()
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
         cfg = RtsConfig(
             search_init=SearchConfig(n_neighbors=2, rounds=4, tau=0.7),
             search_inter=SearchConfig(n_neighbors=3, rounds=2),
@@ -389,8 +316,7 @@ class TestBudgetSafety:
 
 class TestPhaseDecomposition:
     def _run(self, spec, cfg):
-        model = four_corner_model()
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
+        model, _, reward, _ = criterion7_setup()
         return run_rts(model, spec, reward, cfg, RngStream(4))
 
     def test_k_zero_disables_intermediate_phase(self):
@@ -443,9 +369,8 @@ class TestReplayCorrectness:
             return result
 
         monkeypatch.setattr(rts.pipeline, "denoise", spy)
-        model = four_corner_model()
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode="sde", steps=10, churn=0.5)
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
         cfg = RtsConfig(
             search_init=SearchConfig(n_neighbors=2, rounds=2, tau=0.7),
             search_inter=SearchConfig(n_neighbors=3, rounds=2),
@@ -482,9 +407,8 @@ class TestKeyStepOrdering:
             return real_run_search(z0, cfg, evaluate, stream, **kwargs)
 
         monkeypatch.setattr(rts.pipeline, "run_search", spy)
-        model = four_corner_model()
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode="sde", steps=12, churn=0.5)
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
         cfg = RtsConfig(
             search_init=SearchConfig(n_neighbors=2, rounds=2, tau=0.7),
             search_inter=SearchConfig(n_neighbors=2, rounds=2),
@@ -498,9 +422,8 @@ class TestKeyStepOrdering:
 
 class TestDeterminism:
     def test_identical_seed_identical_result(self):
-        model = four_corner_model()
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode="sde", steps=10, churn=0.4)
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
         cfg = RtsConfig(
             search_init=SearchConfig(n_neighbors=2, rounds=4, tau=0.7),
             search_inter=SearchConfig(n_neighbors=3, rounds=2),
@@ -517,9 +440,8 @@ class TestDeterminism:
         assert a.nfe_breakdown == b.nfe_breakdown
 
     def test_different_seeds_differ(self):
-        model = four_corner_model()
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode="sde", steps=10, churn=0.4)
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
         cfg = RtsConfig(search_init=SearchConfig(n_neighbors=2, rounds=2), k_keysteps=0)
         a = run_rts(model, spec, reward, cfg, RngStream(1))
         b = run_rts(model, spec, reward, cfg, RngStream(2))
@@ -530,7 +452,7 @@ class TestRewardProtocol:
     def test_run_rts_scores_an_outside_reward_as_the_built_in_one(self):
         # RowReward is defined in the tests; scoring the quadratic row by row
         # gives the bits of QuadraticReward, so the two runs match exactly
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         target = np.array([1.5, 1.5])
         outside = RowReward(lambda x: -((x - target) @ (x - target)), dim=2)
@@ -549,7 +471,7 @@ class TestRewardProtocol:
             def evaluate(self, x):
                 return scores(x.shape[0])
 
-        model, reward, spec = four_corner_model(), Miscounted(), SolverSpec(mode="sde", steps=4, churn=0.4)
+        model, reward, spec = criterion7_setup().model, Miscounted(), SolverSpec(mode="sde", steps=4, churn=0.4)
         runs = {
             "one latent": lambda: evaluate_reward(reward, np.ones(2)),
             "batch": lambda: evaluate_reward(reward, np.ones((3, 2))),
@@ -565,9 +487,8 @@ class TestRewardProtocol:
 
 class TestRunBon:
     def _setup(self, steps=8, mode="sde", churn=0.4):
-        model = four_corner_model()
+        model, _, reward, _ = criterion7_setup()
         spec = SolverSpec(mode=mode, steps=steps, churn=churn)
-        reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
         return model, spec, reward
 
     def test_single_candidate_budget(self):
@@ -577,7 +498,7 @@ class TestRunBon:
         assert result.nfe_used == 16
 
     def test_candidate_count_is_integer_division(self):
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="ode", steps=50)
         reward = QuadraticReward(target=np.zeros(2))
         result = run_bon(model, spec, reward, 1000, RngStream(0))
@@ -620,7 +541,7 @@ class TestRunZo:
         # No strict improvement can occur, so the final sample equals the
         # very first (base) trajectory's output, reconstructed here from the
         # same stream derivations.
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         stream = RngStream(5)
         result = run_zo(model, spec, RowReward(lambda x: 1.0), 96, 0.9, stream)
@@ -629,7 +550,7 @@ class TestRunZo:
         np.testing.assert_array_equal(result.final_sample, latents[-1])
 
     def test_final_reward_is_running_max(self):
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         reward = QuadraticReward(target=np.array([1.5, 1.5]))
         result = run_zo(model, spec, reward, 160, 0.9, RngStream(2))
@@ -643,7 +564,7 @@ class TestRunZo:
         assert all(b > a for a, b in zip(highs, highs[1:]))
 
     def test_budget_below_two_denoises_errors(self):
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         with pytest.raises(BudgetError):
             run_zo(model, spec, QuadraticReward(target=np.zeros(2)), 31, 0.9, RngStream(0))
@@ -653,7 +574,7 @@ class TestRunZo:
             raise AssertionError("drew a noise before refusing the budget")
 
         monkeypatch.setattr(rts.pipeline, "sample_gaussian", no_draw)
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         reward = QuadraticReward(target=np.zeros(2))
         with pytest.raises(PreconditionError, match="10000"):
@@ -665,7 +586,7 @@ class TestRunZo:
     def test_step_tau_outside_unit_interval_is_refused_before_any_denoise(self, monkeypatch, step_tau):
         calls = []
         monkeypatch.setattr(rts.pipeline, "_samples", lambda *args: calls.append(args))
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         with pytest.raises(PreconditionError, match="step_tau"):
             run_zo(model, spec, QuadraticReward(target=np.zeros(2)), 64, step_tau, RngStream(0))
@@ -696,7 +617,7 @@ class TestRunZo:
 
 class TestRunFree:
     def test_nfe_is_one_denoise(self):
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=12, churn=0.4)
         reward = QuadraticReward(target=np.zeros(2))
         result = run_free(model, spec, reward, RngStream(0))
@@ -704,7 +625,7 @@ class TestRunFree:
         assert result.method == "free"
 
     def test_determinism(self):
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="sde", steps=8, churn=0.4)
         reward = QuadraticReward(target=np.zeros(2))
         a = run_free(model, spec, reward, RngStream(9))
@@ -718,20 +639,13 @@ class TestHitRateComparison:
         # searched pipeline reaches it more often than Best-of-N at the same
         # budget. Measured: RTS 0.535 vs BoN 0.345 hit rate, discordant
         # pairs 72/34, exact one-sided McNemar p ~ 1.4e-4 over 200 seeds.
-        steps, k = 16, 6
+        _, spec, _, cfg = criterion7_setup()
         model = MixtureModel(
             weights=[0.1, 0.9], means=[[1.5, 1.5], [-1.5, -1.5]], stddevs=[0.6, 0.6]
         )
-        spec = SolverSpec(mode="sde", steps=steps, churn=0.4)
         reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
-        cfg = RtsConfig(
-            search_init=SearchConfig(n_neighbors=2, rounds=6, tau=0.7),
-            search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
-            k_keysteps=k,
-            eval_steps_init=2,
-        )
         budget = expected_rts_nfe(
-            cfg, spec, key_positions=worst_case_positions(steps, k)
+            cfg, spec, key_positions=worst_case_positions(spec.steps, cfg.k_keysteps)
         )["total"]
         rts_hits, bon_hits = [], []
         for seed in range(200):
@@ -746,20 +660,6 @@ class TestHitRateComparison:
         only_bon = int(np.sum(~rts_hits & bon_hits))
         p = stats.binomtest(only_rts, only_rts + only_bon, 0.5, alternative="greater").pvalue
         assert p < 0.05
-
-
-def criterion7_setup():
-    """The criterion-7/8 testbed: four corners, 16-step SDE, full RTS config."""
-    model = four_corner_model()
-    spec = SolverSpec(mode="sde", steps=16, churn=0.4)
-    reward = ModePreferenceReward(model=model, preferred=0, sharpness=2.0)
-    cfg = RtsConfig(
-        search_init=SearchConfig(n_neighbors=2, rounds=6, tau=0.7),
-        search_inter=SearchConfig(n_neighbors=4, rounds=3, tau=0.8),
-        k_keysteps=6,
-        eval_steps_init=2,
-    )
-    return model, spec, reward, cfg
 
 
 def fingerprint(result):
@@ -805,7 +705,7 @@ class TestGoldenRecords:
     @pytest.mark.parametrize("seed", sorted(BON))
     def test_bon(self, seed):
         model, spec, reward, _ = criterion7_setup()
-        assert fingerprint(run_bon(model, spec, reward, 238, RngStream(seed))) == self.BON[seed]
+        assert fingerprint(run_bon(model, spec, reward, testbed.BUDGET_NFE, RngStream(seed))) == self.BON[seed]
 
     @pytest.mark.parametrize("budget", sorted(TRUNCATED))
     def test_truncated_rts(self, budget):
@@ -849,32 +749,6 @@ class TestGoldenRecords:
         )
 
 
-def criterion7_variants(budget_nfe=None):
-    """The six criterion-7/8 variants as (block call, one-seed call) pairs; the rts family capped at ``budget_nfe``."""
-    model, spec, reward, full = criterion7_setup()
-    off = SearchConfig(rounds=0)
-    configs = {
-        "rts": full,
-        "init": dataclasses.replace(full, search_inter=off, k_keysteps=0),
-        "inter": dataclasses.replace(full, search_init=off, eval_steps_init=None),
-    }
-    matched = 238
-    variants = {
-        name: (lambda streams, cfg=dataclasses.replace(cfg, budget_nfe=budget_nfe): run_rts_block(
-            model, spec, reward, cfg, streams),
-               lambda stream, cfg=dataclasses.replace(cfg, budget_nfe=budget_nfe): run_rts(
-            model, spec, reward, cfg, stream))
-        for name, cfg in configs.items()
-    }
-    variants["bon"] = (lambda streams: run_bon_block(model, spec, reward, matched, streams),
-                       lambda stream: run_bon(model, spec, reward, matched, stream))
-    variants["zo"] = (lambda streams: run_zo_block(model, spec, reward, matched, 0.9, streams),
-                      lambda stream: run_zo(model, spec, reward, matched, 0.9, stream))
-    variants["free"] = (lambda streams: run_free_block(model, spec, reward, streams),
-                        lambda stream: run_free(model, spec, reward, stream))
-    return variants
-
-
 def assert_same_result(block, alone):
     """Every RunResult field equal, the final sample bit for bit."""
     assert block.final_sample.shape == alone.final_sample.shape
@@ -885,35 +759,33 @@ def assert_same_result(block, alone):
 class TestLockstep:
     """One block call over the 200 criterion-7 seeds gives each seed's one-seed result, field for field."""
 
-    STREAMS = [RngStream(seed) for seed in range(200)]
-
     @pytest.mark.parametrize("variant", ["rts", "init", "inter", "bon", "zo", "free"])
     def test_block_equals_one_seed_calls(self, variant):
         block, alone = criterion7_variants()[variant]
-        results = block(self.STREAMS)
-        assert len(results) == len(self.STREAMS)
-        for stream, result in zip(self.STREAMS, results):
+        results = block(STREAMS)
+        assert len(results) == len(STREAMS)
+        for stream, result in zip(STREAMS, results):
             assert_same_result(result, alone(stream))
 
     @pytest.mark.parametrize("budget", sorted(TestGoldenRecords.TRUNCATED))
     def test_truncated_block_equals_one_seed_calls(self, budget):
         block, alone = criterion7_variants(budget)["rts"]
-        results = block(self.STREAMS)
+        results = block(STREAMS)
         assert any(result.truncated for result in results)
-        for stream, result in zip(self.STREAMS, results):
+        for stream, result in zip(STREAMS, results):
             assert_same_result(result, alone(stream))
 
     def test_budget_sweep_block_equals_one_seed_calls(self):
-        # a block over all 200 seeds at each budget of the sweep digest; the
-        # one-seed reference runs seed 3 (the digest's seed) and three seeds
-        # that rotate, so every seed is checked at some budget
+        # the sweep's block over all 200 seeds at each budget of the sweep
+        # digest, run under the recording spies; the one-seed reference runs
+        # without them seed 3 (the digest's seed) and three seeds that
+        # rotate, so every seed is checked at some budget
         cut_before_key_steps = set()
-        for k, budget in enumerate(range(36, 240, 3)):
-            block, alone = criterion7_variants(budget)["rts"]
-            results = block(self.STREAMS)
+        for k, (budget, (results, _)) in enumerate(budget_sweep().items()):
+            _, alone = criterion7_variants(budget)["rts"]
             assert all(result.nfe_used <= budget for result in results)
             for seed in {3} | {(3 * k + j) % 200 for j in range(3)}:
-                assert_same_result(results[seed], alone(self.STREAMS[seed]))
+                assert_same_result(results[seed], alone(STREAMS[seed]))
             cut_before_key_steps |= {result.key_steps is None for result in results if result.truncated}
         # the budget cuts some seeds before their key-step search and others during it
         assert cut_before_key_steps == {True, False}
@@ -937,14 +809,8 @@ class TestLedgerAudit:
     ])
     def test_a_block_spends_what_its_ledgers_say(self, model_rows, variant, budget):
         block, _ = criterion7_variants(budget)[variant]
-        results = block(TestLockstep.STREAMS)
+        results = block(STREAMS)
         assert sum(result.nfe_used for result in results) == model_rows.count
-
-
-@functools.cache
-def budget_sweep():
-    """The rts results of the ``TestLockstep.STREAMS`` block at each budget of the sweep digest, by budget."""
-    return {budget: criterion7_variants(budget)["rts"][0](TestLockstep.STREAMS) for budget in range(36, 240, 3)}
 
 
 class TestReplayRule:
@@ -954,7 +820,7 @@ class TestReplayRule:
         _, spec, _, cfg = criterion7_setup()
         # per truncated result: whether it has key steps and whether it committed one
         seen = set()
-        for results in budget_sweep().values():
+        for results, _ in budget_sweep().values():
             for result in results:
                 if not result.truncated:
                     continue
@@ -996,9 +862,9 @@ class TestCutHistory:
         assert inter[-1] == full.round_history["inter"][len(inter) - 1][:len(inter[-1])]
 
     def test_over_the_budget_sweep_every_kept_round_is_its_unbudgeted_round(self):
-        full = [kept_rounds(result.round_history) for result in criterion7_variants()["rts"][0](TestLockstep.STREAMS)]
+        full = [kept_rounds(result.round_history) for result in criterion7_variants()["rts"][0](STREAMS)]
         cut_short = 0
-        for budget, results in budget_sweep().items():
+        for budget, (results, _) in budget_sweep().items():
             for s, result in enumerate(results):
                 kept = kept_rounds(result.round_history)
                 assert kept == full[s][:len(kept)], (budget, s)
@@ -1049,13 +915,13 @@ def recorded_searches():
 
 
 @functools.cache
-def recorded_sweep():
-    """The searches of the ``TestLockstep.STREAMS`` block's rts run at each budget of the sweep digest, by budget."""
+def budget_sweep():
+    """The rts block over ``STREAMS`` at each budget of the sweep digest, run once a session under
+    ``recorded_searches``: by budget, its results and its searches' log."""
     sweep = {}
     for budget in range(36, 240, 3):
         with recorded_searches() as log:
-            criterion7_variants(budget)["rts"][0](TestLockstep.STREAMS)
-        sweep[budget] = log
+            sweep[budget] = criterion7_variants(budget)["rts"][0](STREAMS), log
     return sweep
 
 
@@ -1065,19 +931,19 @@ class TestUpFrontCharge:
     def test_a_block_cut_in_its_second_initial_round_runs_one_round(self):
         # 45 NFEs leave every seed one coarse round of 3 rows at 4 NFEs each and cut it in the second
         with recorded_searches() as log:
-            results = criterion7_variants(45)["rts"][0](TestLockstep.STREAMS)
+            results = criterion7_variants(45)["rts"][0](STREAMS)
         assert all(result.truncated for result in results)
         assert len(log) == 1 and log[0].rounds == [3 * len(results)]
 
     @pytest.mark.parametrize("budget", [None, *sorted(TestGoldenRecords.TRUNCATED)])
     def test_each_seed_is_charged_once_a_search(self, budget):
         with recorded_searches() as log:
-            criterion7_variants(budget)["rts"][0](TestLockstep.STREAMS)
+            criterion7_variants(budget)["rts"][0](STREAMS)
         assert log and all(len(entry.paid) == entry.size for entry in log)
 
     def test_over_the_budget_sweep_no_round_runs_that_no_seed_pays_into(self):
         stopped_early = 0
-        for budget, log in recorded_sweep().items():
+        for budget, (_, log) in budget_sweep().items():
             for entry in log:
                 assert all(entry.rounds), (budget, entry.rounds)
                 stopped_early += len(entry.rounds) < entry.cfg.rounds
@@ -1085,7 +951,7 @@ class TestUpFrontCharge:
 
     def test_a_group_with_a_seed_that_pays_for_every_row_runs_every_round(self):
         mixed = 0
-        for budget, log in recorded_sweep().items():
+        for budget, (_, log) in budget_sweep().items():
             for entry in log:
                 if any(entry.paid):
                     assert len(entry.rounds) == entry.cfg.rounds, budget
@@ -1105,7 +971,8 @@ class TestBudgetedSearchCost:
 
         def run(rounds):
             search = dataclasses.replace(getattr(cfg, phase), rounds=rounds)
-            return run_rts_block(model, spec, reward, dataclasses.replace(cfg, budget_nfe=238, **{phase: search}),
+            return run_rts_block(model, spec, reward,
+                                 dataclasses.replace(cfg, budget_nfe=testbed.BUDGET_NFE, **{phase: search}),
                                  self.STREAMS)
 
         short = run(50)
@@ -1115,7 +982,7 @@ class TestBudgetedSearchCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 238 NFEs pay for a few rounds of either search, far fewer than 50
+        # the matched budget pays for a few rounds of either search, far fewer than 50
         assert all(result.truncated for result in short)
         for result, reference in zip(long, short, strict=True):
             assert_same_result(result, reference)
@@ -1130,7 +997,7 @@ class TestBudgetedSearchCost:
             return estimate_gradient(base_reward, neighbors)
 
         with mock.patch.object(rts.search, "estimate_gradient", spy):
-            criterion7_variants(238)["rts"][0](TestLockstep.STREAMS)
+            criterion7_variants(testbed.BUDGET_NFE)["rts"][0](STREAMS)
         assert len(calls) == 18
 
 
@@ -1204,7 +1071,7 @@ class TestInitSearchMemo:
         # Every row ties, so the running best keeps the first row scored, the
         # round-1 fresh base, whether the budget cuts the seed short or not
         # (32, 48 and 80 NFEs cut every seed of this config).
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="ode", steps=8)
         cfg = RtsConfig(eval_steps_init=None, k_keysteps=0, budget_nfe=budget)
         results = run_rts_block(model, spec, RowReward(lambda x: 1.0), cfg, [RngStream(s) for s in range(5)])
@@ -1217,7 +1084,7 @@ class TestInitSearchMemo:
     def test_constant_reward_keeps_the_first_row_under_short_scoring(self):
         # With 2-step scoring the winner is re-denoised at full length from its
         # latent, which under a constant reward is still the round-1 fresh base.
-        model = four_corner_model()
+        model = criterion7_setup().model
         spec = SolverSpec(mode="ode", steps=8)
         cfg = RtsConfig(eval_steps_init=2, k_keysteps=0)
         results = run_rts_block(model, spec, RowReward(lambda x: 1.0), cfg, [RngStream(s) for s in range(5)])

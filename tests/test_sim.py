@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import RowReward
+from conftest import RowReward, criterion7_setup
 from rts import (
     DimensionError,
     MixtureModel,
@@ -493,11 +493,8 @@ class TestOverflowingLatents:
 
 
 def four_corner():
-    return MixtureModel(
-        weights=[0.1, 0.3, 0.3, 0.3],
-        means=[[1.5, 1.5], [-1.5, 1.5], [-1.5, -1.5], [1.5, -1.5]],
-        stddevs=[0.6] * 4,
-    )
+    """The criterion-7/8 testbed's mixture, built anew."""
+    return criterion7_setup().model
 
 
 def wide_model():
