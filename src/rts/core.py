@@ -68,7 +68,9 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFF_FFFF
 _MULT_A = 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+# uint32 scalars, which an array's arithmetic takes without converting a Python int on every fold
+_MIX_L, _MIX_R = np.uint32(0xCA01_F9DD), np.uint32(0x4973_F715)
+_MIX_SHIFT = np.uint32(16)
 # The hash constant once the root is mixed in. It does not depend on the
 # root: SeedSequence hashes 16 words into the pool first (the root padded to
 # four words, then each pool word into the other three).
@@ -92,7 +94,8 @@ def as_latent(values, dim: int | None = None, *, batch: bool = False) -> Latent:
         raise errors.DimensionError(f"latent dimension must be >= 2, got {arr.shape[-1]}")
     if dim is not None and arr.shape[-1] != dim:
         raise errors.DimensionError(f"expected dimension {dim}, got {arr.shape[-1]}")
-    if not (np.abs(arr) < LATENT_BOUND).all():
+    # one pass over |arr|: a NaN propagates through the maximum and fails the bound as ±inf does
+    if not np.maximum.reduce(np.abs(arr), axis=None, initial=0.0) < LATENT_BOUND:
         if not np.isfinite(arr).all():
             raise errors.NonFiniteError("latent contains NaN or infinite entries")
         raise errors.NonFiniteError(f"latent has an entry of magnitude >= {LATENT_BOUND:g}, "
@@ -134,7 +137,7 @@ _KEY_MULT = np.array([_INIT_B * pow(_MULT_B, i + 1, 2**32) & _MASK32 for i in ra
 
 
 def _mix(value: np.ndarray) -> np.ndarray:
-    return value ^ (value >> 16)
+    return value ^ (value >> _MIX_SHIFT)
 
 
 def _fold_terms(word, hash_const: int) -> tuple[np.ndarray, np.ndarray]:

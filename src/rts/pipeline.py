@@ -273,11 +273,12 @@ def _budgeted_search(z0, cfg: SearchConfig, stream: StreamBlock, seeds: list[_Se
     end, span = partial(row_count, cfg), range(cfg.rounds + 1)
     paid = [seed.spend(row_count(cfg), cost) for seed in seeds]
     size, rounds, starts = len(seeds), bisect.bisect_left(span, max(paid), key=end), map(end, span)
+    least = min(paid)
 
     def evaluate(batch: np.ndarray) -> np.ndarray:
         start, n = next(starts), batch.shape[1]
         rows = batch.reshape(size * n, -1)
-        if start + n <= min(paid):  # every seed pays for the whole round
+        if start + n <= least:  # every seed pays for the whole round
             return score(rows, np.arange(size).repeat(n)).reshape(size, n)
         index = np.flatnonzero(np.arange(start, start + n) < np.array(paid)[:, None])
         scores = np.zeros(size * n)

@@ -427,7 +427,7 @@ class TestCriterion7:
             7, "beats baselines at matched budget", ok,
             f"mean reward rts {rewards['rts'].mean():.4f} vs zo {rewards['zo'].mean():.4f} "
             f"(p {p_zo:.1e}) vs bon {rewards['bon'].mean():.4f} (p {p_bon:.1e}), "
-            f"hit gap over free +{hit_gap:.3f}, budget {criterion7_runs['budget']}, {elapsed:.0f}s",
+            f"hit gap over free +{hit_gap:.3f}, budget {criterion7_runs['budget']}, {elapsed:.2f}s",
         )
         assert ok
 
@@ -454,7 +454,7 @@ class TestCriterion8:
             f"init {rewards['init'].mean():.4f} (p {p_init:.1e}) and inter "
             f"{rewards['inter'].mean():.4f} (p {p_inter:.1e}) beat free "
             f"{rewards['free'].mean():.4f}; combined {rewards['rts'].mean():.4f} "
-            f">= both, {elapsed:.0f}s",
+            f">= both, {elapsed:.2f}s",
         )
         assert ok
 

@@ -133,6 +133,37 @@ class TestVerdict:
         assert declared["seeds_per_s"] == {"better": "higher", "bound": 0.25}
 
 
+class TestGainGate:
+    PARENT = [10.0, 10.2, 9.9, 10.1, 10.0, 9.8, 10.3, 10.0, 10.1, 9.9]  # quartiles 9.925, 10.0, 10.1
+
+    def test_met_when_nine_tenths_of_the_pairs_win_and_the_gap_exceeds_the_iqr(self):
+        change = [p + 1.0 for p in self.PARENT]
+        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "met"
+        change[0] = self.PARENT[0] - 1.0  # 9 of 10 pairs still win
+        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "met"
+
+    def test_too_few_wins(self):
+        change = [p + 1.0 for p in self.PARENT]
+        change[0] = change[1] = 9.0  # 8 of 10 pairs win, by a median gap far past the iqr
+        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "not met"
+
+    def test_a_gap_inside_the_iqr(self):
+        change = [p + 0.1 for p in self.PARENT]  # every pair wins, by less than the parent's iqr of 0.175
+        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "not met"
+
+    def test_a_lower_is_better_metric(self):
+        change = [p - 1.0 for p in self.PARENT]
+        assert bench_pairs.gain_gate(self.PARENT, change, "lower") == "met"
+        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "not met"
+        assert bench_pairs.gain_gate(self.PARENT, [p + 1.0 for p in self.PARENT], "lower") == "not met"
+
+    def test_summary_gives_each_declared_metric_its_gate(self):
+        records = runs(self.PARENT, [p + 1.0 for p in self.PARENT], extra={"peak_rss_mb": 40.0, "error_rate": 0.0})
+        summary = bench_pairs.summarize(records, TestVerdict.END_TO_END)
+        assert (summary["seeds_per_s"]["gain_gate"], summary["peak_rss_mb"]["gain_gate"]) == ("met", "not met")
+        assert "gain_gate" not in summary["error_rate"]  # not an end-to-end metric
+
+
 def completed(side, outputs, attempted=10, failed=0, pair=0):
     """A completed run's record with its outputs line and counts."""
     return {"pair": pair, "side": side, "correct": True, "attempted": attempted, "failed": failed,

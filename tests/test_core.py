@@ -50,6 +50,8 @@ class TestAsLatent:
             as_latent([1.0, np.nan])
         with pytest.raises(NonFiniteError):
             as_latent([np.inf, 0.0])
+        with pytest.raises(NonFiniteError, match="NaN or infinite"):
+            as_latent([0.0, -np.inf])
 
     def test_entries_at_the_bound_are_refused(self):
         for entry in (LATENT_BOUND, -LATENT_BOUND, 1e300):
@@ -59,6 +61,8 @@ class TestAsLatent:
             as_latent([[1e160, 0.0], [np.nan, 0.0]], batch=True)
         below = np.nextafter(LATENT_BOUND, 0.0)
         np.testing.assert_array_equal(as_latent([below, -below]), [below, -below])
+        # an empty batch has no entry at the bound: the check's maximum starts from 0
+        assert as_latent(np.empty((0, 3)), batch=True).shape == (0, 3)
 
 
 class TestRngStream:

@@ -769,8 +769,8 @@ class TestLockstep:
 
     @pytest.mark.parametrize("budget", sorted(TestGoldenRecords.TRUNCATED))
     def test_truncated_block_equals_one_seed_calls(self, budget):
-        block, alone = criterion7_variants(budget)["rts"]
-        results = block(STREAMS)
+        _, alone = criterion7_variants(budget)["rts"]
+        results, _ = recorded_block(budget)
         assert any(result.truncated for result in results)
         for stream, result in zip(STREAMS, results):
             assert_same_result(result, alone(stream))
@@ -915,14 +915,16 @@ def recorded_searches():
 
 
 @functools.cache
+def recorded_block(budget):
+    """The rts block over ``STREAMS`` at ``budget``, run once a session under ``recorded_searches``: its results
+    and its searches' log."""
+    with recorded_searches() as log:
+        return criterion7_variants(budget)["rts"][0](STREAMS), log
+
+
 def budget_sweep():
-    """The rts block over ``STREAMS`` at each budget of the sweep digest, run once a session under
-    ``recorded_searches``: by budget, its results and its searches' log."""
-    sweep = {}
-    for budget in range(36, 240, 3):
-        with recorded_searches() as log:
-            sweep[budget] = criterion7_variants(budget)["rts"][0](STREAMS), log
-    return sweep
+    """``recorded_block`` at each budget of the sweep digest, by budget."""
+    return {budget: recorded_block(budget) for budget in range(36, 240, 3)}
 
 
 class TestUpFrontCharge:
@@ -930,15 +932,13 @@ class TestUpFrontCharge:
 
     def test_a_block_cut_in_its_second_initial_round_runs_one_round(self):
         # 45 NFEs leave every seed one coarse round of 3 rows at 4 NFEs each and cut it in the second
-        with recorded_searches() as log:
-            results = criterion7_variants(45)["rts"][0](STREAMS)
+        results, log = recorded_block(45)
         assert all(result.truncated for result in results)
         assert len(log) == 1 and log[0].rounds == [3 * len(results)]
 
     @pytest.mark.parametrize("budget", [None, *sorted(TestGoldenRecords.TRUNCATED)])
     def test_each_seed_is_charged_once_a_search(self, budget):
-        with recorded_searches() as log:
-            criterion7_variants(budget)["rts"][0](STREAMS)
+        _, log = recorded_block(budget)
         assert log and all(len(entry.paid) == entry.size for entry in log)
 
     def test_over_the_budget_sweep_no_round_runs_that_no_seed_pays_into(self):

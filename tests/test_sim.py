@@ -726,8 +726,11 @@ class TestTimeTable:
         for t in KERNEL_TIMES * 3:
             _velocity(model, x, t)
         assert len(model._by_time) == len(KERNEL_TIMES)
-        for consts in model._by_time.values():
-            assert all(a.size == model.n_components for a in consts)
+        for t, consts in model._by_time.items():
+            vectors = [a for name, a in consts._asdict().items() if name != "shift"]
+            assert vectors and all(a.shape == (model.n_components,) for a in vectors)
+            assert consts.shift.shape == (model.dim,)
+            assert consts.shift.tobytes() == ((1.0 - t) * model._center).tobytes()  # bit for bit (1 − t)·c
 
     def test_table_stays_bounded_over_many_times(self):
         model = four_corner()
