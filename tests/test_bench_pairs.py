@@ -136,26 +136,38 @@ class TestVerdict:
 class TestGainGate:
     PARENT = [10.0, 10.2, 9.9, 10.1, 10.0, 9.8, 10.3, 10.0, 10.1, 9.9]  # quartiles 9.925, 10.0, 10.1
 
+    @staticmethod
+    def gate(parent, change, better="higher"):
+        declared = {"seeds_per_s": {"better": better, "bound": 0.25}}
+        return bench_pairs.summarize(runs(parent, change), declared)["seeds_per_s"]["gain_gate"]
+
     def test_met_when_nine_tenths_of_the_pairs_win_and_the_gap_exceeds_the_iqr(self):
         change = [p + 1.0 for p in self.PARENT]
-        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "met"
+        assert self.gate(self.PARENT, change) == "met"
         change[0] = self.PARENT[0] - 1.0  # 9 of 10 pairs still win
-        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "met"
+        assert self.gate(self.PARENT, change) == "met"
 
     def test_too_few_wins(self):
         change = [p + 1.0 for p in self.PARENT]
         change[0] = change[1] = 9.0  # 8 of 10 pairs win, by a median gap far past the iqr
-        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "not met"
+        assert self.gate(self.PARENT, change) == "not met"
 
     def test_a_gap_inside_the_iqr(self):
         change = [p + 0.1 for p in self.PARENT]  # every pair wins, by less than the parent's iqr of 0.175
-        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "not met"
+        assert self.gate(self.PARENT, change) == "not met"
 
     def test_a_lower_is_better_metric(self):
         change = [p - 1.0 for p in self.PARENT]
-        assert bench_pairs.gain_gate(self.PARENT, change, "lower") == "met"
-        assert bench_pairs.gain_gate(self.PARENT, change, "higher") == "not met"
-        assert bench_pairs.gain_gate(self.PARENT, [p + 1.0 for p in self.PARENT], "lower") == "not met"
+        assert self.gate(self.PARENT, change, "lower") == "met"
+        assert self.gate(self.PARENT, change, "higher") == "not met"
+        assert self.gate(self.PARENT, [p + 1.0 for p in self.PARENT], "lower") == "not met"
+
+    def test_too_few_pairs(self):
+        change = [p + 1.0 for p in self.PARENT]
+        assert self.gate(self.PARENT[:9], change[:9]) == "too few pairs"  # every pair wins, far past the iqr
+        records = runs(self.PARENT, change)
+        records.pop()  # pair 9 loses a run, which leaves 9 complete pairs
+        assert bench_pairs.summarize(records, TestVerdict.END_TO_END)["seeds_per_s"]["gain_gate"] == "too few pairs"
 
     def test_summary_gives_each_declared_metric_its_gate(self):
         records = runs(self.PARENT, [p + 1.0 for p in self.PARENT], extra={"peak_rss_mb": 40.0, "error_rate": 0.0})

@@ -15,10 +15,11 @@ the change checkout's ``BENCHMARK.json`` also gets the no-regression
 verdict: ``worse_by``, the relative shortfall of the change's median from
 the parent's in the metric's worse direction (0 when it is not worse), and
 ``within_bound``, whether that shortfall is within the metric's ``bound``,
-and the gain verdict ``gain_gate``: "met" when the change is better in the
-metric's direction in at least nine tenths of the complete pairs and its
-median is past the parent's by more than the parent's interquartile range,
-else "not met".
+and the gain verdict ``gain_gate``: "met" when there are at least ten
+complete pairs, the change is better in the metric's direction in at least
+nine tenths of them and its median is past the parent's by more than the
+parent's interquartile range; "too few pairs" under ten pairs; else "not
+met".
 ``outputs`` holds, per workload, each side's distinct ``deterministic
 outputs`` lines and ``equal``, whether every completed run printed one and
 the same line. The cli-sweep line changes on every run, because
@@ -55,6 +56,7 @@ import sys
 
 OUTPUTS_PREFIX = "deterministic outputs: "
 STDERR_TAIL = 2000  # characters of a failed run's stderr that its record keeps
+GATE_PAIRS = 10  # the fewest complete pairs a claimed gain is judged on
 RAW_RATE = re.compile(r"\braw ([0-9.eE+-]+)/s")  # in the seeds_per_s detail: "raw 109.3/s at host factor 0.989"
 
 
@@ -128,8 +130,8 @@ def summarize(runs: list[dict], end_to_end: dict | None = None) -> dict:
             "ratio_of_medians": change_q["median"] / parent_q["median"] if parent_q["median"] else None,
         }
         if name in (end_to_end or {}):
-            summary[name].update(verdict(parent_q["median"], change_q["median"], **end_to_end[name]),
-                                 gain_gate=gain_gate(parent, change, end_to_end[name]["better"]))
+            summary[name].update(verdict(parent_q["median"], change_q["median"], **end_to_end[name]))
+            summary[name]["gain_gate"] = gain_gate(summary[name], end_to_end[name]["better"])
     return summary
 
 
@@ -174,15 +176,18 @@ def verdict(parent: float, change: float, better: str, bound: float) -> dict:
     return {"worse_by": worse_by, "within_bound": worse_by is not None and worse_by <= bound}
 
 
-def gain_gate(parent: list[float], change: list[float], better: str) -> str:
-    """The rule a claimed gain is judged by, over the complete pairs' values: "met" when the change is better in
-    the ``better`` direction in at least nine tenths of the pairs and its median is past the parent's by more than
-    the parent's interquartile range, else "not met"."""
-    sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    parent_q, change_q = quartiles(parent), quartiles(change)
-    gap = sign * (change_q["median"] - parent_q["median"])
-    return "met" if 10 * wins >= 9 * len(parent) and gap > parent_q["q3"] - parent_q["q1"] else "not met"
+def gain_gate(entry: dict, better: str) -> str:
+    """The rule a claimed gain is judged by, read from a metric's ``summarize`` entry: "met" when it has at least
+    ``GATE_PAIRS`` complete pairs, the change is better in the ``better`` direction in at least nine tenths of them
+    and its median is past the parent's by more than the parent's interquartile range; "too few pairs" under
+    ``GATE_PAIRS`` pairs; else "not met"."""
+    if entry["pairs"] < GATE_PAIRS:
+        return "too few pairs"
+    parent, change = entry["parent"], entry["change"]
+    higher = better == "higher"
+    wins = entry["change_above_parent" if higher else "change_below_parent"]
+    gap = change["median"] - parent["median"] if higher else parent["median"] - change["median"]
+    return "met" if 10 * wins >= 9 * entry["pairs"] and gap > parent["q3"] - parent["q1"] else "not met"
 
 
 def end_to_end_metrics(checkout: str) -> dict:
